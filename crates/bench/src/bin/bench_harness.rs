@@ -42,10 +42,7 @@
 //!
 //! An **`obs_traced`** entry re-times the warm engine pass with span
 //! tracing enabled; its ratio against `parallel_cached` is the committed
-//! `obs_overhead` — the cost of `--trace`, which must stay near 1.0. A
-//! **`batched_cached`** entry re-times the same warm pass with same-shape
-//! case batching on (`--batch 16`); its ratio against `parallel_cached`
-//! is the committed `batched_vs_parallel`, which must not fall below 1.0.
+//! `obs_overhead` — the cost of `--trace`, which must stay near 1.0.
 //!
 //! The report carries a `hardware` block (core count, architecture,
 //! detected SIMD features) so the committed trajectory records *where* it
@@ -154,10 +151,6 @@ struct Report {
     entries: Vec<Entry>,
     /// `parallel_cached` vs `serial_fresh` throughput on the bench sweep.
     speedup: f64,
-    /// `batched_cached` vs `parallel_cached` throughput: what `--batch`
-    /// same-shape scheduling buys (or costs) on the warm engine pass at
-    /// the same worker count. Must not fall below 1.0.
-    batched_vs_parallel: f64,
     /// `sharded_cached` vs `parallel_cached` throughput (the steady-state
     /// multi-process pass against the warm single-process engine).
     sharded_vs_parallel: f64,
@@ -169,14 +162,14 @@ struct Report {
     /// structure store buys a fleet that re-runs (or extends) a sweep,
     /// against rebuilding every structure per process.
     store_vs_cold: f64,
-    /// On-disk bytes of the v2 store after the K = 4 seed-diverse pass.
+    /// On-disk bytes of the store after the K = 4 seed-diverse pass.
     seeded_store_bytes: u64,
-    /// What the v1 one-file-per-seed layout would hold for the same keys
-    /// (one full per-seed strong file each). The content-addressed layout
-    /// must stay strictly below this.
-    seeded_v1_equivalent_bytes: u64,
-    /// `seeded_v1_equivalent_bytes / seeded_store_bytes` — how much the
-    /// shared universal strong blobs save under seed diversity.
+    /// What one blob per seed would take for the same keys (one full
+    /// per-seed strong prefix each). The content-addressed layout must stay
+    /// strictly below this.
+    seeded_one_blob_per_seed_bytes: u64,
+    /// `seeded_one_blob_per_seed_bytes / seeded_store_bytes` — how much
+    /// the shared universal strong blobs save under seed diversity.
     seeded_dedup: f64,
     /// `--jobs-sweep`: the engine pass timed at a ladder of worker-thread
     /// counts (1, 2, 4, 8), warm cache — the executor's scaling curve.
@@ -192,7 +185,7 @@ struct Report {
 /// cache reach steady state, as in `bench_combinat`'s `time_median`), then
 /// the median of three timed passes — single passes on a shared/1-core
 /// container swing by ±25%, which would drown the ratios the report
-/// commits (`batched_vs_parallel`, `obs_overhead`).
+/// commits (`obs_overhead`).
 fn time_run(items: &[WorkItem], mut run: impl FnMut(&[WorkItem])) -> f64 {
     run(items);
     let mut samples: Vec<f64> = (0..3)
@@ -245,8 +238,7 @@ fn bench_config(quick: bool) -> (ScalingSpec, usize) {
 
 fn bench_items(scaling: &ScalingSpec, reps: usize) -> Vec<WorkItem> {
     // Repetitions are consecutive per scaling point — the order every real
-    // sweep enumerates (reps innermost) and the order same-shape batching
-    // keys on, so `batched_cached` exercises genuine multi-case batches.
+    // sweep enumerates (reps innermost).
     let mut items: Vec<WorkItem> = Vec::new();
     for point in scaling_items(scaling) {
         for _ in 0..reps {
@@ -505,18 +497,7 @@ fn main() {
         std::hint::black_box(parallel_engine.run::<Vec<u8>>(items, None));
     });
 
-    // 3a. The batched engine: the same warm parallel pass with same-shape
-    //    case batching on (`--batch 16`), so consecutive repetitions of a
-    //    scaling point resolve their structures once per batch instead of
-    //    once per case. Output is byte-identical (pinned by the harness
-    //    and distrib test suites); this entry tracks what the scheduling
-    //    change buys on the construction-dominated sweep.
-    let batched_engine = SweepEngine::new(parallel_jobs).with_batch_limit(16);
-    let batched_cached = time_run(&items, |items| {
-        std::hint::black_box(batched_engine.run::<Vec<u8>>(items, None));
-    });
-
-    // 3c. The instrumentation tax: the same warm engine pass with span
+    // 3a. The instrumentation tax: the same warm engine pass with span
     //    tracing enabled (sidecar writes included). Metrics counters are
     //    always on, so `obs_overhead` — the ratio against the untraced
     //    parallel pass — isolates exactly what `--trace` costs, the
@@ -626,7 +607,7 @@ fn main() {
     //    The store is prebuilt (full strong prefixes per schedule seed, one
     //    shared universal blob per universe), then the orchestrated warm
     //    pass is timed — and the resulting on-disk bytes are pinned against
-    //    the v1 one-file-per-seed layout the same keys would have produced.
+    //    one blob per seed for the same keys.
     let seeded = seeded_items(quick);
     let seeded_store_dir =
         std::env::temp_dir().join(format!("ring-bench-seededstore-{}", std::process::id()));
@@ -699,13 +680,13 @@ fn main() {
     });
 
     let seeded_store_bytes = dir_bytes(&seeded_store_dir);
-    // The v1 layout: one full file per logical strong key (K per universe).
-    let seeded_v1_equivalent_bytes: u64 = seeded_keys
+    // One blob per logical strong key (K per universe).
+    let seeded_one_blob_per_seed_bytes: u64 = seeded_keys
         .iter()
         .map(|(key, hint)| {
             let prefix = ring_combinat::SharedStrongDistinguisher::new(key.universe, key.seed)
                 .prefix_size_for((*hint).max(2));
-            ring_combinat::codec::encoded_len(key.universe, prefix) as u64
+            ring_combinat::codec::blob_len(key.universe, prefix) as u64
         })
         .sum();
     std::fs::remove_dir_all(&seeded_store_dir).ok();
@@ -733,13 +714,6 @@ fn main() {
             jobs: parallel_jobs,
             elapsed_ms: parallel_cached * 1e3,
             cases_per_sec: throughput(parallel_cached),
-        },
-        Entry {
-            name: "batched_cached".into(),
-            cases: items.len(),
-            jobs: parallel_jobs,
-            elapsed_ms: batched_cached * 1e3,
-            cases_per_sec: throughput(batched_cached),
         },
         Entry {
             name: "obs_traced".into(),
@@ -792,10 +766,9 @@ fn main() {
         },
     ];
     let speedup = serial_fresh / parallel_cached.max(1e-9);
-    let batched_vs_parallel = parallel_cached / batched_cached.max(1e-9);
     let sharded_vs_parallel = parallel_cached / sharded_cached.max(1e-9);
     let store_vs_cold = sharded_cold / sharded_store_warm.max(1e-9);
-    let seeded_dedup = seeded_v1_equivalent_bytes as f64 / (seeded_store_bytes.max(1)) as f64;
+    let seeded_dedup = seeded_one_blob_per_seed_bytes as f64 / (seeded_store_bytes.max(1)) as f64;
     for entry in entries.iter().chain(&jobs_sweep) {
         println!(
             "{:<16} {:>3} cases, {:>2} jobs: {:>10.1} ms  ({:>8.2} cases/s)",
@@ -803,13 +776,12 @@ fn main() {
         );
     }
     println!("sweep speedup (parallel_cached vs serial_fresh): {speedup:.1}x");
-    println!("same-shape batching vs warm parallel engine: {batched_vs_parallel:.2}x");
     println!("sharded steady state vs warm parallel engine: {sharded_vs_parallel:.1}x");
     println!("span tracing tax on the warm engine pass: {obs_overhead:.2}x");
     println!("warm structure store vs storeless cold fleet: {store_vs_cold:.1}x");
     println!(
-        "seed-diverse (K=4) store: {seeded_store_bytes} bytes vs {seeded_v1_equivalent_bytes} \
-for one-file-per-seed v1 ({seeded_dedup:.2}x smaller)"
+        "seed-diverse (K=4) store: {seeded_store_bytes} bytes vs \
+{seeded_one_blob_per_seed_bytes} for one blob per seed ({seeded_dedup:.2}x smaller)"
     );
 
     // Cache health on the standard sweep (the acceptance indicator: the
@@ -834,12 +806,11 @@ for one-file-per-seed v1 ({seeded_dedup:.2}x smaller)"
         hardware: detect_hardware(),
         entries,
         speedup,
-        batched_vs_parallel,
         sharded_vs_parallel,
         obs_overhead,
         store_vs_cold,
         seeded_store_bytes,
-        seeded_v1_equivalent_bytes,
+        seeded_one_blob_per_seed_bytes,
         seeded_dedup,
         jobs_sweep,
         bench_sweep_cache: cache_section(parallel_engine.cache()),
@@ -861,13 +832,6 @@ for the committed curve",
         eprintln!(
             "WARNING: sweep speedup {:.1}x is below the 3x acceptance floor",
             report.speedup
-        );
-    }
-    if report.batched_vs_parallel < 1.0 {
-        eprintln!(
-            "WARNING: same-shape batching ({:.2}x) is slower than the plain warm \
-             parallel engine",
-            report.batched_vs_parallel
         );
     }
     if report.standard_sweep_cache.hit_rate <= 0.0 {
@@ -893,11 +857,11 @@ for the committed curve",
             report.store_vs_cold
         );
     }
-    if report.seeded_store_bytes >= report.seeded_v1_equivalent_bytes {
+    if report.seeded_store_bytes >= report.seeded_one_blob_per_seed_bytes {
         eprintln!(
-            "WARNING: the seed-diverse v2 store ({} bytes) is not smaller than K \
-             independent v1 files ({} bytes)",
-            report.seeded_store_bytes, report.seeded_v1_equivalent_bytes
+            "WARNING: the seed-diverse store ({} bytes) is not smaller than one \
+             blob per seed ({} bytes)",
+            report.seeded_store_bytes, report.seeded_one_blob_per_seed_bytes
         );
     }
 }

@@ -1,65 +1,69 @@
-//! The `structure-store/v1` binary codec.
+//! The `structure-store/v2` binary codec: content-addressed blobs plus
+//! per-key index entries.
 //!
 //! Serializes the expensive combinatorial structures of this crate — lists
-//! of [`IdSet`]s keyed by a [`StructureKey`] — into a self-validating byte
-//! stream, so one process can construct a structure and every other thread,
-//! process or machine can load it instead of reconstructing. The format is
-//! **word-exact**: the payload is the sets' canonical backing words
-//! verbatim, so a decoded structure is bit-identical to the encoded one and
-//! therefore (because every construction is a pure function of its key)
-//! bit-identical to a fresh construction. Protocol outcomes can never
-//! depend on whether a structure was loaded or built.
+//! of [`IdSet`]s — into self-validating byte streams, so one process can
+//! construct a structure and every other thread, process or machine can
+//! load it instead of reconstructing. The format is **word-exact**: the
+//! payload is the sets' canonical backing words verbatim, so a decoded
+//! structure is bit-identical to the encoded one and therefore (because
+//! every construction is a pure function of its key) bit-identical to a
+//! fresh construction. Protocol outcomes can never depend on whether a
+//! structure was loaded or built.
 //!
-//! Layout — the whole file is a stream of little-endian `u64` words:
+//! A store separates *payload* from *identity*. The payload lives in a
+//! **blob** named by its own digest, so identical structures constructed
+//! under different logical keys land in (and are served from) one file.
+//! The identity — which [`StructureKey`] resolves to which blob — lives in
+//! a tiny per-key [`IndexEntry`] that is rewritten atomically, so longer
+//! strong prefixes supersede shorter ones without ever mutating a
+//! published blob.
+//!
+//! Blob layout — the whole file is a stream of little-endian `u64` words:
 //!
 //! ```text
-//! magic    8 bytes  b"ringstor" (one word)
-//! version  u64      1
-//! kind     u64      StructureKind::code()
+//! magic    8 bytes  b"ringblob" (one word)
+//! version  u64      2
 //! universe u64      N
-//! n        u64      target set size (0 for strong distinguishers)
-//! seed     u64      construction seed
 //! count    u64      number of sets
 //! payload  count × (N/64 + 1) × u64   canonical IdSet words
-//! checksum u64      FNV-1a-64 folded over every preceding word
+//! digest   u64      FNV-1a-64 folded once per preceding word
 //! ```
 //!
-//! The trailer applies the FNV-1a-64 step (`xor`, then multiply by the FNV
-//! prime) once per preceding **64-bit word** rather than once per byte:
-//! structure files are tens to hundreds of megabytes of word payload, and
-//! word folding checksums them at memory bandwidth (8× fewer multiplies)
-//! while keeping the per-step bijectivity that makes any single corrupted
-//! byte change the digest. (Shard JSONL files in `ring-distrib` are byte
-//! streams and keep the classic byte-wise digest; both granularities are
-//! served by the one [`Fnv1a64`] implementation below.)
+//! The trailing digest is the blob's **identity**: the file is named
+//! `<digest:016x>.blob` and index entries refer to it by the same value, so
+//! a loader can verify name, trailer and content against each other in one
+//! streaming pass. Kind, `n` and seed deliberately do not appear in a blob —
+//! they are identity, not payload, and putting them in the bytes would
+//! defeat the dedup.
 //!
-//! [`decode`] refuses anything it cannot prove exact: wrong magic or
-//! version, unknown kind, a byte length that does not match the header, a
-//! checksum mismatch, or a payload word outside canonical form. A corrupt
-//! file yields an error — never a plausible-but-wrong structure.
+//! The digest applies the FNV-1a-64 step (`xor`, then multiply by the FNV
+//! prime) once per preceding **64-bit word** rather than once per byte:
+//! blobs are tens to hundreds of megabytes of word payload, and word
+//! folding checksums them at memory bandwidth (8× fewer multiplies) while
+//! keeping the per-step bijectivity that makes any single corrupted byte
+//! change the digest. (Shard JSONL files in `ring-distrib` are byte streams
+//! and keep the classic byte-wise digest; both granularities are served by
+//! the one [`Fnv1a64`] implementation below.)
+//!
+//! [`decode_blob_stream`] refuses anything it cannot prove exact: wrong
+//! magic or version, a byte length that does not match the header, a
+//! digest mismatch, or a payload word outside canonical form. A corrupt
+//! blob yields an error — never a plausible-but-wrong structure.
 //!
 //! The FNV-1a-64 hasher lives here (rather than in `ring-distrib`, which
 //! re-exports it) so the lowest layer of the workspace owns the one
-//! implementation that pins both shard files and structure files.
+//! implementation that pins both shard files and structure blobs.
 
 use crate::idset::IdSet;
 use crate::shared::{StructureKey, StructureKind};
 use std::borrow::Borrow;
 use std::fmt;
 
-/// The on-disk schema identifier of the v1 (keyed one-file-per-key) codec.
-pub const STORE_SCHEMA: &str = "structure-store/v1";
-
 /// The on-disk schema identifier of the v2 (content-addressed) layout:
 /// payload blobs named by their own digest plus a small per-key index (see
 /// [`encode_blob`] / [`IndexEntry`]).
 pub const STORE_SCHEMA_V2: &str = "structure-store/v2";
-
-/// The 8-byte file magic of v1 keyed files.
-pub const MAGIC: [u8; 8] = *b"ringstor";
-
-/// The v1 format version.
-pub const VERSION: u64 = 1;
 
 /// The 8-byte file magic of v2 content-addressed blobs.
 pub const BLOB_MAGIC: [u8; 8] = *b"ringblob";
@@ -71,7 +75,7 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// A streaming FNV-1a-64 hasher — the digest pinning shard JSONL files
-/// (via `ring-distrib`) and `structure-store/v1` payloads.
+/// (via `ring-distrib`) and `structure-store/v2` blobs.
 #[derive(Clone, Copy, Debug)]
 pub struct Fnv1a64(u64);
 
@@ -97,7 +101,7 @@ impl Fnv1a64 {
     }
 
     /// Folds one 64-bit word into the digest with a single FNV-1a step —
-    /// the `structure-store/v1` granularity, which checksums word payloads
+    /// the `structure-store/v2` granularity, which checksums word payloads
     /// at memory bandwidth. Not equivalent to [`Fnv1a64::update`] on the
     /// word's bytes; a format picks one granularity and sticks to it.
     pub fn update_word(&mut self, word: u64) {
@@ -122,7 +126,7 @@ pub fn format_checksum(digest: u64) -> String {
     format!("fnv1a64:{digest:016x}")
 }
 
-/// Why a byte stream was rejected by [`decode`].
+/// Why a byte stream was rejected by the blob or index-entry decoders.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CodecError {
     /// The stream is shorter than the fixed header + trailer.
@@ -130,9 +134,9 @@ pub enum CodecError {
         /// Bytes present.
         len: usize,
     },
-    /// The magic bytes are not [`MAGIC`].
+    /// The magic bytes are not [`BLOB_MAGIC`].
     BadMagic,
-    /// The version field is not [`VERSION`].
+    /// The version field is not [`BLOB_VERSION`].
     UnsupportedVersion(u64),
     /// The kind code maps to no [`StructureKind`].
     UnknownKind(u64),
@@ -156,13 +160,6 @@ pub enum CodecError {
     NotCanonical {
         /// Index of the offending set.
         set: usize,
-    },
-    /// The decoded key differs from the key the caller asked for.
-    KeyMismatch {
-        /// The key in the file.
-        found: StructureKey,
-        /// The key requested.
-        requested: StructureKey,
     },
     /// The blob's identity digest differs from what the caller expected (a
     /// mis-named blob file, or a stale index entry).
@@ -195,11 +192,11 @@ impl fmt::Display for CodecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CodecError::TooShort { len } => {
-                write!(f, "{len} bytes is shorter than a {STORE_SCHEMA} header")
+                write!(f, "{len} bytes is shorter than a {STORE_SCHEMA_V2} header")
             }
-            CodecError::BadMagic => write!(f, "bad magic (not a {STORE_SCHEMA} file)"),
+            CodecError::BadMagic => write!(f, "bad magic (not a {STORE_SCHEMA_V2} file)"),
             CodecError::UnsupportedVersion(v) => {
-                write!(f, "unsupported {STORE_SCHEMA} version {v}")
+                write!(f, "unsupported {STORE_SCHEMA_V2} version {v}")
             }
             CodecError::UnknownKind(code) => write!(f, "unknown structure kind code {code}"),
             CodecError::EmptyUniverse => write!(f, "structure file declares an empty universe"),
@@ -216,10 +213,6 @@ impl fmt::Display for CodecError {
             CodecError::NotCanonical { set } => {
                 write!(f, "payload set {set} violates the canonical word form")
             }
-            CodecError::KeyMismatch { found, requested } => write!(
-                f,
-                "structure file holds {found:?} where {requested:?} was requested"
-            ),
             CodecError::DigestMismatch { expected, computed } => write!(
                 f,
                 "blob digest {} does not match expected identity {}",
@@ -246,339 +239,20 @@ index entry promised {expected_count} over {expected_universe}"
 
 impl std::error::Error for CodecError {}
 
-/// Header + trailer size in bytes (magic, version, kind, universe, n, seed,
-/// count, checksum).
-const FRAME_BYTES: usize = 8 * 8;
-
 /// Words per serialized set for a universe (identifier `N` lives at bit
 /// `N % 64` of word `N / 64`).
 fn words_per_set(universe: u64) -> usize {
     universe as usize / 64 + 1
 }
 
-/// The exact encoded size of `count` sets over `universe`.
-pub fn encoded_len(universe: u64, count: usize) -> usize {
-    FRAME_BYTES + count * words_per_set(universe) * 8
-}
-
-/// Encodes a keyed list of sets as one self-validating `structure-store/v1`
-/// byte stream. Every set must live over `key.universe`.
-///
-/// # Panics
-///
-/// Panics if a set's universe differs from the key's.
-pub fn encode<S: Borrow<IdSet>>(key: &StructureKey, sets: &[S]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(encoded_len(key.universe, sets.len()));
-    let mut hasher = Fnv1a64::new();
-    let mut push = |out: &mut Vec<u8>, word: u64| {
-        out.extend_from_slice(&word.to_le_bytes());
-        hasher.update_word(word);
-    };
-    for field in [
-        u64::from_le_bytes(MAGIC),
-        VERSION,
-        key.kind.code(),
-        key.universe,
-        key.n,
-        key.seed,
-        sets.len() as u64,
-    ] {
-        push(&mut out, field);
-    }
-    for set in sets {
-        let set = set.borrow();
-        assert_eq!(
-            set.universe(),
-            key.universe,
-            "encoded sets must live over the key's universe"
-        );
-        for &word in set.words() {
-            push(&mut out, word);
-        }
-    }
-    let digest = hasher.finish();
-    out.extend_from_slice(&digest.to_le_bytes());
-    out
-}
-
 fn read_u64(bytes: &[u8], offset: usize) -> u64 {
     u64::from_le_bytes(bytes[offset..offset + 8].try_into().expect("8 bytes"))
 }
 
-/// The word-folded digest of a word-aligned byte stream (the trailer's
-/// covering hash: every word of the stream except the trailer itself).
-fn fold_words(body: &[u8]) -> u64 {
-    let mut hasher = Fnv1a64::new();
-    for chunk in body.chunks_exact(8) {
-        hasher.update_word(u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
-    }
-    hasher.finish()
-}
-
-/// Decodes a `structure-store/v1` byte stream into its key and sets,
-/// validating magic, version, kind, exact length, checksum and canonical
-/// form (in that order — the digest is verified before any payload word is
-/// interpreted).
-///
-/// # Errors
-///
-/// Returns the first [`CodecError`] encountered; corrupt input never
-/// decodes into a structure.
-pub fn decode(bytes: &[u8]) -> Result<(StructureKey, Vec<IdSet>), CodecError> {
-    if bytes.len() < FRAME_BYTES {
-        return Err(CodecError::TooShort { len: bytes.len() });
-    }
-    if bytes[..8] != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = read_u64(bytes, 8);
-    if version != VERSION {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
-    let kind_code = read_u64(bytes, 16);
-    let kind = StructureKind::from_code(kind_code).ok_or(CodecError::UnknownKind(kind_code))?;
-    let universe = read_u64(bytes, 24);
-    if universe == 0 {
-        return Err(CodecError::EmptyUniverse);
-    }
-    let key = StructureKey {
-        kind,
-        universe,
-        n: read_u64(bytes, 32),
-        seed: read_u64(bytes, 40),
-    };
-    let count = read_u64(bytes, 48);
-    let wps = words_per_set(universe);
-    let expected = (count as usize)
-        .checked_mul(wps * 8)
-        .and_then(|payload| payload.checked_add(FRAME_BYTES))
-        .ok_or(CodecError::LengthMismatch {
-            expected: usize::MAX,
-            actual: bytes.len(),
-        })?;
-    if bytes.len() != expected {
-        return Err(CodecError::LengthMismatch {
-            expected,
-            actual: bytes.len(),
-        });
-    }
-    let body = &bytes[..bytes.len() - 8];
-    let stored = read_u64(bytes, bytes.len() - 8);
-    let computed = fold_words(body);
-    if computed != stored {
-        return Err(CodecError::ChecksumMismatch { stored, computed });
-    }
-    let mut sets = Vec::with_capacity(count as usize);
-    for (set_index, payload) in body[56..].chunks_exact(wps * 8).enumerate() {
-        let words: Vec<u64> = payload
-            .chunks_exact(8)
-            .map(|chunk| u64::from_le_bytes(chunk.try_into().expect("8 bytes")))
-            .collect();
-        let set = IdSet::try_from_words(universe, words)
-            .ok_or(CodecError::NotCanonical { set: set_index })?;
-        sets.push(set);
-    }
-    Ok((key, sets))
-}
-
-/// [`decode`], additionally checking the stream holds exactly the requested
-/// key — the load path of a keyed structure store.
-///
-/// # Errors
-///
-/// Everything [`decode`] rejects, plus [`CodecError::KeyMismatch`].
-pub fn decode_for_key(key: &StructureKey, bytes: &[u8]) -> Result<Vec<IdSet>, CodecError> {
-    let (found, sets) = decode(bytes)?;
-    if found != *key {
-        return Err(CodecError::KeyMismatch {
-            found,
-            requested: *key,
-        });
-    }
-    Ok(sets)
-}
-
-/// Streaming single-pass variant of [`decode_for_key`]: header validation,
-/// key check, payload parse, word-folded digest and trailer comparison all
-/// happen in one pass over `reader` — no whole-file buffer, and a
-/// mismatched key is refused after the 56-byte header without reading the
-/// payload at all. This is the hot load path of the structure store
-/// (structure files run to hundreds of megabytes).
-///
-/// `total_len` must be the stream's exact byte length (the file size);
-/// the set count implied by the header is validated against it up front,
-/// so a truncated file fails before any payload work.
-///
-/// Unlike the slice decoder, a canonical-form violation can surface before
-/// the checksum comparison (the stream is parsed as it is hashed); every
-/// corruption still yields an error, only which error may differ.
-///
-/// # Errors
-///
-/// Everything [`decode_for_key`] rejects, plus [`CodecError::Io`] for
-/// reader failures.
-pub fn decode_stream_for_key(
-    key: &StructureKey,
-    mut reader: impl std::io::Read,
-    total_len: u64,
-) -> Result<Vec<IdSet>, CodecError> {
-    let io_err = |e: std::io::Error| CodecError::Io(e.to_string());
-    if total_len < FRAME_BYTES as u64 {
-        return Err(CodecError::TooShort {
-            len: total_len as usize,
-        });
-    }
-    let mut header = [0u8; 56];
-    reader.read_exact(&mut header).map_err(io_err)?;
-    if header[..8] != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = read_u64(&header, 8);
-    if version != VERSION {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
-    let kind_code = read_u64(&header, 16);
-    let kind = StructureKind::from_code(kind_code).ok_or(CodecError::UnknownKind(kind_code))?;
-    let universe = read_u64(&header, 24);
-    if universe == 0 {
-        return Err(CodecError::EmptyUniverse);
-    }
-    let found = StructureKey {
-        kind,
-        universe,
-        n: read_u64(&header, 32),
-        seed: read_u64(&header, 40),
-    };
-    if found != *key {
-        return Err(CodecError::KeyMismatch {
-            found,
-            requested: *key,
-        });
-    }
-    let count = read_u64(&header, 48) as usize;
-    let wps = words_per_set(universe);
-    let expected = count
-        .checked_mul(wps * 8)
-        .and_then(|payload| payload.checked_add(FRAME_BYTES))
-        .ok_or(CodecError::LengthMismatch {
-            expected: usize::MAX,
-            actual: total_len as usize,
-        })?;
-    if total_len != expected as u64 {
-        return Err(CodecError::LengthMismatch {
-            expected,
-            actual: total_len as usize,
-        });
-    }
-    let mut hasher = Fnv1a64::new();
-    for chunk in header.chunks_exact(8) {
-        hasher.update_word(u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
-    }
-    let mut sets = Vec::with_capacity(count);
-    let mut buf = vec![0u8; wps * 8];
-    for set_index in 0..count {
-        reader.read_exact(&mut buf).map_err(io_err)?;
-        let words: Vec<u64> = buf
-            .chunks_exact(8)
-            .map(|chunk| {
-                let word = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-                hasher.update_word(word);
-                word
-            })
-            .collect();
-        let set = IdSet::try_from_words(universe, words)
-            .ok_or(CodecError::NotCanonical { set: set_index })?;
-        sets.push(set);
-    }
-    let mut trailer = [0u8; 8];
-    reader.read_exact(&mut trailer).map_err(io_err)?;
-    let stored = u64::from_le_bytes(trailer);
-    let computed = hasher.finish();
-    if computed != stored {
-        return Err(CodecError::ChecksumMismatch { stored, computed });
-    }
-    Ok(sets)
-}
-
-/// Streaming validation without materialisation: header, exact length,
-/// per-set canonical form and the word-folded trailer are all checked in
-/// one constant-memory pass (one set's worth of buffer), and the decoded
-/// key plus set count are returned. This is what store maintenance
-/// (`verify`, `gc`, resume revalidation) runs over directories of
-/// hundreds-of-megabyte files — full validation, no whole-file buffer, no
-/// set allocation.
-///
-/// # Errors
-///
-/// Everything [`decode`] rejects, plus [`CodecError::Io`] for reader
-/// failures. As with [`decode_stream_for_key`], a canonical-form violation
-/// can surface before the checksum comparison.
-pub fn validate_stream(
-    mut reader: impl std::io::Read,
-    total_len: u64,
-) -> Result<(StructureKey, usize), CodecError> {
-    let io_err = |e: std::io::Error| CodecError::Io(e.to_string());
-    if total_len < FRAME_BYTES as u64 {
-        return Err(CodecError::TooShort {
-            len: total_len as usize,
-        });
-    }
-    let mut header = [0u8; 56];
-    reader.read_exact(&mut header).map_err(io_err)?;
-    if header[..8] != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = read_u64(&header, 8);
-    if version != VERSION {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
-    let kind_code = read_u64(&header, 16);
-    let kind = StructureKind::from_code(kind_code).ok_or(CodecError::UnknownKind(kind_code))?;
-    let universe = read_u64(&header, 24);
-    if universe == 0 {
-        return Err(CodecError::EmptyUniverse);
-    }
-    let key = StructureKey {
-        kind,
-        universe,
-        n: read_u64(&header, 32),
-        seed: read_u64(&header, 40),
-    };
-    let count = read_u64(&header, 48) as usize;
-    let wps = words_per_set(universe);
-    let expected = count
-        .checked_mul(wps * 8)
-        .and_then(|payload| payload.checked_add(FRAME_BYTES))
-        .ok_or(CodecError::LengthMismatch {
-            expected: usize::MAX,
-            actual: total_len as usize,
-        })?;
-    if total_len != expected as u64 {
-        return Err(CodecError::LengthMismatch {
-            expected,
-            actual: total_len as usize,
-        });
-    }
-    let mut hasher = Fnv1a64::new();
-    for chunk in header.chunks_exact(8) {
-        hasher.update_word(u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
-    }
-    validate_canonical_payload(&mut reader, universe, count, &mut hasher)?;
-    let mut trailer = [0u8; 8];
-    reader.read_exact(&mut trailer).map_err(io_err)?;
-    let stored = u64::from_le_bytes(trailer);
-    let computed = hasher.finish();
-    if computed != stored {
-        return Err(CodecError::ChecksumMismatch { stored, computed });
-    }
-    Ok((key, count))
-}
-
 /// Streams `count` sets' payload words through `hasher` while checking each
 /// set's canonical form (identifier-0 bit clear, tail bits beyond the
-/// universe clear) in constant memory — the validation loop shared by the
-/// v1 [`validate_stream`] and the v2 [`validate_blob_stream`], so the two
-/// formats can never drift on what "canonical" means.
+/// universe clear) in constant memory — the validation loop of
+/// [`validate_blob_stream`].
 fn validate_canonical_payload(
     reader: &mut impl std::io::Read,
     universe: u64,
@@ -616,36 +290,6 @@ fn validate_canonical_payload(
     }
     Ok(())
 }
-
-// ---------------------------------------------------------------------
-// structure-store/v2: content-addressed blobs + per-key index entries.
-// ---------------------------------------------------------------------
-//
-// A v2 store separates *payload* from *identity*. The payload — a list of
-// canonical `IdSet`s over one universe — lives in a **blob** named by its
-// own digest, so identical structures constructed under different logical
-// keys land in (and are served from) one file. The identity — which
-// `StructureKey` resolves to which blob — lives in a tiny per-key **index
-// entry** that is rewritten atomically, so longer strong prefixes supersede
-// shorter ones without ever mutating a published blob.
-//
-// Blob layout (a stream of little-endian `u64` words):
-//
-// ```text
-// magic    8 bytes  b"ringblob" (one word)
-// version  u64      2
-// universe u64      N
-// count    u64      number of sets
-// payload  count × (N/64 + 1) × u64   canonical IdSet words
-// digest   u64      FNV-1a-64 folded once per preceding word
-// ```
-//
-// The trailing digest is the blob's **identity**: the file is named
-// `<digest:016x>.blob` and index entries refer to it by the same value, so
-// a loader can verify name, trailer and content against each other in one
-// streaming pass. Kind, `n` and seed deliberately do not appear in a blob —
-// they are identity, not payload, and putting them in the bytes would
-// defeat the dedup.
 
 /// Blob frame size in bytes (magic, version, universe, count, digest).
 const BLOB_FRAME_BYTES: usize = 8 * 5;
@@ -816,15 +460,16 @@ pub fn decode_blob_stream(
     Ok(sets)
 }
 
-/// Streaming validation of a blob without materialisation (the maintenance
-/// analogue of [`validate_stream`]): header, exact length, per-set canonical
+/// Streaming validation of a blob without materialisation — what store
+/// maintenance (`verify`, `gc`, resume revalidation) runs over directories
+/// of hundreds-of-megabyte blobs: header, exact length, per-set canonical
 /// form and the trailer digest are checked in one constant-memory pass, and
 /// the blob's summary is returned. Callers additionally compare
 /// `summary.digest` against the file name to catch mis-filed blobs.
 ///
 /// # Errors
 ///
-/// Everything the v1 [`validate_stream`] rejects on its shared checks, plus
+/// Everything [`decode_blob_stream`] rejects on its shared checks, plus
 /// [`CodecError::Io`].
 pub fn validate_blob_stream(
     mut reader: impl std::io::Read,
@@ -954,6 +599,22 @@ mod tests {
         assert_eq!(h.format(), "fnv1a64:85944171f73967e8");
     }
 
+    /// Re-seals a blob's trailer over its (edited) body, so a test can make
+    /// exactly one field wrong.
+    fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+        let n = bytes.len() - 8;
+        let mut h = Fnv1a64::new();
+        for at in (0..n).step_by(8) {
+            h.update_word(read_u64(&bytes, at));
+        }
+        bytes[n..].copy_from_slice(&h.finish().to_le_bytes());
+        bytes
+    }
+
+    fn validate(bytes: &[u8]) -> Result<BlobSummary, CodecError> {
+        validate_blob_stream(bytes, bytes.len() as u64)
+    }
+
     #[test]
     fn word_folding_is_one_fnv_step_per_word() {
         let mut h = Fnv1a64::new();
@@ -962,165 +623,137 @@ mod tests {
             h.finish(),
             (0xcbf29ce484222325u64 ^ 0x0123_4567_89ab_cdef).wrapping_mul(0x100000001b3)
         );
-        // fold_words over a two-word stream chains the steps.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&1u64.to_le_bytes());
-        bytes.extend_from_slice(&2u64.to_le_bytes());
+        // A blob's digest chains the step over every preceding word.
+        let (bytes, digest) = encode_blob::<IdSet>(100, &[]);
         let mut chained = Fnv1a64::new();
-        chained.update_word(1);
-        chained.update_word(2);
-        assert_eq!(fold_words(&bytes), chained.finish());
+        for word in [u64::from_le_bytes(BLOB_MAGIC), BLOB_VERSION, 100, 0] {
+            chained.update_word(word);
+        }
+        assert_eq!(digest, chained.finish());
+        assert_eq!(read_u64(&bytes, bytes.len() - 8), digest);
     }
 
     #[test]
     fn empty_and_sparse_lists_round_trip() {
-        let k = key(StructureKind::StrongDistinguisher, 100, 0, 7);
-        let bytes = encode::<IdSet>(&k, &[]);
-        assert_eq!(bytes.len(), encoded_len(100, 0));
-        let (decoded_key, sets) = decode(&bytes).unwrap();
-        assert_eq!(decoded_key, k);
-        assert!(sets.is_empty());
+        let (bytes, digest) = encode_blob::<IdSet>(100, &[]);
+        assert_eq!(bytes.len(), blob_len(100, 0));
+        let decoded = decode_blob_stream(&bytes[..], bytes.len() as u64, 100, 0, digest).unwrap();
+        assert!(decoded.is_empty());
 
         let sets = vec![IdSet::from_ids(100, [1, 64, 65, 100]), IdSet::empty(100)];
-        let bytes = encode(&k, &sets);
-        assert_eq!(decode_for_key(&k, &bytes).unwrap(), sets);
+        let (bytes, digest) = encode_blob(100, &sets);
+        let decoded = decode_blob_stream(&bytes[..], bytes.len() as u64, 100, 2, digest).unwrap();
+        assert_eq!(decoded, sets);
     }
 
     #[test]
     fn distinguisher_and_selective_family_round_trip_exactly() {
-        let k = key(StructureKind::Distinguisher, 257, 4, 11);
         let d = Distinguisher::random(257, 4, 11);
-        let bytes = encode(&k, d.sets());
-        let rebuilt = Distinguisher::from_sets(257, 4, decode_for_key(&k, &bytes).unwrap());
-        assert_eq!(rebuilt, d);
+        let (bytes, digest) = encode_blob(257, d.sets());
+        let sets =
+            decode_blob_stream(&bytes[..], bytes.len() as u64, 257, d.len(), digest).unwrap();
+        assert_eq!(Distinguisher::from_sets(257, 4, sets), d);
 
-        let k = key(StructureKind::SelectiveFamily, 130, 8, 3);
         let f = SelectiveFamily::random(130, 8, 3);
-        let bytes = encode(&k, f.sets());
-        let rebuilt = SelectiveFamily::from_sets(130, 8, decode_for_key(&k, &bytes).unwrap());
-        assert_eq!(rebuilt, f);
-    }
-
-    #[test]
-    fn streaming_decode_matches_the_slice_decoder() {
-        let k = key(StructureKind::Distinguisher, 130, 4, 21);
-        let d = Distinguisher::random(130, 4, 21);
-        let bytes = encode(&k, d.sets());
-        let streamed =
-            decode_stream_for_key(&k, &bytes[..], bytes.len() as u64).expect("streams decode");
-        assert_eq!(streamed, decode_for_key(&k, &bytes).unwrap());
-
-        // Key mismatch is refused from the header alone: a reader that
-        // cannot serve more than the header still yields KeyMismatch.
-        let other = key(StructureKind::Distinguisher, 130, 4, 22);
-        assert!(matches!(
-            decode_stream_for_key(&other, &bytes[..56], bytes.len() as u64),
-            Err(CodecError::KeyMismatch { .. })
-        ));
-
-        // Truncated length fails before payload work; a lying reader (short
-        // stream, correct claimed length) fails with an I/O error.
-        assert!(matches!(
-            decode_stream_for_key(&k, &bytes[..], bytes.len() as u64 - 8),
-            Err(CodecError::LengthMismatch { .. })
-        ));
-        assert!(matches!(
-            decode_stream_for_key(&k, &bytes[..bytes.len() - 8], bytes.len() as u64),
-            Err(CodecError::Io(_))
-        ));
-
-        // A flipped payload byte is caught (checksum or canonical form).
-        let mut bad = bytes.clone();
-        bad[FRAME_BYTES + 3] ^= 0x08;
-        assert!(decode_stream_for_key(&k, &bad[..], bad.len() as u64).is_err());
+        let (bytes, digest) = encode_blob(130, f.sets());
+        let sets =
+            decode_blob_stream(&bytes[..], bytes.len() as u64, 130, f.len(), digest).unwrap();
+        assert_eq!(SelectiveFamily::from_sets(130, 8, sets), f);
     }
 
     #[test]
     fn validation_agrees_with_decoding_without_materialising() {
-        let k = key(StructureKind::SelectiveFamily, 65, 3, 4);
         let f = SelectiveFamily::random(65, 3, 4);
-        let bytes = encode(&k, f.sets());
-        let (vkey, count) = validate_stream(&bytes[..], bytes.len() as u64).unwrap();
-        assert_eq!((vkey, count), (k, f.len()));
+        let (bytes, digest) = encode_blob(65, f.sets());
+        assert_eq!(
+            validate(&bytes).unwrap(),
+            BlobSummary {
+                universe: 65,
+                count: f.len(),
+                digest
+            }
+        );
 
         // Same corruption verdicts as the full decoder.
+        let decode = |b: &[u8]| decode_blob_stream(b, b.len() as u64, 65, f.len(), digest);
         let mut bad = bytes.clone();
         bad[bytes.len() - 3] ^= 1;
-        assert!(validate_stream(&bad[..], bad.len() as u64).is_err());
+        assert!(validate(&bad).is_err());
+        assert!(decode(&bad).is_err());
         let mut bad = bytes;
-        bad[FRAME_BYTES - 8] |= 1; // id-0 bit of set 0
-        assert!(matches!(
-            validate_stream(&bad[..], bad.len() as u64),
-            Err(CodecError::NotCanonical { set: 0 }) | Err(CodecError::ChecksumMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn key_mismatches_are_rejected() {
-        let k = key(StructureKind::Distinguisher, 64, 4, 1);
-        let bytes = encode(&k, &[IdSet::full(64)]);
-        let other = key(StructureKind::Distinguisher, 64, 4, 2);
-        assert!(matches!(
-            decode_for_key(&other, &bytes),
-            Err(CodecError::KeyMismatch { .. })
-        ));
+        bad[BLOB_FRAME_BYTES - 8] |= 1; // id-0 bit of set 0
+        let bad = reseal(bad);
+        assert_eq!(validate(&bad), Err(CodecError::NotCanonical { set: 0 }));
+        assert_eq!(decode(&bad), Err(CodecError::NotCanonical { set: 0 }));
     }
 
     #[test]
     fn structural_corruption_is_rejected() {
-        let k = key(StructureKind::SelectiveFamily, 65, 2, 9);
-        let bytes = encode(&k, &[IdSet::from_ids(65, [1, 65])]);
+        let (bytes, _) = encode_blob(65, &[IdSet::from_ids(65, [1, 65])]);
+        let payload = BLOB_FRAME_BYTES - 8;
 
         // Truncation (any prefix), including mid-header.
-        for cut in [0, 7, FRAME_BYTES - 1, bytes.len() - 1] {
-            assert!(decode(&bytes[..cut]).is_err(), "cut at {cut} must fail");
+        for cut in [0, 7, BLOB_FRAME_BYTES - 1, bytes.len() - 1] {
+            assert!(validate(&bytes[..cut]).is_err(), "cut at {cut} must fail");
         }
+        // A lying reader (short stream, correct claimed length) fails with
+        // an I/O error.
+        assert!(matches!(
+            validate_blob_stream(&bytes[..bytes.len() - 8], bytes.len() as u64),
+            Err(CodecError::Io(_))
+        ));
         // Wrong magic.
         let mut bad = bytes.clone();
         bad[0] ^= 0xff;
-        assert_eq!(decode(&bad).unwrap_err(), CodecError::BadMagic);
-        // Wrong version.
+        assert_eq!(validate(&bad), Err(CodecError::BadMagic));
+        // Wrong version, re-sealed so only the version is wrong.
         let mut bad = bytes.clone();
-        bad[8] = 2;
-        // Re-seal so only the version is wrong.
-        let reseal = |mut b: Vec<u8>| {
-            let n = b.len() - 8;
-            let digest = fold_words(&b[..n]);
-            b[n..].copy_from_slice(&digest.to_le_bytes());
-            b
-        };
+        bad[8] = 3;
         assert_eq!(
-            decode(&reseal(bad)).unwrap_err(),
-            CodecError::UnsupportedVersion(2)
+            validate(&reseal(bad)),
+            Err(CodecError::UnsupportedVersion(3))
         );
-        // Unknown kind.
+        // Empty universe.
         let mut bad = bytes.clone();
-        bad[16] = 99;
-        assert_eq!(
-            decode(&reseal(bad)).unwrap_err(),
-            CodecError::UnknownKind(99)
-        );
+        bad[16..24].copy_from_slice(&0u64.to_le_bytes());
+        assert_eq!(validate(&reseal(bad)), Err(CodecError::EmptyUniverse));
         // Non-canonical payload (bit for identifier 0 set).
         let mut bad = bytes.clone();
-        bad[FRAME_BYTES - 8] |= 1;
+        bad[payload] |= 1;
         assert_eq!(
-            decode(&reseal(bad)).unwrap_err(),
-            CodecError::NotCanonical { set: 0 }
+            validate(&reseal(bad)),
+            Err(CodecError::NotCanonical { set: 0 })
         );
-        // A flipped payload byte without resealing: checksum mismatch.
+        // A flipped (still canonical) payload bit without resealing:
+        // checksum mismatch.
         let mut bad = bytes.clone();
-        bad[FRAME_BYTES] ^= 0x10;
+        bad[payload] ^= 0x10;
         assert!(matches!(
-            decode(&bad).unwrap_err(),
-            CodecError::ChecksumMismatch { .. }
+            validate(&bad),
+            Err(CodecError::ChecksumMismatch { .. })
         ));
         // An absurd count cannot overflow the length check.
-        let mut bad = bytes.clone();
-        bad[48..56].copy_from_slice(&u64::MAX.to_le_bytes());
+        let mut bad = bytes;
+        bad[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(
-            decode(&reseal(bad)).unwrap_err(),
-            CodecError::LengthMismatch { .. }
+            validate(&reseal(bad)),
+            Err(CodecError::LengthMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn corrupt_blob_errors_name_the_v2_format() {
+        let (bytes, _) = encode_blob(64, &[IdSet::from_ids(64, [7])]);
+        let mut flipped = bytes.clone();
+        flipped[0] ^= 0x01;
+        let bad_magic = validate(&flipped).unwrap_err();
+        assert_eq!(bad_magic, CodecError::BadMagic);
+        let too_short = validate(&bytes[..8]).unwrap_err();
+        assert_eq!(too_short, CodecError::TooShort { len: 8 });
+        for err in [bad_magic, too_short, CodecError::UnsupportedVersion(3)] {
+            let text = err.to_string();
+            assert!(text.contains(STORE_SCHEMA_V2), "{text}");
+        }
     }
 
     #[test]
@@ -1200,7 +833,7 @@ mod tests {
 
         for bad in [
             "",
-            "structure-store/v1 2 64 4 0 0 1",
+            "structure-store/v3 2 64 4 0 0 1",
             "structure-store/v2 2 64 4",
             "structure-store/v2 99 64 4 0 0 1",
             "structure-store/v2 2 0 4 0 0 1",

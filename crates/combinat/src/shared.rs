@@ -64,7 +64,7 @@ pub struct StructureKey {
 
 impl StructureKind {
     /// The stable numeric code of the kind, shared by the cache-shard mixer
-    /// and the `structure-store/v1` on-disk header.
+    /// and the `structure-store/v2` index entries.
     pub fn code(self) -> u64 {
         match self {
             StructureKind::StrongDistinguisher => 1,

@@ -1,9 +1,11 @@
-//! Property tests of the `structure-store/v1` codec: encode→decode must be
+//! Property tests of the `structure-store/v2` codec: encode→decode must be
 //! bit-identical for every structure kind across word-boundary universe
-//! sizes, and no corrupted byte stream may ever decode into a structure.
+//! sizes, and no corrupted blob may ever decode into a structure.
 
 use proptest::prelude::*;
-use ring_combinat::codec::{decode, decode_for_key, encode, CodecError};
+use ring_combinat::codec::{
+    decode_blob_stream, encode_blob, validate_blob_stream, CodecError, IndexEntry, BLOB_VERSION,
+};
 use ring_combinat::shared::splitmix64;
 use ring_combinat::{Distinguisher, IdSet, SelectiveFamily, StructureKey, StructureKind};
 
@@ -37,25 +39,6 @@ fn key(kind: StructureKind, universe: u64, n: u64, seed: u64) -> StructureKey {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `IdSet` payloads round-trip bit-identically across word boundaries,
-    /// for empty, full, sparse and random sets alike.
-    #[test]
-    fn idset_lists_round_trip((universe, seed, count) in (universes(), any::<u64>(), 0usize..4)) {
-        let mut sets = vec![
-            IdSet::empty(universe),
-            IdSet::full(universe),
-            IdSet::from_ids(universe, [1, universe]),
-        ];
-        for i in 0..count {
-            sets.push(random_set(universe, seed ^ i as u64));
-        }
-        let k = key(StructureKind::StrongDistinguisher, universe, 0, seed);
-        let bytes = encode(&k, &sets);
-        let (decoded_key, decoded) = decode(&bytes).expect("clean bytes decode");
-        prop_assert_eq!(decoded_key, k);
-        prop_assert_eq!(decoded, sets);
-    }
-
     /// Randomly constructed distinguishers and selective families survive a
     /// codec round trip exactly (same sets, same order, same words).
     #[test]
@@ -63,14 +46,16 @@ proptest! {
         (universe, n, seed) in (universes(), 1u64..=8, any::<u64>()),
     ) {
         let n = n as usize;
+        let round_trip = |sets: &[IdSet]| {
+            let (bytes, digest) = encode_blob(universe, sets);
+            decode_blob_stream(&bytes[..], bytes.len() as u64, universe, sets.len(), digest)
+        };
         let d = Distinguisher::random(universe, n, seed);
-        let dk = key(StructureKind::Distinguisher, universe, n as u64, seed);
-        let sets = decode_for_key(&dk, &encode(&dk, d.sets())).expect("distinguisher decodes");
+        let sets = round_trip(d.sets()).expect("distinguisher decodes");
         prop_assert_eq!(&Distinguisher::from_sets(universe, n, sets), &d);
 
         let f = SelectiveFamily::random(universe, n, seed);
-        let fk = key(StructureKind::SelectiveFamily, universe, n as u64, seed);
-        let sets = decode_for_key(&fk, &encode(&fk, f.sets())).expect("family decodes");
+        let sets = round_trip(f.sets()).expect("family decodes");
         prop_assert_eq!(&SelectiveFamily::from_sets(universe, n, sets), &f);
     }
 }
@@ -78,45 +63,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Corruption never yields a structure: any truncation fails, and any
-    /// single flipped byte fails (the checksum covers every header and
-    /// payload byte; a flip inside the trailer breaks the trailer itself).
-    #[test]
-    fn corrupted_streams_never_decode(
-        universe in prop_oneof![Just(63u64), Just(64), Just(65), Just(700)],
-        seed in any::<u64>(),
-        (cut_seed, flip_seed, flip_bit) in (any::<u64>(), any::<u64>(), 0u32..8),
-    ) {
-        let k = key(StructureKind::Distinguisher, universe, 2, seed);
-        let sets = vec![random_set(universe, seed), random_set(universe, !seed)];
-        let bytes = encode(&k, &sets);
-
-        let cut = (cut_seed % bytes.len() as u64) as usize;
-        prop_assert!(decode(&bytes[..cut]).is_err(), "truncation at {} decoded", cut);
-
-        let mut flipped = bytes.clone();
-        let at = (flip_seed % bytes.len() as u64) as usize;
-        flipped[at] ^= 1 << flip_bit;
-        match decode(&flipped) {
-            Err(_) => {}
-            Ok((decoded_key, decoded)) => {
-                // Unreachable: surface what decoded for the failure message.
-                prop_assert!(
-                    false,
-                    "byte {} flipped by {:02x} still decoded key {:?} ({} sets)",
-                    at, 1u8 << flip_bit, decoded_key, decoded.len()
-                );
-            }
-        }
-    }
-
-    /// The wrong-version error is reported as such even when the stream is
-    /// otherwise intact and re-sealed — a future v2 file must be refused,
+    /// The wrong-version error is reported as such even when the blob is
+    /// otherwise intact and re-sealed — a future format must be refused,
     /// not misread.
     #[test]
-    fn wrong_versions_are_refused(version in 2u64..1000) {
-        let k = key(StructureKind::SelectiveFamily, 64, 1, 9);
-        let mut bytes = encode(&k, &[IdSet::from_ids(64, [7])]);
+    fn wrong_versions_are_refused(version in (BLOB_VERSION + 1)..1000) {
+        let (mut bytes, _) = encode_blob(64, &[IdSet::from_ids(64, [7])]);
         bytes[8..16].copy_from_slice(&version.to_le_bytes());
         // Re-seal with the format's word-folded digest so only the version
         // field is wrong.
@@ -127,22 +79,28 @@ proptest! {
         }
         let digest = h.finish();
         bytes[n..].copy_from_slice(&digest.to_le_bytes());
-        prop_assert_eq!(decode(&bytes).unwrap_err(), CodecError::UnsupportedVersion(version));
+        prop_assert_eq!(
+            validate_blob_stream(&bytes[..], bytes.len() as u64).unwrap_err(),
+            CodecError::UnsupportedVersion(version)
+        );
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// v2 content-addressed blobs round-trip bit-identically across word
-    /// boundaries, and the identity digest is a pure function of the
+    /// Content-addressed blobs round-trip bit-identically across word
+    /// boundaries — for empty, full, sparse and random sets alike — and the identity digest is a pure function of the
     /// payload — the dedup invariant of the content-addressed store.
     #[test]
     fn blobs_round_trip_and_dedup(
         (universe, seed, count) in (universes(), any::<u64>(), 0usize..4),
     ) {
-        use ring_combinat::codec::{decode_blob_stream, encode_blob, validate_blob_stream};
-        let mut sets = vec![IdSet::empty(universe), IdSet::full(universe)];
+        let mut sets = vec![
+            IdSet::empty(universe),
+            IdSet::full(universe),
+            IdSet::from_ids(universe, [1, universe]),
+        ];
         for i in 0..count {
             sets.push(random_set(universe, seed ^ i as u64));
         }
@@ -166,7 +124,6 @@ proptest! {
             (any::<u64>(), any::<u64>(), 0usize..1_000_000),
         ),
     ) {
-        use ring_combinat::codec::IndexEntry;
         let entry = IndexEntry {
             key: key(
                 StructureKind::from_code(kind_code).unwrap(),
@@ -192,7 +149,6 @@ proptest! {
         seed in any::<u64>(),
         (cut_seed, flip_seed, flip_bit) in (any::<u64>(), any::<u64>(), 0u32..8),
     ) {
-        use ring_combinat::codec::{decode_blob_stream, encode_blob};
         let sets = vec![random_set(universe, seed), random_set(universe, !seed)];
         let (bytes, digest) = encode_blob(universe, &sets);
 

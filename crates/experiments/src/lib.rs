@@ -19,8 +19,7 @@
 //!   provider, which is what the `ring-harness` parallel engine fans out
 //!   over worker threads with a shared structure cache.
 //!
-//! Run experiments with the unified CLI (all former per-experiment
-//! binaries are thin wrappers over it):
+//! Run experiments with the unified CLI:
 //!
 //! ```text
 //! cargo run --release -p ring-harness --bin ringlab -- table1

@@ -3,5 +3,5 @@
 //! `ring_harness::cli` for the full usage.
 
 fn main() {
-    ring_harness::cli::main_with_subcommand(None)
+    ring_harness::cli::main()
 }

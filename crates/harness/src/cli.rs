@@ -33,15 +33,12 @@
 //!                      trace-*.jsonl sidecars into a per-span time-budget
 //!                      table (count, total, share, p50/p90/p99)
 //!   structures     maintain an on-disk structure store:
-//!                    structures prebuild <sub> [spec flags] [--format v1|v2]
+//!                    structures prebuild <sub> [spec flags]
 //!                      construct and publish every structure the
-//!                      subcommand will request (v1 writes the legacy
-//!                      one-file-per-key layout, for migration fixtures)
+//!                      subcommand will request
 //!                    structures verify   validate every store file
 //!                    structures gc       drop corrupt files, stale
 //!                      tmp/claim leftovers and unreferenced blobs
-//!                    structures migrate  rewrite a legacy v1 store in
-//!                      place onto the content-addressed v2 layout
 //!                    structures stats    per-kind blob counts, bytes and
 //!                      logical-keys-per-blob dedup ratios (stderr JSON)
 //!
@@ -81,8 +78,8 @@
 //!                             through K distinct schedule seeds, so
 //!                             repetitions additionally sample structure
 //!                             randomness (seed-diverse sweeps). Against a
-//!                             v2 store the K seeds share one strong blob
-//!                             per universe.
+//!                             store the K seeds share one strong blob per
+//!                             universe.
 //!   --structure-seeds K       number of schedule seeds in per-case mode
 //!                             (default 4; implies per-case)
 //!   --fault-drops a,b,…       (`faults` only) per-mille message-drop rates
@@ -110,12 +107,6 @@
 //!                             retryable launch failure (default 600)
 //!   --connect ADDR            (`worker`) register with a serve daemon
 //!                             and execute its job frames over TCP
-//!   --batch N                 schedule up to N consecutive same-shape
-//!                             cases as one work unit sharing one
-//!                             structure handle (default 1 = off); output
-//!                             is byte-identical at every limit —
-//!                             runtime-only, orchestrators pass it to
-//!                             their workers
 //!   --stats                   print structure-cache / structure-store /
 //!                             executor statistics as JSON on stderr
 //!                             (fleet-wide aggregates for sharded runs)
@@ -165,7 +156,7 @@ const USAGE: &str =
 [--structure-seed-mode fixed|per-case] [--structure-seeds K] \
 [--fault-drops a,b,..] [--fault-crashes K] [--fault-churn K] [--fault-adversarial] \
 [--render-fig3 PATH] [--jsonl PATH|-] [--no-jsonl] [--shards M] [--shard i/M] [--run-dir DIR] [--retries R] \
-[--shard-timeout SECS] [--structure-store [DIR]] [--batch N] [--stats] [--trace] [--trace-dir DIR]
+[--shard-timeout SECS] [--structure-store [DIR]] [--stats] [--trace] [--trace-dir DIR]
        ringlab worker <subcommand> --shard i/M [spec flags] [--structure-store DIR]
        ringlab worker --connect ADDR
        ringlab serve --listen ADDR [--data-dir DIR] [--jobs N] [--retries R] \
@@ -173,8 +164,8 @@ const USAGE: &str =
        ringlab merge [--run-dir DIR | SHARD.jsonl ..] [--jsonl PATH|-]
        ringlab resume <RUN_DIR> [--jobs N] [--jsonl PATH|-] [--stats]
        ringlab trace summarize <RUN_DIR>
-       ringlab structures <prebuild <subcommand> [spec flags] [--format v1|v2]\
-|verify|gc|migrate|stats> [--structure-store DIR]";
+       ringlab structures <prebuild <subcommand> [spec flags]|verify|gc|stats> \
+[--structure-store DIR]";
 
 /// Default structure-store directory for non-sharded invocations (sharded
 /// runs default into `<run-dir>/structures` instead).
@@ -228,14 +219,7 @@ struct Options {
     /// `faults --render-fig3 PATH`: write the Figure-3-style degradation
     /// artifact alongside the tables (single-process `faults` only).
     render_fig3: Option<String>,
-    /// `structures prebuild --format v1`: write the legacy layout.
-    v1_format: bool,
     stats: bool,
-    /// `--batch N`: schedule up to N consecutive same-shape cases as one
-    /// work unit sharing one structure handle. Runtime-only — never part
-    /// of the spec fingerprint, never visible in sweep output (batching is
-    /// byte-identical at every limit).
-    batch: usize,
     /// `--trace`: write span-trace sidecars. Runtime-only — never part of
     /// the spec fingerprint, never visible in sweep output.
     trace: bool,
@@ -284,8 +268,7 @@ fn effective_subcommand(options: &Options) -> &str {
 }
 
 /// Runs the CLI on explicit arguments (without the program name), returning
-/// the process exit code. The wrapper binaries call this with their
-/// subcommand prepended.
+/// the process exit code.
 pub fn run(args: &[String]) -> i32 {
     let options = match parse(args) {
         Ok(options) => options,
@@ -414,7 +397,6 @@ fn resolve_store_dir(options: &Options, default: impl FnOnce() -> String) -> Opt
 /// handlers stop repeating the store/destination/engine plumbing.
 struct CommonArgs {
     jobs: usize,
-    batch: usize,
     stats: bool,
     store_dir: Option<String>,
     destination: Option<String>,
@@ -432,7 +414,6 @@ impl Options {
     ) -> CommonArgs {
         CommonArgs {
             jobs: self.jobs,
-            batch: self.batch,
             stats: self.stats,
             store_dir: resolve_store_dir(self, store_default),
             destination: if self.no_jsonl {
@@ -448,15 +429,14 @@ impl CommonArgs {
     /// An engine over a disk-backed store (when a directory was resolved)
     /// or a fresh memory-only store.
     fn engine(&self) -> Result<SweepEngine, String> {
-        let engine = match self.store_dir.as_deref() {
+        Ok(match self.store_dir.as_deref() {
             None => SweepEngine::new(self.jobs),
             Some(dir) => {
                 let store = StructureStore::at(dir)
                     .map_err(|e| format!("cannot open structure store {dir}: {e}"))?;
                 SweepEngine::with_store(self.jobs, Arc::new(store))
             }
-        };
-        Ok(engine.with_batch_limit(self.batch))
+        })
     }
 }
 
@@ -1205,14 +1185,10 @@ fn orchestrate_and_finish(
     let outcome = run_pending_shards(run_dir, manifest, &orchestration, &|range| {
         let mut cmd = Command::new(&exe);
         cmd.args(spec_params.worker_args(jobs_per_worker, range, shard_count, &store_dir));
-        // Tracing and batching ride along runtime-only: worker sidecars
-        // land next to the shard files, batching only reshapes worker
-        // scheduling — the protocol stream stays byte-identical either way.
+        // Tracing rides along runtime-only: worker sidecars land next to
+        // the shard files, and the protocol stream stays byte-identical.
         if options.trace {
             cmd.arg("--trace-dir").arg(run_dir);
-        }
-        if options.batch > 1 {
-            cmd.arg("--batch").arg(options.batch.to_string());
         }
         cmd
     })
@@ -1283,8 +1259,7 @@ manifest {}",
 /// `structures`: maintenance of an on-disk structure store — `prebuild`
 /// constructs and publishes every structure a subcommand will request,
 /// `verify` validates every file, `gc` drops what no longer proves itself
-/// plus unreferenced blobs, `migrate` rewrites a v1 store onto the v2
-/// layout, `stats` reports per-kind dedup ratios.
+/// plus unreferenced blobs, `stats` reports per-kind dedup ratios.
 fn cmd_structures(options: &Options) -> Result<i32, String> {
     let Some(action) = options.positionals.first() else {
         return Err(format!("structures needs an action\n{USAGE}"));
@@ -1313,20 +1288,6 @@ fn cmd_structures(options: &Options) -> Result<i32, String> {
                         None => keys.push((key, hint)),
                     }
                 }
-            }
-            if options.v1_format {
-                // The legacy one-file-per-key layout — the fixture path for
-                // `structures migrate` (and its CI smoke).
-                for (key, hint) in &keys {
-                    crate::store::write_v1_file(&dir_path, key, *hint)
-                        .map_err(|e| format!("cannot write v1 file into {dir}: {e}"))?;
-                }
-                eprintln!(
-                    "ringlab: prebuilt {} legacy v1 structure file(s) for `{subcommand}` \
-into {dir}",
-                    keys.len(),
-                );
-                return Ok(0);
             }
             let store = StructureStore::at(&dir_path)
                 .map_err(|e| format!("cannot open structure store {dir}: {e}"))?;
@@ -1361,22 +1322,6 @@ into {dir}",
                 keys.len(),
                 stats.misses,
                 stats.hits,
-            );
-            Ok(0)
-        }
-        "migrate" => {
-            let store = StructureStore::at(&dir_path)
-                .map_err(|e| format!("cannot open structure store {dir}: {e}"))?;
-            let report = store
-                .migrate()
-                .map_err(|e| format!("cannot migrate {dir}: {e}"))?;
-            eprintln!(
-                "ringlab: migrated {dir} to {}: {} materialised file(s) re-encoded, \
-{} strong file(s) replaced by universal blobs, {} corrupt file(s) dropped",
-                ring_combinat::STORE_SCHEMA_V2,
-                report.materialised,
-                report.strong,
-                report.dropped,
             );
             Ok(0)
         }
@@ -1996,9 +1941,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
         data_dir: None,
         lease_timeout: None,
         render_fig3: None,
-        v1_format: false,
         stats: false,
-        batch: 1,
         trace: false,
         trace_dir: None,
         positionals: Vec::new(),
@@ -2029,13 +1972,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 options.jobs = value_of("--jobs")?
                     .parse()
                     .map_err(|_| "--jobs expects a non-negative integer".to_string())?;
-            }
-            "--batch" => {
-                options.batch = value_of("--batch")?
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| "--batch expects a positive integer".to_string())?;
             }
             "--shards" => {
                 options.shards = value_of("--shards")?
@@ -2106,14 +2042,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
                         .parse()
                         .map_err(|_| "--shard-timeout expects seconds".to_string())?,
                 );
-            }
-            "--format" => {
-                let format = value_of("--format")?;
-                match format.as_str() {
-                    "v1" => options.v1_format = true,
-                    "v2" => options.v1_format = false,
-                    other => return Err(format!("--format expects v1 or v2, not `{other}`")),
-                }
             }
             "--sizes" => {
                 options.sizes = Some(parse_list(&value_of("--sizes")?, "--sizes")?);
@@ -2285,15 +2213,10 @@ fn parse_list<T: std::str::FromStr>(text: &str, flag: &str) -> Result<Vec<T>, St
         .collect()
 }
 
-/// Entry point shared by `ringlab` and the thin wrapper binaries: prepends
-/// `subcommand` (if any) to the process arguments and exits with the CLI's
-/// code.
-pub fn main_with_subcommand(subcommand: Option<&str>) -> ! {
-    let mut args: Vec<String> = Vec::new();
-    if let Some(subcommand) = subcommand {
-        args.push(subcommand.to_string());
-    }
-    args.extend(std::env::args().skip(1));
+/// The `ringlab` entry point: runs the CLI on the process arguments and
+/// exits with its code.
+pub fn main() -> ! {
+    let args: Vec<String> = std::env::args().skip(1).collect();
     std::process::exit(run(&args));
 }
 

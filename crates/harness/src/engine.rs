@@ -5,65 +5,24 @@
 //! from one shared [`StructureStore`] — tier 1 the in-memory cache every
 //! thread shares, tier 2 an optional on-disk directory every worker
 //! *process* of a sweep shares — and streams its finished [`CaseRecord`]
-//! through the ordered JSONL sink the moment it completes. With a batch
-//! limit above one ([`SweepEngine::with_batch_limit`]), consecutive
-//! same-shape cases travel as one [`CaseBatch`] work unit that resolves
-//! its shared structures once per batch. Results are deterministic: the
-//! record list, the JSONL bytes and the rendered markdown are identical
-//! for every `--jobs` and batch-limit value, with or without the disk
-//! tier.
+//! through the ordered JSONL sink the moment it completes. Results are
+//! deterministic: the record list, the JSONL bytes and the rendered
+//! markdown are identical for every `--jobs` value, with or without the
+//! disk tier.
 
 use crate::cache::{CacheStats, StructureCache};
 use crate::executor::{run_work_stealing_with_stats, ExecutorStats};
 use crate::scenario::{CaseRecord, WorkItem};
 use crate::sink::JsonlSink;
 use crate::store::{StoreStats, StructureStore};
-use ring_combinat::StructureKind;
 use ring_protocols::structures::SharedStructures;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A contiguous run of same-shape cases scheduled as one work unit.
-///
-/// Indices are slice-local (relative to the item slice of the run); sweep
-/// enumeration places repetitions of one `(N, n)` configuration adjacently,
-/// so consecutive-run grouping captures exactly the cases that share
-/// structures while keeping the sink's reorder window bounded by the batch
-/// limit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CaseBatch {
-    /// Slice-local index of the first case of the batch.
-    pub start: usize,
-    /// Number of cases in the batch.
-    pub len: usize,
-}
-
-/// Groups consecutive same-shape items (see [`WorkItem::same_shape`]) into
-/// batches of at most `limit` cases. `limit <= 1` yields one batch per
-/// item — the unbatched schedule.
-pub fn plan_batches(items: &[WorkItem], limit: usize) -> Vec<CaseBatch> {
-    let limit = limit.max(1);
-    let mut batches = Vec::new();
-    let mut start = 0usize;
-    while start < items.len() {
-        let mut len = 1usize;
-        while len < limit
-            && start + len < items.len()
-            && items[start].same_shape(&items[start + len])
-        {
-            len += 1;
-        }
-        batches.push(CaseBatch { start, len });
-        start += len;
-    }
-    batches
-}
-
 /// The parallel scenario engine.
 pub struct SweepEngine {
     jobs: usize,
-    batch: usize,
     store: Arc<StructureStore>,
     executed: AtomicU64,
     steals: AtomicU64,
@@ -82,32 +41,15 @@ impl SweepEngine {
     pub fn with_store(jobs: usize, store: Arc<StructureStore>) -> Self {
         SweepEngine {
             jobs,
-            batch: 1,
             store,
             executed: AtomicU64::new(0),
             steals: AtomicU64::new(0),
         }
     }
 
-    /// Sets the case-batching limit: consecutive same-shape cases are
-    /// scheduled as one work unit of up to `limit` cases, resolving their
-    /// shared combinatorial structures once per batch instead of once per
-    /// case. `1` (the default) disables batching. Batching is a pure
-    /// scheduling change — the record list and the sink bytes are identical
-    /// for every limit, which `tests/harness.rs` pins.
-    pub fn with_batch_limit(mut self, limit: usize) -> Self {
-        self.batch = limit.max(1);
-        self
-    }
-
     /// The configured worker count (`0` = all cores).
     pub fn jobs(&self) -> usize {
         self.jobs
-    }
-
-    /// The configured case-batching limit (`1` = batching off).
-    pub fn batch_limit(&self) -> usize {
-        self.batch
     }
 
     /// The engine's two-tier structure store.
@@ -167,85 +109,28 @@ impl SweepEngine {
         let structure_wait = obs.histogram("case_structure_wait_ns");
         let execute = obs.histogram("case_execute_ns");
         let sink_reorder = obs.histogram("sink_reorder_ns");
-        let batching = self.batch > 1;
-        let batch_size = obs.histogram("batch_size");
-        let batch_wait = obs.histogram("batch_structure_wait_ns");
-        let batches = plan_batches(items, self.batch);
-        let (chunks, stats) = run_work_stealing_with_stats(&batches, self.jobs, |_, batch| {
-            // One shared structure handle per work unit: resolve the
-            // batch's keys once up front and hold the Arcs across every
-            // case, so the per-case provider calls below are pure pointer
-            // clones out of a warm cache. The prefetch wait is recorded
-            // separately (`batch_structure_wait_ns`) from the per-case
-            // split, making the amortisation visible in trace summaries.
-            let mut held: Vec<Box<dyn std::any::Any>> = Vec::new();
-            if batching {
-                batch_size.record(batch.len as u64);
+        let (records, stats) = run_work_stealing_with_stats(items, self.jobs, |index, item| {
+            let _span = ring_obs::span!("case", index = offset + index);
+            // Split case time into the structure pathway (store waits,
+            // constructions) and protocol execution proper: the store's
+            // thread-local accumulator collects every provider call made
+            // while this case runs on this thread.
+            crate::store::reset_structure_wait();
+            let case_started = std::time::Instant::now();
+            let record = item.run_to_record(offset + index, &structures);
+            let case_ns = ring_obs::elapsed_ns(case_started);
+            let wait_ns = crate::store::take_structure_wait_ns();
+            structure_wait.record(wait_ns);
+            execute.record(case_ns.saturating_sub(wait_ns));
+            if let Some(sink) = sink {
+                let line = serde_json::to_string(&record).expect("serializable record");
+                let emit_started = std::time::Instant::now();
+                sink.emit(index, &line);
+                sink_reorder.record(ring_obs::elapsed_ns(emit_started));
             }
-            // A singleton batch (shape-alternating workload) gains nothing
-            // from prefetching — the lone case resolves the same keys
-            // itself — so skip the extra provider round-trip.
-            if batching && batch.len > 1 {
-                crate::store::reset_structure_wait();
-                for (key, _materialise_n) in items[batch.start].structure_keys() {
-                    match key.kind {
-                        StructureKind::StrongDistinguisher => {
-                            if let Ok(s) =
-                                structures.try_strong_distinguisher(key.universe, key.seed)
-                            {
-                                held.push(Box::new(s));
-                            }
-                        }
-                        StructureKind::Distinguisher => {
-                            if let Ok(d) =
-                                structures.try_distinguisher(key.universe, key.n as usize, key.seed)
-                            {
-                                held.push(Box::new(d));
-                            }
-                        }
-                        StructureKind::SelectiveFamily => {
-                            if let Ok(f) = structures.try_selective_family(
-                                key.universe,
-                                key.n as usize,
-                                key.seed,
-                            ) {
-                                held.push(Box::new(f));
-                            }
-                        }
-                    }
-                }
-                batch_wait.record(crate::store::take_structure_wait_ns());
-            }
-            let mut records = Vec::with_capacity(batch.len);
-            for (index, item) in items.iter().enumerate().skip(batch.start).take(batch.len) {
-                let _span = ring_obs::span!("case", index = offset + index);
-                // Split case time into the structure pathway (store waits,
-                // constructions) and protocol execution proper: the store's
-                // thread-local accumulator collects every provider call made
-                // while this case runs on this thread.
-                crate::store::reset_structure_wait();
-                let case_started = std::time::Instant::now();
-                let record = item.run_to_record(offset + index, &structures);
-                let case_ns = ring_obs::elapsed_ns(case_started);
-                let wait_ns = crate::store::take_structure_wait_ns();
-                structure_wait.record(wait_ns);
-                execute.record(case_ns.saturating_sub(wait_ns));
-                if let Some(sink) = sink {
-                    let line = serde_json::to_string(&record).expect("serializable record");
-                    let emit_started = std::time::Instant::now();
-                    sink.emit(index, &line);
-                    sink_reorder.record(ring_obs::elapsed_ns(emit_started));
-                }
-                records.push(record);
-            }
-            drop(held);
-            records
+            record
         });
-        let records: Vec<CaseRecord> = chunks.into_iter().flatten().collect();
-        // Executed counts *cases*, not batches — the batching limit must
-        // not change the stats surface.
-        self.executed
-            .fetch_add(records.len() as u64, Ordering::Relaxed);
+        self.executed.fetch_add(stats.executed, Ordering::Relaxed);
         self.steals.fetch_add(stats.steals, Ordering::Relaxed);
         // Persist lazily materialised structures (strong-distinguisher
         // prefixes) so the rest of the fleet loads them. Non-fatal: a full
@@ -284,66 +169,6 @@ mod tests {
         // The sweep reuses the strong distinguisher across problems/cases.
         assert!(engine.cache_stats().hits > 0);
         assert_eq!(engine.exec_stats().executed, items.len() as u64);
-    }
-
-    #[test]
-    fn batches_group_consecutive_same_shape_items_up_to_the_limit() {
-        let items = table1_items(&SweepSpec {
-            sizes: vec![9, 8],
-            universe_factors: vec![4],
-            repetitions: 3,
-            seed: 3,
-            structure_seeds: None,
-            faults: None,
-        });
-        // Unbatched plan: one batch per item.
-        let singles = plan_batches(&items, 1);
-        assert_eq!(singles.len(), items.len());
-        assert!(singles.iter().all(|b| b.len == 1));
-
-        let batches = plan_batches(&items, 16);
-        // Every case appears exactly once, in order.
-        let mut covered = Vec::new();
-        for b in &batches {
-            assert!(b.len >= 1 && b.len <= 16);
-            covered.extend(b.start..b.start + b.len);
-        }
-        assert_eq!(covered, (0..items.len()).collect::<Vec<_>>());
-        // The three repetitions of each (N, n) configuration coalesce.
-        assert!(batches.iter().any(|b| b.len == 3));
-        // Batches never span shape boundaries.
-        for b in &batches {
-            for i in b.start..b.start + b.len {
-                assert!(items[b.start].same_shape(&items[i]));
-            }
-        }
-    }
-
-    #[test]
-    fn batched_runs_emit_identical_bytes_and_records() {
-        let spec = SweepSpec {
-            sizes: vec![9, 8, 12],
-            universe_factors: vec![4],
-            repetitions: 2,
-            seed: 3,
-            structure_seeds: None,
-            faults: None,
-        };
-        let items = table1_items(&spec);
-        let plain_engine = SweepEngine::new(2);
-        let plain_sink = JsonlSink::new(Vec::new());
-        let plain_records = plain_engine.run(&items, Some(&plain_sink));
-        let plain_bytes = plain_sink.finish();
-
-        for (jobs, limit) in [(1, 4), (2, 4), (2, 64)] {
-            let engine = SweepEngine::new(jobs).with_batch_limit(limit);
-            let sink = JsonlSink::new(Vec::new());
-            let records = engine.run(&items, Some(&sink));
-            assert_eq!(records, plain_records, "jobs {jobs}, batch {limit}");
-            assert_eq!(sink.finish(), plain_bytes, "jobs {jobs}, batch {limit}");
-            assert_eq!(engine.exec_stats().executed, items.len() as u64);
-            assert_eq!(engine.batch_limit(), limit);
-        }
     }
 
     #[test]

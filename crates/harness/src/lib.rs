@@ -15,7 +15,7 @@
 //!   strong-distinguisher sequences, selective families) keyed by
 //!   `(kind, N, n, seed)`, shared by every worker thread. Tier 2 — the
 //!   [`StructureStore`](store::StructureStore)'s optional on-disk
-//!   directory of `structure-store/v1` files — extends the memo across
+//!   directory of `structure-store/v2` blobs — extends the memo across
 //!   worker *processes*: the first worker of a fleet to claim a key
 //!   constructs and publishes, everyone else loads bit-identical bytes.
 //!   The store implements
@@ -29,14 +29,8 @@
 //! * [`scenario`] / [`engine`] — [`WorkItem`](scenario::WorkItem)s wrap
 //!   the per-case experiment functions of `ring-experiments`;
 //!   [`SweepEngine`](engine::SweepEngine) ties the three layers together.
-//!   With `--batch N` the engine schedules consecutive same-shape cases
-//!   as one [`CaseBatch`](engine::CaseBatch) work unit that resolves its
-//!   shared structures once per batch — a pure scheduling change whose
-//!   output stays byte-identical at every limit.
 //!
-//! [`cli`] exposes everything as the **`ringlab`** binary; the former
-//! per-experiment binaries (`table1` … `repro_all`) are thin wrappers over
-//! its subcommands:
+//! [`cli`] exposes everything as the **`ringlab`** binary:
 //!
 //! ```text
 //! ringlab all --quick --jobs 2
@@ -79,7 +73,7 @@ pub mod sink;
 pub mod store;
 
 pub use cache::{CacheStats, StructureCache};
-pub use engine::{plan_batches, CaseBatch, SweepEngine};
+pub use engine::SweepEngine;
 pub use executor::{available_jobs, run_work_stealing};
 pub use scenario::{CaseRecord, WorkItem};
 pub use sink::JsonlSink;

@@ -218,19 +218,6 @@ impl WorkItem {
         }
     }
 
-    /// Whether `other` has the same *shape*: the same experiment family,
-    /// ring/set size, universe and structure-key list. Same-shape items
-    /// draw exactly the same combinatorial structures and exercise the
-    /// same code path, so the engine may batch them through one shared
-    /// structure handle per batch (see `SweepEngine::with_batch_limit`)
-    /// without changing any case's inputs.
-    pub fn same_shape(&self, other: &WorkItem) -> bool {
-        std::mem::discriminant(self) == std::mem::discriminant(other)
-            && self.n() == other.n()
-            && self.universe() == other.universe()
-            && self.structure_keys() == other.structure_keys()
-    }
-
     /// Executes the item, drawing combinatorial structures from the given
     /// provider. Deterministic: the measurements depend only on the item
     /// (and the provider serving bit-identical structures, which both the
@@ -476,7 +463,7 @@ pub fn faults_items(spec: &SweepSpec) -> Vec<WorkItem> {
 }
 
 /// Every experiment of the reproduction over one sweep spec (the `all`
-/// subcommand / the former `repro_all` binary).
+/// subcommand).
 pub fn all_items(spec: &SweepSpec, scaling: &ScalingSpec) -> Vec<WorkItem> {
     let mut items = table1_items(spec);
     items.extend(table2_items(spec));

@@ -6,13 +6,12 @@
 //! every worker *process* of a run — threads, shards on this machine, and
 //! workers on other machines pointed at the same directory.
 //!
-//! The v2 disk layout separates **payload** from **identity**:
+//! The disk layout separates **payload** from **identity**:
 //!
 //! ```text
 //! <dir>/blobs/<digest:016x>.blob   content-addressed payloads (codec v2)
 //! <dir>/index/<key>.idx            one logical key → (blob digest, count)
 //! <dir>/index/<key>.claim          advisory single-constructor claims
-//! <dir>/<key>.struct               legacy structure-store/v1 files (read)
 //! ```
 //!
 //! Blobs are named by their own digest, so identical structures constructed
@@ -26,19 +25,12 @@
 //!
 //! A request walks the tiers in order: tier-1 hit → `Arc` clone; tier-1
 //! miss → resolve the key's index entry and load its blob (a **store
-//! hit**), falling back to a legacy v1 file; nothing on disk → construct (a
-//! **store miss**) and publish so the rest of the fleet loads instead of
-//! constructing. Publication is atomic and guarded by PR 4's advisory
+//! hit**); nothing on disk → construct (a **store miss**) and publish so
+//! the rest of the fleet loads instead of constructing. Publication is atomic and guarded by PR 4's advisory
 //! **single-constructor claim** discipline: the first worker to create the
 //! key's `.claim` file constructs, everyone else polls briefly; a stale
 //! claim delays a waiter by at most [`CLAIM_WAIT`] and can never wedge a
 //! sweep.
-//!
-//! Legacy `structure-store/v1` files remain **readable** for the
-//! materialised kinds (their constructions are unchanged); v1 strong files
-//! predate the universal-sequence definition and are ignored by the read
-//! path — [`StructureStore::migrate`] rewrites a v1 store in place,
-//! regenerating the strong universal blobs it needs.
 //!
 //! Correctness never depends on the disk tier: every load is digest- and
 //! canonical-form-validated (a corrupt file is discarded and reconstructed,
@@ -49,8 +41,8 @@
 use crate::cache::{CacheStats, CachedStructure, StructureCache};
 use ring_combinat::codec::{self, IndexEntry};
 use ring_combinat::{
-    strong_offset, Distinguisher, IdSet, SelectiveFamily, SharedStrongDistinguisher, StrongBase,
-    StructureKey, StructureKind,
+    Distinguisher, IdSet, SelectiveFamily, SharedStrongDistinguisher, StrongBase, StructureKey,
+    StructureKind,
 };
 use ring_protocols::structures::{StructureError, StructureProvider};
 use std::collections::{HashMap, HashSet};
@@ -59,9 +51,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// File extension of legacy v1 structure files (still readable).
-pub const STORE_EXTENSION: &str = "struct";
 
 /// File extension of content-addressed payload blobs.
 pub const BLOB_EXTENSION: &str = "blob";
@@ -219,18 +208,6 @@ impl StructureStore {
         }
     }
 
-    /// The legacy v1 file name a key was published under (still consulted
-    /// on the read path for materialised kinds).
-    pub fn file_name(key: &StructureKey) -> String {
-        format!(
-            "{}-u{}-n{}-s{:016x}.{STORE_EXTENSION}",
-            Self::kind_tag(key.kind),
-            key.universe,
-            key.n,
-            key.seed
-        )
-    }
-
     /// The index-entry file name of a materialised key.
     pub fn index_name(key: &StructureKey) -> String {
         format!(
@@ -316,8 +293,8 @@ impl StructureStore {
         Ok(digest)
     }
 
-    /// Resolves a materialised key from the disk tier: v2 index entry
-    /// first, then a legacy v1 file. `Ok(None)` = nothing usable on disk.
+    /// Resolves a materialised key from its index entry on the disk tier.
+    /// `Ok(None)` = nothing usable on disk.
     /// A file that fails validation is removed (the store self-heals by
     /// republication) and reported as the error.
     ///
@@ -367,7 +344,7 @@ impl StructureStore {
                         }
                     }
                 }
-                Ok(None) => break,
+                Ok(None) => return Ok(None),
                 Err(e) => {
                     // Unparsable bytes: drop them unless a concurrent
                     // publisher already replaced the file with something
@@ -380,25 +357,6 @@ impl StructureStore {
                     std::fs::remove_file(entry_path).ok();
                     return Err(e);
                 }
-            }
-        }
-        // Legacy v1 fallback (materialised kinds only — the constructions
-        // are unchanged, so v1 payloads are still bit-exact).
-        let legacy = dir.join(Self::file_name(key));
-        let file = match std::fs::File::open(&legacy) {
-            Ok(file) => file,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(format!("cannot read {}: {e}", legacy.display())),
-        };
-        let len = file
-            .metadata()
-            .map_err(|e| format!("cannot stat {}: {e}", legacy.display()))?
-            .len();
-        match codec::decode_stream_for_key(key, file, len) {
-            Ok(sets) => Ok(Some(sets)),
-            Err(e) => {
-                std::fs::remove_file(&legacy).ok();
-                Err(format!("corrupt structure file {}: {e}", legacy.display()))
             }
         }
     }
@@ -779,90 +737,6 @@ impl StructureStore {
             _ => unreachable!("kind is part of the key"),
         }
     }
-
-    /// Rewrites a legacy v1 store in place onto the v2 layout: materialised
-    /// payloads are re-encoded byte-exactly into content-addressed blobs;
-    /// v1 strong files (whose per-seed sequences predate the universal
-    /// windowed definition) are replaced by regenerated universal blobs
-    /// covering at least the window each v1 file's seed demands. Corrupt v1
-    /// files are dropped, exactly like resume's revalidation. Idempotent:
-    /// a second run finds no v1 files and rewrites nothing.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first I/O or publication failure.
-    pub fn migrate(&self) -> Result<MigrateReport, String> {
-        let dir = self
-            .dir
-            .clone()
-            .ok_or("a memory-only store has nothing to migrate")?;
-        let mut report = MigrateReport::default();
-        let mut strong_demand: HashMap<u64, usize> = HashMap::new();
-        let entries =
-            std::fs::read_dir(&dir).map_err(|e| format!("cannot list {}: {e}", dir.display()))?;
-        for entry in entries {
-            let path = entry.map_err(|e| e.to_string())?.path();
-            if path.extension().and_then(|e| e.to_str()) != Some(STORE_EXTENSION) {
-                continue;
-            }
-            let validated = std::fs::File::open(&path)
-                .and_then(|file| Ok((file.metadata()?.len(), file)))
-                .map_err(|e| format!("unreadable: {e}"))
-                .and_then(|(len, file)| {
-                    codec::validate_stream(file, len).map_err(|e| e.to_string())
-                });
-            let (key, count) = match validated {
-                Ok(ok) => ok,
-                Err(_) => {
-                    // Like resume revalidation: a v1 file that no longer
-                    // proves itself is dropped, never trusted.
-                    std::fs::remove_file(&path).map_err(|e| e.to_string())?;
-                    report.dropped += 1;
-                    continue;
-                }
-            };
-            match key.kind {
-                StructureKind::StrongDistinguisher => {
-                    // The v1 payload used the per-seed sequence definition;
-                    // regenerate the universal prefix its window needs.
-                    let demand = strong_offset(key.seed) + count;
-                    let slot = strong_demand.entry(key.universe).or_insert(0);
-                    *slot = (*slot).max(demand);
-                    report.strong += 1;
-                }
-                StructureKind::Distinguisher | StructureKind::SelectiveFamily => {
-                    let file = std::fs::File::open(&path).map_err(|e| e.to_string())?;
-                    let len = file.metadata().map_err(|e| e.to_string())?.len();
-                    let sets = codec::decode_stream_for_key(&key, file, len)
-                        .map_err(|e| format!("corrupt {}: {e}", path.display()))?;
-                    let entry_path = dir.join("index").join(Self::index_name(&key));
-                    self.publish(&dir, &entry_path, key, &sets)
-                        .map_err(|e| format!("cannot publish {}: {e}", entry_path.display()))?;
-                    report.materialised += 1;
-                }
-            }
-            std::fs::remove_file(&path).map_err(|e| e.to_string())?;
-        }
-        for (universe, demand) in strong_demand {
-            let (base, _) = self.strong_base(universe);
-            if demand > 0 {
-                base.set(demand - 1);
-            }
-        }
-        self.flush().map_err(|e| e.to_string())?;
-        Ok(report)
-    }
-}
-
-/// What [`StructureStore::migrate`] did.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MigrateReport {
-    /// Materialised v1 files re-encoded byte-exactly into blobs.
-    pub materialised: usize,
-    /// Strong v1 files replaced by regenerated universal blobs.
-    pub strong: usize,
-    /// Corrupt v1 files dropped.
-    pub dropped: usize,
 }
 
 /// Logs a non-fatal disk-tier problem (the infallible provider path: the
@@ -1044,7 +918,7 @@ fn older_than_grace(path: &Path) -> bool {
 pub struct StoreFileReport {
     /// The file scanned.
     pub path: PathBuf,
-    /// The decoded logical key (index entries and valid v1 files; `None`
+    /// The decoded logical key (index entries; `None`
     /// for payload blobs, which deliberately carry no identity).
     pub key: Option<StructureKey>,
     /// Number of sets the file holds or resolves to (valid files only).
@@ -1055,8 +929,8 @@ pub struct StoreFileReport {
 
 /// Validates every file of a store directory — content-addressed blobs
 /// (streamed, constant memory), index entries (parsed, their referenced
-/// blob required to be present and valid) and legacy v1 files — reporting
-/// each file's validity. A missing directory scans as empty (a run that
+/// blob required to be present and valid) — reporting each file's
+/// validity. A missing directory scans as empty (a run that
 /// never published is a valid, empty store).
 ///
 /// # Errors
@@ -1149,28 +1023,6 @@ pub fn scan_store_dir(dir: &Path) -> io::Result<Vec<StoreFileReport>> {
         reports.push(report);
     }
 
-    // 3. Legacy v1 files at the top level.
-    for path in list_with_extension(dir, STORE_EXTENSION)? {
-        let validated = std::fs::File::open(&path)
-            .and_then(|file| Ok((file.metadata()?.len(), file)))
-            .map_err(|e| format!("unreadable: {e}"))
-            .and_then(|(len, file)| codec::validate_stream(file, len).map_err(|e| e.to_string()));
-        let report = match validated {
-            Ok((key, sets)) => StoreFileReport {
-                error: expected_name_mismatch(&path, &key),
-                path,
-                key: Some(key),
-                sets,
-            },
-            Err(error) => StoreFileReport {
-                path,
-                key: None,
-                sets: 0,
-                error: Some(error),
-            },
-        };
-        reports.push(report);
-    }
     reports.sort_by(|a, b| a.path.cmp(&b.path));
     Ok(reports)
 }
@@ -1204,7 +1056,7 @@ fn list_with_extension(dir: &Path, extension: &str) -> io::Result<Vec<PathBuf>> 
 }
 
 /// Removes the `*.tmp` / `*.claim` leftovers of crashed constructors from a
-/// store directory and its `blobs/` / `index/` subdirectories. `resume`
+/// store's `blobs/` and `index/` subdirectories. `resume`
 /// runs this before re-launching workers — an orphaned claim would
 /// otherwise stall every re-launched worker's first lookup of that key for
 /// the full [`CLAIM_WAIT`]. Only files older than that same grace period
@@ -1218,7 +1070,7 @@ fn list_with_extension(dir: &Path, extension: &str) -> io::Result<Vec<PathBuf>> 
 /// Propagates directory-listing and removal I/O failures.
 pub fn sweep_stale_files(dir: &Path) -> io::Result<usize> {
     let mut removed = 0;
-    for sub in [dir.to_path_buf(), dir.join("blobs"), dir.join("index")] {
+    for sub in [dir.join("blobs"), dir.join("index")] {
         let entries = match std::fs::read_dir(&sub) {
             Ok(entries) => entries,
             Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
@@ -1236,16 +1088,6 @@ pub fn sweep_stale_files(dir: &Path) -> io::Result<usize> {
         }
     }
     Ok(removed)
-}
-
-/// A decoded v1 file published under a name that names a different key is
-/// as corrupt as a bad checksum: a keyed lookup would load the wrong
-/// structure's bytes (the codec's key check catches it, but the file is
-/// garbage and should be reported).
-fn expected_name_mismatch(path: &Path, key: &StructureKey) -> Option<String> {
-    let expected = StructureStore::file_name(key);
-    let actual = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-    (actual != expected).then(|| format!("file name does not match its key (expected {expected})"))
 }
 
 /// Removes every invalid file in `dir` (what `resume` runs before
@@ -1270,7 +1112,7 @@ pub fn revalidate_store_dir(dir: &Path) -> io::Result<Vec<PathBuf>> {
 /// Garbage-collection report of [`gc_store_dir`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GcReport {
-    /// Invalid blobs, index entries and v1 files removed.
+    /// Invalid blobs and index entries removed.
     pub corrupt: usize,
     /// Stale `*.tmp` / `*.claim` leftovers removed.
     pub stale: usize,
@@ -1378,9 +1220,7 @@ fn current_referenced_digests(dir: &Path) -> io::Result<HashSet<u64>> {
 /// stats` report).
 #[derive(Clone, Debug, Default, PartialEq, serde::Serialize)]
 pub struct KindStats {
-    /// Logical keys resolvable through the v2 index (unmigrated legacy v1
-    /// files are tallied separately in
-    /// [`StoreDirStats::legacy_v1_files`]).
+    /// Logical keys resolvable through the index.
     pub logical_keys: usize,
     /// Distinct blobs those keys resolve to.
     pub blobs: usize,
@@ -1401,9 +1241,7 @@ pub struct StoreDirStats {
     pub dist: KindStats,
     /// Selective-family entries.
     pub select: KindStats,
-    /// Legacy v1 files still unmigrated.
-    pub legacy_v1_files: usize,
-    /// Total on-disk bytes (blobs + index entries + v1 files).
+    /// Total on-disk bytes (blobs + index entries).
     pub total_bytes: u64,
 }
 
@@ -1436,10 +1274,6 @@ pub fn store_dir_stats(dir: &Path) -> io::Result<StoreDirStats> {
         slot.0 += 1;
         slot.1.insert(entry.digest);
     }
-    for path in list_with_extension(dir, STORE_EXTENSION)? {
-        stats.legacy_v1_files += 1;
-        stats.total_bytes += std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-    }
     let finish = |kind: StructureKind| {
         let (keys, digests) = per_kind.get(&kind).cloned().unwrap_or_default();
         let bytes = digests.iter().filter_map(|d| blob_sizes.get(d)).sum();
@@ -1458,37 +1292,6 @@ pub fn store_dir_stats(dir: &Path) -> io::Result<StoreDirStats> {
     stats.dist = finish(StructureKind::Distinguisher);
     stats.select = finish(StructureKind::SelectiveFamily);
     Ok(stats)
-}
-
-/// Writes a key's structure as a **legacy v1 file** into `dir` — the
-/// fixture path for migration tooling and tests (`structures prebuild
-/// --format v1`). Strong keys encode the seed's windowed view, exactly
-/// what a v1 store held for that key.
-///
-/// # Errors
-///
-/// Propagates I/O failures.
-pub fn write_v1_file(dir: &Path, key: &StructureKey, prefix_hint: usize) -> io::Result<PathBuf> {
-    let path = dir.join(StructureStore::file_name(key));
-    let bytes = match key.kind {
-        StructureKind::StrongDistinguisher => {
-            let strong = SharedStrongDistinguisher::new(key.universe, key.seed);
-            let len = strong.prefix_size_for(prefix_hint.max(2));
-            let sets: Vec<Arc<IdSet>> = (0..len).map(|i| strong.set(i)).collect();
-            codec::encode(key, &sets)
-        }
-        StructureKind::Distinguisher => codec::encode(
-            key,
-            Distinguisher::random(key.universe, key.n as usize, key.seed).sets(),
-        ),
-        StructureKind::SelectiveFamily => codec::encode(
-            key,
-            SelectiveFamily::random(key.universe, key.n as usize, key.seed).sets(),
-        ),
-    };
-    std::fs::create_dir_all(dir)?;
-    std::fs::write(&path, bytes)?;
-    Ok(path)
 }
 
 #[cfg(test)]
@@ -1640,79 +1443,13 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_files_are_served_and_migrate_in_place() {
-        let dir = temp_store("v1-compat");
-        std::fs::create_dir_all(&dir).unwrap();
-        let key = StructureKey {
-            kind: StructureKind::Distinguisher,
-            universe: 256,
-            n: 4,
-            seed: 21,
-        };
-        write_v1_file(&dir, &key, 4).unwrap();
-        let strong_key = StructureKey {
-            kind: StructureKind::StrongDistinguisher,
-            universe: 512,
-            n: 0,
-            seed: 9,
-        };
-        write_v1_file(&dir, &strong_key, 8).unwrap();
-
-        // V1 materialised files are served directly (a store hit).
-        let store = StructureStore::at(&dir).unwrap();
-        let served = store.try_distinguisher(256, 4, 21).unwrap();
-        assert_eq!(*served, *FreshStructures.distinguisher(256, 4, 21));
-        assert_eq!(store.stats().hits, 1);
-
-        // Migration rewrites everything onto the v2 layout and removes the
-        // v1 files; a post-migration store serves every key from v2 with
-        // zero misses.
-        let migrator = StructureStore::at(&dir).unwrap();
-        let report = migrator.migrate().unwrap();
-        assert_eq!(report.materialised, 1);
-        assert_eq!(report.strong, 1);
-        assert_eq!(report.dropped, 0);
-        assert!(list_with_extension(&dir, STORE_EXTENSION)
-            .unwrap()
-            .is_empty());
-        // Idempotent.
-        assert_eq!(
-            StructureStore::at(&dir).unwrap().migrate().unwrap(),
-            MigrateReport::default()
-        );
-
-        let warm = StructureStore::at(&dir).unwrap();
-        assert_eq!(
-            *warm.try_distinguisher(256, 4, 21).unwrap(),
-            *FreshStructures.distinguisher(256, 4, 21)
-        );
-        let strong = warm.try_strong_distinguisher(512, 9).unwrap();
-        assert!(strong.materialized_len() >= strong.prefix_size_for(8));
-        assert_eq!(
-            *strong.set(3),
-            *FreshStructures.strong_distinguisher(512, 9).set(3)
-        );
-        assert_eq!(warm.stats().misses, 0);
-        // Everything verifies clean.
-        for report in scan_store_dir(&dir).unwrap() {
-            assert!(report.error.is_none(), "{:?}", report);
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn scan_revalidate_and_gc_partition_the_directory() {
         let dir = temp_store("scan");
         let store = StructureStore::at(&dir).unwrap();
         store.distinguisher(128, 4, 1);
         store.selective_family(128, 4, 1);
-        // A corrupt legacy file, a corrupt blob, a dangling entry, a stale
-        // claim and a stale temp file.
-        std::fs::write(
-            dir.join(format!("dist-u64-n2-s{:016x}.{STORE_EXTENSION}", 3)),
-            b"not a structure",
-        )
-        .unwrap();
+        // A corrupt blob, a dangling entry, a stale claim and a stale temp
+        // file.
         std::fs::write(
             dir.join("blobs")
                 .join(format!("{:016x}.{BLOB_EXTENSION}", 0xbad)),
@@ -1736,7 +1473,7 @@ mod tests {
         )
         .unwrap();
         let claim = dir.join("index").join("dist-u64-n2-s03.claim");
-        let leftover = dir.join("leftover.tmp");
+        let leftover = dir.join("blobs").join("leftover.tmp");
         std::fs::write(&claim, b"").unwrap();
         std::fs::write(&leftover, b"").unwrap();
         // Backdate the leftovers past the claim grace: young tmp/claim
@@ -1752,15 +1489,15 @@ mod tests {
         }
 
         let reports = scan_store_dir(&dir).unwrap();
-        // 2 blobs + 2 entries from the real structures, plus 3 bad files.
-        assert_eq!(reports.len(), 7);
-        assert_eq!(reports.iter().filter(|r| r.error.is_some()).count(), 3);
+        // 2 blobs + 2 entries from the real structures, plus 2 bad files.
+        assert_eq!(reports.len(), 6);
+        assert_eq!(reports.iter().filter(|r| r.error.is_some()).count(), 2);
 
         let gc = gc_store_dir(&dir).unwrap();
         assert_eq!(
             gc,
             GcReport {
-                corrupt: 3,
+                corrupt: 2,
                 stale: 2,
                 unreferenced: 0,
                 kept: 4

@@ -365,8 +365,14 @@ fn resume_revalidates_the_structure_store_and_reaches_identical_bytes() {
         std::fs::write(&report.path, bytes).unwrap();
         corrupted += 1;
     }
-    std::fs::create_dir_all(&store).unwrap();
-    std::fs::write(store.join("dist-u64-n4-s0000000000000000.struct"), b"junk").unwrap();
+    std::fs::create_dir_all(store.join("index")).unwrap();
+    std::fs::write(
+        store
+            .join("index")
+            .join("dist-u64-n4-s0000000000000000.idx"),
+        b"junk",
+    )
+    .unwrap();
     corrupted += 1;
     assert!(corrupted >= 1);
 
@@ -672,15 +678,12 @@ fn faulty_crash_resume_reaches_identical_bytes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The batching acceptance property: `--batch N` is a pure scheduling
-/// change, so merged output stays byte-identical at jobs {1, 2} × shards
-/// {1, 3}, with and without a shared structure store, for the clean, the
-/// faulty and the seed-diverse spec alike. The orchestrator forwards the
-/// limit to its workers, so the sharded runs exercise batching inside the
-/// worker processes, not just in the parent.
+/// Merged output stays byte-identical at jobs {1, 2} × shards {1, 3}, with
+/// and without a shared structure store, for the clean, the faulty and the
+/// seed-diverse spec alike.
 #[test]
-fn batched_sweeps_are_byte_identical_through_the_real_binary() {
-    let dir = temp_dir("batch");
+fn sweeps_are_byte_identical_across_jobs_shards_and_stores_through_the_real_binary() {
+    let dir = temp_dir("matrix");
     let clean_reference = reference_bytes(&dir);
     let faulty_reference = faulty_reference_bytes(&dir);
     let seeded_reference = seeded_reference_bytes(&dir);
@@ -690,38 +693,36 @@ fn batched_sweeps_are_byte_identical_through_the_real_binary() {
         ("seeded", "sweep", SEEDED_SPEC_FLAGS, &seeded_reference),
     ];
     for (tag, subcommand, spec, reference) in variants {
-        // Single-process batched runs across thread counts.
+        // Single-process runs across thread counts.
         for jobs in [1usize, 2] {
-            let out = dir.join(format!("batch-{tag}-jobs{jobs}.jsonl"));
+            let out = dir.join(format!("{tag}-jobs{jobs}.jsonl"));
             let status = ringlab()
-                .args([subcommand, "--jobs", &jobs.to_string()])
-                .args(["--batch", "16", "--jsonl"])
+                .args([subcommand, "--jobs", &jobs.to_string(), "--jsonl"])
                 .arg(&out)
                 .args(spec)
                 .stdout(std::process::Stdio::null())
                 .stderr(std::process::Stdio::null())
                 .status()
                 .expect("run ringlab");
-            assert!(status.success(), "{tag} batched --jobs {jobs} run failed");
+            assert!(status.success(), "{tag} --jobs {jobs} run failed");
             assert_eq!(
                 std::fs::read(&out).unwrap(),
                 reference,
-                "{tag} batched output diverged at --jobs {jobs}"
+                "{tag} output diverged at --jobs {jobs}"
             );
         }
         // Orchestrated fleets: storeless at M = 1, store-backed at M = 3.
         for shards in [1usize, 3] {
-            let out = dir.join(format!("batch-{tag}-shards{shards}.jsonl"));
-            let run_dir = dir.join(format!("batch-{tag}-run-{shards}"));
+            let out = dir.join(format!("{tag}-shards{shards}.jsonl"));
+            let run_dir = dir.join(format!("{tag}-run-{shards}"));
             let mut cmd = ringlab();
-            cmd.args([subcommand, "--shards", &shards.to_string()])
-                .args(["--batch", "16", "--jsonl"])
+            cmd.args([subcommand, "--shards", &shards.to_string(), "--jsonl"])
                 .arg(&out)
                 .arg("--run-dir")
                 .arg(&run_dir);
             if shards == 3 {
                 cmd.arg("--structure-store")
-                    .arg(dir.join(format!("batch-{tag}-structures")));
+                    .arg(dir.join(format!("{tag}-structures")));
             }
             let status = cmd
                 .args(spec)
@@ -731,12 +732,12 @@ fn batched_sweeps_are_byte_identical_through_the_real_binary() {
                 .expect("run ringlab");
             assert!(
                 status.success(),
-                "{tag} batched sharded sweep failed at M = {shards}"
+                "{tag} sharded sweep failed at M = {shards}"
             );
             assert_eq!(
                 std::fs::read(&out).unwrap(),
                 reference,
-                "{tag} batched sharded output diverged at M = {shards}"
+                "{tag} sharded output diverged at M = {shards}"
             );
             let manifest = ring_distrib::Manifest::load(&run_dir).unwrap();
             assert!(manifest.is_complete());

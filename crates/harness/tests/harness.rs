@@ -48,11 +48,11 @@ fn jsonl_output_is_byte_identical_across_job_counts() {
     }
 }
 
-/// Case batching is a pure scheduling change: with and without the
-/// structure store, on clean and faulty specs, at one and two jobs, the
-/// batched sweep streams exactly the unbatched bytes and records.
+/// Scheduling and the structure store are invisible in the output: with
+/// and without a disk-backed store, on clean and faulty specs, at one and
+/// two jobs, every sweep streams exactly the serial storeless bytes.
 #[test]
-fn batched_sweeps_are_byte_identical_to_unbatched_sweeps() {
+fn sweeps_are_byte_identical_across_jobs_stores_and_faults() {
     let clean = test_spec();
     let faulty = SweepSpec {
         faults: Some(ring_experiments::FaultAxes {
@@ -63,7 +63,7 @@ fn batched_sweeps_are_byte_identical_to_unbatched_sweeps() {
         }),
         ..test_spec()
     };
-    let dir = std::env::temp_dir().join(format!("ring-harness-batch-e2e-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("ring-harness-jobs-e2e-{}", std::process::id()));
     for (label, spec) in [("clean", &clean), ("faulty", &faulty)] {
         let mut items = table1_items(spec);
         items.extend(table2_items(spec));
@@ -75,29 +75,22 @@ fn batched_sweeps_are_byte_identical_to_unbatched_sweeps() {
             sink.finish()
         };
         for jobs in [1, 2] {
-            for batch in [2, 16] {
-                // Storeless…
-                let engine = SweepEngine::new(jobs).with_batch_limit(batch);
-                let sink = JsonlSink::new(Vec::new());
-                engine.run(&items, Some(&sink));
-                assert_eq!(
-                    sink.finish(),
-                    reference,
-                    "{label}: jobs {jobs}, batch {batch} diverged"
-                );
-                // …and against a disk-backed store (cold on the first
-                // combination, warm afterwards — both must be invisible).
-                std::fs::remove_dir_all(&dir).ok();
-                let store = Arc::new(StructureStore::at(&dir).unwrap());
-                let engine = SweepEngine::with_store(jobs, store).with_batch_limit(batch);
-                let sink = JsonlSink::new(Vec::new());
-                engine.run(&items, Some(&sink));
-                assert_eq!(
-                    sink.finish(),
-                    reference,
-                    "{label}: store-backed jobs {jobs}, batch {batch} diverged"
-                );
-            }
+            // Storeless…
+            let engine = SweepEngine::new(jobs);
+            let sink = JsonlSink::new(Vec::new());
+            engine.run(&items, Some(&sink));
+            assert_eq!(sink.finish(), reference, "{label}: jobs {jobs} diverged");
+            // …and against a disk-backed store.
+            std::fs::remove_dir_all(&dir).ok();
+            let store = Arc::new(StructureStore::at(&dir).unwrap());
+            let engine = SweepEngine::with_store(jobs, store);
+            let sink = JsonlSink::new(Vec::new());
+            engine.run(&items, Some(&sink));
+            assert_eq!(
+                sink.finish(),
+                reference,
+                "{label}: store-backed jobs {jobs} diverged"
+            );
         }
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -266,10 +259,10 @@ fn enumerated_structure_keys_cover_a_full_sweep() {
 }
 
 /// The seed-diverse storage acceptance: prebuilding a K-seed sweep into a
-/// content-addressed v2 store publishes O(structures) blobs — one shared
-/// strong blob per universe — and strictly fewer bytes than the K
-/// independent per-seed files the v1 layout would hold; a sweep against
-/// the prebuilt store then reports zero store misses.
+/// content-addressed store publishes O(structures) blobs — one shared
+/// strong blob per universe — and strictly fewer bytes than one blob per
+/// seed would take; a sweep against the prebuilt store then reports zero
+/// store misses.
 #[test]
 fn seed_diverse_store_beats_one_file_per_seed_and_serves_zero_miss() {
     use ring_combinat::StructureKind;
@@ -304,20 +297,22 @@ fn seed_diverse_store_beats_one_file_per_seed_and_serves_zero_miss() {
         "2 even universes x 4 schedule seeds: {strong_keys:?}"
     );
 
-    let base = std::env::temp_dir().join(format!("ring-harness-seeded-{}", std::process::id()));
-    std::fs::remove_dir_all(&base).ok();
-    let v1_dir = base.join("v1");
-    let v2_dir = base.join("v2");
-    std::fs::create_dir_all(&v1_dir).unwrap();
+    let dir = std::env::temp_dir().join(format!("ring-harness-seeded-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
 
-    // The v1 layout: one full file per (strong, universe, seed) key.
-    for (key, hint) in &keys {
-        ring_harness::store::write_v1_file(&v1_dir, key, *hint).unwrap();
-    }
-    // The v2 layout: the same prebuild demand against a content-addressed
-    // store (every seed view materialised to its full prefix, then flushed).
+    // One blob per seed: every strong key's full prefix stored on its own.
+    let one_blob_per_seed_bytes: u64 = strong_keys
+        .iter()
+        .map(|(key, hint)| {
+            let prefix = ring_combinat::SharedStrongDistinguisher::new(key.universe, key.seed)
+                .prefix_size_for((*hint).max(2));
+            ring_combinat::codec::blob_len(key.universe, prefix) as u64
+        })
+        .sum();
+    // The same prebuild demand against the content-addressed store (every
+    // seed view materialised to its full prefix, then flushed).
     {
-        let store = StructureStore::at(&v2_dir).unwrap();
+        let store = StructureStore::at(&dir).unwrap();
         for (key, hint) in &keys {
             match key.kind {
                 StructureKind::StrongDistinguisher => {
@@ -352,14 +347,14 @@ fn seed_diverse_store_beats_one_file_per_seed_and_serves_zero_miss() {
         walk(dir, &mut total);
         total
     };
-    let v1_bytes = dir_bytes(&v1_dir);
-    let v2_bytes = dir_bytes(&v2_dir);
+    let store_bytes = dir_bytes(&dir);
     assert!(
-        v2_bytes < v1_bytes,
-        "content addressing must beat one-file-per-seed: v2 {v2_bytes} vs v1 {v1_bytes} bytes"
+        store_bytes < one_blob_per_seed_bytes,
+        "content addressing must beat one blob per seed: {store_bytes} vs \
+{one_blob_per_seed_bytes} bytes"
     );
     // O(structures) blobs, not O(K) copies: one strong blob per universe.
-    let stats = ring_harness::store::store_dir_stats(&v2_dir).unwrap();
+    let stats = ring_harness::store::store_dir_stats(&dir).unwrap();
     assert_eq!(stats.strong.blobs, 2);
     assert!(stats.strong.dedup_ratio >= 1.0);
 
@@ -371,17 +366,17 @@ fn seed_diverse_store_beats_one_file_per_seed_and_serves_zero_miss() {
         engine.run(&items, Some(&sink));
         sink.finish()
     };
-    let engine = SweepEngine::with_store(2, Arc::new(StructureStore::at(&v2_dir).unwrap()));
+    let engine = SweepEngine::with_store(2, Arc::new(StructureStore::at(&dir).unwrap()));
     let sink = JsonlSink::new(Vec::new());
     engine.run(&items, Some(&sink));
     assert_eq!(sink.finish(), reference);
     let store_stats = engine.store_stats();
     assert_eq!(
         store_stats.misses, 0,
-        "a prebuilt v2 store must serve everything"
+        "a prebuilt store must serve everything"
     );
     assert!(store_stats.hits > 0);
-    std::fs::remove_dir_all(&base).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The gc-vs-claim race: while publishers are busy claiming keys and
