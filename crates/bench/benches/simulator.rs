@@ -36,8 +36,9 @@ fn bench_engines(c: &mut Criterion) {
     group.finish();
 }
 
-/// The zero-alloc batched round path against the allocating one, at ring
-/// sizes up to 10⁵ (scratch reuse via `AnalyticScratch`/`RoundBuffers`).
+/// The zero-alloc batched round path (one reused `RoundBuffers`) against
+/// the allocating one (a fresh `RoundBuffers` per round), at ring sizes up
+/// to 10⁵.
 fn bench_batched_rounds(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulator/batched_rounds");
     group.sample_size(10);
@@ -73,7 +74,8 @@ fn bench_batched_rounds(c: &mut Criterion) {
             b.iter(|| {
                 let mut ring = RingState::new(&config);
                 for _ in 0..rounds {
-                    ring.execute_round(&dirs, EngineKind::Analytic).unwrap();
+                    ring.execute_round_into(&dirs, EngineKind::Analytic, &mut RoundBuffers::new())
+                        .unwrap();
                 }
                 ring.rounds_executed()
             })

@@ -336,7 +336,8 @@ fn main() {
         slow as f64 / fast.max(1) as f64
     );
 
-    // 4. Batched round execution against the allocating path.
+    // 4. Batched round execution (one reused `RoundBuffers`) against the
+    //    allocating path (a fresh `RoundBuffers` per round).
     let config = RingConfig::builder(ring_n)
         .random_positions(9)
         .random_chirality(10)
@@ -363,7 +364,7 @@ fn main() {
     let slow = time_median(reps, || {
         let mut ring = RingState::new(&config);
         for _ in 0..rounds {
-            ring.execute_round(&dirs, EngineKind::Analytic)
+            ring.execute_round_into(&dirs, EngineKind::Analytic, &mut RoundBuffers::new())
                 .expect("valid round");
         }
         ring.rounds_executed()

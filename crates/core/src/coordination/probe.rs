@@ -49,7 +49,7 @@ impl MoveClass {
 ///
 /// # Errors
 ///
-/// Propagates substrate and model violations from [`Network::step`].
+/// Propagates substrate and model violations from [`Network::step_into`].
 pub fn probe_nonzero(
     net: &mut Network<'_>,
     directions: &[LocalDirection],
@@ -85,7 +85,7 @@ pub fn probe_nonzero_with(
 ///
 /// # Errors
 ///
-/// Propagates substrate and model violations from [`Network::step`].
+/// Propagates substrate and model violations from [`Network::step_into`].
 pub fn probe_move(
     net: &mut Network<'_>,
     directions: &[LocalDirection],

@@ -7,15 +7,17 @@
 //! * the public knowledge every agent shares — the identifier universe `N`,
 //!   the parity of `n`, and the model;
 //! * each agent's private input — its own identifier;
-//! * [`Network::step`], which executes one synchronised round: it takes the
-//!   direction chosen by every agent *in that agent's own frame*, enforces
-//!   the model's restrictions, and returns every agent's [`Observation`],
-//!   again in the agent's own frame, with collision information stripped
-//!   unless the model is perceptive.
+//! * [`Network::step_into`], which executes one synchronised round: it takes
+//!   the direction chosen by every agent *in that agent's own frame*,
+//!   enforces the model's restrictions, and writes every agent's
+//!   [`Observation`] — again in the agent's own frame, with collision
+//!   information stripped unless the model is perceptive — into a reusable
+//!   [`StepBuffers`] set.
 //!
 //! Protocol implementations in this crate are written as lockstep drivers:
 //! the same local rule is evaluated for every agent using only that agent's
-//! state, and the chosen directions are submitted together through `step`.
+//! state, and the chosen directions are submitted together through
+//! `step_into` (or a whole schedule through [`Network::run_schedule`]).
 //! Tests validate the outputs against the ground truth, which remains
 //! accessible through the `ground_truth_*` methods (never used by protocol
 //! logic).
@@ -248,24 +250,9 @@ impl<'a> Network<'a> {
         self.rounds
     }
 
-    /// Executes one round.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the direction vector has the wrong length or an
-    /// agent idles in a non-lazy model.
-    pub fn step(
-        &mut self,
-        directions: &[LocalDirection],
-    ) -> Result<Vec<Observation>, ProtocolError> {
-        let mut bufs = StepBuffers::new();
-        self.step_into(directions, &mut bufs)?;
-        Ok(std::mem::take(&mut bufs.round.observations))
-    }
-
-    /// Executes one round into a caller-owned [`StepBuffers`] — the
-    /// zero-alloc variant of [`Network::step`]. Observations are read back
-    /// through [`StepBuffers::observations`].
+    /// Executes one round into a caller-owned [`StepBuffers`]; observations
+    /// are read back through [`StepBuffers::observations`]. After the
+    /// buffers reach the ring size, a round allocates nothing.
     ///
     /// # Errors
     ///
@@ -345,22 +332,9 @@ impl<'a> Network<'a> {
 
     /// Executes one round in which every agent moves opposite to
     /// `directions` (the paper's `REVERSEDROUND`), restoring the positions
-    /// reached before the matching `step`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Network::step`].
-    pub fn step_reversed(
-        &mut self,
-        directions: &[LocalDirection],
-    ) -> Result<Vec<Observation>, ProtocolError> {
-        let reversed: Vec<LocalDirection> = directions.iter().map(|d| d.opposite()).collect();
-        self.step(&reversed)
-    }
-
-    /// Zero-alloc variant of [`Network::step_reversed`]: the reversed
-    /// directions are built in the buffer set's direction scratch and the
-    /// round executes through [`Network::step_into`].
+    /// reached before the matching `step_into`. The reversed directions are
+    /// built in the buffer set's direction scratch, so this allocates
+    /// nothing either.
     ///
     /// # Errors
     ///
@@ -490,13 +464,14 @@ mod tests {
         let mut net = Network::new(&config, ids.clone(), Model::Basic).unwrap();
         let mut dirs = vec![LocalDirection::Right; 6];
         dirs[3] = LocalDirection::Idle;
+        let mut bufs = StepBuffers::new();
         assert!(matches!(
-            net.step(&dirs),
+            net.step_into(&dirs, &mut bufs),
             Err(ProtocolError::IdleForbidden { agent: 3, .. })
         ));
 
         let mut lazy = Network::new(&config, ids, Model::Lazy).unwrap();
-        assert!(lazy.step(&dirs).is_ok());
+        assert!(lazy.step_into(&dirs, &mut bufs).is_ok());
     }
 
     #[test]
@@ -512,13 +487,18 @@ mod tests {
             })
             .collect();
 
-        let mut basic = Network::new(&config, ids.clone(), Model::Basic).unwrap();
-        let obs = basic.step(&dirs).unwrap();
-        assert!(obs.iter().all(|o| o.coll.is_none()));
-
-        let mut perceptive = Network::new(&config, ids, Model::Perceptive).unwrap();
-        let obs = perceptive.step(&dirs).unwrap();
-        assert!(obs.iter().any(|o| o.coll.is_some()));
+        // Every model, each on its own fresh buffers: only the perceptive
+        // model sees collisions.
+        for model in Model::ALL {
+            let mut net = Network::new(&config, ids.clone(), model).unwrap();
+            let mut bufs = StepBuffers::new();
+            net.step_into(&dirs, &mut bufs).unwrap();
+            assert_eq!(
+                bufs.observations().iter().any(|o| o.coll.is_some()),
+                model.observes_collisions(),
+                "{model}"
+            );
+        }
     }
 
     #[test]
@@ -526,12 +506,15 @@ mod tests {
         let (config, ids) = network(Model::Basic);
         let mut net = Network::new(&config, ids, Model::Basic).unwrap();
         let dirs = vec![LocalDirection::Right; 6];
-        net.step(&dirs).unwrap();
-        net.step_reversed(&dirs).unwrap();
+        let mut bufs = StepBuffers::new();
+        net.step_into(&dirs, &mut bufs).unwrap();
+        net.step_reversed_into(&dirs, &mut bufs).unwrap();
         assert_eq!(net.rounds_used(), 2);
         assert!(net.ground_truth_at_initial_positions());
     }
 
+    /// One reused buffer set produces exactly what a fresh set per round
+    /// (an allocating step) does.
     #[test]
     fn buffered_step_matches_allocating_step() {
         let (config, ids) = network(Model::Perceptive);
@@ -548,9 +531,10 @@ mod tests {
                     }
                 })
                 .collect();
-            let obs = plain.step(&dirs).unwrap();
+            let mut fresh = StepBuffers::new();
+            plain.step_into(&dirs, &mut fresh).unwrap();
             buffered.step_into(&dirs, &mut bufs).unwrap();
-            assert_eq!(bufs.observations(), &obs[..]);
+            assert_eq!(bufs.observations(), fresh.observations());
             assert_eq!(plain.ground_truth_slots(), buffered.ground_truth_slots());
             for agent in 0..6 {
                 assert_eq!(
@@ -738,10 +722,11 @@ mod tests {
             .unwrap()
             .with_round_limit(2);
         let dirs = vec![LocalDirection::Right; 6];
-        net.step(&dirs).unwrap();
-        net.step(&dirs).unwrap();
+        let mut bufs = StepBuffers::new();
+        net.step_into(&dirs, &mut bufs).unwrap();
+        net.step_into(&dirs, &mut bufs).unwrap();
         assert!(matches!(
-            net.step(&dirs),
+            net.step_into(&dirs, &mut bufs),
             Err(ProtocolError::RoundLimitReached { limit: 2 })
         ));
         // The limit is checked before execution: the round count stays put.

@@ -6,14 +6,10 @@
 //! a fresh executor and reports the cost; [`run_pipeline`] does so for all
 //! four problems of Table I.
 //!
-//! The nontrivial-move routes, the probe layer, the basic/lazy location
-//! sweeps and the whole perceptive stack (collision link, flooding,
-//! `NMoveS`, `RingDist`, `Distances`) execute through the batched round
-//! interface ([`crate::exec::StepBuffers`] /
+//! Every protocol executes through the one round interface
+//! ([`crate::exec::StepBuffers`] with [`crate::exec::Network::step_into`] /
 //! [`crate::exec::Network::run_schedule`]): one scratch arena per protocol
-//! run, no per-round heap allocation. Only the low-frequency
-//! leader-election and direction-agreement drivers still go through the
-//! allocating [`crate::exec::Network::step`] (a handful of rounds per run).
+//! run, no per-round heap allocation.
 
 use crate::coordination::diragr::agree_direction;
 use crate::coordination::leader::elect_leader;

@@ -148,7 +148,7 @@ impl ShardEntry {
 /// The spec parameters a worker or `resume` needs to re-enumerate the run's
 /// cases: the `ringlab` subcommand plus the flag overrides it was given.
 /// `None` means "the subcommand's default".
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct SpecParams {
     /// The `ringlab` subcommand whose item list is sharded.
     pub subcommand: String,

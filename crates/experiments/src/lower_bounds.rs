@@ -20,7 +20,7 @@ use crate::sweep::{Case, SweepSpec};
 use ring_protocols::locate::discover_locations;
 use ring_protocols::structures::{fresh_structures, SharedStructures};
 use ring_protocols::Network;
-use ring_sim::{EngineKind, LocalDirection, Model, RingState};
+use ring_sim::{EngineKind, LocalDirection, Model, RingState, RoundBuffers};
 
 /// Audits the even-rotation-index invariant of the basic model with even `n`
 /// (Lemma 5) by sampling random basic-model rounds.
@@ -39,6 +39,7 @@ pub fn lemma5_parity_audit(n: usize, universe: u64, samples: usize, seed: u64) -
     let mut rng = StdRng::seed_from_u64(seed);
     let mut all_even = true;
     let mut ring = RingState::new(&config);
+    let mut bufs = RoundBuffers::new();
     for _ in 0..samples {
         let dirs: Vec<LocalDirection> = (0..n)
             .map(|_| {
@@ -49,10 +50,10 @@ pub fn lemma5_parity_audit(n: usize, universe: u64, samples: usize, seed: u64) -
                 }
             })
             .collect();
-        let outcome = ring
-            .execute_round(&dirs, EngineKind::Analytic)
+        let rotation = ring
+            .execute_round_into(&dirs, EngineKind::Analytic, &mut bufs)
             .expect("round");
-        if !outcome.rotation.shift.is_multiple_of(2) {
+        if !rotation.shift.is_multiple_of(2) {
             all_even = false;
         }
     }

@@ -172,15 +172,16 @@ const USAGE: &str =
 const DEFAULT_STORE_DIR: &str = "results/structures";
 
 /// Parsed command-line options.
-#[derive(Clone)]
 struct Options {
+    /// The invoked subcommand (`worker`, `structures`, `sweep`, …).
     subcommand: String,
-    quick: bool,
+    /// The sweep spec the spec-affecting flags describe. Its `subcommand`
+    /// is the *experiment* subcommand: the positional of `worker <sub>` and
+    /// `structures prebuild <sub>`, the invoked subcommand otherwise — so a
+    /// worker (or prebuild) resolves the same spec, and the same
+    /// fingerprint, as its orchestrator.
+    spec: SpecParams,
     jobs: usize,
-    sizes: Option<Vec<usize>>,
-    universe_factors: Option<Vec<u64>>,
-    reps: Option<u64>,
-    seed: Option<u64>,
     jsonl: Option<String>,
     no_jsonl: bool,
     shards: usize,
@@ -190,19 +191,6 @@ struct Options {
     /// `None` = no store; `Some(None)` = store at the context default
     /// directory; `Some(Some(dir))` = store at an explicit directory.
     structure_store: Option<Option<String>>,
-    /// `Some(K)` = per-case structure-seed schedule with K schedule seeds;
-    /// `None` = the fixed default (resolved from `--structure-seed-mode` /
-    /// `--structure-seeds` at parse time).
-    structure_seeds: Option<u64>,
-    /// `--fault-drops` override (`faults` only; `None` = the standard drop
-    /// axes).
-    fault_drops: Option<Vec<u64>>,
-    /// `--fault-crashes` override (`faults` only).
-    fault_crashes: Option<u64>,
-    /// `--fault-churn` override (`faults` only).
-    fault_churn: Option<u64>,
-    /// `--fault-adversarial` (`faults` only).
-    fault_adversarial: bool,
     /// `--shard-timeout` in seconds (`None` = unlimited).
     shard_timeout: Option<u64>,
     /// `serve --listen ADDR`: the daemon's bind address.
@@ -247,25 +235,6 @@ const SUBCOMMANDS: [&str; 15] = [
     "serve",
     "trace",
 ];
-
-/// The experiment subcommand an invocation's sweep spec resolves to: the
-/// positional for `worker <sub>` and `structures prebuild <sub>`, the
-/// subcommand itself otherwise. The fault axes key off this, so a worker
-/// (or prebuild) of a faulty sweep resolves the same spec — and the same
-/// fingerprint — as its orchestrator.
-fn effective_subcommand(options: &Options) -> &str {
-    match options.subcommand.as_str() {
-        "worker" => options
-            .positionals
-            .first()
-            .map(String::as_str)
-            .unwrap_or(""),
-        "structures" if options.positionals.first().map(String::as_str) == Some("prebuild") => {
-            options.positionals.get(1).map(String::as_str).unwrap_or("")
-        }
-        other => other,
-    }
-}
 
 /// Runs the CLI on explicit arguments (without the program name), returning
 /// the process exit code.
@@ -381,17 +350,7 @@ fn spec_fingerprint(subcommand: &str, spec: &SweepSpec, scaling: &ScalingSpec) -
     format!("0x{h:016x}")
 }
 
-/// The structure-store directory the invocation asked for (`None` = no
-/// store), with a bare `--structure-store` resolving to the context's
-/// default location.
-fn resolve_store_dir(options: &Options, default: impl FnOnce() -> String) -> Option<String> {
-    options
-        .structure_store
-        .as_ref()
-        .map(|explicit| explicit.clone().unwrap_or_else(default))
-}
-
-/// The flags every engine-running subcommand shares — `--jobs`, `--quick`,
+/// The flags every engine-running subcommand shares — `--jobs`,
 /// `--stats`, `--structure-store` and the JSONL destination — resolved
 /// against the invocation context in one place, so the per-subcommand
 /// handlers stop repeating the store/destination/engine plumbing.
@@ -404,9 +363,10 @@ struct CommonArgs {
 
 impl Options {
     /// Resolves the shared flags. `store_default` supplies the directory a
-    /// bare `--structure-store` means in this context; `jsonl_default` the
-    /// stream destination when `--jsonl` was not given (`None` = no
-    /// stream). `--no-jsonl` wins over both.
+    /// bare `--structure-store` means in this context (`store_dir` is `None`
+    /// without the flag); `jsonl_default` the stream destination when
+    /// `--jsonl` was not given (`None` = no stream). `--no-jsonl` wins over
+    /// both.
     fn common(
         &self,
         store_default: impl FnOnce() -> String,
@@ -415,13 +375,24 @@ impl Options {
         CommonArgs {
             jobs: self.jobs,
             stats: self.stats,
-            store_dir: resolve_store_dir(self, store_default),
+            store_dir: self
+                .structure_store
+                .as_ref()
+                .map(|explicit| explicit.clone().unwrap_or_else(store_default)),
             destination: if self.no_jsonl {
                 None
             } else {
                 self.jsonl.clone().or_else(jsonl_default)
             },
         }
+    }
+
+    /// Where an experiment streams its JSONL without `--jsonl`.
+    fn default_jsonl(&self) -> Option<String> {
+        Some(format!(
+            "results/{}.jsonl",
+            self.subcommand.replace('-', "_")
+        ))
     }
 }
 
@@ -446,9 +417,9 @@ fn cmd_experiment(options: &Options) -> Result<i32, String> {
     if !options.positionals.is_empty() {
         return Err(format!("unexpected argument `{}`", options.positionals[0]));
     }
-    let spec = sweep_spec(options);
-    let scaling = scaling_spec(options);
-    let items = items_for(&options.subcommand, &spec, &scaling)?;
+    let spec = sweep_spec(&options.spec);
+    let scaling = scaling_spec(&options.spec);
+    let items = items_for(&options.spec.subcommand, &spec, &scaling)?;
     if options.shards > 0 {
         return cmd_sharded(options, &spec, &scaling, &items);
     }
@@ -456,15 +427,7 @@ fn cmd_experiment(options: &Options) -> Result<i32, String> {
         return cmd_shard_slice(options, &spec, &scaling, &items, shard, of);
     }
 
-    let common = options.common(
-        || DEFAULT_STORE_DIR.to_string(),
-        || {
-            Some(format!(
-                "results/{}.jsonl",
-                options.subcommand.replace('-', "_")
-            ))
-        },
-    );
+    let common = options.common(|| DEFAULT_STORE_DIR.to_string(), || options.default_jsonl());
     let engine = common.engine()?;
     let start = Instant::now();
     let destination = common.destination.clone();
@@ -525,13 +488,12 @@ fn print_tables(markdown: &str, destination: Option<&str>) {
     }
 }
 
-/// One engine's run as a registry snapshot (ring-obs/v1): the global
-/// registry's counters and histograms with the engine's own cache / store
+/// One engine's run as a registry snapshot (ring-obs/v1): `snapshot` (the
+/// registry's counters and histograms) with the engine's own cache / store
 /// / executor counters overlaid under their canonical names. Every stats
 /// consumer — `--stats`, the worker done event, the daemon — reports from
 /// this one schema.
-fn engine_snapshot(engine: &SweepEngine) -> ring_obs::Snapshot {
-    let mut snapshot = ring_obs::global().snapshot();
+fn engine_snapshot(engine: &SweepEngine, mut snapshot: ring_obs::Snapshot) -> ring_obs::Snapshot {
     let cache = engine.cache_stats();
     let store = engine.store_stats();
     let exec = engine.exec_stats();
@@ -563,7 +525,7 @@ fn print_engine_stats(engine: &SweepEngine) {
         hit_rate: f64,
         structures: usize,
     }
-    let snapshot = engine_snapshot(engine);
+    let snapshot = engine_snapshot(engine, ring_obs::global().snapshot());
     let hits = snapshot.counter("cache_hits");
     let misses = snapshot.counter("cache_misses");
     let total = hits + misses;
@@ -662,19 +624,6 @@ fn print_fleet_stats(manifest: &Manifest) {
     );
 }
 
-/// The resolved JSONL destination (`None` = disabled).
-fn jsonl_destination(options: &Options) -> Option<String> {
-    if options.no_jsonl {
-        return None;
-    }
-    Some(
-        options
-            .jsonl
-            .clone()
-            .unwrap_or_else(|| format!("results/{}.jsonl", options.subcommand.replace('-', "_"))),
-    )
-}
-
 /// Opens a JSONL destination for writing (`-` = stdout).
 fn open_destination(destination: &str) -> Result<Box<dyn Write + Send>, String> {
     if destination == "-" {
@@ -722,7 +671,7 @@ fn cmd_shard_slice(
     );
     let engine = common.engine()?;
     let start = Instant::now();
-    let records = run_items_with_offset(
+    run_items_with_offset(
         &engine,
         &items[range.start..range.end],
         range.start,
@@ -735,12 +684,11 @@ fn cmd_shard_slice(
         range.start,
         range.end,
         start.elapsed().as_secs_f64(),
-        spec_fingerprint(&options.subcommand, spec, scaling),
+        spec_fingerprint(&options.spec.subcommand, spec, scaling),
     );
     if common.stats {
         print_engine_stats(&engine);
     }
-    let _ = records;
     Ok(0)
 }
 
@@ -789,17 +737,17 @@ fn run_worker_shard<E: Write, R: Write + Send>(
     mut event_out: E,
     record_out: R,
 ) -> Result<(), String> {
-    let Some(subcommand) = options.positionals.first() else {
+    if options.spec.subcommand.is_empty() {
         return Err(format!("worker needs a subcommand\n{USAGE}"));
-    };
+    }
     let Some((shard, of)) = options.shard else {
         return Err("worker requires --shard i/M".into());
     };
-    let spec = sweep_spec(options);
-    let scaling = scaling_spec(options);
-    let items = items_for(subcommand, &spec, &scaling)?;
+    let spec = sweep_spec(&options.spec);
+    let scaling = scaling_spec(&options.spec);
+    let items = items_for(&options.spec.subcommand, &spec, &scaling)?;
     let range = plan_shards(items.len(), of)[shard];
-    let fingerprint = spec_fingerprint(subcommand, &spec, &scaling);
+    let fingerprint = spec_fingerprint(&options.spec.subcommand, &spec, &scaling);
 
     let start = StartEvent::new(shard, of, range.start, range.end, &fingerprint);
     writeln!(
@@ -827,15 +775,9 @@ fn run_worker_shard<E: Write, R: Write + Send>(
     let cache = engine.cache_stats();
     let store = engine.store_stats();
     let exec = engine.exec_stats();
-    let mut metrics = ring_obs::global().snapshot().delta(&baseline);
     // The engine's own counters are per-engine (fresh every job), so they
-    // overlay the delta exactly under their canonical registry names.
-    metrics.set_counter("cache_hits", cache.hits);
-    metrics.set_counter("cache_misses", cache.misses);
-    metrics.set_counter("store_hits", store.hits);
-    metrics.set_counter("store_misses", store.misses);
-    metrics.set_counter("executor_executed", exec.executed);
-    metrics.set_counter("executor_steals", exec.steals);
+    // overlay the delta exactly.
+    let metrics = engine_snapshot(&engine, ring_obs::global().snapshot().delta(&baseline));
     let done = DoneEvent::new(
         shard,
         tally.lines() as usize,
@@ -994,13 +936,14 @@ fn cmd_serve(options: &Options) -> Result<i32, String> {
             .unwrap_or_else(|| "results/serve".to_string()),
     );
     // The resolver replays a submitted spec through the exact same
-    // enumeration pipeline the CLI uses, so a daemon run records the same
-    // fingerprint (and case count) a `ringlab sweep` of the spec would.
-    let runtime = options.clone();
-    let resolver: ring_serve::SpecResolver = Box::new(move |spec: &SpecParams| {
-        let resolved = options_from_spec(spec, &runtime);
-        let sweep = sweep_spec(&resolved);
-        let scaling = scaling_spec(&resolved);
+    // validation and enumeration pipeline the CLI uses, so the daemon
+    // accepts exactly the specs its workers accept, and a daemon run
+    // records the same fingerprint (and case count) a `ringlab sweep` of
+    // the spec would.
+    let resolver: ring_serve::SpecResolver = Box::new(|spec: &SpecParams| {
+        validate_spec(spec)?;
+        let sweep = sweep_spec(spec);
+        let scaling = scaling_spec(spec);
         let items = items_for(&spec.subcommand, &sweep, &scaling)?;
         Ok(ring_serve::ResolvedSpec {
             total_cases: items.len(),
@@ -1032,27 +975,19 @@ fn cmd_sharded(
             format!("results/distrib/{}", options.subcommand.replace('-', "_"))
         }));
     let ranges = plan_shards(items.len(), options.shards);
-    let fingerprint = spec_fingerprint(&options.subcommand, spec, scaling);
-    let destination = jsonl_destination(options);
+    let fingerprint = spec_fingerprint(&options.spec.subcommand, spec, scaling);
     // The fleet's shared structure store defaults into the run directory,
     // next to the shard files it accelerates.
-    let store_dir = resolve_store_dir(options, || {
-        run_dir.join("structures").to_string_lossy().into_owned()
-    });
+    let CommonArgs {
+        store_dir,
+        destination,
+        ..
+    } = options.common(
+        || run_dir.join("structures").to_string_lossy().into_owned(),
+        || options.default_jsonl(),
+    );
     let manifest = Manifest::new(
-        SpecParams {
-            subcommand: options.subcommand.clone(),
-            quick: options.quick,
-            sizes: options.sizes.clone(),
-            universe_factors: options.universe_factors.clone(),
-            reps: options.reps,
-            seed: options.seed,
-            structure_seeds: options.structure_seeds,
-            fault_drops: options.fault_drops.clone(),
-            fault_crashes: options.fault_crashes,
-            fault_churn: options.fault_churn,
-            fault_adversarial: options.fault_adversarial,
-        },
+        options.spec.clone(),
         fingerprint,
         items.len(),
         &ranges,
@@ -1081,9 +1016,9 @@ fn cmd_resume(options: &Options) -> Result<i32, String> {
     let mut manifest = Manifest::load(&run_dir)?;
 
     // The manifest must describe a case enumeration this binary reproduces.
-    let resumed = options_from_spec(&manifest.spec, options);
-    let spec = sweep_spec(&resumed);
-    let scaling = scaling_spec(&resumed);
+    validate_spec(&manifest.spec).map_err(|e| format!("the run's spec is invalid: {e}"))?;
+    let spec = sweep_spec(&manifest.spec);
+    let scaling = scaling_spec(&manifest.spec);
     let items = items_for(&manifest.spec.subcommand, &spec, &scaling)?;
     let fingerprint = spec_fingerprint(&manifest.spec.subcommand, &spec, &scaling);
     if fingerprint != manifest.spec_fingerprint || items.len() != manifest.total_cases {
@@ -1133,19 +1068,16 @@ fn cmd_resume(options: &Options) -> Result<i32, String> {
         run_dir.display(),
         manifest.shards.len()
     );
-    let destination = if options.jsonl.is_some() || options.no_jsonl {
-        jsonl_destination(&Options {
-            subcommand: manifest.spec.subcommand.clone(),
-            ..options.clone()
+    // Without --jsonl / --no-jsonl the stream goes where the run recorded;
+    // an empty record means it was started with --no-jsonl, so keep
+    // suppressing the stream. The store comes from the manifest alone.
+    let destination = options
+        .common(String::new, || {
+            Some(manifest.output.clone()).filter(|output| !output.is_empty())
         })
-    } else if manifest.output.is_empty() {
-        // The run was started with --no-jsonl; keep suppressing the stream.
-        None
-    } else {
-        Some(manifest.output.clone())
-    };
+        .destination;
     let manifest = Mutex::new(manifest);
-    orchestrate_and_finish(&resumed, &run_dir, &manifest, destination)
+    orchestrate_and_finish(options, &run_dir, &manifest, destination)
 }
 
 /// Shared tail of `--shards` and `resume`: run the incomplete shards,
@@ -1264,7 +1196,10 @@ fn cmd_structures(options: &Options) -> Result<i32, String> {
     let Some(action) = options.positionals.first() else {
         return Err(format!("structures needs an action\n{USAGE}"));
     };
-    let dir = resolve_store_dir(options, || DEFAULT_STORE_DIR.to_string())
+    let dir = options
+        .structure_store
+        .clone()
+        .flatten()
         .unwrap_or_else(|| DEFAULT_STORE_DIR.to_string());
     let dir_path = PathBuf::from(&dir);
     match action.as_str() {
@@ -1275,9 +1210,9 @@ fn cmd_structures(options: &Options) -> Result<i32, String> {
             if options.positionals.len() > 2 {
                 return Err(format!("unexpected argument `{}`", options.positionals[2]));
             }
-            let spec = sweep_spec(options);
-            let scaling = scaling_spec(options);
-            let items = items_for(subcommand, &spec, &scaling)?;
+            let spec = sweep_spec(&options.spec);
+            let scaling = scaling_spec(&options.spec);
+            let items = items_for(&options.spec.subcommand, &spec, &scaling)?;
             // One entry per distinct key, materialisation hint maximised
             // over every item that will request it.
             let mut keys: Vec<(ring_combinat::StructureKey, usize)> = Vec::new();
@@ -1524,31 +1459,6 @@ fn format_ns(ns: u64) -> String {
     }
 }
 
-/// Rebuilds the spec-affecting options recorded in a manifest, keeping the
-/// caller's runtime flags (jobs, retries, stats).
-fn options_from_spec(spec: &SpecParams, runtime: &Options) -> Options {
-    Options {
-        subcommand: spec.subcommand.clone(),
-        quick: spec.quick,
-        sizes: spec.sizes.clone(),
-        universe_factors: spec.universe_factors.clone(),
-        reps: spec.reps,
-        seed: spec.seed,
-        structure_seeds: spec.structure_seeds,
-        fault_drops: spec.fault_drops.clone(),
-        fault_crashes: spec.fault_crashes,
-        fault_churn: spec.fault_churn,
-        fault_adversarial: spec.fault_adversarial,
-        jsonl: None,
-        no_jsonl: false,
-        shards: 0,
-        shard: None,
-        run_dir: None,
-        positionals: Vec::new(),
-        ..runtime.clone()
-    }
-}
-
 /// A writer that forwards every byte to its destination while parsing each
 /// completed JSONL line into the measurements the tables need — so a merge
 /// stays streaming (only the current partial line and the parsed
@@ -1696,23 +1606,16 @@ fn render_faults_table(measurements: &[&Measurement]) -> String {
         runs: usize,
         timeouts: u64,
     }
-    // Keyed by the numeric drop rate first, so the table reads in
-    // increasing-severity order rather than lexicographic label order.
-    let drop_rate = |setting: &str| -> u64 {
-        setting
-            .strip_prefix("drop ")
-            .and_then(|rest| rest.split('/').next())
-            .and_then(|digits| digits.parse().ok())
-            .unwrap_or(u64::MAX)
-    };
     let mut groups: std::collections::BTreeMap<(u64, String, String, usize, u64), Bucket> =
         std::collections::BTreeMap::new();
     for m in measurements {
         let Some((problem, kind)) = m.quantity.rsplit_once(": ") else {
             continue;
         };
+        // Keyed by the numeric drop rate first, so the table reads in
+        // increasing-severity order rather than lexicographic label order.
         let key = (
-            drop_rate(&m.setting),
+            drop_rate(&m.setting).unwrap_or(u64::MAX),
             m.setting.clone(),
             problem.to_string(),
             m.n,
@@ -1738,21 +1641,13 @@ fn render_faults_table(measurements: &[&Measurement]) -> String {
         bucket
             .completed_rounds
             .sort_by(|a, b| a.partial_cmp(b).expect("finite round counts"));
-        let percentile = |p: f64| -> String {
-            if bucket.completed_rounds.is_empty() {
-                "-".into()
-            } else {
-                let idx = ((bucket.completed_rounds.len() - 1) as f64 * p).round() as usize;
-                format!("{:.0}", bucket.completed_rounds[idx])
-            }
-        };
         let runs = bucket.runs.max(1) as f64;
         let failures = bucket.runs - bucket.completed_rounds.len();
         out.push_str(&format!(
             "| {setting} | {problem} | {n} | {universe} | {} | {} | {} | {:.0} | {:.0} |\n",
             bucket.runs,
-            percentile(0.5),
-            percentile(0.9),
+            nearest_rank(&bucket.completed_rounds, 0.5),
+            nearest_rank(&bucket.completed_rounds, 0.9),
             100.0 * failures as f64 / runs,
             100.0 * bucket.timeouts as f64 / runs,
         ));
@@ -1773,12 +1668,6 @@ fn render_fig3(measurements: &[Measurement]) -> String {
         completed_rounds: Vec<f64>,
         runs: usize,
     }
-    let drop_rate = |setting: &str| -> Option<u64> {
-        setting
-            .strip_prefix("drop ")
-            .and_then(|rest| rest.split('/').next())
-            .and_then(|digits| digits.parse().ok())
-    };
     let mut cells: BTreeMap<(String, u64, usize), Cell> = BTreeMap::new();
     let mut sizes: BTreeSet<usize> = BTreeSet::new();
     for m in measurements.iter().filter(|m| m.experiment == "faults") {
@@ -1826,13 +1715,7 @@ fn render_fig3(measurements: &[Measurement]) -> String {
                     Some(cell) => {
                         let failures = cell.runs - cell.completed_rounds.len();
                         let failure_pct = 100.0 * failures as f64 / cell.runs.max(1) as f64;
-                        let p50 = if cell.completed_rounds.is_empty() {
-                            "-".to_string()
-                        } else {
-                            let idx =
-                                ((cell.completed_rounds.len() - 1) as f64 * 0.5).round() as usize;
-                            format!("{:.0}", cell.completed_rounds[idx])
-                        };
+                        let p50 = nearest_rank(&cell.completed_rounds, 0.5);
                         out.push_str(&format!(" {p50} ({failure_pct:.0}%) |"));
                     }
                 }
@@ -1841,6 +1724,25 @@ fn render_fig3(measurements: &[Measurement]) -> String {
         }
     }
     out
+}
+
+/// The per-mille drop rate of a `faults` setting label (`drop R/1000…`),
+/// or `None` for a setting without a drop axis.
+fn drop_rate(setting: &str) -> Option<u64> {
+    setting
+        .strip_prefix("drop ")
+        .and_then(|rest| rest.split('/').next())
+        .and_then(|digits| digits.parse().ok())
+}
+
+/// The nearest-rank `p`-percentile of ascending round counts, rendered as
+/// an integer; `-` when no run completed.
+fn nearest_rank(sorted_rounds: &[f64], p: f64) -> String {
+    if sorted_rounds.is_empty() {
+        return "-".into();
+    }
+    let idx = ((sorted_rounds.len() - 1) as f64 * p).round() as usize;
+    format!("{:.0}", sorted_rounds[idx])
 }
 
 /// Writes the `--render-fig3` artifact atomically (tmp + rename), creating
@@ -1859,42 +1761,109 @@ fn write_fig3(path: &str, measurements: &[Measurement]) -> Result<(), String> {
     Ok(())
 }
 
-fn sweep_spec(options: &Options) -> SweepSpec {
-    let mut spec = if options.quick {
+/// Every rule a sweep spec must satisfy before anything enumerates it. The
+/// parser and the daemon's submission resolver both call this one check,
+/// so a spec either accepts is a spec every worker accepts.
+fn validate_spec(spec: &SpecParams) -> Result<(), String> {
+    if spec.sizes.as_ref().is_some_and(Vec::is_empty) {
+        return Err("--sizes expects at least one size".into());
+    }
+    if spec.universe_factors.as_ref().is_some_and(Vec::is_empty) {
+        return Err("--universe-factors expects at least one factor".into());
+    }
+    if spec.reps == Some(0) {
+        return Err("--reps expects a positive integer".into());
+    }
+    if spec.structure_seeds == Some(0) {
+        return Err("--structure-seeds expects a positive integer".into());
+    }
+    // Beyond the window count, schedule slots would wrap onto already-used
+    // strong windows and silently repeat bit-identical strong sequences —
+    // refuse rather than mislabel collapsed diversity as K distinct seeds.
+    if spec
+        .structure_seeds
+        .is_some_and(|k| k > ring_combinat::STRONG_WINDOW)
+    {
+        return Err(format!(
+            "--structure-seeds supports at most {} distinct seeds (strong sequences \
+are windows into one universal sequence with {} window offsets)",
+            ring_combinat::STRONG_WINDOW,
+            ring_combinat::STRONG_WINDOW,
+        ));
+    }
+    if spec.subcommand == "scaling" && spec.universe_factors.is_some() {
+        return Err(
+            "--universe-factors does not apply to `scaling` (its universe is absolute; \
+use --quick for the reduced variant)"
+                .into(),
+        );
+    }
+    if spec.subcommand == "scaling" && spec.reps.is_some() {
+        return Err("--reps does not apply to `scaling` (one measurement per set size)".into());
+    }
+    if spec.subcommand == "scaling" && spec.structure_seeds.is_some() {
+        return Err(
+            "the structure-seed schedule does not apply to `scaling` (its structures are \
+keyed by the scaling seed; use --seed)"
+                .into(),
+        );
+    }
+    let fault_flags_given = spec.fault_drops.is_some()
+        || spec.fault_crashes.is_some()
+        || spec.fault_churn.is_some()
+        || spec.fault_adversarial;
+    if fault_flags_given && spec.subcommand != "faults" {
+        return Err("fault flags apply only to the `faults` subcommand".into());
+    }
+    if spec.fault_drops.as_ref().is_some_and(Vec::is_empty) {
+        return Err("--fault-drops expects at least one rate".into());
+    }
+    if spec
+        .fault_drops
+        .as_ref()
+        .is_some_and(|drops| drops.iter().any(|&d| d > 1000))
+    {
+        return Err("--fault-drops rates are per mille (at most 1000)".into());
+    }
+    Ok(())
+}
+
+fn sweep_spec(params: &SpecParams) -> SweepSpec {
+    let mut spec = if params.quick {
         SweepSpec::quick()
     } else {
         SweepSpec::standard()
     };
-    if let Some(sizes) = &options.sizes {
+    if let Some(sizes) = &params.sizes {
         spec.sizes = sizes.clone();
     }
-    if let Some(factors) = &options.universe_factors {
+    if let Some(factors) = &params.universe_factors {
         spec.universe_factors = factors.clone();
     }
-    if let Some(reps) = options.reps {
+    if let Some(reps) = params.reps {
         spec.repetitions = reps;
     }
-    if let Some(seed) = options.seed {
+    if let Some(seed) = params.seed {
         spec.seed = seed;
     }
-    spec.structure_seeds = options.structure_seeds;
+    spec.structure_seeds = params.structure_seeds;
     // Only a faulty sweep carries fault axes: clean subcommands must keep
-    // their pre-fault-layer fingerprints, and the parser already rejects
-    // fault flags anywhere else.
-    if effective_subcommand(options) == "faults" {
+    // their pre-fault-layer fingerprints, and `validate_spec` rejects fault
+    // fields anywhere else.
+    if params.subcommand == "faults" {
         let standard = FaultAxes::standard();
         spec.faults = Some(FaultAxes {
-            drops: options.fault_drops.clone().unwrap_or(standard.drops),
-            crashes: options.fault_crashes.unwrap_or(standard.crashes),
-            churn: options.fault_churn.unwrap_or(standard.churn),
-            adversarial: options.fault_adversarial || standard.adversarial,
+            drops: params.fault_drops.clone().unwrap_or(standard.drops),
+            crashes: params.fault_crashes.unwrap_or(standard.crashes),
+            churn: params.fault_churn.unwrap_or(standard.churn),
+            adversarial: params.fault_adversarial || standard.adversarial,
         });
     }
     spec
 }
 
-fn scaling_spec(options: &Options) -> ScalingSpec {
-    let mut scaling = if options.quick {
+fn scaling_spec(params: &SpecParams) -> ScalingSpec {
+    let mut scaling = if params.quick {
         // Reduced sizes for smoke runs, exercising both family kinds and
         // the protocol-driven measurement.
         ScalingSpec {
@@ -1905,10 +1874,10 @@ fn scaling_spec(options: &Options) -> ScalingSpec {
     } else {
         ScalingSpec::standard()
     };
-    if let Some(sizes) = &options.sizes {
+    if let Some(sizes) = &params.sizes {
         scaling.sizes = sizes.clone();
     }
-    if let Some(seed) = options.seed {
+    if let Some(seed) = params.seed {
         scaling.seed = seed;
     }
     scaling
@@ -1917,12 +1886,8 @@ fn scaling_spec(options: &Options) -> ScalingSpec {
 fn parse(args: &[String]) -> Result<Options, String> {
     let mut options = Options {
         subcommand: String::new(),
-        quick: false,
+        spec: SpecParams::default(),
         jobs: 0,
-        sizes: None,
-        universe_factors: None,
-        reps: None,
-        seed: None,
         jsonl: None,
         no_jsonl: false,
         shards: 0,
@@ -1930,11 +1895,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
         run_dir: None,
         retries: 1,
         structure_store: None,
-        structure_seeds: None,
-        fault_drops: None,
-        fault_crashes: None,
-        fault_churn: None,
-        fault_adversarial: false,
         shard_timeout: None,
         listen: None,
         connect: None,
@@ -1960,7 +1920,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 .ok_or_else(|| format!("{flag} expects a value"))
         };
         match arg.as_str() {
-            "--quick" => options.quick = true,
+            "--quick" => options.spec.quick = true,
             "--no-jsonl" => options.no_jsonl = true,
             "--stats" => options.stats = true,
             "--trace" => options.trace = true,
@@ -2019,23 +1979,23 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 );
             }
             "--fault-drops" => {
-                options.fault_drops =
+                options.spec.fault_drops =
                     Some(parse_list(&value_of("--fault-drops")?, "--fault-drops")?);
             }
             "--fault-crashes" => {
-                options.fault_crashes =
+                options.spec.fault_crashes =
                     Some(value_of("--fault-crashes")?.parse().map_err(|_| {
                         "--fault-crashes expects a non-negative integer".to_string()
                     })?);
             }
             "--fault-churn" => {
-                options.fault_churn = Some(
+                options.spec.fault_churn = Some(
                     value_of("--fault-churn")?
                         .parse()
                         .map_err(|_| "--fault-churn expects a non-negative integer".to_string())?,
                 );
             }
-            "--fault-adversarial" => options.fault_adversarial = true,
+            "--fault-adversarial" => options.spec.fault_adversarial = true,
             "--shard-timeout" => {
                 options.shard_timeout = Some(
                     value_of("--shard-timeout")?
@@ -2044,23 +2004,23 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 );
             }
             "--sizes" => {
-                options.sizes = Some(parse_list(&value_of("--sizes")?, "--sizes")?);
+                options.spec.sizes = Some(parse_list(&value_of("--sizes")?, "--sizes")?);
             }
             "--universe-factors" => {
-                options.universe_factors = Some(parse_list(
+                options.spec.universe_factors = Some(parse_list(
                     &value_of("--universe-factors")?,
                     "--universe-factors",
                 )?);
             }
             "--reps" => {
-                options.reps = Some(
+                options.spec.reps = Some(
                     value_of("--reps")?
                         .parse()
                         .map_err(|_| "--reps expects a positive integer".to_string())?,
                 );
             }
             "--seed" => {
-                options.seed = Some(
+                options.spec.seed = Some(
                     value_of("--seed")?
                         .parse()
                         .map_err(|_| "--seed expects an integer".to_string())?,
@@ -2082,22 +2042,9 @@ fn parse(args: &[String]) -> Result<Options, String> {
             other => options.positionals.push(other.to_string()),
         }
     }
-    if options.sizes.as_ref().is_some_and(|sizes| sizes.is_empty()) {
-        return Err("--sizes expects at least one size".into());
-    }
-    if options
-        .universe_factors
-        .as_ref()
-        .is_some_and(|factors| factors.is_empty())
-    {
-        return Err("--universe-factors expects at least one factor".into());
-    }
-    if options.reps == Some(0) {
-        return Err("--reps expects a positive integer".into());
-    }
     // Resolve the structure-seed schedule: an explicit mode wins; a bare
     // `--structure-seeds K` implies per-case.
-    options.structure_seeds = match (seed_mode.as_deref(), seed_count) {
+    options.spec.structure_seeds = match (seed_mode.as_deref(), seed_count) {
         (Some("fixed"), None) | (None, None) => None,
         (Some("fixed"), Some(_)) => {
             return Err("--structure-seeds contradicts --structure-seed-mode fixed".into())
@@ -2110,23 +2057,14 @@ fn parse(args: &[String]) -> Result<Options, String> {
             ))
         }
     };
-    if options.structure_seeds == Some(0) {
-        return Err("--structure-seeds expects a positive integer".into());
-    }
-    // Beyond the window count, schedule slots would wrap onto already-used
-    // strong windows and silently repeat bit-identical strong sequences —
-    // refuse rather than mislabel collapsed diversity as K distinct seeds.
-    if options
-        .structure_seeds
-        .is_some_and(|k| k > ring_combinat::STRONG_WINDOW)
-    {
-        return Err(format!(
-            "--structure-seeds supports at most {} distinct seeds (strong sequences \
-are windows into one universal sequence with {} window offsets)",
-            ring_combinat::STRONG_WINDOW,
-            ring_combinat::STRONG_WINDOW,
-        ));
-    }
+    options.spec.subcommand = match (options.subcommand.as_str(), &options.positionals[..]) {
+        ("worker", positionals) => positionals.first().cloned().unwrap_or_default(),
+        ("structures", [action, positionals @ ..]) if action == "prebuild" => {
+            positionals.first().cloned().unwrap_or_default()
+        }
+        (subcommand, _) => subcommand.to_string(),
+    };
+    validate_spec(&options.spec)?;
     if let Some((shard, of)) = options.shard {
         if of == 0 || shard >= of {
             return Err(format!("--shard {shard}/{of} is out of range (need i < M)"));
@@ -2134,44 +2072,6 @@ are windows into one universal sequence with {} window offsets)",
         if options.shards != 0 && options.shards != of {
             return Err("--shards and --shard disagree on the shard count".into());
         }
-    }
-    if options.subcommand == "scaling" && options.universe_factors.is_some() {
-        return Err(
-            "--universe-factors does not apply to `scaling` (its universe is absolute; \
-use --quick for the reduced variant)"
-                .into(),
-        );
-    }
-    if options.subcommand == "scaling" && options.reps.is_some() {
-        return Err("--reps does not apply to `scaling` (one measurement per set size)".into());
-    }
-    if options.subcommand == "scaling" && options.structure_seeds.is_some() {
-        return Err(
-            "the structure-seed schedule does not apply to `scaling` (its structures are \
-keyed by the scaling seed; use --seed)"
-                .into(),
-        );
-    }
-    let fault_flags_given = options.fault_drops.is_some()
-        || options.fault_crashes.is_some()
-        || options.fault_churn.is_some()
-        || options.fault_adversarial;
-    if fault_flags_given && effective_subcommand(&options) != "faults" {
-        return Err("fault flags apply only to the `faults` subcommand".into());
-    }
-    if options
-        .fault_drops
-        .as_ref()
-        .is_some_and(|drops| drops.is_empty())
-    {
-        return Err("--fault-drops expects at least one rate".into());
-    }
-    if options
-        .fault_drops
-        .as_ref()
-        .is_some_and(|drops| drops.iter().any(|&d| d > 1000))
-    {
-        return Err("--fault-drops rates are per mille (at most 1000)".into());
     }
     if options.shard_timeout == Some(0) {
         return Err("--shard-timeout expects a positive number of seconds".into());
@@ -2248,12 +2148,14 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(options.subcommand, "sweep");
-        assert!(options.quick && options.no_jsonl);
+        assert_eq!(options.spec.subcommand, "sweep");
+        assert!(options.spec.quick && options.no_jsonl);
         assert_eq!(options.jobs, 4);
-        assert_eq!(sweep_spec(&options).sizes, vec![15, 16]);
-        assert_eq!(sweep_spec(&options).universe_factors, vec![4, 64]);
-        assert_eq!(sweep_spec(&options).repetitions, 2);
-        assert_eq!(sweep_spec(&options).seed, 9);
+        let spec = sweep_spec(&options.spec);
+        assert_eq!(spec.sizes, vec![15, 16]);
+        assert_eq!(spec.universe_factors, vec![4, 64]);
+        assert_eq!(spec.repetitions, 2);
+        assert_eq!(spec.seed, 9);
     }
 
     #[test]
@@ -2276,7 +2178,7 @@ mod tests {
 
         let options = parse(&args(&["worker", "sweep", "--shard", "1/3"])).unwrap();
         assert_eq!(options.subcommand, "worker");
-        assert_eq!(options.positionals, vec!["sweep".to_string()]);
+        assert_eq!(options.spec.subcommand, "sweep");
         assert_eq!(options.shard, Some((1, 3)));
 
         assert!(parse(&args(&["sweep", "--shard", "3/3"])).is_err());
@@ -2291,51 +2193,70 @@ mod tests {
         assert!(parse(&args(&["table1", "--jobs"])).is_err());
         assert!(parse(&args(&["table1", "--sizes", "a,b"])).is_err());
         assert!(parse(&args(&["table1", "--wat"])).is_err());
+        // The scaling overrides are refused on the experiment subcommand,
+        // so its workers (and prebuilds) refuse them too.
+        for refused in [
+            &["scaling", "--reps", "2"][..],
+            &["scaling", "--universe-factors", "4"],
+            &[
+                "worker", "scaling", "--shard", "0/1", "--quick", "--reps", "2",
+            ],
+            &[
+                "worker",
+                "scaling",
+                "--shard",
+                "0/1",
+                "--universe-factors",
+                "4",
+            ],
+            &["structures", "prebuild", "scaling", "--reps", "2"],
+        ] {
+            assert!(parse(&args(refused)).is_err(), "{refused:?}");
+        }
     }
 
     #[test]
     fn worker_args_round_trip_through_the_parser() {
-        let spec = SpecParams {
-            subcommand: "sweep".into(),
+        let clean = SpecParams {
+            subcommand: "table1".into(),
             quick: true,
             sizes: Some(vec![9, 8]),
             universe_factors: Some(vec![4]),
             reps: Some(2),
             seed: Some(77),
+            ..SpecParams::default()
+        };
+        let seed_diverse = SpecParams {
+            subcommand: "sweep".into(),
             structure_seeds: Some(3),
-            fault_drops: None,
-            fault_crashes: None,
-            fault_churn: None,
-            fault_adversarial: false,
+            ..clean.clone()
+        };
+        let faulty = SpecParams {
+            subcommand: "faults".into(),
+            quick: true,
+            fault_drops: Some(vec![0, 100, 400]),
+            fault_crashes: Some(1),
+            fault_churn: Some(2),
+            fault_adversarial: true,
+            ..SpecParams::default()
         };
         let range = ShardRange {
             shard: 1,
             start: 4,
             end: 8,
         };
-        let argv = spec.worker_args(1, &range, 3, "run/structures");
-        let parsed = parse(&argv).unwrap();
-        assert_eq!(parsed.subcommand, "worker");
-        assert_eq!(parsed.positionals, vec!["sweep".to_string()]);
-        assert_eq!(parsed.shard, Some((1, 3)));
-        assert_eq!(parsed.jobs, 1);
-        assert_eq!(
-            parsed.structure_store,
-            Some(Some("run/structures".to_string()))
-        );
-        assert_eq!(parsed.structure_seeds, Some(3));
-        let rebuilt = sweep_spec(&parsed);
-        assert_eq!(rebuilt.sizes, vec![9, 8]);
-        assert_eq!(rebuilt.universe_factors, vec![4]);
-        assert_eq!(rebuilt.repetitions, 2);
-        assert_eq!(rebuilt.seed, 77);
-        assert_eq!(rebuilt.structure_seeds, Some(3));
-
-        // A storeless run adds no flag.
-        let argv = spec.worker_args(1, &range, 3, "");
-        assert!(!argv.iter().any(|a| a == "--structure-store"));
-        // A clean spec adds no fault flags.
-        assert!(!argv.iter().any(|a| a.starts_with("--fault")));
+        for spec in [clean, seed_diverse, faulty] {
+            for store in ["", "run/structures"] {
+                let parsed = parse(&spec.worker_args(1, &range, 3, store)).unwrap();
+                assert_eq!(parsed.spec, spec);
+                assert_eq!(parsed.shard, Some((1, 3)));
+                assert_eq!(parsed.jobs, 1);
+                assert_eq!(
+                    parsed.structure_store,
+                    (!store.is_empty()).then(|| Some(store.to_string()))
+                );
+            }
+        }
     }
 
     #[test]
@@ -2352,11 +2273,7 @@ mod tests {
             "--fault-adversarial",
         ]))
         .unwrap();
-        assert_eq!(options.fault_drops, Some(vec![0, 100, 400]));
-        assert_eq!(options.fault_crashes, Some(1));
-        assert_eq!(options.fault_churn, Some(2));
-        assert!(options.fault_adversarial);
-        let spec = sweep_spec(&options);
+        let spec = sweep_spec(&options.spec);
         assert_eq!(
             spec.faults,
             Some(FaultAxes {
@@ -2369,10 +2286,13 @@ mod tests {
 
         // A bare `faults` run sweeps the standard axes.
         let bare = parse(&args(&["faults", "--quick"])).unwrap();
-        assert_eq!(sweep_spec(&bare).faults, Some(FaultAxes::standard()));
+        assert_eq!(sweep_spec(&bare.spec).faults, Some(FaultAxes::standard()));
         // Clean subcommands stay fault-free (stable fingerprints) and
         // reject fault flags outright.
-        assert_eq!(sweep_spec(&parse(&args(&["sweep"])).unwrap()).faults, None);
+        assert_eq!(
+            sweep_spec(&parse(&args(&["sweep"])).unwrap().spec).faults,
+            None
+        );
         assert!(parse(&args(&["sweep", "--fault-drops", "100"])).is_err());
         assert!(parse(&args(&["table1", "--fault-adversarial"])).is_err());
         // Rates are per mille; nonsense is rejected.
@@ -2380,38 +2300,23 @@ mod tests {
         assert!(parse(&args(&["faults", "--fault-drops", ","])).is_err());
         assert!(parse(&args(&["faults", "--shard-timeout", "0"])).is_err());
 
-        // The worker round trip: a worker of a faulty sweep resolves the
-        // same axes — and the same fingerprint — as its orchestrator.
-        let spec_params = SpecParams {
-            subcommand: "faults".into(),
-            quick: true,
-            sizes: None,
-            universe_factors: None,
-            reps: None,
-            seed: None,
-            structure_seeds: None,
-            fault_drops: Some(vec![0, 100, 400]),
-            fault_crashes: Some(1),
-            fault_churn: Some(2),
-            fault_adversarial: true,
-        };
+        // A worker of a faulty sweep resolves the same axes — and the same
+        // fingerprint — as its orchestrator.
         let range = ShardRange {
             shard: 0,
             start: 0,
             end: 2,
         };
-        let argv = spec_params.worker_args(1, &range, 2, "");
-        let worker = parse(&argv).unwrap();
-        assert_eq!(effective_subcommand(&worker), "faults");
-        assert_eq!(sweep_spec(&worker).faults, spec.faults);
+        let worker = parse(&options.spec.worker_args(1, &range, 2, "")).unwrap();
+        assert_eq!(worker.spec.subcommand, "faults");
         let scaling = ScalingSpec::standard();
         assert_eq!(
-            spec_fingerprint("faults", &sweep_spec(&worker), &scaling),
+            spec_fingerprint("faults", &sweep_spec(&worker.spec), &scaling),
             spec_fingerprint("faults", &spec, &scaling)
         );
         // Fault axes are spec-affecting: defaults and overrides differ.
         assert_ne!(
-            spec_fingerprint("faults", &sweep_spec(&bare), &scaling),
+            spec_fingerprint("faults", &sweep_spec(&bare.spec), &scaling),
             spec_fingerprint("faults", &spec, &scaling)
         );
     }
@@ -2462,7 +2367,7 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(explicit.structure_store, Some(Some("some/dir".into())));
-        assert!(explicit.quick);
+        assert!(explicit.spec.quick);
 
         // Bare flag followed by another flag: default directory.
         let bare = parse(&args(&["sweep", "--structure-store", "--jobs", "2"])).unwrap();
@@ -2475,30 +2380,27 @@ mod tests {
 
         let off = parse(&args(&["sweep"])).unwrap();
         assert_eq!(off.structure_store, None);
-        assert_eq!(
-            resolve_store_dir(&explicit, || "default".into()).as_deref(),
-            Some("some/dir")
-        );
-        assert_eq!(
-            resolve_store_dir(&bare, || "default".into()).as_deref(),
-            Some("default")
-        );
-        assert_eq!(resolve_store_dir(&off, || "default".into()), None);
+        let store_dir = |options: &Options| options.common(|| "default".into(), || None).store_dir;
+        assert_eq!(store_dir(&explicit).as_deref(), Some("some/dir"));
+        assert_eq!(store_dir(&bare).as_deref(), Some("default"));
+        assert_eq!(store_dir(&off), None);
     }
 
     #[test]
     fn structure_seed_schedule_flags_parse_and_validate() {
         // Fixed by default; bare --structure-seeds implies per-case.
-        assert_eq!(parse(&args(&["sweep"])).unwrap().structure_seeds, None);
+        assert_eq!(parse(&args(&["sweep"])).unwrap().spec.structure_seeds, None);
         assert_eq!(
             parse(&args(&["sweep", "--structure-seed-mode", "per-case"]))
                 .unwrap()
+                .spec
                 .structure_seeds,
             Some(4)
         );
         assert_eq!(
             parse(&args(&["sweep", "--structure-seeds", "7"]))
                 .unwrap()
+                .spec
                 .structure_seeds,
             Some(7)
         );
@@ -2511,12 +2413,14 @@ mod tests {
                 "2"
             ]))
             .unwrap()
+            .spec
             .structure_seeds,
             Some(2)
         );
         assert_eq!(
             parse(&args(&["sweep", "--structure-seed-mode", "fixed"]))
                 .unwrap()
+                .spec
                 .structure_seeds,
             None
         );
@@ -2541,8 +2445,8 @@ mod tests {
         let diverse = parse(&args(&["sweep", "--quick", "--structure-seeds", "4"])).unwrap();
         let scaling = ScalingSpec::standard();
         assert_ne!(
-            spec_fingerprint("sweep", &sweep_spec(&fixed), &scaling),
-            spec_fingerprint("sweep", &sweep_spec(&diverse), &scaling)
+            spec_fingerprint("sweep", &sweep_spec(&fixed.spec), &scaling),
+            spec_fingerprint("sweep", &sweep_spec(&diverse.spec), &scaling)
         );
     }
 

@@ -477,6 +477,18 @@ fn daemon_rejects_bad_submissions_and_reports_health() {
         r#"{"subcommand":"sweep","shards":0}"#,
     );
     assert_eq!(status, 400);
+    // Specs a worker would refuse are refused at submission, with a reason,
+    // instead of failing every shard after its retries.
+    for body in [
+        r#"{"subcommand":"sweep","quick":true,"fault_drops":[100]}"#,
+        r#"{"subcommand":"faults","quick":true,"fault_drops":[2000]}"#,
+        r#"{"subcommand":"sweep","quick":true,"structure_seeds":65}"#,
+        r#"{"subcommand":"scaling","quick":true,"reps":2}"#,
+    ] {
+        let (status, reply) = http(&daemon.addr, "POST", "/v1/runs", body);
+        assert_eq!(status, 400, "{body}: {reply}");
+        assert!(reply.contains("error"), "rejection needs a reason: {reply}");
+    }
     let (status, _) = http(&daemon.addr, "GET", "/v1/runs/99", "");
     assert_eq!(status, 404);
 

@@ -42,9 +42,12 @@
 //! let mut ring = RingState::new(&config);
 //!
 //! // Everybody moves towards its own right for one round.
+//! // One arena serves every round; after the first, rounds allocate nothing.
 //! let dirs = vec![LocalDirection::Right; 5];
-//! let outcome = ring.execute_round(&dirs, EngineKind::Analytic)?;
-//! assert_eq!(outcome.observations.len(), 5);
+//! let mut bufs = RoundBuffers::new();
+//! let rotation = ring.execute_round_into(&dirs, EngineKind::Analytic, &mut bufs)?;
+//! assert_eq!(bufs.observations.len(), 5);
+//! assert_eq!(rotation, rotation_index(bufs.objective_directions()));
 //! # Ok(())
 //! # }
 //! ```
@@ -74,7 +77,7 @@ pub use geometry::{ArcLength, Point, CIRCUMFERENCE};
 pub use model::{Model, Parity};
 pub use observe::Observation;
 pub use rotation::{rotation_index, RotationIndex};
-pub use state::{EngineKind, RingState, RoundBuffers, RoundOutcome};
+pub use state::{EngineKind, RingState, RoundBuffers};
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
@@ -88,5 +91,5 @@ pub mod prelude {
     pub use crate::model::{Model, Parity};
     pub use crate::observe::Observation;
     pub use crate::rotation::{rotation_index, RotationIndex};
-    pub use crate::state::{EngineKind, RingState, RoundBuffers, RoundOutcome};
+    pub use crate::state::{EngineKind, RingState, RoundBuffers};
 }

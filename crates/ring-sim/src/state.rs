@@ -2,10 +2,12 @@
 //!
 //! [`RingState`] owns the evolving ground truth of a deployment: which slot
 //! (initial position) each agent currently occupies. Protocols interact with
-//! it exclusively through [`RingState::execute_round`], supplying each
-//! agent's chosen [`LocalDirection`] and receiving each agent's
-//! [`Observation`] — already translated into the agent's own frame, exactly
-//! as the model prescribes.
+//! it exclusively through [`RingState::execute_round_into`], supplying each
+//! agent's chosen [`LocalDirection`] and a reusable [`RoundBuffers`] arena,
+//! and reading back each agent's [`Observation`] — already translated into
+//! the agent's own frame, exactly as the model prescribes. The paper's
+//! `REVERSEDROUND` is the same call with every direction
+//! [`opposite`](LocalDirection::opposite).
 
 use crate::analytic::{AnalyticEngine, AnalyticScratch};
 use crate::config::RingConfig;
@@ -23,20 +25,6 @@ pub enum EngineKind {
     Analytic,
     /// Event-driven `f64` reference engine that simulates every collision.
     Event,
-}
-
-/// The outcome of a single executed round.
-#[derive(Clone, Debug)]
-pub struct RoundOutcome {
-    /// Rotation index of the round (ground truth; not visible to agents).
-    pub rotation: RotationIndex,
-    /// Observation of each agent, expressed in that agent's own frame.
-    /// Collision information is populated whenever the engine can compute
-    /// it; callers that model non-perceptive agents should strip it with
-    /// [`Observation::without_coll`].
-    pub observations: Vec<Observation>,
-    /// Objective direction each agent actually moved in (ground truth).
-    pub objective_directions: Vec<ObjectiveDirection>,
 }
 
 /// Reusable per-round scratch arena for [`RingState::execute_round_into`].
@@ -137,52 +125,10 @@ impl<'a> RingState<'a> {
     }
 
     /// Executes one round given each agent's chosen direction in its **own**
-    /// frame, and returns per-agent observations in their own frames.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the number of directions does not match the
-    /// number of agents.
-    pub fn execute_round(
-        &mut self,
-        local_directions: &[LocalDirection],
-        engine: EngineKind,
-    ) -> Result<RoundOutcome, RingError> {
-        let mut bufs = RoundBuffers::new();
-        let rotation = self.execute_round_into(local_directions, engine, &mut bufs)?;
-        Ok(RoundOutcome {
-            rotation,
-            observations: bufs.observations,
-            objective_directions: bufs.objective,
-        })
-    }
-
-    /// Executes one round given objective directions (mostly useful for
-    /// tests and for the experiment harness, which plays the adversary).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the number of directions does not match the
-    /// number of agents.
-    pub fn execute_round_objective(
-        &mut self,
-        objective: &[ObjectiveDirection],
-        engine: EngineKind,
-    ) -> Result<RoundOutcome, RingError> {
-        let mut bufs = RoundBuffers::new();
-        let rotation = self.execute_round_objective_into(objective, engine, &mut bufs)?;
-        Ok(RoundOutcome {
-            rotation,
-            observations: bufs.observations,
-            objective_directions: bufs.objective,
-        })
-    }
-
-    /// Executes one round into a caller-owned [`RoundBuffers`] arena — the
-    /// zero-alloc variant of [`RingState::execute_round`]. Observations land
-    /// in `bufs.observations`, the resolved objective directions in
-    /// [`RoundBuffers::objective_directions`], and the rotation index is
-    /// returned.
+    /// frame, into a caller-owned [`RoundBuffers`] arena. Observations land
+    /// in `bufs.observations` (each in its agent's own frame), the resolved
+    /// objective directions in [`RoundBuffers::objective_directions`], and
+    /// the rotation index is returned.
     ///
     /// # Errors
     ///
@@ -215,7 +161,8 @@ impl<'a> RingState<'a> {
     }
 
     /// Executes one round given objective directions, into a caller-owned
-    /// arena (zero-alloc variant of [`RingState::execute_round_objective`]).
+    /// arena (mostly useful for tests and for the experiment harness, which
+    /// plays the adversary).
     ///
     /// # Errors
     ///
@@ -302,24 +249,6 @@ impl<'a> RingState<'a> {
         self.rounds_executed += 1;
         Ok(rotation)
     }
-
-    /// Executes a round in which every agent moves opposite to the supplied
-    /// local directions (the paper's `REVERSEDROUND`), which undoes the
-    /// positional effect of the immediately preceding `SINGLEROUND` with the
-    /// same directions.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the number of directions does not match the
-    /// number of agents.
-    pub fn execute_reversed_round(
-        &mut self,
-        local_directions: &[LocalDirection],
-        engine: EngineKind,
-    ) -> Result<RoundOutcome, RingError> {
-        let reversed: Vec<LocalDirection> = local_directions.iter().map(|d| d.opposite()).collect();
-        self.execute_round(&reversed, engine)
-    }
 }
 
 #[cfg(test)]
@@ -344,9 +273,12 @@ mod tests {
             LocalDirection::Right,
             LocalDirection::Left,
         ];
+        let reversed: Vec<LocalDirection> = dirs.iter().map(|d| d.opposite()).collect();
+        let mut bufs = RoundBuffers::new();
         assert!(ring.at_initial_positions());
-        ring.execute_round(&dirs, EngineKind::Analytic).unwrap();
-        ring.execute_reversed_round(&dirs, EngineKind::Analytic)
+        ring.execute_round_into(&dirs, EngineKind::Analytic, &mut bufs)
+            .unwrap();
+        ring.execute_round_into(&reversed, EngineKind::Analytic, &mut bufs)
             .unwrap();
         assert!(ring.at_initial_positions());
         assert_eq!(ring.rounds_executed(), 2);
@@ -357,7 +289,11 @@ mod tests {
         let config = RingConfig::evenly_spaced(6).unwrap();
         let mut ring = RingState::new(&config);
         let err = ring
-            .execute_round(&[LocalDirection::Right; 3], EngineKind::Analytic)
+            .execute_round_into(
+                &[LocalDirection::Right; 3],
+                EngineKind::Analytic,
+                &mut RoundBuffers::new(),
+            )
             .unwrap_err();
         assert_eq!(
             err,
@@ -393,42 +329,34 @@ mod tests {
         ];
         let mut ring_a = RingState::new(&aligned);
         let mut ring_b = RingState::new(&mixed);
-        let out_a = ring_a
-            .execute_round_objective(&dirs, EngineKind::Analytic)
+        let (mut out_a, mut out_b) = (RoundBuffers::new(), RoundBuffers::new());
+        let rotation_a = ring_a
+            .execute_round_objective_into(&dirs, EngineKind::Analytic, &mut out_a)
             .unwrap();
-        let out_b = ring_b
-            .execute_round_objective(&dirs, EngineKind::Analytic)
+        let rotation_b = ring_b
+            .execute_round_objective_into(&dirs, EngineKind::Analytic, &mut out_b)
             .unwrap();
 
-        assert_eq!(out_a.rotation, out_b.rotation);
-        for agent in 0..n {
-            if agent == 2 {
-                if out_a.observations[agent].dist.is_zero() {
-                    assert_eq!(
-                        out_b.observations[agent].dist,
-                        out_a.observations[agent].dist
-                    );
-                } else {
-                    assert_eq!(
-                        out_b.observations[agent].dist,
-                        out_a.observations[agent].dist.complement()
-                    );
-                }
+        assert_eq!(rotation_a, rotation_b);
+        for (agent, (a, b)) in out_a
+            .observations
+            .iter()
+            .zip(&out_b.observations)
+            .enumerate()
+        {
+            if agent == 2 && !a.dist.is_zero() {
+                assert_eq!(b.dist, a.dist.complement());
             } else {
-                assert_eq!(
-                    out_a.observations[agent].dist,
-                    out_b.observations[agent].dist
-                );
+                assert_eq!(a.dist, b.dist);
             }
             // Collision distances are path lengths: identical regardless of
             // chirality.
-            assert_eq!(
-                out_a.observations[agent].coll,
-                out_b.observations[agent].coll
-            );
+            assert_eq!(a.coll, b.coll);
         }
     }
 
+    /// A reused arena produces exactly what a fresh arena per round does
+    /// (an allocating round): no state leaks between rounds through it.
     #[test]
     fn buffered_rounds_match_allocating_rounds() {
         let config = RingConfig::builder(9)
@@ -450,13 +378,14 @@ mod tests {
                         }
                     })
                     .collect();
-                let outcome = plain.execute_round(&dirs, engine).unwrap();
+                let mut fresh = RoundBuffers::new();
+                let expected = plain.execute_round_into(&dirs, engine, &mut fresh).unwrap();
                 let rotation = buffered
                     .execute_round_into(&dirs, engine, &mut bufs)
                     .unwrap();
-                assert_eq!(rotation, outcome.rotation);
-                assert_eq!(bufs.observations, outcome.observations);
-                assert_eq!(bufs.objective_directions(), outcome.objective_directions);
+                assert_eq!(rotation, expected);
+                assert_eq!(bufs.observations, fresh.observations);
+                assert_eq!(bufs.objective_directions(), fresh.objective_directions());
                 assert_eq!(plain.slots(), buffered.slots());
             }
             assert_eq!(plain.rounds_executed(), buffered.rounds_executed());
@@ -476,10 +405,13 @@ mod tests {
             LocalDirection::Right,
             LocalDirection::Right,
         ];
+        let mut bufs = RoundBuffers::new();
         analytic_ring
-            .execute_round(&dirs, EngineKind::Analytic)
+            .execute_round_into(&dirs, EngineKind::Analytic, &mut bufs)
             .unwrap();
-        event_ring.execute_round(&dirs, EngineKind::Event).unwrap();
+        event_ring
+            .execute_round_into(&dirs, EngineKind::Event, &mut bufs)
+            .unwrap();
         assert_eq!(analytic_ring.slots(), event_ring.slots());
     }
 }

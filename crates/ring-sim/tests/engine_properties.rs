@@ -43,8 +43,10 @@ proptest! {
         let config = RingConfig::builder(n).random_positions(seed).build().unwrap();
         let mut ring = RingState::new(&config);
         let expected = rotation_index(&dirs);
-        let outcome = ring.execute_round_objective(&dirs, EngineKind::Analytic).unwrap();
-        prop_assert_eq!(outcome.rotation, expected);
+        let rotation = ring
+            .execute_round_objective_into(&dirs, EngineKind::Analytic, &mut RoundBuffers::new())
+            .unwrap();
+        prop_assert_eq!(rotation, expected);
         for agent in 0..n {
             prop_assert_eq!(ring.slot_of_agent(agent), (agent + expected.shift) % n);
         }
@@ -99,8 +101,9 @@ proptest! {
             .unwrap();
         let mut ring = RingState::new(&config);
         let reversed: Vec<ObjectiveDirection> = dirs.iter().map(|d| d.opposite()).collect();
-        ring.execute_round_objective(&dirs, EngineKind::Analytic).unwrap();
-        ring.execute_round_objective(&reversed, EngineKind::Analytic).unwrap();
+        let mut bufs = RoundBuffers::new();
+        ring.execute_round_objective_into(&dirs, EngineKind::Analytic, &mut bufs).unwrap();
+        ring.execute_round_objective_into(&reversed, EngineKind::Analytic, &mut bufs).unwrap();
         prop_assert!(ring.at_initial_positions());
     }
 
@@ -114,9 +117,12 @@ proptest! {
             .build()
             .unwrap();
         let mut ring = RingState::new(&config);
-        let outcome = ring.execute_round_objective(&dirs, EngineKind::Analytic).unwrap();
-        for obs in &outcome.observations {
-            prop_assert_eq!(obs.dist.is_zero(), outcome.rotation.is_zero());
+        let mut bufs = RoundBuffers::new();
+        let rotation = ring
+            .execute_round_objective_into(&dirs, EngineKind::Analytic, &mut bufs)
+            .unwrap();
+        for obs in &bufs.observations {
+            prop_assert_eq!(obs.dist.is_zero(), rotation.is_zero());
         }
     }
 }

@@ -60,10 +60,14 @@ fn main() -> Result<(), RingError> {
 
     // Cross-check against the exact analytic engine.
     let mut ring = RingState::new(&config);
-    let outcome = ring.execute_round_objective(&directions, EngineKind::Analytic)?;
+    let rotation = ring.execute_round_objective_into(
+        &directions,
+        EngineKind::Analytic,
+        &mut RoundBuffers::new(),
+    )?;
     println!(
         "\nanalytic engine agrees: rotation index {} and every displacement matches within 1e-6",
-        outcome.rotation.shift
+        rotation.shift
     );
     Ok(())
 }

@@ -74,7 +74,7 @@ proptest! {
         }
     }
 
-    /// The analytic and event-driven engines agree on the `RoundOutcome` of
+    /// The analytic and event-driven engines agree on the round outcomes of
     /// whole random schedules executed through the batched
     /// `execute_round_into` path: exact agreement on rotation, observations
     /// and slots, collision distances within f64 rounding of the event
