@@ -14,15 +14,20 @@
 //! Besides the construction-level pairs, the report times the chunked
 //! `IdSet` kernels themselves (union, intersect, popcount,
 //! intersection-count, sampled verification) against their element-wise
-//! oracles. In `--quick` mode the run **fails** (nonzero exit) if any
-//! kernel's word-parallel path is slower than its reference — the CI perf
-//! smoke that keeps the chunked loops honest.
+//! oracles, and the analytic engine's linear first-collision sweeps
+//! against the binary-search engine kept in `ring_sim::reference`. In
+//! `--quick` mode the run **fails** (nonzero exit) if any kernel's fast
+//! path is slower than its reference — the CI perf smoke that keeps these
+//! loops honest.
 
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use ring_combinat::{reference, Distinguisher, IdSet, SelectiveFamily};
 use ring_protocols::coordination::nontrivial::weak_nontrivial_move_even_distinguisher;
 use ring_protocols::{IdAssignment, Network};
-use ring_sim::{EngineKind, LocalDirection, Model, RingConfig, RingState, RoundBuffers};
+use ring_sim::{
+    AnalyticEngine, AnalyticScratch, EngineKind, LocalDirection, Model, ObjectiveDirection,
+    RingConfig, RingState, RoundBuffers,
+};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -385,6 +390,64 @@ fn main() {
         slow as f64 / fast.max(1) as f64
     );
 
+    // 4b. The analytic engine's linear first-collision kernel against the
+    //     binary-search oracle (`ring_sim::reference`), on all-moving rounds
+    //     at n = 512 — the perceptive location-discovery regime — over a
+    //     rotated state; each side reuses its own scratch.
+    let kernel_n = 512usize;
+    let kernel_rounds = if quick { 64 } else { 256 };
+    let config = RingConfig::builder(kernel_n)
+        .random_positions(13)
+        .build()
+        .expect("valid benchmark ring");
+    let slots: Vec<usize> = (0..kernel_n).map(|a| (a + 37) % kernel_n).collect();
+    let mut dir_rng = rand::rngs::StdRng::seed_from_u64(14);
+    let round_dirs: Vec<Vec<ObjectiveDirection>> = (0..kernel_rounds)
+        .map(|_| {
+            (0..kernel_n)
+                .map(|_| {
+                    if dir_rng.gen::<bool>() {
+                        ObjectiveDirection::Clockwise
+                    } else {
+                        ObjectiveDirection::Anticlockwise
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let mut scratch = AnalyticScratch::new();
+    let fast = time_median(reps, || {
+        for dirs in &round_dirs {
+            AnalyticEngine::new().execute_into(&config, &slots, dirs, &mut scratch);
+        }
+        scratch.first_collision[0]
+    });
+    let mut oracle_scratch = ring_sim::reference::ReferenceScratch::new();
+    let slow = time_median(reps, || {
+        for dirs in &round_dirs {
+            ring_sim::reference::analytic_round_reference_into(
+                &config,
+                &slots,
+                dirs,
+                &mut oracle_scratch,
+            );
+        }
+        oracle_scratch.first_collision[0]
+    });
+    record_pair(
+        &mut entries,
+        &mut speedups,
+        "analytic_first_collisions",
+        kernel_n as u64,
+        fast,
+        slow,
+        reps,
+    );
+    println!(
+        "analytic_first_collisions n={kernel_n} r={kernel_rounds}: {fast:>12} ns vs {slow:>12} ns  ({:.1}x)",
+        slow as f64 / fast.max(1) as f64
+    );
+
     // 5. End-to-end: the distinguisher-driven weak nontrivial move on a
     //    balanced ring, now running as one batched schedule over the
     //    word-parallel strong distinguisher (absolute time only — the whole
@@ -430,11 +493,11 @@ fn main() {
         }
     }
 
-    // The CI perf smoke: in quick mode, a chunked kernel that fails to
-    // beat its element-wise oracle fails the run. The asserted set is the
-    // kernel pairs (not the construction or round-loop pairs, whose inner
-    // cost is RNG- or simulator-bound), so the gate tests exactly the
-    // word-parallel loops this crate exists for.
+    // The CI perf smoke: in quick mode, a kernel that fails to beat its
+    // oracle fails the run. The asserted set is the kernel pairs — the
+    // chunked `IdSet` loops and the analytic first-collision sweeps — not
+    // the construction or round-loop pairs, whose inner cost is RNG- or
+    // simulator-bound.
     if quick {
         let asserted = [
             "idset_union",
@@ -442,13 +505,13 @@ fn main() {
             "idset_len",
             "idset_intersection_count",
             "verify_sampled",
+            "analytic_first_collisions",
         ];
         let mut failed = false;
         for s in &report.speedups {
             if asserted.contains(&s.name.as_str()) && s.speedup < 1.0 {
                 eprintln!(
-                    "FAIL: {} word-parallel path ({} ns) is slower than its element-wise \
-reference ({} ns)",
+                    "FAIL: {} fast path ({} ns) is slower than its reference ({} ns)",
                     s.name, s.fast_ns, s.reference_ns
                 );
                 failed = true;

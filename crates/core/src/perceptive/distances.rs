@@ -54,9 +54,12 @@ fn pivot_direction(label: usize, c: usize, n: usize) -> LocalDirection {
 
 /// For every label, the number of label-steps to the nearest agent ahead
 /// (clockwise) that moves anticlockwise, and to the nearest agent behind
-/// (anticlockwise) that moves clockwise — under the given per-label rule.
+/// (anticlockwise) that moves clockwise — under the given per-label rule;
+/// 0 when no such agent exists, `n` when the agent itself is the only one.
 /// These determine which contiguous gap interval a first-collision
-/// observation spans (Proposition 4).
+/// observation spans (Proposition 4). Two cyclic sweeps over the labels, as
+/// in the analytic engine: a reverse one carries the next left-mover, a
+/// forward one the previous right-mover, each seeded across the wrap-around.
 fn collision_spans_into(
     rule: &dyn Fn(usize) -> LocalDirection,
     n: usize,
@@ -71,23 +74,26 @@ fn collision_spans_into(
     ahead.resize(n + 1, 0);
     behind.clear();
     behind.resize(n + 1, 0);
-    for label in 1..=n {
-        let mut d = 0;
-        for step in 1..=n {
-            if dirs[(label - 1 + step) % n] == LocalDirection::Left {
-                d = step;
-                break;
+    // Label `i + 1` sits at index `i`; the cyclic distance from `from` to
+    // `to` going clockwise, a full turn when they coincide.
+    let steps = |from: usize, to: usize| if to > from { to - from } else { to + n - from };
+    if let Some(first_left) = dirs.iter().position(|&d| d == LocalDirection::Left) {
+        let mut next_left = first_left;
+        for i in (0..n).rev() {
+            ahead[i + 1] = steps(i, next_left);
+            if dirs[i] == LocalDirection::Left {
+                next_left = i;
             }
         }
-        ahead[label] = d;
-        let mut d = 0;
-        for step in 1..=n {
-            if dirs[(label + n - 1 - step) % n] == LocalDirection::Right {
-                d = step;
-                break;
+    }
+    if let Some(last_right) = dirs.iter().rposition(|&d| d == LocalDirection::Right) {
+        let mut prev_right = last_right;
+        for (i, &dir) in dirs.iter().enumerate() {
+            behind[i + 1] = steps(prev_right, i);
+            if dir == LocalDirection::Right {
+                prev_right = i;
             }
         }
-        behind[label] = d;
     }
 }
 
@@ -370,6 +376,74 @@ mod tests {
         assert_eq!(scratch.ahead[7], 3);
         // Label 2 moves left; label 1 (behind it) moves right: span 1.
         assert_eq!(scratch.behind[2], 1);
+    }
+
+    /// The nested scan the sweeps replaced: for every label, walk the ring
+    /// step by step until the first oncoming mover.
+    fn collision_spans_brute_force(
+        rule: &dyn Fn(usize) -> LocalDirection,
+        n: usize,
+    ) -> (Vec<usize>, Vec<usize>) {
+        let dirs: Vec<LocalDirection> = (1..=n).map(rule).collect();
+        let mut ahead = vec![0; n + 1];
+        let mut behind = vec![0; n + 1];
+        for label in 1..=n {
+            ahead[label] = (1..=n)
+                .find(|step| dirs[(label - 1 + step) % n] == LocalDirection::Left)
+                .unwrap_or(0);
+            behind[label] = (1..=n)
+                .find(|step| dirs[(label + n - 1 - step) % n] == LocalDirection::Right)
+                .unwrap_or(0);
+        }
+        (ahead, behind)
+    }
+
+    #[test]
+    fn collision_spans_match_brute_force() {
+        let mut scratch = MeasureScratch::default();
+        let mut check = |rule: &dyn Fn(usize) -> LocalDirection, n: usize, what: &str| {
+            collision_spans_into(rule, n, &mut scratch);
+            let (ahead, behind) = collision_spans_brute_force(rule, n);
+            assert_eq!(scratch.ahead, ahead, "ahead spans, {what}");
+            assert_eq!(scratch.behind, behind, "behind spans, {what}");
+        };
+        for n in [8usize, 26, 512] {
+            for exception in (2..=n).step_by(2) {
+                let rule = move |label: usize| convolution_direction(label, exception);
+                check(
+                    &rule,
+                    n,
+                    &format!("n = {n}, convolution exception {exception}"),
+                );
+            }
+            // Every anchor on the small rings; the anchors the schedule
+            // uses plus both ends and the middle at n = 512.
+            let anchors: Vec<usize> = if n < 512 {
+                (1..=n).collect()
+            } else {
+                vec![1, 2, n / 2, n - 5, n - 4, n - 3, n - 2, n - 1, n]
+            };
+            for c in anchors {
+                let rule = move |label: usize| pivot_direction(label, c, n);
+                check(&rule, n, &format!("n = {n}, pivot anchor {c}"));
+            }
+            // One-directional rules: no oncoming mover on one side, and a
+            // lone mover is its own partner a full turn away.
+            check(
+                &|_| LocalDirection::Right,
+                n,
+                &format!("n = {n}, all right"),
+            );
+            check(&|_| LocalDirection::Left, n, &format!("n = {n}, all left"));
+            let lone = |label: usize| {
+                if label == 1 {
+                    LocalDirection::Left
+                } else {
+                    LocalDirection::Right
+                }
+            };
+            check(&lone, n, &format!("n = {n}, lone left mover"));
+        }
     }
 
     #[test]

@@ -2,8 +2,12 @@
 //!
 //! Uses the rotation-index lemma (Lemma 1) to compute the end-of-round
 //! permutation in O(n), and the collision-cascade formula (Proposition 4) to
-//! compute every agent's first-collision distance in O(n log n). All
-//! arithmetic is exact (integer ticks).
+//! compute every agent's first-collision distance in O(n) with two cyclic
+//! sweeps over the slots: a forward sweep carries the nearest clockwise
+//! mover strictly before each slot, a reverse sweep the nearest
+//! anticlockwise mover strictly after it. All arithmetic is exact (integer
+//! ticks); [`crate::reference`] keeps the earlier binary-search engine as
+//! the oracle these results are tested against, tick for tick.
 //!
 //! First collisions are only defined here for rounds in which **every**
 //! agent moves (the basic and perceptive models); for rounds containing idle
@@ -15,7 +19,8 @@
 use crate::config::RingConfig;
 use crate::direction::ObjectiveDirection;
 use crate::geometry::ArcLength;
-use crate::rotation::{rotation_index, RotationIndex};
+use crate::rotation::{mover_counts, RotationIndex};
+use std::hint::select_unpredictable;
 
 /// Result of analytically executing one round.
 #[derive(Clone, Debug)]
@@ -46,23 +51,13 @@ pub struct AnalyticScratch {
     /// Per-agent new slot (output).
     pub new_slot_of_agent: Vec<usize>,
     dir_at_slot: Vec<ObjectiveDirection>,
-    cw_slots: Vec<usize>,
-    acw_slots: Vec<usize>,
+    coll_at_slot: Vec<ArcLength>,
 }
 
 impl AnalyticScratch {
     /// Creates empty scratch space (vectors grow on first use).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn reset(&mut self, n: usize) {
-        self.cw_displacement.clear();
-        self.cw_displacement.resize(n, ArcLength::ZERO);
-        self.first_collision.clear();
-        self.first_collision.resize(n, None);
-        self.new_slot_of_agent.clear();
-        self.new_slot_of_agent.resize(n, 0);
     }
 }
 
@@ -124,32 +119,50 @@ impl AnalyticEngine {
         let n = config.len();
         assert_eq!(slot_of_agent.len(), n);
         assert_eq!(directions.len(), n);
-        scratch.reset(n);
 
-        let rotation = rotation_index(directions);
+        let (n_c, n_a) = mover_counts(directions);
+        let rotation = RotationIndex::from_counts(n_c, n_a, n);
         let r = rotation.shift;
 
-        for ((&slot, slot_out), disp_out) in slot_of_agent
-            .iter()
-            .zip(&mut scratch.new_slot_of_agent)
-            .zip(&mut scratch.cw_displacement)
-        {
-            let new_slot = (slot + r) % n;
-            *slot_out = new_slot;
-            *disp_out = config.cw_arc(slot, new_slot);
-        }
+        // Every output vector is rebuilt by one `extend`, so nothing is
+        // filled only to be overwritten. Slots and shift are both below n:
+        // one conditional subtract reduces their sum.
+        scratch.new_slot_of_agent.clear();
+        scratch
+            .new_slot_of_agent
+            .extend(slot_of_agent.iter().map(|&slot| {
+                let shifted = slot + r;
+                if shifted >= n {
+                    shifted - n
+                } else {
+                    shifted
+                }
+            }));
+        scratch.cw_displacement.clear();
+        scratch.cw_displacement.extend(
+            slot_of_agent
+                .iter()
+                .zip(&scratch.new_slot_of_agent)
+                .map(|(&from, &to)| config.cw_arc(from, to)),
+        );
 
-        if directions.iter().all(|d| d.is_moving()) {
+        scratch.first_collision.clear();
+        if n_c + n_a == n && n_c > 0 && n_a > 0 {
             self.first_collisions(config, slot_of_agent, directions, scratch);
+        } else {
+            // Idle agents (not modelled) or everybody moving the same way
+            // (no collisions at all).
+            scratch.first_collision.resize(n, None);
         }
         rotation
     }
 
     /// Computes every agent's first-collision distance for an all-moving
-    /// round (Proposition 4: an agent's first collision happens after it has
-    /// travelled half the arc separating it from the nearest agent ahead of
-    /// it — in its direction of travel — that moves in the opposite
-    /// direction). Writes into `scratch.first_collision`.
+    /// round with movers in both directions (Proposition 4: an agent's
+    /// first collision happens after it has travelled half the arc
+    /// separating it from the nearest agent ahead of it — in its direction
+    /// of travel — that moves in the opposite direction). Appends to the
+    /// (cleared) `scratch.first_collision`.
     fn first_collisions(
         &self,
         config: &RingConfig,
@@ -157,77 +170,60 @@ impl AnalyticEngine {
         directions: &[ObjectiveDirection],
         scratch: &mut AnalyticScratch,
     ) {
+        use ObjectiveDirection::{Anticlockwise, Clockwise, Idle};
         let n = config.len();
+        let positions = config.positions();
 
         // Direction of the agent sitting at each slot.
-        scratch.dir_at_slot.clear();
-        scratch.dir_at_slot.resize(n, ObjectiveDirection::Idle);
-        for agent in 0..n {
-            scratch.dir_at_slot[slot_of_agent[agent]] = directions[agent];
+        let dir_at_slot = &mut scratch.dir_at_slot;
+        dir_at_slot.clear();
+        dir_at_slot.resize(n, Idle);
+        for (&slot, &dir) in slot_of_agent.iter().zip(directions) {
+            dir_at_slot[slot] = dir;
+        }
+        let first_acw = dir_at_slot
+            .iter()
+            .position(|&d| d == Anticlockwise)
+            .expect("an anticlockwise mover");
+        let last_cw = dir_at_slot
+            .iter()
+            .rposition(|&d| d == Clockwise)
+            .expect("a clockwise mover");
+
+        // Forward sweep: an anticlockwise mover collides half-way to the
+        // nearest clockwise mover strictly before it, cyclically — seeded
+        // with the last clockwise slot for the wrap-around. Both sweeps
+        // compute the arc at every slot and update through
+        // `select_unpredictable`: with branches, a random mix of directions
+        // mispredicts at about every other slot. The reverse sweep
+        // overwrites the clockwise slots.
+        let coll_at_slot = &mut scratch.coll_at_slot;
+        coll_at_slot.clear();
+        let mut behind = positions[last_cw];
+        coll_at_slot.extend(dir_at_slot.iter().zip(positions).map(|(&dir, &here)| {
+            let coll = behind.cw_distance_to(here).half();
+            behind = select_unpredictable(dir == Clockwise, here, behind);
+            coll
+        }));
+
+        // Reverse sweep: a clockwise mover collides half-way to the nearest
+        // anticlockwise mover strictly after it, cyclically — seeded with
+        // the first anticlockwise slot.
+        let mut ahead = positions[first_acw];
+        for ((coll, &dir), &here) in coll_at_slot
+            .iter_mut()
+            .zip(dir_at_slot.iter())
+            .zip(positions)
+            .rev()
+        {
+            let towards = here.cw_distance_to(ahead).half();
+            *coll = select_unpredictable(dir == Clockwise, towards, *coll);
+            ahead = select_unpredictable(dir == Anticlockwise, here, ahead);
         }
 
-        // Sorted slot indices of clockwise and anticlockwise movers.
-        scratch.cw_slots.clear();
-        scratch.acw_slots.clear();
-        for (s, dir) in scratch.dir_at_slot.iter().enumerate() {
-            match dir {
-                ObjectiveDirection::Clockwise => scratch.cw_slots.push(s),
-                ObjectiveDirection::Anticlockwise => scratch.acw_slots.push(s),
-                ObjectiveDirection::Idle => {}
-            }
-        }
-
-        if scratch.cw_slots.is_empty() || scratch.acw_slots.is_empty() {
-            // Everybody moves the same way: no collisions at all.
-            return;
-        }
-
-        for agent in 0..n {
-            let slot = slot_of_agent[agent];
-            let coll = match directions[agent] {
-                ObjectiveDirection::Clockwise => {
-                    // Nearest anticlockwise mover strictly ahead (clockwise).
-                    let target = next_strictly_after(&scratch.acw_slots, slot, n);
-                    config.cw_arc(slot, target).half()
-                }
-                ObjectiveDirection::Anticlockwise => {
-                    // Nearest clockwise mover strictly behind (anticlockwise).
-                    let target = prev_strictly_before(&scratch.cw_slots, slot, n);
-                    config.cw_arc(target, slot).half()
-                }
-                ObjectiveDirection::Idle => unreachable!("all-moving round"),
-            };
-            scratch.first_collision[agent] = Some(coll);
-        }
-    }
-}
-
-/// Smallest element of the (sorted, nonempty) cyclic set `sorted` that is
-/// strictly after `slot` in clockwise order.
-fn next_strictly_after(sorted: &[usize], slot: usize, _n: usize) -> usize {
-    match sorted.binary_search(&(slot + 1)) {
-        Ok(i) => sorted[i],
-        Err(i) => {
-            if i < sorted.len() {
-                sorted[i]
-            } else {
-                sorted[0]
-            }
-        }
-    }
-}
-
-/// Largest element of the (sorted, nonempty) cyclic set `sorted` that is
-/// strictly before `slot` in clockwise order.
-fn prev_strictly_before(sorted: &[usize], slot: usize, _n: usize) -> usize {
-    match sorted.binary_search(&slot) {
-        Ok(i) | Err(i) => {
-            if i > 0 {
-                sorted[i - 1]
-            } else {
-                *sorted.last().expect("nonempty")
-            }
-        }
+        scratch
+            .first_collision
+            .extend(slot_of_agent.iter().map(|&slot| Some(coll_at_slot[slot])));
     }
 }
 
@@ -236,6 +232,10 @@ mod tests {
     use super::*;
     use crate::config::RingConfig;
     use crate::geometry::Point;
+    use crate::state::{EngineKind, RingState, RoundBuffers};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use ObjectiveDirection::{Anticlockwise as A, Clockwise as C, Idle as I};
 
     fn config_with_positions(ticks: &[u64]) -> RingConfig {
@@ -319,6 +319,124 @@ mod tests {
         for (agent, &slot) in slots.iter().enumerate() {
             let expected = config.cw_arc(slot, (slot + 3) % 5);
             assert_eq!(round.cw_displacement[agent], expected);
+        }
+    }
+
+    /// Compares one round of the linear kernel (run into a reused scratch)
+    /// with the binary-search oracle, tick for tick.
+    fn assert_matches_oracle(
+        config: &RingConfig,
+        slots: &[usize],
+        dirs: &[ObjectiveDirection],
+        scratch: &mut AnalyticScratch,
+    ) {
+        let rotation = AnalyticEngine::new().execute_into(config, slots, dirs, scratch);
+        let oracle = crate::reference::analytic_round_reference(config, slots, dirs);
+        assert_eq!(rotation, oracle.rotation, "slots {slots:?} dirs {dirs:?}");
+        assert_eq!(scratch.first_collision, oracle.first_collision);
+        assert_eq!(scratch.cw_displacement, oracle.cw_displacement);
+        assert_eq!(scratch.new_slot_of_agent, oracle.new_slot_of_agent);
+    }
+
+    /// Every direction vector (idles included) at every rotation of the
+    /// slots, for rings below the `MIN_AGENTS` floor and just above it:
+    /// at these sizes every mover sits next to a wrap-around.
+    #[test]
+    fn kernel_matches_oracle_exhaustively_on_tiny_rings() {
+        let mut scratch = AnalyticScratch::new();
+        for n in 1..=6usize {
+            let config = RingConfig::builder(n)
+                .random_positions(n as u64)
+                .build_any_size()
+                .unwrap();
+            for code in 0..3usize.pow(n as u32) {
+                let dirs: Vec<ObjectiveDirection> = (0..n)
+                    .map(|i| [C, A, I][code / 3usize.pow(i as u32) % 3])
+                    .collect();
+                for offset in 0..n {
+                    let slots: Vec<usize> = (0..n).map(|a| (a + offset) % n).collect();
+                    assert_matches_oracle(&config, &slots, &dirs, &mut scratch);
+                }
+            }
+        }
+    }
+
+    /// The shape of the measured round, chosen per slot.
+    fn slot_directions(shape: u8, n: usize, rng: &mut StdRng) -> Vec<ObjectiveDirection> {
+        let other = |d: ObjectiveDirection| if d == C { A } else { C };
+        let lone = if rng.gen::<bool>() { C } else { A };
+        match shape {
+            // A single mover against everybody else (either direction).
+            0 => {
+                let mut dirs = vec![other(lone); n];
+                dirs[rng.gen_range(0..n)] = lone;
+                dirs
+            }
+            // The lone direction at slots 0 and n − 1 only: both sweeps
+            // are seeded across the wrap-around.
+            1 => {
+                let mut dirs = vec![other(lone); n];
+                dirs[0] = lone;
+                dirs[n - 1] = lone;
+                dirs
+            }
+            // Everybody the same way: no collisions.
+            2 => vec![lone; n],
+            // Idle agents present: no analytic collisions.
+            3 => {
+                let mut dirs: Vec<ObjectiveDirection> =
+                    (0..n).map(|_| [C, A, I][rng.gen_range(0..3)]).collect();
+                dirs[rng.gen_range(0..n)] = I;
+                dirs
+            }
+            // Random all-moving round with a random bias.
+            _ => {
+                let bias = rng.gen_range(1..=9u32);
+                (0..n)
+                    .map(|_| if rng.gen_range(0..10) < bias { C } else { A })
+                    .collect()
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        /// The linear kernel equals the binary-search oracle exactly — first
+        /// collisions, displacements and new slots — on rotated states
+        /// after 1–8 prior rounds, at ring sizes from 1 to 1024, for lone
+        /// movers, movers at the wrap-around slots, same-direction rounds,
+        /// rounds with idles and random mixes.
+        #[test]
+        fn kernel_matches_oracle_on_rotated_states(
+            (n, seed, prior, shape) in (
+                prop_oneof![1usize..=3, 4usize..=64, 65usize..=1024],
+                any::<u64>(),
+                1usize..=8,
+                0u8..6,
+            )
+        ) {
+            let config = RingConfig::builder(n)
+                .random_positions(seed)
+                .build_any_size()
+                .unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut state = RingState::new(&config);
+            let mut bufs = RoundBuffers::new();
+            let mut scratch = AnalyticScratch::new();
+            for _ in 0..prior {
+                let dirs = slot_directions(4, n, &mut rng);
+                assert_matches_oracle(&config, state.slots(), &dirs, &mut scratch);
+                state
+                    .execute_round_objective_into(&dirs, EngineKind::Analytic, &mut bufs)
+                    .unwrap();
+            }
+            // Directions are drawn per slot, then handed to the agents that
+            // occupy those slots in the rotated state.
+            let by_slot = slot_directions(shape, n, &mut rng);
+            let dirs: Vec<ObjectiveDirection> =
+                state.slots().iter().map(|&slot| by_slot[slot]).collect();
+            assert_matches_oracle(&config, state.slots(), &dirs, &mut scratch);
         }
     }
 }

@@ -212,11 +212,20 @@ impl RingConfigBuilder {
     /// duplicated, lie on odd ticks or have the wrong count, or if the
     /// explicit chirality assignment has the wrong count.
     pub fn build(&self) -> Result<RingConfig, RingError> {
-        let n = self.n;
-        if n < MIN_AGENTS {
-            return Err(RingError::TooFewAgents { n, min: MIN_AGENTS });
+        if self.n < MIN_AGENTS {
+            return Err(RingError::TooFewAgents {
+                n: self.n,
+                min: MIN_AGENTS,
+            });
         }
+        self.build_any_size()
+    }
 
+    /// [`RingConfigBuilder::build`] without the `MIN_AGENTS` floor, so the
+    /// engine tests can exercise the cyclic wrap-around of rings with one,
+    /// two or three agents.
+    pub(crate) fn build_any_size(&self) -> Result<RingConfig, RingError> {
+        let n = self.n;
         let mut positions = match &self.positions {
             PositionSpec::Even => even_positions(n),
             PositionSpec::Random { seed } => random_positions(n, *seed)?,

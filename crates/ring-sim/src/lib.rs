@@ -22,7 +22,8 @@
 //! * exact fixed-point circle geometry ([`geometry`]),
 //! * ring configurations and hidden ground truth ([`config`], [`state`]),
 //! * an O(n)-per-round *analytic engine* based on the rotation-index lemma
-//!   ([`analytic`]),
+//!   and two cyclic first-collision sweeps ([`analytic`]), with the
+//!   earlier binary-search engine kept as its exact oracle ([`reference`]),
 //! * a reference *event-driven engine* that simulates every collision
 //!   ([`events`]),
 //! * the per-agent observation model with local frames ([`observe`],
@@ -64,6 +65,7 @@ pub mod frame;
 pub mod geometry;
 pub mod model;
 pub mod observe;
+pub mod reference;
 pub mod rotation;
 pub mod state;
 

@@ -24,6 +24,15 @@ pub struct RotationIndex {
 }
 
 impl RotationIndex {
+    /// The rotation index of a round with `n_c` clockwise and `n_a`
+    /// anticlockwise movers among `n` agents: `(n_c − n_a) mod n`.
+    pub(crate) fn from_counts(n_c: usize, n_a: usize, n: usize) -> Self {
+        RotationIndex {
+            shift: (n_c + n - n_a) % n,
+            n,
+        }
+    }
+
     /// Whether the round moves nobody (rotation index 0).
     pub fn is_zero(self) -> bool {
         self.shift == 0
@@ -63,17 +72,25 @@ impl RotationIndex {
 /// Computes the rotation index of a round from the objective directions of
 /// all agents (Lemma 1).
 pub fn rotation_index(directions: &[ObjectiveDirection]) -> RotationIndex {
-    let n = directions.len();
-    let n_c = directions
-        .iter()
-        .filter(|d| matches!(d, ObjectiveDirection::Clockwise))
-        .count();
-    let n_a = directions
-        .iter()
-        .filter(|d| matches!(d, ObjectiveDirection::Anticlockwise))
-        .count();
-    let shift = (n_c + n - n_a) % n;
-    RotationIndex { shift, n }
+    let (n_c, n_a) = mover_counts(directions);
+    RotationIndex::from_counts(n_c, n_a, directions.len())
+}
+
+/// The numbers of clockwise and anticlockwise movers, counted in one pass.
+/// Per-chunk `u32` accumulators give the vectorised loop twice the lanes
+/// of `usize` sums.
+pub(crate) fn mover_counts(directions: &[ObjectiveDirection]) -> (usize, usize) {
+    let (mut n_c, mut n_a) = (0usize, 0usize);
+    for chunk in directions.chunks(u32::MAX as usize) {
+        let (mut c, mut a) = (0u32, 0u32);
+        for &d in chunk {
+            c += u32::from(d == ObjectiveDirection::Clockwise);
+            a += u32::from(d == ObjectiveDirection::Anticlockwise);
+        }
+        n_c += c as usize;
+        n_a += a as usize;
+    }
+    (n_c, n_a)
 }
 
 /// Rotation index of the round in which exactly the members of a set of

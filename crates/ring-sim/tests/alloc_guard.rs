@@ -1,23 +1,37 @@
 //! Allocation guard for the hot round loop: after a warm-up has sized the
-//! reusable [`RoundBuffers`] arena, executing further rounds through the
-//! event engine (the reference executor the faulty sweeps lean on) must
-//! perform **zero** heap allocations. A counting global allocator measures
-//! an exact replay of the warm-up rounds against a fresh `RingState`, so
+//! reusable [`RoundBuffers`] arena, executing further rounds must perform
+//! **zero** heap allocations — through the event engine (the reference
+//! executor the faulty sweeps lean on) and through the analytic engine's
+//! first-collision sweeps at protocol scale. A counting global allocator
+//! (per thread, so the tests can run concurrently) measures the rounds, so
 //! any per-round allocation sneaking back into the engines fails the test
 //! deterministically.
 
 use ring_sim::{EngineKind, ObjectiveDirection, RingConfig, RingState, RoundBuffers};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// The system allocator with an allocation counter bolted on.
+/// The system allocator with a per-thread allocation counter bolted on.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so counting from inside
+    // the allocator never allocates itself.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
+
+/// Allocations made so far by the current thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -28,7 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A growth of an existing buffer is an allocation for this test's
         // purposes: the arena is supposed to have reached steady state.
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -90,18 +104,18 @@ fn event_engine_rounds_allocate_nothing_after_warmup() {
 
         // Measured replay of the *identical* rounds against a fresh state:
         // the arena is at steady state, so the loop must not allocate.
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         let replayed = replay(&config, &mut bufs, &mut directions, ROUNDS);
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        let after = allocations();
 
         assert_eq!(warm, replayed, "replay must be deterministic");
         // `RingState::new` itself owns per-state slot vectors; everything
         // else — 64 rounds of event-engine execution — must reuse the
         // arena. Allow exactly the state construction's allocations by
         // measuring them separately.
-        let state_before = ALLOCATIONS.load(Ordering::Relaxed);
+        let state_before = allocations();
         let state = RingState::new(&config);
-        let state_after = ALLOCATIONS.load(Ordering::Relaxed);
+        let state_after = allocations();
         drop(state);
         let state_cost = state_after - state_before;
 
@@ -113,4 +127,56 @@ fn event_engine_rounds_allocate_nothing_after_warmup() {
              must be allocation-free after warm-up"
         );
     }
+}
+
+#[test]
+fn analytic_rounds_allocate_nothing_after_warmup() {
+    const N: usize = 512;
+    const ROUNDS: u64 = 64;
+    let config = RingConfig::builder(N)
+        .random_positions(2015)
+        .alternating_chirality()
+        .build()
+        .expect("valid config");
+    let mut state = RingState::new(&config);
+    let mut bufs = RoundBuffers::new();
+    let mut directions = vec![ObjectiveDirection::Clockwise; N];
+
+    // Warm-up: size the arena, the analytic sweep tables included, and
+    // leave the agents rotated away from their initial slots.
+    for round in 0..ROUNDS {
+        fill_directions(&mut directions, round);
+        state
+            .execute_round_objective_into(&directions, EngineKind::Analytic, &mut bufs)
+            .expect("round executes");
+    }
+    assert!(
+        !state.at_initial_positions(),
+        "warm-up must rotate the state"
+    );
+
+    // Measured: further all-moving rounds on the rotated state. No state is
+    // constructed in this window, so the budget is exactly zero.
+    let before = allocations();
+    let mut colliding_rounds = 0;
+    for round in ROUNDS..2 * ROUNDS {
+        fill_directions(&mut directions, round);
+        state
+            .execute_round_objective_into(&directions, EngineKind::Analytic, &mut bufs)
+            .expect("round executes");
+        if bufs.observations.iter().any(|obs| obs.coll.is_some()) {
+            colliding_rounds += 1;
+        }
+    }
+    let total = allocations() - before;
+
+    assert!(
+        colliding_rounds > ROUNDS / 2,
+        "only {colliding_rounds} of {ROUNDS} measured rounds ran the collision sweeps"
+    );
+    assert_eq!(
+        total, 0,
+        "n = {N}: {total} allocations across {ROUNDS} warm analytic rounds; \
+         the round loop must be allocation-free after warm-up"
+    );
 }
