@@ -499,3 +499,48 @@ fn daemon_rejects_bad_submissions_and_reports_health() {
     shutdown(daemon, Vec::new());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Malformed input on the accept thread must cost one connection, never
+/// the daemon: an overflowing `Content-Length` gets a 400, a newline-free
+/// worker hello past the head cap is dropped well before the idle limit,
+/// and the daemon keeps answering afterwards.
+#[test]
+fn daemon_survives_oversized_requests_and_hellos() {
+    let dir = temp_dir("bounds");
+    let daemon = start_daemon(&dir, &[]);
+
+    let mut stream = std::net::TcpStream::connect(&daemon.addr).expect("connect to daemon");
+    write!(
+        stream,
+        "POST /v1/runs HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        usize::MAX
+    )
+    .unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).ok();
+    assert!(
+        response.starts_with("HTTP/1.1 400"),
+        "overflowing Content-Length: {response:?}"
+    );
+
+    let mut hello = std::net::TcpStream::connect(&daemon.addr).expect("connect to daemon");
+    hello
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    // The daemon may hang up mid-write once the cap is passed.
+    let mut frame = b"{\"event\":\"hello\",\"worker\":\"".to_vec();
+    frame.resize(100 * 1024, b'x');
+    hello.write_all(&frame).ok();
+    let closed = match hello.read(&mut [0u8; 16]) {
+        Ok(_) => true,
+        Err(e) => e.kind() == std::io::ErrorKind::ConnectionReset,
+    };
+    assert!(closed, "an oversized hello must be dropped promptly");
+
+    let (status, body) = http(&daemon.addr, "GET", "/v1/workers", "");
+    assert_eq!(status, 200);
+    assert!(body.contains("\"registered\": 0"), "workers: {body}");
+
+    shutdown(daemon, Vec::new());
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -215,7 +215,9 @@ enum ConnVerdict {
 fn step_connection(daemon: &Arc<Daemon>, conn: &mut PendingConn) -> ConnVerdict {
     let mut eof = false;
     let mut chunk = [0u8; 4096];
-    loop {
+    // Never buffer more than one maximal request; the checks below reject
+    // anything that needs more.
+    while conn.buf.len() <= http::MAX_HEAD_BYTES + http::MAX_BODY_BYTES {
         match conn.stream.read(&mut chunk) {
             Ok(0) => {
                 eof = true;
@@ -236,6 +238,14 @@ fn step_connection(daemon: &Arc<Daemon>, conn: &mut PendingConn) -> ConnVerdict 
         if let Some(newline) = conn.buf.iter().position(|&b| b == b'\n') {
             let line = String::from_utf8_lossy(&conn.buf[..newline]).to_string();
             register_worker(daemon, conn, &line);
+            return ConnVerdict::Done;
+        }
+        if conn.buf.len() > http::MAX_HEAD_BYTES {
+            eprintln!(
+                "ring-serve: dropping peer whose hello exceeds {} bytes",
+                http::MAX_HEAD_BYTES
+            );
+            conn.stream.shutdown(Shutdown::Both).ok();
             return ConnVerdict::Done;
         }
     } else if !conn.buf.is_empty() {

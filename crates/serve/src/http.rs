@@ -22,6 +22,15 @@ pub struct Request {
     pub body: Vec<u8>,
 }
 
+/// The largest request head (request line plus headers) the daemon
+/// buffers; the worker hello line shares the cap. An absurdly long head is
+/// an attack or a confused peer, not a slow request.
+pub const MAX_HEAD_BYTES: usize = 64 * 1024;
+
+/// The largest request body the daemon accepts. Run specs are well under
+/// 1 KiB; a larger `Content-Length` is refused before any body is buffered.
+pub const MAX_BODY_BYTES: usize = 1024 * 1024;
+
 /// Tries to parse one complete request from the front of `buf`.
 ///
 /// Returns `Ok(None)` while the buffer holds only a prefix of a request
@@ -30,14 +39,17 @@ pub struct Request {
 ///
 /// # Errors
 ///
-/// Returns a description of a malformed request line or header block.
+/// Returns a description of a malformed request line or header block, a
+/// head longer than [`MAX_HEAD_BYTES`], or a `Content-Length` above
+/// [`MAX_BODY_BYTES`].
 pub fn parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, String> {
-    let Some(head_end) = find_blank_line(buf) else {
-        // An absurdly long header block is an attack or a confused peer,
-        // not a slow request.
-        if buf.len() > 64 * 1024 {
-            return Err("request header block exceeds 64 KiB".into());
-        }
+    let head_end = find_blank_line(buf);
+    if head_end.unwrap_or(buf.len()) > MAX_HEAD_BYTES {
+        return Err(format!(
+            "request header block exceeds {MAX_HEAD_BYTES} bytes"
+        ));
+    }
+    let Some(head_end) = head_end else {
         return Ok(None);
     };
     let head = std::str::from_utf8(&buf[..head_end])
@@ -65,15 +77,22 @@ pub fn parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, String> {
             }
         }
     }
-    let body_start = head_end + 4;
-    if buf.len() < body_start + content_length {
-        return Ok(None);
+    if content_length > MAX_BODY_BYTES {
+        return Err(format!(
+            "Content-Length {content_length} exceeds the {MAX_BODY_BYTES}-byte body cap"
+        ));
     }
-    let body = buf[body_start..body_start + content_length].to_vec();
-    Ok(Some((
-        Request { method, path, body },
-        body_start + content_length,
-    )))
+    // Both terms are capped, so the sum cannot overflow.
+    let body_end = head_end + 4 + content_length;
+    let Some(body) = buf.get(head_end + 4..body_end) else {
+        return Ok(None);
+    };
+    let request = Request {
+        method,
+        path,
+        body: body.to_vec(),
+    };
+    Ok(Some((request, body_end)))
 }
 
 /// The position of the `\r\n\r\n` separating head from body.
@@ -144,6 +163,7 @@ mod tests {
         assert!(parse_request(b"NOT-HTTP\r\n\r\n").is_err());
         assert!(parse_request(b"GET /x SPDY/3\r\n\r\n").is_err());
         assert!(parse_request(b"GET /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n").is_err());
+        assert!(parse_request(&vec![b'A'; MAX_HEAD_BYTES + 1]).is_err());
     }
 
     #[test]
