@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ring_sim::prelude::*;
+use ring_sim::AnalyticScratch;
 
 fn bench_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulator");
@@ -23,13 +24,13 @@ fn bench_engines(c: &mut Criterion) {
                 }
             })
             .collect();
-        let slots: Vec<usize> = (0..n).collect();
+        let mut scratch = AnalyticScratch::new();
         group.bench_with_input(BenchmarkId::new("analytic", n), &n, |b, _| {
-            b.iter(|| AnalyticEngine::new().execute(&config, &slots, &dirs))
+            b.iter(|| AnalyticEngine::new().execute_into(&config, 0, &dirs, &mut scratch))
         });
         if n <= 256 {
             group.bench_with_input(BenchmarkId::new("event", n), &n, |b, _| {
-                b.iter(|| EventEngine::new().simulate(&config, &slots, &dirs))
+                b.iter(|| EventEngine::new().simulate(&config, 0, &dirs))
             });
         }
     }

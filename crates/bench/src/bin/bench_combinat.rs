@@ -400,7 +400,8 @@ fn main() {
         .random_positions(13)
         .build()
         .expect("valid benchmark ring");
-    let slots: Vec<usize> = (0..kernel_n).map(|a| (a + 37) % kernel_n).collect();
+    let offset = 37;
+    let slots: Vec<usize> = (0..kernel_n).map(|a| (a + offset) % kernel_n).collect();
     let mut dir_rng = rand::rngs::StdRng::seed_from_u64(14);
     let round_dirs: Vec<Vec<ObjectiveDirection>> = (0..kernel_rounds)
         .map(|_| {
@@ -418,7 +419,7 @@ fn main() {
     let mut scratch = AnalyticScratch::new();
     let fast = time_median(reps, || {
         for dirs in &round_dirs {
-            AnalyticEngine::new().execute_into(&config, &slots, dirs, &mut scratch);
+            AnalyticEngine::new().execute_into(&config, offset, dirs, &mut scratch);
         }
         scratch.first_collision[0]
     });

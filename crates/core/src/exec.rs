@@ -170,15 +170,15 @@ impl<'a> Network<'a> {
     /// dropped message or a crashed station is a physical failure, not a
     /// protocol choice, and is legal even where idling is forbidden.
     ///
-    /// Installing a plan also promotes the event-driven engine to the
-    /// executor for this network: faulty runs are exactly the territory the
-    /// analytic shortcuts were never validated on, so they run on the
-    /// collision-exact reference simulator. (The two engines agree on
-    /// fault-free plans; [`Network::with_engine`] after this call overrides
-    /// the choice.)
+    /// The analytic engine models no collisions in rounds with idle agents,
+    /// so a model that observes collisions switches to the event-driven
+    /// engine here; collision-blind models keep the exact analytic one.
+    /// ([`Network::with_engine`] after this call overrides the choice.)
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
-        self.engine = EngineKind::Event;
+        if self.model.observes_collisions() {
+            self.engine = EngineKind::Event;
+        }
         self
     }
 
@@ -421,9 +421,10 @@ impl<'a> Network<'a> {
         self.ring.config()
     }
 
-    /// Ground truth: the slot currently occupied by each agent.
-    pub fn ground_truth_slots(&self) -> &[usize] {
-        self.ring.slots()
+    /// Ground truth: the ring's rotation offset — agent `i` occupies slot
+    /// `(i + offset) mod n`.
+    pub fn ground_truth_offset(&self) -> usize {
+        self.ring.offset()
     }
 
     /// Ground truth: the rotation index of the last executed round.
@@ -438,8 +439,7 @@ impl<'a> Network<'a> {
 
     /// Ground truth: whether every agent is back at its initial position.
     pub fn ground_truth_at_initial_positions(&self) -> bool {
-        self.ring.config().len() == self.ring.slots().len()
-            && self.ring.slots().iter().enumerate().all(|(a, &s)| a == s)
+        self.ring.at_initial_positions()
     }
 }
 
@@ -535,7 +535,7 @@ mod tests {
             plain.step_into(&dirs, &mut fresh).unwrap();
             buffered.step_into(&dirs, &mut bufs).unwrap();
             assert_eq!(bufs.observations(), fresh.observations());
-            assert_eq!(plain.ground_truth_slots(), buffered.ground_truth_slots());
+            assert_eq!(plain.ground_truth_offset(), buffered.ground_truth_offset());
             for agent in 0..6 {
                 assert_eq!(
                     plain.observed_cumulative_dist(agent),
@@ -689,12 +689,13 @@ mod tests {
         use crate::fault::{FaultParams, FaultPlan};
         let (config, ids) = network(Model::Basic);
         // One network runs the analytic engine without any plan; the other
-        // carries an empty fault plan, which promotes it to the event-driven
-        // reference executor. The runs must agree round for round.
+        // carries an empty fault plan on the event-driven reference
+        // executor. The runs must agree round for round.
         let mut analytic = Network::new(&config, ids.clone(), Model::Basic).unwrap();
         let mut event = Network::new(&config, ids, Model::Basic)
             .unwrap()
-            .with_faults(FaultPlan::new(FaultParams::default(), 6, 3));
+            .with_faults(FaultPlan::new(FaultParams::default(), 6, 3))
+            .with_engine(EngineKind::Event);
         assert!(!event.faults().unwrap().any_faults());
         let mut bufs_a = StepBuffers::new();
         let mut bufs_e = StepBuffers::new();
@@ -711,7 +712,26 @@ mod tests {
             analytic.step_into(&dirs, &mut bufs_a).unwrap();
             event.step_into(&dirs, &mut bufs_e).unwrap();
             assert_eq!(bufs_a.observations(), bufs_e.observations());
-            assert_eq!(analytic.ground_truth_slots(), event.ground_truth_slots());
+            assert_eq!(analytic.ground_truth_offset(), event.ground_truth_offset());
+        }
+    }
+
+    /// Faults promote the event engine only for a model that observes the
+    /// collisions it computes; collision-blind models keep the analytic one.
+    #[test]
+    fn faults_pick_the_engine_from_the_model() {
+        use crate::fault::{FaultParams, FaultPlan};
+        let (config, ids) = network(Model::Basic);
+        for model in Model::ALL {
+            let net = Network::new(&config, ids.clone(), model)
+                .unwrap()
+                .with_faults(FaultPlan::new(FaultParams::default(), 6, 3));
+            let expected = if model.observes_collisions() {
+                EngineKind::Event
+            } else {
+                EngineKind::Analytic
+            };
+            assert_eq!(net.engine, expected, "{model}");
         }
     }
 

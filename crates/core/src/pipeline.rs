@@ -233,8 +233,10 @@ pub struct FaultyCost {
 }
 
 /// Solves `problem` on a fresh executor under the deterministic fault plan
-/// derived from `(params, n, fault_seed)`, with the event-driven reference
-/// engine and a hard round cap of `round_limit`.
+/// derived from `(params, n, fault_seed)`, with a hard round cap of
+/// `round_limit`. The engine follows the model (see
+/// [`Network::with_faults`]): collision-blind models run on the analytic
+/// engine, the perceptive model on the event-driven reference engine.
 ///
 /// Unlike [`measure_problem_seeded`] this never propagates protocol
 /// errors: under faults, failure is a measurement result. A run that hits
@@ -398,28 +400,36 @@ mod tests {
             .unwrap();
         let ids = IdAssignment::random(9, 256, 9);
         let structures = fresh_structures();
-        for problem in [
-            Problem::LeaderElection,
-            Problem::NontrivialMove,
-            Problem::DirectionAgreement,
-        ] {
-            let clean =
-                measure_problem_with(&config, &ids, Model::Basic, problem, &structures).unwrap();
-            let faulty = measure_problem_faulty(
-                &config,
-                &ids,
-                Model::Basic,
-                problem,
-                &structures,
-                crate::coordination::nontrivial::STRUCTURE_SEED,
-                FaultParams::default(),
-                123,
-                20_000,
-            );
-            assert_eq!(faulty.outcome, FaultyOutcome::Completed, "{problem}");
-            // The event-driven reference executor agrees with the analytic
-            // path on fault-free plans: identical round counts.
-            assert_eq!(faulty.rounds, clean.rounds, "{problem}");
+        // Basic-model faulty runs stay on the analytic engine; perceptive
+        // ones run on the event-driven reference executor, which agrees
+        // with the analytic path on fault-free plans: identical round
+        // counts either way.
+        for model in [Model::Basic, Model::Perceptive] {
+            for problem in [
+                Problem::LeaderElection,
+                Problem::NontrivialMove,
+                Problem::DirectionAgreement,
+            ] {
+                let clean =
+                    measure_problem_with(&config, &ids, model, problem, &structures).unwrap();
+                let faulty = measure_problem_faulty(
+                    &config,
+                    &ids,
+                    model,
+                    problem,
+                    &structures,
+                    crate::coordination::nontrivial::STRUCTURE_SEED,
+                    FaultParams::default(),
+                    123,
+                    20_000,
+                );
+                assert_eq!(
+                    faulty.outcome,
+                    FaultyOutcome::Completed,
+                    "{model} {problem}"
+                );
+                assert_eq!(faulty.rounds, clean.rounds, "{model} {problem}");
+            }
         }
     }
 

@@ -5,7 +5,8 @@
 //! Each measured point runs one protocol on one sweep case under one
 //! deterministic [`FaultPlan`](ring_protocols::fault::FaultPlan) (derived
 //! from the case seed, so sharded sweeps replay bit-identical faults) on
-//! the event-driven reference executor, with a hard round cap. Under
+//! the engine the model calls for (the analytic engine for the basic
+//! model this sweep runs), with a hard round cap. Under
 //! faults, failure is a *measurement result*, not a verification error:
 //! every emitted [`Measurement`] carries `verified: true`, and a run that
 //! failed or timed out reports `value: None` in its rounds row. Per

@@ -1,13 +1,19 @@
 //! The analytic round engine.
 //!
-//! Uses the rotation-index lemma (Lemma 1) to compute the end-of-round
-//! permutation in O(n), and the collision-cascade formula (Proposition 4) to
-//! compute every agent's first-collision distance in O(n) with two cyclic
-//! sweeps over the slots: a forward sweep carries the nearest clockwise
-//! mover strictly before each slot, a reverse sweep the nearest
-//! anticlockwise mover strictly after it. All arithmetic is exact (integer
-//! ticks); [`crate::reference`] keeps the earlier binary-search engine as
-//! the oracle these results are tested against, tick for tick.
+//! Uses the rotation-index lemma (Lemma 1) to compute the round's shift in
+//! O(n), and the collision-cascade formula (Proposition 4) to compute every
+//! agent's first-collision distance in O(n) with two cyclic sweeps over the
+//! slots: a forward sweep carries the nearest clockwise mover strictly
+//! before each slot, a reverse sweep the nearest anticlockwise mover
+//! strictly after it. All arithmetic is exact (integer ticks);
+//! [`crate::reference`] keeps the earlier binary-search engine as the
+//! oracle these results are tested against, tick for tick.
+//!
+//! The engine takes the ring's state as one rotation offset (agent `a` sits
+//! in slot `(a + offset) mod n`, see [`crate::state`]): Lemma 1 moves every
+//! agent by the same shift, so no round ever needs a general permutation.
+//! Agent-order and slot-order data are rotated views of each other, and
+//! every translation between them is a copy of two contiguous slices.
 //!
 //! First collisions are only defined here for rounds in which **every**
 //! agent moves (the basic and perceptive models); for rounds containing idle
@@ -18,38 +24,20 @@
 
 use crate::config::RingConfig;
 use crate::direction::ObjectiveDirection;
-use crate::geometry::ArcLength;
-use crate::rotation::{mover_counts, RotationIndex};
+use crate::geometry::{ArcLength, Point};
+use crate::rotation::{extend_rotated, mover_counts, RotationIndex};
 use std::hint::select_unpredictable;
 
-/// Result of analytically executing one round.
-#[derive(Clone, Debug)]
-pub struct AnalyticRound {
-    /// Rotation index of the round.
-    pub rotation: RotationIndex,
-    /// For each *agent*, the objective clockwise distance between its start
-    /// and end position (zero iff the rotation index is zero).
-    pub cw_displacement: Vec<ArcLength>,
-    /// For each *agent*, the distance travelled until its first collision,
-    /// or `None` if the agent never collides (or the round contains idle
-    /// agents, for which the analytic engine does not model collisions).
-    pub first_collision: Vec<Option<ArcLength>>,
-    /// The new slot of each agent after the round.
-    pub new_slot_of_agent: Vec<usize>,
-}
-
-/// Reusable scratch space for [`AnalyticEngine::execute_into`]: all of the
-/// per-round vectors of [`AnalyticRound`] plus the engine's internal
-/// work arrays, so a multi-round driver performs **zero** heap allocation
-/// per round after the first.
+/// Reusable scratch space for [`AnalyticEngine::execute_into`]: the
+/// per-agent outputs of a round plus the engine's internal work arrays, so
+/// a multi-round driver performs **zero** heap allocation per round after
+/// the first.
 #[derive(Clone, Debug, Default)]
 pub struct AnalyticScratch {
     /// Per-agent objective clockwise displacement (output).
     pub cw_displacement: Vec<ArcLength>,
     /// Per-agent first-collision distance (output).
     pub first_collision: Vec<Option<ArcLength>>,
-    /// Per-agent new slot (output).
-    pub new_slot_of_agent: Vec<usize>,
     dir_at_slot: Vec<ObjectiveDirection>,
     coll_at_slot: Vec<ArcLength>,
 }
@@ -76,79 +64,51 @@ impl AnalyticEngine {
         AnalyticEngine
     }
 
-    /// Executes one round.
+    /// Executes one round into caller-owned scratch space and returns its
+    /// rotation index. After the scratch vectors have grown to the ring
+    /// size once, subsequent calls allocate nothing.
     ///
     /// * `config` — the ground-truth configuration (initial slot positions).
-    /// * `slot_of_agent` — the slot currently occupied by each agent.
+    /// * `offset` — the ring's rotation offset: agent `a` occupies slot
+    ///   `(a + offset) mod n`.
     /// * `directions` — the objective direction chosen by each agent.
     ///
     /// # Panics
     ///
-    /// Panics if the slices have inconsistent lengths (the caller,
-    /// [`crate::state::RingState`], validates its inputs).
-    pub fn execute(
-        &self,
-        config: &RingConfig,
-        slot_of_agent: &[usize],
-        directions: &[ObjectiveDirection],
-    ) -> AnalyticRound {
-        let mut scratch = AnalyticScratch::new();
-        let rotation = self.execute_into(config, slot_of_agent, directions, &mut scratch);
-        AnalyticRound {
-            rotation,
-            cw_displacement: scratch.cw_displacement,
-            first_collision: scratch.first_collision,
-            new_slot_of_agent: scratch.new_slot_of_agent,
-        }
-    }
-
-    /// Executes one round into caller-owned scratch space — the zero-alloc
-    /// variant of [`AnalyticEngine::execute`]. After the scratch vectors
-    /// have grown to the ring size once, subsequent calls allocate nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have inconsistent lengths.
+    /// Panics if `offset >= n` or `directions` does not hold one entry per
+    /// agent (the caller, [`crate::state::RingState`], validates its
+    /// inputs).
     pub fn execute_into(
         &self,
         config: &RingConfig,
-        slot_of_agent: &[usize],
+        offset: usize,
         directions: &[ObjectiveDirection],
         scratch: &mut AnalyticScratch,
     ) -> RotationIndex {
         let n = config.len();
-        assert_eq!(slot_of_agent.len(), n);
+        assert!(offset < n, "offset {offset} out of range for a ring of {n}");
         assert_eq!(directions.len(), n);
 
         let (n_c, n_a) = mover_counts(directions);
         let rotation = RotationIndex::from_counts(n_c, n_a, n);
         let r = rotation.shift;
 
-        // Every output vector is rebuilt by one `extend`, so nothing is
-        // filled only to be overwritten. Slots and shift are both below n:
-        // one conditional subtract reduces their sum.
-        scratch.new_slot_of_agent.clear();
-        scratch
-            .new_slot_of_agent
-            .extend(slot_of_agent.iter().map(|&slot| {
-                let shifted = slot + r;
-                if shifted >= n {
-                    shifted - n
-                } else {
-                    shifted
-                }
-            }));
-        scratch.cw_displacement.clear();
-        scratch.cw_displacement.extend(
-            slot_of_agent
-                .iter()
-                .zip(&scratch.new_slot_of_agent)
-                .map(|(&from, &to)| config.cw_arc(from, to)),
-        );
+        // Every output vector is rebuilt by `extend`, so nothing is filled
+        // only to be overwritten. Slot `s` moves to slot `s + r`: the arcs
+        // in slot order take two contiguous passes, and one rotation puts
+        // them in agent order (agent `a` sits in slot `(a + offset) mod n`).
+        let positions = config.positions();
+        let (stay, wrap) = positions.split_at(n - r);
+        let arc = |(from, &to): (&Point, &Point)| from.cw_distance_to(to);
+        let displacement = &mut scratch.cw_displacement;
+        displacement.clear();
+        displacement.extend(stay.iter().zip(&positions[r..]).map(arc));
+        displacement.extend(wrap.iter().zip(positions).map(arc));
+        displacement.rotate_left(offset);
 
         scratch.first_collision.clear();
         if n_c + n_a == n && n_c > 0 && n_a > 0 {
-            self.first_collisions(config, slot_of_agent, directions, scratch);
+            self.first_collisions(config, offset, directions, scratch);
         } else {
             // Idle agents (not modelled) or everybody moving the same way
             // (no collisions at all).
@@ -166,21 +126,19 @@ impl AnalyticEngine {
     fn first_collisions(
         &self,
         config: &RingConfig,
-        slot_of_agent: &[usize],
+        offset: usize,
         directions: &[ObjectiveDirection],
         scratch: &mut AnalyticScratch,
     ) {
-        use ObjectiveDirection::{Anticlockwise, Clockwise, Idle};
+        use ObjectiveDirection::{Anticlockwise, Clockwise};
         let n = config.len();
         let positions = config.positions();
 
-        // Direction of the agent sitting at each slot.
+        // Direction of the agent sitting at each slot: slots `0..offset`
+        // hold agents `n - offset..n`.
         let dir_at_slot = &mut scratch.dir_at_slot;
         dir_at_slot.clear();
-        dir_at_slot.resize(n, Idle);
-        for (&slot, &dir) in slot_of_agent.iter().zip(directions) {
-            dir_at_slot[slot] = dir;
-        }
+        extend_rotated(dir_at_slot, directions, n - offset, |&dir| dir);
         let first_acw = dir_at_slot
             .iter()
             .position(|&d| d == Anticlockwise)
@@ -221,9 +179,13 @@ impl AnalyticEngine {
             ahead = select_unpredictable(dir == Anticlockwise, here, ahead);
         }
 
-        scratch
-            .first_collision
-            .extend(slot_of_agent.iter().map(|&slot| Some(coll_at_slot[slot])));
+        // Back to agent order: agent `a` reads slot `(a + offset) mod n`.
+        extend_rotated(
+            &mut scratch.first_collision,
+            coll_at_slot,
+            offset,
+            |&coll| Some(coll),
+        );
     }
 }
 
@@ -231,7 +193,9 @@ impl AnalyticEngine {
 mod tests {
     use super::*;
     use crate::config::RingConfig;
+    use crate::events::EventEngine;
     use crate::geometry::Point;
+    use crate::rotation::rotation_index;
     use crate::state::{EngineKind, RingState, RoundBuffers};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -245,26 +209,37 @@ mod tests {
             .unwrap()
     }
 
+    /// Runs one round at the given offset into a fresh scratch.
+    fn run(
+        config: &RingConfig,
+        offset: usize,
+        dirs: &[ObjectiveDirection],
+    ) -> (RotationIndex, AnalyticScratch) {
+        let mut scratch = AnalyticScratch::new();
+        let rotation = AnalyticEngine::new().execute_into(config, offset, dirs, &mut scratch);
+        (rotation, scratch)
+    }
+
     #[test]
     fn all_clockwise_round_has_no_collisions_and_no_displacement() {
         let config = config_with_positions(&[0, 100, 220, 400, 900]);
-        let slots: Vec<usize> = (0..5).collect();
-        let round = AnalyticEngine::new().execute(&config, &slots, &[C; 5]);
-        assert!(round.rotation.is_zero());
+        let (rotation, round) = run(&config, 0, &[C; 5]);
+        assert!(rotation.is_zero());
         assert!(round.cw_displacement.iter().all(|d| d.is_zero()));
         assert!(round.first_collision.iter().all(|c| c.is_none()));
-        assert_eq!(round.new_slot_of_agent, slots);
+        // Shift 0: every agent stays in its slot.
+        assert_eq!(rotation.shift, 0);
     }
 
     #[test]
     fn single_anticlockwise_agent_rotates_everyone() {
         let config = config_with_positions(&[0, 100, 220, 400, 900]);
-        let slots: Vec<usize> = (0..5).collect();
         let dirs = [C, C, C, C, A];
-        let round = AnalyticEngine::new().execute(&config, &slots, &dirs);
+        let (rotation, round) = run(&config, 0, &dirs);
         // r = (4 - 1) mod 5 = 3.
-        assert_eq!(round.rotation.shift, 3);
-        assert_eq!(round.new_slot_of_agent, vec![3, 4, 0, 1, 2]);
+        assert_eq!(rotation.shift, 3);
+        let new_slots: Vec<usize> = (0..5).map(|a| (a + rotation.shift) % 5).collect();
+        assert_eq!(new_slots, vec![3, 4, 0, 1, 2]);
         // Agent 0 ends at slot 3 (tick 400): displacement 400.
         assert_eq!(round.cw_displacement[0].ticks(), 400);
         // Agent 4 (tick 900) ends at slot 2 (tick 220): cw distance wraps.
@@ -279,9 +254,8 @@ mod tests {
         // Agents at 0, 100, 220, 400, 900; agent 3 (tick 400) moves
         // anticlockwise, everyone else clockwise.
         let config = config_with_positions(&[0, 100, 220, 400, 900]);
-        let slots: Vec<usize> = (0..5).collect();
         let dirs = [C, C, C, A, C];
-        let round = AnalyticEngine::new().execute(&config, &slots, &dirs);
+        let (_, round) = run(&config, 0, &dirs);
 
         // Agent 0 moves clockwise; the nearest anticlockwise mover ahead is
         // at tick 400, so it collides after (400 - 0)/2 = 200.
@@ -300,42 +274,48 @@ mod tests {
     #[test]
     fn idle_rounds_have_no_analytic_collisions_but_correct_rotation() {
         let config = config_with_positions(&[0, 100, 220, 400, 900]);
-        let slots: Vec<usize> = (0..5).collect();
         let dirs = [C, I, I, I, I];
-        let round = AnalyticEngine::new().execute(&config, &slots, &dirs);
-        assert_eq!(round.rotation.shift, 1);
+        let (rotation, round) = run(&config, 0, &dirs);
+        assert_eq!(rotation.shift, 1);
         assert!(round.first_collision.iter().all(|c| c.is_none()));
-        assert_eq!(round.new_slot_of_agent, vec![1, 2, 3, 4, 0]);
+        let new_slots: Vec<usize> = (0..5).map(|a| (a + rotation.shift) % 5).collect();
+        assert_eq!(new_slots, vec![1, 2, 3, 4, 0]);
     }
 
     #[test]
     fn displacement_uses_current_slots_not_agent_ids() {
         let config = config_with_positions(&[0, 100, 220, 400, 900]);
         // Agents already rotated by 2: agent i occupies slot i+2.
-        let slots: Vec<usize> = (0..5).map(|i| (i + 2) % 5).collect();
         let dirs = [C, C, C, C, A];
-        let round = AnalyticEngine::new().execute(&config, &slots, &dirs);
-        assert_eq!(round.rotation.shift, 3);
-        for (agent, &slot) in slots.iter().enumerate() {
+        let (rotation, round) = run(&config, 2, &dirs);
+        assert_eq!(rotation.shift, 3);
+        for agent in 0..5 {
+            let slot = (agent + 2) % 5;
             let expected = config.cw_arc(slot, (slot + 3) % 5);
             assert_eq!(round.cw_displacement[agent], expected);
         }
     }
 
     /// Compares one round of the linear kernel (run into a reused scratch)
-    /// with the binary-search oracle, tick for tick.
+    /// with the binary-search oracle, tick for tick. The oracle takes the
+    /// materialised slots and computes every agent's new slot on its own,
+    /// so the kernel's offset arithmetic is checked agent by agent.
     fn assert_matches_oracle(
         config: &RingConfig,
-        slots: &[usize],
+        offset: usize,
         dirs: &[ObjectiveDirection],
         scratch: &mut AnalyticScratch,
     ) {
-        let rotation = AnalyticEngine::new().execute_into(config, slots, dirs, scratch);
-        let oracle = crate::reference::analytic_round_reference(config, slots, dirs);
-        assert_eq!(rotation, oracle.rotation, "slots {slots:?} dirs {dirs:?}");
+        let n = config.len();
+        let slots: Vec<usize> = (0..n).map(|a| (a + offset) % n).collect();
+        let rotation = AnalyticEngine::new().execute_into(config, offset, dirs, scratch);
+        let oracle = crate::reference::analytic_round_reference(config, &slots, dirs);
+        assert_eq!(rotation, oracle.rotation, "offset {offset} dirs {dirs:?}");
         assert_eq!(scratch.first_collision, oracle.first_collision);
         assert_eq!(scratch.cw_displacement, oracle.cw_displacement);
-        assert_eq!(scratch.new_slot_of_agent, oracle.new_slot_of_agent);
+        for (a, &new_slot) in oracle.new_slot_of_agent.iter().enumerate() {
+            assert_eq!((a + offset + rotation.shift) % n, new_slot, "agent {a}");
+        }
     }
 
     /// Every direction vector (idles included) at every rotation of the
@@ -354,8 +334,76 @@ mod tests {
                     .map(|i| [C, A, I][code / 3usize.pow(i as u32) % 3])
                     .collect();
                 for offset in 0..n {
-                    let slots: Vec<usize> = (0..n).map(|a| (a + offset) % n).collect();
-                    assert_matches_oracle(&config, &slots, &dirs, &mut scratch);
+                    assert_matches_oracle(&config, offset, &dirs, &mut scratch);
+                }
+            }
+        }
+    }
+
+    /// Compares one round of the kernel with the event-driven engine at
+    /// the given offset: the rotation index against Lemma 1, every
+    /// displacement within 1e-6 (modulo wrap-around), and every first
+    /// collision in the rounds where the kernel models them — all agents
+    /// moving — or where nobody moves and so nobody collides.
+    fn assert_matches_event_engine(
+        config: &RingConfig,
+        offset: usize,
+        dirs: &[ObjectiveDirection],
+    ) {
+        let (rotation, round) = run(config, offset, dirs);
+        let traj = EventEngine::new().simulate(config, offset, dirs);
+        assert_eq!(rotation, rotation_index(dirs));
+        let collisions_comparable =
+            dirs.iter().all(|d| d.is_moving()) || dirs.iter().all(|&d| d == I);
+        for agent in 0..config.len() {
+            let (expected, got) = (
+                round.cw_displacement[agent].as_fraction(),
+                traj.cw_displacement[agent],
+            );
+            let diff = (expected - got).abs();
+            assert!(
+                diff < 1e-6 || 1.0 - diff < 1e-6,
+                "offset {offset} dirs {dirs:?} agent {agent}: displacement {expected} vs {got}"
+            );
+            if collisions_comparable {
+                match (round.first_collision[agent], traj.first_collision[agent]) {
+                    (None, None) => {}
+                    (Some(a), Some(b)) => assert!(
+                        (a.as_fraction() - b).abs() < 1e-6,
+                        "offset {offset} dirs {dirs:?} agent {agent}: collision {a:?} vs {b}"
+                    ),
+                    (a, b) => panic!("offset {offset} dirs {dirs:?} agent {agent}: {a:?} vs {b:?}"),
+                }
+            }
+        }
+    }
+
+    /// Below the `MIN_AGENTS` floor every agent is its own neighbour's
+    /// neighbour: every direction vector — all-idle and all-same-direction
+    /// rounds included — at every offset agrees with the event engine, on
+    /// random and on evenly spaced rings. On the evenly spaced ones all
+    /// meeting points of a round coincide in time, and n = 2 is an
+    /// antipodal pair that meets on both sides of the ring.
+    #[test]
+    fn kernel_matches_event_engine_on_tiny_rings_at_every_offset() {
+        for n in 1..=4usize {
+            for config in [
+                RingConfig::builder(n)
+                    .random_positions(n as u64 + 40)
+                    .build_any_size()
+                    .unwrap(),
+                RingConfig::builder(n)
+                    .even_positions()
+                    .build_any_size()
+                    .unwrap(),
+            ] {
+                for code in 0..3usize.pow(n as u32) {
+                    let dirs: Vec<ObjectiveDirection> = (0..n)
+                        .map(|i| [C, A, I][code / 3usize.pow(i as u32) % 3])
+                        .collect();
+                    for offset in 0..n {
+                        assert_matches_event_engine(&config, offset, &dirs);
+                    }
                 }
             }
         }
@@ -426,7 +474,7 @@ mod tests {
             let mut scratch = AnalyticScratch::new();
             for _ in 0..prior {
                 let dirs = slot_directions(4, n, &mut rng);
-                assert_matches_oracle(&config, state.slots(), &dirs, &mut scratch);
+                assert_matches_oracle(&config, state.offset(), &dirs, &mut scratch);
                 state
                     .execute_round_objective_into(&dirs, EngineKind::Analytic, &mut bufs)
                     .unwrap();
@@ -435,8 +483,8 @@ mod tests {
             // occupy those slots in the rotated state.
             let by_slot = slot_directions(shape, n, &mut rng);
             let dirs: Vec<ObjectiveDirection> =
-                state.slots().iter().map(|&slot| by_slot[slot]).collect();
-            assert_matches_oracle(&config, state.slots(), &dirs, &mut scratch);
+                (0..n).map(|agent| by_slot[state.slot_of_agent(agent)]).collect();
+            assert_matches_oracle(&config, state.offset(), &dirs, &mut scratch);
         }
     }
 }

@@ -8,17 +8,24 @@
 //!
 //! The event engine is slower (`O(n)` work per event, up to `O(n²)` events
 //! per round) and approximate (`f64`), so the protocol executor uses the
-//! exact [`crate::analytic::AnalyticEngine`] on clean rings; the event
-//! engine serves as the ground truth that the analytic shortcuts are
-//! validated against, as the *reference executor for faulty runs* (which
-//! exercise territory the analytic shortcuts were never validated on), and
-//! as a tool for visualising full trajectories. Multi-round drivers reuse
+//! exact [`crate::analytic::AnalyticEngine`]; the event engine serves as
+//! the ground truth that the analytic shortcuts are validated against, as
+//! the *reference executor for faulty perceptive runs* (whose idle agents
+//! collide, which the analytic engine does not model), and as a tool for
+//! visualising full trajectories. Multi-round drivers reuse
 //! one [`EventScratch`] across rounds via [`EventEngine::simulate_into`]
-//! instead of paying the eight-vector allocation of
-//! [`EventEngine::simulate`] per round.
+//! instead of paying the vector allocations of [`EventEngine::simulate`]
+//! per round.
+//!
+//! Like the analytic engine it takes the ring's state as one rotation
+//! offset (agent `a` sits in slot `(a + offset) mod n`, see
+//! [`crate::state`]). Agents never overtake, so the agent at ring position
+//! `k` stays the same all round: the engine works in ring order and rotates
+//! its per-agent outputs back to agent order once, at the end.
 
 use crate::config::RingConfig;
 use crate::direction::ObjectiveDirection;
+use crate::rotation::extend_rotated;
 use serde::{Deserialize, Serialize};
 
 /// A single collision between two agents.
@@ -63,11 +70,9 @@ impl Default for EventEngine {
 
 /// Reusable scratch arena for [`EventEngine::simulate_into`].
 ///
-/// The event engine used to allocate eight vectors per simulated round;
-/// now that it is the reference executor for faulty runs (which execute
-/// every round through it), multi-round drivers hold one `EventScratch`
-/// and reuse it — after the vectors reach the ring size, a round performs
-/// no heap allocation beyond growth of the collision log.
+/// Multi-round drivers hold one `EventScratch` and reuse it — after the
+/// vectors reach the ring size, a round performs no heap allocation beyond
+/// growth of the collision log.
 #[derive(Clone, Debug, Default)]
 pub struct EventScratch {
     /// Final position (fraction of the circle) of each agent, valid after
@@ -80,9 +85,7 @@ pub struct EventScratch {
     pub first_collision: Vec<Option<f64>>,
     /// Every collision of the round, in chronological order.
     pub collisions: Vec<CollisionEvent>,
-    agent_at_slot: Vec<usize>,
     pos: Vec<f64>,
-    start_pos_of_agent: Vec<f64>,
     vel: Vec<f64>,
     travelled: Vec<f64>,
 }
@@ -121,22 +124,23 @@ impl EventEngine {
     /// Simulates one full round.
     ///
     /// * `config` — ground-truth configuration.
-    /// * `slot_of_agent` — slot currently occupied by each agent.
+    /// * `offset` — the ring's rotation offset: agent `a` occupies slot
+    ///   `(a + offset) mod n`.
     /// * `directions` — objective direction of each agent.
     ///
     /// # Panics
     ///
-    /// Panics if the inputs have inconsistent lengths or if the event bound
-    /// is exceeded (which would indicate a bug, as a round has at most
-    /// `O(n²)` collisions).
+    /// Panics if `offset >= n`, if `directions` does not hold one entry per
+    /// agent, or if the event bound is exceeded (which would indicate a bug,
+    /// as a round has at most `O(n²)` collisions).
     pub fn simulate(
         &self,
         config: &RingConfig,
-        slot_of_agent: &[usize],
+        offset: usize,
         directions: &[ObjectiveDirection],
     ) -> Trajectory {
         let mut scratch = EventScratch::new();
-        self.simulate_into(config, slot_of_agent, directions, &mut scratch);
+        self.simulate_into(config, offset, directions, &mut scratch);
         scratch.take_trajectory()
     }
 
@@ -150,28 +154,26 @@ impl EventEngine {
     pub fn simulate_into(
         &self,
         config: &RingConfig,
-        slot_of_agent: &[usize],
+        offset: usize,
         directions: &[ObjectiveDirection],
         scratch: &mut EventScratch,
     ) {
         let n = config.len();
-        assert_eq!(slot_of_agent.len(), n);
+        assert!(offset < n, "offset {offset} out of range for a ring of {n}");
         assert_eq!(directions.len(), n);
 
-        // Ring order = slot order. `agent[k]` is the agent currently at the
-        // k-th slot.
-        refill(&mut scratch.agent_at_slot, n, |_| usize::MAX);
-        for (agent, &slot) in slot_of_agent.iter().enumerate() {
-            scratch.agent_at_slot[slot] = agent;
-        }
-
-        // State indexed by ring-order position k.
+        // State indexed by ring position k: slot k at the start of the
+        // round, agent `(k + n - offset) mod n` throughout. Positions are
+        // lifted off the circle (`pos[0] <= … <= pos[n - 1] <= pos[0] + 1`),
+        // so a gap is a plain difference, clamped at 0 against rounding.
+        // Taken mod 1, a gap of 0 could also mean a lap: at n = 2 two agents
+        // that just met would meet again on their other side at once,
+        // forever.
+        let agent = |k: usize| (k + n - offset) % n;
         refill(&mut scratch.pos, n, |k| config.position(k).as_fraction());
-        refill(&mut scratch.start_pos_of_agent, n, |agent| {
-            config.position(slot_of_agent[agent]).as_fraction()
-        });
-        refill(&mut scratch.vel, n, |k| {
-            f64::from(directions[scratch.agent_at_slot[k]].velocity())
+        scratch.vel.clear();
+        extend_rotated(&mut scratch.vel, directions, n - offset, |d| {
+            f64::from(d.velocity())
         });
         refill(&mut scratch.first_collision, n, |_| None);
         refill(&mut scratch.travelled, n, |_| 0.0);
@@ -182,10 +184,8 @@ impl EventEngine {
             ref mut first_collision,
             ref mut travelled,
             ref mut collisions,
-            ref agent_at_slot,
             ..
         } = *scratch;
-        let agent = agent_at_slot;
 
         let mut t = 0.0f64;
         let mut events = 0usize;
@@ -198,8 +198,8 @@ impl EventEngine {
                 if closing <= 0.0 {
                     continue;
                 }
-                let gap = (pos[j] - pos[k]).rem_euclid(1.0);
-                let dt = gap / closing;
+                let ahead = if j == 0 { pos[0] + 1.0 } else { pos[j] };
+                let dt = (ahead - pos[k]).max(0.0) / closing;
                 if t + dt <= 1.0 + 1e-12 {
                     match best {
                         Some((bt, _)) if bt <= dt => {}
@@ -213,24 +213,21 @@ impl EventEngine {
 
             // Advance everyone to the collision time.
             for i in 0..n {
-                pos[i] = (pos[i] + vel[i] * dt).rem_euclid(1.0);
-                travelled[agent[i]] += vel[i].abs() * dt;
+                pos[i] += vel[i] * dt;
+                travelled[i] += vel[i].abs() * dt;
             }
             t += dt;
 
             // Record the collision for both participants.
-            let (a, b) = (agent[k], agent[j]);
-            let here = pos[k];
             collisions.push(CollisionEvent {
                 time: t,
-                position: here,
-                agents: (a, b),
+                position: pos[k].rem_euclid(1.0),
+                agents: (agent(k), agent(j)),
             });
-            if first_collision[a].is_none() {
-                first_collision[a] = Some(travelled[a]);
-            }
-            if first_collision[b].is_none() {
-                first_collision[b] = Some(travelled[b]);
+            for p in [k, j] {
+                if first_collision[p].is_none() {
+                    first_collision[p] = Some(travelled[p]);
+                }
             }
 
             // Exchange velocities (covers bounce and motion transfer).
@@ -247,31 +244,30 @@ impl EventEngine {
         let dt = 1.0 - t;
         if dt > 0.0 {
             for i in 0..n {
-                pos[i] = (pos[i] + vel[i] * dt).rem_euclid(1.0);
-                travelled[agent[i]] += vel[i].abs() * dt;
+                pos[i] += vel[i] * dt;
+                travelled[i] += vel[i].abs() * dt;
             }
         }
 
-        refill(&mut scratch.final_positions, n, |_| 0.0);
-        for k in 0..n {
-            scratch.final_positions[scratch.agent_at_slot[k]] = scratch.pos[k];
-        }
-        let EventScratch {
-            ref mut cw_displacement,
-            ref final_positions,
-            ref start_pos_of_agent,
-            ..
-        } = *scratch;
-        refill(cw_displacement, n, |a| {
-            (final_positions[a] - start_pos_of_agent[a]).rem_euclid(1.0)
+        // Back to agent order: agent `a` reads ring position
+        // `(a + offset) mod n`.
+        refill(&mut scratch.final_positions, n, |k| {
+            scratch.pos[k].rem_euclid(1.0)
         });
+        refill(&mut scratch.cw_displacement, n, |k| {
+            (scratch.pos[k] - config.position(k).as_fraction()).rem_euclid(1.0)
+        });
+        for out in [&mut scratch.final_positions, &mut scratch.cw_displacement] {
+            out.rotate_left(offset);
+        }
+        scratch.first_collision.rotate_left(offset);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analytic::AnalyticEngine;
+    use crate::analytic::{AnalyticEngine, AnalyticScratch};
     use crate::config::RingConfig;
     use crate::geometry::Point;
     use ObjectiveDirection::{Anticlockwise as A, Clockwise as C, Idle as I};
@@ -288,8 +284,7 @@ mod tests {
     #[test]
     fn all_clockwise_round_returns_everyone_to_start() {
         let config = RingConfig::builder(6).random_positions(3).build().unwrap();
-        let slots: Vec<usize> = (0..6).collect();
-        let traj = EventEngine::new().simulate(&config, &slots, &[C; 6]);
+        let traj = EventEngine::new().simulate(&config, 0, &[C; 6]);
         for agent in 0..6 {
             assert!(traj.cw_displacement[agent] < EPS || traj.cw_displacement[agent] > 1.0 - EPS);
             assert!(traj.first_collision[agent].is_none());
@@ -303,9 +298,8 @@ mod tests {
         let quarter = crate::geometry::CIRCUMFERENCE / 4;
         let config =
             config_with_positions(&[0, quarter, quarter * 2, quarter * 2 + 10, quarter * 3]);
-        let slots: Vec<usize> = (0..5).collect();
         let dirs = [C, A, C, C, C];
-        let traj = EventEngine::new().simulate(&config, &slots, &dirs);
+        let traj = EventEngine::new().simulate(&config, 0, &dirs);
         // Agents 0 and 1 approach over a gap of 1/4: first collision after 1/8.
         assert!((traj.first_collision[0].unwrap() - 0.125).abs() < EPS);
         assert!((traj.first_collision[1].unwrap() - 0.125).abs() < EPS);
@@ -314,10 +308,10 @@ mod tests {
     #[test]
     fn event_engine_matches_analytic_engine_on_mixed_round() {
         let config = RingConfig::builder(9).random_positions(17).build().unwrap();
-        let slots: Vec<usize> = (0..9).collect();
         let dirs = [C, A, C, A, A, C, C, A, C];
-        let analytic = AnalyticEngine::new().execute(&config, &slots, &dirs);
-        let traj = EventEngine::new().simulate(&config, &slots, &dirs);
+        let mut analytic = AnalyticScratch::new();
+        AnalyticEngine::new().execute_into(&config, 0, &dirs, &mut analytic);
+        let traj = EventEngine::new().simulate(&config, 0, &dirs);
         for agent in 0..9 {
             let expected = analytic.cw_displacement[agent].as_fraction();
             let got = traj.cw_displacement[agent];
@@ -344,7 +338,6 @@ mod tests {
             .random_positions(23)
             .build()
             .unwrap();
-        let slots: Vec<usize> = (0..11).collect();
         let mut scratch = EventScratch::new();
         for round in 0..8u64 {
             let dirs: Vec<ObjectiveDirection> = (0..11)
@@ -356,8 +349,8 @@ mod tests {
                     }
                 })
                 .collect();
-            let fresh = EventEngine::new().simulate(&config, &slots, &dirs);
-            EventEngine::new().simulate_into(&config, &slots, &dirs, &mut scratch);
+            let fresh = EventEngine::new().simulate(&config, 0, &dirs);
+            EventEngine::new().simulate_into(&config, 0, &dirs, &mut scratch);
             assert_eq!(scratch.final_positions, fresh.final_positions);
             assert_eq!(scratch.cw_displacement, fresh.cw_displacement);
             assert_eq!(scratch.first_collision, fresh.first_collision);
@@ -371,16 +364,16 @@ mod tests {
         // mover's first collision is with its clockwise neighbour at the full
         // gap distance (relative speed 1).
         let config = config_with_positions(&[0, 1000, 3000, 7000, 15000]);
-        let slots: Vec<usize> = (0..5).collect();
         let dirs = [C, I, I, I, I];
-        let traj = EventEngine::new().simulate(&config, &slots, &dirs);
+        let traj = EventEngine::new().simulate(&config, 0, &dirs);
         let gap01 = config.gap(0).as_fraction();
         assert!((traj.first_collision[0].unwrap() - gap01).abs() < EPS);
         // The idle neighbour is hit without having moved.
         assert!(traj.first_collision[1].unwrap().abs() < EPS);
         // Rotation index 1: every agent ends at its clockwise neighbour's slot.
-        let analytic = AnalyticEngine::new().execute(&config, &slots, &dirs);
-        assert_eq!(analytic.rotation.shift, 1);
+        let mut analytic = AnalyticScratch::new();
+        let rotation = AnalyticEngine::new().execute_into(&config, 0, &dirs, &mut analytic);
+        assert_eq!(rotation.shift, 1);
         for agent in 0..5 {
             let expected = analytic.cw_displacement[agent].as_fraction();
             let got = traj.cw_displacement[agent];
@@ -388,6 +381,55 @@ mod tests {
                 (expected - got).abs() < 1e-6 || (1.0 - (expected - got).abs()) < 1e-6,
                 "agent {agent}: expected {expected}, got {got}"
             );
+        }
+    }
+
+    /// Two antipodal agents approaching each other are each other's
+    /// neighbour on both sides: they meet at the quarter point, bounce,
+    /// meet again a half lap later at the three-quarter point, and end the
+    /// round back where they started.
+    #[test]
+    fn two_agents_meet_on_both_sides_of_the_ring() {
+        let half = crate::geometry::CIRCUMFERENCE / 2;
+        let config = RingConfig::builder(2)
+            .explicit_positions([0, half].map(Point::from_ticks))
+            .build_any_size()
+            .unwrap();
+        let traj = EventEngine::new().simulate(&config, 0, &[C, A]);
+        let met: Vec<(f64, f64)> = traj
+            .collisions
+            .iter()
+            .map(|c| (c.time, c.position))
+            .collect();
+        assert_eq!(met, vec![(0.25, 0.25), (0.75, 0.75)]);
+        assert_eq!(traj.first_collision, vec![Some(0.25), Some(0.25)]);
+        assert_eq!(traj.final_positions, vec![0.0, 0.5]);
+    }
+
+    /// A rotated state only relabels agents: at offset `o`, agent `a` gets
+    /// exactly what the agent in slot `(a + o) mod n` gets at offset 0,
+    /// and every collision names the same agents relabelled.
+    #[test]
+    fn offset_relabels_agents_only() {
+        let n = 9;
+        let config = RingConfig::builder(n).random_positions(31).build().unwrap();
+        let by_slot = [C, A, A, C, C, A, C, A, C];
+        let at_zero = EventEngine::new().simulate(&config, 0, &by_slot);
+        for offset in 1..n {
+            let dirs: Vec<ObjectiveDirection> = (0..n).map(|a| by_slot[(a + offset) % n]).collect();
+            let traj = EventEngine::new().simulate(&config, offset, &dirs);
+            for a in 0..n {
+                let slot = (a + offset) % n;
+                assert_eq!(traj.final_positions[a], at_zero.final_positions[slot]);
+                assert_eq!(traj.cw_displacement[a], at_zero.cw_displacement[slot]);
+                assert_eq!(traj.first_collision[a], at_zero.first_collision[slot]);
+            }
+            let relabel = |slot: usize| (slot + n - offset) % n;
+            assert_eq!(traj.collisions.len(), at_zero.collisions.len());
+            for (c, z) in traj.collisions.iter().zip(&at_zero.collisions) {
+                assert_eq!((c.time, c.position), (z.time, z.position));
+                assert_eq!(c.agents, (relabel(z.agents.0), relabel(z.agents.1)));
+            }
         }
     }
 }

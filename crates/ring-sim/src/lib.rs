@@ -20,7 +20,8 @@
 //! The crate provides:
 //!
 //! * exact fixed-point circle geometry ([`geometry`]),
-//! * ring configurations and hidden ground truth ([`config`], [`state`]),
+//! * ring configurations and hidden ground truth ([`config`], [`state`]:
+//!   by Lemma 1, one rotation offset rather than a permutation),
 //! * an O(n)-per-round *analytic engine* based on the rotation-index lemma
 //!   and two cyclic first-collision sweeps ([`analytic`]), with the
 //!   earlier binary-search engine kept as its exact oracle ([`reference`]),

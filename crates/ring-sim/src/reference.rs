@@ -9,11 +9,26 @@
 //! against. It is **not** part of the performance surface — never call it
 //! from protocol code.
 
-use crate::analytic::AnalyticRound;
 use crate::config::RingConfig;
 use crate::direction::ObjectiveDirection;
 use crate::geometry::ArcLength;
 use crate::rotation::{rotation_index, RotationIndex};
+
+/// Result of analytically executing one round.
+#[derive(Clone, Debug)]
+pub struct AnalyticRound {
+    /// Rotation index of the round.
+    pub rotation: RotationIndex,
+    /// For each *agent*, the objective clockwise distance between its start
+    /// and end position (zero iff the rotation index is zero).
+    pub cw_displacement: Vec<ArcLength>,
+    /// For each *agent*, the distance travelled until its first collision,
+    /// or `None` if the agent never collides (or the round contains idle
+    /// agents, for which the analytic engine does not model collisions).
+    pub first_collision: Vec<Option<ArcLength>>,
+    /// The new slot of each agent after the round.
+    pub new_slot_of_agent: Vec<usize>,
+}
 
 /// Reusable scratch space for [`analytic_round_reference_into`]: the
 /// output vectors of [`AnalyticRound`] plus the sorted slot lists.

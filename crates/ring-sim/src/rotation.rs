@@ -93,6 +93,20 @@ pub(crate) fn mover_counts(directions: &[ObjectiveDirection]) -> (usize, usize) 
     (n_c, n_a)
 }
 
+/// Appends `slice` read cyclically from index `start` on, mapped through
+/// `f` — with the ring's offset as `start`, the agent-order view of
+/// slot-order data — as two contiguous passes, each of which vectorises.
+pub(crate) fn extend_rotated<T, U>(
+    out: &mut Vec<U>,
+    slice: &[T],
+    start: usize,
+    mut f: impl FnMut(&T) -> U,
+) {
+    let (front, back) = slice.split_at(start);
+    out.extend(back.iter().map(&mut f));
+    out.extend(front.iter().map(f));
+}
+
 /// Rotation index of the round in which exactly the members of a set of
 /// size `k` (out of `n` agents) move clockwise and everybody else moves
 /// anticlockwise — `RI(B) = 2|B| mod n` in the paper's notation

@@ -1,11 +1,16 @@
 //! Mutable ring state and round execution.
 //!
 //! [`RingState`] owns the evolving ground truth of a deployment: which slot
-//! (initial position) each agent currently occupies. Protocols interact with
-//! it exclusively through [`RingState::execute_round_into`], supplying each
-//! agent's chosen [`LocalDirection`] and a reusable [`RoundBuffers`] arena,
-//! and reading back each agent's [`Observation`] — already translated into
-//! the agent's own frame, exactly as the model prescribes. The paper's
+//! (initial position) each agent currently occupies. Agent `i` starts in
+//! slot `i` and, by the rotation-index lemma (Lemma 1), every round shifts
+//! every agent by the same number of slots, so the state is one rotation
+//! offset: agent `i` sits in slot `(i + offset) mod n`.
+//!
+//! Protocols interact with the state exclusively through
+//! [`RingState::execute_round_into`], supplying each agent's chosen
+//! [`LocalDirection`] and a reusable [`RoundBuffers`] arena, and reading
+//! back each agent's [`Observation`] — already translated into the agent's
+//! own frame, exactly as the model prescribes. The paper's
 //! `REVERSEDROUND` is the same call with every direction
 //! [`opposite`](LocalDirection::opposite).
 
@@ -32,9 +37,11 @@ pub enum EngineKind {
 /// A multi-round driver creates one `RoundBuffers`, passes it to every
 /// round, and reads the round's outputs from it between rounds; after the
 /// vectors have grown to the ring size once, round execution performs no
-/// heap allocation at all. Event-engine rounds route through a reusable
-/// [`EventScratch`] held here, so the faulty-path reference executor is
-/// covered by the same guarantee (modulo growth of its collision log).
+/// heap allocation at all. It holds only per-round data; the ring's state
+/// is the one offset in [`RingState`]. Event-engine rounds route through a
+/// reusable [`EventScratch`] held here, so the faulty-path reference
+/// executor is covered by the same guarantee (modulo growth of its
+/// collision log).
 #[derive(Clone, Debug, Default)]
 pub struct RoundBuffers {
     /// Observation of each agent for the last executed round, in that
@@ -62,7 +69,7 @@ impl RoundBuffers {
 #[derive(Clone, Debug)]
 pub struct RingState<'a> {
     config: &'a RingConfig,
-    slot_of_agent: Vec<usize>,
+    offset: usize,
     rounds_executed: u64,
 }
 
@@ -70,8 +77,8 @@ impl<'a> RingState<'a> {
     /// Creates a fresh state in which agent `i` occupies slot `i`.
     pub fn new(config: &'a RingConfig) -> Self {
         RingState {
-            slot_of_agent: (0..config.len()).collect(),
             config,
+            offset: 0,
             rounds_executed: 0,
         }
     }
@@ -102,12 +109,13 @@ impl<'a> RingState<'a> {
     ///
     /// Panics if `agent >= n`.
     pub fn slot_of_agent(&self, agent: usize) -> usize {
-        self.slot_of_agent[agent]
+        assert!(agent < self.len(), "agent {agent} out of range");
+        (agent + self.offset) % self.len()
     }
 
-    /// The full agent → slot assignment.
-    pub fn slots(&self) -> &[usize] {
-        &self.slot_of_agent
+    /// The rotation offset: agent `i` occupies slot `(i + offset) mod n`.
+    pub fn offset(&self) -> usize {
+        self.offset
     }
 
     /// The current position of `agent`.
@@ -116,12 +124,12 @@ impl<'a> RingState<'a> {
     ///
     /// Panics if `agent >= n`.
     pub fn position_of_agent(&self, agent: usize) -> Point {
-        self.config.position(self.slot_of_agent[agent])
+        self.config.position(self.slot_of_agent(agent))
     }
 
     /// Whether every agent is back at its initial slot.
     pub fn at_initial_positions(&self) -> bool {
-        self.slot_of_agent.iter().enumerate().all(|(a, &s)| a == s)
+        self.offset == 0
     }
 
     /// Executes one round given each agent's chosen direction in its **own**
@@ -186,9 +194,9 @@ impl<'a> RingState<'a> {
         self.run_prepared_round(engine, bufs)
     }
 
-    /// Core of every round: executes `bufs.objective`, updating the slots
-    /// in place (a pointer swap with the scratch arena) and writing the
-    /// per-agent observations into `bufs.observations`.
+    /// Core of every round: executes `bufs.objective`, adding the round's
+    /// shift to the offset and writing the per-agent observations into
+    /// `bufs.observations`.
     fn run_prepared_round(
         &mut self,
         engine: EngineKind,
@@ -196,18 +204,18 @@ impl<'a> RingState<'a> {
     ) -> Result<RotationIndex, RingError> {
         let rotation = AnalyticEngine::new().execute_into(
             self.config,
-            &self.slot_of_agent,
+            self.offset,
             &bufs.objective,
             &mut bufs.scratch,
         );
         if engine == EngineKind::Event {
             // The event engine is the reference: use it for collisions, but
-            // keep the (exact) analytic displacement and slots, which the
+            // keep the (exact) analytic displacement and shift, which the
             // property tests show it agrees with. The reusable scratch keeps
             // the faulty-path reference executor allocation-free per round.
             EventEngine::new().simulate_into(
                 self.config,
-                &self.slot_of_agent,
+                self.offset,
                 &bufs.objective,
                 &mut bufs.events,
             );
@@ -245,7 +253,7 @@ impl<'a> RingState<'a> {
                 }),
         );
 
-        std::mem::swap(&mut self.slot_of_agent, &mut bufs.scratch.new_slot_of_agent);
+        self.offset = (self.offset + rotation.shift) % self.len();
         self.rounds_executed += 1;
         Ok(rotation)
     }
@@ -386,7 +394,7 @@ mod tests {
                 assert_eq!(rotation, expected);
                 assert_eq!(bufs.observations, fresh.observations);
                 assert_eq!(bufs.objective_directions(), fresh.objective_directions());
-                assert_eq!(plain.slots(), buffered.slots());
+                assert_eq!(plain.offset(), buffered.offset());
             }
             assert_eq!(plain.rounds_executed(), buffered.rounds_executed());
         }
@@ -412,6 +420,36 @@ mod tests {
         event_ring
             .execute_round_into(&dirs, EngineKind::Event, &mut bufs)
             .unwrap();
-        assert_eq!(analytic_ring.slots(), event_ring.slots());
+        assert_eq!(analytic_ring.offset(), event_ring.offset());
+    }
+
+    #[test]
+    fn slot_of_agent_follows_the_offset() {
+        let config = RingConfig::evenly_spaced(5).unwrap();
+        let mut ring = RingState::new(&config);
+        let mut bufs = RoundBuffers::new();
+        // Four clockwise movers, one anticlockwise: shift 3 per round.
+        let mut dirs = [ObjectiveDirection::Clockwise; 5];
+        dirs[4] = ObjectiveDirection::Anticlockwise;
+        for round in 1..=3 {
+            ring.execute_round_objective_into(&dirs, EngineKind::Analytic, &mut bufs)
+                .unwrap();
+            assert_eq!(ring.offset(), 3 * round % 5);
+            for agent in 0..5 {
+                assert_eq!(ring.slot_of_agent(agent), (agent + 3 * round) % 5);
+                assert_eq!(
+                    ring.position_of_agent(agent),
+                    config.position((agent + 3 * round) % 5)
+                );
+            }
+        }
+        assert!(!ring.at_initial_positions());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn slot_of_agent_panics_past_the_ring() {
+        let config = RingConfig::evenly_spaced(5).unwrap();
+        RingState::new(&config).slot_of_agent(5);
     }
 }

@@ -1,9 +1,13 @@
 //! Property tests validating the analytic engine against the event-driven
 //! reference engine and against the rotation-index lemma (Lemma 1 of the
-//! paper), for arbitrary configurations and direction assignments.
+//! paper), for arbitrary configurations and direction assignments, on
+//! fresh and rotated states.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use ring_sim::prelude::*;
+use ring_sim::AnalyticScratch;
 
 /// Strategy: a ring size, a position seed and an objective direction vector
 /// (optionally including idle agents).
@@ -25,6 +29,23 @@ fn round_inputs(allow_idle: bool) -> impl Strategy<Value = (usize, u64, Vec<Obje
         };
         (Just(n), Just(seed), proptest::collection::vec(dir, n))
     })
+}
+
+/// The state after `prior` rounds of random directions (idles included):
+/// the engines are then compared at a random rotation offset.
+fn rotated_state(config: &RingConfig, prior: usize, seed: u64) -> RingState<'_> {
+    use ObjectiveDirection::{Anticlockwise, Clockwise, Idle};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut ring = RingState::new(config);
+    let mut bufs = RoundBuffers::new();
+    for _ in 0..prior {
+        let dirs: Vec<ObjectiveDirection> = (0..config.len())
+            .map(|_| [Clockwise, Anticlockwise, Idle][rng.gen_range(0..3)])
+            .collect();
+        ring.execute_round_objective_into(&dirs, EngineKind::Analytic, &mut bufs)
+            .unwrap();
+    }
+    ring
 }
 
 fn close(a: f64, b: f64) -> bool {
@@ -53,13 +74,18 @@ proptest! {
     }
 
     /// The analytic engine and the event-driven engine agree on the
-    /// clockwise displacement of every agent (any round, idles allowed).
+    /// clockwise displacement of every agent (any round, idles allowed),
+    /// at the rotation offset left by 0–8 prior rounds.
     #[test]
-    fn engines_agree_on_displacement((n, seed, dirs) in round_inputs(true)) {
+    fn engines_agree_on_displacement(
+        (n, seed, dirs) in round_inputs(true),
+        (prior, prior_seed) in (0usize..=8, any::<u64>()),
+    ) {
         let config = RingConfig::builder(n).random_positions(seed).build().unwrap();
-        let ring = RingState::new(&config);
-        let analytic = AnalyticEngine::new().execute(ring.config(), ring.slots(), &dirs);
-        let traj = EventEngine::new().simulate(ring.config(), ring.slots(), &dirs);
+        let ring = rotated_state(&config, prior, prior_seed);
+        let mut analytic = AnalyticScratch::new();
+        AnalyticEngine::new().execute_into(ring.config(), ring.offset(), &dirs, &mut analytic);
+        let traj = EventEngine::new().simulate(ring.config(), ring.offset(), &dirs);
         for agent in 0..n {
             let expected = analytic.cw_displacement[agent].as_fraction();
             let got = traj.cw_displacement[agent];
@@ -70,13 +96,17 @@ proptest! {
 
     /// The analytic engine and the event-driven engine agree on every
     /// agent's first-collision distance in all-moving rounds
-    /// (Proposition 4).
+    /// (Proposition 4), at the rotation offset left by 0–8 prior rounds.
     #[test]
-    fn engines_agree_on_first_collisions((n, seed, dirs) in round_inputs(false)) {
+    fn engines_agree_on_first_collisions(
+        (n, seed, dirs) in round_inputs(false),
+        (prior, prior_seed) in (0usize..=8, any::<u64>()),
+    ) {
         let config = RingConfig::builder(n).random_positions(seed).build().unwrap();
-        let ring = RingState::new(&config);
-        let analytic = AnalyticEngine::new().execute(ring.config(), ring.slots(), &dirs);
-        let traj = EventEngine::new().simulate(ring.config(), ring.slots(), &dirs);
+        let ring = rotated_state(&config, prior, prior_seed);
+        let mut analytic = AnalyticScratch::new();
+        AnalyticEngine::new().execute_into(ring.config(), ring.offset(), &dirs, &mut analytic);
+        let traj = EventEngine::new().simulate(ring.config(), ring.offset(), &dirs);
         for agent in 0..n {
             match (analytic.first_collision[agent], traj.first_collision[agent]) {
                 (None, None) => {}

@@ -6,6 +6,7 @@
 //! Run with `cargo run -p ring-examples --bin bouncing_billiard`.
 
 use ring_sim::prelude::*;
+use ring_sim::AnalyticScratch;
 
 fn main() -> Result<(), RingError> {
     let n = 7;
@@ -34,7 +35,8 @@ fn main() -> Result<(), RingError> {
     let expected = rotation_index(&directions);
     println!("\nrotation index predicted by Lemma 1: {}", expected.shift);
 
-    let trajectory = EventEngine::new().simulate(&config, &(0..n).collect::<Vec<_>>(), &directions);
+    // A fresh ring: rotation offset 0, agent `i` in slot `i`.
+    let trajectory = EventEngine::new().simulate(&config, 0, &directions);
     println!(
         "\ncollisions during the round ({} in total):",
         trajectory.collisions.len()
@@ -58,13 +60,39 @@ fn main() -> Result<(), RingError> {
         );
     }
 
-    // Cross-check against the exact analytic engine.
-    let mut ring = RingState::new(&config);
-    let rotation = ring.execute_round_objective_into(
-        &directions,
-        EngineKind::Analytic,
-        &mut RoundBuffers::new(),
-    )?;
+    // Cross-check against the exact analytic engine, in the objective
+    // frame: its rotation index against Lemma 1, and every agent's
+    // clockwise displacement against the simulated one (0 and 1 are the
+    // same point of the circle, so the difference is taken modulo 1).
+    let mut analytic = AnalyticScratch::new();
+    let rotation = AnalyticEngine::new().execute_into(&config, 0, &directions, &mut analytic);
+    let mut mismatches = 0;
+    if rotation != expected {
+        eprintln!(
+            "mismatch: analytic rotation index {} vs Lemma 1's {}",
+            rotation.shift, expected.shift
+        );
+        mismatches += 1;
+    }
+    for (agent, (exact, &simulated)) in analytic
+        .cw_displacement
+        .iter()
+        .zip(&trajectory.cw_displacement)
+        .enumerate()
+    {
+        let diff = (exact.as_fraction() - simulated).abs();
+        if diff.min(1.0 - diff) >= 1e-6 {
+            eprintln!(
+                "mismatch: agent {agent} displacement {:.9} (analytic) vs {simulated:.9} (event)",
+                exact.as_fraction()
+            );
+            mismatches += 1;
+        }
+    }
+    if mismatches > 0 {
+        eprintln!("the engines disagree in {mismatches} place(s)");
+        std::process::exit(1);
+    }
     println!(
         "\nanalytic engine agrees: rotation index {} and every displacement matches within 1e-6",
         rotation.shift

@@ -100,7 +100,7 @@ proptest! {
                 .execute_round_into(dirs, EngineKind::Event, &mut event_bufs)
                 .unwrap();
             prop_assert_eq!(rot_a, rot_e);
-            prop_assert_eq!(analytic.slots(), event.slots());
+            prop_assert_eq!(analytic.offset(), event.offset());
             for (a, e) in analytic_bufs.observations.iter().zip(&event_bufs.observations) {
                 prop_assert_eq!(a.dist, e.dist);
                 match (a.coll, e.coll) {
