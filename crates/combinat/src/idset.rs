@@ -15,7 +15,7 @@
 //! zero — the *canonical form* that the word-parallel operations rely on
 //! and debug builds assert.
 //!
-//! The set-algebra and popcount kernels process [`CHUNK`] words per
+//! The set-algebra and popcount kernels process `CHUNK` words per
 //! iteration through `chunks_exact`, which the optimiser turns into SIMD
 //! on stable Rust (the chunk bodies are straight-line, branch-free and
 //! alias-free); the remainder loop covers the final partial chunk. The
@@ -206,7 +206,7 @@ impl IdSet {
     }
 
     /// Number of identifiers in the set — a fused multi-word popcount:
-    /// [`CHUNK`] `count_ones` per iteration folded into one accumulator,
+    /// `CHUNK` `count_ones` per iteration folded into one accumulator,
     /// which keeps the reduction in registers and lets the backend emit
     /// vector popcount sequences where the target has them.
     pub fn len(&self) -> usize {
@@ -247,7 +247,7 @@ impl IdSet {
     }
 
     /// Size of the intersection with `other` — a fused popcount without
-    /// materialising the intersection, [`CHUNK`] words at a time.
+    /// materialising the intersection, `CHUNK` words at a time.
     ///
     /// # Panics
     ///
@@ -316,7 +316,7 @@ impl IdSet {
         out
     }
 
-    /// Complements the set in place (no reallocation), negating [`CHUNK`]
+    /// Complements the set in place (no reallocation), negating `CHUNK`
     /// words per iteration.
     pub fn complement_in_place(&mut self) {
         let mut chunks = self.words.chunks_exact_mut(CHUNK);
@@ -344,7 +344,7 @@ impl IdSet {
         out
     }
 
-    /// In-place set difference `self \= other` (no reallocation), [`CHUNK`]
+    /// In-place set difference `self \= other` (no reallocation), `CHUNK`
     /// words per iteration. Clearing bits cannot violate canonical form, so
     /// no re-canonicalization is needed.
     ///
@@ -379,7 +379,7 @@ impl IdSet {
     }
 
     /// In-place set intersection `self &= other` (no reallocation),
-    /// [`CHUNK`] words per iteration.
+    /// `CHUNK` words per iteration.
     ///
     /// # Panics
     ///
@@ -411,7 +411,7 @@ impl IdSet {
         out
     }
 
-    /// In-place set union `self |= other` (no reallocation), [`CHUNK`]
+    /// In-place set union `self |= other` (no reallocation), `CHUNK`
     /// words per iteration. The union of two canonical sets is canonical.
     ///
     /// # Panics

@@ -1,9 +1,11 @@
 //! Thread-shareable combinatorial structures and the cache-key model used
 //! by the `ring-harness` structure cache.
 //!
-//! The expensive structures of this crate ([`Distinguisher`],
-//! [`SelectiveFamily`] and the lazily generated strong-distinguisher
-//! sequences) are pure functions of `(kind, N, n, seed)`. [`StructureKey`]
+//! The expensive structures of this crate
+//! ([`Distinguisher`](crate::Distinguisher),
+//! [`SelectiveFamily`](crate::SelectiveFamily) and the lazily generated
+//! strong-distinguisher sequences) are pure functions of
+//! `(kind, N, n, seed)`. [`StructureKey`]
 //! names one such construction so that a sweep harness can memoise it once
 //! and share it — read-only, behind an `Arc` — across worker threads.
 //!

@@ -19,6 +19,7 @@ use crate::plan::ShardRange;
 use serde::{Serialize, Value};
 use std::io;
 use std::path::{Path, PathBuf};
+use SpecFlagKind::{List, Number, Switch};
 
 /// The manifest schema identifier.
 pub const MANIFEST_SCHEMA: &str = "ring-distrib/v1";
@@ -218,7 +219,7 @@ impl SpecParams {
 
     /// The `ringlab` argv (minus the binary) that makes a worker execute
     /// `range` of this spec: `worker <subcommand> --shard i/M …` plus
-    /// exactly the override flags the spec records. Every dispatcher —
+    /// exactly the [`SPEC_FLAGS`] the spec sets. Every dispatcher —
     /// `ringlab --shards`, `resume`, and the `ring-serve` daemon's TCP job
     /// frames — builds worker invocations through this one function, so a
     /// shard reruns identically no matter who launches it.
@@ -241,52 +242,104 @@ impl SpecParams {
             args.push("--structure-store".into());
             args.push(structure_store.to_string());
         }
-        if self.quick {
-            args.push("--quick".into());
-        }
-        if let Some(sizes) = &self.sizes {
-            args.push("--sizes".into());
-            args.push(join_list(sizes));
-        }
-        if let Some(factors) = &self.universe_factors {
-            args.push("--universe-factors".into());
-            args.push(join_list(factors));
-        }
-        if let Some(reps) = self.reps {
-            args.push("--reps".into());
-            args.push(reps.to_string());
-        }
-        if let Some(seed) = self.seed {
-            args.push("--seed".into());
-            args.push(seed.to_string());
-        }
-        if let Some(k) = self.structure_seeds {
-            args.push("--structure-seed-mode".into());
-            args.push("per-case".into());
-            args.push("--structure-seeds".into());
-            args.push(k.to_string());
-        }
-        if let Some(drops) = &self.fault_drops {
-            args.push("--fault-drops".into());
-            args.push(join_list(drops));
-        }
-        if let Some(crashes) = self.fault_crashes {
-            args.push("--fault-crashes".into());
-            args.push(crashes.to_string());
-        }
-        if let Some(churn) = self.fault_churn {
-            args.push("--fault-churn".into());
-            args.push(churn.to_string());
-        }
-        if self.fault_adversarial {
-            args.push("--fault-adversarial".into());
+        let spec = self.to_json();
+        for flag in &SPEC_FLAGS {
+            match spec.get(flag.field) {
+                Some(Value::Bool(true)) => args.push(flag.name()),
+                // A number's operand is its JSON text, a list's its compact
+                // JSON array without the brackets.
+                Some(value @ (Value::Uint(_) | Value::Array(_))) => {
+                    let json = serde_json::to_string(value).expect("serializable spec field");
+                    args.extend([flag.name(), json.trim_matches(['[', ']']).to_string()]);
+                }
+                _ => {}
+            }
         }
         args
     }
 }
 
-fn join_list<T: std::fmt::Display>(items: &[T]) -> String {
-    items.iter().map(T::to_string).collect::<Vec<_>>().join(",")
+/// How a spec flag's operand is written on the command line.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SpecFlagKind {
+    /// No operand: the flag sets its field to `true`.
+    Switch,
+    /// One unsigned integer.
+    Number,
+    /// Comma-separated unsigned integers.
+    List,
+}
+
+/// One spec-affecting `ringlab` flag. The flag is the JSON field with `-`
+/// for `_` (`universe_factors` is set by `--universe-factors`), so argv,
+/// manifests and `POST /v1/runs` bodies name every axis the same way.
+#[derive(Clone, Copy, Debug)]
+pub struct SpecFlag {
+    /// The [`SpecParams`] JSON field the flag sets.
+    pub field: &'static str,
+    /// How the operand is written.
+    pub kind: SpecFlagKind,
+    /// One line of usage help.
+    pub help: &'static str,
+}
+
+/// Every spec-affecting `ringlab` flag, in [`SpecParams`] field order —
+/// the one declaration the `ringlab` parser, its usage text and
+/// [`SpecParams::worker_args`] read. The parser decodes each operand into
+/// its JSON field and builds the spec with [`SpecParams::from_json`].
+#[rustfmt::skip]
+pub const SPEC_FLAGS: [SpecFlag; 10] = [
+    SpecFlag { field: "quick", kind: Switch, help: "reduced sizes (CI smoke)" },
+    SpecFlag { field: "sizes", kind: List, help: "ring sizes (set sizes for `scaling`)" },
+    SpecFlag { field: "universe_factors", kind: List, help: "N = factor·n (not for `scaling`)" },
+    SpecFlag { field: "reps", kind: Number, help: "repetitions per configuration (not `scaling`)" },
+    SpecFlag { field: "seed", kind: Number, help: "base seed" },
+    SpecFlag { field: "structure_seeds", kind: Number, help: "per-case schedule over N seeds" },
+    SpecFlag { field: "fault_drops", kind: List, help: "(`faults` only) per-mille drop rates" },
+    SpecFlag { field: "fault_crashes", kind: Number, help: "(`faults` only) crash-stop stations" },
+    SpecFlag { field: "fault_churn", kind: Number, help: "(`faults` only) churning stations" },
+    SpecFlag { field: "fault_adversarial", kind: Switch, help: "(`faults` only) deny activation" },
+];
+
+impl SpecFlag {
+    /// The flag as written on the command line.
+    pub fn name(&self) -> String {
+        format!("--{}", self.field.replace('_', "-"))
+    }
+
+    /// The operand placeholder of the usage text (empty for a switch).
+    pub fn operand(&self) -> &'static str {
+        match self.kind {
+            Switch => "",
+            Number => "N",
+            List => "a,b,..",
+        }
+    }
+
+    /// Decodes the flag's operand (ignored for a switch) into the JSON value
+    /// of its field.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of an operand that is not a number or a list
+    /// of numbers.
+    pub fn decode(&self, operand: &str) -> Result<Value, String> {
+        let number = |text: &str| {
+            text.parse()
+                .map(Value::Uint)
+                .map_err(|_| format!("{}: `{text}` is not a number", self.name()))
+        };
+        match self.kind {
+            Switch => Ok(Value::Bool(true)),
+            Number => number(operand),
+            List => operand
+                .split(',')
+                .filter(|part| !part.is_empty())
+                .map(|part| number(part.trim()))
+                .collect::<Result<_, _>>()
+                .map(Value::Array),
+        }
+    }
 }
 
 /// The run manifest.
@@ -898,6 +951,41 @@ mod tests {
         assert_eq!(manifest.shards[1].status, ShardStatus::Pending);
         assert_eq!(manifest.shards[2].status, ShardStatus::Pending);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn spec_flags_cover_every_spec_field_in_order() {
+        let spec = SpecParams {
+            subcommand: "faults".into(),
+            quick: true,
+            sizes: Some(vec![9]),
+            universe_factors: Some(vec![4]),
+            reps: Some(2),
+            seed: Some(3),
+            structure_seeds: Some(4),
+            fault_drops: Some(vec![100]),
+            fault_crashes: Some(1),
+            fault_churn: Some(2),
+            fault_adversarial: true,
+        };
+        let json = spec.to_json();
+        let fields = json.as_object().unwrap();
+        assert_eq!(fields[0].0, "subcommand");
+        assert_eq!(fields.len() - 1, SPEC_FLAGS.len());
+        for ((field, value), flag) in fields[1..].iter().zip(&SPEC_FLAGS) {
+            assert_eq!(field, flag.field);
+            let kind = match value {
+                Value::Bool(_) => SpecFlagKind::Switch,
+                Value::Uint(_) => SpecFlagKind::Number,
+                _ => SpecFlagKind::List,
+            };
+            assert_eq!(kind, flag.kind, "{field}");
+        }
+        // Every set field reaches the worker argv exactly once.
+        let args = spec.worker_args(1, &plan_shards(4, 1)[0], 1, "");
+        for flag in &SPEC_FLAGS {
+            assert_eq!(args.iter().filter(|a| **a == flag.name()).count(), 1);
+        }
     }
 
     #[test]

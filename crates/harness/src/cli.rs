@@ -41,84 +41,14 @@
 //!                      tmp/claim leftovers and unreferenced blobs
 //!                    structures stats    per-kind blob counts, bytes and
 //!                      logical-keys-per-blob dedup ratios (stderr JSON)
-//!
-//! flags:
-//!   --quick                   reduced sizes (CI smoke)
-//!   --jobs N                  worker threads (default: all cores); with
-//!                             --shards: concurrent worker processes
-//!   --sizes a,b,…             override ring / set sizes
-//!   --universe-factors a,b,…  override universe factors (N = factor·n;
-//!                             not applicable to `scaling`)
-//!   --reps K                  override repetitions per configuration
-//!                             (not applicable to `scaling`)
-//!   --seed S                  override the base seed
-//!   --jsonl PATH|-            JSONL destination (default results/<sub>.jsonl,
-//!                             `-` = stdout)
-//!   --no-jsonl                disable the JSONL stream
-//!   --shards M                shard the sweep over M worker processes and
-//!                             merge the results (byte-identical to the
-//!                             single-process run)
-//!   --shard i/M               run only shard i of an M-way plan in this
-//!                             process (manual fleet distribution)
-//!   --run-dir DIR             sharded-run directory (manifest + shard
-//!                             files; default results/distrib/<sub>)
-//!   --retries R               extra worker launches per failing shard
-//!                             (default 1)
-//!   --structure-store [DIR]   enable the on-disk structure store: every
-//!                             thread and every worker process draws its
-//!                             combinatorial structures from DIR (default:
-//!                             results/structures, or <run-dir>/structures
-//!                             for sharded runs), constructing each one
-//!                             once per fleet and loading it everywhere
-//!                             else; output stays byte-identical
-//!   --structure-seed-mode fixed|per-case
-//!                             structure-seed schedule of the sweep: fixed
-//!                             (default) hands every case the protocol's
-//!                             STRUCTURE_SEED; per-case rotates the cases
-//!                             through K distinct schedule seeds, so
-//!                             repetitions additionally sample structure
-//!                             randomness (seed-diverse sweeps). Against a
-//!                             store the K seeds share one strong blob per
-//!                             universe.
-//!   --structure-seeds K       number of schedule seeds in per-case mode
-//!                             (default 4; implies per-case)
-//!   --fault-drops a,b,…       (`faults` only) per-mille message-drop rates
-//!                             to sweep (default 0,50,100,200,400)
-//!   --fault-crashes K         (`faults` only) crash-stop stations per case
-//!   --fault-churn K           (`faults` only) churning stations per case
-//!   --fault-adversarial       (`faults` only) rotate an adversarial
-//!                             activation-denial window over the ring
-//!   --shard-timeout SECS      wall-clock budget per worker attempt; a
-//!                             worker exceeding it is killed and retried
-//!                             (recorded in the manifest, so `resume`
-//!                             supervises the same way)
-//!   --render-fig3 PATH        (`faults`, single-process) additionally
-//!                             write the Figure-3-style degradation
-//!                             artifact (median rounds and failure % per
-//!                             drop rate and ring size) to PATH
-//!   --listen ADDR             (`serve`) the daemon's bind address
-//!                             (host:port; port 0 picks a free port,
-//!                             published in <data-dir>/endpoint)
-//!   --data-dir DIR            (`serve`) daemon state directory (default
-//!                             results/serve): endpoint file plus one
-//!                             runs/run-NNNN/ directory per submission
-//!   --lease-timeout SECS      (`serve`) how long a shard attempt waits
-//!                             for an idle worker before counting as a
-//!                             retryable launch failure (default 600)
-//!   --connect ADDR            (`worker`) register with a serve daemon
-//!                             and execute its job frames over TCP
-//!   --stats                   print structure-cache / structure-store /
-//!                             executor statistics as JSON on stderr
-//!                             (fleet-wide aggregates for sharded runs)
-//!   --trace                   write span-trace sidecars (one
-//!                             trace-<pid>.jsonl per process) into the
-//!                             trace directory; sweep output stays
-//!                             byte-identical — telemetry never touches
-//!                             stdout or shard files
-//!   --trace-dir DIR           trace sidecar directory (default: the run
-//!                             directory for sharded runs, results/trace
-//!                             otherwise; implies --trace)
 //! ```
+//!
+//! Every flag is declared once. The spec-affecting ones, which a run
+//! manifest records and every worker receives, are
+//! [`ring_distrib::SPEC_FLAGS`]; all others are this module's `FLAGS`
+//! table. The parser, the usage text, the per-subcommand scope checks and
+//! the worker argv all read those two tables, and every usage error lists
+//! each flag with its help line.
 //!
 //! Results stream to the JSONL destination incrementally in case order and
 //! the markdown tables print at the end. When the JSONL stream goes to
@@ -138,40 +68,26 @@ use crate::store::StructureStore;
 use ring_combinat::shared::splitmix64;
 use ring_distrib::{
     fail_after_from_env, merge_shards, plan_shards, run_pending_shards, DoneEvent, Manifest,
-    OrchestratorOptions, ShardTally, SpecParams, StartEvent,
+    OrchestratorOptions, ShardTally, SpecParams, StartEvent, SPEC_FLAGS,
 };
 use ring_experiments::distinguisher_scaling::ScalingSpec;
 use ring_experiments::report::{aggregate, format_markdown_table};
 use ring_experiments::{FaultAxes, Measurement, SweepSpec};
 use ring_protocols::structures::StructureProvider;
+use ring_sim::config::MIN_AGENTS;
+use serde::Value;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-const USAGE: &str =
-    "usage: ringlab <table1|table2|fig1|fig2|scaling|lower-bounds|all|sweep|faults> \
-[--quick] [--jobs N] [--sizes a,b,..] [--universe-factors a,b,..] [--reps K] [--seed S] \
-[--structure-seed-mode fixed|per-case] [--structure-seeds K] \
-[--fault-drops a,b,..] [--fault-crashes K] [--fault-churn K] [--fault-adversarial] \
-[--render-fig3 PATH] [--jsonl PATH|-] [--no-jsonl] [--shards M] [--shard i/M] [--run-dir DIR] [--retries R] \
-[--shard-timeout SECS] [--structure-store [DIR]] [--stats] [--trace] [--trace-dir DIR]
-       ringlab worker <subcommand> --shard i/M [spec flags] [--structure-store DIR]
-       ringlab worker --connect ADDR
-       ringlab serve --listen ADDR [--data-dir DIR] [--jobs N] [--retries R] \
-[--shard-timeout SECS] [--lease-timeout SECS]
-       ringlab merge [--run-dir DIR | SHARD.jsonl ..] [--jsonl PATH|-]
-       ringlab resume <RUN_DIR> [--jobs N] [--jsonl PATH|-] [--stats]
-       ringlab trace summarize <RUN_DIR>
-       ringlab structures <prebuild <subcommand> [spec flags]|verify|gc|stats> \
-[--structure-store DIR]";
-
 /// Default structure-store directory for non-sharded invocations (sharded
 /// runs default into `<run-dir>/structures` instead).
 const DEFAULT_STORE_DIR: &str = "results/structures";
 
 /// Parsed command-line options.
+#[derive(Default)]
 struct Options {
     /// The invoked subcommand (`worker`, `structures`, `sweep`, …).
     subcommand: String,
@@ -181,6 +97,7 @@ struct Options {
     /// worker (or prebuild) resolves the same spec, and the same
     /// fingerprint, as its orchestrator.
     spec: SpecParams,
+    // Most fields below hold one of the `FLAGS`, named after it.
     jobs: usize,
     jsonl: Option<String>,
     no_jsonl: bool,
@@ -191,50 +108,178 @@ struct Options {
     /// `None` = no store; `Some(None)` = store at the context default
     /// directory; `Some(Some(dir))` = store at an explicit directory.
     structure_store: Option<Option<String>>,
-    /// `--shard-timeout` in seconds (`None` = unlimited).
+    /// `--structure-seed-mode`: `Some(true)` = per-case, `Some(false)` =
+    /// fixed. [`parse`] folds it into `spec.structure_seeds`.
+    per_case: Option<bool>,
     shard_timeout: Option<u64>,
-    /// `serve --listen ADDR`: the daemon's bind address.
     listen: Option<String>,
-    /// `worker --connect ADDR`: register with a daemon instead of running
-    /// one stdio shard.
     connect: Option<String>,
-    /// `serve --data-dir DIR`: the daemon's state directory (endpoint file
-    /// plus `runs/run-NNNN/` run directories).
     data_dir: Option<String>,
-    /// `serve --lease-timeout SECS`: how long a shard attempt waits for an
-    /// idle worker before counting as a (retryable) launch failure.
     lease_timeout: Option<u64>,
-    /// `faults --render-fig3 PATH`: write the Figure-3-style degradation
-    /// artifact alongside the tables (single-process `faults` only).
     render_fig3: Option<String>,
     stats: bool,
-    /// `--trace`: write span-trace sidecars. Runtime-only — never part of
-    /// the spec fingerprint, never visible in sweep output.
+    /// Runtime-only, like `trace_dir`: never part of the spec fingerprint,
+    /// never visible in sweep output.
     trace: bool,
-    /// `--trace-dir DIR`: explicit sidecar directory (implies `--trace`);
-    /// orchestrators pass the run directory to their workers through this.
     trace_dir: Option<String>,
     positionals: Vec<String>,
 }
 
-/// Subcommands `run` dispatches on (usage errors for anything else).
-const SUBCOMMANDS: [&str; 15] = [
-    "table1",
-    "table2",
-    "fig1",
-    "fig2",
-    "scaling",
-    "lower-bounds",
-    "all",
-    "sweep",
-    "faults",
-    "worker",
-    "merge",
-    "resume",
-    "structures",
-    "serve",
-    "trace",
+/// A `ringlab` flag outside the sweep spec (the spec's flags are
+/// [`SPEC_FLAGS`]).
+struct Flag {
+    name: &'static str,
+    /// The operand placeholder of the usage text: empty for a switch,
+    /// bracketed (`[DIR]`) for an optional operand, which is taken unless
+    /// the next argument is a flag.
+    operand: &'static str,
+    /// The one subcommand the flag applies to (empty = any).
+    only: &'static str,
+    /// One line of usage help.
+    help: &'static str,
+    /// Stores the operand (`None` for a switch or an omitted optional
+    /// operand); an error describes a bad operand.
+    set: fn(&mut Options, Option<String>) -> Result<(), String>,
+}
+
+/// Every `ringlab` flag outside the sweep spec — the one declaration the
+/// parser, the usage text and the scope checks read. Orchestrators forward
+/// `--shard`, `--jobs`, `--structure-store` and `--trace-dir` to their
+/// workers next to the spec flags. Laid out as a table, one flag per row.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag { name: "--jobs", operand: "N", only: "",
+        help: "worker threads (default: all cores); with --shards: concurrent workers",
+        set: |o, v| store(&mut o.jobs, integer(v)) },
+    Flag { name: "--jsonl", operand: "PATH|-", only: "",
+        help: "JSONL destination (default results/<sub>.jsonl; `-` = stdout)",
+        set: |o, v| store(&mut o.jsonl, Ok(v)) },
+    Flag { name: "--no-jsonl", operand: "", only: "",
+        help: "disable the JSONL stream",
+        set: |o, _| store(&mut o.no_jsonl, Ok(true)) },
+    Flag { name: "--shards", operand: "M", only: "",
+        help: "shard the sweep over M worker processes and merge the results",
+        set: |o, v| store(&mut o.shards, integer(v)) },
+    Flag { name: "--shard", operand: "i/M", only: "",
+        help: "run only shard i of an M-way plan in this process",
+        set: |o, v| {
+            let text = v.unwrap_or_default();
+            let (i, m) = text.split_once('/').ok_or("expects i/M (e.g. 0/4)")?;
+            let (Ok(shard), Ok(of)) = (i.parse(), m.parse()) else {
+                return Err("expects i/M with integers i and M".into());
+            };
+            if of == 0 || shard >= of {
+                return Err(format!("{shard}/{of} is out of range (need i < M)"));
+            }
+            store(&mut o.shard, Ok(Some((shard, of))))
+        } },
+    Flag { name: "--run-dir", operand: "DIR", only: "",
+        help: "sharded-run directory (default results/distrib/<sub>)",
+        set: |o, v| store(&mut o.run_dir, Ok(v)) },
+    Flag { name: "--retries", operand: "R", only: "",
+        help: "extra worker launches per failing shard (default 1)",
+        set: |o, v| store(&mut o.retries, integer(v)) },
+    Flag { name: "--shard-timeout", operand: "SECS", only: "",
+        help: "wall-clock budget per worker attempt; a worker past it is killed and retried",
+        set: |o, v| store(&mut o.shard_timeout, seconds(v).map(Some)) },
+    Flag { name: "--structure-store", operand: "[DIR]", only: "",
+        help: "on-disk structure store (default results/structures, or <run-dir>/structures)",
+        set: |o, v| store(&mut o.structure_store, Ok(Some(v))) },
+    Flag { name: "--structure-seed-mode", operand: "fixed|per-case", only: "",
+        help: "structure-seed schedule (default fixed; per-case uses 4 seeds)",
+        set: |o, v| match v.unwrap_or_default().as_str() {
+            "fixed" => store(&mut o.per_case, Ok(Some(false))),
+            "per-case" => store(&mut o.per_case, Ok(Some(true))),
+            other => Err(format!("expects fixed or per-case, not `{other}`")),
+        } },
+    Flag { name: "--render-fig3", operand: "PATH", only: "faults",
+        help: "also write the Figure 3 degradation artifact (single process)",
+        set: |o, v| store(&mut o.render_fig3, Ok(v)) },
+    Flag { name: "--listen", operand: "ADDR", only: "serve",
+        help: "the daemon's bind address (port 0 picks a free port)",
+        set: |o, v| store(&mut o.listen, Ok(v)) },
+    Flag { name: "--data-dir", operand: "DIR", only: "serve",
+        help: "daemon state directory (default results/serve)",
+        set: |o, v| store(&mut o.data_dir, Ok(v)) },
+    Flag { name: "--lease-timeout", operand: "SECS", only: "serve",
+        help: "how long a shard attempt waits for an idle worker (default 600)",
+        set: |o, v| store(&mut o.lease_timeout, seconds(v).map(Some)) },
+    Flag { name: "--connect", operand: "ADDR", only: "worker",
+        help: "register with a serve daemon and run its job frames over TCP",
+        set: |o, v| store(&mut o.connect, Ok(v)) },
+    Flag { name: "--stats", operand: "", only: "",
+        help: "print cache, store and executor statistics as JSON on stderr",
+        set: |o, _| store(&mut o.stats, Ok(true)) },
+    Flag { name: "--trace", operand: "", only: "",
+        help: "write span-trace sidecars (one trace-<pid>.jsonl per process)",
+        set: |o, _| store(&mut o.trace, Ok(true)) },
+    Flag { name: "--trace-dir", operand: "DIR", only: "",
+        help: "trace sidecar directory (implies --trace; default: run dir or results/trace)",
+        set: |o, v| { o.trace = true; store(&mut o.trace_dir, Ok(v)) } },
 ];
+
+/// A flag setter's one step: store a decoded operand into its option.
+fn store<T>(slot: &mut T, value: Result<T, String>) -> Result<(), String> {
+    *slot = value?;
+    Ok(())
+}
+
+/// A flag's operand as a non-negative integer.
+fn integer<T: std::str::FromStr>(operand: Option<String>) -> Result<T, String> {
+    let text = operand.unwrap_or_default();
+    text.parse()
+        .map_err(|_| format!("expects a non-negative integer, not `{text}`"))
+}
+
+/// A flag's operand as a positive number of seconds.
+fn seconds(operand: Option<String>) -> Result<u64, String> {
+    match integer(operand) {
+        Ok(0) | Err(_) => Err("expects a positive number of seconds".into()),
+        Ok(seconds) => Ok(seconds),
+    }
+}
+
+/// The usage text: a synopsis per subcommand, then every flag of both
+/// tables with its operand and help line.
+fn usage() -> String {
+    let line = |name: &str, operand: &str, help: &str| {
+        format!("\n  {:<27} {help}", format!("{name} {operand}").trim_end())
+    };
+    let mut out = format!(
+        "usage: ringlab <{EXPERIMENTS}> [spec flags] [flags]
+       ringlab worker <subcommand> --shard i/M [spec flags] [flags]
+       ringlab worker --connect ADDR
+       ringlab serve --listen ADDR [flags]
+       ringlab merge [--run-dir DIR | SHARD.jsonl ..] [--jsonl PATH|-]
+       ringlab resume <RUN_DIR> [flags]
+       ringlab trace summarize <RUN_DIR>
+       ringlab structures <prebuild <subcommand> [spec flags]|verify|gc|stats> [flags]
+spec flags (recorded in run manifests, forwarded to workers):"
+    );
+    for flag in &SPEC_FLAGS {
+        out.push_str(&line(&flag.name(), flag.operand(), flag.help));
+    }
+    out.push_str("\nflags:");
+    for flag in FLAGS {
+        let help = match flag.only {
+            "" => flag.help.to_string(),
+            only => format!("(`{only}` only) {}", flag.help),
+        };
+        out.push_str(&line(flag.name, flag.operand, &help));
+    }
+    out
+}
+
+/// The experiment subcommands, which enumerate cases for the sweep engine.
+const EXPERIMENTS: &str = "table1|table2|fig1|fig2|scaling|lower-bounds|all|sweep|faults";
+
+/// The other subcommands `run` dispatches on.
+const TOOLS: &str = "worker|merge|resume|structures|serve|trace";
+
+/// Whether `name` is in a `|`-separated subcommand list.
+fn listed(list: &str, name: &str) -> bool {
+    list.split('|').any(|entry| entry == name)
+}
 
 /// Runs the CLI on explicit arguments (without the program name), returning
 /// the process exit code.
@@ -242,19 +287,10 @@ pub fn run(args: &[String]) -> i32 {
     let options = match parse(args) {
         Ok(options) => options,
         Err(message) => {
-            eprintln!("ringlab: {message}\n{USAGE}");
+            eprintln!("ringlab: {message}\n{}", usage());
             return 2;
         }
     };
-    // Unknown subcommands are usage errors (exit 2, like bad flags), not
-    // runtime failures.
-    if !SUBCOMMANDS.contains(&options.subcommand.as_str()) {
-        eprintln!(
-            "ringlab: unknown subcommand `{}`\n{USAGE}",
-            options.subcommand
-        );
-        return 2;
-    }
     if let Err(message) = init_trace(&options) {
         eprintln!("ringlab: {message}");
         return 1;
@@ -334,7 +370,7 @@ fn items_for(
             items
         }
         "faults" => faults_items(spec),
-        other => return Err(format!("unknown subcommand `{other}`\n{USAGE}")),
+        other => return Err(format!("unknown subcommand `{other}`\n{}", usage())),
     })
 }
 
@@ -738,7 +774,7 @@ fn run_worker_shard<E: Write, R: Write + Send>(
     record_out: R,
 ) -> Result<(), String> {
     if options.spec.subcommand.is_empty() {
-        return Err(format!("worker needs a subcommand\n{USAGE}"));
+        return Err(format!("worker needs a subcommand\n{}", usage()));
     }
     let Some((shard, of)) = options.shard else {
         return Err("worker requires --shard i/M".into());
@@ -927,7 +963,7 @@ fn cmd_serve(options: &Options) -> Result<i32, String> {
         return Err(format!("unexpected argument `{}`", options.positionals[0]));
     }
     let Some(listen) = options.listen.clone() else {
-        return Err(format!("serve requires --listen ADDR\n{USAGE}"));
+        return Err(format!("serve requires --listen ADDR\n{}", usage()));
     };
     let data_dir = PathBuf::from(
         options
@@ -1010,7 +1046,7 @@ fn cmd_resume(options: &Options) -> Result<i32, String> {
     let run_dir = match (&options.run_dir, options.positionals.as_slice()) {
         (Some(dir), []) => PathBuf::from(dir),
         (None, [dir]) => PathBuf::from(dir),
-        (None, []) => return Err(format!("resume needs a run directory\n{USAGE}")),
+        (None, []) => return Err(format!("resume needs a run directory\n{}", usage())),
         _ => return Err("resume takes exactly one run directory".into()),
     };
     let mut manifest = Manifest::load(&run_dir)?;
@@ -1194,7 +1230,7 @@ manifest {}",
 /// plus unreferenced blobs, `stats` reports per-kind dedup ratios.
 fn cmd_structures(options: &Options) -> Result<i32, String> {
     let Some(action) = options.positionals.first() else {
-        return Err(format!("structures needs an action\n{USAGE}"));
+        return Err(format!("structures needs an action\n{}", usage()));
     };
     let dir = options
         .structure_store
@@ -1205,7 +1241,10 @@ fn cmd_structures(options: &Options) -> Result<i32, String> {
     match action.as_str() {
         "prebuild" => {
             let Some(subcommand) = options.positionals.get(1) else {
-                return Err(format!("structures prebuild needs a subcommand\n{USAGE}"));
+                return Err(format!(
+                    "structures prebuild needs a subcommand\n{}",
+                    usage()
+                ));
             };
             if options.positionals.len() > 2 {
                 return Err(format!("unexpected argument `{}`", options.positionals[2]));
@@ -1302,7 +1341,7 @@ fn cmd_structures(options: &Options) -> Result<i32, String> {
             );
             Ok(0)
         }
-        other => Err(format!("unknown structures action `{other}`\n{USAGE}")),
+        other => Err(format!("unknown structures action `{other}`\n{}", usage())),
     }
 }
 
@@ -1326,7 +1365,7 @@ fn cmd_merge(options: &Options) -> Result<i32, String> {
         (manifest.shard_files(&run_dir), Some(manifest.total_cases))
     } else {
         if options.positionals.is_empty() {
-            return Err(format!("merge needs shard files or --run-dir\n{USAGE}"));
+            return Err(format!("merge needs shard files or --run-dir\n{}", usage()));
         }
         // Hand-listed shard files: indices must be strictly ascending, but
         // the full 0..total sequence is only enforced when the caller
@@ -1358,7 +1397,10 @@ fn cmd_trace(options: &Options) -> Result<i32, String> {
                 (Some(dir), None) => PathBuf::from(dir),
                 (None, Some(dir)) => PathBuf::from(dir),
                 (None, None) => {
-                    return Err(format!("trace summarize needs a run directory\n{USAGE}"))
+                    return Err(format!(
+                        "trace summarize needs a run directory\n{}",
+                        usage()
+                    ))
                 }
                 _ => return Err("trace summarize takes exactly one run directory".into()),
             };
@@ -1370,8 +1412,8 @@ fn cmd_trace(options: &Options) -> Result<i32, String> {
             );
             Ok(0)
         }
-        Some(other) => Err(format!("unknown trace action `{other}`\n{USAGE}")),
-        None => Err(format!("trace needs an action\n{USAGE}")),
+        Some(other) => Err(format!("unknown trace action `{other}`\n{}", usage())),
+        None => Err(format!("trace needs an action\n{}", usage())),
     }
 }
 
@@ -1762,8 +1804,11 @@ fn write_fig3(path: &str, measurements: &[Measurement]) -> Result<(), String> {
 }
 
 /// Every rule a sweep spec must satisfy before anything enumerates it. The
-/// parser and the daemon's submission resolver both call this one check,
-/// so a spec either accepts is a spec every worker accepts.
+/// parser, the daemon's submission resolver and `resume` all call this one
+/// check, so a spec any of them accepts is a spec every worker runs
+/// without panicking: rings have at least `MIN_AGENTS` agents, universes
+/// are positive and at most [`MAX_UNIVERSE`], and scaling set sizes fit
+/// twice into the scaling universe.
 fn validate_spec(spec: &SpecParams) -> Result<(), String> {
     if spec.sizes.as_ref().is_some_and(Vec::is_empty) {
         return Err("--sizes expects at least one size".into());
@@ -1825,8 +1870,36 @@ keyed by the scaling seed; use --seed)"
     {
         return Err("--fault-drops rates are per mille (at most 1000)".into());
     }
+    let experiment = spec.subcommand.as_str();
+    if experiment != "scaling" && listed(EXPERIMENTS, experiment) {
+        let sweep = sweep_spec(spec);
+        if let Some(n) = sweep.sizes.iter().find(|&&n| n < MIN_AGENTS) {
+            return Err(format!("--sizes: rings need {MIN_AGENTS}+ agents, not {n}"));
+        }
+        let n = sweep.sizes.iter().max().map_or(0, |&n| n as u64);
+        let factor = sweep.universe_factors.iter().max().copied().unwrap_or(0);
+        let largest = factor.saturating_mul(n);
+        if sweep.universe_factors.contains(&0) || largest > MAX_UNIVERSE {
+            return Err(format!("universe factor·n must be in 1..={MAX_UNIVERSE}"));
+        }
+    }
+    // Scaling measures pairs of disjoint sets, so each set size must fit
+    // twice into the scaling universe.
+    if experiment == "scaling" || experiment == "all" {
+        let scaling = scaling_spec(spec);
+        let largest = scaling.universe / 2;
+        if scaling.sizes.iter().any(|&n| n == 0 || n as u64 > largest) {
+            return Err(format!("scaling set sizes must lie in 1..={largest}"));
+        }
+    }
     Ok(())
 }
+
+/// The largest identifier universe (`factor·n`) a sweep accepts. One dense
+/// `IdSet` over it is 512 MiB, so a sweep past it would die in an
+/// allocation rather than measure anything; the largest universe a
+/// benchmark uses is 64·512 = 2^15.
+const MAX_UNIVERSE: u64 = 1 << 32;
 
 fn sweep_spec(params: &SpecParams) -> SweepSpec {
     let mut spec = if params.quick {
@@ -1883,216 +1956,70 @@ fn scaling_spec(params: &SpecParams) -> ScalingSpec {
     scaling
 }
 
+/// Parses an argv (without the program name). Flags come from [`FLAGS`]
+/// and [`SPEC_FLAGS`]; only the rules that involve more than one flag are
+/// checked here by hand.
 fn parse(args: &[String]) -> Result<Options, String> {
     let mut options = Options {
-        subcommand: String::new(),
-        spec: SpecParams::default(),
-        jobs: 0,
-        jsonl: None,
-        no_jsonl: false,
-        shards: 0,
-        shard: None,
-        run_dir: None,
         retries: 1,
-        structure_store: None,
-        shard_timeout: None,
-        listen: None,
-        connect: None,
-        data_dir: None,
-        lease_timeout: None,
-        render_fig3: None,
-        stats: false,
-        trace: false,
-        trace_dir: None,
-        positionals: Vec::new(),
+        ..Options::default()
     };
-    let mut seed_mode: Option<String> = None;
-    let mut seed_count: Option<u64> = None;
-    let mut iter = args.iter();
-    let Some(subcommand) = iter.next() else {
-        return Err("missing subcommand".into());
-    };
-    options.subcommand = subcommand.clone();
+    let mut iter = args.iter().map(String::as_str).peekable();
+    let subcommand = iter.next().ok_or("missing subcommand")?;
+    // Unknown subcommands are usage errors (exit 2, like bad flags), not
+    // runtime failures.
+    if !listed(EXPERIMENTS, subcommand) && !listed(TOOLS, subcommand) {
+        return Err(format!("unknown subcommand `{subcommand}`"));
+    }
+    options.subcommand = subcommand.to_string();
+    // The spec flags' fields, decoded to JSON: argv, manifests and run
+    // submissions share `SpecParams::from_json`.
+    let mut spec_fields: Vec<(String, Value)> = Vec::new();
     while let Some(arg) = iter.next() {
-        let mut value_of = |flag: &str| {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} expects a value"))
-        };
-        match arg.as_str() {
-            "--quick" => options.spec.quick = true,
-            "--no-jsonl" => options.no_jsonl = true,
-            "--stats" => options.stats = true,
-            "--trace" => options.trace = true,
-            "--trace-dir" => {
-                options.trace_dir = Some(value_of("--trace-dir")?);
-                options.trace = true;
+        if let Some(flag) = SPEC_FLAGS.iter().find(|flag| flag.name() == arg) {
+            let operand = take_operand(&mut iter, arg, flag.operand())?.unwrap_or_default();
+            spec_fields.retain(|(field, _)| field != flag.field);
+            spec_fields.push((flag.field.to_string(), flag.decode(&operand)?));
+        } else if let Some(flag) = FLAGS.iter().find(|flag| flag.name == arg) {
+            if !flag.only.is_empty() && flag.only != subcommand {
+                return Err(format!(
+                    "{arg} applies only to the `{}` subcommand",
+                    flag.only
+                ));
             }
-            "--jobs" => {
-                options.jobs = value_of("--jobs")?
-                    .parse()
-                    .map_err(|_| "--jobs expects a non-negative integer".to_string())?;
-            }
-            "--shards" => {
-                options.shards = value_of("--shards")?
-                    .parse()
-                    .map_err(|_| "--shards expects a positive integer".to_string())?;
-            }
-            "--shard" => {
-                let text = value_of("--shard")?;
-                let Some((i, m)) = text.split_once('/') else {
-                    return Err("--shard expects i/M (e.g. 0/4)".into());
-                };
-                let shard: usize = i
-                    .parse()
-                    .map_err(|_| "--shard expects i/M with integer i".to_string())?;
-                let of: usize = m
-                    .parse()
-                    .map_err(|_| "--shard expects i/M with integer M".to_string())?;
-                options.shard = Some((shard, of));
-            }
-            "--run-dir" => options.run_dir = Some(value_of("--run-dir")?),
-            "--structure-store" => {
-                // The directory operand is optional: a bare flag means "at
-                // the context's default location".
-                match iter.clone().next() {
-                    Some(next) if !next.starts_with("--") => {
-                        iter.next();
-                        options.structure_store = Some(Some(next.clone()));
-                    }
-                    _ => options.structure_store = Some(None),
-                }
-            }
-            "--retries" => {
-                options.retries = value_of("--retries")?
-                    .parse()
-                    .map_err(|_| "--retries expects a non-negative integer".to_string())?;
-            }
-            "--structure-seed-mode" => {
-                seed_mode = Some(value_of("--structure-seed-mode")?);
-            }
-            "--structure-seeds" => {
-                seed_count = Some(
-                    value_of("--structure-seeds")?
-                        .parse()
-                        .map_err(|_| "--structure-seeds expects a positive integer".to_string())?,
-                );
-            }
-            "--fault-drops" => {
-                options.spec.fault_drops =
-                    Some(parse_list(&value_of("--fault-drops")?, "--fault-drops")?);
-            }
-            "--fault-crashes" => {
-                options.spec.fault_crashes =
-                    Some(value_of("--fault-crashes")?.parse().map_err(|_| {
-                        "--fault-crashes expects a non-negative integer".to_string()
-                    })?);
-            }
-            "--fault-churn" => {
-                options.spec.fault_churn = Some(
-                    value_of("--fault-churn")?
-                        .parse()
-                        .map_err(|_| "--fault-churn expects a non-negative integer".to_string())?,
-                );
-            }
-            "--fault-adversarial" => options.spec.fault_adversarial = true,
-            "--shard-timeout" => {
-                options.shard_timeout = Some(
-                    value_of("--shard-timeout")?
-                        .parse()
-                        .map_err(|_| "--shard-timeout expects seconds".to_string())?,
-                );
-            }
-            "--sizes" => {
-                options.spec.sizes = Some(parse_list(&value_of("--sizes")?, "--sizes")?);
-            }
-            "--universe-factors" => {
-                options.spec.universe_factors = Some(parse_list(
-                    &value_of("--universe-factors")?,
-                    "--universe-factors",
-                )?);
-            }
-            "--reps" => {
-                options.spec.reps = Some(
-                    value_of("--reps")?
-                        .parse()
-                        .map_err(|_| "--reps expects a positive integer".to_string())?,
-                );
-            }
-            "--seed" => {
-                options.spec.seed = Some(
-                    value_of("--seed")?
-                        .parse()
-                        .map_err(|_| "--seed expects an integer".to_string())?,
-                );
-            }
-            "--jsonl" => options.jsonl = Some(value_of("--jsonl")?),
-            "--listen" => options.listen = Some(value_of("--listen")?),
-            "--connect" => options.connect = Some(value_of("--connect")?),
-            "--data-dir" => options.data_dir = Some(value_of("--data-dir")?),
-            "--lease-timeout" => {
-                options.lease_timeout = Some(
-                    value_of("--lease-timeout")?
-                        .parse()
-                        .map_err(|_| "--lease-timeout expects seconds".to_string())?,
-                );
-            }
-            "--render-fig3" => options.render_fig3 = Some(value_of("--render-fig3")?),
-            other if other.starts_with("--") => return Err(format!("unknown flag `{other}`")),
-            other => options.positionals.push(other.to_string()),
+            let operand = take_operand(&mut iter, arg, flag.operand)?;
+            (flag.set)(&mut options, operand).map_err(|e| format!("{arg} {e}"))?;
+        } else if arg.starts_with("--") {
+            return Err(format!("unknown flag `{arg}`"));
+        } else {
+            options.positionals.push(arg.to_string());
         }
     }
-    // Resolve the structure-seed schedule: an explicit mode wins; a bare
-    // `--structure-seeds K` implies per-case.
-    options.spec.structure_seeds = match (seed_mode.as_deref(), seed_count) {
-        (Some("fixed"), None) | (None, None) => None,
-        (Some("fixed"), Some(_)) => {
-            return Err("--structure-seeds contradicts --structure-seed-mode fixed".into())
-        }
-        (Some("per-case"), count) => Some(count.unwrap_or(4)),
-        (None, Some(count)) => Some(count),
-        (Some(other), _) => {
-            return Err(format!(
-                "--structure-seed-mode expects fixed or per-case, not `{other}`"
-            ))
-        }
-    };
-    options.spec.subcommand = match (options.subcommand.as_str(), &options.positionals[..]) {
+    let experiment = match (subcommand, &options.positionals[..]) {
         ("worker", positionals) => positionals.first().cloned().unwrap_or_default(),
         ("structures", [action, positionals @ ..]) if action == "prebuild" => {
             positionals.first().cloned().unwrap_or_default()
         }
         (subcommand, _) => subcommand.to_string(),
     };
-    validate_spec(&options.spec)?;
-    if let Some((shard, of)) = options.shard {
-        if of == 0 || shard >= of {
-            return Err(format!("--shard {shard}/{of} is out of range (need i < M)"));
+    spec_fields.push(("subcommand".into(), Value::Str(experiment)));
+    options.spec = SpecParams::from_json(&Value::Object(spec_fields))?;
+    // `--structure-seed-mode` is sugar over `--structure-seeds K`, which
+    // alone already means per-case.
+    match (options.per_case, options.spec.structure_seeds) {
+        (Some(false), Some(_)) => {
+            return Err("--structure-seeds contradicts --structure-seed-mode fixed".into())
         }
+        (Some(true), None) => options.spec.structure_seeds = Some(4),
+        _ => {}
+    }
+    validate_spec(&options.spec)?;
+    if let Some((_, of)) = options.shard {
         if options.shards != 0 && options.shards != of {
             return Err("--shards and --shard disagree on the shard count".into());
         }
     }
-    if options.shard_timeout == Some(0) {
-        return Err("--shard-timeout expects a positive number of seconds".into());
-    }
-    if options.listen.is_some() && options.subcommand != "serve" {
-        return Err("--listen applies only to the `serve` subcommand".into());
-    }
-    if options.connect.is_some() && options.subcommand != "worker" {
-        return Err("--connect applies only to the `worker` subcommand".into());
-    }
-    if (options.data_dir.is_some() || options.lease_timeout.is_some())
-        && options.subcommand != "serve"
-    {
-        return Err("--data-dir and --lease-timeout apply only to the `serve` subcommand".into());
-    }
-    if options.lease_timeout == Some(0) {
-        return Err("--lease-timeout expects a positive number of seconds".into());
-    }
-    if options.render_fig3.is_some()
-        && (options.subcommand != "faults" || options.shards != 0 || options.shard.is_some())
-    {
+    if options.render_fig3.is_some() && (options.shards != 0 || options.shard.is_some()) {
         return Err(
             "--render-fig3 applies only to a single-process `faults` run \
              (render it from the merged stream after a sharded run)"
@@ -2102,15 +2029,23 @@ fn parse(args: &[String]) -> Result<Options, String> {
     Ok(options)
 }
 
-fn parse_list<T: std::str::FromStr>(text: &str, flag: &str) -> Result<Vec<T>, String> {
-    text.split(',')
-        .filter(|part| !part.is_empty())
-        .map(|part| {
-            part.trim()
-                .parse()
-                .map_err(|_| format!("{flag}: `{part}` is not a number"))
-        })
-        .collect()
+/// Takes a flag's operand off the argv, as its usage placeholder says:
+/// none for a switch, the next argument unless it is a flag for an
+/// optional (`[..]`) operand, the next argument otherwise.
+fn take_operand<'a>(
+    iter: &mut std::iter::Peekable<impl Iterator<Item = &'a str>>,
+    flag: &str,
+    placeholder: &str,
+) -> Result<Option<String>, String> {
+    let operand = match placeholder {
+        "" => None,
+        optional if optional.starts_with('[') => iter.next_if(|next| !next.starts_with("--")),
+        _ => Some(
+            iter.next()
+                .ok_or_else(|| format!("{flag} expects a value"))?,
+        ),
+    };
+    Ok(operand.map(str::to_string))
 }
 
 /// The `ringlab` entry point: runs the CLI on the process arguments and
@@ -2123,6 +2058,7 @@ pub fn main() -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::{Strategy, TestRng};
     use ring_distrib::ShardRange;
 
     fn args(list: &[&str]) -> Vec<String> {
@@ -2448,6 +2384,135 @@ mod tests {
             spec_fingerprint("sweep", &sweep_spec(&fixed.spec), &scaling),
             spec_fingerprint("sweep", &sweep_spec(&diverse.spec), &scaling)
         );
+    }
+
+    #[test]
+    fn specs_whose_cases_would_panic_are_rejected() {
+        // Each of these used to parse, then panic or abort mid-sweep (and
+        // the daemon answered 202 to the same spec).
+        let refused: [&[&str]; 10] = [
+            &["table1", "--quick", "--sizes", "2"],
+            &["lower-bounds", "--quick", "--sizes", "0"],
+            &["faults", "--quick", "--sizes", "16,4"],
+            &["sweep", "--quick", "--universe-factors", "0"],
+            &[
+                "sweep",
+                "--quick",
+                "--universe-factors",
+                "4611686018427387904",
+            ],
+            &["sweep", "--quick", "--universe-factors", "1099511627776"],
+            &["scaling", "--quick", "--sizes", "0"],
+            &["scaling", "--quick", "--sizes", "513"],
+            &["all", "--quick", "--sizes", "600"],
+            &["worker", "table1", "--shard", "0/1", "--sizes", "2"],
+        ];
+        for argv in refused {
+            assert!(parse(&args(argv)).is_err(), "{argv:?}");
+            assert_eq!(run(&args(argv)), 2, "{argv:?}");
+        }
+        // The daemon's path: a submission body through `from_json` and the
+        // shared check.
+        for body in [
+            r#"{"subcommand":"table1","quick":true,"sizes":[2]}"#,
+            r#"{"subcommand":"fig2","universe_factors":[0]}"#,
+            r#"{"subcommand":"sweep","sizes":[16],"universe_factors":[268435457]}"#,
+            r#"{"subcommand":"sweep","universe_factors":[4611686018427387904]}"#,
+            r#"{"subcommand":"scaling","sizes":[0]}"#,
+            r#"{"subcommand":"scaling","sizes":[8193]}"#,
+            r#"{"subcommand":"all","quick":true,"sizes":[600]}"#,
+        ] {
+            let spec = SpecParams::from_json(&serde_json::from_str(body).unwrap()).unwrap();
+            assert!(validate_spec(&spec).is_err(), "{body}");
+        }
+        // The boundaries themselves are fine.
+        for body in [
+            r#"{"subcommand":"table1","sizes":[5]}"#,
+            r#"{"subcommand":"sweep","sizes":[16],"universe_factors":[268435456]}"#,
+            r#"{"subcommand":"scaling","sizes":[1,8192]}"#,
+            r#"{"subcommand":"all","quick":true,"sizes":[5,512]}"#,
+        ] {
+            let spec = SpecParams::from_json(&serde_json::from_str(body).unwrap()).unwrap();
+            assert_eq!(validate_spec(&spec), Ok(()), "{body}");
+        }
+    }
+
+    #[test]
+    fn every_flag_is_declared_once_and_listed_in_the_usage() {
+        let text = usage();
+        let mut names: Vec<String> = SPEC_FLAGS.iter().map(|flag| flag.name()).collect();
+        names.extend(FLAGS.iter().map(|flag| flag.name.to_string()));
+        for name in &names {
+            assert_eq!(names.iter().filter(|n| *n == name).count(), 1, "{name}");
+            assert!(text.contains(&format!("  {name} ")), "{name}");
+        }
+        assert_eq!(names.len(), 28);
+    }
+
+    /// Random specs over every subcommand: each `Option` both `None` and
+    /// `Some`, lists of one to four entries, both bools. Numbers favour the
+    /// valid range so that a good share of specs passes `validate_spec`.
+    struct AnySpec;
+
+    impl Strategy for AnySpec {
+        type Value = SpecParams;
+
+        fn generate(&self, rng: &mut TestRng) -> SpecParams {
+            fn number(rng: &mut TestRng) -> u64 {
+                match rng.below(8) {
+                    0 => rng.below(8),
+                    1 => rng.below(1100),
+                    2 => rng.next_u64(),
+                    _ => 5 + rng.below(60),
+                }
+            }
+            fn maybe<T>(rng: &mut TestRng, draw: fn(&mut TestRng) -> T) -> Option<T> {
+                (rng.below(2) == 0).then(|| draw(rng))
+            }
+            fn list(rng: &mut TestRng) -> Vec<u64> {
+                (0..1 + rng.below(4)).map(|_| number(rng)).collect()
+            }
+            let subcommands: Vec<&str> = EXPERIMENTS.split('|').chain(TOOLS.split('|')).collect();
+            SpecParams {
+                subcommand: subcommands[rng.below(subcommands.len() as u64) as usize].into(),
+                quick: rng.below(2) == 0,
+                sizes: maybe(rng, list)
+                    .map(|sizes| sizes.into_iter().map(|n| n as usize).collect()),
+                universe_factors: maybe(rng, list),
+                reps: maybe(rng, number),
+                seed: maybe(rng, number),
+                structure_seeds: maybe(rng, number),
+                fault_drops: maybe(rng, list),
+                fault_crashes: maybe(rng, number),
+                fault_churn: maybe(rng, number),
+                fault_adversarial: rng.below(2) == 0,
+            }
+        }
+    }
+
+    #[test]
+    fn random_specs_round_trip_through_argv_and_json() {
+        let range = ShardRange {
+            shard: 1,
+            start: 4,
+            end: 8,
+        };
+        let mut valid = 0;
+        for case in 0..1024 {
+            let spec = AnySpec.generate(&mut TestRng::for_case(case));
+            // The manifest and `POST /v1/runs` encoding.
+            let json = serde_json::to_string(&spec).unwrap();
+            let decoded = SpecParams::from_json(&serde_json::from_str(&json).unwrap()).unwrap();
+            assert_eq!(decoded, spec);
+            // The worker argv, for every spec a worker may be handed.
+            if validate_spec(&spec).is_ok() {
+                valid += 1;
+                let parsed = parse(&spec.worker_args(2, &range, 3, "store")).unwrap();
+                assert_eq!(parsed.spec, spec);
+            }
+        }
+        // Not vacuous: a fair share of the random specs are valid.
+        assert!(valid >= 50, "only {valid} of 1024 random specs are valid");
     }
 
     #[test]

@@ -10,12 +10,12 @@
 //!   items are striped over per-worker deques; idle workers steal from the
 //!   back of busy ones; results come back in item order.
 //! * [`cache`] / [`store`] — the two-tier structure pathway. Tier 1 is
-//!   the [`StructureCache`](cache::StructureCache): a sharded, `Arc`-backed
-//!   memo of the expensive combinatorial structures (distinguishers,
+//!   the [`StructureCache`]: a sharded, `Arc`-backed memo of the
+//!   expensive combinatorial structures (distinguishers,
 //!   strong-distinguisher sequences, selective families) keyed by
 //!   `(kind, N, n, seed)`, shared by every worker thread. Tier 2 — the
-//!   [`StructureStore`](store::StructureStore)'s optional on-disk
-//!   directory of `structure-store/v2` blobs — extends the memo across
+//!   [`StructureStore`]'s optional on-disk directory of
+//!   `structure-store/v2` blobs — extends the memo across
 //!   worker *processes*: the first worker of a fleet to claim a key
 //!   constructs and publishes, everyone else loads bit-identical bytes.
 //!   The store implements
@@ -23,12 +23,12 @@
 //!   so every worker's `Network` draws from the same pathway and each
 //!   structure is constructed once per fleet instead of once per case or
 //!   process — the dominant per-case cost at large `N`.
-//! * [`sink`] — the streaming [`JsonlSink`](sink::JsonlSink): one JSON
-//!   line per finished case, emitted incrementally but in deterministic
+//! * [`sink`] — the streaming [`JsonlSink`]: one JSON line per finished
+//!   case, emitted incrementally but in deterministic
 //!   case order via a reorder buffer.
-//! * [`scenario`] / [`engine`] — [`WorkItem`](scenario::WorkItem)s wrap
-//!   the per-case experiment functions of `ring-experiments`;
-//!   [`SweepEngine`](engine::SweepEngine) ties the three layers together.
+//! * [`scenario`] / [`engine`] — [`WorkItem`]s wrap the per-case
+//!   experiment functions of `ring-experiments`;
+//!   [`SweepEngine`] ties the three layers together.
 //!
 //! [`cli`] exposes everything as the **`ringlab`** binary:
 //!

@@ -24,7 +24,8 @@
 //!   by Lemma 1, one rotation offset rather than a permutation),
 //! * an O(n)-per-round *analytic engine* based on the rotation-index lemma
 //!   and two cyclic first-collision sweeps ([`analytic`]), with the
-//!   earlier binary-search engine kept as its exact oracle ([`reference`]),
+//!   earlier binary-search engine kept as its exact oracle
+//!   ([`reference`](mod@reference)),
 //! * a reference *event-driven engine* that simulates every collision
 //!   ([`events`]),
 //! * the per-agent observation model with local frames ([`observe`],
