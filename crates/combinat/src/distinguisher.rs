@@ -246,8 +246,7 @@ impl StrongDistinguisher {
 /// Salt of the per-universe **universal** strong sequence. There is exactly
 /// one such sequence per universe; seeds select windows into it (see
 /// [`crate::shared::strong_offset`]), so every seed's sequence shares one
-/// underlying set stream — and one stored blob in the content-addressed
-/// structure store.
+/// underlying set stream — and one stored file in the structure store.
 const UNIVERSAL_STRONG_SALT: u64 = 0x5eed_0000_0000_0001;
 
 /// The `j`-th set of the universal strong sequence over `[1, universe]`.

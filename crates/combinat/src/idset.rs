@@ -144,7 +144,7 @@ impl IdSet {
 
     /// The backing words in canonical form (bit `id % 64` of word `id / 64`
     /// holds identifier `id`). This is the word-exact representation the
-    /// `structure-store/v2` codec serializes verbatim.
+    /// `structure-store/v3` codec serializes verbatim.
     pub fn words(&self) -> &[u64] {
         &self.words
     }

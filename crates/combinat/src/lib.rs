@@ -22,10 +22,10 @@
 //!   thread-shareable [`SharedStrongDistinguisher`], which let the
 //!   `ring-harness` sweep engine construct each structure once and share it
 //!   read-only across worker threads;
-//! * [`codec`] — the `structure-store/v2` binary codec (content-addressed,
-//!   word-exact set blobs with an FNV-1a-64 digest, plus per-key index
-//!   entries) behind the on-disk structure store, which extends the construct-once guarantee from one
-//!   process to a whole worker fleet.
+//! * [`codec`] — the `structure-store/v3` binary codec (one word-exact,
+//!   self-describing file per structure key, sealed by an FNV-1a-64
+//!   digest) behind the on-disk structure store, which extends the
+//!   construct-once guarantee from one process to a whole worker fleet.
 //!
 //! All random constructions are deterministic given a seed, so protocol runs
 //! and experiments are reproducible.
@@ -59,7 +59,7 @@ pub use bounds::{
     distinguisher_size_lower_bound, intersection_free_log_bound, nontrivial_move_round_bound,
     selective_family_size_bound,
 };
-pub use codec::{format_checksum, CodecError, Fnv1a64, IndexEntry, STORE_SCHEMA_V2};
+pub use codec::{format_checksum, CodecError, Fnv1a64, STORE_SCHEMA};
 pub use distinguisher::{Distinguisher, StrongDistinguisher};
 pub use idset::IdSet;
 pub use selective::SelectiveFamily;

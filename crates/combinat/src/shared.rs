@@ -66,7 +66,7 @@ pub struct StructureKey {
 
 impl StructureKind {
     /// The stable numeric code of the kind, shared by the cache-shard mixer
-    /// and the `structure-store/v2` index entries.
+    /// and the `structure-store/v3` file headers.
     pub fn code(self) -> u64 {
         match self {
             StructureKind::StrongDistinguisher => 1,
@@ -109,8 +109,8 @@ pub fn splitmix64(state: u64) -> u64 {
 
 /// The lazily materialised **universal** strong sequence of one universe —
 /// the object every seed's [`SharedStrongDistinguisher`] is a window into,
-/// and the one prefix-extendable blob per universe the content-addressed
-/// structure store persists.
+/// and the one prefix-extendable file per universe the structure store
+/// persists.
 ///
 /// `set(j)` is generated on first demand (under a write lock) and served as
 /// a cheap `Arc` clone afterwards (under a read lock). Generation of set

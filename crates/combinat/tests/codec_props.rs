@@ -1,10 +1,11 @@
-//! Property tests of the `structure-store/v2` codec: encode→decode must be
+//! Property tests of the `structure-store/v3` codec: encode→decode must be
 //! bit-identical for every structure kind across word-boundary universe
-//! sizes, and no corrupted blob may ever decode into a structure.
+//! sizes, the key must round-trip through the header, and no corrupted or
+//! mis-keyed file may ever decode into a structure.
 
 use proptest::prelude::*;
 use ring_combinat::codec::{
-    decode_blob_stream, encode_blob, validate_blob_stream, CodecError, IndexEntry, BLOB_VERSION,
+    decode_blob_stream, encode_blob, validate_blob_stream, CodecError, BLOB_VERSION,
 };
 use ring_combinat::shared::splitmix64;
 use ring_combinat::{Distinguisher, IdSet, SelectiveFamily, StructureKey, StructureKind};
@@ -36,6 +37,17 @@ fn key(kind: StructureKind, universe: u64, n: u64, seed: u64) -> StructureKey {
     }
 }
 
+/// Re-seals a file's trailer over its (edited) body, so only the edited
+/// field is wrong.
+fn reseal(bytes: &mut [u8]) {
+    let n = bytes.len() - 8;
+    let mut h = ring_combinat::Fnv1a64::new();
+    for chunk in bytes[..n].chunks_exact(8) {
+        h.update_word(u64::from_le_bytes(chunk.try_into().unwrap()));
+    }
+    bytes[n..].copy_from_slice(&h.finish().to_le_bytes());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -45,17 +57,18 @@ proptest! {
     fn constructed_structures_round_trip(
         (universe, n, seed) in (universes(), 1u64..=8, any::<u64>()),
     ) {
-        let n = n as usize;
-        let round_trip = |sets: &[IdSet]| {
-            let (bytes, digest) = encode_blob(universe, sets);
-            decode_blob_stream(&bytes[..], bytes.len() as u64, universe, sets.len(), digest)
+        let round_trip = |kind: StructureKind, sets: &[IdSet]| {
+            let k = key(kind, universe, n, seed);
+            let bytes = encode_blob(&k, sets);
+            decode_blob_stream(&bytes[..], bytes.len() as u64, &k)
         };
+        let n = n as usize;
         let d = Distinguisher::random(universe, n, seed);
-        let sets = round_trip(d.sets()).expect("distinguisher decodes");
+        let sets = round_trip(StructureKind::Distinguisher, d.sets()).expect("distinguisher decodes");
         prop_assert_eq!(&Distinguisher::from_sets(universe, n, sets), &d);
 
         let f = SelectiveFamily::random(universe, n, seed);
-        let sets = round_trip(f.sets()).expect("family decodes");
+        let sets = round_trip(StructureKind::SelectiveFamily, f.sets()).expect("family decodes");
         prop_assert_eq!(&SelectiveFamily::from_sets(universe, n, sets), &f);
     }
 }
@@ -63,22 +76,15 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The wrong-version error is reported as such even when the blob is
+    /// The wrong-version error is reported as such even when the file is
     /// otherwise intact and re-sealed — a future format must be refused,
     /// not misread.
     #[test]
     fn wrong_versions_are_refused(version in (BLOB_VERSION + 1)..1000) {
-        let (mut bytes, _) = encode_blob(64, &[IdSet::from_ids(64, [7])]);
+        let k = key(StructureKind::Distinguisher, 64, 4, 1);
+        let mut bytes = encode_blob(&k, &[IdSet::from_ids(64, [7])]);
         bytes[8..16].copy_from_slice(&version.to_le_bytes());
-        // Re-seal with the format's word-folded digest so only the version
-        // field is wrong.
-        let n = bytes.len() - 8;
-        let mut h = ring_combinat::Fnv1a64::new();
-        for chunk in bytes[..n].chunks_exact(8) {
-            h.update_word(u64::from_le_bytes(chunk.try_into().unwrap()));
-        }
-        let digest = h.finish();
-        bytes[n..].copy_from_slice(&digest.to_le_bytes());
+        reseal(&mut bytes);
         prop_assert_eq!(
             validate_blob_stream(&bytes[..], bytes.len() as u64).unwrap_err(),
             CodecError::UnsupportedVersion(version)
@@ -89,9 +95,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Content-addressed blobs round-trip bit-identically across word
-    /// boundaries — for empty, full, sparse and random sets alike — and the identity digest is a pure function of the
-    /// payload — the dedup invariant of the content-addressed store.
+    /// Files round-trip bit-identically across word boundaries — for empty,
+    /// full, sparse and random sets alike — and encoding is a pure function
+    /// of key and payload.
     #[test]
     fn blobs_round_trip_and_dedup(
         (universe, seed, count) in (universes(), any::<u64>(), 0usize..4),
@@ -104,57 +110,74 @@ proptest! {
         for i in 0..count {
             sets.push(random_set(universe, seed ^ i as u64));
         }
-        let (bytes, digest) = encode_blob(universe, &sets);
-        let (again, digest_again) = encode_blob(universe, &sets);
-        prop_assert_eq!(&again, &bytes);
-        prop_assert_eq!(digest_again, digest);
-        let decoded = decode_blob_stream(&bytes[..], bytes.len() as u64, universe, sets.len(), digest)
-            .expect("clean blobs decode");
+        let k = key(StructureKind::SelectiveFamily, universe, 3, seed);
+        let bytes = encode_blob(&k, &sets);
+        prop_assert_eq!(&encode_blob(&k, &sets), &bytes);
+        let decoded = decode_blob_stream(&bytes[..], bytes.len() as u64, &k)
+            .expect("clean files decode");
         prop_assert_eq!(decoded, sets.clone());
         let summary = validate_blob_stream(&bytes[..], bytes.len() as u64).expect("valid");
-        prop_assert_eq!((summary.universe, summary.count, summary.digest), (universe, sets.len(), digest));
+        prop_assert_eq!((summary.key, summary.count), (k, sets.len()));
     }
 
-    /// Index entries round-trip through their single-line text form for
-    /// every kind and any parameters.
+    /// The key round-trips through the header for every kind and any
+    /// parameters.
     #[test]
-    fn index_entries_round_trip(
-        ((kind_code, universe, n), (seed, digest, count)) in (
-            (1u64..=3, 1u64..=(1 << 40), any::<u64>()),
-            (any::<u64>(), any::<u64>(), 0usize..1_000_000),
-        ),
+    fn keys_round_trip_through_the_header(
+        (kind_code, universe, n, seed) in (1u64..=3, 1u64..=(1 << 40), any::<u64>(), any::<u64>()),
     ) {
-        let entry = IndexEntry {
-            key: key(
-                StructureKind::from_code(kind_code).unwrap(),
-                universe,
-                n,
-                seed,
-            ),
-            digest,
-            count,
-        };
-        prop_assert_eq!(IndexEntry::parse(&entry.format()).expect("round trip"), entry);
+        let k = key(StructureKind::from_code(kind_code).unwrap(), universe, n, seed);
+        let bytes = encode_blob::<IdSet>(&k, &[]);
+        let summary = validate_blob_stream(&bytes[..], bytes.len() as u64).expect("valid");
+        prop_assert_eq!((summary.key, summary.count), (k, 0));
+        prop_assert!(decode_blob_stream(&bytes[..], bytes.len() as u64, &k).is_ok());
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Corruption never yields a blob payload: any truncation and any
-    /// single flipped byte is refused.
+    /// Flipping any bit of any header key word (kind, universe, n, seed)
+    /// is refused for the original key — whether the trailer still holds
+    /// (checksum mismatch) or was re-sealed over the edit (the header now
+    /// names another key, or no valid one).
+    #[test]
+    fn flipped_header_key_words_are_rejected(
+        universe in prop_oneof![Just(63u64), Just(64), Just(65), Just(700)],
+        (n, seed) in (1u64..=8, any::<u64>()),
+        (word, bit, resealed) in (2usize..=5, 0u32..64, any::<bool>()),
+    ) {
+        let k = key(StructureKind::Distinguisher, universe, n, seed);
+        let mut bytes = encode_blob(&k, &[random_set(universe, seed)]);
+        let at = word * 8;
+        let flipped = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) ^ (1 << bit);
+        bytes[at..at + 8].copy_from_slice(&flipped.to_le_bytes());
+        if resealed {
+            reseal(&mut bytes);
+        } else {
+            prop_assert!(validate_blob_stream(&bytes[..], bytes.len() as u64).is_err());
+        }
+        prop_assert!(
+            decode_blob_stream(&bytes[..], bytes.len() as u64, &k).is_err(),
+            "header word {} with bit {} flipped still decoded", word, bit
+        );
+    }
+
+    /// Corruption never yields a payload: any truncation and any single
+    /// flipped byte is refused.
     #[test]
     fn corrupted_blobs_never_decode(
         universe in prop_oneof![Just(63u64), Just(64), Just(65), Just(700)],
         seed in any::<u64>(),
         (cut_seed, flip_seed, flip_bit) in (any::<u64>(), any::<u64>(), 0u32..8),
     ) {
+        let k = key(StructureKind::SelectiveFamily, universe, 2, seed);
         let sets = vec![random_set(universe, seed), random_set(universe, !seed)];
-        let (bytes, digest) = encode_blob(universe, &sets);
+        let bytes = encode_blob(&k, &sets);
 
         let cut = (cut_seed % bytes.len() as u64) as usize;
         prop_assert!(
-            decode_blob_stream(&bytes[..cut], cut as u64, universe, sets.len(), digest).is_err(),
+            decode_blob_stream(&bytes[..cut], cut as u64, &k).is_err(),
             "truncation at {} decoded", cut
         );
 
@@ -162,8 +185,7 @@ proptest! {
         let at = (flip_seed % bytes.len() as u64) as usize;
         flipped[at] ^= 1 << flip_bit;
         prop_assert!(
-            decode_blob_stream(&flipped[..], flipped.len() as u64, universe, sets.len(), digest)
-                .is_err(),
+            decode_blob_stream(&flipped[..], flipped.len() as u64, &k).is_err(),
             "byte {} flipped by {:02x} still decoded", at, 1u8 << flip_bit
         );
     }

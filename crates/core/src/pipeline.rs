@@ -155,57 +155,50 @@ pub fn measure_problem_seeded(
     let mut net = Network::new(config, ids.clone(), model)?
         .with_structures(structures.clone())
         .with_structure_seed(structure_seed);
-    match problem {
-        Problem::LeaderElection => {
-            let election = elect_leader(&mut net)?;
-            let verified = election.leaders().count() == 1;
+    match solve_and_verify(&mut net, problem) {
+        Ok((rounds, verified)) => Ok(ProblemCost {
+            problem,
+            solvable: true,
+            rounds: Some(rounds),
+            verified,
+        }),
+        Err(ProtocolError::Unsolvable { .. }) if problem == Problem::LocationDiscovery => {
             Ok(ProblemCost {
-                problem,
-                solvable: true,
-                rounds: Some(election.rounds()),
-                verified,
-            })
-        }
-        Problem::NontrivialMove => {
-            let nm = solve_nontrivial_move(&mut net)?;
-            let verified = crate::coordination::nontrivial::verify_nontrivial(&mut net, &nm);
-            Ok(ProblemCost {
-                problem,
-                solvable: true,
-                rounds: Some(nm.rounds()),
-                verified,
-            })
-        }
-        Problem::DirectionAgreement => {
-            let agreement = agree_direction(&mut net)?;
-            let verified =
-                crate::coordination::diragr::frames_are_coherent(&net, agreement.frames());
-            Ok(ProblemCost {
-                problem,
-                solvable: true,
-                rounds: Some(agreement.rounds()),
-                verified,
-            })
-        }
-        Problem::LocationDiscovery => match discover_locations(&mut net) {
-            Ok(discovery) => {
-                let verified = verify_location_discovery(&net, &discovery);
-                Ok(ProblemCost {
-                    problem,
-                    solvable: true,
-                    rounds: Some(discovery.rounds()),
-                    verified,
-                })
-            }
-            Err(ProtocolError::Unsolvable { .. }) => Ok(ProblemCost {
                 problem,
                 solvable: false,
                 rounds: None,
                 verified: true,
-            }),
-            Err(e) => Err(e),
-        },
+            })
+        }
+        Err(e) => Err(e),
     }
+}
+
+/// Solves `problem` on `net` and checks the result against ground truth:
+/// the rounds used and whether the result verified.
+fn solve_and_verify(net: &mut Network, problem: Problem) -> Result<(u64, bool), ProtocolError> {
+    Ok(match problem {
+        Problem::LeaderElection => {
+            let election = elect_leader(net)?;
+            (election.rounds(), election.leaders().count() == 1)
+        }
+        Problem::NontrivialMove => {
+            let nm = solve_nontrivial_move(net)?;
+            let verified = crate::coordination::nontrivial::verify_nontrivial(net, &nm);
+            (nm.rounds(), verified)
+        }
+        Problem::DirectionAgreement => {
+            let agreement = agree_direction(net)?;
+            let verified =
+                crate::coordination::diragr::frames_are_coherent(net, agreement.frames());
+            (agreement.rounds(), verified)
+        }
+        Problem::LocationDiscovery => {
+            let discovery = discover_locations(net)?;
+            let verified = verify_location_discovery(net, &discovery);
+            (discovery.rounds(), verified)
+        }
+    })
 }
 
 /// How one faulty protocol run ended.
@@ -255,7 +248,7 @@ pub fn measure_problem_faulty(
     fault_seed: u64,
     round_limit: u64,
 ) -> FaultyCost {
-    let net = match Network::new(config, ids.clone(), model) {
+    let mut net = match Network::new(config, ids.clone(), model) {
         Ok(net) => net
             .with_structures(structures.clone())
             .with_structure_seed(structure_seed)
@@ -269,27 +262,7 @@ pub fn measure_problem_faulty(
             }
         }
     };
-    let mut net = net;
-    let result: Result<(u64, bool), ProtocolError> = match problem {
-        Problem::LeaderElection => elect_leader(&mut net)
-            .map(|election| (election.rounds(), election.leaders().count() == 1)),
-        Problem::NontrivialMove => solve_nontrivial_move(&mut net).map(|nm| {
-            let verified = crate::coordination::nontrivial::verify_nontrivial(&mut net, &nm);
-            (nm.rounds(), verified)
-        }),
-        Problem::DirectionAgreement => agree_direction(&mut net).map(|agreement| {
-            let verified =
-                crate::coordination::diragr::frames_are_coherent(&net, agreement.frames());
-            (agreement.rounds(), verified)
-        }),
-        Problem::LocationDiscovery => discover_locations(&mut net).map(|discovery| {
-            (
-                discovery.rounds(),
-                verify_location_discovery(&net, &discovery),
-            )
-        }),
-    };
-    match result {
+    match solve_and_verify(&mut net, problem) {
         Ok((rounds, true)) => FaultyCost {
             problem,
             outcome: FaultyOutcome::Completed,

@@ -9,7 +9,7 @@
 //! merged.
 //!
 //! The hasher itself lives in `ring_combinat::codec` (re-exported here),
-//! so shard files and `structure-store/v2` blobs are pinned by the same
+//! so shard files and `structure-store/v3` files are pinned by the same
 //! implementation.
 
 pub use ring_combinat::codec::{format_checksum, Fnv1a64};

@@ -32,7 +32,7 @@
 //! * [`checksum`] — streaming FNV-1a-64 digests pinning shard file
 //!   contents end to end (worker → orchestrator → disk → resume → merge).
 //!   The hasher is shared with `ring_combinat::codec`, so shard files and
-//!   `structure-store/v2` blobs are pinned by one implementation.
+//!   `structure-store/v3` files are pinned by one implementation.
 //!
 //! ## Determinism
 //!

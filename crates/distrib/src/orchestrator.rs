@@ -478,6 +478,35 @@ fn run_one_shard(
     .map_err(|failure| failure.reason)
 }
 
+/// Longest worker-protocol line accepted, in bytes (the daemon's HTTP body
+/// cap). A peer that streams more without a newline fails its attempt — a
+/// retryable shard failure — instead of growing the orchestrator's memory
+/// without bound.
+const MAX_WORKER_LINE_BYTES: usize = 1024 * 1024;
+
+/// Reads one line of at most [`MAX_WORKER_LINE_BYTES`] into `line`,
+/// stripping its `\n` or `\r\n` like [`BufRead::lines`]; `Ok(false)` at
+/// end of stream.
+fn read_bounded_line(reader: &mut impl BufRead, line: &mut Vec<u8>) -> Result<bool, String> {
+    line.clear();
+    let read = reader
+        .by_ref()
+        .take(MAX_WORKER_LINE_BYTES as u64 + 1)
+        .read_until(b'\n', line)
+        .map_err(|e| format!("broken worker pipe: {e}"))?;
+    if line.last() == Some(&b'\n') {
+        line.pop();
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+    } else if line.len() > MAX_WORKER_LINE_BYTES {
+        return Err(format!(
+            "worker line exceeds the {MAX_WORKER_LINE_BYTES}-byte cap"
+        ));
+    }
+    Ok(read > 0)
+}
+
 /// Parses and validates one worker's protocol stream, writing record lines
 /// to `tmp_path`. With `stop_at_done` the consumer returns right after the
 /// validated done event (connection-reusing transports keep the stream
@@ -498,15 +527,17 @@ fn consume_worker_stream(
     let mut next_index = range.start;
     let mut done: Option<ShardStats> = None;
 
-    for line in BufReader::new(stdout).lines() {
-        let line = line.map_err(|e| format!("broken worker pipe: {e}"))?;
+    let mut reader = BufReader::new(stdout);
+    let mut buf = Vec::new();
+    while read_bounded_line(&mut reader, &mut buf)? {
+        let line = std::str::from_utf8(&buf).map_err(|e| format!("broken worker pipe: {e}"))?;
         if line.is_empty() {
             continue;
         }
         if done.is_some() {
             return Err(format!("worker spoke after its done event: {line}"));
         }
-        match parse_worker_line(&line)? {
+        match parse_worker_line(line)? {
             WorkerLine::Start(start) => {
                 if started {
                     return Err("duplicate start event".into());
@@ -736,6 +767,37 @@ mod tests {
         assert_eq!(manifest.shards[1].attempts, 2);
         assert!(dir.join(shard_file_name(0)).exists());
         assert!(!dir.join(shard_file_name(1)).exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn newline_less_floods_fail_the_attempt_at_the_line_cap() {
+        let dir = temp_dir("flood");
+        let manifest = Mutex::new(test_manifest(2, 1));
+        let options = OrchestratorOptions {
+            concurrency: 1,
+            retries: 1,
+            shard_timeout: None,
+        };
+        // One byte past the cap without a newline, then the stream stays
+        // open: only the cap can end the attempt before the worker does.
+        let started = Instant::now();
+        let outcome = run_pending_shards(&dir, &manifest, &options, &|_| {
+            scripted_worker(format!(
+                "head -c {} /dev/zero | tr '\\0' x; exec sleep 30",
+                MAX_WORKER_LINE_BYTES + 1
+            ))
+        })
+        .unwrap();
+        assert!(
+            started.elapsed() < Duration::from_secs(20),
+            "an over-long line must fail the attempt without waiting for its end"
+        );
+        assert_eq!(outcome.failed, vec![0]);
+        let manifest = manifest.into_inner().unwrap();
+        assert_eq!(manifest.shards[0].status, ShardStatus::Failed);
+        assert_eq!(manifest.shards[0].attempts, 2, "the failure is retryable");
+        assert!(!dir.join(shard_file_name(0)).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -92,10 +92,9 @@ pub struct SweepSpec {
     /// cases through `K` distinct schedule seeds derived from the base
     /// seed (at most `STRONG_WINDOW` of them — beyond that, windows would
     /// repeat), so repetitions additionally sample the randomness of the
-    /// combinatorial structures themselves. Against a content-addressed
-    /// structure store the `K` seeds share one strong blob per universe
-    /// (seeds are windows into one universal sequence), so the store stays
-    /// near-constant in `K`.
+    /// combinatorial structures themselves. Against a structure store the
+    /// `K` seeds share one strong file per universe (seeds are windows into
+    /// one universal sequence), so the store stays near-constant in `K`.
     pub structure_seeds: Option<u64>,
     /// Fault-injection axes: `None` (the default everywhere but the
     /// `faults` experiment) runs clean synchronous rings and — like an

@@ -37,10 +37,10 @@
 //!                      construct and publish every structure the
 //!                      subcommand will request
 //!                    structures verify   validate every store file
-//!                    structures gc       drop corrupt files, stale
-//!                      tmp/claim leftovers and unreferenced blobs
-//!                    structures stats    per-kind blob counts, bytes and
-//!                      logical-keys-per-blob dedup ratios (stderr JSON)
+//!                    structures gc       drop corrupt or mis-filed
+//!                      files and stale tmp/claim leftovers
+//!                    structures stats    per-kind file counts and bytes
+//!                      (stderr JSON)
 //! ```
 //!
 //! Every flag is declared once. The spec-affecting ones, which a run
@@ -1227,7 +1227,8 @@ manifest {}",
 /// `structures`: maintenance of an on-disk structure store — `prebuild`
 /// constructs and publishes every structure a subcommand will request,
 /// `verify` validates every file, `gc` drops what no longer proves itself
-/// plus unreferenced blobs, `stats` reports per-kind dedup ratios.
+/// plus stale tmp/claim leftovers, `stats` reports per-kind file counts and
+/// bytes.
 fn cmd_structures(options: &Options) -> Result<i32, String> {
     let Some(action) = options.positionals.first() else {
         return Err(format!("structures needs an action\n{}", usage()));
@@ -1335,9 +1336,8 @@ fn cmd_structures(options: &Options) -> Result<i32, String> {
             let report = crate::store::gc_store_dir(&dir_path)
                 .map_err(|e| format!("cannot gc {dir}: {e}"))?;
             eprintln!(
-                "ringlab: gc {dir}: kept {} file(s), removed {} corrupt, {} stale tmp/claim, \
-{} unreferenced blob(s)",
-                report.kept, report.corrupt, report.stale, report.unreferenced
+                "ringlab: gc {dir}: kept {} file(s), removed {} corrupt, {} stale tmp/claim",
+                report.kept, report.corrupt, report.stale
             );
             Ok(0)
         }

@@ -15,7 +15,7 @@
 //!   strong-distinguisher sequences, selective families) keyed by
 //!   `(kind, N, n, seed)`, shared by every worker thread. Tier 2 — the
 //!   [`StructureStore`]'s optional on-disk directory of
-//!   `structure-store/v2` blobs — extends the memo across
+//!   `structure-store/v3` files — extends the memo across
 //!   worker *processes*: the first worker of a fleet to claim a key
 //!   constructs and publishes, everyone else loads bit-identical bytes.
 //!   The store implements

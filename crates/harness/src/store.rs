@@ -1,4 +1,4 @@
-//! The two-tier, content-addressed structure store (`structure-store/v2`).
+//! The two-tier structure store (`structure-store/v3`).
 //!
 //! [`StructureStore`] is the structure pathway of every sweep: **tier 1**
 //! is the in-memory sharded [`StructureCache`] (one per engine, shared by
@@ -6,62 +6,61 @@
 //! every worker *process* of a run — threads, shards on this machine, and
 //! workers on other machines pointed at the same directory.
 //!
-//! The disk layout separates **payload** from **identity**:
+//! Every structure is a pure function of its key, so the disk tier holds
+//! exactly one self-describing file per key, flat in the store directory:
 //!
 //! ```text
-//! <dir>/blobs/<digest:016x>.blob   content-addressed payloads (codec v2)
-//! <dir>/index/<key>.idx            one logical key → (blob digest, count)
-//! <dir>/index/<key>.claim          advisory single-constructor claims
+//! <dir>/strong-u<N>.blob                     universal strong sequence of N
+//! <dir>/dist-u<N>-n<n>-s<seed:016x>.blob     materialised distinguisher
+//! <dir>/select-u<N>-n<n>-s<seed:016x>.blob   selective family
+//! <dir>/<name>.claim                         advisory single-constructor claim
 //! ```
 //!
-//! Blobs are named by their own digest, so identical structures constructed
-//! under different logical keys dedup to one file; index entries are tiny
-//! and rewritten atomically (temp + rename), so **longer strong prefixes
-//! supersede shorter ones** without ever mutating a published blob. The
-//! strong-distinguisher kind stores **one prefix-extendable blob per
-//! universe**: seeds are windows into one universal sequence
+//! Each file's header carries its key (see [`ring_combinat::codec`]), and a
+//! load checks it against the request, so a mis-filed file is never
+//! served. The strong-distinguisher kind stores **one prefix-extendable
+//! file per universe**: seeds are windows into one universal sequence
 //! ([`ring_combinat::StrongBase`]), so a K-seed-diverse sweep shares one
-//! blob per `N` instead of publishing K near-full copies.
+//! file per `N` instead of publishing K near-full copies; a longer prefix
+//! replaces a shorter one by atomic rename.
 //!
 //! A request walks the tiers in order: tier-1 hit → `Arc` clone; tier-1
-//! miss → resolve the key's index entry and load its blob (a **store
-//! hit**); nothing on disk → construct (a **store miss**) and publish so
-//! the rest of the fleet loads instead of constructing. Publication is atomic and guarded by PR 4's advisory
-//! **single-constructor claim** discipline: the first worker to create the
+//! miss → load the key's file (a **store hit**); nothing on disk →
+//! construct (a **store miss**) and publish so the rest of the fleet loads
+//! instead of constructing. Publication is atomic (temp file + rename, so a
+//! reader that opened the old file keeps reading it whole) and guarded by
+//! an advisory **single-constructor claim**: the first worker to create the
 //! key's `.claim` file constructs, everyone else polls briefly; a stale
 //! claim delays a waiter by at most [`CLAIM_WAIT`] and can never wedge a
-//! sweep.
+//! sweep. Only the claimant clears a claim.
 //!
-//! Correctness never depends on the disk tier: every load is digest- and
-//! canonical-form-validated (a corrupt file is discarded and reconstructed,
-//! surfaced as an error only on the fallible [`StructureProvider`] path),
-//! and a loaded structure is bit-identical to a fresh construction, so
-//! merged sweep output is byte-identical with or without a store.
+//! Correctness never depends on the disk tier: every load is key-, digest-
+//! and canonical-form-validated (a bad file is reconstructed and
+//! republished over, surfaced as an error only on the fallible
+//! [`StructureProvider`] path), and a loaded structure is bit-identical to
+//! a fresh construction, so merged sweep output is byte-identical with or
+//! without a store.
 
 use crate::cache::{CacheStats, CachedStructure, StructureCache};
-use ring_combinat::codec::{self, IndexEntry};
+use ring_combinat::codec;
 use ring_combinat::{
     Distinguisher, IdSet, SelectiveFamily, SharedStrongDistinguisher, StrongBase, StructureKey,
     StructureKind,
 };
 use ring_protocols::structures::{StructureError, StructureProvider};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// File extension of content-addressed payload blobs.
+/// File extension of structure files.
 pub const BLOB_EXTENSION: &str = "blob";
 
-/// File extension of per-key index entries.
-pub const INDEX_EXTENSION: &str = "idx";
-
 /// Longest a worker waits for another constructor's publication before
-/// constructing the structure itself. Doubles as the grace age below which
-/// `gc` never touches an unreferenced blob (its publisher may still be
-/// about to write the index entry).
+/// constructing the structure itself. Doubles as the age past which a
+/// claim or temp file counts as a crashed constructor's leftover.
 pub const CLAIM_WAIT: Duration = Duration::from_secs(10);
 
 /// Poll interval while waiting on a claimed key.
@@ -121,7 +120,7 @@ pub struct StructureStore {
     hits: AtomicU64,
     misses: AtomicU64,
     /// One universal strong sequence per universe, shared by every seed's
-    /// view — the in-memory counterpart of the one-blob-per-universe disk
+    /// view — the in-memory counterpart of the one-file-per-universe disk
     /// layout.
     strong_bases: Mutex<HashMap<u64, Arc<StrongBase>>>,
     /// Universal prefix lengths already on disk, so `flush` republishes
@@ -150,16 +149,14 @@ impl StructureStore {
         }
     }
 
-    /// A store backed by `dir` (created, with its `blobs/` and `index/`
-    /// subdirectories, if missing).
+    /// A store backed by `dir` (created if missing).
     ///
     /// # Errors
     ///
     /// Propagates the directory creation failure.
     pub fn at(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
-        std::fs::create_dir_all(dir.join("blobs"))?;
-        std::fs::create_dir_all(dir.join("index"))?;
+        std::fs::create_dir_all(&dir)?;
         Ok(StructureStore {
             dir: Some(dir),
             ..Self::in_memory()
@@ -208,26 +205,26 @@ impl StructureStore {
         }
     }
 
-    /// The index-entry file name of a materialised key.
-    pub fn index_name(key: &StructureKey) -> String {
-        format!(
-            "{}-u{}-n{}-s{:016x}.{INDEX_EXTENSION}",
-            Self::kind_tag(key.kind),
-            key.universe,
-            key.n,
-            key.seed
-        )
+    /// The file name a key is stored under: `strong-u<N>.blob` for a
+    /// universe's universal strong sequence, `<kind>-u<N>-n<n>-s<seed>.blob`
+    /// for every other key.
+    pub fn file_name(key: &StructureKey) -> String {
+        if *key == Self::strong_universal_key(key.universe) {
+            format!("strong-u{}.{BLOB_EXTENSION}", key.universe)
+        } else {
+            format!(
+                "{}-u{}-n{}-s{:016x}.{BLOB_EXTENSION}",
+                Self::kind_tag(key.kind),
+                key.universe,
+                key.n,
+                key.seed
+            )
+        }
     }
 
-    /// The index-entry file name of a universe's **universal** strong
-    /// sequence — the one entry every strong seed of that universe resolves
-    /// through.
-    pub fn strong_index_name(universe: u64) -> String {
-        format!("strong-u{universe}.{INDEX_EXTENSION}")
-    }
-
-    /// The logical key recorded in a universal strong index entry.
-    pub fn strong_universal_key(universe: u64) -> StructureKey {
+    /// The key of a universe's **universal** strong sequence — the one file
+    /// every strong seed of that universe resolves through.
+    fn strong_universal_key(universe: u64) -> StructureKey {
         StructureKey {
             kind: StructureKind::StrongDistinguisher,
             universe,
@@ -236,136 +233,31 @@ impl StructureStore {
         }
     }
 
-    /// The blob path of a digest inside a store directory.
-    pub fn blob_path(dir: &Path, digest: u64) -> PathBuf {
-        dir.join("blobs")
-            .join(format!("{digest:016x}.{BLOB_EXTENSION}"))
-    }
-
-    /// Reads and parses an index entry (`Ok(None)` when absent).
-    fn read_index_entry(path: &Path) -> Result<Option<IndexEntry>, String> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
+    /// Loads and fully validates the file of `key` (`Ok(None)` when absent)
+    /// in one streaming pass — files run to hundreds of megabytes, so no
+    /// whole-file buffer is ever materialised. One `open` pins one inode,
+    /// so a concurrent rename-over never tears the read.
+    fn load(path: &Path, key: &StructureKey) -> Result<Option<Vec<IdSet>>, String> {
+        let file = match std::fs::File::open(path) {
+            Ok(file) => file,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
         };
-        IndexEntry::parse(&text)
-            .map(Some)
-            .map_err(|e| format!("corrupt index entry {}: {e}", path.display()))
-    }
-
-    /// Loads and fully validates the blob an index entry references
-    /// (streaming single-pass decode — blobs run to hundreds of megabytes,
-    /// so no whole-file buffer is ever materialised).
-    fn load_blob(dir: &Path, entry: &IndexEntry) -> Result<Vec<IdSet>, String> {
-        let path = Self::blob_path(dir, entry.digest);
-        let file = std::fs::File::open(&path)
-            .map_err(|e| format!("cannot read blob {}: {e}", path.display()))?;
         let len = file
             .metadata()
             .map_err(|e| format!("cannot stat {}: {e}", path.display()))?
             .len();
-        codec::decode_blob_stream(file, len, entry.key.universe, entry.count, entry.digest)
-            .map_err(|e| format!("corrupt blob {}: {e}", path.display()))
-    }
-
-    /// Atomically publishes a payload blob (skipping the write when the
-    /// digest is already on disk — the dedup fast path) and then the index
-    /// entry that makes it resolvable. Returns the blob digest.
-    fn publish(
-        &self,
-        dir: &Path,
-        entry_path: &Path,
-        key: StructureKey,
-        sets: &[impl std::borrow::Borrow<IdSet>],
-    ) -> io::Result<u64> {
-        let (bytes, digest) = codec::encode_blob(key.universe, sets);
-        let blob = Self::blob_path(dir, digest);
-        if !blob.exists() {
-            write_atomic(&blob, &bytes)?;
-        }
-        let entry = IndexEntry {
-            key,
-            digest,
-            count: sets.len(),
-        };
-        write_atomic(entry_path, entry.format().as_bytes())?;
-        Ok(digest)
-    }
-
-    /// Resolves a materialised key from its index entry on the disk tier.
-    /// `Ok(None)` = nothing usable on disk.
-    /// A file that fails validation is removed (the store self-heals by
-    /// republication) and reported as the error.
-    ///
-    /// A load failure is re-checked against the *current* entry before
-    /// anything is condemned: a concurrent supersede (flush publishing a
-    /// longer strong prefix and reclaiming the old blob) makes a stale
-    /// entry's blob vanish mid-read, and removing "the entry" at that point
-    /// would delete the just-published live one. Only an entry that still
-    /// references the failed digest is dropped; a changed entry is simply
-    /// retried.
-    fn try_load_keyed(
-        &self,
-        dir: &Path,
-        key: &StructureKey,
-        entry_path: &Path,
-    ) -> Result<Option<Vec<IdSet>>, String> {
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            match Self::read_index_entry(entry_path) {
-                Ok(Some(entry)) => {
-                    if entry.key != *key {
-                        remove_entry_if_unchanged(entry_path, &entry);
-                        return Err(format!(
-                            "index entry {} names a different key",
-                            entry_path.display()
-                        ));
-                    }
-                    match Self::load_blob(dir, &entry) {
-                        Ok(sets) => return Ok(Some(sets)),
-                        Err(e) => {
-                            // Superseded mid-read? Retry against the new
-                            // entry instead of condemning anything.
-                            if attempts < 4 && entry_changed(entry_path, &entry) {
-                                continue;
-                            }
-                            // A dangling or corrupt reference must never
-                            // win over reconstruction; drop the entry (and
-                            // the blob, if it is provably bad) so
-                            // republication heals it.
-                            remove_entry_if_unchanged(entry_path, &entry);
-                            let blob = Self::blob_path(dir, entry.digest);
-                            if blob_is_corrupt(&blob) {
-                                std::fs::remove_file(&blob).ok();
-                            }
-                            return Err(e);
-                        }
-                    }
-                }
-                Ok(None) => return Ok(None),
-                Err(e) => {
-                    // Unparsable bytes: drop them unless a concurrent
-                    // publisher already replaced the file with something
-                    // that parses.
-                    if attempts < 4 {
-                        if let Ok(Some(_)) = Self::read_index_entry(entry_path) {
-                            continue;
-                        }
-                    }
-                    std::fs::remove_file(entry_path).ok();
-                    return Err(e);
-                }
-            }
-        }
+        codec::decode_blob_stream(io::BufReader::new(file), len, key)
+            .map(Some)
+            .map_err(|e| format!("corrupt structure file {}: {e}", path.display()))
     }
 
     /// The tier-2 walk for a materialised structure: load, or wait out
     /// another constructor's claim, or construct-and-publish. Returns the
     /// structure plus the first tier error (corrupt file, failed publish) —
     /// which the infallible provider path logs and the fallible path
-    /// surfaces.
+    /// surfaces. A bad file is never deleted here: the republication
+    /// renames a good one over it.
     fn disk_or_construct<T>(
         &self,
         key: &StructureKey,
@@ -373,19 +265,22 @@ impl StructureStore {
         construct: impl FnOnce() -> T,
         payload: impl Fn(&T) -> Vec<Arc<IdSet>>,
     ) -> (T, Option<String>) {
-        let Some(dir) = self.dir.clone() else {
+        let construct = || {
             let _span = ring_obs::span!(
                 "construct_structure",
                 kind = kind_name(key.kind),
                 universe = key.universe,
                 n = key.n
             );
+            construct()
+        };
+        let Some(dir) = self.dir.as_deref() else {
             return (construct(), None);
         };
         let started = std::time::Instant::now();
-        let entry_path = dir.join("index").join(Self::index_name(key));
+        let path = dir.join(Self::file_name(key));
         let mut tier_error = None;
-        match self.try_load_keyed(&dir, key, &entry_path) {
+        match Self::load(&path, key) {
             Ok(Some(sets)) => {
                 self.note_tier2_hit(started);
                 return (decode(sets), None);
@@ -397,13 +292,13 @@ impl StructureStore {
         // Single-constructor discipline: first claimant constructs, the
         // rest poll for its publication (bounded — a stale claim only
         // delays, never blocks).
-        let claim = claim_path(&entry_path);
+        let claim = claim_path(&path);
         let claimed = try_claim(&claim);
         if claimed && tier_error.is_none() {
             // A racing constructor may have published (and cleared its own
             // claim) between our lookup and our claim; one re-check turns
             // that race into a load instead of a duplicate construction.
-            if let Ok(Some(sets)) = self.try_load_keyed(&dir, key, &entry_path) {
+            if let Ok(Some(sets)) = Self::load(&path, key) {
                 std::fs::remove_file(&claim).ok();
                 self.note_tier2_hit(started);
                 return (decode(sets), None);
@@ -413,7 +308,7 @@ impl StructureStore {
             let deadline = std::time::Instant::now() + CLAIM_WAIT;
             loop {
                 std::thread::sleep(CLAIM_POLL);
-                match self.try_load_keyed(&dir, key, &entry_path) {
+                match Self::load(&path, key) {
                     Ok(Some(sets)) => {
                         self.note_tier2_hit(started);
                         return (decode(sets), None);
@@ -427,31 +322,24 @@ impl StructureStore {
             }
             // Last look before doing the work ourselves: the claimant may
             // have published between the poll and the deadline.
-            if let Ok(Some(sets)) = self.try_load_keyed(&dir, key, &entry_path) {
+            if let Ok(Some(sets)) = Self::load(&path, key) {
                 self.note_tier2_hit(started);
                 return (decode(sets), None);
             }
         }
 
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let value = {
-            let _span = ring_obs::span!(
-                "construct_structure",
-                kind = kind_name(key.kind),
-                universe = key.universe,
-                n = key.n
-            );
-            construct()
-        };
-        let sets = payload(&value);
-        let published = self
-            .publish(&dir, &entry_path, *key, &sets)
-            .map_err(|e| format!("cannot publish {}: {e}", entry_path.display()));
-        // Whether or not the publication landed, this constructor is done
-        // with the key: clear the claim so no other process waits out the
-        // full CLAIM_WAIT. (A successful publish makes the claim moot; a
-        // failed one must not leave it behind.)
-        std::fs::remove_file(&claim).ok();
+        let value = construct();
+        let published = write_atomic(&path, &codec::encode_blob(key, &payload(&value)))
+            .map_err(|e| format!("cannot publish {}: {e}", path.display()));
+        // Whether or not the publication landed, a claimant is done with
+        // the key: clear the claim so no other process waits out the full
+        // CLAIM_WAIT. A caller that constructed without the claim (after a
+        // tier error or a claim timeout) leaves it alone — it belongs to a
+        // live constructor whose waiters would otherwise build duplicates.
+        if claimed {
+            std::fs::remove_file(&claim).ok();
+        }
         if let Err(e) = published {
             tier_error.get_or_insert(e);
         }
@@ -459,7 +347,7 @@ impl StructureStore {
     }
 
     /// The universal strong sequence of a universe, loading its published
-    /// blob on first touch (a **store hit**) or starting empty (a **store
+    /// file on first touch (a **store hit**) or starting empty (a **store
     /// miss**). Every seed's view of this universe shares the returned
     /// base — in memory and on disk.
     fn strong_base(&self, universe: u64) -> (Arc<StrongBase>, Option<String>) {
@@ -471,68 +359,29 @@ impl StructureStore {
         {
             return (Arc::clone(base), None);
         }
-        // Resolve outside the map lock (the load may read a large blob);
+        // Resolve outside the map lock (the load may read a large file);
         // racing threads resolve independently and the first insert wins.
         let mut tier_error = None;
         let mut loaded = None;
         if let Some(dir) = &self.dir {
             let started = std::time::Instant::now();
-            let entry_path = dir.join("index").join(Self::strong_index_name(universe));
-            let mut attempts = 0;
-            loop {
-                attempts += 1;
-                match Self::read_index_entry(&entry_path) {
-                    Ok(Some(entry)) if entry.key == Self::strong_universal_key(universe) => {
-                        match Self::load_blob(dir, &entry) {
-                            Ok(sets) => {
-                                self.note_tier2_hit(started);
-                                self.persisted_strong
-                                    .lock()
-                                    .expect("persisted map")
-                                    .insert(universe, sets.len());
-                                loaded = Some(StrongBase::with_prefix(universe, sets));
-                            }
-                            Err(e) => {
-                                // A concurrent flush may have superseded
-                                // the entry (and reclaimed the old blob)
-                                // mid-read: retry against the new entry
-                                // rather than condemning the live one.
-                                if attempts < 4 && entry_changed(&entry_path, &entry) {
-                                    continue;
-                                }
-                                remove_entry_if_unchanged(&entry_path, &entry);
-                                let blob = Self::blob_path(dir, entry.digest);
-                                if blob_is_corrupt(&blob) {
-                                    std::fs::remove_file(&blob).ok();
-                                }
-                                self.misses.fetch_add(1, Ordering::Relaxed);
-                                tier_error = Some(e);
-                            }
-                        }
-                    }
-                    Ok(Some(entry)) => {
-                        remove_entry_if_unchanged(&entry_path, &entry);
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        tier_error = Some(format!(
-                            "index entry {} names a different key",
-                            entry_path.display()
-                        ));
-                    }
-                    Ok(None) => {
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(e) => {
-                        if attempts < 4 {
-                            if let Ok(Some(_)) = Self::read_index_entry(&entry_path) {
-                                continue;
-                            }
-                        }
-                        std::fs::remove_file(&entry_path).ok();
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        tier_error = Some(e);
-                    }
+            let key = Self::strong_universal_key(universe);
+            match Self::load(&dir.join(Self::file_name(&key)), &key) {
+                Ok(Some(sets)) => {
+                    self.note_tier2_hit(started);
+                    self.persisted_strong
+                        .lock()
+                        .expect("persisted map")
+                        .insert(universe, sets.len());
+                    loaded = Some(StrongBase::with_prefix(universe, sets));
                 }
-                break;
+                Ok(None) => {
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(e) => {
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    tier_error = Some(e);
+                }
             }
         }
         let candidate = Arc::new(loaded.unwrap_or_else(|| StrongBase::new(universe)));
@@ -544,18 +393,17 @@ impl StructureStore {
     /// Persists every universal strong prefix that grew beyond what the
     /// store holds. Called by the engine after each run; safe to call
     /// concurrently from many processes: prefixes are prefixes of one
-    /// deterministic universal sequence, blob writes are atomic and
-    /// content-addressed (never mutated), and the index-entry rewrite is
-    /// claim-guarded with an on-disk length re-check under the claim — a
-    /// shorter prefix never replaces a longer published one. Returns the
-    /// number of blobs published.
+    /// deterministic universal sequence, writes are atomic renames, and
+    /// each rewrite is claim-guarded with an on-disk re-check under the
+    /// claim — a shorter prefix never replaces a longer valid one. Returns
+    /// the number of files published.
     ///
     /// # Errors
     ///
-    /// Returns the first publication failure (remaining entries are still
+    /// Returns the first publication failure (remaining universes are still
     /// attempted).
     pub fn flush(&self) -> Result<usize, StructureError> {
-        let Some(dir) = self.dir.clone() else {
+        let Some(dir) = self.dir.as_deref() else {
             return Ok(0);
         };
         let mut written = 0;
@@ -566,71 +414,50 @@ impl StructureStore {
         };
         for (universe, base) in bases {
             let sets = base.materialized();
-            if sets.is_empty() {
-                continue;
-            }
-            let persisted = {
+            let persist = |len: usize| {
+                let mut map = self.persisted_strong.lock().expect("persisted map");
+                map.insert(universe, len);
+            };
+            let stored = {
                 let map = self.persisted_strong.lock().expect("persisted map");
                 map.get(&universe).copied().unwrap_or(0)
             };
-            if sets.len() <= persisted {
+            if sets.len() <= stored {
                 continue;
             }
-            let entry_path = dir.join("index").join(Self::strong_index_name(universe));
+            let key = Self::strong_universal_key(universe);
+            let path = dir.join(Self::file_name(&key));
             // Serialise concurrent flushers of this universe: the loser
             // defers — unless the claim has outlived [`CLAIM_WAIT`], in
-            // which case its holder is dead (strong entries are published
+            // which case its holder is dead (strong files are published
             // only by flush, so nothing else would ever clear it) and it is
             // broken here.
-            let claim = claim_path(&entry_path);
+            let claim = claim_path(&path);
             let mut claimed = try_claim(&claim);
-            if !claimed && claim_is_stale(&claim) {
+            if !claimed && is_stale(&claim) {
                 std::fs::remove_file(&claim).ok();
                 claimed = try_claim(&claim);
             }
             if !claimed {
                 continue;
             }
-            // Under the claim, check what is actually on disk so a short
-            // prefix never clobbers a longer one — and remember the old
-            // blob so the superseded bytes can be reclaimed.
-            let old = Self::read_index_entry(&entry_path).ok().flatten();
-            if let Some(entry) = &old {
-                if entry.key == Self::strong_universal_key(universe) && sets.len() <= entry.count {
-                    self.persisted_strong
-                        .lock()
-                        .expect("persisted map")
-                        .insert(universe, entry.count);
-                    std::fs::remove_file(&claim).ok();
-                    continue;
-                }
-            }
-            match self.publish(
-                &dir,
-                &entry_path,
-                Self::strong_universal_key(universe),
-                &sets,
-            ) {
-                Ok(digest) => {
-                    written += 1;
-                    self.persisted_strong
-                        .lock()
-                        .expect("persisted map")
-                        .insert(universe, sets.len());
-                    // The superseded blob is referenced by nothing (strong
-                    // blobs are only ever named by this one entry, which now
-                    // points at the longer prefix): reclaim it.
-                    if let Some(entry) = old {
-                        if entry.digest != digest {
-                            std::fs::remove_file(Self::blob_path(&dir, entry.digest)).ok();
-                        }
+            // Under the claim, a valid prefix on disk at least as long as
+            // ours wins (a corrupt one counts as empty and is replaced).
+            let on_disk = stored_count(&path, &key);
+            if on_disk >= sets.len() {
+                persist(on_disk);
+            } else {
+                match write_atomic(&path, &codec::encode_blob(&key, &sets)) {
+                    Ok(()) => {
+                        written += 1;
+                        persist(sets.len());
                     }
-                }
-                Err(e) => {
-                    first_error.get_or_insert(StructureError::new(format!(
-                        "cannot publish {}: {e}",
-                        entry_path.display()
-                    )));
+                    Err(e) => {
+                        first_error.get_or_insert(StructureError::new(format!(
+                            "cannot publish {}: {e}",
+                            path.display()
+                        )));
+                    }
                 }
             }
             std::fs::remove_file(&claim).ok();
@@ -826,60 +653,24 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// Whether the entry file no longer holds `seen` (a concurrent publisher
-/// superseded it — the caller should retry, never condemn).
-fn entry_changed(entry_path: &Path, seen: &IndexEntry) -> bool {
-    !matches!(
-        StructureStore::read_index_entry(entry_path),
-        Ok(Some(current)) if current == *seen
-    )
-}
-
-/// Removes an index entry **only if it still holds the bytes the caller
-/// judged** — a concurrent supersede must never lose its freshly published
-/// entry to a reader that was looking at the old one.
-fn remove_entry_if_unchanged(entry_path: &Path, seen: &IndexEntry) {
-    if !entry_changed(entry_path, seen) {
-        std::fs::remove_file(entry_path).ok();
-    }
-}
-
-/// Whether a present blob file fails its own validation (used to decide if
-/// a load failure should take the blob down with the entry — a blob that
-/// still proves itself may be serving other keys, and a *missing* one
-/// leaves nothing to remove).
-fn blob_is_corrupt(path: &Path) -> bool {
-    if !path.exists() {
-        return false;
-    }
-    blob_is_unusable(path)
-}
-
-/// Whether a blob file is missing, unreadable or invalid — i.e. cannot
-/// serve the entries that reference it (the strict complement of a fresh
-/// successful validation; used before condemning an index entry).
-fn blob_is_unusable(path: &Path) -> bool {
+/// The number of sets the valid file of `key` at `path` holds (0 when it
+/// is absent, corrupt or holds another key).
+fn stored_count(path: &Path, key: &StructureKey) -> usize {
     let Ok(file) = std::fs::File::open(path) else {
-        return true;
+        return 0;
     };
     let Ok(meta) = file.metadata() else {
-        return true;
+        return 0;
     };
-    match codec::validate_blob_stream(file, meta.len()) {
-        Ok(summary) => Some(summary.digest) != digest_from_name(path),
-        Err(_) => true,
+    match codec::validate_blob_stream(io::BufReader::new(file), meta.len()) {
+        Ok(summary) if summary.key == *key => summary.count,
+        _ => 0,
     }
-}
-
-/// The digest a blob file's name claims.
-fn digest_from_name(path: &Path) -> Option<u64> {
-    let stem = path.file_stem()?.to_str()?;
-    u64::from_str_radix(stem, 16).ok()
 }
 
 /// The claim-file path guarding a key's construction.
-fn claim_path(entry_path: &Path) -> PathBuf {
-    entry_path.with_extension("claim")
+fn claim_path(path: &Path) -> PathBuf {
+    path.with_extension("claim")
 }
 
 /// Attempts to create the claim file atomically; `true` = this caller now
@@ -892,20 +683,10 @@ fn try_claim(claim: &Path) -> bool {
         .is_ok()
 }
 
-/// Whether a claim file has outlived [`CLAIM_WAIT`] (its holder is
-/// presumed dead). A claim whose age cannot be determined is treated as
+/// Whether a claim or temp file has outlived [`CLAIM_WAIT`] (its writer is
+/// presumed dead). A file whose age cannot be determined is treated as
 /// live — waiting is always safe, wrongly breaking a claim is not.
-fn claim_is_stale(claim: &Path) -> bool {
-    std::fs::metadata(claim)
-        .and_then(|m| m.modified())
-        .ok()
-        .and_then(|modified| std::time::SystemTime::now().duration_since(modified).ok())
-        .is_some_and(|age| age > CLAIM_WAIT)
-}
-
-/// Whether a file is older than [`CLAIM_WAIT`] (the gc grace below which a
-/// just-published, not-yet-indexed blob must not be reclaimed).
-fn older_than_grace(path: &Path) -> bool {
+fn is_stale(path: &Path) -> bool {
     std::fs::metadata(path)
         .and_then(|m| m.modified())
         .ok()
@@ -918,19 +699,17 @@ fn older_than_grace(path: &Path) -> bool {
 pub struct StoreFileReport {
     /// The file scanned.
     pub path: PathBuf,
-    /// The decoded logical key (index entries; `None`
-    /// for payload blobs, which deliberately carry no identity).
+    /// The key its header declares (`None` when the file does not validate).
     pub key: Option<StructureKey>,
-    /// Number of sets the file holds or resolves to (valid files only).
+    /// Number of sets the file holds (valid files only).
     pub sets: usize,
     /// Why the file is invalid (`None` = fully valid).
     pub error: Option<String>,
 }
 
-/// Validates every file of a store directory — content-addressed blobs
-/// (streamed, constant memory), index entries (parsed, their referenced
-/// blob required to be present and valid) — reporting each file's
-/// validity. A missing directory scans as empty (a run that
+/// Validates every structure file of a store directory (streamed, constant
+/// memory): each must decode cleanly and be filed under the name of the key
+/// its header declares. A missing directory scans as empty (a run that
 /// never published is a valid, empty store).
 ///
 /// # Errors
@@ -939,34 +718,25 @@ pub struct StoreFileReport {
 /// reported, not raised).
 pub fn scan_store_dir(dir: &Path) -> io::Result<Vec<StoreFileReport>> {
     let mut reports = Vec::new();
-    let mut valid_blobs: HashSet<u64> = HashSet::new();
-
-    // 1. Blobs: self-validating; the file name must equal the content
-    //    digest (a mis-filed blob would be unresolvable or worse).
-    for path in list_with_extension(&dir.join("blobs"), BLOB_EXTENSION)? {
+    for path in list_with_extension(dir, BLOB_EXTENSION)? {
         let validated = std::fs::File::open(&path)
             .and_then(|file| Ok((file.metadata()?.len(), file)))
             .map_err(|e| format!("unreadable: {e}"))
             .and_then(|(len, file)| {
-                codec::validate_blob_stream(file, len).map_err(|e| e.to_string())
+                codec::validate_blob_stream(io::BufReader::new(file), len)
+                    .map_err(|e| e.to_string())
             });
         let report = match validated {
             Ok(summary) => {
-                let named = digest_from_name(&path);
-                let error = (named != Some(summary.digest)).then(|| {
-                    format!(
-                        "blob file name does not match its content digest {}",
-                        codec::format_checksum(summary.digest)
-                    )
-                });
-                if error.is_none() {
-                    valid_blobs.insert(summary.digest);
-                }
+                let expected = StructureStore::file_name(&summary.key);
+                let filed = path.file_name().and_then(|n| n.to_str()) == Some(expected.as_str());
                 StoreFileReport {
                     path,
-                    key: None,
+                    key: Some(summary.key),
                     sets: summary.count,
-                    error,
+                    error: (!filed).then(|| {
+                        format!("file holds {:?}, which belongs in {expected}", summary.key)
+                    }),
                 }
             }
             Err(error) => StoreFileReport {
@@ -978,66 +748,11 @@ pub fn scan_store_dir(dir: &Path) -> io::Result<Vec<StoreFileReport>> {
         };
         reports.push(report);
     }
-
-    // 2. Index entries: must parse, must be filed under their key's name,
-    //    and must reference a present, valid blob.
-    for path in list_with_extension(&dir.join("index"), INDEX_EXTENSION)? {
-        let parsed = std::fs::read_to_string(&path)
-            .map_err(|e| format!("unreadable: {e}"))
-            .and_then(|text| IndexEntry::parse(&text).map_err(|e| e.to_string()));
-        let report = match parsed {
-            Ok(entry) => {
-                let expected = expected_index_name(&entry);
-                let actual = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-                let error = if actual != expected {
-                    Some(format!(
-                        "index entry is not filed under its key (expected {expected})"
-                    ))
-                } else if !valid_blobs.contains(&entry.digest)
-                    // The blob listing above is a snapshot; a publisher may
-                    // have landed blob + entry since. Never condemn an
-                    // entry without re-checking its blob on disk right now.
-                    && blob_is_unusable(&StructureStore::blob_path(dir, entry.digest))
-                {
-                    Some(format!(
-                        "entry references blob {} which is missing or invalid",
-                        codec::format_checksum(entry.digest)
-                    ))
-                } else {
-                    None
-                };
-                StoreFileReport {
-                    path,
-                    key: Some(entry.key),
-                    sets: entry.count,
-                    error,
-                }
-            }
-            Err(error) => StoreFileReport {
-                path,
-                key: None,
-                sets: 0,
-                error: Some(error),
-            },
-        };
-        reports.push(report);
-    }
-
-    reports.sort_by(|a, b| a.path.cmp(&b.path));
     Ok(reports)
 }
 
-/// The index-file name an entry must be filed under.
-fn expected_index_name(entry: &IndexEntry) -> String {
-    if entry.key.kind == StructureKind::StrongDistinguisher {
-        StructureStore::strong_index_name(entry.key.universe)
-    } else {
-        StructureStore::index_name(&entry.key)
-    }
-}
-
-/// Lists the files of one extension in a directory (missing directory =
-/// empty).
+/// Lists the files of one extension in a directory, sorted (missing
+/// directory = empty).
 fn list_with_extension(dir: &Path, extension: &str) -> io::Result<Vec<PathBuf>> {
     let entries = match std::fs::read_dir(dir) {
         Ok(entries) => entries,
@@ -1056,32 +771,22 @@ fn list_with_extension(dir: &Path, extension: &str) -> io::Result<Vec<PathBuf>> 
 }
 
 /// Removes the `*.tmp` / `*.claim` leftovers of crashed constructors from a
-/// store's `blobs/` and `index/` subdirectories. `resume`
-/// runs this before re-launching workers — an orphaned claim would
-/// otherwise stall every re-launched worker's first lookup of that key for
-/// the full [`CLAIM_WAIT`]. Only files older than that same grace period
-/// are touched: a *young* temp file may be a concurrent publisher's
-/// in-flight write (gc is safe to run against a live fleet), and a young
-/// claim delays nobody beyond the wait it already bounds. Returns the
-/// number removed; a missing directory sweeps as zero.
+/// store directory. `resume` runs this before re-launching workers — an
+/// orphaned claim would otherwise stall every re-launched worker's first
+/// lookup of that key for the full [`CLAIM_WAIT`]. Only files older than
+/// that same grace period are touched: a *young* temp file may be a
+/// concurrent publisher's in-flight write (gc is safe to run against a live
+/// fleet), and a young claim delays nobody beyond the wait it already
+/// bounds. Returns the number removed; a missing directory sweeps as zero.
 ///
 /// # Errors
 ///
 /// Propagates directory-listing and removal I/O failures.
 pub fn sweep_stale_files(dir: &Path) -> io::Result<usize> {
     let mut removed = 0;
-    for sub in [dir.join("blobs"), dir.join("index")] {
-        let entries = match std::fs::read_dir(&sub) {
-            Ok(entries) => entries,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-            Err(e) => return Err(e),
-        };
-        for entry in entries {
-            let path = entry?.path();
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            if (name.ends_with(".claim") || name.ends_with(".tmp")) && older_than_grace(&path) {
+    for extension in ["claim", "tmp"] {
+        for path in list_with_extension(dir, extension)? {
+            if is_stale(&path) {
                 std::fs::remove_file(&path)?;
                 removed += 1;
             }
@@ -1112,185 +817,79 @@ pub fn revalidate_store_dir(dir: &Path) -> io::Result<Vec<PathBuf>> {
 /// Garbage-collection report of [`gc_store_dir`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GcReport {
-    /// Invalid blobs and index entries removed.
+    /// Invalid or mis-filed structure files removed.
     pub corrupt: usize,
     /// Stale `*.tmp` / `*.claim` leftovers removed.
     pub stale: usize,
-    /// Valid blobs no index entry references (superseded strong prefixes,
-    /// keys whose entries were dropped) removed — only past the
-    /// [`CLAIM_WAIT`] grace age, and judged against a fresh re-read of the
-    /// index taken immediately before removal, so a blob superseded by a
-    /// flush *during* the gc pass is reclaimed in that same pass instead of
-    /// lingering until the next one.
-    pub unreferenced: usize,
     /// Valid files kept.
     pub kept: usize,
 }
 
-/// Cleans a store directory: removes invalid files, the `*.tmp` /
-/// `*.claim` leftovers of crashed constructors, and unreferenced payload
-/// blobs; keeps everything that still proves itself and is still
-/// reachable.
-///
-/// GC never deletes a blob a live index entry references: candidates are
-/// every aged valid blob from one validated scan (the age gate covers
-/// publishers, who write their blob moments before its entry), and each
-/// removal is decided against a re-read of the index taken immediately
-/// before the removal pass. Judging *every* aged blob against that re-read
-/// — not only the ones the scan saw unreferenced — means a strong blob
-/// superseded by a concurrent flush after the scan is reclaimed in this
-/// pass rather than surviving as an orphan until the next one.
+/// Cleans a store directory: removes the `*.tmp` / `*.claim` leftovers of
+/// crashed constructors and every file that no longer proves itself, and
+/// keeps the rest. A live structure is never removed: publication renames
+/// a complete file into place, so a scan sees either the old valid file or
+/// the new one.
 ///
 /// # Errors
 ///
 /// Propagates directory-listing and removal I/O failures.
 pub fn gc_store_dir(dir: &Path) -> io::Result<GcReport> {
-    gc_store_dir_with(dir, || {})
+    let stale = sweep_stale_files(dir)?;
+    let corrupt = revalidate_store_dir(dir)?.len();
+    Ok(GcReport {
+        corrupt,
+        stale,
+        kept: list_with_extension(dir, BLOB_EXTENSION)?.len(),
+    })
 }
 
-/// [`gc_store_dir`] with a seam between the validating scan and the
-/// condemnation re-read, so tests can interleave a flush at exactly the
-/// point where the old candidate logic went stale.
-fn gc_store_dir_with(dir: &Path, after_scan: impl FnOnce()) -> io::Result<GcReport> {
-    let mut report = GcReport {
-        stale: sweep_stale_files(dir)?,
-        ..GcReport::default()
-    };
-    let mut valid_blobs: Vec<(PathBuf, u64)> = Vec::new();
-    for file in scan_store_dir(dir)? {
-        if file.error.is_some() {
-            std::fs::remove_file(&file.path)?;
-            report.corrupt += 1;
-            continue;
-        }
-        report.kept += 1;
-        if file.path.extension().and_then(|e| e.to_str()) == Some(BLOB_EXTENSION) {
-            if let Some(digest) = digest_from_name(&file.path) {
-                valid_blobs.push((file.path.clone(), digest));
-            }
-        }
-    }
-    // Every aged valid blob is a candidate; liveness is decided solely by
-    // one fresh re-read of the index after the candidate list is fixed. A
-    // blob whose entry landed after the scan is never reclaimed, and a blob
-    // whose entry was *replaced* after the scan (a flush superseding a
-    // strong prefix) no longer lingers to the next gc. (The age gate
-    // already protects publishers between the re-read and the removals;
-    // re-reading per candidate would make gc O(blobs × entries) for no
-    // additional guarantee.)
-    let candidates: Vec<(PathBuf, u64)> = valid_blobs
-        .into_iter()
-        .filter(|(path, _)| older_than_grace(path))
-        .collect();
-    after_scan();
-    if !candidates.is_empty() {
-        let referenced_now = current_referenced_digests(dir)?;
-        for (path, digest) in candidates {
-            if referenced_now.contains(&digest) {
-                continue;
-            }
-            match std::fs::remove_file(&path) {
-                Ok(()) => report.unreferenced += 1,
-                // A superseding flush reclaims the blob it replaced itself;
-                // losing that race to it is success, not failure.
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
-            }
-            report.kept -= 1;
-        }
-    }
-    Ok(report)
-}
-
-/// The digests the index directory references right now (parse failures
-/// reference nothing).
-fn current_referenced_digests(dir: &Path) -> io::Result<HashSet<u64>> {
-    let mut digests = HashSet::new();
-    for path in list_with_extension(&dir.join("index"), INDEX_EXTENSION)? {
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            if let Ok(entry) = IndexEntry::parse(&text) {
-                digests.insert(entry.digest);
-            }
-        }
-    }
-    Ok(digests)
-}
-
-/// Per-kind usage statistics of a store directory (the `ringlab structures
-/// stats` report).
+/// One kind's usage in a store directory.
 #[derive(Clone, Debug, Default, PartialEq, serde::Serialize)]
 pub struct KindStats {
-    /// Logical keys resolvable through the index.
-    pub logical_keys: usize,
-    /// Distinct blobs those keys resolve to.
-    pub blobs: usize,
-    /// Total bytes of those blobs.
+    /// Structure files of the kind.
+    pub files: usize,
+    /// Their total bytes.
     pub bytes: u64,
-    /// `logical_keys / blobs` — the content-addressing dedup ratio (1.0 =
-    /// no sharing; the strong kind's ratio grows with every extra seed).
-    pub dedup_ratio: f64,
 }
 
-/// Store-wide usage statistics, per kind plus totals.
+/// Store-wide usage statistics, per kind plus totals (the `ringlab
+/// structures stats` report).
 #[derive(Clone, Debug, Default, PartialEq, serde::Serialize)]
 pub struct StoreDirStats {
-    /// Strong-distinguisher entries (logical keys counted per universal
-    /// entry; seed views share them).
+    /// Universal strong sequences (one per universe; seed views share it).
     pub strong: KindStats,
-    /// Materialised distinguisher entries.
+    /// Materialised distinguishers.
     pub dist: KindStats,
-    /// Selective-family entries.
+    /// Selective families.
     pub select: KindStats,
-    /// Total on-disk bytes (blobs + index entries).
+    /// Total bytes of all structure files.
     pub total_bytes: u64,
 }
 
-/// Computes per-kind blob counts, byte totals and dedup ratios over a
-/// store directory (valid files only; corrupt files are ignored, as
-/// `verify` reports them separately).
+/// Counts the files and bytes of each kind in a store directory, by file
+/// name (`verify` is what judges their contents).
 ///
 /// # Errors
 ///
 /// Propagates directory-listing I/O failures.
 pub fn store_dir_stats(dir: &Path) -> io::Result<StoreDirStats> {
     let mut stats = StoreDirStats::default();
-    let mut per_kind: HashMap<StructureKind, (usize, HashSet<u64>)> = HashMap::new();
-    let mut blob_sizes: HashMap<u64, u64> = HashMap::new();
-    for path in list_with_extension(&dir.join("blobs"), BLOB_EXTENSION)? {
-        if let (Some(digest), Ok(meta)) = (digest_from_name(&path), std::fs::metadata(&path)) {
-            blob_sizes.insert(digest, meta.len());
-            stats.total_bytes += meta.len();
-        }
-    }
-    for path in list_with_extension(&dir.join("index"), INDEX_EXTENSION)? {
-        stats.total_bytes += std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        let Ok(text) = std::fs::read_to_string(&path) else {
+    for path in list_with_extension(dir, BLOB_EXTENSION)? {
+        let Ok(bytes) = std::fs::metadata(&path).map(|m| m.len()) else {
             continue;
         };
-        let Ok(entry) = IndexEntry::parse(&text) else {
-            continue;
+        stats.total_bytes += bytes;
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        let kind = match name.split('-').next() {
+            Some("strong") => &mut stats.strong,
+            Some("dist") => &mut stats.dist,
+            Some("select") => &mut stats.select,
+            _ => continue,
         };
-        let slot = per_kind.entry(entry.key.kind).or_default();
-        slot.0 += 1;
-        slot.1.insert(entry.digest);
+        kind.files += 1;
+        kind.bytes += bytes;
     }
-    let finish = |kind: StructureKind| {
-        let (keys, digests) = per_kind.get(&kind).cloned().unwrap_or_default();
-        let bytes = digests.iter().filter_map(|d| blob_sizes.get(d)).sum();
-        KindStats {
-            logical_keys: keys,
-            blobs: digests.len(),
-            bytes,
-            dedup_ratio: if digests.is_empty() {
-                0.0
-            } else {
-                keys as f64 / digests.len() as f64
-            },
-        }
-    };
-    stats.strong = finish(StructureKind::StrongDistinguisher);
-    stats.dist = finish(StructureKind::Distinguisher);
-    stats.select = finish(StructureKind::SelectiveFamily);
     Ok(stats)
 }
 
@@ -1304,6 +903,24 @@ mod tests {
             std::env::temp_dir().join(format!("ring-harness-store-{tag}-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         dir
+    }
+
+    fn dist_key(universe: u64, n: u64, seed: u64) -> StructureKey {
+        StructureKey {
+            kind: StructureKind::Distinguisher,
+            universe,
+            n,
+            seed,
+        }
+    }
+
+    fn backdate(path: &Path) {
+        assert!(std::process::Command::new("touch")
+            .args(["-m", "-d", "2 hours ago"])
+            .arg(path)
+            .status()
+            .map(|s| s.success())
+            .unwrap_or(false));
     }
 
     #[test]
@@ -1365,15 +982,19 @@ mod tests {
             assert_eq!(*reloaded.set(i), *fresh.set(i), "set {i}");
         }
         // A *different* seed of the same universe is served from the same
-        // universal blob — no extra disk event, no extra blob.
+        // universal file — no extra disk event, no extra file.
         let other = second.strong_distinguisher(1 << 10, 77);
         assert_eq!(second.stats(), StoreStats { hits: 1, misses: 0 });
         assert_eq!(
             *other.set(0),
             *FreshStructures.strong_distinguisher(1 << 10, 77).set(0)
         );
-        let blobs = list_with_extension(&dir.join("blobs"), BLOB_EXTENSION).unwrap();
-        assert_eq!(blobs.len(), 1, "one universal blob per universe");
+        let files = list_with_extension(&dir, BLOB_EXTENSION).unwrap();
+        assert_eq!(
+            files,
+            [dir.join("strong-u1024.blob")],
+            "one file per universe"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1399,10 +1020,36 @@ mod tests {
         let c = StructureStore::at(&dir).unwrap();
         let reloaded = c.strong_distinguisher(512, 5);
         assert!(reloaded.materialized_len() >= 12);
-        // Superseding left exactly one strong blob (the shorter one was
-        // reclaimed by the flush that published the longer prefix).
-        let blobs = list_with_extension(&dir.join("blobs"), BLOB_EXTENSION).unwrap();
-        assert_eq!(blobs.len(), 1);
+        assert_eq!(list_with_extension(&dir, BLOB_EXTENSION).unwrap().len(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_corrupt_strong_file_is_replaced_by_the_next_flush() {
+        let dir = temp_store("strong-corrupt");
+        let first = StructureStore::at(&dir).unwrap();
+        let strong = first.strong_distinguisher(512, 1);
+        for i in 0..8 {
+            strong.set(i);
+        }
+        assert_eq!(first.flush().unwrap(), 1);
+        // Flip one payload byte: the header still claims 8 sets.
+        let path = dir.join("strong-u512.blob");
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = bytes.len() / 2;
+        bytes[at] ^= 0x40;
+        std::fs::write(&path, &bytes).unwrap();
+
+        let second = StructureStore::at(&dir).unwrap();
+        let err = second.try_strong_distinguisher(512, 1).unwrap_err();
+        assert!(err.to_string().contains("corrupt"), "{err}");
+        let strong = second.strong_distinguisher(512, 1);
+        strong.set(2);
+        // The corrupt file counts as empty, so a shorter valid prefix wins.
+        assert_eq!(second.flush().unwrap(), 1);
+        let third = StructureStore::at(&dir).unwrap();
+        assert!(third.try_strong_distinguisher(512, 1).is_ok());
+        assert_eq!(third.stats(), StoreStats { hits: 1, misses: 0 });
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1411,22 +1058,12 @@ mod tests {
         let dir = temp_store("corrupt");
         let first = StructureStore::at(&dir).unwrap();
         let good = first.distinguisher(256, 4, 5);
-        let entry = StructureStore::read_index_entry(&dir.join("index").join(
-            StructureStore::index_name(&StructureKey {
-                kind: StructureKind::Distinguisher,
-                universe: 256,
-                n: 4,
-                seed: 5,
-            }),
-        ))
-        .unwrap()
-        .unwrap();
-        let blob = StructureStore::blob_path(&dir, entry.digest);
+        let path = dir.join(StructureStore::file_name(&dist_key(256, 4, 5)));
         // Flip one payload byte.
-        let mut bytes = std::fs::read(&blob).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
         let at = bytes.len() / 2;
         bytes[at] ^= 0x40;
-        std::fs::write(&blob, &bytes).unwrap();
+        std::fs::write(&path, &bytes).unwrap();
 
         // The fallible path reports the corruption; the returned structure
         // is still the correct reconstruction.
@@ -1435,10 +1072,62 @@ mod tests {
         assert!(err.to_string().contains("corrupt"), "{err}");
         assert_eq!(second.stats(), StoreStats { hits: 0, misses: 1 });
 
-        // ...and it republished a healthy blob: a third store loads.
+        // ...and it republished a healthy file: a third store loads.
         let third = StructureStore::at(&dir).unwrap();
         assert_eq!(*third.try_distinguisher(256, 4, 5).unwrap(), *good);
         assert_eq!(third.stats(), StoreStats { hits: 1, misses: 0 });
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn only_the_claimant_clears_a_claim() {
+        let dir = temp_store("foreign-claim");
+        let store = StructureStore::at(&dir).unwrap();
+        // Another constructor holds the key's claim, and the key's file is
+        // corrupt: this caller constructs without the claim...
+        let path = dir.join(StructureStore::file_name(&dist_key(128, 4, 3)));
+        let claim = claim_path(&path);
+        std::fs::write(&claim, b"").unwrap();
+        std::fs::write(&path, b"not a structure file").unwrap();
+        assert!(store.try_distinguisher(128, 4, 3).is_err());
+        // ...and must leave the other constructor's claim in place.
+        assert!(claim.exists(), "a non-claimant removed a live claim");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_misfiled_file_is_reported_and_never_served() {
+        let dir = temp_store("misfiled");
+        let store = StructureStore::at(&dir).unwrap();
+        store.distinguisher(128, 4, 1);
+        // A valid file copied under another key's name.
+        let (a, b) = (dist_key(128, 4, 1), dist_key(128, 4, 2));
+        let misfiled = dir.join(StructureStore::file_name(&b));
+        std::fs::copy(dir.join(StructureStore::file_name(&a)), &misfiled).unwrap();
+
+        let reports = scan_store_dir(&dir).unwrap();
+        let report = reports.iter().find(|r| r.path == misfiled).unwrap();
+        assert_eq!(report.key, Some(a));
+        assert!(report.error.is_some(), "{report:?}");
+        let verify = |dir: &Path| {
+            let args = ["structures", "verify", "--structure-store"].map(String::from);
+            let mut args = args.to_vec();
+            args.push(dir.to_string_lossy().into_owned());
+            crate::cli::run(&args)
+        };
+        assert_eq!(verify(&dir), 1, "verify must fail on a mis-filed file");
+
+        // Never served: the store counts a miss and rebuilds the right key.
+        let second = StructureStore::at(&dir).unwrap();
+        let err = second.try_distinguisher(128, 4, 2).unwrap_err();
+        assert!(err.to_string().contains("corrupt"), "{err}");
+        assert_eq!(second.stats(), StoreStats { hits: 0, misses: 1 });
+        assert_eq!(
+            *second.distinguisher(128, 4, 2),
+            *FreshStructures.distinguisher(128, 4, 2)
+        );
+        // The rebuild republished over the mis-filed copy.
+        assert_eq!(verify(&dir), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1448,49 +1137,29 @@ mod tests {
         let store = StructureStore::at(&dir).unwrap();
         store.distinguisher(128, 4, 1);
         store.selective_family(128, 4, 1);
-        // A corrupt blob, a dangling entry, a stale claim and a stale temp
-        // file.
+        // A garbage file, a truncated structure file, a stale claim and a
+        // stale temp file.
+        let valid = std::fs::read(dir.join(StructureStore::file_name(&dist_key(128, 4, 1))));
+        let valid = valid.unwrap();
+        std::fs::write(dir.join("dist-u64-n2-s0000000000000005.blob"), b"junk").unwrap();
         std::fs::write(
-            dir.join("blobs")
-                .join(format!("{:016x}.{BLOB_EXTENSION}", 0xbad)),
-            b"not a blob",
+            dir.join(StructureStore::file_name(&dist_key(128, 4, 9))),
+            &valid[..valid.len() - 8],
         )
         .unwrap();
-        std::fs::write(
-            dir.join("index")
-                .join(format!("dist-u64-n2-s{:016x}.{INDEX_EXTENSION}", 5)),
-            IndexEntry {
-                key: StructureKey {
-                    kind: StructureKind::Distinguisher,
-                    universe: 64,
-                    n: 2,
-                    seed: 5,
-                },
-                digest: 0xdead,
-                count: 1,
-            }
-            .format(),
-        )
-        .unwrap();
-        let claim = dir.join("index").join("dist-u64-n2-s03.claim");
-        let leftover = dir.join("blobs").join("leftover.tmp");
+        let claim = dir.join("dist-u64-n2-s0000000000000003.claim");
+        let leftover = dir.join("dist-u64-n2-s0000000000000003.1-2.tmp");
         std::fs::write(&claim, b"").unwrap();
         std::fs::write(&leftover, b"").unwrap();
-        // Backdate the leftovers past the claim grace: young tmp/claim
-        // files belong to live publishers and must survive a sweep.
+        // Young tmp/claim files belong to live publishers and survive a
+        // sweep; backdated past the claim grace they are leftovers.
         assert_eq!(sweep_stale_files(&dir).unwrap(), 0);
-        for stale in [&claim, &leftover] {
-            assert!(std::process::Command::new("touch")
-                .args(["-m", "-d", "2 hours ago"])
-                .arg(stale)
-                .status()
-                .map(|s| s.success())
-                .unwrap_or(false));
-        }
+        backdate(&claim);
+        backdate(&leftover);
 
         let reports = scan_store_dir(&dir).unwrap();
-        // 2 blobs + 2 entries from the real structures, plus 2 bad files.
-        assert_eq!(reports.len(), 6);
+        // 2 files from the real structures, plus 2 bad files.
+        assert_eq!(reports.len(), 4);
         assert_eq!(reports.iter().filter(|r| r.error.is_some()).count(), 2);
 
         let gc = gc_store_dir(&dir).unwrap();
@@ -1499,99 +1168,16 @@ mod tests {
             GcReport {
                 corrupt: 2,
                 stale: 2,
-                unreferenced: 0,
-                kept: 4
+                kept: 2
             }
         );
         // Post-gc the directory verifies clean.
         assert!(revalidate_store_dir(&dir).unwrap().is_empty());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn gc_reclaims_blobs_superseded_between_scan_and_condemnation() {
-        let dir = temp_store("gc-flush-race");
-        let store = StructureStore::at(&dir).unwrap();
-        let strong = store.strong_distinguisher(512, 5);
-        for i in 0..3 {
-            strong.set(i);
-        }
-        assert_eq!(store.flush().unwrap(), 1);
-        let old_blob = {
-            let blobs = list_with_extension(&dir.join("blobs"), BLOB_EXTENSION).unwrap();
-            assert_eq!(blobs.len(), 1);
-            blobs[0].clone()
-        };
-        // Age the published blob past the claim grace so gc may judge it.
-        assert!(std::process::Command::new("touch")
-            .args(["-m", "-d", "2 hours ago"])
-            .arg(&old_blob)
-            .status()
-            .map(|s| s.success())
-            .unwrap_or(false));
-        // A flush supersedes the scanned blob *between* gc's validating
-        // scan and its condemnation re-read — the exact interleaving that
-        // used to leave the old blob orphaned until the next gc run. The
-        // hand publish (rather than `flush`) models the fleet race where
-        // the superseding flusher's own best-effort reclaim lost out.
-        let base = StrongBase::new(512);
-        let longer: Vec<Arc<IdSet>> = (0..12).map(|j| base.set(j)).collect();
-        let gc = gc_store_dir_with(&dir, || {
-            store
-                .publish(
-                    &dir,
-                    &dir.join("index")
-                        .join(StructureStore::strong_index_name(512)),
-                    StructureStore::strong_universal_key(512),
-                    &longer,
-                )
-                .unwrap();
-        })
-        .unwrap();
-        assert_eq!(gc.unreferenced, 1, "the superseded blob is reclaimed");
-        assert!(!old_blob.exists());
-        // The longer prefix survives, loads, and verifies clean.
-        let reloaded = StructureStore::at(&dir)
-            .unwrap()
-            .try_strong_distinguisher(512, 5)
-            .unwrap();
-        assert!(reloaded.base().materialized_len() >= 12);
-        assert!(revalidate_store_dir(&dir).unwrap().is_empty());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn identical_payloads_under_different_keys_share_one_blob() {
-        let dir = temp_store("dedup");
-        let store = StructureStore::at(&dir).unwrap();
-        let d = store.distinguisher(128, 4, 9);
-        // Publish the same payload under a second logical key by hand (the
-        // situation content addressing exists for).
-        let other = StructureKey {
-            kind: StructureKind::Distinguisher,
-            universe: 128,
-            n: 4,
-            seed: 1234,
-        };
-        let sets: Vec<Arc<IdSet>> = d.sets().iter().cloned().map(Arc::new).collect();
-        store
-            .publish(
-                &dir,
-                &dir.join("index").join(StructureStore::index_name(&other)),
-                other,
-                &sets,
-            )
-            .unwrap();
-        let blobs = list_with_extension(&dir.join("blobs"), BLOB_EXTENSION).unwrap();
-        assert_eq!(blobs.len(), 1, "identical payloads must dedup to one blob");
         let stats = store_dir_stats(&dir).unwrap();
-        assert_eq!(stats.dist.logical_keys, 2);
-        assert_eq!(stats.dist.blobs, 1);
-        assert!((stats.dist.dedup_ratio - 2.0).abs() < 1e-9);
-        // Both keys load the shared payload. (The loaded structure carries
-        // the requesting key's parameters; only the payload is shared.)
-        let second = StructureStore::at(&dir).unwrap();
-        assert_eq!(*second.try_distinguisher(128, 4, 1234).unwrap(), *d);
+        assert_eq!(
+            (stats.dist.files, stats.select.files, stats.strong.files),
+            (1, 1, 0)
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -365,14 +365,8 @@ fn resume_revalidates_the_structure_store_and_reaches_identical_bytes() {
         std::fs::write(&report.path, bytes).unwrap();
         corrupted += 1;
     }
-    std::fs::create_dir_all(store.join("index")).unwrap();
-    std::fs::write(
-        store
-            .join("index")
-            .join("dist-u64-n4-s0000000000000000.idx"),
-        b"junk",
-    )
-    .unwrap();
+    std::fs::create_dir_all(&store).unwrap();
+    std::fs::write(store.join("dist-u64-n4-s0000000000000000.blob"), b"junk").unwrap();
     corrupted += 1;
     assert!(corrupted >= 1);
 
@@ -487,7 +481,7 @@ fn seed_diverse_sharded_sweeps_are_byte_identical_for_every_shard_count() {
     // K-seed diversity must not multiply the store: the strong kind shares
     // one universal blob per universe (2 even universes in the grid).
     let stats = ring_harness::store::store_dir_stats(&store).unwrap();
-    assert_eq!(stats.strong.blobs, 2, "one strong blob per universe");
+    assert_eq!(stats.strong.files, 2, "one strong blob per universe");
     for report in ring_harness::store::scan_store_dir(&store).unwrap() {
         assert!(report.error.is_none(), "{:?}", report);
     }
