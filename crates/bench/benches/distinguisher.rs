@@ -1,11 +1,12 @@
 //! Benchmark for the Section IV machinery: construction of distinguishers
-//! and selective families, and the distinguisher-driven weak nontrivial-move
-//! protocol on adversarial (balanced) rings — the quantity whose
-//! Θ(n·log(N/n)/log n) growth is the paper's key lower bound.
+//! and the distinguisher-driven weak nontrivial-move protocol on
+//! adversarial (balanced) rings — the quantity whose Θ(n·log(N/n)/log n)
+//! growth is the paper's key lower bound. (Selective families are implicit
+//! and O(log n) to build; `bench_combinat` times their verification.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ring_bench::balanced_deployment;
-use ring_combinat::{reference, Distinguisher, SelectiveFamily};
+use ring_combinat::{reference, Distinguisher};
 use ring_protocols::coordination::nontrivial::weak_nontrivial_move_even_distinguisher;
 use ring_protocols::Network;
 use ring_sim::Model;
@@ -19,15 +20,12 @@ fn bench_constructions(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("distinguisher", n), &n, |b, &n| {
             b.iter(|| Distinguisher::random(1 << 12, n, 7))
         });
-        group.bench_with_input(BenchmarkId::new("selective_family", n), &n, |b, &n| {
-            b.iter(|| SelectiveFamily::random(1 << 12, n, 7))
-        });
     }
     group.finish();
 }
 
-/// The word-parallel constructions at large universes (N ≥ 10⁵), against
-/// the element-wise reference implementations they replaced — the speedup
+/// The word-parallel construction at large universes (N ≥ 10⁵), against
+/// the element-wise reference implementation it replaced — the speedup
 /// the `BENCH_combinat.json` trajectory tracks.
 fn bench_constructions_large(c: &mut Criterion) {
     let mut group = c.benchmark_group("distinguisher/construction_large");
@@ -39,20 +37,12 @@ fn bench_constructions_large(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("distinguisher", n), &n, |b, &n| {
             b.iter(|| Distinguisher::random(universe, n, 7))
         });
-        group.bench_with_input(BenchmarkId::new("selective_family", n), &n, |b, &n| {
-            b.iter(|| SelectiveFamily::random(universe, n, 7))
-        });
     }
     // The reference paths are too slow to sweep; one size anchors the ratio.
     group.bench_with_input(
         BenchmarkId::new("distinguisher_reference", 64),
         &64,
         |b, &n| b.iter(|| reference::distinguisher_random_reference(universe, n, 7)),
-    );
-    group.bench_with_input(
-        BenchmarkId::new("selective_family_reference", 64),
-        &64,
-        |b, &n| b.iter(|| reference::selective_random_reference(universe, n, 7)),
     );
     group.finish();
 }

@@ -13,9 +13,10 @@
 //!
 //! Besides the construction-level pairs, the report times the chunked
 //! `IdSet` kernels themselves (union, intersect, popcount,
-//! intersection-count, sampled verification) against their element-wise
-//! oracles, and the analytic engine's linear first-collision sweeps
-//! against the binary-search engine kept in `ring_sim::reference`. In
+//! intersection-count, sampled verification), the selective family's
+//! scale-first sampled verification against the first-index scan over its
+//! materialised sets, and the analytic engine's linear first-collision
+//! sweeps against the binary-search engine kept in `ring_sim::reference`. In
 //! `--quick` mode the run **fails** (nonzero exit) if any kernel's fast
 //! path is slower than its reference — the CI perf smoke that keeps these
 //! loops honest.
@@ -144,7 +145,9 @@ fn main() {
         slow as f64 / fast.max(1) as f64
     );
 
-    // 2. Selective-family construction (Definition 35) at large N.
+    // 2. Selective-family construction (Definition 35) at large N: the
+    //    implicit family (a seed and per-scale batch sizes) against the
+    //    explicit element-wise sets.
     let fast = time_median(reps, || SelectiveFamily::random(universe, n, 7));
     let slow = time_median(reps, || {
         reference::selective_random_reference(universe, n, 7)
@@ -298,6 +301,40 @@ fn main() {
     );
     println!(
         "verify_sampled            N={universe} n={n}: {fast:>12} ns vs {slow:>12} ns  ({:.1}x)",
+        slow as f64 / fast.max(1) as f64
+    );
+
+    // 2d. Sampled selectivity check: the scale-first search over the
+    //     implicit family, touching only the sample's identifiers, against
+    //     the first-index scan over the materialised sets (each set's hits
+    //     counted through `z.iter()`). Same failure count by construction.
+    let family = SelectiveFamily::random(universe, n, 7);
+    let family_sets = family.sets();
+    let samples = 16usize;
+    let fast = time_median(reps, || {
+        std::hint::black_box(family.verify_sampled(n, samples, 5))
+    });
+    let slow = time_median(reps, || {
+        std::hint::black_box(reference::selective_verify_sampled_reference(
+            &family_sets,
+            universe,
+            n,
+            samples,
+            5,
+        ))
+    });
+    drop(family_sets);
+    record_pair(
+        &mut entries,
+        &mut speedups,
+        "selective_verify",
+        universe,
+        fast,
+        slow,
+        reps,
+    );
+    println!(
+        "selective_verify          N={universe} n={n}: {fast:>12} ns vs {slow:>12} ns  ({:.1}x)",
         slow as f64 / fast.max(1) as f64
     );
 
@@ -496,7 +533,8 @@ fn main() {
 
     // The CI perf smoke: in quick mode, a kernel that fails to beat its
     // oracle fails the run. The asserted set is the kernel pairs — the
-    // chunked `IdSet` loops and the analytic first-collision sweeps — not
+    // chunked `IdSet` loops, the two sampled verifications and the analytic
+    // first-collision sweeps — not
     // the construction or round-loop pairs, whose inner cost is RNG- or
     // simulator-bound.
     if quick {
@@ -506,6 +544,7 @@ fn main() {
             "idset_len",
             "idset_intersection_count",
             "verify_sampled",
+            "selective_verify",
             "analytic_first_collisions",
         ];
         let mut failed = false;

@@ -4,7 +4,11 @@
 //! Serializes the expensive combinatorial structures of this crate — lists
 //! of [`IdSet`]s — into self-validating byte streams, so one process can
 //! construct a structure and every other thread, process or machine can
-//! load it instead of reconstructing. The format is **word-exact**: the
+//! load it instead of reconstructing. The store keeps only distinguishers;
+//! selective families are implicit (a seed and a membership function) and
+//! never published, but the codec still reads a selective-family header,
+//! so the store can recognise and collect a file an older store left. The
+//! format is **word-exact**: the
 //! payload is the sets' canonical backing words verbatim, so a decoded
 //! structure is bit-identical to the encoded one and therefore (because
 //! every construction is a pure function of its key) bit-identical to a
@@ -491,22 +495,22 @@ mod tests {
         let sets = decode(&encode_blob(&k, d.sets()), &k).unwrap();
         assert_eq!(Distinguisher::from_sets(257, 4, sets), d);
 
-        let f = SelectiveFamily::random(130, 8, 3);
+        // A selective family's materialised sets are a plain set list.
+        let sets = SelectiveFamily::random(130, 8, 3).sets();
         let k = key(StructureKind::SelectiveFamily, 130, 8, 3);
-        let sets = decode(&encode_blob(&k, f.sets()), &k).unwrap();
-        assert_eq!(SelectiveFamily::from_sets(130, 8, sets), f);
+        assert_eq!(decode(&encode_blob(&k, &sets), &k).unwrap(), sets);
     }
 
     #[test]
     fn validation_agrees_with_decoding_without_materialising() {
-        let f = SelectiveFamily::random(65, 3, 4);
+        let sets = SelectiveFamily::random(65, 3, 4).sets();
         let k = key(StructureKind::SelectiveFamily, 65, 3, 4);
-        let bytes = encode_blob(&k, f.sets());
+        let bytes = encode_blob(&k, &sets);
         assert_eq!(
             validate(&bytes).unwrap(),
             BlobSummary {
                 key: k,
-                count: f.len()
+                count: sets.len()
             }
         );
 
@@ -615,9 +619,9 @@ mod tests {
 
     #[test]
     fn blob_corruption_and_identity_mismatches_are_rejected() {
-        let f = SelectiveFamily::random(65, 3, 4);
+        let sets = SelectiveFamily::random(65, 3, 4).sets();
         let k = key(StructureKind::SelectiveFamily, 65, 3, 4);
-        let bytes = encode_blob(&k, f.sets());
+        let bytes = encode_blob(&k, &sets);
         // Truncation anywhere.
         for cut in [0, 7, BLOB_FRAME_BYTES - 9, bytes.len() - 1] {
             assert!(decode(&bytes[..cut], &k).is_err(), "cut at {cut} must fail");

@@ -13,8 +13,9 @@
 //! * [`StrongDistinguisher`] — the prefix-closed variant used when the
 //!   network size is unknown (Definition 21);
 //! * [`SelectiveFamily`] — `(N, n)`-selective families (Definition 35,
-//!   following Clementi–Monti–Silvestri), used by the perceptive-model
-//!   nontrivial-move algorithm `NMoveS`;
+//!   following Clementi–Monti–Silvestri), held implicitly as the membership
+//!   function [`implicit_member`] that the perceptive-model
+//!   nontrivial-move algorithm `NMoveS` executes;
 //! * [`bounds`] — closed-form evaluation of the paper's lower and upper
 //!   bound formulas, used by the experiment harness to compare measured
 //!   round counts against theory;
@@ -25,7 +26,8 @@
 //! * [`codec`] — the `structure-store/v3` binary codec (one word-exact,
 //!   self-describing file per structure key, sealed by an FNV-1a-64
 //!   digest) behind the on-disk structure store, which extends the
-//!   construct-once guarantee from one process to a whole worker fleet.
+//!   construct-once guarantee for distinguishers from one process to a
+//!   whole worker fleet.
 //!
 //! All random constructions are deterministic given a seed, so protocol runs
 //! and experiments are reproducible.
@@ -62,7 +64,7 @@ pub use bounds::{
 pub use codec::{format_checksum, CodecError, Fnv1a64, STORE_SCHEMA};
 pub use distinguisher::{Distinguisher, StrongDistinguisher};
 pub use idset::IdSet;
-pub use selective::SelectiveFamily;
+pub use selective::{implicit_member, SelectiveFamily};
 pub use shared::{
     strong_offset, SharedStrongDistinguisher, StrongBase, StructureKey, StructureKind,
     STRONG_WINDOW,

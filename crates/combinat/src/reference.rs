@@ -4,14 +4,17 @@
 //! These are the pre-word-parallel builders, kept verbatim as (a) baselines
 //! for the `bench_combinat` speedup trajectory (`BENCH_combinat.json`) and
 //! (b) oracles for property tests: the word-parallel constructions must
-//! produce families that pass exactly the same validity verifiers. They are
-//! **not** part of the performance surface — never call them from protocol
-//! code.
+//! produce families that pass exactly the same validity verifiers. The
+//! explicit selective family is plain `Vec<IdSet>` (the implicit
+//! [`SelectiveFamily`](crate::SelectiveFamily) is compared with it
+//! statistically), and the first-index scan over explicit sets is the
+//! oracle of the implicit family's scale-first sampled verification. They
+//! are **not** part of the performance surface — never call them from
+//! protocol code.
 
 use crate::bounds::nontrivial_move_round_bound;
 use crate::distinguisher::Distinguisher;
 use crate::idset::IdSet;
-use crate::selective::SelectiveFamily;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -43,9 +46,13 @@ pub fn distinguisher_random_reference(universe: u64, n: usize, seed: u64) -> Dis
     Distinguisher::from_sets(universe, n, sets)
 }
 
-/// Element-by-element `SelectiveFamily::random` (Definition 35) with an
-/// `f64` comparison per identifier per set.
-pub fn selective_random_reference(universe: u64, n: usize, seed: u64) -> SelectiveFamily {
+/// Element-by-element explicit selective family (Definition 35) with an
+/// `f64` comparison per identifier per set: the per-scale batch sizes of
+/// [`SelectiveFamily::random`](crate::SelectiveFamily::random), restated
+/// here so its `len()` cannot drift unseen, with memberships drawn from an
+/// `StdRng` stream instead of the implicit membership mix. The implicit
+/// family is compared against it statistically, not bit for bit.
+pub fn selective_random_reference(universe: u64, n: usize, seed: u64) -> Vec<IdSet> {
     assert!(n > 0, "selective families need a positive target size");
     assert!(n as u64 <= universe, "target size exceeds the universe");
     let mut rng = StdRng::seed_from_u64(seed);
@@ -65,7 +72,58 @@ pub fn selective_random_reference(universe: u64, n: usize, seed: u64) -> Selecti
             sets.push(s);
         }
     }
-    SelectiveFamily::from_sets(universe, n, sets)
+    sets
+}
+
+/// The first-index scan over explicit sets: the index of the first set
+/// meeting `z` in exactly one element, counting each set's hits by walking
+/// `z.iter()` (an O(N/64) word scan per set).
+pub fn selects_reference(sets: &[IdSet], z: &IdSet) -> Option<usize> {
+    sets.iter().position(|s| {
+        let mut count = 0usize;
+        for id in z.iter() {
+            if s.contains(id) {
+                count += 1;
+                if count > 1 {
+                    return false;
+                }
+            }
+        }
+        count == 1
+    })
+}
+
+/// The explicit-set
+/// [`SelectiveFamily::verify_sampled`](crate::SelectiveFamily::verify_sampled):
+/// the identical Fisher–Yates sample draw (same RNG stream), each sample
+/// inserted into a dense set and checked by [`selects_reference`] over
+/// `sets` in index order — so its failure count equals the scale-first
+/// search's exactly.
+pub fn selective_verify_sampled_reference(
+    sets: &[IdSet],
+    universe: u64,
+    n: usize,
+    samples: usize,
+    seed: u64,
+) -> usize {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut ids: Vec<u64> = (1..=universe).collect();
+    let mut z = IdSet::empty(universe);
+    let mut failures = 0;
+    for _ in 0..samples {
+        let size = rng.gen_range(1..=n);
+        crate::distinguisher::partial_shuffle(&mut ids, size, &mut rng);
+        for &id in &ids[..size] {
+            z.insert(id);
+        }
+        if selects_reference(sets, &z).is_none() {
+            failures += 1;
+        }
+        for &id in &ids[..size] {
+            z.remove(id);
+        }
+    }
+    failures
 }
 
 /// Element-wise union oracle for the chunked `union_with` kernel: one
@@ -181,6 +239,7 @@ fn reference_recommended_size(universe: u64, n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SelectiveFamily;
 
     #[test]
     fn reference_families_have_the_same_shape_as_the_fast_ones() {
@@ -192,6 +251,7 @@ mod tests {
         let fast = SelectiveFamily::random(256, 8, 9);
         let slow = selective_random_reference(256, 8, 9);
         assert_eq!(fast.len(), slow.len());
+        assert_eq!(fast.universe(), slow[0].universe());
     }
 
     #[test]
@@ -207,7 +267,14 @@ mod tests {
     fn reference_families_are_valid() {
         let d = distinguisher_random_reference(10, 2, 4);
         assert!(d.verify_exhaustive(2));
-        let f = selective_random_reference(10, 4, 4);
-        assert!(f.verify_exhaustive(4));
+        let sets = selective_random_reference(10, 4, 4);
+        let all_small_subsets_selected =
+            (1u64..1 << 10)
+                .filter(|mask| mask.count_ones() <= 4)
+                .all(|mask| {
+                    let z = IdSet::from_ids(10, (1..=10).filter(|id| mask >> (id - 1) & 1 == 1));
+                    selects_reference(&sets, &z).is_some()
+                });
+        assert!(all_small_subsets_selected);
     }
 }

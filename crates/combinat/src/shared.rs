@@ -2,8 +2,7 @@
 //! by the `ring-harness` structure cache.
 //!
 //! The expensive structures of this crate
-//! ([`Distinguisher`](crate::Distinguisher),
-//! [`SelectiveFamily`](crate::SelectiveFamily) and the lazily generated
+//! ([`Distinguisher`](crate::Distinguisher) and the lazily generated
 //! strong-distinguisher sequences) are pure functions of
 //! `(kind, N, n, seed)`. [`StructureKey`]
 //! names one such construction so that a sweep harness can memoise it once
@@ -46,7 +45,8 @@ pub enum StructureKind {
     StrongDistinguisher,
     /// A materialised `(N, n)`-distinguisher (Definition 20).
     Distinguisher,
-    /// An `(N, n)`-selective family (Definition 35).
+    /// An `(N, n)`-selective family (Definition 35). Implicit, so never
+    /// cached or stored; the kind still names it in keys and file headers.
     SelectiveFamily,
 }
 

@@ -132,7 +132,7 @@ impl<'a> Network<'a> {
     }
 
     /// Installs a shared combinatorial-structure provider. Protocols obtain
-    /// their distinguishers and selective families through it, so a sweep
+    /// their distinguishers through it, so a sweep
     /// harness can hand every worker the same cache and have each structure
     /// constructed once. The default ([`crate::structures::FreshStructures`])
     /// constructs from scratch per request; either way the structures are

@@ -16,11 +16,13 @@
 //! cost `O(√n · log N)` rounds.
 //!
 //! The selective family is realised *implicitly*: membership of an
-//! identifier in a set is a pseudo-random function of the public seed, the
-//! level, the set index and the identifier, so no `Θ(N)` structure is ever
-//! materialised (the explicit, verifiable construction lives in
-//! [`ring_combinat::SelectiveFamily`] and is exercised by the experiment
-//! harness).
+//! identifier in a set is [`ring_combinat::implicit_member`], a
+//! pseudo-random function of the public seed, the level, the scale, the set
+//! index and the identifier, so no `Θ(N)` structure is ever materialised.
+//! [`ring_combinat::SelectiveFamily`] evaluates the same function:
+//! `SelectiveFamily::random(N, 2^level, seed)`, the family the scaling
+//! experiment verifies, holds this level's sets as a prefix of each scale's
+//! batch.
 
 use crate::coordination::nontrivial::{NontrivialMove, NontrivialStrategy};
 use crate::coordination::probe::{probe_move_with, MoveClass};
@@ -28,28 +30,8 @@ use crate::error::ProtocolError;
 use crate::exec::{Network, StepBuffers};
 use crate::perceptive::dissemination::{flood_max_with, FloodBuffers};
 use crate::perceptive::link::RingLink;
+use ring_combinat::implicit_member;
 use ring_sim::LocalDirection;
-
-/// Pseudo-random membership test of `id` in set `set_index` at `scale`
-/// (inclusion probability `2^{-scale}`), derived from a public seed so that
-/// every agent evaluates it identically.
-fn implicit_member(seed: u64, level: u32, scale: u32, set_index: u64, id: u64) -> bool {
-    // SplitMix64-style mixing.
-    let mut x = seed
-        ^ (u64::from(level)).wrapping_mul(0x9e3779b97f4a7c15)
-        ^ (u64::from(scale)).wrapping_mul(0xc2b2ae3d27d4eb4f)
-        ^ set_index.wrapping_mul(0xd6e8feb86659fd93)
-        ^ id.wrapping_mul(0xa0761d6478bd642f);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58476d1ce4e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d049bb133111eb);
-    x ^= x >> 31;
-    if scale >= 64 {
-        return false;
-    }
-    x & ((1u64 << scale) - 1) == 0
-}
 
 /// Number of sets executed per scale at a given level.
 fn sets_per_scale(universe: u64, scale: u32) -> u64 {
@@ -206,21 +188,5 @@ mod tests {
             nm.strategy(),
             NontrivialStrategy::SelectiveFamily { .. }
         ));
-    }
-
-    #[test]
-    fn implicit_membership_is_deterministic_and_scale_sensitive() {
-        let a = implicit_member(1, 2, 3, 4, 5);
-        let b = implicit_member(1, 2, 3, 4, 5);
-        assert_eq!(a, b);
-        // Scale 0 includes everything.
-        for id in 1..100 {
-            assert!(implicit_member(9, 0, 0, 0, id));
-        }
-        // Large scales include almost nothing.
-        let dense: usize = (1..=1000u64)
-            .filter(|&id| implicit_member(9, 0, 10, 0, id))
-            .count();
-        assert!(dense < 30, "expected ~1/1024 density, got {dense}/1000");
     }
 }

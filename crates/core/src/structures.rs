@@ -2,10 +2,12 @@
 //!
 //! The distinguisher-driven protocols need expensive seeded structures —
 //! strong distinguishers for the even-`n` nontrivial move, and (in the
-//! experiment harness) materialised distinguishers and selective families.
-//! Constructing them is the dominant per-run cost at large `N`, and the
-//! constructions are pure functions of `(kind, N, n, seed)`, so a sweep
-//! over many configurations should build each one once and share it.
+//! experiment harness) materialised distinguishers. Constructing them is
+//! the dominant per-run cost at large `N`, and the constructions are pure
+//! functions of `(kind, N, n, seed)`, so a sweep over many configurations
+//! should build each one once and share it. Selective families are
+//! implicit (a seed and a membership function), so every provider builds
+//! them on demand.
 //!
 //! [`StructureProvider`] is the seam: every [`Network`](crate::Network)
 //! carries one (an `Arc<dyn StructureProvider>`), protocols request
@@ -68,8 +70,12 @@ pub trait StructureProvider: Send + Sync {
     /// A materialised `(N, n)`-distinguisher (Theorem 27 construction).
     fn distinguisher(&self, universe: u64, n: usize, seed: u64) -> Arc<Distinguisher>;
 
-    /// An `(N, n)`-selective family (Definition 35 construction).
-    fn selective_family(&self, universe: u64, n: usize, seed: u64) -> Arc<SelectiveFamily>;
+    /// An `(N, n)`-selective family (Definition 35 construction). The
+    /// family is implicit and O(log n) to build, so it is never shared or
+    /// stored: every provider constructs it on demand.
+    fn selective_family(&self, universe: u64, n: usize, seed: u64) -> Arc<SelectiveFamily> {
+        Arc::new(SelectiveFamily::random(universe, n, seed))
+    }
 
     /// Fallible variant of [`StructureProvider::strong_distinguisher`].
     ///
@@ -97,20 +103,6 @@ pub trait StructureProvider: Send + Sync {
     ) -> Result<Arc<Distinguisher>, StructureError> {
         Ok(self.distinguisher(universe, n, seed))
     }
-
-    /// Fallible variant of [`StructureProvider::selective_family`].
-    ///
-    /// # Errors
-    ///
-    /// Providers with a persistent tier report why a load failed.
-    fn try_selective_family(
-        &self,
-        universe: u64,
-        n: usize,
-        seed: u64,
-    ) -> Result<Arc<SelectiveFamily>, StructureError> {
-        Ok(self.selective_family(universe, n, seed))
-    }
 }
 
 /// A shareable handle to a structure provider.
@@ -128,10 +120,6 @@ impl StructureProvider for FreshStructures {
 
     fn distinguisher(&self, universe: u64, n: usize, seed: u64) -> Arc<Distinguisher> {
         Arc::new(Distinguisher::random(universe, n, seed))
-    }
-
-    fn selective_family(&self, universe: u64, n: usize, seed: u64) -> Arc<SelectiveFamily> {
-        Arc::new(SelectiveFamily::random(universe, n, seed))
     }
 }
 
@@ -162,10 +150,6 @@ mod tests {
         assert_eq!(
             *p.try_distinguisher(128, 4, 3).unwrap(),
             *p.distinguisher(128, 4, 3)
-        );
-        assert_eq!(
-            *p.try_selective_family(128, 4, 3).unwrap(),
-            *p.selective_family(128, 4, 3)
         );
         assert_eq!(
             *p.try_strong_distinguisher(128, 3).unwrap().set(1),

@@ -1,8 +1,8 @@
 //! The combinatorial structure cache.
 //!
-//! Distinguishers and selective families are the dominant per-case cost of
-//! a sweep at large `N`, and every construction is a pure function of its
-//! [`StructureKey`]. [`StructureCache`] memoises them once per sweep in a
+//! Distinguishers are the dominant per-case cost of a sweep at large `N`,
+//! and every construction is a pure function of its [`StructureKey`].
+//! [`StructureCache`] memoises them once per sweep in a
 //! sharded, `Arc`-backed map: the first request for a key constructs the
 //! structure (holding only that key's shard lock), every later request —
 //! from any worker thread — gets a cheap `Arc` clone of the same read-only
@@ -15,9 +15,7 @@
 //! caching can never change a protocol outcome (the harness test-suite
 //! pins this down).
 
-use ring_combinat::{
-    Distinguisher, SelectiveFamily, SharedStrongDistinguisher, StructureKey, StructureKind,
-};
+use ring_combinat::{Distinguisher, SharedStrongDistinguisher, StructureKey, StructureKind};
 use ring_protocols::structures::StructureProvider;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,7 +31,6 @@ const SHARD_COUNT: usize = 16;
 pub(crate) enum CachedStructure {
     Strong(Arc<SharedStrongDistinguisher>),
     Distinguisher(Arc<Distinguisher>),
-    Selective(Arc<SelectiveFamily>),
 }
 
 /// Cache effectiveness counters (monotone; read with [`StructureCache::stats`]).
@@ -180,21 +177,6 @@ impl StructureProvider for StructureCache {
             _ => unreachable!("kind is part of the key"),
         }
     }
-
-    fn selective_family(&self, universe: u64, n: usize, seed: u64) -> Arc<SelectiveFamily> {
-        let key = StructureKey {
-            kind: StructureKind::SelectiveFamily,
-            universe,
-            n: n as u64,
-            seed,
-        };
-        match self.get_or_insert(key, || {
-            CachedStructure::Selective(Arc::new(SelectiveFamily::random(universe, n, seed)))
-        }) {
-            CachedStructure::Selective(f) => f,
-            _ => unreachable!("kind is part of the key"),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -218,11 +200,10 @@ mod tests {
     fn kinds_and_parameters_are_distinct_keys() {
         let cache = StructureCache::new();
         cache.distinguisher(256, 4, 9);
-        cache.selective_family(256, 4, 9);
         cache.strong_distinguisher(256, 9);
         cache.distinguisher(256, 4, 10);
         cache.distinguisher(512, 4, 9);
-        assert_eq!(cache.len(), 5);
+        assert_eq!(cache.len(), 4);
         assert_eq!(cache.stats().hits, 0);
     }
 
@@ -233,10 +214,6 @@ mod tests {
         assert_eq!(
             *cache.distinguisher(128, 4, 3),
             *fresh.distinguisher(128, 4, 3)
-        );
-        assert_eq!(
-            *cache.selective_family(128, 4, 3),
-            *fresh.selective_family(128, 4, 3)
         );
         assert_eq!(
             *cache.strong_distinguisher(128, 3).set(5),

@@ -1282,11 +1282,8 @@ fn cmd_structures(options: &Options) -> Result<i32, String> {
                             .try_distinguisher(key.universe, key.n as usize, key.seed)
                             .map_err(|e| e.to_string())?;
                     }
-                    ring_combinat::StructureKind::SelectiveFamily => {
-                        store
-                            .try_selective_family(key.universe, key.n as usize, key.seed)
-                            .map_err(|e| e.to_string())?;
-                    }
+                    // Implicit, never stored (and never enumerated).
+                    ring_combinat::StructureKind::SelectiveFamily => {}
                 }
             }
             store.flush().map_err(|e| e.to_string())?;

@@ -11,9 +11,10 @@
 //!   back of busy ones; results come back in item order.
 //! * [`cache`] / [`store`] — the two-tier structure pathway. Tier 1 is
 //!   the [`StructureCache`]: a sharded, `Arc`-backed memo of the
-//!   expensive combinatorial structures (distinguishers,
-//!   strong-distinguisher sequences, selective families) keyed by
-//!   `(kind, N, n, seed)`, shared by every worker thread. Tier 2 — the
+//!   expensive combinatorial structures (distinguishers and
+//!   strong-distinguisher sequences; selective families are implicit and
+//!   built on demand) keyed by `(kind, N, n, seed)`, shared by every
+//!   worker thread. Tier 2 — the
 //!   [`StructureStore`]'s optional on-disk directory of
 //!   `structure-store/v3` files — extends the memo across
 //!   worker *processes*: the first worker of a fleet to claim a key

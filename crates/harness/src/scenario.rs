@@ -158,9 +158,10 @@ impl WorkItem {
     /// `solve_nontrivial_move`, whose strong distinguisher is keyed by
     /// `(universe, case.structure_seed)` — the fixed protocol default, or
     /// one of the sweep's schedule seeds under a per-case seed schedule;
-    /// the scaling study materialises a distinguisher and a selective
-    /// family keyed by the scaling seed (and its weak-move protocol runs
-    /// the strong sequence under the same seed). The randomized Lemma 15
+    /// the scaling study materialises a distinguisher keyed by the scaling
+    /// seed (and its weak-move protocol runs the strong sequence under the
+    /// same seed); its selective family is implicit, built on demand by
+    /// every provider, and so never listed. The randomized Lemma 15
     /// item solves its prerequisite nontrivial move through the same even-`n`
     /// route before the randomized edge, so it requests the same strong key
     /// as its case's reduction item. Table II (common sense of direction)
@@ -191,26 +192,15 @@ impl WorkItem {
                     Vec::new()
                 }
             }
-            WorkItem::ScalingFamilies { spec, n } => vec![
-                (
-                    StructureKey {
-                        kind: StructureKind::Distinguisher,
-                        universe: spec.universe,
-                        n: *n as u64,
-                        seed: spec.seed,
-                    },
-                    *n,
-                ),
-                (
-                    StructureKey {
-                        kind: StructureKind::SelectiveFamily,
-                        universe: spec.universe,
-                        n: *n as u64,
-                        seed: spec.seed,
-                    },
-                    *n,
-                ),
-            ],
+            WorkItem::ScalingFamilies { spec, n } => vec![(
+                StructureKey {
+                    kind: StructureKind::Distinguisher,
+                    universe: spec.universe,
+                    n: *n as u64,
+                    seed: spec.seed,
+                },
+                *n,
+            )],
             WorkItem::ScalingWeakMove { spec, n } => {
                 vec![strong(spec.universe, spec.seed, *n)]
             }

@@ -12,9 +12,15 @@
 //! ```text
 //! <dir>/strong-u<N>.blob                     universal strong sequence of N
 //! <dir>/dist-u<N>-n<n>-s<seed:016x>.blob     materialised distinguisher
-//! <dir>/select-u<N>-n<n>-s<seed:016x>.blob   selective family
 //! <dir>/<name>.claim                         advisory single-constructor claim
 //! ```
+//!
+//! Selective families are in neither tier: a family is a seed plus an
+//! implicit membership function ([`ring_combinat::SelectiveFamily`]),
+//! cheaper to build than to look up, so the default
+//! [`StructureProvider::selective_family`] constructs it on every request.
+//! A `select-…` file left by an older store is reported by
+//! [`scan_store_dir`] and removed by [`gc_store_dir`].
 //!
 //! Each file's header carries its key (see [`ring_combinat::codec`]), and a
 //! load checks it against the request, so a mis-filed file is never
@@ -44,8 +50,7 @@
 use crate::cache::{CacheStats, CachedStructure, StructureCache};
 use ring_combinat::codec;
 use ring_combinat::{
-    Distinguisher, IdSet, SelectiveFamily, SharedStrongDistinguisher, StrongBase, StructureKey,
-    StructureKind,
+    Distinguisher, IdSet, SharedStrongDistinguisher, StrongBase, StructureKey, StructureKind,
 };
 use ring_protocols::structures::{StructureError, StructureProvider};
 use std::collections::HashMap;
@@ -196,30 +201,28 @@ impl StructureStore {
             .record(ring_obs::elapsed_ns(started));
     }
 
-    /// The short tag of a kind used in file names.
-    fn kind_tag(kind: StructureKind) -> &'static str {
-        match kind {
-            StructureKind::StrongDistinguisher => "strong",
-            StructureKind::Distinguisher => "dist",
-            StructureKind::SelectiveFamily => "select",
-        }
-    }
-
     /// The file name a key is stored under: `strong-u<N>.blob` for a
     /// universe's universal strong sequence, `<kind>-u<N>-n<n>-s<seed>.blob`
-    /// for every other key.
-    pub fn file_name(key: &StructureKey) -> String {
+    /// for every other stored key, `None` for selective families (never
+    /// stored).
+    pub fn file_name(key: &StructureKey) -> Option<String> {
         if *key == Self::strong_universal_key(key.universe) {
-            format!("strong-u{}.{BLOB_EXTENSION}", key.universe)
-        } else {
-            format!(
-                "{}-u{}-n{}-s{:016x}.{BLOB_EXTENSION}",
-                Self::kind_tag(key.kind),
-                key.universe,
-                key.n,
-                key.seed
-            )
+            return Some(format!("strong-u{}.{BLOB_EXTENSION}", key.universe));
         }
+        let tag = match key.kind {
+            StructureKind::StrongDistinguisher => "strong",
+            StructureKind::Distinguisher => "dist",
+            StructureKind::SelectiveFamily => return None,
+        };
+        Some(format!(
+            "{tag}-u{}-n{}-s{:016x}.{BLOB_EXTENSION}",
+            key.universe, key.n, key.seed
+        ))
+    }
+
+    /// The path of a stored key's file.
+    fn path_of(dir: &Path, key: &StructureKey) -> PathBuf {
+        dir.join(Self::file_name(key).expect("only stored kinds reach the disk tier"))
     }
 
     /// The key of a universe's **universal** strong sequence — the one file
@@ -278,7 +281,7 @@ impl StructureStore {
             return (construct(), None);
         };
         let started = std::time::Instant::now();
-        let path = dir.join(Self::file_name(key));
+        let path = Self::path_of(dir, key);
         let mut tier_error = None;
         match Self::load(&path, key) {
             Ok(Some(sets)) => {
@@ -366,7 +369,7 @@ impl StructureStore {
         if let Some(dir) = &self.dir {
             let started = std::time::Instant::now();
             let key = Self::strong_universal_key(universe);
-            match Self::load(&dir.join(Self::file_name(&key)), &key) {
+            match Self::load(&Self::path_of(dir, &key), &key) {
                 Ok(Some(sets)) => {
                     self.note_tier2_hit(started);
                     self.persisted_strong
@@ -426,7 +429,7 @@ impl StructureStore {
                 continue;
             }
             let key = Self::strong_universal_key(universe);
-            let path = dir.join(Self::file_name(&key));
+            let path = Self::path_of(dir, &key);
             // Serialise concurrent flushers of this universe: the loser
             // defers — unless the claim has outlived [`CLAIM_WAIT`], in
             // which case its holder is dead (strong files are published
@@ -531,39 +534,6 @@ impl StructureStore {
             _ => unreachable!("kind is part of the key"),
         }
     }
-
-    fn materialised_selective_family(
-        &self,
-        universe: u64,
-        n: usize,
-        seed: u64,
-    ) -> (Arc<SelectiveFamily>, Option<String>) {
-        let key = StructureKey {
-            kind: StructureKind::SelectiveFamily,
-            universe,
-            n: n as u64,
-            seed,
-        };
-        if let Some(cached) = self.cache.peek(&key) {
-            match cached {
-                CachedStructure::Selective(f) => return (f, None),
-                _ => unreachable!("kind is part of the key"),
-            }
-        }
-        let (value, tier_error) = self.disk_or_construct(
-            &key,
-            |sets| Arc::new(SelectiveFamily::from_sets(universe, n, sets)),
-            || Arc::new(SelectiveFamily::random(universe, n, seed)),
-            |f| f.sets().iter().cloned().map(Arc::new).collect(),
-        );
-        match self
-            .cache
-            .get_or_insert(key, || CachedStructure::Selective(value))
-        {
-            CachedStructure::Selective(f) => (f, tier_error),
-            _ => unreachable!("kind is part of the key"),
-        }
-    }
 }
 
 /// Logs a non-fatal disk-tier problem (the infallible provider path: the
@@ -598,14 +568,6 @@ impl StructureProvider for StructureStore {
         })
     }
 
-    fn selective_family(&self, universe: u64, n: usize, seed: u64) -> Arc<SelectiveFamily> {
-        timed_wait(|| {
-            let (value, error) = self.materialised_selective_family(universe, n, seed);
-            log_tier_error(&error);
-            value
-        })
-    }
-
     fn try_strong_distinguisher(
         &self,
         universe: u64,
@@ -625,18 +587,6 @@ impl StructureProvider for StructureStore {
     ) -> Result<Arc<Distinguisher>, StructureError> {
         timed_wait(|| {
             let (value, error) = self.materialised_distinguisher(universe, n, seed);
-            fail_on_tier_error(value, error)
-        })
-    }
-
-    fn try_selective_family(
-        &self,
-        universe: u64,
-        n: usize,
-        seed: u64,
-    ) -> Result<Arc<SelectiveFamily>, StructureError> {
-        timed_wait(|| {
-            let (value, error) = self.materialised_selective_family(universe, n, seed);
             fail_on_tier_error(value, error)
         })
     }
@@ -728,15 +678,22 @@ pub fn scan_store_dir(dir: &Path) -> io::Result<Vec<StoreFileReport>> {
             });
         let report = match validated {
             Ok(summary) => {
-                let expected = StructureStore::file_name(&summary.key);
-                let filed = path.file_name().and_then(|n| n.to_str()) == Some(expected.as_str());
+                let error = match StructureStore::file_name(&summary.key) {
+                    None => Some(format!(
+                        "file holds {:?}; selective families are implicit and never stored",
+                        summary.key
+                    )),
+                    Some(expected) if path.file_name() != Some(expected.as_ref()) => Some(format!(
+                        "file holds {:?}, which belongs in {expected}",
+                        summary.key
+                    )),
+                    Some(_) => None,
+                };
                 StoreFileReport {
                     path,
                     key: Some(summary.key),
                     sets: summary.count,
-                    error: (!filed).then(|| {
-                        format!("file holds {:?}, which belongs in {expected}", summary.key)
-                    }),
+                    error,
                 }
             }
             Err(error) => StoreFileReport {
@@ -861,8 +818,6 @@ pub struct StoreDirStats {
     pub strong: KindStats,
     /// Materialised distinguishers.
     pub dist: KindStats,
-    /// Selective families.
-    pub select: KindStats,
     /// Total bytes of all structure files.
     pub total_bytes: u64,
 }
@@ -884,7 +839,6 @@ pub fn store_dir_stats(dir: &Path) -> io::Result<StoreDirStats> {
         let kind = match name.split('-').next() {
             Some("strong") => &mut stats.strong,
             Some("dist") => &mut stats.dist,
-            Some("select") => &mut stats.select,
             _ => continue,
         };
         kind.files += 1;
@@ -914,6 +868,15 @@ mod tests {
         }
     }
 
+    /// Runs `ringlab structures <action>` against `dir`.
+    fn structures(action: &str, dir: &Path) -> i32 {
+        let mut args = ["structures", action, "--structure-store"]
+            .map(String::from)
+            .to_vec();
+        args.push(dir.to_string_lossy().into_owned());
+        crate::cli::run(&args)
+    }
+
     fn backdate(path: &Path) {
         assert!(std::process::Command::new("touch")
             .args(["-m", "-d", "2 hours ago"])
@@ -940,15 +903,20 @@ mod tests {
         let dir = temp_store("publish");
         let first = StructureStore::at(&dir).unwrap();
         let constructed = first.distinguisher(512, 4, 7);
-        let family = first.selective_family(512, 4, 7);
+        let wider = first.distinguisher(512, 8, 7);
         assert_eq!(first.stats(), StoreStats { hits: 0, misses: 2 });
+        // Selective families bypass both tiers: no store event, no file.
+        first.selective_family(512, 4, 7);
+        assert_eq!(first.stats(), StoreStats { hits: 0, misses: 2 });
+        assert_eq!(first.cache_stats().misses, 2);
+        assert_eq!(list_with_extension(&dir, BLOB_EXTENSION).unwrap().len(), 2);
 
         // A second store (a second worker process) loads instead of
         // constructing, bit-identically.
         let second = StructureStore::at(&dir).unwrap();
         let loaded = second.distinguisher(512, 4, 7);
         assert_eq!(*loaded, *constructed);
-        assert_eq!(*second.selective_family(512, 4, 7), *family);
+        assert_eq!(*second.distinguisher(512, 8, 7), *wider);
         assert_eq!(second.stats(), StoreStats { hits: 2, misses: 0 });
 
         // And everything equals a fresh construction.
@@ -1058,7 +1026,7 @@ mod tests {
         let dir = temp_store("corrupt");
         let first = StructureStore::at(&dir).unwrap();
         let good = first.distinguisher(256, 4, 5);
-        let path = dir.join(StructureStore::file_name(&dist_key(256, 4, 5)));
+        let path = StructureStore::path_of(&dir, &dist_key(256, 4, 5));
         // Flip one payload byte.
         let mut bytes = std::fs::read(&path).unwrap();
         let at = bytes.len() / 2;
@@ -1085,7 +1053,7 @@ mod tests {
         let store = StructureStore::at(&dir).unwrap();
         // Another constructor holds the key's claim, and the key's file is
         // corrupt: this caller constructs without the claim...
-        let path = dir.join(StructureStore::file_name(&dist_key(128, 4, 3)));
+        let path = StructureStore::path_of(&dir, &dist_key(128, 4, 3));
         let claim = claim_path(&path);
         std::fs::write(&claim, b"").unwrap();
         std::fs::write(&path, b"not a structure file").unwrap();
@@ -1102,20 +1070,18 @@ mod tests {
         store.distinguisher(128, 4, 1);
         // A valid file copied under another key's name.
         let (a, b) = (dist_key(128, 4, 1), dist_key(128, 4, 2));
-        let misfiled = dir.join(StructureStore::file_name(&b));
-        std::fs::copy(dir.join(StructureStore::file_name(&a)), &misfiled).unwrap();
+        let misfiled = StructureStore::path_of(&dir, &b);
+        std::fs::copy(StructureStore::path_of(&dir, &a), &misfiled).unwrap();
 
         let reports = scan_store_dir(&dir).unwrap();
         let report = reports.iter().find(|r| r.path == misfiled).unwrap();
         assert_eq!(report.key, Some(a));
         assert!(report.error.is_some(), "{report:?}");
-        let verify = |dir: &Path| {
-            let args = ["structures", "verify", "--structure-store"].map(String::from);
-            let mut args = args.to_vec();
-            args.push(dir.to_string_lossy().into_owned());
-            crate::cli::run(&args)
-        };
-        assert_eq!(verify(&dir), 1, "verify must fail on a mis-filed file");
+        assert_eq!(
+            structures("verify", &dir),
+            1,
+            "verify must fail on a mis-filed file"
+        );
 
         // Never served: the store counts a miss and rebuilds the right key.
         let second = StructureStore::at(&dir).unwrap();
@@ -1127,7 +1093,7 @@ mod tests {
             *FreshStructures.distinguisher(128, 4, 2)
         );
         // The rebuild republished over the mis-filed copy.
-        assert_eq!(verify(&dir), 0);
+        assert_eq!(structures("verify", &dir), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1136,14 +1102,14 @@ mod tests {
         let dir = temp_store("scan");
         let store = StructureStore::at(&dir).unwrap();
         store.distinguisher(128, 4, 1);
-        store.selective_family(128, 4, 1);
+        store.distinguisher(128, 8, 1);
         // A garbage file, a truncated structure file, a stale claim and a
         // stale temp file.
-        let valid = std::fs::read(dir.join(StructureStore::file_name(&dist_key(128, 4, 1))));
+        let valid = std::fs::read(StructureStore::path_of(&dir, &dist_key(128, 4, 1)));
         let valid = valid.unwrap();
         std::fs::write(dir.join("dist-u64-n2-s0000000000000005.blob"), b"junk").unwrap();
         std::fs::write(
-            dir.join(StructureStore::file_name(&dist_key(128, 4, 9))),
+            StructureStore::path_of(&dir, &dist_key(128, 4, 9)),
             &valid[..valid.len() - 8],
         )
         .unwrap();
@@ -1174,10 +1140,43 @@ mod tests {
         // Post-gc the directory verifies clean.
         assert!(revalidate_store_dir(&dir).unwrap().is_empty());
         let stats = store_dir_stats(&dir).unwrap();
-        assert_eq!(
-            (stats.dist.files, stats.select.files, stats.strong.files),
-            (1, 1, 0)
+        assert_eq!((stats.dist.files, stats.strong.files), (2, 0));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_leftover_selective_family_file_is_reported_and_collected() {
+        let dir = temp_store("select-leftover");
+        let store = StructureStore::at(&dir).unwrap();
+        store.distinguisher(128, 4, 1);
+        // A valid structure file of a selective family, as older stores
+        // published them.
+        let key = StructureKey {
+            kind: StructureKind::SelectiveFamily,
+            universe: 128,
+            n: 4,
+            seed: 1,
+        };
+        assert_eq!(StructureStore::file_name(&key), None);
+        let leftover = dir.join("select-u128-n4-s0000000000000001.blob");
+        let sets = ring_combinat::SelectiveFamily::random(128, 4, 1).sets();
+        std::fs::write(&leftover, codec::encode_blob(&key, &sets)).unwrap();
+
+        let reports = scan_store_dir(&dir).unwrap();
+        let report = reports.iter().find(|r| r.path == leftover).unwrap();
+        assert_eq!(report.key, Some(key));
+        assert!(
+            report.error.as_deref().unwrap().contains("never stored"),
+            "{report:?}"
         );
+        assert_eq!(structures("verify", &dir), 1);
+        assert_eq!(structures("gc", &dir), 0);
+        assert!(
+            !leftover.exists(),
+            "gc must remove the selective-family file"
+        );
+        assert_eq!(structures("verify", &dir), 0);
+        assert_eq!(list_with_extension(&dir, BLOB_EXTENSION).unwrap().len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -45,8 +45,8 @@ proptest! {
         );
     }
 
-    /// The word-parallel `SelectiveFamily::random` (`p = 2^-j` as an AND of
-    /// `j` uniform words) still passes the sampling verifier.
+    /// The implicit `SelectiveFamily::random` (`p = 2^-j` as `j` zero bits
+    /// of one membership mix) passes the sampling verifier.
     #[test]
     fn word_parallel_selective_families_verify(
         universe_exp in 5u32..9,
