@@ -31,7 +31,7 @@ use ring_combinat::shared::splitmix64;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 use std::process::{Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -67,9 +67,6 @@ const BACKOFF_CAP_MS: u64 = 2_000;
 
 /// Domain-separation salt of the deterministic backoff jitter stream.
 const BACKOFF_JITTER_SALT: u64 = 0xbac0_ff5e_0000_0001;
-
-/// How often the watchdog polls a supervised worker against its deadline.
-const WATCHDOG_POLL: Duration = Duration::from_millis(25);
 
 /// The delay before retry `attempt` (1-based) of a shard: bounded
 /// exponential backoff plus deterministic jitter. The jitter is a pure
@@ -233,6 +230,7 @@ pub fn run_pending_shards(
         manifest,
         options,
         &ProcessTransport::new(command_for),
+        &|_| {},
     )
 }
 
@@ -241,6 +239,10 @@ pub fn run_pending_shards(
 /// supervision loop (concurrency, retries, deterministic backoff,
 /// watchdog, manifest checkpoints) is byte-for-byte the same as for child
 /// processes.
+///
+/// `landed` is called with the shard index each time a shard reaches
+/// `complete` or `failed`, after that transition is checkpointed to disk,
+/// so a caller watching the manifest can wake on it instead of polling.
 ///
 /// # Errors
 ///
@@ -251,6 +253,7 @@ pub fn run_pending_shards_with(
     manifest: &Mutex<Manifest>,
     options: &OrchestratorOptions,
     transport: &dyn WorkerTransport,
+    landed: &(dyn Fn(usize) + Sync),
 ) -> std::io::Result<RunOutcome> {
     std::fs::create_dir_all(run_dir)?;
     let (pending, fingerprint) = {
@@ -312,9 +315,12 @@ pub fn run_pending_shards_with(
                             // attempt; `mark_complete` overwrites whatever
                             // an earlier killed attempt might have left.
                             stats.attempt_ms = attempt_elapsed.as_millis() as u64;
-                            let mut m = manifest.lock().expect("manifest lock");
-                            m.mark_complete(range.shard, &stats);
-                            m.save_in(run_dir).expect("checkpoint manifest");
+                            {
+                                let mut m = manifest.lock().expect("manifest lock");
+                                m.mark_complete(range.shard, &stats);
+                                m.save_in(run_dir).expect("checkpoint manifest");
+                            }
+                            landed(range.shard);
                             outcome.lock().expect("outcome").completed.push(range.shard);
                             completed = true;
                             break;
@@ -337,9 +343,12 @@ pub fn run_pending_shards_with(
                     }
                 }
                 if !completed {
-                    let mut m = manifest.lock().expect("manifest lock");
-                    m.mark_failed(range.shard);
-                    m.save_in(run_dir).expect("checkpoint manifest");
+                    {
+                        let mut m = manifest.lock().expect("manifest lock");
+                        m.mark_failed(range.shard);
+                        m.save_in(run_dir).expect("checkpoint manifest");
+                    }
+                    landed(range.shard);
                     outcome.lock().expect("outcome").failed.push(range.shard);
                 }
             });
@@ -389,24 +398,21 @@ fn run_attempt(
     let stream = attempt.take_stream();
     let stop_at_done = attempt.ends_at_done();
     let abort = attempt.abort_handle();
-    let reaped = Arc::new(AtomicBool::new(false));
-    let expired = Arc::new(AtomicBool::new(false));
+    // The watchdog waits for the deadline or for the reaper to drop
+    // `reaped`, whichever comes first, and reports whether it fired.
+    let (reaped, reaped_signal) = mpsc::channel::<()>();
     let watchdog = timeout.map(|limit| {
         let abort = attempt.abort_handle();
-        let reaped = Arc::clone(&reaped);
-        let expired = Arc::clone(&expired);
+        let deadline = Instant::now() + limit;
         std::thread::spawn(move || {
-            let deadline = Instant::now() + limit;
-            while !reaped.load(Ordering::Acquire) {
-                if Instant::now() >= deadline {
-                    // Aborting breaks the stream, so the consumer unblocks
-                    // and the attempt is reported as failed.
-                    expired.store(true, Ordering::Release);
-                    abort();
-                    return;
-                }
-                std::thread::sleep(WATCHDOG_POLL);
+            let left = deadline.saturating_duration_since(Instant::now());
+            let expired = reaped_signal.recv_timeout(left) == Err(RecvTimeoutError::Timeout);
+            if expired {
+                // Aborting breaks the stream, so the consumer unblocks
+                // and the attempt is reported as failed.
+                abort();
             }
+            expired
         })
     });
 
@@ -418,14 +424,12 @@ fn run_attempt(
         abort();
     }
     let finish = attempt.finish(result.is_ok());
-    reaped.store(true, Ordering::Release);
-    if let Some(watchdog) = watchdog {
-        watchdog.join().expect("watchdog thread");
-    }
+    drop(reaped);
+    let expired = watchdog.is_some_and(|watchdog| watchdog.join().expect("watchdog thread"));
     // A worker that produced a complete, validated stream before the
     // deadline fired is a success even if the abort raced its exit; the
     // timeout verdict applies only to broken streams.
-    if expired.load(Ordering::Acquire) && result.is_err() {
+    if expired && result.is_err() {
         std::fs::remove_file(&tmp_path).ok();
         return Err(AttemptFailure {
             reason: format!(
@@ -667,6 +671,15 @@ mod tests {
     }
 
     fn protocol_script(range: &ShardRange, shards: usize, fingerprint: &str) -> String {
+        protocol_lines(range, shards, fingerprint)
+            .iter()
+            .map(|l| format!("echo '{l}'"))
+            .collect::<Vec<_>>()
+            .join(" && ")
+    }
+
+    /// The protocol lines of a well-behaved worker for `range`.
+    fn protocol_lines(range: &ShardRange, shards: usize, fingerprint: &str) -> Vec<String> {
         let mut lines = Vec::new();
         lines.push(
             serde_json::to_string(&StartEvent::new(
@@ -697,10 +710,6 @@ mod tests {
             .unwrap(),
         );
         lines
-            .iter()
-            .map(|l| format!("echo '{l}'"))
-            .collect::<Vec<_>>()
-            .join(" && ")
     }
 
     #[test]
@@ -925,6 +934,88 @@ mod tests {
         assert!(began.elapsed() < Duration::from_secs(30));
         assert!(!dir.join(shard_file_name(0)).exists());
         assert!(!dir.join(format!("{}.tmp", shard_file_name(0))).exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A transport whose attempts replay a canned protocol stream from
+    /// memory and take `reap` to be reaped, like a worker process exiting.
+    struct CannedTransport {
+        stream: Vec<u8>,
+        reap: Duration,
+    }
+
+    struct CannedAttempt {
+        stream: Option<Vec<u8>>,
+        reap: Duration,
+    }
+
+    impl WorkerTransport for CannedTransport {
+        fn launch(&self, _range: &ShardRange) -> Result<Box<dyn ShardAttempt>, String> {
+            Ok(Box::new(CannedAttempt {
+                stream: Some(self.stream.clone()),
+                reap: self.reap,
+            }))
+        }
+    }
+
+    impl ShardAttempt for CannedAttempt {
+        fn take_stream(&mut self) -> Box<dyn Read + Send> {
+            Box::new(std::io::Cursor::new(
+                self.stream.take().expect("stream taken once"),
+            ))
+        }
+
+        fn abort_handle(&self) -> Box<dyn Fn() + Send> {
+            Box::new(|| {})
+        }
+
+        fn ends_at_done(&self) -> bool {
+            false
+        }
+
+        fn finish(self: Box<Self>, _stream_ok: bool) -> Result<(), String> {
+            std::thread::sleep(self.reap);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn timed_attempts_end_when_the_worker_is_reaped_not_at_a_watchdog_tick() {
+        let dir = temp_dir("reaped");
+        let range = ShardRange {
+            shard: 0,
+            start: 0,
+            end: 2,
+        };
+        // The 5 ms reap lets the watchdog settle into its wait before the
+        // attempt ends; the attempt must then end with the reap, long
+        // before the 60 s deadline and without rounding up to a polling
+        // step.
+        let transport = CannedTransport {
+            stream: (protocol_lines(&range, 1, "0xfeed").join("\n") + "\n").into_bytes(),
+            reap: Duration::from_millis(5),
+        };
+        let fastest = (0..3)
+            .map(|_| {
+                let began = Instant::now();
+                run_attempt(
+                    &dir,
+                    &range,
+                    "0xfeed",
+                    &transport,
+                    Some(Duration::from_secs(60)),
+                )
+                .map_err(|failure| failure.reason)
+                .unwrap();
+                began.elapsed()
+            })
+            .min()
+            .unwrap();
+        assert!(
+            fastest < Duration::from_millis(20),
+            "a 5 ms attempt took {fastest:?} under the watchdog"
+        );
+        assert!(dir.join(shard_file_name(0)).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -388,11 +388,16 @@ fn gc_never_deletes_a_blob_a_live_index_entry_references() {
     std::fs::remove_dir_all(&dir).ok();
     let store = Arc::new(StructureStore::at(&dir).unwrap());
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    // Publishers start only after the first gc pass, so the collector has
+    // run at least once however the threads are scheduled.
+    let first_pass = Arc::new(std::sync::Barrier::new(4));
 
     let publishers: Vec<_> = (0..3u64)
         .map(|t| {
             let store = Arc::clone(&store);
+            let first_pass = Arc::clone(&first_pass);
             std::thread::spawn(move || {
+                first_pass.wait();
                 for seed in 0..12u64 {
                     store.distinguisher(128, 4, 1000 * t + seed);
                 }
@@ -407,6 +412,9 @@ fn gc_never_deletes_a_blob_a_live_index_entry_references() {
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                 ring_harness::store::gc_store_dir(&dir).unwrap();
                 passes += 1;
+                if passes == 1 {
+                    first_pass.wait();
+                }
             }
             passes
         })

@@ -9,7 +9,7 @@
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The sweep every test runs: small enough for CI, mixed parities, more
 /// cases than the largest shard count under test (6 cases).
@@ -542,5 +542,184 @@ fn daemon_survives_oversized_requests_and_hellos() {
     assert!(body.contains("\"registered\": 0"), "workers: {body}");
 
     shutdown(daemon, Vec::new());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// How long a result subscriber may wait on one read before the test
+/// counts it as hung.
+const SUBSCRIBER_LIMIT: Duration = Duration::from_secs(60);
+
+/// Opens `GET /v1/runs/<run>/results` and returns the connection once the
+/// daemon has sent the response head, so the subscriber is known to be
+/// attached before the caller goes on.
+fn attach(addr: &str, run: u64) -> std::net::TcpStream {
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect to daemon");
+    stream.set_read_timeout(Some(SUBSCRIBER_LIMIT)).unwrap();
+    write!(
+        stream,
+        "GET /v1/runs/{run}/results HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
+    )
+    .unwrap();
+    let mut head = Vec::new();
+    let mut byte = [0u8; 1];
+    while !head.ends_with(b"\r\n\r\n") {
+        stream.read_exact(&mut byte).expect("result stream head");
+        head.push(byte[0]);
+    }
+    assert!(
+        head.starts_with(b"HTTP/1.1 200"),
+        "subscription refused: {}",
+        String::from_utf8_lossy(&head)
+    );
+    stream
+}
+
+/// Reads an attached subscription to EOF; a stream that stalls for
+/// [`SUBSCRIBER_LIMIT`] fails the test instead of hanging it.
+fn drain(mut stream: std::net::TcpStream) -> Vec<u8> {
+    let mut body = Vec::new();
+    stream
+        .read_to_end(&mut body)
+        .expect("the subscriber was never released");
+    body
+}
+
+/// Waits for the daemon process to exit, failing past `limit`.
+fn wait_for_exit(daemon: &mut DaemonGuard, limit: Duration) -> std::process::ExitStatus {
+    let deadline = Instant::now() + limit;
+    loop {
+        if let Some(status) = daemon.child.try_wait().expect("poll daemon") {
+            return status;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the daemon did not exit within {limit:?}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// A subscriber attached right after submission follows the run as its
+/// shards land, including a retry that lands only after a backoff of at
+/// least 100 ms, and ends with bytes identical to the single-process run.
+#[test]
+fn a_subscriber_attached_at_submission_follows_a_retried_run_to_the_end() {
+    let dir = temp_dir("live");
+    let reference = reference_bytes(&dir);
+    let daemon = start_daemon(&dir, &[]);
+    let marker = dir.join("crash-marker");
+    let mut doomed = spawn_worker(
+        &daemon.addr,
+        &[("RING_DISTRIB_FAIL_ONCE", marker.as_path())],
+    );
+    let clean = spawn_worker(&daemon.addr, &[]);
+    wait_for_workers(&daemon.addr, 2);
+
+    let body = format!("{},\"shards\":2}}", SPEC_BODY.trim_end_matches('}'));
+    let run = submit(&daemon.addr, &body);
+    let streamed = drain(attach(&daemon.addr, run));
+    assert_eq!(streamed, reference, "the live stream diverged");
+    assert!(marker.exists(), "the doomed worker never crashed");
+
+    wait_for_status(&daemon.addr, run, "complete");
+    let manifest =
+        ring_distrib::Manifest::load(&daemon.data_dir.join(format!("runs/run-{run:04}"))).unwrap();
+    let attempts: u32 = manifest.shards.iter().map(|s| s.attempts).sum();
+    assert_eq!(attempts, 3, "one shard must have been attempted twice");
+    let backoff_ms: u64 = manifest.shards.iter().map(|s| s.backoff_ms).sum();
+    assert!(backoff_ms >= 100, "the retry waited only {backoff_ms} ms");
+
+    assert!(!doomed.wait().expect("reap doomed worker").success());
+    shutdown(daemon, vec![clean]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A subscriber to a run that fails (no worker ever registers, so its only
+/// shard's lease times out) gets EOF with an empty body, not a hang.
+#[test]
+fn a_subscriber_to_a_failing_run_gets_eof() {
+    let dir = temp_dir("fail-eof");
+    let daemon = start_daemon(&dir, &["--retries", "0", "--lease-timeout", "1"]);
+    let body = format!("{},\"shards\":1}}", SPEC_BODY.trim_end_matches('}'));
+    let run = submit(&daemon.addr, &body);
+    let streamed = drain(attach(&daemon.addr, run));
+    assert!(
+        streamed.is_empty(),
+        "a failed run streamed {} bytes",
+        streamed.len()
+    );
+    wait_for_status(&daemon.addr, run, "failed");
+    shutdown(daemon, Vec::new());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A subscriber to a run still queued behind another is released by
+/// `POST /v1/shutdown` itself, while the daemon is still draining its
+/// in-flight run, not by the daemon's exit closing the socket.
+#[test]
+fn shutdown_releases_a_subscriber_to_a_queued_run() {
+    let dir = temp_dir("queued");
+    let mut daemon = start_daemon(&dir, &["--retries", "0"]);
+    // A stub worker that registers and then never answers its job: the
+    // first run holds the scheduler (and the drain) until the stub hangs
+    // up, so the second run stays queued.
+    let mut stub = std::net::TcpStream::connect(&daemon.addr).expect("connect to daemon");
+    stub.write_all(b"{\"event\":\"hello\",\"schema\":\"ring-serve/v1\",\"worker\":\"stub\"}\n")
+        .unwrap();
+    wait_for_workers(&daemon.addr, 1);
+    let body = format!("{},\"shards\":1}}", SPEC_BODY.trim_end_matches('}'));
+    let first = submit(&daemon.addr, &body);
+    wait_for_status(&daemon.addr, first, "running");
+    let second = submit(&daemon.addr, &body);
+    wait_for_status(&daemon.addr, second, "queued");
+    let subscriber = attach(&daemon.addr, second);
+
+    let (status, _) = http(&daemon.addr, "POST", "/v1/shutdown", "");
+    assert_eq!(status, 200);
+    assert!(drain(subscriber).is_empty());
+    assert!(
+        daemon.child.try_wait().expect("poll daemon").is_none(),
+        "the daemon exited before releasing the subscriber"
+    );
+
+    // Hanging up fails the in-flight shard; the drain ends and the daemon
+    // exits cleanly.
+    drop(stub);
+    let status = wait_for_exit(&mut daemon, Duration::from_secs(30));
+    assert!(status.success(), "daemon exited uncleanly: {status}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An idle client holding an unfinished request open delays neither a
+/// concurrent request nor shutdown: both finish well inside the daemon's
+/// 10 s idle limit, which is what a daemon serving connections one at a
+/// time would make them wait.
+#[test]
+fn an_idle_connection_delays_neither_requests_nor_shutdown() {
+    let dir = temp_dir("idle");
+    let mut daemon = start_daemon(&dir, &[]);
+    let mut idle = std::net::TcpStream::connect(&daemon.addr).expect("connect to daemon");
+    write!(
+        idle,
+        "GET /v1/healthz HTTP/1.1\r\nHost: {}\r\n",
+        daemon.addr
+    )
+    .unwrap();
+
+    let began = Instant::now();
+    let (status, body) = http(&daemon.addr, "GET", "/v1/healthz", "");
+    assert_eq!(status, 200);
+    assert!(body.contains("ring-serve/v1"), "healthz: {body}");
+    assert!(
+        began.elapsed() < Duration::from_secs(5),
+        "healthz waited {:?} behind an idle client",
+        began.elapsed()
+    );
+
+    let (status, _) = http(&daemon.addr, "POST", "/v1/shutdown", "");
+    assert_eq!(status, 200);
+    let status = wait_for_exit(&mut daemon, Duration::from_secs(5));
+    assert!(status.success(), "daemon exited uncleanly: {status}");
+    drop(idle);
     std::fs::remove_dir_all(&dir).ok();
 }

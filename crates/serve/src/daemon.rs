@@ -3,9 +3,11 @@
 //! One listening socket carries both faces of the service. A connecting
 //! peer is classified by its first byte: a JSON frame (`{`) is a worker
 //! registering with a `ring-serve/v1` hello, anything else is an HTTP
-//! client. HTTP requests are parsed incrementally by a small non-blocking
-//! poll loop; workers, once registered, move to the [`WorkerPool`] and are
-//! leased out per shard attempt by the orchestrator's TCP transport.
+//! client. The accept loop blocks in `accept` and hands each connection to
+//! a thread of its own, which reads until the request is complete (or the
+//! idle limit passes); workers, once registered, move to the [`WorkerPool`]
+//! and are leased out per shard attempt by the orchestrator's TCP
+//! transport.
 //!
 //! Runs are multi-tenant: each `POST /v1/runs` creates
 //! `<data-dir>/runs/run-NNNN/` with a standard `ring-distrib/v1`
@@ -18,7 +20,11 @@
 //! to the single-process sweep. Subscribers on
 //! `GET /v1/runs/<id>/results` receive the per-case JSONL as shards land,
 //! in case order (the contiguous shard plan makes "complete prefix of
-//! shards, concatenated" equal to the final merge order).
+//! shards, concatenated" equal to the final merge order). Nothing on the
+//! request path sleeps: a subscriber waits on the daemon's `progress`
+//! condition variable, which the orchestrator signals each time a shard
+//! lands, and `POST /v1/shutdown` wakes the accept loop by connecting to
+//! the daemon's own address.
 
 use crate::http::{self, Request};
 use crate::pool::{TcpWorkerTransport, WorkerPool};
@@ -30,7 +36,7 @@ use ring_distrib::{
 use serde::Value;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -69,14 +75,13 @@ pub struct ServeConfig {
     pub resolver: SpecResolver,
 }
 
-/// How often pollers sleep when nothing is readable, and how often result
-/// subscribers re-read the manifest.
-const POLL_SLEEP: Duration = Duration::from_millis(5);
-const SUBSCRIBE_POLL: Duration = Duration::from_millis(50);
-
 /// Idle HTTP connections are dropped after this long without a complete
 /// request.
 const CONN_IDLE_LIMIT: Duration = Duration::from_secs(10);
+
+/// How long the accept loop backs off after a failed `accept` (descriptor
+/// exhaustion, say), so a persistent error does not spin a core.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum RunStatus {
@@ -102,12 +107,19 @@ struct RunRecord {
     dir: PathBuf,
     status: RunStatus,
     error: Option<String>,
+    /// Bumped whenever a shard lands, the status changes or the daemon
+    /// starts to shut down; subscribers wait on `progress` until it moves.
+    landed: u64,
 }
 
 struct Daemon {
     config: ServeConfig,
+    /// Where `POST /v1/shutdown` connects to wake the blocked `accept`.
+    wake_addr: SocketAddr,
     pool: Arc<WorkerPool>,
     runs: Mutex<Vec<RunRecord>>,
+    /// Signalled, under `runs`, whenever some run's `landed` moves.
+    progress: Condvar,
     queue: Mutex<VecDeque<usize>>,
     queue_signal: Condvar,
     shutting_down: AtomicBool,
@@ -128,19 +140,25 @@ pub fn serve(config: ServeConfig) -> Result<(), String> {
     let addr = listener
         .local_addr()
         .map_err(|e| format!("cannot resolve the bound address: {e}"))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("cannot unblock the listener: {e}"))?;
     write_endpoint_file(&config.data_dir, &addr.to_string())?;
     eprintln!(
         "ring-serve: listening on {addr} (data dir {})",
         config.data_dir.display()
     );
 
+    let mut wake_addr = addr;
+    if wake_addr.ip().is_unspecified() {
+        wake_addr.set_ip(match addr {
+            SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+        });
+    }
     let daemon = Arc::new(Daemon {
         config,
+        wake_addr,
         pool: Arc::new(WorkerPool::new()),
         runs: Mutex::new(Vec::new()),
+        progress: Condvar::new(),
         queue: Mutex::new(VecDeque::new()),
         queue_signal: Condvar::new(),
         shutting_down: AtomicBool::new(false),
@@ -151,36 +169,35 @@ pub fn serve(config: ServeConfig) -> Result<(), String> {
         std::thread::spawn(move || scheduler_loop(&daemon))
     };
 
-    let mut pending: Vec<PendingConn> = Vec::new();
-    while !daemon.shutting_down.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if stream.set_nonblocking(true).is_ok() {
-                    pending.push(PendingConn {
-                        stream,
-                        buf: Vec::new(),
-                        since: Instant::now(),
-                    });
+    for stream in listener.incoming() {
+        if daemon.shutting_down.load(Ordering::Acquire) {
+            break;
+        }
+        match stream {
+            Ok(stream) => {
+                let daemon = Arc::clone(&daemon);
+                let spawned = std::thread::Builder::new()
+                    .name("ring-serve-conn".into())
+                    .spawn(move || serve_connection(&daemon, stream));
+                // A failed spawn drops the closure, and the connection
+                // with it; the daemon keeps accepting.
+                if let Err(e) = spawned {
+                    eprintln!("ring-serve: dropping a connection, no thread for it: {e}");
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-            Err(e) => eprintln!("ring-serve: accept failed: {e}"),
-        }
-        let mut keep = Vec::with_capacity(pending.len());
-        for mut conn in pending.drain(..) {
-            match step_connection(&daemon, &mut conn) {
-                ConnVerdict::Keep => keep.push(conn),
-                ConnVerdict::Done => {}
+            Err(e) => {
+                eprintln!("ring-serve: accept failed: {e}");
+                std::thread::park_timeout(ACCEPT_ERROR_BACKOFF);
             }
         }
-        pending = keep;
-        std::thread::sleep(POLL_SLEEP);
     }
 
     // Drain: dismiss idle workers, wake the scheduler, let an in-flight
     // run finish. Queued-but-unstarted runs stay `queued` on disk; their
-    // directories are valid `ringlab resume` targets.
+    // directories are valid `ringlab resume` targets. Taking the queue
+    // lock orders the notification after the scheduler's flag check.
     daemon.pool.shutdown();
+    drop(daemon.queue.lock().expect("run queue"));
     daemon.queue_signal.notify_all();
     scheduler.join().expect("scheduler thread");
     std::fs::remove_file(daemon.config.data_dir.join("endpoint")).ok();
@@ -198,84 +215,73 @@ fn write_endpoint_file(data_dir: &std::path::Path, addr: &str) -> Result<(), Str
         .map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
-struct PendingConn {
-    stream: TcpStream,
-    buf: Vec<u8>,
-    since: Instant,
-}
-
-enum ConnVerdict {
-    Keep,
-    Done,
-}
-
-/// Advances one not-yet-classified connection: reads what is available,
-/// then either registers a worker, answers a complete HTTP request, or
-/// keeps waiting.
-fn step_connection(daemon: &Arc<Daemon>, conn: &mut PendingConn) -> ConnVerdict {
-    let mut eof = false;
+/// Serves one accepted connection on its own thread: reads, one `read` per
+/// step against the idle deadline, until the first byte has classified the
+/// peer and its message is complete, then registers a worker, answers an
+/// HTTP request or drops the peer.
+fn serve_connection(daemon: &Arc<Daemon>, mut stream: TcpStream) {
+    let deadline = Instant::now() + CONN_IDLE_LIMIT;
+    let mut buf = Vec::new();
     let mut chunk = [0u8; 4096];
-    // Never buffer more than one maximal request; the checks below reject
-    // anything that needs more.
-    while conn.buf.len() <= http::MAX_HEAD_BYTES + http::MAX_BODY_BYTES {
-        match conn.stream.read(&mut chunk) {
-            Ok(0) => {
-                eof = true;
+    loop {
+        // `set_read_timeout` rejects a zero duration; a spent deadline
+        // ends the connection like a timed-out read.
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        match stream.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => break,
+        }
+
+        if buf[0] == b'{' {
+            // A worker hello frame: one JSON line.
+            if let Some(newline) = buf.iter().position(|&b| b == b'\n') {
+                let line = String::from_utf8_lossy(&buf[..newline]).to_string();
+                register_worker(daemon, stream, &line);
+                return;
+            }
+            if buf.len() > http::MAX_HEAD_BYTES {
+                eprintln!(
+                    "ring-serve: dropping peer whose hello exceeds {} bytes",
+                    http::MAX_HEAD_BYTES
+                );
                 break;
             }
-            Ok(n) => conn.buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                eof = true;
-                break;
+        } else {
+            // The parser rejects a head or body past its cap, so `buf`
+            // never outgrows one maximal request plus one chunk.
+            match http::parse_request(&buf) {
+                Ok(Some((request, _))) => {
+                    if stream.set_read_timeout(None).is_ok() {
+                        handle_request(daemon, &mut stream, &request);
+                    }
+                    return;
+                }
+                Ok(None) => {}
+                Err(reason) => {
+                    respond(
+                        &mut stream,
+                        &http::error_response(400, "Bad Request", &reason),
+                    );
+                    return;
+                }
             }
         }
     }
-
-    if conn.buf.first() == Some(&b'{') {
-        // A worker hello frame: one JSON line.
-        if let Some(newline) = conn.buf.iter().position(|&b| b == b'\n') {
-            let line = String::from_utf8_lossy(&conn.buf[..newline]).to_string();
-            register_worker(daemon, conn, &line);
-            return ConnVerdict::Done;
-        }
-        if conn.buf.len() > http::MAX_HEAD_BYTES {
-            eprintln!(
-                "ring-serve: dropping peer whose hello exceeds {} bytes",
-                http::MAX_HEAD_BYTES
-            );
-            conn.stream.shutdown(Shutdown::Both).ok();
-            return ConnVerdict::Done;
-        }
-    } else if !conn.buf.is_empty() {
-        match http::parse_request(&conn.buf) {
-            Ok(Some((request, _))) => {
-                handle_request(daemon, conn, &request);
-                return ConnVerdict::Done;
-            }
-            Ok(None) => {}
-            Err(reason) => {
-                respond(conn, &http::error_response(400, "Bad Request", &reason));
-                return ConnVerdict::Done;
-            }
-        }
-    }
-
-    if eof || conn.since.elapsed() > CONN_IDLE_LIMIT {
-        conn.stream.shutdown(Shutdown::Both).ok();
-        return ConnVerdict::Done;
-    }
-    ConnVerdict::Keep
+    stream.shutdown(Shutdown::Both).ok();
 }
 
 /// Validates a hello frame and moves the connection into the worker pool.
-fn register_worker(daemon: &Arc<Daemon>, conn: &mut PendingConn, line: &str) {
+fn register_worker(daemon: &Arc<Daemon>, stream: TcpStream, line: &str) {
     let frame = match serde_json::from_str(line) {
         Ok(frame) => frame,
         Err(e) => {
             eprintln!("ring-serve: dropping peer with malformed hello: {e}");
-            conn.stream.shutdown(Shutdown::Both).ok();
+            stream.shutdown(Shutdown::Both).ok();
             return;
         }
     };
@@ -286,7 +292,7 @@ fn register_worker(daemon: &Arc<Daemon>, conn: &mut PendingConn, line: &str) {
             "ring-serve: dropping peer announcing event `{event}` schema `{schema}` \
              (expected hello/{SCHEMA})"
         );
-        conn.stream.shutdown(Shutdown::Both).ok();
+        stream.shutdown(Shutdown::Both).ok();
         return;
     }
     let name = frame
@@ -294,27 +300,23 @@ fn register_worker(daemon: &Arc<Daemon>, conn: &mut PendingConn, line: &str) {
         .and_then(Value::as_str)
         .unwrap_or("worker")
         .to_string();
-    if conn.stream.set_nonblocking(false).is_err() {
-        conn.stream.shutdown(Shutdown::Both).ok();
+    if stream.set_read_timeout(None).is_err() {
+        stream.shutdown(Shutdown::Both).ok();
         return;
     }
     eprintln!("ring-serve: worker `{name}` registered");
-    daemon.pool.register(
-        name,
-        conn.stream.try_clone().expect("cloneable worker socket"),
-    );
+    daemon.pool.register(name, stream);
 }
 
 /// Writes a complete response and closes the connection.
-fn respond(conn: &mut PendingConn, bytes: &[u8]) {
-    conn.stream.set_nonblocking(false).ok();
-    conn.stream.write_all(bytes).ok();
-    conn.stream.flush().ok();
-    conn.stream.shutdown(Shutdown::Both).ok();
+fn respond(stream: &mut TcpStream, bytes: &[u8]) {
+    stream.write_all(bytes).ok();
+    stream.flush().ok();
+    stream.shutdown(Shutdown::Both).ok();
 }
 
 /// Routes one HTTP request.
-fn handle_request(daemon: &Arc<Daemon>, conn: &mut PendingConn, request: &Request) {
+fn handle_request(daemon: &Arc<Daemon>, conn: &mut TcpStream, request: &Request) {
     let path = request.path.as_str();
     match (request.method.as_str(), path) {
         ("GET", "/v1/healthz") => {
@@ -366,7 +368,7 @@ fn handle_request(daemon: &Arc<Daemon>, conn: &mut PendingConn, request: &Reques
                 ),
             ]);
             respond(conn, &http::json_response(200, "OK", &body));
-            daemon.shutting_down.store(true, Ordering::Release);
+            begin_shutdown(daemon);
         }
         ("GET", _) if path.starts_with("/v1/runs/") => handle_run_path(daemon, conn, path),
         _ => respond(
@@ -383,7 +385,7 @@ fn handle_request(daemon: &Arc<Daemon>, conn: &mut PendingConn, request: &Reques
 /// `GET /v1/runs/<id>` (status + manifest), `GET /v1/runs/<id>/results`
 /// (streamed JSONL) and `GET /v1/runs/<id>/metrics` (the run's aggregated
 /// ring-obs/v1 snapshot plus a per-shard supervision breakdown).
-fn handle_run_path(daemon: &Arc<Daemon>, conn: &mut PendingConn, path: &str) {
+fn handle_run_path(daemon: &Arc<Daemon>, conn: &mut TcpStream, path: &str) {
     let rest = &path["/v1/runs/".len()..];
     let (id_text, results, metrics) =
         match (rest.strip_suffix("/results"), rest.strip_suffix("/metrics")) {
@@ -416,13 +418,8 @@ fn handle_run_path(daemon: &Arc<Daemon>, conn: &mut PendingConn, path: &str) {
         return;
     }
     if results {
-        conn.stream.set_nonblocking(false).ok();
-        let subscriber = conn
-            .stream
-            .try_clone()
-            .expect("cloneable subscriber socket");
-        let daemon = Arc::clone(daemon);
-        std::thread::spawn(move || stream_results(&daemon, id, &dir, subscriber));
+        // The connection's own thread carries the stream.
+        stream_results(daemon, id, &dir, conn);
         return;
     }
     let mut fields = vec![("schema".to_string(), Value::Str(SCHEMA.to_string()))];
@@ -447,7 +444,7 @@ fn handle_run_path(daemon: &Arc<Daemon>, conn: &mut PendingConn, path: &str) {
 /// ring-obs/v1 snapshot (completed shards only, each shard contributing
 /// exactly its final successful attempt) plus a per-shard supervision
 /// breakdown — attempts, attempt duration, watchdog kills, backoff.
-fn respond_run_metrics(conn: &mut PendingConn, id: usize, dir: &std::path::Path) {
+fn respond_run_metrics(conn: &mut TcpStream, id: usize, dir: &std::path::Path) {
     use serde::Serialize;
     let manifest = match Manifest::load(dir) {
         Ok(manifest) => manifest,
@@ -550,6 +547,7 @@ fn submit_run(daemon: &Arc<Daemon>, body: &[u8]) -> Result<Value, String> {
             dir: dir.clone(),
             status: RunStatus::Queued,
             error: None,
+            landed: 0,
         });
         (id, dir)
     };
@@ -604,11 +602,7 @@ fn scheduler_loop(daemon: &Arc<Daemon>) {
                 if let Some(id) = queue.pop_front() {
                     break id;
                 }
-                queue = daemon
-                    .queue_signal
-                    .wait_timeout(queue, Duration::from_millis(200))
-                    .expect("run queue")
-                    .0;
+                queue = daemon.queue_signal.wait(queue).expect("run queue");
             }
         };
         set_run_status(daemon, run_id, RunStatus::Running, None);
@@ -629,10 +623,36 @@ fn scheduler_loop(daemon: &Arc<Daemon>) {
 }
 
 fn set_run_status(daemon: &Arc<Daemon>, id: usize, status: RunStatus, error: Option<String>) {
-    let mut runs = daemon.runs.lock().expect("run table");
-    if let Some(record) = runs.iter_mut().find(|r| r.id == id) {
+    update_run(daemon, id, |record| {
         record.status = status;
         record.error = error;
+    });
+}
+
+/// Applies `update` to run `id`, bumps its `landed` generation and wakes
+/// the subscribers waiting on `progress`.
+fn update_run(daemon: &Daemon, id: usize, update: impl FnOnce(&mut RunRecord)) {
+    let mut runs = daemon.runs.lock().expect("run table");
+    if let Some(record) = runs.iter_mut().find(|r| r.id == id) {
+        update(record);
+        record.landed += 1;
+    }
+    daemon.progress.notify_all();
+}
+
+/// Starts the drain: flags the daemon, releases every waiting subscriber,
+/// and wakes the accept loop blocked in `accept` by connecting to it.
+fn begin_shutdown(daemon: &Daemon) {
+    daemon.shutting_down.store(true, Ordering::Release);
+    {
+        let mut runs = daemon.runs.lock().expect("run table");
+        for record in runs.iter_mut() {
+            record.landed += 1;
+        }
+    }
+    daemon.progress.notify_all();
+    if let Err(e) = TcpStream::connect(daemon.wake_addr) {
+        eprintln!("ring-serve: cannot wake the accept loop: {e}");
     }
 }
 
@@ -669,7 +689,8 @@ fn execute_run(daemon: &Arc<Daemon>, run_id: usize) -> Result<(), String> {
         daemon.config.lease_timeout,
     );
     let manifest = Mutex::new(manifest);
-    let outcome = run_pending_shards_with(&dir, &manifest, &options, &transport)
+    let landed = |_shard| update_run(daemon, run_id, |_| {});
+    let outcome = run_pending_shards_with(&dir, &manifest, &options, &transport, &landed)
         .map_err(|e| format!("orchestration failed: {e}"))?;
     if !outcome.failed.is_empty() {
         return Err(format!(
@@ -701,18 +722,30 @@ fn execute_run(daemon: &Arc<Daemon>, run_id: usize) -> Result<(), String> {
 /// contiguous shard plan this is exactly the merge order, so a subscriber
 /// that reads to EOF on a completed run holds bytes identical to
 /// `merged.jsonl` (and to the single-process sweep).
-fn stream_results(daemon: &Arc<Daemon>, run_id: usize, dir: &std::path::Path, mut out: TcpStream) {
+///
+/// Between manifest reloads the subscriber sleeps on `progress`. It reads
+/// the run's `landed` generation *before* each reload and waits only while
+/// the generation is unchanged, so a shard that lands between the reload
+/// and the wait cannot be missed.
+fn stream_results(daemon: &Daemon, run_id: usize, dir: &std::path::Path, out: &mut TcpStream) {
+    let generation = |runs: &[RunRecord]| runs.iter().find(|r| r.id == run_id).map(|r| r.landed);
     if out.write_all(&http::stream_head()).is_err() {
         return;
     }
     let mut next_shard = 0usize;
-    while let Ok(manifest) = Manifest::load(dir) {
+    loop {
+        let Some(seen) = generation(&daemon.runs.lock().expect("run table")) else {
+            break;
+        };
+        let Ok(manifest) = Manifest::load(dir) else {
+            break;
+        };
         while next_shard < manifest.shards.len()
             && manifest.shards[next_shard].status == ShardStatus::Complete
         {
             let path = dir.join(ring_distrib::shard_file_name(next_shard));
             let streamed =
-                std::fs::File::open(&path).and_then(|mut file| std::io::copy(&mut file, &mut out));
+                std::fs::File::open(&path).and_then(|mut file| std::io::copy(&mut file, out));
             if streamed.is_err() {
                 out.shutdown(Shutdown::Both).ok();
                 return;
@@ -725,19 +758,22 @@ fn stream_results(daemon: &Arc<Daemon>, run_id: usize, dir: &std::path::Path, mu
         // A `complete` run status only appears after the manifest's last
         // `mark_complete` checkpoint, so the next reload drains the tail;
         // only a failed run or a draining daemon ends the stream short
-        // (the status endpoint tells the subscriber why).
-        let stalled = {
-            let runs = daemon.runs.lock().expect("run table");
-            runs.iter()
-                .find(|r| r.id == run_id)
-                .map(|r| r.status == RunStatus::Failed)
-                .unwrap_or(true)
-                || daemon.shutting_down.load(Ordering::Acquire)
-        };
-        if stalled {
+        // (the status endpoint tells the subscriber why). Both bump the
+        // generation as well, so one more reload still picks up every
+        // shard checkpointed before them.
+        let runs = daemon.runs.lock().expect("run table");
+        let runs = daemon
+            .progress
+            .wait_while(runs, |runs| {
+                !daemon.shutting_down.load(Ordering::Acquire)
+                    && runs.iter().any(|r| {
+                        r.id == run_id && r.landed == seen && r.status != RunStatus::Failed
+                    })
+            })
+            .expect("run table");
+        if generation(&runs) == Some(seen) {
             break;
         }
-        std::thread::sleep(SUBSCRIBE_POLL);
     }
     out.flush().ok();
     out.shutdown(Shutdown::Both).ok();

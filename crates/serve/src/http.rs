@@ -1,11 +1,12 @@
 //! A minimal HTTP/1.1 layer for the daemon.
 //!
 //! Exactly what `ringlab serve` needs and nothing more: an incremental
-//! request parser that works on the byte buffer of a non-blocking
-//! connection (request line, headers, `Content-Length` body), and response
+//! request parser that works on the bytes a connection has delivered so
+//! far (request line, headers, `Content-Length` body), and response
 //! builders for JSON bodies and streamed JSONL. Every response carries
-//! `Connection: close` — one request per connection keeps the poll loop
-//! trivial, and both `curl` and the in-repo tests speak it natively. No
+//! `Connection: close` — one request per connection keeps each
+//! connection's thread trivial, and both `curl` and the in-repo tests
+//! speak it natively. No
 //! external dependency is involved; this module is the entire HTTP
 //! surface.
 

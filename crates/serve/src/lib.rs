@@ -7,13 +7,13 @@
 //! changing any of its guarantees. Three small modules:
 //!
 //! * [`http`] — a hand-rolled HTTP/1.1 request parser and response
-//!   builders, sized for a non-blocking poll loop (no external deps).
+//!   builders, fed by one thread per connection (no external deps).
 //! * [`pool`] — the registered-worker pool plus
 //!   [`pool::TcpWorkerTransport`], the
 //!   [`ring_distrib::WorkerTransport`] implementation that leases one
 //!   connection per shard attempt, sends a job frame and hands the socket
 //!   to the orchestrator as the attempt's `ring-distrib/v1` stream.
-//! * [`daemon`] — the serve loop: run submission over HTTP/JSON,
+//! * [`daemon`] — the blocking accept loop: run submission over HTTP/JSON,
 //!   multi-tenant `runs/run-NNNN/` directories with standard
 //!   `ring-distrib/v1` manifests (every daemon run dir is `ringlab
 //!   resume`-able), a single scheduler thread driving the unchanged
