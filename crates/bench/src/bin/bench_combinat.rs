@@ -16,7 +16,9 @@
 //! intersection-count, sampled verification), the selective family's
 //! scale-first sampled verification against the first-index scan over its
 //! materialised sets, and the analytic engine's linear first-collision
-//! sweeps against the binary-search engine kept in `ring_sim::reference`. In
+//! sweeps against the binary-search engine kept in `ring_sim::reference`,
+//! and undo rounds (`Network::undo_last`) against the reversed round
+//! through the kernel. In
 //! `--quick` mode the run **fails** (nonzero exit) if any kernel's fast
 //! path is slower than its reference — the CI perf smoke that keeps these
 //! loops honest.
@@ -24,6 +26,7 @@
 use rand::{Rng, SeedableRng};
 use ring_combinat::{reference, Distinguisher, IdSet, SelectiveFamily};
 use ring_protocols::coordination::nontrivial::weak_nontrivial_move_even_distinguisher;
+use ring_protocols::exec::StepBuffers;
 use ring_protocols::{IdAssignment, Network};
 use ring_sim::{
     AnalyticEngine, AnalyticScratch, EngineKind, LocalDirection, Model, ObjectiveDirection,
@@ -486,6 +489,59 @@ fn main() {
         slow as f64 / fast.max(1) as f64
     );
 
+    // 4c. Undo rounds (the paper's REVERSEDROUND) at n = 512: each forward
+    //     round followed by `undo_last`, which rewinds the ring offset by
+    //     Lemma 1, against the same forward round followed by its reversed
+    //     directions through the kernel. Random directions, perceptive
+    //     model; the forward rounds are common to both sides.
+    let config = RingConfig::builder(kernel_n)
+        .random_positions(15)
+        .random_chirality(16)
+        .build()
+        .expect("valid benchmark ring");
+    let ids = IdAssignment::random(kernel_n, 64 * kernel_n as u64, 17);
+    let local_rounds: Vec<Vec<LocalDirection>> = (0..kernel_rounds)
+        .map(|_| {
+            (0..kernel_n)
+                .map(|_| LocalDirection::from_bit(dir_rng.gen::<bool>()))
+                .collect()
+        })
+        .collect();
+    let reversed_rounds: Vec<Vec<LocalDirection>> = local_rounds
+        .iter()
+        .map(|dirs| dirs.iter().map(|d| d.opposite()).collect())
+        .collect();
+    let mut net = Network::new(&config, ids.clone(), Model::Perceptive).expect("valid network");
+    let mut step = StepBuffers::new();
+    let fast = time_median(reps, || {
+        for dirs in &local_rounds {
+            net.step_into(dirs, &mut step).expect("valid round");
+            net.undo_last(&mut step).expect("undoable round");
+        }
+        net.rounds_used()
+    });
+    let mut net = Network::new(&config, ids, Model::Perceptive).expect("valid network");
+    let slow = time_median(reps, || {
+        for (dirs, reversed) in local_rounds.iter().zip(&reversed_rounds) {
+            net.step_into(dirs, &mut step).expect("valid round");
+            net.step_into(reversed, &mut step).expect("valid round");
+        }
+        net.rounds_used()
+    });
+    record_pair(
+        &mut entries,
+        &mut speedups,
+        "undo_round",
+        kernel_n as u64,
+        fast,
+        slow,
+        reps,
+    );
+    println!(
+        "undo_round                n={kernel_n} r={kernel_rounds}: {fast:>12} ns vs {slow:>12} ns  ({:.1}x)",
+        slow as f64 / fast.max(1) as f64
+    );
+
     // 5. End-to-end: the distinguisher-driven weak nontrivial move on a
     //    balanced ring, now running as one batched schedule over the
     //    word-parallel strong distinguisher (absolute time only — the whole
@@ -533,10 +589,9 @@ fn main() {
 
     // The CI perf smoke: in quick mode, a kernel that fails to beat its
     // oracle fails the run. The asserted set is the kernel pairs — the
-    // chunked `IdSet` loops, the two sampled verifications and the analytic
-    // first-collision sweeps — not
-    // the construction or round-loop pairs, whose inner cost is RNG- or
-    // simulator-bound.
+    // chunked `IdSet` loops, the two sampled verifications, the analytic
+    // first-collision sweeps and the undo rewind — not the construction or
+    // round-loop pairs, whose inner cost is RNG- or simulator-bound.
     if quick {
         let asserted = [
             "idset_union",
@@ -546,6 +601,7 @@ fn main() {
             "verify_sampled",
             "selective_verify",
             "analytic_first_collisions",
+            "undo_round",
         ];
         let mut failed = false;
         for s in &report.speedups {

@@ -60,6 +60,13 @@ pub enum ProtocolError {
         /// The limit that was hit.
         limit: u64,
     },
+    /// An undo ([`Network::undo_last`](crate::exec::Network::undo_last) or
+    /// [`Network::rewind`](crate::exec::Network::rewind)) found no round it
+    /// may revert.
+    NothingToUndo {
+        /// Why the undo was refused.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for ProtocolError {
@@ -91,6 +98,7 @@ impl fmt::Display for ProtocolError {
             ProtocolError::RoundLimitReached { limit } => {
                 write!(f, "executor round limit of {limit} rounds reached")
             }
+            ProtocolError::NothingToUndo { reason } => write!(f, "nothing to undo: {reason}"),
         }
     }
 }
@@ -140,6 +148,7 @@ mod tests {
             },
             ProtocolError::Unsolvable { reason: "Lemma 5" },
             ProtocolError::RoundLimitReached { limit: 100 },
+            ProtocolError::NothingToUndo { reason: "no round" },
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());

@@ -12,7 +12,22 @@
 //!   enforces the model's restrictions, and writes every agent's
 //!   [`Observation`] — again in the agent's own frame, with collision
 //!   information stripped unless the model is perceptive — into a reusable
-//!   [`StepBuffers`] set.
+//!   [`StepBuffers`] set;
+//! * [`Network::undo_last`] and [`Network::mark`]/[`Network::rewind`], the
+//!   paper's `REVERSEDROUND`: they put every agent back where a forward
+//!   round (or every round since a mark) started and count one round per
+//!   round undone.
+//!
+//! An undo round is counted but not simulated. No protocol reads what a
+//! reversed round observes, and by Lemma 1 its effect is known: the ring
+//! offset moves back by the forward shift, and each agent's cumulative
+//! distance drops by the forward round's `dist`. The observation buffer is
+//! cleared instead. Undo falls back to executing the reversed directions
+//! through the kernel in three cases, with the same rounds, errors and end
+//! state: on the event engine (so cross-engine runs still compare two
+//! engines round for round), under a fault plan that suppresses moves (a
+//! suppressed reversal does not undo), and when the undo would cross the
+//! round limit (the kernel stops exactly where the limit fires).
 //!
 //! Protocol implementations in this crate are written as lockstep drivers:
 //! the same local rule is evaluated for every agent using only that agent's
@@ -31,9 +46,10 @@ use ring_sim::{
     RoundBuffers,
 };
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Reusable buffers for the zero-alloc round interface
-/// ([`Network::step_into`], [`Network::run_schedule`]).
+/// ([`Network::step_into`], [`Network::run_schedule`], [`Network::undo_last`]).
 ///
 /// Create one per protocol run and thread it through every round: after the
 /// vectors reach the ring size, no round allocates.
@@ -41,6 +57,10 @@ use std::fmt;
 pub struct StepBuffers {
     round: RoundBuffers,
     directions: Vec<LocalDirection>,
+    /// `(network, rounds_used)` right after the forward round whose
+    /// observations these buffers hold, while [`Network::undo_last`] may
+    /// still revert it.
+    forward: Option<(u64, u64)>,
 }
 
 impl StepBuffers {
@@ -56,9 +76,49 @@ impl StepBuffers {
     }
 }
 
+/// A point to return to with [`Network::rewind`], taken by
+/// [`Network::mark`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct UndoMark {
+    network: u64,
+    round: u64,
+}
+
+/// The mark in force: where it was taken and what the rewind path needs.
+#[derive(Clone, Copy, Debug)]
+struct MarkState {
+    mark: UndoMark,
+    offset: usize,
+    /// Start of the mark's rounds in [`Network::undo_log`].
+    log_start: usize,
+    /// Shift of the first forward round since the mark; its reversal is
+    /// the last round a rewind stands for.
+    first_shift: Option<usize>,
+}
+
+/// Identifies a network to the buffers and marks of its undo bookkeeping.
+/// A clone is a different network and draws a fresh id, so nothing taken
+/// from the original validates against it.
+#[derive(Debug)]
+struct NetworkId(u64);
+
+impl NetworkId {
+    fn fresh() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        NetworkId(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Clone for NetworkId {
+    fn clone(&self) -> Self {
+        NetworkId::fresh()
+    }
+}
+
 /// The executor: hidden ground truth plus the round interface.
 #[derive(Clone)]
 pub struct Network<'a> {
+    id: NetworkId,
     ring: RingState<'a>,
     ids: IdAssignment,
     model: Model,
@@ -71,6 +131,13 @@ pub struct Network<'a> {
     faults: Option<FaultPlan>,
     fault_scratch: Vec<LocalDirection>,
     round_limit: Option<u64>,
+    /// Directions of the forward rounds an undo may have to replay
+    /// reversed through the kernel: the last round, plus every round since
+    /// the mark. Kept only while [`Network::kernel_undo_possible`].
+    undo_log: Vec<LocalDirection>,
+    mark: Option<MarkState>,
+    /// Every agent's cumulative distance when the mark was taken.
+    mark_dist: Vec<u64>,
 }
 
 impl fmt::Debug for Network<'_> {
@@ -109,6 +176,7 @@ impl<'a> Network<'a> {
             });
         }
         Ok(Network {
+            id: NetworkId::fresh(),
             cumulative_dist: vec![0; config.len()],
             ring: RingState::new(config),
             ids,
@@ -121,6 +189,9 @@ impl<'a> Network<'a> {
             faults: None,
             fault_scratch: Vec::new(),
             round_limit: None,
+            undo_log: Vec::new(),
+            mark: None,
+            mark_dist: Vec::new(),
         })
     }
 
@@ -128,6 +199,7 @@ impl<'a> Network<'a> {
     /// event-driven engine is available for validation runs).
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
+        self.forget_undo();
         self
     }
 
@@ -179,6 +251,7 @@ impl<'a> Network<'a> {
         if self.model.observes_collisions() {
             self.engine = EngineKind::Event;
         }
+        self.forget_undo();
         self
     }
 
@@ -194,7 +267,17 @@ impl<'a> Network<'a> {
     /// unchanged.
     pub fn with_round_limit(mut self, limit: u64) -> Self {
         self.round_limit = Some(limit);
+        self.forget_undo();
         self
+    }
+
+    /// Makes every earlier round impossible to undo: the builders above
+    /// change how an undo must execute, and the log of directions the
+    /// kernel path replays may be missing.
+    fn forget_undo(&mut self) {
+        self.id = NetworkId::fresh();
+        self.undo_log.clear();
+        self.mark = None;
     }
 
     // ------------------------------------------------------------------
@@ -252,7 +335,8 @@ impl<'a> Network<'a> {
 
     /// Executes one round into a caller-owned [`StepBuffers`]; observations
     /// are read back through [`StepBuffers::observations`]. After the
-    /// buffers reach the ring size, a round allocates nothing.
+    /// buffers reach the ring size, a round allocates nothing. The round
+    /// can then be reverted with [`Network::undo_last`].
     ///
     /// # Errors
     ///
@@ -263,6 +347,27 @@ impl<'a> Network<'a> {
         directions: &[LocalDirection],
         bufs: &mut StepBuffers,
     ) -> Result<(), ProtocolError> {
+        let rotation = self.execute(directions, bufs)?;
+        if self.kernel_undo_possible() {
+            if self.mark.is_none() {
+                self.undo_log.clear();
+            }
+            self.undo_log.extend_from_slice(directions);
+        }
+        if let Some(mark) = &mut self.mark {
+            mark.first_shift.get_or_insert(rotation.shift);
+        }
+        bufs.forward = Some((self.id.0, self.rounds));
+        Ok(())
+    }
+
+    /// Executes one round through the kernel and counts it; the undo
+    /// bookkeeping is the caller's.
+    fn execute(
+        &mut self,
+        directions: &[LocalDirection],
+        bufs: &mut StepBuffers,
+    ) -> Result<RotationIndex, ProtocolError> {
         if directions.len() != self.ring.len() {
             return Err(ProtocolError::LengthMismatch {
                 what: "directions",
@@ -327,28 +432,174 @@ impl<'a> Network<'a> {
                 obs.coll = None;
             }
         }
-        Ok(())
+        Ok(rotation)
     }
 
-    /// Executes one round in which every agent moves opposite to
-    /// `directions` (the paper's `REVERSEDROUND`), restoring the positions
-    /// reached before the matching `step_into`. The reversed directions are
-    /// built in the buffer set's direction scratch, so this allocates
-    /// nothing either.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Network::step_into`].
-    pub fn step_reversed_into(
+    /// Whether every undo replays reversed rounds through the kernel: on
+    /// the event engine and under a fault plan that suppresses moves.
+    fn undo_always_replays(&self) -> bool {
+        self.engine == EngineKind::Event || self.faults.as_ref().is_some_and(FaultPlan::any_faults)
+    }
+
+    /// Whether some undo may have to replay reversed rounds through the
+    /// kernel (see the module docs), so forward rounds must log their
+    /// directions.
+    fn kernel_undo_possible(&self) -> bool {
+        self.undo_always_replays() || self.round_limit.is_some()
+    }
+
+    /// Whether undoing `rounds` rounds must replay them through the kernel.
+    fn kernel_undo_needed(&self, rounds: u64) -> bool {
+        self.undo_always_replays()
+            || self
+                .round_limit
+                .is_some_and(|limit| self.rounds + rounds > limit)
+    }
+
+    /// Replays `log` (whole rounds of directions) reversed, last round
+    /// first, through the kernel.
+    fn replay_reversed(
         &mut self,
-        directions: &[LocalDirection],
+        log: &[LocalDirection],
         bufs: &mut StepBuffers,
     ) -> Result<(), ProtocolError> {
         let mut reversed = std::mem::take(&mut bufs.directions);
-        reversed.clear();
-        reversed.extend(directions.iter().map(|d| d.opposite()));
-        let result = self.step_into(&reversed, bufs);
+        let mut result = Ok(());
+        for round in log.chunks_exact(self.ring.len()).rev() {
+            reversed.clear();
+            reversed.extend(round.iter().map(|d| d.opposite()));
+            if let Err(e) = self.execute(&reversed, bufs) {
+                result = Err(e);
+                break;
+            }
+        }
         bufs.directions = reversed;
+        result
+    }
+
+    /// Ends an undo: nothing before it can be undone any more, and the
+    /// buffers hold no observations to read.
+    fn finish_undo(&mut self, bufs: &mut StepBuffers) {
+        bufs.forward = None;
+        bufs.round.observations.clear();
+        self.undo_log.clear();
+        self.mark = None;
+    }
+
+    /// Reverts the immediately preceding round, which must have been a
+    /// [`Network::step_into`] into these very buffers: the paper's
+    /// `REVERSEDROUND`. It counts as one round, returns every agent to
+    /// where that round started, and leaves the buffers without
+    /// observations. A mark in force is dropped.
+    ///
+    /// The round is not simulated unless the module docs' kernel fallback
+    /// applies.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::NothingToUndo`] if another round ran since, the
+    /// round was already undone, or the buffers hold another round's
+    /// observations. On the kernel path, the errors of
+    /// [`Network::step_into`].
+    pub fn undo_last(&mut self, bufs: &mut StepBuffers) -> Result<(), ProtocolError> {
+        if bufs.forward != Some((self.id.0, self.rounds)) {
+            return Err(ProtocolError::NothingToUndo {
+                reason: "the buffers do not hold this network's latest forward round",
+            });
+        }
+        let result = if self.kernel_undo_needed(1) {
+            let Some(last) = self.undo_log.len().checked_sub(self.ring.len()) else {
+                return Err(ProtocolError::NothingToUndo {
+                    reason: "the round's directions were not kept",
+                });
+            };
+            let log = std::mem::take(&mut self.undo_log);
+            let result = self.replay_reversed(&log[last..], bufs);
+            self.undo_log = log;
+            result
+        } else {
+            for (acc, obs) in self
+                .cumulative_dist
+                .iter_mut()
+                .zip(&bufs.round.observations)
+            {
+                *acc =
+                    (*acc + ring_sim::CIRCUMFERENCE - obs.dist.ticks()) % ring_sim::CIRCUMFERENCE;
+            }
+            let shift = self.last_rotation.map_or(0, |r| r.shift);
+            self.last_rotation = Some(self.ring.rewind(shift, 1));
+            self.rounds += 1;
+            Ok(())
+        };
+        self.finish_undo(bufs);
+        result
+    }
+
+    /// Takes a mark that [`Network::rewind`] returns to. It replaces any
+    /// earlier mark.
+    pub fn mark(&mut self) -> UndoMark {
+        let mark = UndoMark {
+            network: self.id.0,
+            round: self.rounds,
+        };
+        // Keep only the last round in the log, for `undo_last`.
+        let n = self.ring.len();
+        let stale = self.undo_log.len().saturating_sub(n);
+        self.undo_log.drain(..stale);
+        self.mark = Some(MarkState {
+            mark,
+            offset: self.ring.offset(),
+            log_start: self.undo_log.len(),
+            first_shift: None,
+        });
+        self.mark_dist.clear();
+        self.mark_dist.extend_from_slice(&self.cumulative_dist);
+        mark
+    }
+
+    /// Reverts every round since `mark`, last round first: `k` rounds since
+    /// the mark count as `k` `REVERSEDROUND`s and return every agent to
+    /// where it stood at the mark. The buffers are left without
+    /// observations, and the mark is used up. With no round since the mark,
+    /// only the mark is used up.
+    ///
+    /// The rounds are not simulated unless the module docs' kernel fallback
+    /// applies.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::NothingToUndo`] if `mark` is not this network's
+    /// mark in force: another mark replaced it, or an undo or rewind used it
+    /// up. On the kernel path, the errors of [`Network::step_into`].
+    pub fn rewind(&mut self, mark: UndoMark, bufs: &mut StepBuffers) -> Result<(), ProtocolError> {
+        let Some(state) = self.mark.filter(|state| state.mark == mark) else {
+            return Err(ProtocolError::NothingToUndo {
+                reason: "the mark is not this network's mark in force",
+            });
+        };
+        let Some(first_shift) = state.first_shift else {
+            self.mark = None;
+            return Ok(());
+        };
+        let rounds = self.rounds - mark.round;
+        let result = if self.kernel_undo_needed(rounds) {
+            let log = std::mem::take(&mut self.undo_log);
+            let result = self.replay_reversed(&log[state.log_start..], bufs);
+            self.undo_log = log;
+            result
+        } else {
+            let n = self.ring.len();
+            let shift = (self.ring.offset() + n - state.offset) % n;
+            self.ring.rewind(shift, rounds);
+            self.rounds += rounds;
+            self.cumulative_dist.copy_from_slice(&self.mark_dist);
+            self.last_rotation = Some(RotationIndex {
+                shift: (n - first_shift) % n,
+                n,
+            });
+            Ok(())
+        };
+        self.finish_undo(bufs);
         result
     }
 
@@ -364,7 +615,9 @@ impl<'a> Network<'a> {
     ///
     /// Returns the index of the entry at which `stop` fired, or `None` when
     /// the schedule ran to exhaustion. Typical use: one distinguisher set
-    /// per round, stopping at the first observably nontrivial move.
+    /// per round, stopping at the first observably nontrivial move. The
+    /// schedule's last round cannot be reverted with [`Network::undo_last`];
+    /// take a [`Network::mark`] before the schedule to undo it.
     ///
     /// # Errors
     ///
@@ -380,7 +633,7 @@ impl<'a> Network<'a> {
         S: FnMut(&[Observation]) -> bool,
     {
         let mut dirs = std::mem::take(&mut bufs.directions);
-        let mut hit = None;
+        let mut result = Ok(None);
         let mut entry = 0u64;
         loop {
             dirs.clear();
@@ -388,17 +641,19 @@ impl<'a> Network<'a> {
                 break;
             }
             if let Err(e) = self.step_into(&dirs, bufs) {
-                bufs.directions = dirs;
-                return Err(e);
+                result = Err(e);
+                break;
             }
             if stop(&bufs.round.observations) {
-                hit = Some(entry);
+                result = Ok(Some(entry));
                 break;
             }
             entry += 1;
         }
         bufs.directions = dirs;
-        Ok(hit)
+        // A schedule is undone as a whole, with `mark`/`rewind`.
+        bufs.forward = None;
+        result
     }
 
     /// The sum (modulo the circumference) of all `dist()` observations the
@@ -508,9 +763,102 @@ mod tests {
         let dirs = vec![LocalDirection::Right; 6];
         let mut bufs = StepBuffers::new();
         net.step_into(&dirs, &mut bufs).unwrap();
-        net.step_reversed_into(&dirs, &mut bufs).unwrap();
+        net.undo_last(&mut bufs).unwrap();
         assert_eq!(net.rounds_used(), 2);
+        assert_eq!(net.ring.rounds_executed(), 2);
         assert!(net.ground_truth_at_initial_positions());
+        assert!(bufs.observations().is_empty());
+    }
+
+    /// An undo reports the reversal's rotation index, `(n − s) mod n` for a
+    /// forward shift `s`, and the ring counts it as an executed round —
+    /// exactly as when the reversal runs through the kernel.
+    #[test]
+    fn undo_reports_the_reversal_rotation_and_counts_the_round() {
+        let (config, ids) = network(Model::Perceptive);
+        let dirs: Vec<LocalDirection> = [0, 1, 0, 0, 1, 0]
+            .iter()
+            .map(|&b| LocalDirection::from_bit(b == 0))
+            .collect();
+        let reversed: Vec<LocalDirection> = dirs.iter().map(|d| d.opposite()).collect();
+        let mut rewound = Network::new(&config, ids.clone(), Model::Perceptive).unwrap();
+        let mut kernel = Network::new(&config, ids, Model::Perceptive).unwrap();
+        let mut bufs = StepBuffers::new();
+        for round in 1..=3u64 {
+            rewound.step_into(&dirs, &mut bufs).unwrap();
+            let forward = rewound.ground_truth_last_rotation().unwrap();
+            assert!(forward.shift != 0, "the pattern must rotate the ring");
+            rewound.undo_last(&mut bufs).unwrap();
+            kernel.step_into(&dirs, &mut bufs).unwrap();
+            kernel.step_into(&reversed, &mut bufs).unwrap();
+
+            let undo = rewound.ground_truth_last_rotation().unwrap();
+            assert_eq!(undo.shift, (6 - forward.shift) % 6);
+            assert_eq!(Some(undo), kernel.ground_truth_last_rotation());
+            assert_eq!(rewound.ring.rounds_executed(), 2 * round);
+            assert_eq!(
+                rewound.ring.rounds_executed(),
+                kernel.ring.rounds_executed()
+            );
+            assert_eq!(rewound.rounds_used(), kernel.rounds_used());
+        }
+
+        // A rewind reports the reversal of the first round since the mark,
+        // the last round a kernel replay would run.
+        let mark = rewound.mark();
+        rewound.step_into(&dirs, &mut bufs).unwrap();
+        let first = rewound.ground_truth_last_rotation().unwrap();
+        rewound.step_into(&reversed, &mut bufs).unwrap();
+        rewound.step_into(&reversed, &mut bufs).unwrap();
+        rewound.rewind(mark, &mut bufs).unwrap();
+        assert_eq!(
+            rewound.ground_truth_last_rotation().unwrap().shift,
+            (6 - first.shift) % 6
+        );
+        assert_eq!(rewound.ring.rounds_executed(), 12);
+        assert!(rewound.ground_truth_at_initial_positions());
+    }
+
+    /// Undo refuses to revert anything but this network's latest forward
+    /// round, through the buffers that round wrote.
+    #[test]
+    fn undo_refuses_every_round_but_the_last_forward_one() {
+        let (config, ids) = network(Model::Basic);
+        let mut net = Network::new(&config, ids, Model::Basic).unwrap();
+        let dirs = vec![LocalDirection::Right; 6];
+        let (mut bufs, mut other) = (StepBuffers::new(), StepBuffers::new());
+        let refused =
+            |r: Result<(), ProtocolError>| matches!(r, Err(ProtocolError::NothingToUndo { .. }));
+
+        assert!(refused(net.undo_last(&mut bufs)));
+        net.step_into(&dirs, &mut bufs).unwrap();
+        let after_first = net.ground_truth_offset();
+        // Other buffers, then a round in between.
+        assert!(refused(net.undo_last(&mut other)));
+        net.step_into(&dirs, &mut other).unwrap();
+        assert!(refused(net.undo_last(&mut bufs)));
+        // A clone is another network.
+        let mut clone = net.clone();
+        assert!(refused(clone.undo_last(&mut other)));
+        net.undo_last(&mut other).unwrap();
+        assert!(refused(net.undo_last(&mut other)));
+        assert_eq!(net.rounds_used(), 3);
+        assert_eq!(net.ground_truth_offset(), after_first);
+
+        // A used-up or replaced mark, and an undo inside a marked stretch,
+        // refuse a rewind.
+        let mark = net.mark();
+        net.step_into(&dirs, &mut bufs).unwrap();
+        net.rewind(mark, &mut bufs).unwrap();
+        assert!(refused(net.rewind(mark, &mut bufs)));
+        let old = net.mark();
+        net.step_into(&dirs, &mut bufs).unwrap();
+        let new = net.mark();
+        assert!(refused(net.rewind(old, &mut bufs)));
+        net.step_into(&dirs, &mut bufs).unwrap();
+        net.undo_last(&mut bufs).unwrap();
+        assert!(refused(net.rewind(new, &mut bufs)));
+        assert_eq!(net.rounds_used(), 8);
     }
 
     /// One reused buffer set produces exactly what a fresh set per round

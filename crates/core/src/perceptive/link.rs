@@ -123,7 +123,9 @@ impl RingLink {
     /// received. Costs 4 rounds (each of the two information rounds is
     /// followed by its reversal, so both start from — and the exchange ends
     /// at — the same positions, which is what makes the gap comparison in
-    /// the decoder valid).
+    /// the decoder valid). The two reversals are
+    /// [`Network::undo_last`] rounds: counted, but only simulated on the
+    /// kernel fallback (event engine, active faults, round limit).
     ///
     /// # Errors
     ///
@@ -165,22 +167,22 @@ impl RingLink {
         }
         // Round A: bit 1 ↦ right, bit 0 ↦ left; round B: the opposite
         // encoding. Each is undone immediately so that both information
-        // rounds see the same neighbour gaps.
+        // rounds see the same neighbour gaps; the undo clears the step
+        // buffers, so round A's observations are copied out first.
         bufs.dirs.clear();
         bufs.dirs
             .extend(bits.iter().map(|&b| LocalDirection::from_bit(b)));
         net.step_into(&bufs.dirs, &mut bufs.step)?;
         bufs.obs_first.clear();
         bufs.obs_first.extend_from_slice(bufs.step.observations());
-        net.step_reversed_into(&bufs.dirs, &mut bufs.step)?;
+        net.undo_last(&mut bufs.step)?;
         for d in bufs.dirs.iter_mut() {
             *d = d.opposite();
         }
         net.step_into(&bufs.dirs, &mut bufs.step)?;
 
         // Decode from the two information rounds (round B's observations
-        // are still live in the step buffers; the closing reversal below
-        // does not contribute information).
+        // are still live in the step buffers until the closing undo below).
         out.clear();
         for (agent, &bit) in bits.iter().enumerate() {
             let info = self.infos[agent];
@@ -229,7 +231,7 @@ impl RingLink {
                 from_left,
             });
         }
-        net.step_reversed_into(&bufs.dirs, &mut bufs.step)?;
+        net.undo_last(&mut bufs.step)?;
         Ok(())
     }
 

@@ -70,7 +70,10 @@ impl NeighborMap {
 }
 
 /// Algorithm 3: neighbour discovery. Every round is followed by its reversed
-/// round, so the agents end exactly where they started.
+/// round, so the agents end exactly where they started. The reversals are
+/// [`Network::undo_last`] rounds: half of the `8·b + 4` rounds
+/// (`b` = [`Network::id_bits`]) are counted but not simulated, except on
+/// the kernel fallback (event engine, active faults, round limit).
 ///
 /// # Errors
 ///
@@ -127,7 +130,7 @@ pub fn discover_neighbors(net: &mut Network<'_>) -> Result<NeighborMap, Protocol
                 }));
                 net.step_into(&dirs, &mut bufs)?;
                 record(&dirs, bufs.observations(), &mut min_right, &mut min_left);
-                net.step_reversed_into(&dirs, &mut bufs)?;
+                net.undo_last(&mut bufs)?;
             }
         }
     }
@@ -142,7 +145,7 @@ pub fn discover_neighbors(net: &mut Network<'_>) -> Result<NeighborMap, Protocol
         all_right_coll[agent] = obs.coll;
     }
     record(&dirs, bufs.observations(), &mut min_right, &mut min_left);
-    net.step_reversed_into(&dirs, &mut bufs)?;
+    net.undo_last(&mut bufs)?;
 
     dirs.clear();
     dirs.extend(std::iter::repeat_n(LocalDirection::Left, n));
@@ -151,7 +154,7 @@ pub fn discover_neighbors(net: &mut Network<'_>) -> Result<NeighborMap, Protocol
         all_left_coll[agent] = obs.coll;
     }
     record(&dirs, bufs.observations(), &mut min_right, &mut min_left);
-    net.step_reversed_into(&dirs, &mut bufs)?;
+    net.undo_last(&mut bufs)?;
 
     let mut infos = Vec::with_capacity(n);
     for agent in 0..n {

@@ -23,7 +23,12 @@
 //!    moves clockwise, and only if it already knows its label — tells every
 //!    agent whether the process is finished.
 //!
-//! The total cost is `O(√n · log N)` rounds.
+//! The total cost is `O(√n · log N)` rounds. The undo rounds — phase 2's
+//! `k` reversals, the reversal of `Shift(k)`, the reversal of the final
+//! check, and half of every collision-link exchange the floods run — are
+//! [`Network::undo_last`]/[`Network::rewind`] rounds: counted in that cost
+//! but not simulated, except on the kernel fallback (event engine, active
+//! faults, round limit).
 
 use crate::error::ProtocolError;
 use crate::exec::{Network, StepBuffers};
@@ -147,6 +152,7 @@ pub fn ring_distances(
         for sums in &mut y_sums {
             sums.clear();
         }
+        let before_shifts = net.mark();
         fill_shift_dirs(&label, k / 2, false, &mut dirs);
         for _ in 0..k {
             net.step_into(&dirs, &mut bufs)?;
@@ -161,11 +167,8 @@ pub fn ring_distances(
                 y_sums[agent].push(prev + traversed);
             }
         }
-        // Phase B: undo the shifts.
-        fill_shift_dirs(&label, k / 2, true, &mut dirs);
-        for _ in 0..k {
-            net.step_into(&dirs, &mut bufs)?;
-        }
+        // Phase B: undo the shifts — k rounds of Shift(+k/2).
+        net.rewind(before_shifts, &mut bufs)?;
 
         // Phase C: Shift(k), collect z, undo.
         fill_shift_dirs(&label, k, true, &mut dirs);
@@ -176,8 +179,7 @@ pub fn ring_distances(
                 .iter()
                 .map(|o| o.coll.map(|c| c.ticks())),
         );
-        fill_shift_dirs(&label, k, false, &mut dirs);
-        net.step_into(&dirs, &mut bufs)?;
+        net.undo_last(&mut bufs)?;
 
         // Label detection (Corollary 38).
         for agent in 0..n {
@@ -241,7 +243,7 @@ pub fn ring_distances(
             // collision link established earlier (whose gap table refers to
             // the positions at the start of this protocol) stays valid for
             // subsequent phases.
-            net.step_reversed_into(&dirs, &mut bufs)?;
+            net.undo_last(&mut bufs)?;
             completed = true;
             break;
         }

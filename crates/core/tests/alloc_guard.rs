@@ -1,0 +1,142 @@
+//! Allocation guard for undo rounds: after a warm-up has sized the reusable
+//! buffers, [`Network::undo_last`], [`Network::mark`]/[`Network::rewind`]
+//! and a collision-link bit exchange (two forward rounds, two undos) must
+//! perform **zero** heap allocations. A counting global allocator (per
+//! thread, so the tests can run concurrently) measures the window, so any
+//! allocation sneaking into the undo path fails deterministically.
+
+use ring_protocols::exec::StepBuffers;
+use ring_protocols::perceptive::link::{LinkBuffers, RingLink};
+use ring_protocols::{IdAssignment, Network};
+use ring_sim::{EngineKind, LocalDirection, Model, RingConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// The system allocator with a per-thread allocation counter bolted on.
+struct CountingAlloc;
+
+thread_local! {
+    // Const-initialised and without a destructor, so counting from inside
+    // the allocator never allocates itself.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
+
+/// Allocations made so far by the current thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // A growth of an existing buffer is an allocation for this test's
+        // purposes: the buffers are supposed to have reached steady state.
+        count_allocation();
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+const N: usize = 128;
+const ROUNDS: usize = 32;
+
+fn config(n: usize) -> RingConfig {
+    RingConfig::builder(n)
+        .random_positions(2015)
+        .alternating_chirality()
+        .build()
+        .expect("valid config")
+}
+
+fn directions(n: usize, round: usize) -> Vec<LocalDirection> {
+    (0..n)
+        .map(|agent| LocalDirection::from_bit((agent * 7 + round) % 5 < 2))
+        .collect()
+}
+
+/// Forward rounds paired with undos, and a marked stretch rewound, on the
+/// rewind path (analytic engine) and on the kernel path (the event engine,
+/// at a size its debug build runs quickly).
+#[test]
+fn undo_rounds_allocate_nothing_after_warmup() {
+    for (engine, n) in [(EngineKind::Analytic, N), (EngineKind::Event, 16)] {
+        let config = config(n);
+        let ids = IdAssignment::random(n, 64 * n as u64, 7);
+        let rounds: Vec<Vec<LocalDirection>> =
+            (0..ROUNDS).map(|round| directions(n, round)).collect();
+        let mut net = Network::new(&config, ids, Model::Perceptive)
+            .expect("valid network")
+            .with_engine(engine);
+        let mut bufs = StepBuffers::new();
+        let exercise = |net: &mut Network<'_>, bufs: &mut StepBuffers| {
+            for dirs in &rounds {
+                net.step_into(dirs, bufs).expect("forward round");
+                net.undo_last(bufs).expect("undo");
+            }
+            let mark = net.mark();
+            for dirs in &rounds {
+                net.step_into(dirs, bufs).expect("forward round");
+            }
+            net.rewind(mark, bufs).expect("rewind");
+        };
+
+        exercise(&mut net, &mut bufs);
+        assert!(net.ground_truth_at_initial_positions());
+
+        let before = allocations();
+        exercise(&mut net, &mut bufs);
+        let total = allocations() - before;
+        assert!(net.ground_truth_at_initial_positions());
+        assert_eq!(net.rounds_used(), 8 * ROUNDS as u64);
+        assert_eq!(
+            total, 0,
+            "{engine:?}, n = {n}: {total} allocations across warm undo rounds; undo \
+             must be allocation-free after warm-up"
+        );
+    }
+}
+
+#[test]
+fn warm_bit_exchanges_allocate_nothing() {
+    let config = config(N);
+    let ids = IdAssignment::random(N, 64 * N as u64, 9);
+    let mut net = Network::new(&config, ids, Model::Perceptive).expect("valid network");
+    let (link, _) = RingLink::establish(&mut net).expect("link");
+    let mut bufs = LinkBuffers::new();
+    let mut out = Vec::with_capacity(N);
+    let patterns: Vec<Vec<bool>> = (0..ROUNDS)
+        .map(|round| (0..N).map(|agent| (agent + round) % 3 == 0).collect())
+        .collect();
+    for bits in &patterns {
+        link.exchange_bits_with(&mut net, bits, &mut bufs, &mut out)
+            .expect("exchange");
+    }
+
+    let start = net.rounds_used();
+    let before = allocations();
+    for bits in &patterns {
+        link.exchange_bits_with(&mut net, bits, &mut bufs, &mut out)
+            .expect("exchange");
+    }
+    let total = allocations() - before;
+    assert_eq!(net.rounds_used() - start, 4 * ROUNDS as u64);
+    assert!(net.ground_truth_at_initial_positions());
+    assert_eq!(
+        total, 0,
+        "{total} allocations across {ROUNDS} warm bit exchanges"
+    );
+}

@@ -1,0 +1,402 @@
+//! Exact oracle for undo rounds.
+//!
+//! [`Network::undo_last`] and [`Network::mark`]/[`Network::rewind`] revert
+//! rounds by Lemma 1 instead of simulating the reversed directions. These
+//! tests hold the rewind to the kernel it replaces:
+//!
+//! * at the network level, an undo must leave exactly the state that
+//!   executing the reversed directions through the kernel leaves — offset,
+//!   every agent's cumulative distance, the round count, and what the next
+//!   round observes;
+//! * at the protocol level, every perceptive protocol built on undo rounds
+//!   must give the same results, round counts and end state on an analytic
+//!   network (undo by rewind) as on an event-engine network (undo through
+//!   the kernel);
+//! * the error cases refuse, and a round limit fires at the same round on
+//!   both paths.
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use ring_protocols::coordination::leader::elect_leader_with_move;
+use ring_protocols::exec::StepBuffers;
+use ring_protocols::perceptive::dissemination::{flood_max, flood_nearest};
+use ring_protocols::perceptive::distances::discover_locations_perceptive;
+use ring_protocols::perceptive::link::RingLink;
+use ring_protocols::perceptive::neighbors::discover_neighbors;
+use ring_protocols::perceptive::nmove::nmove_s;
+use ring_protocols::perceptive::ringdist::ring_distances;
+use ring_protocols::{IdAssignment, Network, ProtocolError};
+use ring_sim::{Chirality, EngineKind, Frame, LocalDirection, Model, RingConfig};
+
+/// The ways a ring can mix chiralities.
+fn configs(n: usize, seed: u64) -> Vec<RingConfig> {
+    let builder = || RingConfig::builder(n).random_positions(seed);
+    vec![
+        builder().aligned_chirality().build().unwrap(),
+        builder().alternating_chirality().build().unwrap(),
+        builder().random_chirality(seed + 1).build().unwrap(),
+        builder()
+            .explicit_chirality((0..n).map(|i| {
+                if i == 0 {
+                    Chirality::Reversed
+                } else {
+                    Chirality::Aligned
+                }
+            }))
+            .build()
+            .unwrap(),
+    ]
+}
+
+/// Everything an undo may change, compared exactly.
+fn assert_same_state(rewound: &Network<'_>, kernel: &Network<'_>, context: &str) {
+    assert_eq!(
+        rewound.ground_truth_offset(),
+        kernel.ground_truth_offset(),
+        "{context}: offset"
+    );
+    assert_eq!(
+        rewound.rounds_used(),
+        kernel.rounds_used(),
+        "{context}: rounds"
+    );
+    for agent in 0..rewound.len() {
+        assert_eq!(
+            rewound.observed_cumulative_dist(agent),
+            kernel.observed_cumulative_dist(agent),
+            "{context}: cumulative distance of agent {agent}"
+        );
+    }
+}
+
+fn random_directions(rng: &mut StdRng, n: usize, idle: bool) -> Vec<LocalDirection> {
+    (0..n)
+        .map(|_| match rng.gen_range(0..if idle { 3u32 } else { 2 }) {
+            0 => LocalDirection::Right,
+            1 => LocalDirection::Left,
+            _ => LocalDirection::Idle,
+        })
+        .collect()
+}
+
+fn reversed(dirs: &[LocalDirection]) -> Vec<LocalDirection> {
+    dirs.iter().map(|d| d.opposite()).collect()
+}
+
+/// Steps both networks forward with the same directions and checks that
+/// they observe the same.
+fn step_both(
+    rewound: &mut Network<'_>,
+    kernel: &mut Network<'_>,
+    dirs: &[LocalDirection],
+    bufs: (&mut StepBuffers, &mut StepBuffers),
+    context: &str,
+) {
+    rewound.step_into(dirs, bufs.0).unwrap();
+    kernel.step_into(dirs, bufs.1).unwrap();
+    assert_eq!(
+        bufs.0.observations(),
+        bufs.1.observations(),
+        "{context}: observations"
+    );
+    assert_same_state(rewound, kernel, context);
+}
+
+#[test]
+fn undo_last_equals_the_kernel_reversal() {
+    for n in 5..=8usize {
+        for (c, config) in configs(n, 40 + n as u64).iter().enumerate() {
+            for model in [Model::Perceptive, Model::Lazy, Model::Basic] {
+                let ids = IdAssignment::random(n, 16 * n as u64, n as u64);
+                let mut rewound = Network::new(config, ids.clone(), model).unwrap();
+                let mut kernel = Network::new(config, ids, model).unwrap();
+                let (mut a, mut b) = (StepBuffers::new(), StepBuffers::new());
+                let mut rng = StdRng::seed_from_u64(1000 * n as u64 + c as u64);
+                for round in 0..60 {
+                    let context = format!("n={n} config={c} {model} round {round}");
+                    let dirs = random_directions(&mut rng, n, model.allows_idle());
+                    step_both(&mut rewound, &mut kernel, &dirs, (&mut a, &mut b), &context);
+                    if rng.gen::<bool>() {
+                        rewound.undo_last(&mut a).unwrap();
+                        kernel.step_into(&reversed(&dirs), &mut b).unwrap();
+                        assert!(a.observations().is_empty(), "{context}: stale observations");
+                        assert_eq!(
+                            rewound.ground_truth_last_rotation(),
+                            kernel.ground_truth_last_rotation(),
+                            "{context}: rotation"
+                        );
+                        assert_same_state(&rewound, &kernel, &context);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn rewind_equals_the_kernel_reversals_in_reverse_order() {
+    for n in 5..=8usize {
+        for (c, config) in configs(n, 70 + n as u64).iter().enumerate() {
+            let ids = IdAssignment::random(n, 16 * n as u64, 3 + n as u64);
+            let model = if c % 2 == 0 {
+                Model::Perceptive
+            } else {
+                Model::Lazy
+            };
+            let mut rewound = Network::new(config, ids.clone(), model).unwrap();
+            let mut kernel = Network::new(config, ids, model).unwrap();
+            let (mut a, mut b) = (StepBuffers::new(), StepBuffers::new());
+            let mut rng = StdRng::seed_from_u64(7000 + 10 * n as u64 + c as u64);
+            for k in 1..=64usize {
+                let context = format!("n={n} config={c} k={k}");
+                let mark = rewound.mark();
+                let mut log = Vec::new();
+                for _ in 0..k {
+                    let dirs = random_directions(&mut rng, n, model.allows_idle());
+                    step_both(&mut rewound, &mut kernel, &dirs, (&mut a, &mut b), &context);
+                    log.push(dirs);
+                }
+                rewound.rewind(mark, &mut a).unwrap();
+                for dirs in log.iter().rev() {
+                    kernel.step_into(&reversed(dirs), &mut b).unwrap();
+                }
+                assert!(a.observations().is_empty(), "{context}: stale observations");
+                assert_eq!(
+                    rewound.ground_truth_last_rotation(),
+                    kernel.ground_truth_last_rotation(),
+                    "{context}: rotation"
+                );
+                assert_same_state(&rewound, &kernel, &context);
+            }
+            // The next round still observes the same.
+            let dirs = random_directions(&mut rng, n, model.allows_idle());
+            step_both(&mut rewound, &mut kernel, &dirs, (&mut a, &mut b), "after");
+        }
+    }
+}
+
+/// A perceptive network on the analytic engine (undo by rewind) and one on
+/// the event engine (undo through the kernel).
+fn engine_pair<'a>(config: &'a RingConfig, ids: &IdAssignment) -> (Network<'a>, Network<'a>) {
+    (
+        Network::new(config, ids.clone(), Model::Perceptive).unwrap(),
+        Network::new(config, ids.clone(), Model::Perceptive)
+            .unwrap()
+            .with_engine(EngineKind::Event),
+    )
+}
+
+fn deployment(n: usize, seed: u64) -> (RingConfig, IdAssignment) {
+    let config = RingConfig::builder(n)
+        .random_positions(seed)
+        .random_chirality(seed + 1)
+        .build()
+        .unwrap();
+    (config, IdAssignment::random(n, 8 * n as u64, seed + 2))
+}
+
+#[test]
+fn collision_link_protocols_agree_across_undo_paths() {
+    for (n, seed) in [(6usize, 11u64), (8, 12), (9, 13)] {
+        let (config, ids) = deployment(n, seed);
+        let (mut rewound, mut kernel) = engine_pair(&config, &ids);
+
+        let map_r = discover_neighbors(&mut rewound).unwrap();
+        let map_k = discover_neighbors(&mut kernel).unwrap();
+        assert_eq!(map_r.infos(), map_k.infos(), "n={n}: neighbours");
+        assert_eq!(map_r.rounds(), map_k.rounds());
+        assert!(rewound.ground_truth_at_initial_positions());
+        assert_same_state(&rewound, &kernel, "neighbours");
+
+        let link = RingLink::from_neighbor_map(&map_r);
+        let bits: Vec<bool> = (0..n).map(|i| (i * 5 + n) % 3 == 0).collect();
+        let got = link.exchange_bits(&mut rewound, &bits).unwrap();
+        assert_eq!(got, link.exchange_bits(&mut kernel, &bits).unwrap());
+        assert_same_state(&rewound, &kernel, "bits");
+
+        let values: Vec<Option<u64>> = (0..n)
+            .map(|i| (i % 3 != 1).then_some(i as u64 * 7 % 16))
+            .collect();
+        let got = link.exchange_frames(&mut rewound, &values, 4).unwrap();
+        assert_eq!(got, link.exchange_frames(&mut kernel, &values, 4).unwrap());
+        assert_same_state(&rewound, &kernel, "frames");
+
+        let got = flood_max(&mut rewound, &link, &values, 4, 3).unwrap();
+        assert_eq!(got, flood_max(&mut kernel, &link, &values, 4, 3).unwrap());
+        assert_same_state(&rewound, &kernel, "flood max");
+
+        let frames = vec![Frame::identity(); n];
+        let got = flood_nearest(&mut rewound, &link, &frames, &values, 4, 3).unwrap();
+        assert_eq!(
+            got,
+            flood_nearest(&mut kernel, &link, &frames, &values, 4, 3).unwrap()
+        );
+        assert_same_state(&rewound, &kernel, "flood nearest");
+        assert!(rewound.ground_truth_at_initial_positions());
+    }
+}
+
+#[test]
+fn ring_distances_agree_across_undo_paths() {
+    for (n, seed) in [(6usize, 21u64), (8, 22), (11, 23)] {
+        let (config, ids) = deployment(n, seed);
+        let (mut rewound, mut kernel) = engine_pair(&config, &ids);
+        let (link, _) = RingLink::establish(&mut rewound).unwrap();
+        RingLink::establish(&mut kernel).unwrap();
+        // Frames that make every agent's right the objective clockwise.
+        let frames: Vec<Frame> = (0..n)
+            .map(|agent| Frame::new(!config.chirality(agent).is_aligned()))
+            .collect();
+        let mut leader = vec![false; n];
+        leader[n / 2] = true;
+        let r = ring_distances(&mut rewound, &link, &frames, &leader).unwrap();
+        let k = ring_distances(&mut kernel, &link, &frames, &leader).unwrap();
+        assert_eq!(r.labels(), k.labels(), "n={n}: labels");
+        assert_eq!(r.rounds(), k.rounds(), "n={n}: rounds");
+        assert_same_state(&rewound, &kernel, "ring distances");
+    }
+}
+
+#[test]
+fn location_discovery_agrees_across_undo_paths() {
+    for (n, seed) in [(6usize, 31u64), (8, 32)] {
+        let (config, ids) = deployment(n, seed);
+        let (mut rewound, mut kernel) = engine_pair(&config, &ids);
+        let r = discover_locations_perceptive(&mut rewound).unwrap();
+        let k = discover_locations_perceptive(&mut kernel).unwrap();
+        assert_eq!(r.views(), k.views(), "n={n}: views");
+        assert_eq!(r.frames(), k.frames(), "n={n}: frames");
+        assert_eq!(r.rounds(), k.rounds(), "n={n}: rounds");
+        assert_same_state(&rewound, &kernel, "distances");
+    }
+}
+
+#[test]
+fn undo_refuses_when_there_is_nothing_to_undo() {
+    let (config, ids) = deployment(7, 41);
+    let mut net = Network::new(&config, ids, Model::Perceptive).unwrap();
+    let mut bufs = StepBuffers::new();
+    let refused =
+        |r: Result<(), ProtocolError>| matches!(r, Err(ProtocolError::NothingToUndo { .. }));
+    let dirs = vec![LocalDirection::Right; 7];
+
+    // Nothing ran yet.
+    assert!(refused(net.undo_last(&mut bufs)));
+    // A second undo in a row.
+    net.step_into(&dirs, &mut bufs).unwrap();
+    net.undo_last(&mut bufs).unwrap();
+    assert!(refused(net.undo_last(&mut bufs)));
+    // After a schedule.
+    net.run_schedule(
+        &mut bufs,
+        |k, d| {
+            d.extend(std::iter::repeat_n(LocalDirection::Left, 7));
+            k < 3
+        },
+        |_| false,
+    )
+    .unwrap();
+    assert!(refused(net.undo_last(&mut bufs)));
+    // A refused undo changes nothing.
+    assert_eq!(net.rounds_used(), 5);
+
+    // A schedule is undone with a mark.
+    let offset = net.ground_truth_offset();
+    let mark = net.mark();
+    net.run_schedule(
+        &mut bufs,
+        |k, d| {
+            d.extend(std::iter::repeat_n(LocalDirection::Right, 7));
+            k < 4
+        },
+        |_| false,
+    )
+    .unwrap();
+    net.rewind(mark, &mut bufs).unwrap();
+    assert_eq!(net.ground_truth_offset(), offset);
+    assert_eq!(net.rounds_used(), 13);
+    assert!(refused(net.rewind(mark, &mut bufs)));
+}
+
+/// With a round limit, an undo that would cross it runs through the
+/// kernel: the limit fires at the same round, with the same state, as
+/// when every reversal is an explicit kernel round.
+#[test]
+fn round_limit_fires_as_on_the_kernel_path() {
+    let (config, ids) = deployment(8, 51);
+    let dirs: Vec<LocalDirection> = (0..8)
+        .map(|i| LocalDirection::from_bit(i % 3 == 0))
+        .collect();
+    for limit in 1..=9u64 {
+        let mut rewound = Network::new(&config, ids.clone(), Model::Perceptive)
+            .unwrap()
+            .with_round_limit(limit);
+        let mut kernel = Network::new(&config, ids.clone(), Model::Perceptive)
+            .unwrap()
+            .with_round_limit(limit);
+        let (mut a, mut b) = (StepBuffers::new(), StepBuffers::new());
+        let context = format!("limit {limit}");
+
+        // One forward round and its undo.
+        let r = rewound
+            .step_into(&dirs, &mut a)
+            .and_then(|()| rewound.undo_last(&mut a));
+        let k = kernel
+            .step_into(&dirs, &mut b)
+            .and_then(|()| kernel.step_into(&reversed(&dirs), &mut b));
+        assert_eq!(r, k, "{context}: undo");
+        assert_same_state(&rewound, &kernel, &context);
+        if r.is_err() {
+            continue;
+        }
+
+        // Four forward rounds and a rewind, which the limit may cut short.
+        let mark = rewound.mark();
+        let mut r = Ok(());
+        let mut k = Ok(());
+        for round in 0..4 {
+            let dirs: Vec<LocalDirection> = (0..8)
+                .map(|i| LocalDirection::from_bit((i + round) % 3 == 0))
+                .collect();
+            r = r.and_then(|()| rewound.step_into(&dirs, &mut a));
+            k = k.and_then(|()| kernel.step_into(&dirs, &mut b));
+        }
+        let r = r.and_then(|()| rewound.rewind(mark, &mut a));
+        let k = k.and_then(|()| {
+            (0..4).rev().try_for_each(|round| {
+                let dirs: Vec<LocalDirection> = (0..8)
+                    .map(|i| LocalDirection::from_bit((i + round) % 3 != 0))
+                    .collect();
+                kernel.step_into(&dirs, &mut b)
+            })
+        });
+        assert_eq!(r, k, "{context}: rewind");
+        assert_same_state(&rewound, &kernel, &context);
+    }
+}
+
+/// A whole protocol under a round limit times out at the same round on
+/// both undo paths.
+#[test]
+fn protocols_time_out_alike_on_both_undo_paths() {
+    let (config, ids) = deployment(8, 61);
+    let full = {
+        let mut net = Network::new(&config, ids.clone(), Model::Perceptive).unwrap();
+        let nm = nmove_s(&mut net, 0x5eed).unwrap();
+        elect_leader_with_move(&mut net, &nm).unwrap();
+        RingLink::establish(&mut net).unwrap();
+        net.rounds_used()
+    };
+    for limit in [full - 3, full - 2, full - 1, full] {
+        let (rewound, kernel) = engine_pair(&config, &ids);
+        let mut rewound = rewound.with_round_limit(limit);
+        let mut kernel = kernel.with_round_limit(limit);
+        let run = |net: &mut Network<'_>| {
+            let nm = nmove_s(net, 0x5eed)?;
+            elect_leader_with_move(net, &nm)?;
+            RingLink::establish(net).map(|(link, rounds)| (link.infos().to_vec(), rounds))
+        };
+        assert_eq!(run(&mut rewound), run(&mut kernel), "limit {limit}");
+        assert_same_state(&rewound, &kernel, "timeout");
+    }
+}

@@ -10,9 +10,15 @@
 //! [`RingState::execute_round_into`], supplying each agent's chosen
 //! [`LocalDirection`] and a reusable [`RoundBuffers`] arena, and reading
 //! back each agent's [`Observation`] — already translated into the agent's
-//! own frame, exactly as the model prescribes. The paper's
-//! `REVERSEDROUND` is the same call with every direction
-//! [`opposite`](LocalDirection::opposite).
+//! own frame, exactly as the model prescribes.
+//!
+//! The paper's `REVERSEDROUND` moves every agent opposite to the round
+//! before it. By Lemma 1 that round's rotation index is the negation of the
+//! forward one, so it puts every agent back where the forward round started
+//! and needs no simulation: [`RingState::rewind`] moves the offset back and
+//! counts the round. Executing the reversed directions through
+//! [`RingState::execute_round_into`] reaches the same state; callers keep
+//! that kernel path where the two could differ (faults, engine validation).
 
 use crate::analytic::{AnalyticEngine, AnalyticScratch};
 use crate::config::RingConfig;
@@ -130,6 +136,22 @@ impl<'a> RingState<'a> {
     /// Whether every agent is back at its initial slot.
     pub fn at_initial_positions(&self) -> bool {
         self.offset == 0
+    }
+
+    /// Undoes rounds without simulating them: moves every agent `shift`
+    /// slots back anticlockwise, where `shift` is the net rotation of the
+    /// undone rounds, and counts `rounds` executed rounds. Returns the
+    /// rotation index of a single round that undoes a shift of `shift`,
+    /// `(n − shift) mod n`.
+    ///
+    /// By Lemma 1 a `REVERSEDROUND` has exactly this effect on positions;
+    /// what it would have observed is not computed.
+    pub fn rewind(&mut self, shift: usize, rounds: u64) -> RotationIndex {
+        let n = self.len();
+        let back = (n - shift % n) % n;
+        self.offset = (self.offset + back) % n;
+        self.rounds_executed += rounds;
+        RotationIndex { shift: back, n }
     }
 
     /// Executes one round given each agent's chosen direction in its **own**
@@ -290,6 +312,50 @@ mod tests {
             .unwrap();
         assert!(ring.at_initial_positions());
         assert_eq!(ring.rounds_executed(), 2);
+    }
+
+    /// A rewind reaches the state the reversed round reaches, and counts the
+    /// rounds it stands for.
+    #[test]
+    fn rewind_matches_the_reversed_round() {
+        let config = RingConfig::builder(7)
+            .random_positions(2)
+            .random_chirality(3)
+            .build()
+            .unwrap();
+        let mut dirs = [ObjectiveDirection::Clockwise; 7];
+        dirs[1] = ObjectiveDirection::Anticlockwise;
+        dirs[5] = ObjectiveDirection::Idle;
+        let reversed: Vec<ObjectiveDirection> = dirs.iter().map(|d| d.opposite()).collect();
+        let mut bufs = RoundBuffers::new();
+        let mut kernel = RingState::new(&config);
+        let mut rewound = RingState::new(&config);
+        for _ in 0..3 {
+            let forward = kernel
+                .execute_round_objective_into(&dirs, EngineKind::Analytic, &mut bufs)
+                .unwrap();
+            rewound
+                .execute_round_objective_into(&dirs, EngineKind::Analytic, &mut bufs)
+                .unwrap();
+            let expected = kernel
+                .execute_round_objective_into(&reversed, EngineKind::Analytic, &mut bufs)
+                .unwrap();
+            assert_eq!(rewound.rewind(forward.shift, 1), expected);
+            assert_eq!(rewound.offset(), kernel.offset());
+        }
+        assert!(rewound.at_initial_positions());
+        assert_eq!(rewound.rounds_executed(), kernel.rounds_executed());
+
+        // Several rounds at once: one net shift, every round counted.
+        for _ in 0..4 {
+            rewound
+                .execute_round_objective_into(&dirs, EngineKind::Analytic, &mut bufs)
+                .unwrap();
+        }
+        let net_shift = rewound.offset();
+        rewound.rewind(net_shift, 4);
+        assert!(rewound.at_initial_positions());
+        assert_eq!(rewound.rounds_executed(), 6 + 8);
     }
 
     #[test]

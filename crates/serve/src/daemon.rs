@@ -28,7 +28,7 @@
 
 use crate::http::{self, Request};
 use crate::pool::{TcpWorkerTransport, WorkerPool};
-use crate::SCHEMA;
+use crate::{recover, SCHEMA};
 use ring_distrib::{
     merge_shards, plan_shards, run_pending_shards_with, Manifest, OrchestratorOptions, ShardStatus,
     SpecParams,
@@ -197,9 +197,11 @@ pub fn serve(config: ServeConfig) -> Result<(), String> {
     // directories are valid `ringlab resume` targets. Taking the queue
     // lock orders the notification after the scheduler's flag check.
     daemon.pool.shutdown();
-    drop(daemon.queue.lock().expect("run queue"));
+    drop(recover(daemon.queue.lock()));
     daemon.queue_signal.notify_all();
-    scheduler.join().expect("scheduler thread");
+    if scheduler.join().is_err() {
+        eprintln!("ring-serve: the scheduler thread panicked");
+    }
     std::fs::remove_file(daemon.config.data_dir.join("endpoint")).ok();
     eprintln!("ring-serve: shut down");
     Ok(())
@@ -351,7 +353,7 @@ fn handle_request(daemon: &Arc<Daemon>, conn: &mut TcpStream, request: &Request)
             Err(reason) => respond(conn, &http::error_response(400, "Bad Request", &reason)),
         },
         ("GET", "/v1/runs") => {
-            let runs = daemon.runs.lock().expect("run table");
+            let runs = recover(daemon.runs.lock());
             let list: Vec<Value> = runs.iter().map(run_summary).collect();
             let body = Value::Object(vec![
                 ("schema".to_string(), Value::Str(SCHEMA.to_string())),
@@ -401,7 +403,7 @@ fn handle_run_path(daemon: &Arc<Daemon>, conn: &mut TcpStream, path: &str) {
         return;
     };
     let record = {
-        let runs = daemon.runs.lock().expect("run table");
+        let runs = recover(daemon.runs.lock());
         runs.iter()
             .find(|r| r.id == id)
             .map(|r| (r.dir.clone(), run_summary(r)))
@@ -535,7 +537,7 @@ fn submit_run(daemon: &Arc<Daemon>, body: &[u8]) -> Result<Value, String> {
     };
 
     let (id, dir) = {
-        let mut runs = daemon.runs.lock().expect("run table");
+        let mut runs = recover(daemon.runs.lock());
         let id = runs.last().map_or(1, |r| r.id + 1);
         let dir = daemon
             .config
@@ -569,7 +571,7 @@ fn submit_run(daemon: &Arc<Daemon>, body: &[u8]) -> Result<Value, String> {
         .save_in(&dir)
         .map_err(|e| format!("cannot write the run manifest: {e}"))?;
 
-    daemon.queue.lock().expect("run queue").push_back(id);
+    recover(daemon.queue.lock()).push_back(id);
     daemon.queue_signal.notify_one();
     ring_obs::global().counter("serve_runs_submitted").inc();
     eprintln!(
@@ -594,7 +596,7 @@ fn submit_run(daemon: &Arc<Daemon>, body: &[u8]) -> Result<Value, String> {
 fn scheduler_loop(daemon: &Arc<Daemon>) {
     loop {
         let run_id = {
-            let mut queue = daemon.queue.lock().expect("run queue");
+            let mut queue = recover(daemon.queue.lock());
             loop {
                 if daemon.shutting_down.load(Ordering::Acquire) {
                     return;
@@ -602,7 +604,7 @@ fn scheduler_loop(daemon: &Arc<Daemon>) {
                 if let Some(id) = queue.pop_front() {
                     break id;
                 }
-                queue = daemon.queue_signal.wait(queue).expect("run queue");
+                queue = recover(daemon.queue_signal.wait(queue));
             }
         };
         set_run_status(daemon, run_id, RunStatus::Running, None);
@@ -632,7 +634,7 @@ fn set_run_status(daemon: &Arc<Daemon>, id: usize, status: RunStatus, error: Opt
 /// Applies `update` to run `id`, bumps its `landed` generation and wakes
 /// the subscribers waiting on `progress`.
 fn update_run(daemon: &Daemon, id: usize, update: impl FnOnce(&mut RunRecord)) {
-    let mut runs = daemon.runs.lock().expect("run table");
+    let mut runs = recover(daemon.runs.lock());
     if let Some(record) = runs.iter_mut().find(|r| r.id == id) {
         update(record);
         record.landed += 1;
@@ -645,7 +647,7 @@ fn update_run(daemon: &Daemon, id: usize, update: impl FnOnce(&mut RunRecord)) {
 fn begin_shutdown(daemon: &Daemon) {
     daemon.shutting_down.store(true, Ordering::Release);
     {
-        let mut runs = daemon.runs.lock().expect("run table");
+        let mut runs = recover(daemon.runs.lock());
         for record in runs.iter_mut() {
             record.landed += 1;
         }
@@ -659,7 +661,7 @@ fn begin_shutdown(daemon: &Daemon) {
 /// Dispatches one run's shards over the worker pool and merges the result.
 fn execute_run(daemon: &Arc<Daemon>, run_id: usize) -> Result<(), String> {
     let dir = {
-        let runs = daemon.runs.lock().expect("run table");
+        let runs = recover(daemon.runs.lock());
         runs.iter()
             .find(|r| r.id == run_id)
             .map(|r| r.dir.clone())
@@ -702,7 +704,7 @@ fn execute_run(daemon: &Arc<Daemon>, run_id: usize) -> Result<(), String> {
         ));
     }
 
-    let manifest = manifest.into_inner().expect("manifest lock");
+    let manifest = recover(manifest.into_inner());
     let inputs = manifest.shard_files(&dir);
     let tmp = dir.join("merged.jsonl.tmp");
     let file =
@@ -734,7 +736,7 @@ fn stream_results(daemon: &Daemon, run_id: usize, dir: &std::path::Path, out: &m
     }
     let mut next_shard = 0usize;
     loop {
-        let Some(seen) = generation(&daemon.runs.lock().expect("run table")) else {
+        let Some(seen) = generation(&recover(daemon.runs.lock())) else {
             break;
         };
         let Ok(manifest) = Manifest::load(dir) else {
@@ -761,16 +763,13 @@ fn stream_results(daemon: &Daemon, run_id: usize, dir: &std::path::Path, out: &m
         // (the status endpoint tells the subscriber why). Both bump the
         // generation as well, so one more reload still picks up every
         // shard checkpointed before them.
-        let runs = daemon.runs.lock().expect("run table");
-        let runs = daemon
-            .progress
-            .wait_while(runs, |runs| {
-                !daemon.shutting_down.load(Ordering::Acquire)
-                    && runs.iter().any(|r| {
-                        r.id == run_id && r.landed == seen && r.status != RunStatus::Failed
-                    })
-            })
-            .expect("run table");
+        let runs = recover(daemon.runs.lock());
+        let runs = recover(daemon.progress.wait_while(runs, |runs| {
+            !daemon.shutting_down.load(Ordering::Acquire)
+                && runs
+                    .iter()
+                    .any(|r| r.id == run_id && r.landed == seen && r.status != RunStatus::Failed)
+        }));
         if generation(&runs) == Some(seen) {
             break;
         }

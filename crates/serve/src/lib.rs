@@ -54,5 +54,14 @@ pub mod pool;
 /// The service schema identifier (HTTP bodies and TCP frames).
 pub const SCHEMA: &str = "ring-serve/v1";
 
+/// Takes the guard out of a lock or condvar-wait result even when another
+/// thread panicked while holding the lock. Every connection has its own
+/// thread, so one panicking handler must not poison the worker pool, run
+/// table or run queue for all the others. What those locks guard is plain
+/// bookkeeping (lists, counters, statuses) that later calls use as found.
+pub(crate) fn recover<G>(result: std::sync::LockResult<G>) -> G {
+    result.unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 pub use daemon::{serve, ResolvedSpec, ServeConfig, SpecResolver};
 pub use pool::{TcpWorkerTransport, WorkerPool};

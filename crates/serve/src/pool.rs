@@ -13,6 +13,7 @@
 //! worker disconnect is a broken stream, which is a retryable shard
 //! failure.
 
+use crate::recover;
 use ring_distrib::{ShardAttempt, ShardRange, WorkerTransport};
 use serde::Value;
 use std::io::Write;
@@ -71,7 +72,7 @@ impl WorkerPool {
 
     /// Adds a registered worker connection to the idle set.
     pub fn register(&self, name: String, stream: TcpStream) {
-        let mut state = self.state.lock().expect("pool state");
+        let mut state = recover(self.state.lock());
         state.registered += 1;
         state.idle.push(WorkerConn { name, stream });
         state.publish_gauges();
@@ -84,7 +85,7 @@ impl WorkerPool {
     pub fn lease(&self, timeout: Duration) -> Option<WorkerConn> {
         let wait_started = Instant::now();
         let deadline = wait_started + timeout;
-        let mut state = self.state.lock().expect("pool state");
+        let mut state = recover(self.state.lock());
         loop {
             if let Some(conn) = state.idle.pop() {
                 state.busy.push(conn.name.clone());
@@ -98,10 +99,7 @@ impl WorkerPool {
                 return None;
             }
             let left = deadline.checked_duration_since(Instant::now())?;
-            let (next, wait) = self
-                .available
-                .wait_timeout(state, left)
-                .expect("pool state");
+            let (next, wait) = recover(self.available.wait_timeout(state, left));
             state = next;
             if wait.timed_out() && state.idle.is_empty() {
                 return None;
@@ -111,7 +109,7 @@ impl WorkerPool {
 
     /// Returns a leased connection to the idle set.
     pub fn give_back(&self, conn: WorkerConn) {
-        let mut state = self.state.lock().expect("pool state");
+        let mut state = recover(self.state.lock());
         if let Some(at) = state.busy.iter().position(|n| n == &conn.name) {
             state.busy.swap_remove(at);
         }
@@ -132,7 +130,7 @@ impl WorkerPool {
     /// Drops a leased connection after a failed attempt (the caller has
     /// already closed or poisoned the socket).
     pub fn discard(&self, name: &str) {
-        let mut state = self.state.lock().expect("pool state");
+        let mut state = recover(self.state.lock());
         if let Some(at) = state.busy.iter().position(|n| n == name) {
             state.busy.swap_remove(at);
         }
@@ -141,13 +139,13 @@ impl WorkerPool {
 
     /// Number of currently idle workers.
     pub fn idle_count(&self) -> usize {
-        self.state.lock().expect("pool state").idle.len()
+        recover(self.state.lock()).idle.len()
     }
 
     /// The `GET /v1/workers` view: idle and busy workers by name, plus the
     /// lifetime registration count.
     pub fn snapshot(&self) -> Value {
-        let state = self.state.lock().expect("pool state");
+        let state = recover(self.state.lock());
         let entry = |name: &str, worker_state: &str| {
             Value::Object(vec![
                 ("name".to_string(), Value::Str(name.to_string())),
@@ -167,7 +165,7 @@ impl WorkerPool {
     /// dismiss their worker the same way, and pending `lease` calls
     /// return `None`.
     pub fn shutdown(&self) {
-        let mut state = self.state.lock().expect("pool state");
+        let mut state = recover(self.state.lock());
         state.shutting_down = true;
         for conn in state.idle.drain(..) {
             send_frame(&conn.stream, &shutdown_frame()).ok();
@@ -364,6 +362,40 @@ mod tests {
             Some("shutdown")
         );
         // Draining pools refuse further leases instead of blocking.
+        assert!(pool.lease(Duration::from_secs(5)).is_none());
+    }
+
+    /// A thread that panics while holding the pool lock poisons it; every
+    /// later pool call must still work instead of panicking in turn.
+    #[test]
+    fn a_panic_under_the_pool_lock_does_not_wedge_the_pool() {
+        let pool = Arc::new(WorkerPool::new());
+        let (_held, server) = loopback_pair();
+        pool.register("w0".into(), server);
+        let crashed = {
+            let pool = Arc::clone(&pool);
+            std::thread::spawn(move || {
+                let _state = pool.state.lock().unwrap();
+                panic!("a handler bug while holding the pool lock");
+            })
+            .join()
+        };
+        assert!(crashed.is_err());
+        assert!(pool.state.is_poisoned());
+
+        let conn = pool.lease(Duration::from_millis(100)).unwrap();
+        assert_eq!(conn.name, "w0");
+        assert!(pool.lease(Duration::from_millis(20)).is_none());
+        pool.give_back(conn);
+        assert_eq!(pool.idle_count(), 1);
+        let conn = pool.lease(Duration::from_millis(100)).unwrap();
+        pool.discard(&conn.name);
+        assert_eq!(pool.idle_count(), 0);
+        assert_eq!(
+            pool.snapshot().get("registered").and_then(|v| v.as_u64()),
+            Some(1)
+        );
+        pool.shutdown();
         assert!(pool.lease(Duration::from_secs(5)).is_none());
     }
 
