@@ -6,7 +6,7 @@
 //! `resume` to rebuild the item list with no other input), the spec
 //! fingerprint pinning that enumeration, the shard plan, and per-shard
 //! progress — status, attempt count, record count, content checksum and
-//! the worker's structure-cache / executor statistics.
+//! the worker's structure-cache / structure-store statistics.
 //!
 //! The orchestrator rewrites the manifest (atomically, via a temp file and
 //! rename) after every shard transition, so a crash at any point leaves a
@@ -80,8 +80,6 @@ pub struct ShardStats {
     pub cache_hits: u64,
     /// Structure-cache misses inside the worker.
     pub cache_misses: u64,
-    /// Executor steals inside the worker.
-    pub steals: u64,
     /// Structure-store loads that succeeded inside the worker.
     pub store_hits: u64,
     /// Structure-store lookups that fell through to construction.
@@ -114,8 +112,6 @@ pub struct ShardEntry {
     pub cache_hits: u64,
     /// Structure-cache misses of the completing worker.
     pub cache_misses: u64,
-    /// Executor steals of the completing worker.
-    pub steals: u64,
     /// Structure-store hits of the completing worker.
     pub store_hits: u64,
     /// Structure-store misses of the completing worker.
@@ -403,7 +399,6 @@ impl Manifest {
                     checksum: String::new(),
                     cache_hits: 0,
                     cache_misses: 0,
-                    steals: 0,
                     store_hits: 0,
                     store_misses: 0,
                     attempt_ms: 0,
@@ -468,7 +463,10 @@ impl Manifest {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first missing or mistyped field.
+    /// Returns a description of the first missing or mistyped field, or of
+    /// a shard plan other than the one [`crate::plan_shards`] shapes:
+    /// entries numbered `0..M` in position order whose ranges tile
+    /// `0..total_cases` contiguously.
     pub fn from_json(value: &Value) -> Result<Self, String> {
         let schema = require_str(value, "schema")?;
         if schema != MANIFEST_SCHEMA {
@@ -489,12 +487,12 @@ impl Manifest {
                 start: require_u64(entry, "start")? as usize,
                 end: require_u64(entry, "end")? as usize,
                 status: ShardStatus::parse(&require_str(entry, "status")?)?,
-                attempts: require_u64(entry, "attempts")? as u32,
+                attempts: u32::try_from(require_u64(entry, "attempts")?)
+                    .map_err(|_| "manifest shard `attempts` does not fit u32".to_string())?,
                 records: require_u64(entry, "records")? as usize,
                 checksum: require_str(entry, "checksum")?,
                 cache_hits: require_u64(entry, "cache_hits")?,
                 cache_misses: require_u64(entry, "cache_misses")?,
-                steals: require_u64(entry, "steals")?,
                 // Store counters joined schema v1 with the structure store;
                 // manifests from storeless runs simply lack them.
                 store_hits: optional_u64(entry, "store_hits")?.unwrap_or(0),
@@ -513,11 +511,13 @@ impl Manifest {
                 },
             });
         }
+        let total_cases = require_u64(value, "total_cases")? as usize;
+        check_plan(&shards, total_cases)?;
         Ok(Manifest {
             schema,
             spec,
             spec_fingerprint: require_str(value, "spec_fingerprint")?,
-            total_cases: require_u64(value, "total_cases")? as usize,
+            total_cases,
             jobs_per_worker: require_u64(value, "jobs_per_worker")? as usize,
             output: require_str(value, "output")?,
             structure_store: value
@@ -545,7 +545,6 @@ impl Manifest {
         entry.checksum = stats.checksum.clone();
         entry.cache_hits = stats.cache_hits;
         entry.cache_misses = stats.cache_misses;
-        entry.steals = stats.steals;
         entry.store_hits = stats.store_hits;
         entry.store_misses = stats.store_misses;
         entry.attempt_ms = stats.attempt_ms;
@@ -637,7 +636,6 @@ impl Manifest {
                 total.records += entry.records;
                 total.cache_hits += entry.cache_hits;
                 total.cache_misses += entry.cache_misses;
-                total.steals += entry.steals;
                 total.store_hits += entry.store_hits;
                 total.store_misses += entry.store_misses;
             }
@@ -663,7 +661,6 @@ impl Manifest {
                 None => {
                     total.add_counter("cache_hits", entry.cache_hits);
                     total.add_counter("cache_misses", entry.cache_misses);
-                    total.add_counter("executor_steals", entry.steals);
                     total.add_counter("store_hits", entry.store_hits);
                     total.add_counter("store_misses", entry.store_misses);
                 }
@@ -671,6 +668,36 @@ impl Manifest {
         }
         total
     }
+}
+
+/// Checks that `shards` is a shard plan of `0..total_cases`: entry `i` is
+/// shard `i`, each range starts where the previous one ended, and the last
+/// ends at `total_cases`. Every other manifest consumer indexes shards by
+/// number and ranges by their bounds, so a plan that breaks this is
+/// refused at load.
+fn check_plan(shards: &[ShardEntry], total_cases: usize) -> Result<(), String> {
+    let mut next = 0;
+    for (position, entry) in shards.iter().enumerate() {
+        if entry.shard != position {
+            return Err(format!(
+                "manifest shard entry {position} is numbered {}",
+                entry.shard
+            ));
+        }
+        if entry.start != next || entry.end < entry.start {
+            return Err(format!(
+                "manifest shard {position} covers {}..{}, not a range starting at {next}",
+                entry.start, entry.end
+            ));
+        }
+        next = entry.end;
+    }
+    if next != total_cases {
+        return Err(format!(
+            "manifest shards cover 0..{next}, not the run's {total_cases} cases"
+        ));
+    }
+    Ok(())
 }
 
 fn require_str(value: &Value, key: &str) -> Result<String, String> {
@@ -762,7 +789,6 @@ mod tests {
                 checksum: "fnv1a64:00ff".into(),
                 cache_hits: 7,
                 cache_misses: 3,
-                steals: 1,
                 store_hits: 2,
                 store_misses: 1,
                 attempt_ms: 120,
@@ -786,7 +812,7 @@ mod tests {
             vec![1, 2]
         );
         let stats = parsed.aggregate_stats();
-        assert_eq!((stats.records, stats.cache_hits, stats.steals), (4, 7, 1));
+        assert_eq!((stats.records, stats.cache_hits), (4, 7));
         assert_eq!((stats.store_hits, stats.store_misses), (2, 1));
         assert_eq!(parsed.shards[0].attempt_ms, 120);
         assert_eq!(parsed.shards[0].watchdog_kills, 1);
@@ -837,7 +863,6 @@ mod tests {
                 records: 3,
                 checksum: "fnv1a64:bb".into(),
                 cache_hits: 5,
-                steals: 2,
                 store_misses: 1,
                 ..ShardStats::default()
             },
@@ -847,7 +872,6 @@ mod tests {
 
         let metrics = manifest.aggregate_metrics();
         assert_eq!(metrics.counter("cache_hits"), 15);
-        assert_eq!(metrics.counter("executor_steals"), 2);
         assert_eq!(metrics.counter("store_misses"), 5);
     }
 
@@ -891,6 +915,50 @@ mod tests {
         assert_ne!(stripped, text, "the store fields must have been present");
         let parsed = Manifest::from_json(&serde_json::from_str(&stripped).unwrap()).unwrap();
         assert_eq!(parsed, manifest);
+    }
+
+    fn reparse(manifest: &Manifest) -> Result<Manifest, String> {
+        let text = serde_json::to_string(manifest).unwrap();
+        Manifest::from_json(&serde_json::from_str(&text).unwrap())
+    }
+
+    #[test]
+    fn inconsistent_shard_plans_are_rejected() {
+        // The sample plans 10 cases as 0..4, 4..7, 7..10.
+        assert_eq!(reparse(&sample_manifest()).unwrap(), sample_manifest());
+        type Corruption = (&'static str, fn(&mut Manifest));
+        let corruptions: [Corruption; 9] = [
+            ("a shard numbered past the plan", |m| m.shards[1].shard = 7),
+            ("shards out of position order", |m| m.shards.swap(0, 1)),
+            ("a shard's start and end swapped", |m| {
+                let entry = &mut m.shards[1];
+                std::mem::swap(&mut entry.start, &mut entry.end);
+            }),
+            ("a plan not starting at case 0", |m| m.shards[0].start = 1),
+            ("a gap between shards", |m| m.shards[1].start = 5),
+            ("overlapping shards", |m| m.shards[2].start = 6),
+            ("a plan ending past the run", |m| m.shards[2].end = 11),
+            ("a plan ending short of the run", |m| m.total_cases = 11),
+            ("a missing last shard", |m| {
+                m.shards.pop();
+            }),
+        ];
+        for (what, corrupt) in corruptions {
+            let mut manifest = sample_manifest();
+            corrupt(&mut manifest);
+            assert!(reparse(&manifest).is_err(), "accepted {what}");
+        }
+    }
+
+    #[test]
+    fn attempts_beyond_u32_are_rejected() {
+        let text = serde_json::to_string(&sample_manifest()).unwrap();
+        for (attempts, fits) in [(u64::from(u32::MAX), true), (1 << 32, false)] {
+            let tampered = text.replacen("\"attempts\":0", &format!("\"attempts\":{attempts}"), 1);
+            assert_ne!(tampered, text);
+            let parsed = Manifest::from_json(&serde_json::from_str(&tampered).unwrap());
+            assert_eq!(parsed.is_ok(), fits, "attempts {attempts}: {parsed:?}");
+        }
     }
 
     #[test]

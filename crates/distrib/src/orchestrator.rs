@@ -293,7 +293,8 @@ pub fn run_pending_shards_with(
                     }
                     {
                         let mut m = manifest.lock().expect("manifest lock");
-                        m.shards[range.shard].attempts += 1;
+                        let attempts = &mut m.shards[range.shard].attempts;
+                        *attempts = attempts.saturating_add(1);
                         m.save_in(run_dir).expect("checkpoint manifest");
                     }
                     obs.counter("distrib_attempts").inc();
@@ -607,7 +608,6 @@ fn consume_worker_stream(
                     checksum: event.checksum,
                     cache_hits: event.cache_hits,
                     cache_misses: event.cache_misses,
-                    steals: event.steals,
                     store_hits: event.store_hits,
                     store_misses: event.store_misses,
                     // Filled by the retry loop once the attempt is timed.
@@ -705,7 +705,6 @@ mod tests {
                 hasher.format(),
                 3,
                 1,
-                0,
             ))
             .unwrap(),
         );
@@ -827,7 +826,6 @@ mod tests {
             "fnv1a64:0000000000000000".into(),
             0,
             0,
-            0,
         ))
         .unwrap();
         let cmd = scripted_worker(format!(
@@ -843,7 +841,7 @@ mod tests {
 
         // Out-of-sequence record.
         let done_ok =
-            serde_json::to_string(&DoneEvent::new(0, 1, "fnv1a64:0".into(), 0, 0, 0)).unwrap();
+            serde_json::to_string(&DoneEvent::new(0, 1, "fnv1a64:0".into(), 0, 0)).unwrap();
         let cmd = scripted_worker(format!(
             "echo '{start}' && echo '{{\"case_index\":5}}' && echo '{done_ok}'"
         ));
@@ -1077,7 +1075,7 @@ mod tests {
         registry.counter("store_misses").add(store_misses);
         lines.push(
             serde_json::to_string(
-                &DoneEvent::new(range.shard, range.len(), hasher.format(), 0, 0, 0)
+                &DoneEvent::new(range.shard, range.len(), hasher.format(), 0, 0)
                     .with_store(0, store_misses)
                     .with_metrics(registry.snapshot()),
             )

@@ -12,11 +12,12 @@
 //!    that case (record lines are distinguished from events by their
 //!    `{"case_index":` prefix; they never carry an `event` key);
 //! 3. one **done event** — `{"event":"done","shard":i,"records":k,
-//!    "checksum":"fnv1a64:…","cache_hits":…,"cache_misses":…,"steals":…,
-//!    "store_hits":…,"store_misses":…}` — whose checksum covers the record
-//!    bytes (each line plus its newline); the `store_*` counters account
-//!    for the worker's on-disk structure store and are 0 (and may be
-//!    omitted) when the worker ran without one.
+//!    "checksum":"fnv1a64:…","cache_hits":…,"cache_misses":…,
+//!    "store_hits":…,"store_misses":…,"metrics":{…}}` — whose checksum
+//!    covers the record bytes (each line plus its newline); the `store_*`
+//!    counters account for the worker's on-disk structure store and are 0
+//!    (and may be omitted) when the worker ran without one, and `metrics`
+//!    is the attempt's `ring-obs/v1` snapshot.
 //!
 //! Anything else — a nonzero exit, a truncated stream, an out-of-sequence
 //! record, a checksum mismatch — marks the shard failed and eligible for
@@ -79,8 +80,6 @@ pub struct DoneEvent {
     pub cache_hits: u64,
     /// Structure-cache misses accumulated by the worker's engine.
     pub cache_misses: u64,
-    /// Work-stealing executor steals inside the worker.
-    pub steals: u64,
     /// On-disk structure-store loads that succeeded inside the worker
     /// (0 when the worker ran without a store).
     pub store_hits: u64,
@@ -102,7 +101,6 @@ impl DoneEvent {
         checksum: String,
         cache_hits: u64,
         cache_misses: u64,
-        steals: u64,
     ) -> Self {
         DoneEvent {
             event: "done".into(),
@@ -111,7 +109,6 @@ impl DoneEvent {
             checksum,
             cache_hits,
             cache_misses,
-            steals,
             store_hits: 0,
             store_misses: 0,
             metrics: None,
@@ -212,7 +209,6 @@ pub fn parse_worker_line(line: &str) -> Result<WorkerLine<'_>, String> {
                     checksum: field_str("checksum")?,
                     cache_hits: field_u64("cache_hits")?,
                     cache_misses: field_u64("cache_misses")?,
-                    steals: field_u64("steals")?,
                     store_hits: optional_u64("store_hits"),
                     store_misses: optional_u64("store_misses"),
                     metrics,
@@ -352,8 +348,7 @@ mod tests {
         let line = serde_json::to_string(&start).unwrap();
         assert_eq!(parse_worker_line(&line).unwrap(), WorkerLine::Start(start));
 
-        let done =
-            DoneEvent::new(1, 10, "fnv1a64:0011223344556677".into(), 5, 2, 1).with_store(4, 3);
+        let done = DoneEvent::new(1, 10, "fnv1a64:0011223344556677".into(), 5, 2).with_store(4, 3);
         let line = serde_json::to_string(&done).unwrap();
         assert_eq!(parse_worker_line(&line).unwrap(), WorkerLine::Done(done));
 
@@ -362,7 +357,7 @@ mod tests {
         registry.counter("cache_hits").add(5);
         registry.histogram("case_execute_ns").record(1234);
         let done =
-            DoneEvent::new(2, 3, "fnv1a64:00".into(), 5, 0, 0).with_metrics(registry.snapshot());
+            DoneEvent::new(2, 3, "fnv1a64:00".into(), 5, 0).with_metrics(registry.snapshot());
         let line = serde_json::to_string(&done).unwrap();
         assert_eq!(parse_worker_line(&line).unwrap(), WorkerLine::Done(done));
     }
@@ -371,7 +366,7 @@ mod tests {
     fn done_events_without_store_counters_parse_as_zero() {
         // A storeless worker (or an older binary) omits the store fields.
         let line = "{\"event\":\"done\",\"shard\":0,\"records\":2,\
-\"checksum\":\"fnv1a64:00\",\"cache_hits\":1,\"cache_misses\":1,\"steals\":0}";
+\"checksum\":\"fnv1a64:00\",\"cache_hits\":1,\"cache_misses\":1}";
         match parse_worker_line(line).unwrap() {
             WorkerLine::Done(done) => {
                 assert_eq!((done.store_hits, done.store_misses), (0, 0));

@@ -208,7 +208,7 @@ const FLAGS: &[Flag] = &[
         help: "register with a serve daemon and run its job frames over TCP",
         set: |o, v| store(&mut o.connect, Ok(v)) },
     Flag { name: "--stats", operand: "", only: "",
-        help: "print cache, store and executor statistics as JSON on stderr",
+        help: "print cache and store statistics as JSON on stderr",
         set: |o, _| store(&mut o.stats, Ok(true)) },
     Flag { name: "--trace", operand: "", only: "",
         help: "write span-trace sidecars (one trace-<pid>.jsonl per process)",
@@ -525,31 +525,27 @@ fn print_tables(markdown: &str, destination: Option<&str>) {
 }
 
 /// One engine's run as a registry snapshot (ring-obs/v1): `snapshot` (the
-/// registry's counters and histograms) with the engine's own cache / store
-/// / executor counters overlaid under their canonical names. Every stats
+/// registry's counters and histograms) with the engine's own cache and
+/// store counters overlaid under their canonical names. Every stats
 /// consumer — `--stats`, the worker done event, the daemon — reports from
 /// this one schema.
 fn engine_snapshot(engine: &SweepEngine, mut snapshot: ring_obs::Snapshot) -> ring_obs::Snapshot {
     let cache = engine.cache_stats();
     let store = engine.store_stats();
-    let exec = engine.exec_stats();
     snapshot.set_counter("cache_hits", cache.hits);
     snapshot.set_counter("cache_misses", cache.misses);
     snapshot.set_counter("store_hits", store.hits);
     snapshot.set_counter("store_misses", store.misses);
-    snapshot.set_counter("executor_executed", exec.executed);
-    snapshot.set_counter("executor_steals", exec.steals);
     snapshot
 }
 
-/// The engine's cache + store + executor statistics as one stderr JSON
-/// line, sourced from the [`engine_snapshot`] schema.
+/// The engine's cache + store statistics as one stderr JSON line, sourced
+/// from the [`engine_snapshot`] schema.
 fn print_engine_stats(engine: &SweepEngine) {
     #[derive(serde::Serialize)]
     struct Stats {
         cache: EngineCacheBlock,
         store: crate::store::StoreStats,
-        executor: crate::executor::ExecutorStats,
     }
     // The fleet variant in `print_fleet_stats` mirrors this block minus
     // `structures` (per-worker memo sizes do not sum meaningfully); keep
@@ -580,10 +576,6 @@ fn print_engine_stats(engine: &SweepEngine) {
             hits: snapshot.counter("store_hits"),
             misses: snapshot.counter("store_misses"),
         },
-        executor: crate::executor::ExecutorStats {
-            executed: snapshot.counter("executor_executed"),
-            steals: snapshot.counter("executor_steals"),
-        },
     };
     eprintln!(
         "ringlab: stats {}",
@@ -602,7 +594,6 @@ fn print_fleet_stats(manifest: &Manifest) {
         records: usize,
         cache: CacheBlock,
         store: StoreBlock,
-        executor: StealsBlock,
     }
     // Field names mirror `print_engine_stats`'s cache block (sans the
     // per-process `structures` count).
@@ -616,10 +607,6 @@ fn print_fleet_stats(manifest: &Manifest) {
     struct StoreBlock {
         hits: u64,
         misses: u64,
-    }
-    #[derive(serde::Serialize)]
-    struct StealsBlock {
-        steals: u64,
     }
     // Aggregated from the completed shards' ring-obs/v1 snapshots (the
     // final successful attempt of each shard — a retried shard's earlier
@@ -649,9 +636,6 @@ fn print_fleet_stats(manifest: &Manifest) {
         store: StoreBlock {
             hits: snapshot.counter("store_hits"),
             misses: snapshot.counter("store_misses"),
-        },
-        executor: StealsBlock {
-            steals: snapshot.counter("executor_steals"),
         },
     };
     eprintln!(
@@ -810,7 +794,6 @@ fn run_worker_shard<E: Write, R: Write + Send>(
 
     let cache = engine.cache_stats();
     let store = engine.store_stats();
-    let exec = engine.exec_stats();
     // The engine's own counters are per-engine (fresh every job), so they
     // overlay the delta exactly.
     let metrics = engine_snapshot(&engine, ring_obs::global().snapshot().delta(&baseline));
@@ -820,7 +803,6 @@ fn run_worker_shard<E: Write, R: Write + Send>(
         tally.checksum(),
         cache.hits,
         cache.misses,
-        exec.steals,
     )
     .with_store(store.hits, store.misses)
     .with_metrics(metrics);
@@ -1199,7 +1181,7 @@ fn orchestrate_and_finish(
     };
     eprintln!(
         "ringlab: {} cases over {} shards ({} run now, {} concurrent workers) in {:.2}s; \
-merged {} records (checksum {}); workers: {} cache hits / {} misses, {} steals{store_note}; \
+merged {} records (checksum {}); workers: {} cache hits / {} misses{store_note}; \
 manifest {}",
         manifest.total_cases,
         manifest.shards.len(),
@@ -1210,7 +1192,6 @@ manifest {}",
         report.checksum,
         stats.cache_hits,
         stats.cache_misses,
-        stats.steals,
         Manifest::path_in(run_dir).display(),
     );
     if let Some(dest) = destination.as_deref() {
@@ -2146,6 +2127,30 @@ mod tests {
         ] {
             assert!(parse(&args(refused)).is_err(), "{refused:?}");
         }
+    }
+
+    /// A manifest whose shard plan does not match its own numbering is a
+    /// load error (exit 1), not an out-of-bounds panic in the orchestrator.
+    #[test]
+    fn resume_refuses_an_inconsistent_shard_plan() {
+        let options = parse(&args(&["sweep", "--quick"])).unwrap();
+        let spec = sweep_spec(&options.spec);
+        let scaling = scaling_spec(&options.spec);
+        let items = items_for("sweep", &spec, &scaling).unwrap();
+        let mut manifest = Manifest::new(
+            options.spec.clone(),
+            spec_fingerprint("sweep", &spec, &scaling),
+            items.len(),
+            &plan_shards(items.len(), 2),
+            1,
+            String::new(),
+        );
+        manifest.shards[1].shard = 7;
+        let dir = std::env::temp_dir().join(format!("ringlab-bad-plan-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        manifest.save_in(&dir).unwrap();
+        assert_eq!(run(&args(&["resume", dir.to_str().unwrap()])), 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

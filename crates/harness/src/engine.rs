@@ -1,7 +1,7 @@
 //! The sweep engine: executor + two-tier structure store + streaming sink.
 //!
 //! [`SweepEngine::run`] fans a list of [`WorkItem`]s out over the
-//! work-stealing executor. Every worker draws combinatorial structures
+//! parallel executor. Every worker draws combinatorial structures
 //! from one shared [`StructureStore`] — tier 1 the in-memory cache every
 //! thread shares, tier 2 an optional on-disk directory every worker
 //! *process* of a sweep shares — and streams its finished [`CaseRecord`]
@@ -11,21 +11,18 @@
 //! disk tier.
 
 use crate::cache::{CacheStats, StructureCache};
-use crate::executor::{run_work_stealing_with_stats, ExecutorStats};
+use crate::executor::parallel_map;
 use crate::scenario::{CaseRecord, WorkItem};
 use crate::sink::JsonlSink;
 use crate::store::{StoreStats, StructureStore};
 use ring_protocols::structures::SharedStructures;
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The parallel scenario engine.
 pub struct SweepEngine {
     jobs: usize,
     store: Arc<StructureStore>,
-    executed: AtomicU64,
-    steals: AtomicU64,
 }
 
 impl SweepEngine {
@@ -39,12 +36,7 @@ impl SweepEngine {
     /// shared in-memory store carrying warm structures across consecutive
     /// sweeps of one CLI invocation).
     pub fn with_store(jobs: usize, store: Arc<StructureStore>) -> Self {
-        SweepEngine {
-            jobs,
-            store,
-            executed: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-        }
+        SweepEngine { jobs, store }
     }
 
     /// The configured worker count (`0` = all cores).
@@ -70,15 +62,6 @@ impl SweepEngine {
     /// Disk-tier effectiveness so far (all zero without a disk tier).
     pub fn store_stats(&self) -> StoreStats {
         self.store.stats()
-    }
-
-    /// Executor scheduling counters accumulated over every run of this
-    /// engine.
-    pub fn exec_stats(&self) -> ExecutorStats {
-        ExecutorStats {
-            executed: self.executed.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-        }
     }
 
     /// Runs every item, streaming each finished record to `sink` (as one
@@ -109,7 +92,7 @@ impl SweepEngine {
         let structure_wait = obs.histogram("case_structure_wait_ns");
         let execute = obs.histogram("case_execute_ns");
         let sink_reorder = obs.histogram("sink_reorder_ns");
-        let (records, stats) = run_work_stealing_with_stats(items, self.jobs, |index, item| {
+        let records = parallel_map(items, self.jobs, |index, item| {
             let _span = ring_obs::span!("case", index = offset + index);
             // Split case time into the structure pathway (store waits,
             // constructions) and protocol execution proper: the store's
@@ -130,8 +113,6 @@ impl SweepEngine {
             }
             record
         });
-        self.executed.fetch_add(stats.executed, Ordering::Relaxed);
-        self.steals.fetch_add(stats.steals, Ordering::Relaxed);
         // Persist lazily materialised structures (strong-distinguisher
         // prefixes) so the rest of the fleet loads them. Non-fatal: a full
         // disk costs the fleet reconstruction time, never correctness.
@@ -168,7 +149,6 @@ mod tests {
         assert!(text.lines().next().unwrap().contains("\"case_index\":0"));
         // The sweep reuses the strong distinguisher across problems/cases.
         assert!(engine.cache_stats().hits > 0);
-        assert_eq!(engine.exec_stats().executed, items.len() as u64);
     }
 
     #[test]

@@ -1,18 +1,16 @@
-//! The work-stealing parallel executor.
+//! The parallel executor: an order-preserving parallel map.
 //!
-//! [`run_work_stealing`] fans a slice of work items out over `jobs` worker
-//! threads. Indices are striped round-robin into one deque per worker;
-//! each worker pops its own queue from the front and, when empty, steals
-//! from the back of the others, so a straggler case cannot leave the other
-//! cores idle. Results are returned **in item order**, and each item's
-//! result depends only on `(index, item)` — never on which thread ran it —
-//! so the output of a sweep is bit-identical for every job count and every
-//! scheduling interleaving. (Determinism of the overall harness also rests
-//! on the structure cache serving bit-identical structures; see
-//! `crate::cache`.)
+//! [`parallel_map`] runs a slice of work items on `jobs` worker threads
+//! that share one claim cursor: each thread atomically takes the next
+//! unclaimed index and runs it, so items start in index order and a
+//! straggler case holds up only the thread running it. Results are
+//! returned **in item order**, and each item's result depends only on
+//! `(index, item)` — never on which thread ran it — so the output of a
+//! sweep is bit-identical for every job count and every scheduling
+//! interleaving. (Determinism of the overall harness also rests on the
+//! structure cache serving bit-identical structures; see `crate::cache`.)
 
-use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The number of worker threads to use when the caller does not specify
 /// one: the machine's available parallelism.
@@ -22,20 +20,10 @@ pub fn available_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Scheduling counters of one executor pass, for performance inspection
-/// (`ringlab --stats`, the run manifest's per-shard entries).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
-pub struct ExecutorStats {
-    /// Items executed.
-    pub executed: u64,
-    /// Items a worker took from another worker's queue. High steal counts
-    /// mean the round-robin striping mispredicted the load distribution.
-    pub steals: u64,
-}
-
 /// Runs `worker(index, &items[index])` for every item across `jobs`
 /// threads (clamped to the item count; `0` means [`available_jobs`]) and
-/// returns the results in item order.
+/// returns the results in item order. One job runs the items in a plain
+/// loop on the calling thread.
 ///
 /// `worker` may have observable side effects (the engine streams results
 /// from inside it); effects that must be ordered belong behind an ordered
@@ -43,23 +31,9 @@ pub struct ExecutorStats {
 ///
 /// # Panics
 ///
-/// Propagates panics from `worker` (the remaining workers finish their
-/// current items first).
-pub fn run_work_stealing<T, R, F>(items: &[T], jobs: usize, worker: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    run_work_stealing_with_stats(items, jobs, worker).0
-}
-
-/// [`run_work_stealing`] with scheduling counters for the pass.
-pub fn run_work_stealing_with_stats<T, R, F>(
-    items: &[T],
-    jobs: usize,
-    worker: F,
-) -> (Vec<R>, ExecutorStats)
+/// Propagates panics from `worker` (the other threads first run the rest
+/// of the slice).
+pub fn parallel_map<T, R, F>(items: &[T], jobs: usize, worker: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -68,101 +42,64 @@ where
     let jobs = if jobs == 0 { available_jobs() } else { jobs };
     let jobs = jobs.min(items.len()).max(1);
     if jobs <= 1 {
-        let results = items
+        return items
             .iter()
             .enumerate()
             .map(|(i, t)| worker(i, t))
             .collect();
-        return (
-            results,
-            ExecutorStats {
-                executed: items.len() as u64,
-                steals: 0,
-            },
-        );
     }
 
-    // Round-robin striping spreads systematically heavy regions (e.g. the
-    // large-n tail of a sweep) over all workers up front; stealing handles
-    // whatever imbalance remains.
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..jobs)
-        .map(|w| Mutex::new((w..items.len()).step_by(jobs).collect()))
-        .collect();
-
+    let cursor = AtomicUsize::new(0);
     let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    let mut stats = ExecutorStats::default();
     std::thread::scope(|scope| {
-        let queues = &queues;
-        let worker = &worker;
         let handles: Vec<_> = (0..jobs)
-            .map(|w| {
-                scope.spawn(move || {
+            .map(|_| {
+                scope.spawn(|| {
                     let worker_started = std::time::Instant::now();
                     let mut produced: Vec<(usize, R)> = Vec::new();
-                    let mut steals = 0u64;
                     let mut busy_ns = 0u64;
-                    while let Some((index, stolen)) = next_index(queues, w) {
-                        steals += u64::from(stolen);
+                    loop {
+                        let index = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(index) else {
+                            break;
+                        };
                         let item_started = std::time::Instant::now();
-                        produced.push((index, worker(index, &items[index])));
+                        produced.push((index, worker(index, item)));
                         busy_ns = busy_ns.saturating_add(ring_obs::elapsed_ns(item_started));
                     }
                     // One sample per worker per pass: the busy/idle split
-                    // shows how well the striping balanced the load, the
-                    // steal count how hard the thieves had to work.
+                    // shows how evenly the pass kept its threads working.
                     let obs = ring_obs::global();
                     obs.histogram("executor_worker_busy_ns").record(busy_ns);
                     obs.histogram("executor_worker_idle_ns")
                         .record(ring_obs::elapsed_ns(worker_started).saturating_sub(busy_ns));
-                    obs.histogram("executor_worker_steals").record(steals);
-                    (produced, steals)
+                    produced
                 })
             })
             .collect();
         for handle in handles {
-            let (produced, steals) = handle.join().expect("worker thread panicked");
-            stats.steals += steals;
-            for (index, result) in produced {
+            for (index, result) in handle.join().expect("worker thread panicked") {
                 results[index] = Some(result);
             }
         }
     });
-    stats.executed = items.len() as u64;
-    let results = results
+    results
         .into_iter()
-        .map(|r| r.expect("every index is scheduled exactly once"))
-        .collect();
-    (results, stats)
-}
-
-/// Pops the next index for worker `w`: its own queue front first, then the
-/// back of every other queue (classic work stealing: owners and thieves
-/// take opposite ends to minimise contention on the same items). The flag
-/// reports whether the index was stolen.
-fn next_index(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<(usize, bool)> {
-    if let Some(index) = queues[w].lock().expect("worker queue").pop_front() {
-        return Some((index, false));
-    }
-    let jobs = queues.len();
-    for offset in 1..jobs {
-        let victim = (w + offset) % jobs;
-        if let Some(index) = queues[victim].lock().expect("worker queue").pop_back() {
-            return Some((index, true));
-        }
-    }
-    None
+        .map(|r| r.expect("every index is claimed exactly once"))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Barrier, Mutex};
+    use std::time::Duration;
 
     #[test]
     fn results_come_back_in_item_order() {
         let items: Vec<usize> = (0..97).collect();
         for jobs in [1, 2, 3, 8] {
-            let out = run_work_stealing(&items, jobs, |i, &x| {
+            let out = parallel_map(&items, jobs, |i, &x| {
                 assert_eq!(i, x);
                 x * x
             });
@@ -178,11 +115,11 @@ mod tests {
     fn every_item_runs_exactly_once() {
         let items: Vec<usize> = (0..64).collect();
         let counter = AtomicUsize::new(0);
-        let out = run_work_stealing(&items, 4, |_, &x| {
+        let out = parallel_map(&items, 4, |_, &x| {
             counter.fetch_add(1, Ordering::Relaxed);
-            // Uneven work so stealing actually happens.
+            // Uneven work, so threads finish their items out of order.
             if x % 7 == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(2));
+                std::thread::sleep(Duration::from_millis(2));
             }
             x
         });
@@ -193,35 +130,32 @@ mod tests {
     #[test]
     fn degenerate_inputs_are_handled() {
         let empty: Vec<u32> = Vec::new();
-        assert!(run_work_stealing(&empty, 8, |_, &x| x).is_empty());
-        assert_eq!(run_work_stealing(&[5u32], 0, |_, &x| x + 1), vec![6]);
+        assert!(parallel_map(&empty, 8, |_, &x| x).is_empty());
+        assert_eq!(parallel_map(&[5u32], 0, |_, &x| x + 1), vec![6]);
     }
 
     #[test]
-    fn steal_counters_track_imbalance() {
-        // Serial runs never steal.
+    fn items_start_in_index_order_while_stragglers_run() {
+        // Items 0 and 1 hold two of the three threads until the last item
+        // starts, so one thread runs every other item alone: it must take
+        // 3, 4, 5, … in order rather than run ahead or back-fill a skipped
+        // index. The first three items meet at a barrier, so each has a
+        // thread of its own; they start together, so only their set counts.
         let items: Vec<usize> = (0..16).collect();
-        let (_, stats) = run_work_stealing_with_stats(&items, 1, |_, &x| x);
-        assert_eq!(
-            stats,
-            ExecutorStats {
-                executed: 16,
-                steals: 0
+        let last = items.len() - 1;
+        let (first_three, stragglers) = (Barrier::new(3), Barrier::new(3));
+        let starts = Mutex::new(Vec::new());
+        parallel_map(&items, 3, |i, _| {
+            starts.lock().unwrap().push(i);
+            if i < 3 {
+                first_three.wait();
             }
-        );
-
-        // One pathologically slow item forces the other worker to steal the
-        // victim's whole stripe (2 workers, striped deques).
-        let (_, stats) = run_work_stealing_with_stats(&items, 2, |_, &x| {
-            if x == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(30));
+            if i < 2 || i == last {
+                stragglers.wait();
             }
-            x
         });
-        assert_eq!(stats.executed, 16);
-        assert!(
-            stats.steals > 0,
-            "expected steals when one worker stalls, saw {stats:?}"
-        );
+        let mut starts = starts.into_inner().unwrap();
+        starts[..3].sort_unstable();
+        assert_eq!(starts, items);
     }
 }

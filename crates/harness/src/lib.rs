@@ -6,9 +6,9 @@
 //!
 //! The crate has four layers:
 //!
-//! * [`executor`] — a work-stealing thread pool over `std::thread`. Work
-//!   items are striped over per-worker deques; idle workers steal from the
-//!   back of busy ones; results come back in item order.
+//! * [`executor`] — an order-preserving parallel map over
+//!   `std::thread`. Worker threads share one claim cursor and each takes
+//!   the next unclaimed item; results come back in item order.
 //! * [`cache`] / [`store`] — the two-tier structure pathway. Tier 1 is
 //!   the [`StructureCache`]: a sharded, `Arc`-backed memo of the
 //!   expensive combinatorial structures (distinguishers and
@@ -46,7 +46,7 @@
 //! index space into M contiguous ranges, spawns `ringlab worker` child
 //! processes speaking a line-delimited JSON protocol over stdout, tracks
 //! progress in a checkpointed `manifest.json` (per-shard status, retries,
-//! checksums, cache/executor stats) and k-way-merges the shard files into
+//! checksums, cache/store stats) and k-way-merges the shard files into
 //! output byte-identical to the single-process run. `worker`, `merge` and
 //! `resume` expose the layer's pieces individually, so a sweep can also be
 //! hand-partitioned across machines and reassembled later.
@@ -75,7 +75,7 @@ pub mod store;
 
 pub use cache::{CacheStats, StructureCache};
 pub use engine::SweepEngine;
-pub use executor::{available_jobs, run_work_stealing};
+pub use executor::{available_jobs, parallel_map};
 pub use scenario::{CaseRecord, WorkItem};
 pub use sink::JsonlSink;
 pub use store::{StoreStats, StructureStore};

@@ -237,22 +237,37 @@ impl WorkerTransport for TcpWorkerTransport {
             "no idle worker became available within the lease timeout \
              (is a `ringlab worker --connect` fleet registered?)",
         )?;
-        let argv = (self.argv_for)(range);
-        if let Err(e) = send_frame(&conn.stream, &job_frame(&argv)) {
-            // A dead parked connection: drop it and report a retryable
-            // launch failure; the retry will lease a live worker.
-            self.pool.discard(&conn.name);
-            conn.stream.shutdown(Shutdown::Both).ok();
-            return Err(format!(
-                "worker `{}` rejected the job frame: {e}",
-                conn.name
-            ));
-        }
+        let (reader, abort) = match start_job(&conn.stream, &(self.argv_for)(range)) {
+            Ok(handles) => handles,
+            Err(e) => {
+                // A dead parked connection (or no descriptor to spare):
+                // drop it and report a retryable launch failure; the retry
+                // will lease a live worker.
+                self.pool.discard(&conn.name);
+                conn.stream.shutdown(Shutdown::Both).ok();
+                return Err(format!(
+                    "worker `{}` could not take the job: {e}",
+                    conn.name
+                ));
+            }
+        };
         Ok(Box::new(TcpAttempt {
             pool: Arc::clone(&self.pool),
             conn: Some(conn),
+            reader: Some(reader),
+            abort: Arc::new(abort),
         }))
     }
+}
+
+/// Clones an attempt's reader and abort handle off a leased socket, then
+/// sends the job frame. Cloning first means running out of descriptors
+/// fails the launch before the worker is told to start.
+fn start_job(stream: &TcpStream, argv: &[String]) -> std::io::Result<(TcpStream, TcpStream)> {
+    let reader = stream.try_clone()?;
+    let abort = stream.try_clone()?;
+    send_frame(stream, &job_frame(argv))?;
+    Ok((reader, abort))
 }
 
 /// One in-flight TCP shard attempt: the stream is the leased socket,
@@ -261,22 +276,17 @@ impl WorkerTransport for TcpWorkerTransport {
 struct TcpAttempt {
     pool: Arc<WorkerPool>,
     conn: Option<WorkerConn>,
+    reader: Option<TcpStream>,
+    abort: Arc<TcpStream>,
 }
 
 impl ShardAttempt for TcpAttempt {
     fn take_stream(&mut self) -> Box<dyn std::io::Read + Send> {
-        let stream = &self.conn.as_ref().expect("leased connection").stream;
-        Box::new(stream.try_clone().expect("cloneable worker socket"))
+        Box::new(self.reader.take().expect("stream taken once"))
     }
 
     fn abort_handle(&self) -> Box<dyn Fn() + Send> {
-        let stream = self
-            .conn
-            .as_ref()
-            .expect("leased connection")
-            .stream
-            .try_clone()
-            .expect("cloneable worker socket");
+        let stream = Arc::clone(&self.abort);
         Box::new(move || {
             // Shutting down unblocks the stream reader; the worker sees a
             // dead daemon socket, abandons the job and reconnects.
@@ -397,6 +407,34 @@ mod tests {
         );
         pool.shutdown();
         assert!(pool.lease(Duration::from_secs(5)).is_none());
+    }
+
+    #[test]
+    fn a_failed_launch_discards_the_connection() {
+        let pool = Arc::new(WorkerPool::new());
+        let (_held, server) = loopback_pair();
+        server.shutdown(Shutdown::Both).unwrap();
+        pool.register("dead".into(), server);
+        let transport = TcpWorkerTransport::new(
+            Arc::clone(&pool),
+            Box::new(|_| vec!["worker".into()]),
+            Duration::from_millis(100),
+        );
+        let range = ShardRange {
+            shard: 0,
+            start: 0,
+            end: 1,
+        };
+        let err = transport.launch(&range).err().expect("a dead socket fails");
+        assert!(err.contains("`dead` could not take the job"), "{err}");
+        assert_eq!(pool.idle_count(), 0);
+        assert_eq!(
+            pool.snapshot()
+                .get("workers")
+                .and_then(|v| v.as_array())
+                .map(<[_]>::len),
+            Some(0)
+        );
     }
 
     #[test]
