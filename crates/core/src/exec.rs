@@ -18,16 +18,18 @@
 //!   round (or every round since a mark) started and count one round per
 //!   round undone.
 //!
-//! An undo round is counted but not simulated. No protocol reads what a
-//! reversed round observes, and by Lemma 1 its effect is known: the ring
-//! offset moves back by the forward shift, and each agent's cumulative
-//! distance drops by the forward round's `dist`. The observation buffer is
-//! cleared instead. Undo falls back to executing the reversed directions
-//! through the kernel in three cases, with the same rounds, errors and end
-//! state: on the event engine (so cross-engine runs still compare two
-//! engines round for round), under a fault plan that suppresses moves (a
-//! suppressed reversal does not undo), and when the undo would cross the
-//! round limit (the kernel stops exactly where the limit fires).
+//! The ring offset and its round count are the executor's whole position
+//! and round state. By Lemma 1 every round rotates the agents over their
+//! initial positions, so the offset says where every agent is, and each
+//! agent's cumulative distance (the sum of its `dist` observations) is
+//! derived from it. An undo round is counted but not simulated, on every
+//! engine: no protocol reads what a reversed round observes, and its
+//! effect is known — the offset moves back by the forward shift. The
+//! observation buffer is cleared instead. An undo that would cross the
+//! round limit rewinds only the rounds the limit allows, so it stops where
+//! executing the reversed directions would. Under a fault plan that
+//! suppresses moves an undo is refused: a suppressed reversal does not
+//! undo.
 //!
 //! Protocol implementations in this crate are written as lockstep drivers:
 //! the same local rule is evaluated for every agent using only that agent's
@@ -84,18 +86,6 @@ pub struct UndoMark {
     round: u64,
 }
 
-/// The mark in force: where it was taken and what the rewind path needs.
-#[derive(Clone, Copy, Debug)]
-struct MarkState {
-    mark: UndoMark,
-    offset: usize,
-    /// Start of the mark's rounds in [`Network::undo_log`].
-    log_start: usize,
-    /// Shift of the first forward round since the mark; its reversal is
-    /// the last round a rewind stands for.
-    first_shift: Option<usize>,
-}
-
 /// Identifies a network to the buffers and marks of its undo bookkeeping.
 /// A clone is a different network and draws a fresh id, so nothing taken
 /// from the original validates against it.
@@ -123,21 +113,16 @@ pub struct Network<'a> {
     ids: IdAssignment,
     model: Model,
     engine: EngineKind,
-    rounds: u64,
     last_rotation: Option<RotationIndex>,
-    cumulative_dist: Vec<u64>,
     structures: SharedStructures,
     structure_seed: u64,
     faults: Option<FaultPlan>,
     fault_scratch: Vec<LocalDirection>,
     round_limit: Option<u64>,
-    /// Directions of the forward rounds an undo may have to replay
-    /// reversed through the kernel: the last round, plus every round since
-    /// the mark. Kept only while [`Network::kernel_undo_possible`].
-    undo_log: Vec<LocalDirection>,
-    mark: Option<MarkState>,
-    /// Every agent's cumulative distance when the mark was taken.
-    mark_dist: Vec<u64>,
+    mark: Option<UndoMark>,
+    /// The shift of every forward round since the mark in force, oldest
+    /// first: what [`Network::rewind`] moves back.
+    mark_shifts: Vec<usize>,
 }
 
 impl fmt::Debug for Network<'_> {
@@ -147,7 +132,6 @@ impl fmt::Debug for Network<'_> {
             .field("ids", &self.ids)
             .field("model", &self.model)
             .field("engine", &self.engine)
-            .field("rounds", &self.rounds)
             .field("last_rotation", &self.last_rotation)
             .field("structures", &"<dyn StructureProvider>")
             .field("faults", &self.faults)
@@ -177,21 +161,18 @@ impl<'a> Network<'a> {
         }
         Ok(Network {
             id: NetworkId::fresh(),
-            cumulative_dist: vec![0; config.len()],
             ring: RingState::new(config),
             ids,
             model,
             engine: EngineKind::Analytic,
-            rounds: 0,
             last_rotation: None,
             structures: fresh_structures(),
             structure_seed: crate::coordination::nontrivial::STRUCTURE_SEED,
             faults: None,
             fault_scratch: Vec::new(),
             round_limit: None,
-            undo_log: Vec::new(),
             mark: None,
-            mark_dist: Vec::new(),
+            mark_shifts: Vec::new(),
         })
     }
 
@@ -199,7 +180,6 @@ impl<'a> Network<'a> {
     /// event-driven engine is available for validation runs).
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
-        self.forget_undo();
         self
     }
 
@@ -251,7 +231,6 @@ impl<'a> Network<'a> {
         if self.model.observes_collisions() {
             self.engine = EngineKind::Event;
         }
-        self.forget_undo();
         self
     }
 
@@ -267,17 +246,7 @@ impl<'a> Network<'a> {
     /// unchanged.
     pub fn with_round_limit(mut self, limit: u64) -> Self {
         self.round_limit = Some(limit);
-        self.forget_undo();
         self
-    }
-
-    /// Makes every earlier round impossible to undo: the builders above
-    /// change how an undo must execute, and the log of directions the
-    /// kernel path replays may be missing.
-    fn forget_undo(&mut self) {
-        self.id = NetworkId::fresh();
-        self.undo_log.clear();
-        self.mark = None;
     }
 
     // ------------------------------------------------------------------
@@ -330,7 +299,7 @@ impl<'a> Network<'a> {
 
     /// Number of rounds executed so far.
     pub fn rounds_used(&self) -> u64 {
-        self.rounds
+        self.ring.rounds_executed()
     }
 
     /// Executes one round into a caller-owned [`StepBuffers`]; observations
@@ -347,27 +316,6 @@ impl<'a> Network<'a> {
         directions: &[LocalDirection],
         bufs: &mut StepBuffers,
     ) -> Result<(), ProtocolError> {
-        let rotation = self.execute(directions, bufs)?;
-        if self.kernel_undo_possible() {
-            if self.mark.is_none() {
-                self.undo_log.clear();
-            }
-            self.undo_log.extend_from_slice(directions);
-        }
-        if let Some(mark) = &mut self.mark {
-            mark.first_shift.get_or_insert(rotation.shift);
-        }
-        bufs.forward = Some((self.id.0, self.rounds));
-        Ok(())
-    }
-
-    /// Executes one round through the kernel and counts it; the undo
-    /// bookkeeping is the caller's.
-    fn execute(
-        &mut self,
-        directions: &[LocalDirection],
-        bufs: &mut StepBuffers,
-    ) -> Result<RotationIndex, ProtocolError> {
         if directions.len() != self.ring.len() {
             return Err(ProtocolError::LengthMismatch {
                 what: "directions",
@@ -383,17 +331,13 @@ impl<'a> Network<'a> {
                 });
             }
         }
-        if let Some(limit) = self.round_limit {
-            if self.rounds >= limit {
-                return Err(ProtocolError::RoundLimitReached { limit });
-            }
-        }
+        self.check_round_limit()?;
         // Fault injection happens below the model check: a suppressed move
         // is a physical failure, not a protocol choice, so forcing idle here
         // is legal even in models that forbid idling.
         let rotation = match &self.faults {
             Some(plan) if plan.any_faults() => {
-                let round = self.rounds;
+                let round = self.rounds_used();
                 let mut faulted = std::mem::take(&mut self.fault_scratch);
                 faulted.clear();
                 faulted.extend(directions.iter().enumerate().map(|(agent, &dir)| {
@@ -413,68 +357,40 @@ impl<'a> Network<'a> {
                 .ring
                 .execute_round_into(directions, self.engine, &mut bufs.round)?,
         };
-        self.rounds += 1;
         self.last_rotation = Some(rotation);
-        // Two branch-free linear passes instead of one loop with a
-        // per-agent conditional: the cumulative-distance update is a pure
-        // add-mod streamed over two contiguous slices (vectorisable), and
-        // collision stripping — when the model is blind to collisions —
-        // becomes its own unconditional fill.
-        for (acc, obs) in self
-            .cumulative_dist
-            .iter_mut()
-            .zip(&bufs.round.observations)
-        {
-            *acc = (*acc + obs.dist.ticks()) % ring_sim::CIRCUMFERENCE;
-        }
         if !self.model.observes_collisions() {
             for obs in &mut bufs.round.observations {
                 obs.coll = None;
             }
         }
-        Ok(rotation)
-    }
-
-    /// Whether every undo replays reversed rounds through the kernel: on
-    /// the event engine and under a fault plan that suppresses moves.
-    fn undo_always_replays(&self) -> bool {
-        self.engine == EngineKind::Event || self.faults.as_ref().is_some_and(FaultPlan::any_faults)
-    }
-
-    /// Whether some undo may have to replay reversed rounds through the
-    /// kernel (see the module docs), so forward rounds must log their
-    /// directions.
-    fn kernel_undo_possible(&self) -> bool {
-        self.undo_always_replays() || self.round_limit.is_some()
-    }
-
-    /// Whether undoing `rounds` rounds must replay them through the kernel.
-    fn kernel_undo_needed(&self, rounds: u64) -> bool {
-        self.undo_always_replays()
-            || self
-                .round_limit
-                .is_some_and(|limit| self.rounds + rounds > limit)
-    }
-
-    /// Replays `log` (whole rounds of directions) reversed, last round
-    /// first, through the kernel.
-    fn replay_reversed(
-        &mut self,
-        log: &[LocalDirection],
-        bufs: &mut StepBuffers,
-    ) -> Result<(), ProtocolError> {
-        let mut reversed = std::mem::take(&mut bufs.directions);
-        let mut result = Ok(());
-        for round in log.chunks_exact(self.ring.len()).rev() {
-            reversed.clear();
-            reversed.extend(round.iter().map(|d| d.opposite()));
-            if let Err(e) = self.execute(&reversed, bufs) {
-                result = Err(e);
-                break;
-            }
+        if self.mark.is_some() {
+            self.mark_shifts.push(rotation.shift);
         }
-        bufs.directions = reversed;
-        result
+        bufs.forward = Some((self.id.0, self.rounds_used()));
+        Ok(())
+    }
+
+    /// Fails with [`ProtocolError::RoundLimitReached`] if one more round
+    /// would cross the round limit.
+    fn check_round_limit(&self) -> Result<(), ProtocolError> {
+        match self.round_limit {
+            Some(limit) if self.rounds_used() >= limit => {
+                Err(ProtocolError::RoundLimitReached { limit })
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Refuses an undo under a fault plan that suppresses moves: the plan
+    /// may suppress the reversal's moves too, and a suppressed reversal is
+    /// not an undo.
+    fn check_undo_faults(&self) -> Result<(), ProtocolError> {
+        if self.faults.as_ref().is_some_and(FaultPlan::any_faults) {
+            return Err(ProtocolError::NothingToUndo {
+                reason: "a fault plan may suppress the reversal's moves",
+            });
+        }
+        Ok(())
     }
 
     /// Ends an undo: nothing before it can be undone any more, and the
@@ -482,55 +398,36 @@ impl<'a> Network<'a> {
     fn finish_undo(&mut self, bufs: &mut StepBuffers) {
         bufs.forward = None;
         bufs.round.observations.clear();
-        self.undo_log.clear();
         self.mark = None;
+        self.mark_shifts.clear();
     }
 
     /// Reverts the immediately preceding round, which must have been a
     /// [`Network::step_into`] into these very buffers: the paper's
     /// `REVERSEDROUND`. It counts as one round, returns every agent to
     /// where that round started, and leaves the buffers without
-    /// observations. A mark in force is dropped.
-    ///
-    /// The round is not simulated unless the module docs' kernel fallback
-    /// applies.
+    /// observations. A mark in force is dropped. The round is not
+    /// simulated.
     ///
     /// # Errors
     ///
     /// [`ProtocolError::NothingToUndo`] if another round ran since, the
-    /// round was already undone, or the buffers hold another round's
-    /// observations. On the kernel path, the errors of
-    /// [`Network::step_into`].
+    /// round was already undone, the buffers hold another round's
+    /// observations, or a fault plan suppresses moves; nothing changes.
+    /// [`ProtocolError::RoundLimitReached`] if the round limit leaves no
+    /// room for the undo round; nothing moves.
     pub fn undo_last(&mut self, bufs: &mut StepBuffers) -> Result<(), ProtocolError> {
-        if bufs.forward != Some((self.id.0, self.rounds)) {
+        if bufs.forward != Some((self.id.0, self.rounds_used())) {
             return Err(ProtocolError::NothingToUndo {
                 reason: "the buffers do not hold this network's latest forward round",
             });
         }
-        let result = if self.kernel_undo_needed(1) {
-            let Some(last) = self.undo_log.len().checked_sub(self.ring.len()) else {
-                return Err(ProtocolError::NothingToUndo {
-                    reason: "the round's directions were not kept",
-                });
-            };
-            let log = std::mem::take(&mut self.undo_log);
-            let result = self.replay_reversed(&log[last..], bufs);
-            self.undo_log = log;
-            result
-        } else {
-            for (acc, obs) in self
-                .cumulative_dist
-                .iter_mut()
-                .zip(&bufs.round.observations)
-            {
-                *acc =
-                    (*acc + ring_sim::CIRCUMFERENCE - obs.dist.ticks()) % ring_sim::CIRCUMFERENCE;
-            }
+        self.check_undo_faults()?;
+        let result = self.check_round_limit();
+        if result.is_ok() {
             let shift = self.last_rotation.map_or(0, |r| r.shift);
             self.last_rotation = Some(self.ring.rewind(shift, 1));
-            self.rounds += 1;
-            Ok(())
-        };
+        }
         self.finish_undo(bufs);
         result
     }
@@ -540,20 +437,10 @@ impl<'a> Network<'a> {
     pub fn mark(&mut self) -> UndoMark {
         let mark = UndoMark {
             network: self.id.0,
-            round: self.rounds,
+            round: self.rounds_used(),
         };
-        // Keep only the last round in the log, for `undo_last`.
-        let n = self.ring.len();
-        let stale = self.undo_log.len().saturating_sub(n);
-        self.undo_log.drain(..stale);
-        self.mark = Some(MarkState {
-            mark,
-            offset: self.ring.offset(),
-            log_start: self.undo_log.len(),
-            first_shift: None,
-        });
-        self.mark_dist.clear();
-        self.mark_dist.extend_from_slice(&self.cumulative_dist);
+        self.mark = Some(mark);
+        self.mark_shifts.clear();
         mark
     }
 
@@ -561,44 +448,50 @@ impl<'a> Network<'a> {
     /// the mark count as `k` `REVERSEDROUND`s and return every agent to
     /// where it stood at the mark. The buffers are left without
     /// observations, and the mark is used up. With no round since the mark,
-    /// only the mark is used up.
-    ///
-    /// The rounds are not simulated unless the module docs' kernel fallback
-    /// applies.
+    /// only the mark is used up. The rounds are not simulated.
     ///
     /// # Errors
     ///
     /// [`ProtocolError::NothingToUndo`] if `mark` is not this network's
-    /// mark in force: another mark replaced it, or an undo or rewind used it
-    /// up. On the kernel path, the errors of [`Network::step_into`].
+    /// mark in force (another mark replaced it, or an undo or rewind used it
+    /// up) or a fault plan suppresses moves; nothing changes.
+    /// [`ProtocolError::RoundLimitReached`] if the round limit cuts the
+    /// rewind short: it reverts as many of the latest rounds as the limit
+    /// allows, and the mark is used up.
     pub fn rewind(&mut self, mark: UndoMark, bufs: &mut StepBuffers) -> Result<(), ProtocolError> {
-        let Some(state) = self.mark.filter(|state| state.mark == mark) else {
+        if self.mark != Some(mark) {
             return Err(ProtocolError::NothingToUndo {
                 reason: "the mark is not this network's mark in force",
             });
-        };
-        let Some(first_shift) = state.first_shift else {
+        }
+        self.check_undo_faults()?;
+        let rounds = self.mark_shifts.len();
+        if rounds == 0 {
             self.mark = None;
             return Ok(());
+        }
+        let (undone, result) = match self.round_limit {
+            Some(limit) if self.rounds_used() + rounds as u64 > limit => (
+                limit.saturating_sub(self.rounds_used()) as usize,
+                Err(ProtocolError::RoundLimitReached { limit }),
+            ),
+            _ => (rounds, Ok(())),
         };
-        let rounds = self.rounds - mark.round;
-        let result = if self.kernel_undo_needed(rounds) {
-            let log = std::mem::take(&mut self.undo_log);
-            let result = self.replay_reversed(&log[state.log_start..], bufs);
-            self.undo_log = log;
-            result
-        } else {
+        // Reversed rounds run last round first, so the rounds the limit
+        // lets run are the last `undone`, and the reversal run last is that
+        // of the earliest of them.
+        let first = rounds - undone;
+        if undone > 0 {
             let n = self.ring.len();
-            let shift = (self.ring.offset() + n - state.offset) % n;
-            self.ring.rewind(shift, rounds);
-            self.rounds += rounds;
-            self.cumulative_dist.copy_from_slice(&self.mark_dist);
+            let shift = self.mark_shifts[first..]
+                .iter()
+                .fold(0, |net, &s| (net + s) % n);
+            self.ring.rewind(shift, undone as u64);
             self.last_rotation = Some(RotationIndex {
-                shift: (n - first_shift) % n,
+                shift: (n - self.mark_shifts[first]) % n,
                 n,
             });
-            Ok(())
-        };
+        }
         self.finish_undo(bufs);
         result
     }
@@ -661,10 +554,15 @@ impl<'a> Network<'a> {
     /// position measured in its own clockwise direction.
     ///
     /// This is information the agent could trivially maintain itself by
-    /// summing its observations; it is tracked centrally purely for
-    /// convenience and is legitimate agent-local knowledge.
+    /// summing its observations, so it is legitimate agent-local knowledge.
+    /// It is derived from the ring offset instead
+    /// ([`RingState::displacement_of_agent`]): every `dist` is the arc
+    /// between the slots a round starts and ends in (Lemma 1), on both
+    /// engines, so the sum is the arc from the agent's initial slot to its
+    /// current one. An undo round therefore takes back exactly the undone
+    /// rounds' observations.
     pub fn observed_cumulative_dist(&self, agent: usize) -> ring_sim::ArcLength {
-        ring_sim::ArcLength::from_ticks(self.cumulative_dist[agent])
+        self.ring.displacement_of_agent(agent)
     }
 
     // ------------------------------------------------------------------

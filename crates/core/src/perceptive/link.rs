@@ -124,8 +124,8 @@ impl RingLink {
     /// followed by its reversal, so both start from — and the exchange ends
     /// at — the same positions, which is what makes the gap comparison in
     /// the decoder valid). The two reversals are
-    /// [`Network::undo_last`] rounds: counted, but only simulated on the
-    /// kernel fallback (event engine, active faults, round limit).
+    /// [`Network::undo_last`] rounds: counted, but not simulated (an active
+    /// fault plan refuses them).
     ///
     /// # Errors
     ///

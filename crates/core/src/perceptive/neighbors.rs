@@ -72,8 +72,8 @@ impl NeighborMap {
 /// Algorithm 3: neighbour discovery. Every round is followed by its reversed
 /// round, so the agents end exactly where they started. The reversals are
 /// [`Network::undo_last`] rounds: half of the `8·b + 4` rounds
-/// (`b` = [`Network::id_bits`]) are counted but not simulated, except on
-/// the kernel fallback (event engine, active faults, round limit).
+/// (`b` = [`Network::id_bits`]) are counted but not simulated (an active
+/// fault plan refuses them).
 ///
 /// # Errors
 ///

@@ -27,8 +27,7 @@
 //! `k` reversals, the reversal of `Shift(k)`, the reversal of the final
 //! check, and half of every collision-link exchange the floods run — are
 //! [`Network::undo_last`]/[`Network::rewind`] rounds: counted in that cost
-//! but not simulated, except on the kernel fallback (event engine, active
-//! faults, round limit).
+//! but not simulated (an active fault plan refuses them).
 
 use crate::error::ProtocolError;
 use crate::exec::{Network, StepBuffers};

@@ -69,8 +69,8 @@ fn directions(n: usize, round: usize) -> Vec<LocalDirection> {
 }
 
 /// Forward rounds paired with undos, and a marked stretch rewound, on the
-/// rewind path (analytic engine) and on the kernel path (the event engine,
-/// at a size its debug build runs quickly).
+/// analytic engine and on the event engine (at a size its debug build runs
+/// quickly). Undo rewinds the ring offset on both.
 #[test]
 fn undo_rounds_allocate_nothing_after_warmup() {
     for (engine, n) in [(EngineKind::Analytic, N), (EngineKind::Event, 16)] {

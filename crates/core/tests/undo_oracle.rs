@@ -1,19 +1,23 @@
-//! Exact oracle for undo rounds.
+//! Exact oracle for undo rounds and derived cumulative distances.
 //!
 //! [`Network::undo_last`] and [`Network::mark`]/[`Network::rewind`] revert
-//! rounds by Lemma 1 instead of simulating the reversed directions. These
-//! tests hold the rewind to the kernel it replaces:
+//! rounds by Lemma 1 instead of simulating the reversed directions, and
+//! [`Network::observed_cumulative_dist`] is derived from the ring offset
+//! instead of summed. These tests hold both to what they stand for:
 //!
 //! * at the network level, an undo must leave exactly the state that
 //!   executing the reversed directions through the kernel leaves — offset,
 //!   every agent's cumulative distance, the round count, and what the next
 //!   round observes;
+//! * every agent's derived cumulative distance equals the running sum of
+//!   its `dist` observations, in every model, on both engines, with and
+//!   without a fault plan;
 //! * at the protocol level, every perceptive protocol built on undo rounds
 //!   must give the same results, round counts and end state on an analytic
-//!   network (undo by rewind) as on an event-engine network (undo through
-//!   the kernel);
-//! * the error cases refuse, and a round limit fires at the same round on
-//!   both paths.
+//!   network as on an event-engine network;
+//! * the error cases refuse — an active fault plan among them — and a
+//!   round limit fires at the same round as when every reversal is an
+//!   explicit kernel round.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -25,7 +29,7 @@ use ring_protocols::perceptive::link::RingLink;
 use ring_protocols::perceptive::neighbors::discover_neighbors;
 use ring_protocols::perceptive::nmove::nmove_s;
 use ring_protocols::perceptive::ringdist::ring_distances;
-use ring_protocols::{IdAssignment, Network, ProtocolError};
+use ring_protocols::{FaultParams, FaultPlan, IdAssignment, Network, ProtocolError};
 use ring_sim::{Chirality, EngineKind, Frame, LocalDirection, Model, RingConfig};
 
 /// The ways a ring can mix chiralities.
@@ -175,8 +179,8 @@ fn rewind_equals_the_kernel_reversals_in_reverse_order() {
     }
 }
 
-/// A perceptive network on the analytic engine (undo by rewind) and one on
-/// the event engine (undo through the kernel).
+/// A perceptive network on the analytic engine and one on the event
+/// engine.
 fn engine_pair<'a>(config: &'a RingConfig, ids: &IdAssignment) -> (Network<'a>, Network<'a>) {
     (
         Network::new(config, ids.clone(), Model::Perceptive).unwrap(),
@@ -318,9 +322,9 @@ fn undo_refuses_when_there_is_nothing_to_undo() {
     assert!(refused(net.rewind(mark, &mut bufs)));
 }
 
-/// With a round limit, an undo that would cross it runs through the
-/// kernel: the limit fires at the same round, with the same state, as
-/// when every reversal is an explicit kernel round.
+/// With a round limit, an undo that would cross it rewinds only the
+/// rounds the limit allows: the limit fires at the same round, with the
+/// same state, as when every reversal is an explicit kernel round.
 #[test]
 fn round_limit_fires_as_on_the_kernel_path() {
     let (config, ids) = deployment(8, 51);
@@ -376,7 +380,7 @@ fn round_limit_fires_as_on_the_kernel_path() {
 }
 
 /// A whole protocol under a round limit times out at the same round on
-/// both undo paths.
+/// both engines.
 #[test]
 fn protocols_time_out_alike_on_both_undo_paths() {
     let (config, ids) = deployment(8, 61);
@@ -398,5 +402,120 @@ fn protocols_time_out_alike_on_both_undo_paths() {
         };
         assert_eq!(run(&mut rewound), run(&mut kernel), "limit {limit}");
         assert_same_state(&rewound, &kernel, "timeout");
+    }
+}
+
+/// A fault plan that drops three moves in ten.
+fn dropping_plan(n: usize, seed: u64) -> FaultPlan {
+    let params = FaultParams {
+        drop_per_mille: 300,
+        ..FaultParams::default()
+    };
+    FaultPlan::new(params, n, seed)
+}
+
+/// Every agent's derived cumulative distance equals the running sum of its
+/// `dist` observations after every forward round, and an undo takes back
+/// exactly the undone round's observations. The event engine runs only at
+/// small `n`, where its debug build is quick.
+#[test]
+fn cumulative_distances_are_the_sum_of_observations() {
+    const C: u64 = ring_sim::CIRCUMFERENCE;
+    let sizes = [
+        (5usize, true),
+        (8, true),
+        (13, true),
+        (16, true),
+        (64, false),
+        (127, false),
+    ];
+    for (n, event_too) in sizes {
+        let engines: &[EngineKind] = if event_too {
+            &[EngineKind::Analytic, EngineKind::Event]
+        } else {
+            &[EngineKind::Analytic]
+        };
+        for (c, config) in configs(n, 90 + n as u64).iter().enumerate() {
+            for model in [Model::Basic, Model::Lazy, Model::Perceptive] {
+                for &engine in engines {
+                    for faulty in [false, true] {
+                        let context =
+                            format!("n={n} config={c} {model} {engine:?} faulty={faulty}");
+                        let ids = IdAssignment::random(n, 16 * n as u64, n as u64);
+                        let mut net = Network::new(config, ids, model).unwrap();
+                        if faulty {
+                            net = net.with_faults(dropping_plan(n, 5 + c as u64));
+                        }
+                        let mut net = net.with_engine(engine);
+                        let mut bufs = StepBuffers::new();
+                        let mut sums = vec![0u64; n];
+                        let mut rng = StdRng::seed_from_u64(n as u64 * 31 + c as u64);
+                        for round in 0..24 {
+                            let dirs = random_directions(&mut rng, n, model.allows_idle());
+                            net.step_into(&dirs, &mut bufs).unwrap();
+                            for (sum, obs) in sums.iter_mut().zip(bufs.observations()) {
+                                *sum = (*sum + obs.dist.ticks()) % C;
+                            }
+                            let undo = !faulty && rng.gen::<bool>();
+                            if undo {
+                                for (sum, obs) in sums.iter_mut().zip(bufs.observations()) {
+                                    *sum = (*sum + C - obs.dist.ticks()) % C;
+                                }
+                                net.undo_last(&mut bufs).unwrap();
+                            }
+                            for (agent, &sum) in sums.iter().enumerate() {
+                                assert_eq!(
+                                    net.observed_cumulative_dist(agent).ticks(),
+                                    sum,
+                                    "{context} round {round} undo={undo}: agent {agent}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Under a fault plan that suppresses moves, undo and rewind refuse and
+/// change nothing: a suppressed reversal is not an undo.
+#[test]
+fn undo_refuses_under_an_active_fault_plan() {
+    let n = 9;
+    let (config, ids) = deployment(n, 71);
+    for model in [Model::Basic, Model::Perceptive] {
+        let mut net = Network::new(&config, ids.clone(), model)
+            .unwrap()
+            .with_faults(dropping_plan(n, 3));
+        let mut bufs = StepBuffers::new();
+        let dirs: Vec<LocalDirection> = (0..n)
+            .map(|i| LocalDirection::from_bit(i % 4 != 0))
+            .collect();
+        let mark = net.mark();
+        for _ in 0..3 {
+            net.step_into(&dirs, &mut bufs).unwrap();
+        }
+        let state = |net: &Network<'_>| {
+            let dists: Vec<_> = (0..n).map(|a| net.observed_cumulative_dist(a)).collect();
+            (net.ground_truth_offset(), net.rounds_used(), dists)
+        };
+        let before = state(&net);
+        assert!(
+            matches!(
+                net.undo_last(&mut bufs),
+                Err(ProtocolError::NothingToUndo { .. })
+            ),
+            "{model}: undo_last"
+        );
+        assert_eq!(state(&net), before, "{model}: undo_last changed the state");
+        assert!(
+            matches!(
+                net.rewind(mark, &mut bufs),
+                Err(ProtocolError::NothingToUndo { .. })
+            ),
+            "{model}: rewind"
+        );
+        assert_eq!(state(&net), before, "{model}: rewind changed the state");
     }
 }

@@ -588,6 +588,12 @@ fn consume_worker_stream(
                 if !started {
                     return Err("done event before the start event".into());
                 }
+                if event.shard != range.shard {
+                    return Err(format!(
+                        "worker finished shard {}, expected shard {}",
+                        event.shard, range.shard
+                    ));
+                }
                 let received = next_index - range.start;
                 if event.records != received || received != range.len() {
                     return Err(format!(
@@ -847,6 +853,18 @@ mod tests {
         ));
         let err = run_one_shard(&dir, &range, "0xfeed", cmd, None).unwrap_err();
         assert!(err.contains("case 0 was expected"), "{err}");
+
+        // Honest records and checksum, but a done event for another shard.
+        let mut lines = protocol_lines(&range, 1, "0xfeed");
+        let other = ShardRange { shard: 3, ..range };
+        *lines.last_mut().unwrap() = protocol_lines(&other, 1, "0xfeed").pop().unwrap();
+        let script = lines
+            .iter()
+            .map(|l| format!("echo '{l}'"))
+            .collect::<Vec<_>>()
+            .join(" && ");
+        let err = run_one_shard(&dir, &range, "0xfeed", scripted_worker(script), None).unwrap_err();
+        assert!(err.contains("finished shard 3, expected shard 0"), "{err}");
 
         assert!(!dir.join(shard_file_name(0)).exists());
         std::fs::remove_dir_all(&dir).ok();

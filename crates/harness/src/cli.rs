@@ -540,108 +540,76 @@ fn engine_snapshot(engine: &SweepEngine, mut snapshot: ring_obs::Snapshot) -> ri
 }
 
 /// The engine's cache + store statistics as one stderr JSON line, sourced
-/// from the [`engine_snapshot`] schema.
+/// from the [`engine_snapshot`] schema. The cache block also counts the
+/// structures the engine holds.
 fn print_engine_stats(engine: &SweepEngine) {
-    #[derive(serde::Serialize)]
-    struct Stats {
-        cache: EngineCacheBlock,
-        store: crate::store::StoreStats,
-    }
-    // The fleet variant in `print_fleet_stats` mirrors this block minus
-    // `structures` (per-worker memo sizes do not sum meaningfully); keep
-    // the shared field names in step — CI and the verify recipe grep them.
-    #[derive(serde::Serialize)]
-    struct EngineCacheBlock {
-        hits: u64,
-        misses: u64,
-        hit_rate: f64,
-        structures: usize,
-    }
     let snapshot = engine_snapshot(engine, ring_obs::global().snapshot());
-    let hits = snapshot.counter("cache_hits");
-    let misses = snapshot.counter("cache_misses");
-    let total = hits + misses;
-    let stats = Stats {
-        cache: EngineCacheBlock {
-            hits,
-            misses,
-            hit_rate: if total == 0 {
-                0.0
-            } else {
-                hits as f64 / total as f64
-            },
-            structures: engine.cache().len(),
-        },
-        store: crate::store::StoreStats {
-            hits: snapshot.counter("store_hits"),
-            misses: snapshot.counter("store_misses"),
-        },
-    };
-    eprintln!(
-        "ringlab: stats {}",
-        serde_json::to_string(&stats).expect("serializable stats")
-    );
+    let structures = ("structures", Value::Uint(engine.cache().len() as u64));
+    print_stats_line(Vec::new(), &snapshot, Some(structures));
 }
 
 /// Fleet-wide aggregates of a sharded run — the sum over every completed
 /// shard's worker counters, printed as one stderr JSON line (the per-shard
-/// breakdown stays in the manifest).
+/// breakdown stays in the manifest). The counters come from the completed
+/// shards' ring-obs/v1 snapshots (the final successful attempt of each
+/// shard — a retried shard's earlier attempts never double-count),
+/// synthesized from legacy counters for manifests that predate them.
 fn print_fleet_stats(manifest: &Manifest) {
-    #[derive(serde::Serialize)]
-    struct FleetStats {
-        shards: usize,
-        completed_shards: usize,
-        records: usize,
-        cache: CacheBlock,
-        store: StoreBlock,
-    }
-    // Field names mirror `print_engine_stats`'s cache block (sans the
-    // per-process `structures` count).
-    #[derive(serde::Serialize)]
-    struct CacheBlock {
-        hits: u64,
-        misses: u64,
-        hit_rate: f64,
-    }
-    #[derive(serde::Serialize)]
-    struct StoreBlock {
-        hits: u64,
-        misses: u64,
-    }
-    // Aggregated from the completed shards' ring-obs/v1 snapshots (the
-    // final successful attempt of each shard — a retried shard's earlier
-    // attempts never double-count), synthesizing from legacy counters for
-    // manifests that predate the snapshots.
-    let snapshot = manifest.aggregate_metrics();
+    let completed = manifest
+        .shards
+        .iter()
+        .filter(|s| s.status == ring_distrib::ShardStatus::Complete)
+        .count();
+    let fields = json_fields([
+        ("shards", Value::Uint(manifest.shards.len() as u64)),
+        ("completed_shards", Value::Uint(completed as u64)),
+        (
+            "records",
+            Value::Uint(manifest.aggregate_stats().records as u64),
+        ),
+    ]);
+    print_stats_line(fields, &manifest.aggregate_metrics(), None);
+}
+
+/// Prints one `ringlab: stats` line on stderr: `fields`, then the `cache`
+/// and `store` blocks read from `snapshot`, with `cache_extra` appended to
+/// the cache block. CI and the verify recipe grep the blocks' field names.
+fn print_stats_line(
+    mut fields: Vec<(String, Value)>,
+    snapshot: &ring_obs::Snapshot,
+    cache_extra: Option<(&str, Value)>,
+) {
     let hits = snapshot.counter("cache_hits");
     let misses = snapshot.counter("cache_misses");
-    let cache_total = hits + misses;
-    let stats = FleetStats {
-        shards: manifest.shards.len(),
-        completed_shards: manifest
-            .shards
-            .iter()
-            .filter(|s| s.status == ring_distrib::ShardStatus::Complete)
-            .count(),
-        records: manifest.aggregate_stats().records,
-        cache: CacheBlock {
-            hits,
-            misses,
-            hit_rate: if cache_total == 0 {
-                0.0
-            } else {
-                hits as f64 / cache_total as f64
-            },
-        },
-        store: StoreBlock {
-            hits: snapshot.counter("store_hits"),
-            misses: snapshot.counter("store_misses"),
-        },
+    let hit_rate = if hits + misses == 0 {
+        0.0
+    } else {
+        hits as f64 / (hits + misses) as f64
     };
+    let mut cache = json_fields([
+        ("hits", Value::Uint(hits)),
+        ("misses", Value::Uint(misses)),
+        ("hit_rate", Value::Float(hit_rate)),
+    ]);
+    cache.extend(cache_extra.map(|(key, value)| (key.to_string(), value)));
+    let store = json_fields([
+        ("hits", Value::Uint(snapshot.counter("store_hits"))),
+        ("misses", Value::Uint(snapshot.counter("store_misses"))),
+    ]);
+    fields.push(("cache".to_string(), Value::Object(cache)));
+    fields.push(("store".to_string(), Value::Object(store)));
     eprintln!(
         "ringlab: stats {}",
-        serde_json::to_string(&stats).expect("serializable stats")
+        serde_json::to_string(&Value::Object(fields)).expect("serializable stats")
     );
+}
+
+/// The members of a JSON object, in order.
+fn json_fields<const N: usize>(fields: [(&str, Value); N]) -> Vec<(String, Value)> {
+    fields
+        .into_iter()
+        .map(|(key, value)| (key.to_string(), value))
+        .collect()
 }
 
 /// Opens a JSONL destination for writing (`-` = stdout).

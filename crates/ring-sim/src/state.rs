@@ -16,9 +16,10 @@
 //! before it. By Lemma 1 that round's rotation index is the negation of the
 //! forward one, so it puts every agent back where the forward round started
 //! and needs no simulation: [`RingState::rewind`] moves the offset back and
-//! counts the round. Executing the reversed directions through
-//! [`RingState::execute_round_into`] reaches the same state; callers keep
-//! that kernel path where the two could differ (faults, engine validation).
+//! counts the round. The offset also says how far every agent is from home:
+//! each round's `dist` is the arc between the slots it starts and ends in,
+//! so [`RingState::displacement_of_agent`] is the sum of every `dist` the
+//! agent has observed.
 
 use crate::analytic::{AnalyticEngine, AnalyticScratch};
 use crate::config::RingConfig;
@@ -154,6 +155,22 @@ impl<'a> RingState<'a> {
         RotationIndex { shift: back, n }
     }
 
+    /// The arc from `agent`'s initial position to its current one, in the
+    /// agent's own frame. Every round's `dist` is the arc from the slot the
+    /// agent started the round in to the slot it ended in, so this is the
+    /// sum, modulo the circumference, of every `dist` the agent observed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `agent >= n`.
+    pub fn displacement_of_agent(&self, agent: usize) -> ArcLength {
+        let cw = self
+            .config
+            .position(agent)
+            .cw_distance_to(self.position_of_agent(agent));
+        in_own_frame(self.config.chirality(agent), cw)
+    }
+
     /// Executes one round given each agent's chosen direction in its **own**
     /// frame, into a caller-owned [`RoundBuffers`] arena. Observations land
     /// in `bufs.observations` (each in its agent's own frame), the resolved
@@ -260,24 +277,24 @@ impl<'a> RingState<'a> {
                 .iter()
                 .zip(&bufs.scratch.cw_displacement)
                 .zip(&bufs.scratch.first_collision)
-                .map(|((&chir, &cw), &coll)| {
-                    let dist = match chir {
-                        Chirality::Aligned => cw,
-                        Chirality::Reversed => {
-                            if cw.is_zero() {
-                                cw
-                            } else {
-                                cw.complement()
-                            }
-                        }
-                    };
-                    Observation { dist, coll }
+                .map(|((&chir, &cw), &coll)| Observation {
+                    dist: in_own_frame(chir, cw),
+                    coll,
                 }),
         );
 
         self.offset = (self.offset + rotation.shift) % self.len();
         self.rounds_executed += 1;
         Ok(rotation)
+    }
+}
+
+/// A clockwise arc as an agent of chirality `chir` measures it: its own
+/// clockwise is the objective anticlockwise when reversed.
+fn in_own_frame(chir: Chirality, cw: ArcLength) -> ArcLength {
+    match chir {
+        Chirality::Reversed if !cw.is_zero() => cw.complement(),
+        _ => cw,
     }
 }
 
