@@ -11,7 +11,7 @@
 //!   because its two `dist()` values add up to exactly one circumference —
 //!   if and only if `r ∈ {0, n/2}`.
 //!
-//! All agents reach the same verdict, because each criterion holds for one
+//! All agents reach the same verdict, because each condition holds for one
 //! agent exactly when it holds for all.
 
 use crate::error::ProtocolError;

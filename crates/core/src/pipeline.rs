@@ -3,8 +3,10 @@
 //! The experiment harness regenerates Tables I and II of the paper by
 //! measuring, for many configurations, how many rounds each coordination
 //! problem takes in each setting. [`measure_problem`] solves one problem on
-//! a fresh executor and reports the cost; [`run_pipeline`] does so for all
-//! four problems of Table I.
+//! a fresh executor, with the caller's structure provider and structure
+//! seed, and reports the cost; it is what the Table I experiment runs per
+//! case. [`run_pipeline`] measures all four problems of Table I with fresh
+//! structures and the default seed.
 //!
 //! Every protocol executes through the one round interface
 //! ([`crate::exec::StepBuffers`] with [`crate::exec::Network::step_into`] /
@@ -13,7 +15,7 @@
 
 use crate::coordination::diragr::agree_direction;
 use crate::coordination::leader::elect_leader;
-use crate::coordination::nontrivial::solve_nontrivial_move;
+use crate::coordination::nontrivial::{solve_nontrivial_move, STRUCTURE_SEED};
 use crate::error::ProtocolError;
 use crate::exec::Network;
 use crate::fault::{FaultParams, FaultPlan};
@@ -96,7 +98,11 @@ impl PipelineReport {
 }
 
 /// Solves `problem` from scratch on a fresh executor over `config`/`ids` in
-/// `model`, verifying the result against the ground truth.
+/// `model`, verifying the result against the ground truth. The executor
+/// obtains its distinguishers through `structures` (so a sweep harness can
+/// hand every case one shared cache) and draws them under
+/// `structure_seed`, which is how seed-diverse sweeps measure the spread
+/// over structure randomness.
 ///
 /// # Errors
 ///
@@ -104,47 +110,6 @@ impl PipelineReport {
 /// [`ProtocolError::Unsolvable`] for location discovery in the basic model
 /// with even `n` (which is reported as `solvable: false`).
 pub fn measure_problem(
-    config: &RingConfig,
-    ids: &IdAssignment,
-    model: Model,
-    problem: Problem,
-) -> Result<ProblemCost, ProtocolError> {
-    measure_problem_with(config, ids, model, problem, &fresh_structures())
-}
-
-/// [`measure_problem`] with an explicit combinatorial-structure provider:
-/// the executor obtains its distinguishers through `structures`, so a sweep
-/// harness can hand every case the same shared cache.
-///
-/// # Errors
-///
-/// Same as [`measure_problem`].
-pub fn measure_problem_with(
-    config: &RingConfig,
-    ids: &IdAssignment,
-    model: Model,
-    problem: Problem,
-    structures: &SharedStructures,
-) -> Result<ProblemCost, ProtocolError> {
-    measure_problem_seeded(
-        config,
-        ids,
-        model,
-        problem,
-        structures,
-        crate::coordination::nontrivial::STRUCTURE_SEED,
-    )
-}
-
-/// [`measure_problem_with`] with an explicit structure seed: the executor's
-/// distinguisher machinery draws its structures under `structure_seed`
-/// instead of the fixed default, which is how seed-diverse sweeps measure
-/// the spread over structure randomness.
-///
-/// # Errors
-///
-/// Same as [`measure_problem`].
-pub fn measure_problem_seeded(
     config: &RingConfig,
     ids: &IdAssignment,
     model: Model,
@@ -231,7 +196,7 @@ pub struct FaultyCost {
 /// [`Network::with_faults`]): collision-blind models run on the analytic
 /// engine, the perceptive model on the event-driven reference engine.
 ///
-/// Unlike [`measure_problem_seeded`] this never propagates protocol
+/// Unlike [`measure_problem`] this never propagates protocol
 /// errors: under faults, failure is a measurement result. A run that hits
 /// the round cap reports [`FaultyOutcome::TimedOut`]; any other protocol
 /// error — or a result that fails ground-truth verification — reports
@@ -286,7 +251,8 @@ pub fn measure_problem_faulty(
     }
 }
 
-/// Measures all four problems of Table I on one configuration.
+/// Measures all four problems of Table I on one configuration, with
+/// freshly constructed structures under the default structure seed.
 ///
 /// # Errors
 ///
@@ -296,23 +262,10 @@ pub fn run_pipeline(
     ids: &IdAssignment,
     model: Model,
 ) -> Result<PipelineReport, ProtocolError> {
-    run_pipeline_with(config, ids, model, &fresh_structures())
-}
-
-/// [`run_pipeline`] with an explicit combinatorial-structure provider.
-///
-/// # Errors
-///
-/// Propagates errors from [`measure_problem_with`].
-pub fn run_pipeline_with(
-    config: &RingConfig,
-    ids: &IdAssignment,
-    model: Model,
-    structures: &SharedStructures,
-) -> Result<PipelineReport, ProtocolError> {
+    let structures = fresh_structures();
     let costs = Problem::ALL
         .iter()
-        .map(|&p| measure_problem_with(config, ids, model, p, structures))
+        .map(|&p| measure_problem(config, ids, model, p, &structures, STRUCTURE_SEED))
         .collect::<Result<Vec<_>, _>>()?;
     Ok(PipelineReport {
         model,
@@ -384,14 +337,15 @@ mod tests {
                 Problem::DirectionAgreement,
             ] {
                 let clean =
-                    measure_problem_with(&config, &ids, model, problem, &structures).unwrap();
+                    measure_problem(&config, &ids, model, problem, &structures, STRUCTURE_SEED)
+                        .unwrap();
                 let faulty = measure_problem_faulty(
                     &config,
                     &ids,
                     model,
                     problem,
                     &structures,
-                    crate::coordination::nontrivial::STRUCTURE_SEED,
+                    STRUCTURE_SEED,
                     FaultParams::default(),
                     123,
                     20_000,

@@ -14,7 +14,7 @@
 use crate::report::Measurement;
 use ring_combinat::bounds;
 use ring_protocols::coordination::nontrivial::weak_nontrivial_move_even_distinguisher;
-use ring_protocols::structures::{fresh_structures, SharedStructures};
+use ring_protocols::structures::SharedStructures;
 use ring_protocols::{IdAssignment, Network};
 use ring_sim::{Model, RingConfig};
 
@@ -54,17 +54,9 @@ impl ScalingSpec {
     }
 }
 
-/// Measures constructed family sizes against the paper's bounds.
-pub fn family_sizes(spec: &ScalingSpec) -> Vec<Measurement> {
-    let structures = fresh_structures();
-    spec.sizes
-        .iter()
-        .flat_map(|&n| family_sizes_case(spec, n, &structures))
-        .collect()
-}
-
-/// Measures the constructed family sizes for one set size (see
-/// [`crate::tables::table1_case`] for the provider contract).
+/// Measures the constructed family sizes for one set size against the
+/// paper's bounds (see [`crate::tables::table1_case`] for the provider
+/// contract).
 pub fn family_sizes_case(
     spec: &ScalingSpec,
     n: usize,
@@ -96,18 +88,9 @@ pub fn family_sizes_case(
     out
 }
 
-/// Measures the rounds the weak nontrivial-move protocol needs on perfectly
-/// balanced configurations (the adversarial case that forces the
-/// distinguisher machinery to do real work).
-pub fn weak_nontrivial_move_rounds(spec: &ScalingSpec) -> Vec<Measurement> {
-    let structures = fresh_structures();
-    spec.sizes
-        .iter()
-        .filter_map(|&n| weak_nontrivial_move_case(spec, n, &structures))
-        .collect()
-}
-
-/// Measures the weak nontrivial-move rounds for one ring size, or `None`
+/// Measures the rounds the weak nontrivial-move protocol needs on a
+/// perfectly balanced configuration of one ring size (the adversarial case
+/// that forces the distinguisher machinery to do real work), or `None`
 /// when the size is outside the adversarial regime (see
 /// [`crate::tables::table1_case`] for the provider contract).
 pub fn weak_nontrivial_move_case(
@@ -144,6 +127,7 @@ pub fn weak_nontrivial_move_case(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ring_protocols::structures::fresh_structures;
 
     #[test]
     fn family_sizes_scale_with_the_bound() {
@@ -152,7 +136,12 @@ mod tests {
             sizes: vec![8, 32],
             seed: 5,
         };
-        let m = family_sizes(&spec);
+        let structures = fresh_structures();
+        let m: Vec<_> = spec
+            .sizes
+            .iter()
+            .flat_map(|&n| family_sizes_case(&spec, n, &structures))
+            .collect();
         assert_eq!(m.len(), 4);
         assert!(m.iter().all(|x| x.verified));
         // Larger n ⇒ larger families (within this range the bound grows).
@@ -168,7 +157,12 @@ mod tests {
             sizes: vec![8, 9, 16],
             seed: 6,
         };
-        let m = weak_nontrivial_move_rounds(&spec);
+        let structures = fresh_structures();
+        let m: Vec<_> = spec
+            .sizes
+            .iter()
+            .filter_map(|&n| weak_nontrivial_move_case(&spec, n, &structures))
+            .collect();
         assert_eq!(m.len(), 2);
         assert!(m.iter().all(|x| x.value.unwrap() >= 1.0));
     }

@@ -6,18 +6,14 @@
 //! distinguisher-size scaling of Section IV and the impossibility /
 //! lower-bound audits of Section II.
 //!
-//! Each experiment is a pure function from a [`SweepSpec`] (or one of its
-//! [`Case`]s) to a set of [`Measurement`]s, so the same code backs the
-//! `ringlab` command-line interface of the `ring-harness` crate and the
-//! Criterion benchmarks in the `ring-bench` crate. Every experiment comes
-//! in two granularities:
-//!
-//! * a whole-sweep function (e.g. [`tables::table1`]) that runs serially
-//!   and constructs every combinatorial structure from scratch, and
-//! * a per-case function (e.g. [`tables::table1_case`]) taking a
-//!   [`SharedStructures`](ring_protocols::structures::SharedStructures)
-//!   provider, which is what the `ring-harness` parallel engine fans out
-//!   over worker threads with a shared structure cache.
+//! Each experiment is a pure per-case function (e.g.
+//! [`tables::table1_case`]) from one [`Case`] of a [`SweepSpec`] and a
+//! [`SharedStructures`](ring_protocols::structures::SharedStructures)
+//! provider to a set of [`Measurement`]s. The `ringlab` command-line
+//! interface of the `ring-harness` crate fans these functions out over the
+//! sweep's cases on worker threads with a shared structure cache; a serial
+//! caller maps one over `spec.cases()` with
+//! [`fresh_structures`](ring_protocols::structures::fresh_structures).
 //!
 //! Run experiments with the unified CLI:
 //!

@@ -16,9 +16,9 @@
 //!   the implemented protocols against these floors.
 
 use crate::report::Measurement;
-use crate::sweep::{Case, SweepSpec};
+use crate::sweep::Case;
 use ring_protocols::locate::discover_locations;
-use ring_protocols::structures::{fresh_structures, SharedStructures};
+use ring_protocols::structures::SharedStructures;
 use ring_protocols::Network;
 use ring_sim::{EngineKind, LocalDirection, Model, RingState, RoundBuffers};
 
@@ -69,17 +69,8 @@ pub fn lemma5_parity_audit(n: usize, universe: u64, samples: usize, seed: u64) -
     }
 }
 
-/// Compares measured location-discovery round counts against the Lemma 6
-/// floors (`n − 1` for basic/lazy, `n/2` for perceptive).
-pub fn lemma6_round_floors(spec: &SweepSpec) -> Vec<Measurement> {
-    let structures = fresh_structures();
-    spec.cases()
-        .iter()
-        .flat_map(|case| lemma6_case(case, &structures))
-        .collect()
-}
-
-/// Measures the Lemma 6 floors on one case (see
+/// Compares measured location-discovery round counts on one case against
+/// the Lemma 6 floors (`n − 1` for basic/lazy, `n/2` for perceptive; see
 /// [`crate::tables::table1_case`] for the provider contract).
 pub fn lemma6_case(case: &Case, structures: &SharedStructures) -> Vec<Measurement> {
     let mut out = Vec::new();
@@ -115,6 +106,8 @@ pub fn lemma6_case(case: &Case, structures: &SharedStructures) -> Vec<Measuremen
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::SweepSpec;
+    use ring_protocols::structures::fresh_structures;
 
     #[test]
     fn parity_audit_confirms_lemma_5() {
@@ -133,7 +126,12 @@ mod tests {
             structure_seeds: None,
             faults: None,
         };
-        let m = lemma6_round_floors(&spec);
+        let structures = fresh_structures();
+        let m: Vec<_> = spec
+            .cases()
+            .iter()
+            .flat_map(|case| lemma6_case(case, &structures))
+            .collect();
         assert!(!m.is_empty());
         assert!(m.iter().all(|x| x.verified));
     }

@@ -8,7 +8,7 @@
 //! construction of Lemma 15.
 
 use crate::report::Measurement;
-use crate::sweep::{Case, SweepSpec};
+use crate::sweep::Case;
 use ring_protocols::coordination::diragr::agree_direction_with_move;
 use ring_protocols::coordination::leader::{
     elect_leader_with_common_direction, elect_leader_with_move,
@@ -16,7 +16,7 @@ use ring_protocols::coordination::leader::{
 use ring_protocols::coordination::nontrivial::{
     nontrivial_move_common_randomized, nontrivial_move_with_leader, solve_nontrivial_move,
 };
-use ring_protocols::structures::{fresh_structures, SharedStructures};
+use ring_protocols::structures::SharedStructures;
 use ring_protocols::{Network, ProtocolError};
 use ring_sim::Model;
 
@@ -116,17 +116,6 @@ fn measure_edge(net: &mut Network<'_>, edge: &str) -> Result<(u64, bool), Protoc
     }
 }
 
-/// Runs the reduction-edge experiment for one model over a sweep. Figure 1
-/// corresponds to odd sizes (any model) and to the lazy/perceptive models;
-/// Figure 2 corresponds to the basic model on even sizes.
-pub fn reductions(spec: &SweepSpec, model: Model) -> Vec<Measurement> {
-    let structures = fresh_structures();
-    spec.cases()
-        .iter()
-        .flat_map(|case| reductions_case(case, model, &structures))
-        .collect()
-}
-
 /// Which figure a reduction measurement belongs to: Figure 2 covers the
 /// basic model with even `n` (where the edges cost `O(log² N)`), Figure 1
 /// everything else. Single source of truth for the experiment tag — the
@@ -139,8 +128,10 @@ pub fn figure_for(model: Model, n: usize) -> &'static str {
     }
 }
 
-/// Measures every reduction edge on one case (see
-/// [`crate::tables::table1_case`] for the provider contract).
+/// Measures every reduction edge on one case in one model (see
+/// [`crate::tables::table1_case`] for the provider contract). Figure 1
+/// corresponds to odd sizes (any model) and to the lazy/perceptive models;
+/// Figure 2 corresponds to the basic model on even sizes.
 pub fn reductions_case(
     case: &Case,
     model: Model,
@@ -178,18 +169,9 @@ pub fn reductions_case(
     out
 }
 
-/// The Lemma 15 variant of the "direction agreement → nontrivial move" edge
-/// (randomized, `O(log N)` with high probability), reported separately for
-/// the non-constructive part of Figure 2.
-pub fn randomized_da_to_nm(spec: &SweepSpec, model: Model) -> Vec<Measurement> {
-    let structures = fresh_structures();
-    spec.cases()
-        .iter()
-        .map(|case| randomized_da_to_nm_case(case, model, &structures))
-        .collect()
-}
-
-/// Measures the Lemma 15 edge on one case (see
+/// Measures the Lemma 15 variant of the "direction agreement → nontrivial
+/// move" edge (randomized, `O(log N)` with high probability) on one case,
+/// reported separately for the non-constructive part of Figure 2 (see
 /// [`crate::tables::table1_case`] for the provider contract).
 pub fn randomized_da_to_nm_case(
     case: &Case,
@@ -225,6 +207,8 @@ pub fn randomized_da_to_nm_case(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::SweepSpec;
+    use ring_protocols::structures::fresh_structures;
 
     fn tiny_spec() -> SweepSpec {
         SweepSpec {
@@ -239,20 +223,32 @@ mod tests {
 
     #[test]
     fn all_edges_are_measured_and_verified() {
-        let measurements = reductions(&tiny_spec(), Model::Basic);
-        assert_eq!(measurements.len(), 2 * EDGES.len());
-        assert!(measurements.iter().all(|m| m.verified));
-        // O(1) edges stay tiny.
-        for m in &measurements {
-            if m.quantity == "nontrivial move -> direction agreement" {
-                assert!(m.value.unwrap() <= 4.0);
+        let structures = fresh_structures();
+        for model in [Model::Basic, Model::Lazy, Model::Perceptive] {
+            let measurements: Vec<_> = tiny_spec()
+                .cases()
+                .iter()
+                .flat_map(|case| reductions_case(case, model, &structures))
+                .collect();
+            assert_eq!(measurements.len(), 2 * EDGES.len(), "{model}");
+            assert!(measurements.iter().all(|m| m.verified), "{model}");
+            // O(1) edges stay tiny.
+            for m in &measurements {
+                if m.quantity == "nontrivial move -> direction agreement" {
+                    assert!(m.value.unwrap() <= 4.0, "{model}");
+                }
             }
         }
     }
 
     #[test]
     fn randomized_variant_is_verified() {
-        let measurements = randomized_da_to_nm(&tiny_spec(), Model::Basic);
+        let structures = fresh_structures();
+        let measurements: Vec<_> = tiny_spec()
+            .cases()
+            .iter()
+            .map(|case| randomized_da_to_nm_case(case, Model::Basic, &structures))
+            .collect();
         assert_eq!(measurements.len(), 2);
         assert!(measurements.iter().all(|m| m.verified));
     }

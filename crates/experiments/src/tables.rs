@@ -3,15 +3,15 @@
 //! predictions.
 
 use crate::report::Measurement;
-use crate::sweep::{Case, SweepSpec};
+use crate::sweep::Case;
 use ring_combinat::bounds;
 use ring_protocols::coordination::leader::elect_leader_with_common_direction;
 use ring_protocols::coordination::nontrivial::nontrivial_move_with_leader;
 use ring_protocols::locate::basic_odd::discover_locations_basic_odd_with_leader;
 use ring_protocols::locate::lazy::discover_locations_lazy_with_leader;
 use ring_protocols::locate::verify_location_discovery;
-use ring_protocols::pipeline::{measure_problem_seeded, Problem};
-use ring_protocols::structures::{fresh_structures, SharedStructures};
+use ring_protocols::pipeline::{measure_problem, Problem};
+use ring_protocols::structures::SharedStructures;
 use ring_protocols::{Network, ProtocolError};
 use ring_sim::{Frame, Model, Parity};
 
@@ -58,17 +58,6 @@ fn table1_prediction(setting: &str, problem: Problem, n: usize, universe: u64) -
     }
 }
 
-/// Runs the Table I experiment over a sweep (serially, constructing every
-/// combinatorial structure from scratch — the `ringlab` CLI runs the same
-/// cases through the parallel engine and a shared structure cache).
-pub fn table1(spec: &SweepSpec) -> Vec<Measurement> {
-    let structures = fresh_structures();
-    spec.cases()
-        .iter()
-        .flat_map(|case| table1_case(case, &structures))
-        .collect()
-}
-
 /// Measures one Table I case: every problem in every setting applicable to
 /// the case's parity, against the paper's predictions. Structures come from
 /// the given provider, so sweep harnesses can share one cache across cases
@@ -85,7 +74,7 @@ pub fn table1_case(case: &Case, structures: &SharedStructures) -> Vec<Measuremen
     let mut out = Vec::new();
     for (model, setting) in settings_for(case.n) {
         for problem in Problem::ALL {
-            let cost = measure_problem_seeded(
+            let cost = measure_problem(
                 &config,
                 &ids,
                 model,
@@ -130,20 +119,10 @@ fn table2_prediction(setting: &str, problem: Problem, n: usize, universe: u64) -
     }
 }
 
-/// Runs the Table II experiment (agents share a common sense of direction)
-/// over a sweep. Direction agreement is trivial in this setting, so only
-/// leader election, nontrivial move and location discovery are measured —
-/// exactly the columns the paper lists.
-pub fn table2(spec: &SweepSpec) -> Vec<Measurement> {
-    let structures = fresh_structures();
-    spec.cases()
-        .iter()
-        .flat_map(|case| table2_case(case, &structures))
-        .collect()
-}
-
 /// Measures one Table II case (see [`table1_case`] for the provider
-/// contract).
+/// contract): agents share a common sense of direction, so direction
+/// agreement is trivial and only leader election, nontrivial move and
+/// location discovery are measured — exactly the columns the paper lists.
 pub fn table2_case(case: &Case, structures: &SharedStructures) -> Vec<Measurement> {
     let mut out = Vec::new();
     for (model, setting) in settings_for(case.n) {
@@ -240,6 +219,8 @@ fn measure_common_direction(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::SweepSpec;
+    use ring_protocols::structures::fresh_structures;
 
     #[test]
     fn table1_quick_sweep_produces_verified_measurements() {
@@ -251,7 +232,12 @@ mod tests {
             structure_seeds: None,
             faults: None,
         };
-        let measurements = table1(&spec);
+        let structures = fresh_structures();
+        let measurements: Vec<_> = spec
+            .cases()
+            .iter()
+            .flat_map(|case| table1_case(case, &structures))
+            .collect();
         // Odd case: 4 problems; even case: 3 models × 4 problems.
         assert_eq!(measurements.len(), 4 + 12);
         assert!(measurements.iter().all(|m| m.verified));
@@ -271,7 +257,12 @@ mod tests {
             structure_seeds: None,
             faults: None,
         };
-        let measurements = table2(&spec);
+        let structures = fresh_structures();
+        let measurements: Vec<_> = spec
+            .cases()
+            .iter()
+            .flat_map(|case| table2_case(case, &structures))
+            .collect();
         assert_eq!(measurements.len(), 3 + 9);
         assert!(measurements.iter().all(|m| m.verified));
     }

@@ -1960,10 +1960,12 @@ fn parse(args: &[String]) -> Result<Options, String> {
         _ => {}
     }
     validate_spec(&options.spec)?;
-    if let Some((_, of)) = options.shard {
-        if options.shards != 0 && options.shards != of {
-            return Err("--shards and --shard disagree on the shard count".into());
-        }
+    if options.shards != 0 && options.shard.is_some() {
+        return Err(
+            "--shard runs one shard in-process and --shards orchestrates all of them: \
+             pass one or the other"
+                .into(),
+        );
     }
     if options.render_fig3.is_some() && (options.shards != 0 || options.shard.is_some()) {
         return Err(
@@ -2067,6 +2069,7 @@ mod tests {
         assert!(parse(&args(&["sweep", "--shard", "0/0"])).is_err());
         assert!(parse(&args(&["sweep", "--shard", "nope"])).is_err());
         assert!(parse(&args(&["sweep", "--shards", "2", "--shard", "0/3"])).is_err());
+        assert!(parse(&args(&["sweep", "--shards", "3", "--shard", "1/3"])).is_err());
     }
 
     #[test]

@@ -41,8 +41,8 @@ pub const MAX_BODY_BYTES: usize = 1024 * 1024;
 /// # Errors
 ///
 /// Returns a description of a malformed request line or header block, a
-/// head longer than [`MAX_HEAD_BYTES`], or a `Content-Length` above
-/// [`MAX_BODY_BYTES`].
+/// head longer than [`MAX_HEAD_BYTES`], a `Content-Length` above
+/// [`MAX_BODY_BYTES`], or `Content-Length` headers that disagree.
 pub fn parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, String> {
     let head_end = find_blank_line(buf);
     if head_end.unwrap_or(buf.len()) > MAX_HEAD_BYTES {
@@ -67,17 +67,24 @@ pub fn parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, String> {
     if !version.starts_with("HTTP/1.") {
         return Err(format!("unsupported protocol `{version}`"));
     }
-    let mut content_length = 0usize;
+    let mut content_length = None;
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
             if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length = value
+                let length: usize = value
                     .trim()
                     .parse()
                     .map_err(|_| format!("bad Content-Length `{}`", value.trim()))?;
+                // RFC 9112 §6.3: differing lengths leave the body's end
+                // ambiguous, so the message is refused.
+                if content_length.is_some_and(|seen| seen != length) {
+                    return Err("conflicting Content-Length headers".into());
+                }
+                content_length = Some(length);
             }
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Err(format!(
             "Content-Length {content_length} exceeds the {MAX_BODY_BYTES}-byte body cap"
@@ -164,6 +171,10 @@ mod tests {
         assert!(parse_request(b"NOT-HTTP\r\n\r\n").is_err());
         assert!(parse_request(b"GET /x SPDY/3\r\n\r\n").is_err());
         assert!(parse_request(b"GET /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n").is_err());
+        assert!(parse_request(
+            b"POST /x HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 0\r\n\r\nbody"
+        )
+        .is_err());
         assert!(parse_request(&vec![b'A'; MAX_HEAD_BYTES + 1]).is_err());
     }
 

@@ -4,9 +4,10 @@
 
 use ring_combinat::{Distinguisher, IdSet};
 use ring_experiments::report::aggregate;
-use ring_experiments::tables::table1;
+use ring_experiments::tables::table1_case;
 use ring_experiments::{lower_bounds, SweepSpec};
 use ring_protocols::coordination::probe::probe_nonzero;
+use ring_protocols::structures::fresh_structures;
 use ring_protocols::{IdAssignment, Network};
 use ring_sim::{LocalDirection, Model, RingConfig};
 
@@ -72,7 +73,12 @@ fn table1_harness_smoke_test() {
         structure_seeds: None,
         faults: None,
     };
-    let measurements = table1(&spec);
+    let structures = fresh_structures();
+    let measurements: Vec<_> = spec
+        .cases()
+        .iter()
+        .flat_map(|case| table1_case(case, &structures))
+        .collect();
     assert!(measurements.iter().all(|m| m.verified));
     let unsolvable: Vec<_> = measurements.iter().filter(|m| m.value.is_none()).collect();
     assert_eq!(unsolvable.len(), 1);
