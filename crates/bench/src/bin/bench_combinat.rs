@@ -17,8 +17,10 @@
 //! scale-first sampled verification against the first-index scan over its
 //! materialised sets, and the analytic engine's linear first-collision
 //! sweeps against the binary-search engine kept in `ring_sim::reference`,
-//! and undo rounds (`Network::undo_last`) against the reversed round
-//! through the kernel. In
+//! undo rounds (`Network::undo_last`) against the reversed round
+//! through the kernel, the fused complementary pair
+//! (`Network::step_pair_into`) against its four calls, and the compact
+//! `GapKnowledge` against `ring_protocols::knowledge::reference`. In
 //! `--quick` mode the run **fails** (nonzero exit) if any kernel's fast
 //! path is slower than its reference — the CI perf smoke that keeps these
 //! loops honest.
@@ -27,10 +29,10 @@ use rand::{Rng, SeedableRng};
 use ring_combinat::{reference, Distinguisher, IdSet, SelectiveFamily};
 use ring_protocols::coordination::nontrivial::weak_nontrivial_move_even_distinguisher;
 use ring_protocols::exec::StepBuffers;
-use ring_protocols::{IdAssignment, Network};
+use ring_protocols::{GapKnowledge, IdAssignment, Network};
 use ring_sim::{
-    AnalyticEngine, AnalyticScratch, EngineKind, LocalDirection, Model, ObjectiveDirection,
-    RingConfig, RingState, RoundBuffers,
+    AnalyticEngine, AnalyticScratch, ArcLength, EngineKind, LocalDirection, Model,
+    ObjectiveDirection, RingConfig, RingState, RoundBuffers, CIRCUMFERENCE,
 };
 use serde::Serialize;
 use std::time::Instant;
@@ -520,7 +522,7 @@ fn main() {
         }
         net.rounds_used()
     });
-    let mut net = Network::new(&config, ids, Model::Perceptive).expect("valid network");
+    let mut net = Network::new(&config, ids.clone(), Model::Perceptive).expect("valid network");
     let slow = time_median(reps, || {
         for (dirs, reversed) in local_rounds.iter().zip(&reversed_rounds) {
             net.step_into(dirs, &mut step).expect("valid round");
@@ -539,6 +541,91 @@ fn main() {
     );
     println!(
         "undo_round                n={kernel_n} r={kernel_rounds}: {fast:>12} ns vs {slow:>12} ns  ({:.1}x)",
+        slow as f64 / fast.max(1) as f64
+    );
+
+    // 4d. The collision link's bit exchange (Proposition 31) at n = 512: a
+    //     round and its complement, each undone, as one fused
+    //     `step_pair_into` against the four calls it stands for (round A,
+    //     a copy of its observations, its undo, round B, its undo).
+    let mut net = Network::new(&config, ids.clone(), Model::Perceptive).expect("valid network");
+    let (mut round_a, mut round_b) = (StepBuffers::new(), StepBuffers::new());
+    let fast = time_median(reps, || {
+        for dirs in &local_rounds {
+            net.step_pair_into(dirs, &mut round_a, &mut round_b)
+                .expect("valid pair");
+        }
+        net.rounds_used()
+    });
+    let mut net = Network::new(&config, ids, Model::Perceptive).expect("valid network");
+    let mut kept = Vec::with_capacity(kernel_n);
+    let slow = time_median(reps, || {
+        for (dirs, flipped) in local_rounds.iter().zip(&reversed_rounds) {
+            net.step_into(dirs, &mut step).expect("valid round");
+            kept.clear();
+            kept.extend_from_slice(step.observations());
+            net.undo_last(&mut step).expect("undoable round");
+            net.step_into(flipped, &mut step).expect("valid round");
+            net.undo_last(&mut step).expect("undoable round");
+        }
+        net.rounds_used()
+    });
+    record_pair(
+        &mut entries,
+        &mut speedups,
+        "link_exchange_pair",
+        kernel_n as u64,
+        fast,
+        slow,
+        reps,
+    );
+    println!(
+        "link_exchange_pair        n={kernel_n} r={kernel_rounds}: {fast:>12} ns vs {slow:>12} ns  ({:.1}x)",
+        slow as f64 / fast.max(1) as f64
+    );
+
+    // 4e. Location knowledge: the compact `GapKnowledge` union–find against
+    //     the wide one kept in `ring_protocols::knowledge::reference`, each
+    //     built from scratch on one stream of 8·n true arc equations between
+    //     random slots (most of them redundant once the ring is known) at
+    //     n = 512.
+    let mut eq_rng = rand::rngs::StdRng::seed_from_u64(18);
+    let prefix: Vec<u64> = (0..kernel_n as u64)
+        .map(|i| i * (CIRCUMFERENCE / kernel_n as u64) + 2 * eq_rng.gen_range(0..1000u64))
+        .collect();
+    let equations: Vec<(usize, usize, ArcLength)> = (0..8 * kernel_n)
+        .map(|_| {
+            let (from, to) = (eq_rng.gen_range(0..kernel_n), eq_rng.gen_range(0..kernel_n));
+            let arc = (prefix[to] + CIRCUMFERENCE - prefix[from]) % CIRCUMFERENCE;
+            (from, to, ArcLength::from_ticks(arc))
+        })
+        .collect();
+    let fast = time_median(reps, || {
+        let mut knowledge = GapKnowledge::new(kernel_n);
+        for &(from, to, arc) in &equations {
+            knowledge.add_cw_arc(from, to, arc).expect("consistent");
+        }
+        knowledge.components()
+    });
+    let slow = time_median(reps, || {
+        let mut knowledge = ring_protocols::knowledge::reference::GapKnowledge::new(kernel_n);
+        for &(from, to, arc) in &equations {
+            knowledge.add_cw_arc(from, to, arc).expect("consistent");
+        }
+        knowledge.components()
+    });
+    record_pair(
+        &mut entries,
+        &mut speedups,
+        "gap_knowledge",
+        kernel_n as u64,
+        fast,
+        slow,
+        reps,
+    );
+    println!(
+        "gap_knowledge             n={kernel_n} e={}: {fast:>12} ns vs {slow:>12} ns  ({:.1}x)",
+        equations.len(),
         slow as f64 / fast.max(1) as f64
     );
 
@@ -590,7 +677,8 @@ fn main() {
     // The CI perf smoke: in quick mode, a kernel that fails to beat its
     // oracle fails the run. The asserted set is the kernel pairs — the
     // chunked `IdSet` loops, the two sampled verifications, the analytic
-    // first-collision sweeps and the undo rewind — not the construction or
+    // first-collision sweeps, the undo rewind, the fused link exchange and
+    // the compact union–find — not the construction or
     // round-loop pairs, whose inner cost is RNG- or simulator-bound.
     if quick {
         let asserted = [
@@ -602,6 +690,8 @@ fn main() {
             "selective_verify",
             "analytic_first_collisions",
             "undo_round",
+            "link_exchange_pair",
+            "gap_knowledge",
         ];
         let mut failed = false;
         for s in &report.speedups {

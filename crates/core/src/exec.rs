@@ -16,7 +16,10 @@
 //! * [`Network::undo_last`] and [`Network::mark`]/[`Network::rewind`], the
 //!   paper's `REVERSEDROUND`: they put every agent back where a forward
 //!   round (or every round since a mark) started and count one round per
-//!   round undone.
+//!   round undone;
+//! * [`Network::step_pair_into`], a round and its complement (every
+//!   direction flipped), each followed by its undo: the bit exchange of
+//!   Proposition 31, run by the analytic kernel in one pass.
 //!
 //! The ring offset and its round count are the executor's whole position
 //! and round state. By Lemma 1 every round rotates the agents over their
@@ -51,7 +54,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Reusable buffers for the zero-alloc round interface
-/// ([`Network::step_into`], [`Network::run_schedule`], [`Network::undo_last`]).
+/// ([`Network::step_into`], [`Network::step_pair_into`],
+/// [`Network::run_schedule`], [`Network::undo_last`]).
 ///
 /// Create one per protocol run and thread it through every round: after the
 /// vectors reach the ring size, no round allocates.
@@ -316,21 +320,7 @@ impl<'a> Network<'a> {
         directions: &[LocalDirection],
         bufs: &mut StepBuffers,
     ) -> Result<(), ProtocolError> {
-        if directions.len() != self.ring.len() {
-            return Err(ProtocolError::LengthMismatch {
-                what: "directions",
-                got: directions.len(),
-                expected: self.ring.len(),
-            });
-        }
-        if !self.model.allows_idle() {
-            if let Some(agent) = directions.iter().position(|d| !d.is_moving()) {
-                return Err(ProtocolError::IdleForbidden {
-                    agent,
-                    model: self.model,
-                });
-            }
-        }
+        self.check_directions(directions)?;
         self.check_round_limit()?;
         // Fault injection happens below the model check: a suppressed move
         // is a physical failure, not a protocol choice, so forcing idle here
@@ -367,6 +357,112 @@ impl<'a> Network<'a> {
             self.mark_shifts.push(rotation.shift);
         }
         bufs.forward = Some((self.id.0, self.rounds_used()));
+        Ok(())
+    }
+
+    /// Executes a complementary pair of rounds, each followed by its undo:
+    /// round A with `directions`, [`Network::undo_last`], round B with
+    /// every direction flipped, and its undo — four counted rounds that end
+    /// where they started. Round A's observations land in `a`, B's in `b`.
+    /// Neither round can be undone afterwards, and a mark in force is
+    /// dropped, as by the undos.
+    ///
+    /// On the analytic engine, with no active fault plan and at least four
+    /// rounds left under the round limit, both rounds come from one pass of
+    /// the kernel ([`RingState::execute_pair_into`]). Otherwise the four
+    /// calls run one by one. Either way the outcome is that of the four
+    /// calls, error included: the analytic engine's results match the
+    /// sequence tick for tick.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`Network::step_into`] and [`Network::undo_last`], from the
+    /// first of the four calls that fails; the calls before it have run.
+    /// After an error the buffers' observations are unspecified.
+    pub fn step_pair_into(
+        &mut self,
+        directions: &[LocalDirection],
+        a: &mut StepBuffers,
+        b: &mut StepBuffers,
+    ) -> Result<(), ProtocolError> {
+        let rounds_left = self
+            .round_limit
+            .map_or(u64::MAX, |limit| limit.saturating_sub(self.rounds_used()));
+        if self.engine != EngineKind::Analytic
+            || self.faults.as_ref().is_some_and(FaultPlan::any_faults)
+            || rounds_left < 4
+        {
+            return self.step_pair_one_by_one(directions, a, b);
+        }
+        self.check_directions(directions)?;
+        let rotation = self
+            .ring
+            .execute_pair_into(directions, &mut a.round, &mut b.round)?;
+        if !self.model.observes_collisions() {
+            for obs in a
+                .round
+                .observations
+                .iter_mut()
+                .chain(&mut b.round.observations)
+            {
+                obs.coll = None;
+            }
+        }
+        // B's undo reverses B's shift, the negation of A's: A's shift.
+        self.last_rotation = Some(rotation);
+        a.forward = None;
+        b.forward = None;
+        self.mark = None;
+        self.mark_shifts.clear();
+        Ok(())
+    }
+
+    /// [`Network::step_pair_into`] as its four calls. An undo clears the
+    /// buffers' observations, so each round's are kept aside across it.
+    fn step_pair_one_by_one(
+        &mut self,
+        directions: &[LocalDirection],
+        a: &mut StepBuffers,
+        b: &mut StepBuffers,
+    ) -> Result<(), ProtocolError> {
+        self.step_into(directions, a)?;
+        self.undo_keeping_observations(a)?;
+        let mut flipped = std::mem::take(&mut b.directions);
+        flipped.clear();
+        flipped.extend(directions.iter().map(|d| d.opposite()));
+        let stepped = self.step_into(&flipped, b);
+        b.directions = flipped;
+        stepped?;
+        self.undo_keeping_observations(b)
+    }
+
+    /// [`Network::undo_last`], leaving the undone round's observations in
+    /// the buffers.
+    fn undo_keeping_observations(&mut self, bufs: &mut StepBuffers) -> Result<(), ProtocolError> {
+        let observations = std::mem::take(&mut bufs.round.observations);
+        let undone = self.undo_last(bufs);
+        bufs.round.observations = observations;
+        undone
+    }
+
+    /// Fails if the direction vector has the wrong length or an agent idles
+    /// in a model that forbids it.
+    fn check_directions(&self, directions: &[LocalDirection]) -> Result<(), ProtocolError> {
+        if directions.len() != self.ring.len() {
+            return Err(ProtocolError::LengthMismatch {
+                what: "directions",
+                got: directions.len(),
+                expected: self.ring.len(),
+            });
+        }
+        if !self.model.allows_idle() {
+            if let Some(agent) = directions.iter().position(|d| !d.is_moving()) {
+                return Err(ProtocolError::IdleForbidden {
+                    agent,
+                    model: self.model,
+                });
+            }
+        }
         Ok(())
     }
 

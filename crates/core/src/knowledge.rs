@@ -13,9 +13,15 @@
 //! [`GapKnowledge`] maintains that partition as a weighted union–find
 //! structure: adding an equation is (amortised) near-constant time, and
 //! location discovery is complete exactly when a single group remains.
+//!
+//! Every agent of a ring of `n` keeps one over `n` positions, so a ring
+//! holds `n²` nodes; the layout is compact for that reason (16 bytes a
+//! node, its rank byte in the padding). [`reference`](mod@reference) keeps the earlier wide
+//! layout as the oracle it is tested against.
+
+pub mod reference;
 
 use ring_sim::{ArcLength, CIRCUMFERENCE};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A contradiction between a new equation and previously recorded knowledge.
@@ -29,9 +35,9 @@ pub struct KnowledgeConflict {
     /// The slot the offending equation ends at.
     pub to: usize,
     /// The value implied by existing knowledge.
-    pub expected: i128,
+    pub expected: i64,
     /// The value of the new equation.
-    pub got: i128,
+    pub got: i64,
 }
 
 impl fmt::Display for KnowledgeConflict {
@@ -46,14 +52,34 @@ impl fmt::Display for KnowledgeConflict {
 
 impl std::error::Error for KnowledgeConflict {}
 
+/// [`GapKnowledge::new`] refuses rings of this many slots or more.
+///
+/// Potentials are `i64`. An arc is at most the circumference `C = 2^40`,
+/// so an accepted equation relates two prefix positions by at most `C` in
+/// absolute value. A node's potential is a sum along a chain of at most
+/// `n − 1` accepted equations, so it lies within `±(n−1)·C` even when the
+/// equations are corrupted. A union then computes `pa − pb + diff`, within
+/// `±(2n−1)·C`, which stays below `2^63` for every `n < 2^22`. A ring
+/// that large could not hold its agents' `n²` nodes in memory anyway.
+const MAX_SLOTS: usize = 1 << 22;
+
+/// One union–find node: its parent, its potential relative to it and, for
+/// a root, its rank. Union by rank keeps ranks below `log2 n < 22`.
+#[derive(Clone, Copy, Debug)]
+struct Node {
+    parent: u32,
+    rank: u8,
+    /// (prefix position of this node) − (prefix position of `parent`).
+    offset: i64,
+}
+
+// The rank byte fits in the padding after the parent.
+const _: () = assert!(std::mem::size_of::<Node>() == 16);
+
 /// Incremental knowledge about the gaps between the `n` initial positions.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GapKnowledge {
-    n: usize,
-    parent: Vec<usize>,
-    rank: Vec<u32>,
-    /// `offset[i]` = (prefix position of `i`) − (prefix position of `parent[i]`).
-    offset: Vec<i128>,
+    nodes: Vec<Node>,
     components: usize,
     equations: u64,
 }
@@ -63,14 +89,22 @@ impl GapKnowledge {
     ///
     /// # Panics
     ///
-    /// Panics if `n < 2`.
+    /// Panics if `n < 2`, or if `n ≥ 2^22`, where `i64` potentials would no
+    /// longer be exact for every equation stream.
     pub fn new(n: usize) -> Self {
         assert!(n >= 2, "a ring needs at least two slots");
+        assert!(
+            n < MAX_SLOTS,
+            "{n} slots exceed the exact i64 potential bound"
+        );
         GapKnowledge {
-            n,
-            parent: (0..n).collect(),
-            rank: vec![0; n],
-            offset: vec![0; n],
+            nodes: (0..n as u32)
+                .map(|parent| Node {
+                    parent,
+                    rank: 0,
+                    offset: 0,
+                })
+                .collect(),
             components: n,
             equations: 0,
         }
@@ -78,12 +112,12 @@ impl GapKnowledge {
 
     /// Number of slots (and gaps).
     pub fn len(&self) -> usize {
-        self.n
+        self.nodes.len()
     }
 
     /// Whether the knowledge base covers no slots (never true).
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.nodes.is_empty()
     }
 
     /// Number of equations recorded so far (including redundant ones).
@@ -123,9 +157,9 @@ impl GapKnowledge {
         to: usize,
         arc: ArcLength,
     ) -> Result<(), KnowledgeConflict> {
-        assert!(from < self.n && to < self.n, "slot out of range");
+        assert!(from < self.len() && to < self.len(), "slot out of range");
         self.equations += 1;
-        let v = arc.ticks() as i128;
+        let v = arc.ticks() as i64;
         if from == to {
             // Either a zero-length observation or the full circle; neither
             // relates two distinct prefix positions.
@@ -136,14 +170,14 @@ impl GapKnowledge {
         let diff = if to > from {
             v
         } else {
-            v - CIRCUMFERENCE as i128
+            v - CIRCUMFERENCE as i64
         };
         self.union(from, to, diff)
     }
 
     /// The difference `P_to − P_from` between two prefix positions if they
     /// are in the same knowledge group.
-    pub fn relation(&self, from: usize, to: usize) -> Option<i128> {
+    pub fn relation(&self, from: usize, to: usize) -> Option<i64> {
         let (ra, pa) = self.find(from);
         let (rb, pb) = self.find(to);
         if ra == rb {
@@ -159,14 +193,14 @@ impl GapKnowledge {
             return Some(ArcLength::ZERO);
         }
         self.relation(from, to).map(|d| {
-            let ticks = d.rem_euclid(CIRCUMFERENCE as i128) as u64;
+            let ticks = d.rem_euclid(CIRCUMFERENCE as i64) as u64;
             ArcLength::from_ticks(ticks)
         })
     }
 
     /// The gap between slot `i` and slot `(i + 1) % n`, if known.
     pub fn gap(&self, i: usize) -> Option<ArcLength> {
-        self.cw_distance(i, (i + 1) % self.n)
+        self.cw_distance(i, (i + 1) % self.len())
     }
 
     /// All gaps, if location discovery is complete.
@@ -175,36 +209,43 @@ impl GapKnowledge {
             return None;
         }
         Some(
-            (0..self.n)
+            (0..self.len())
                 .map(|i| self.gap(i).expect("complete"))
                 .collect(),
         )
     }
 
-    fn find(&self, mut i: usize) -> (usize, i128) {
+    fn find(&self, mut i: usize) -> (usize, i64) {
         // Non-mutating find (no path compression) so that read-only queries
         // can take `&self`; the union operation compresses.
-        let mut pot = 0i128;
-        while self.parent[i] != i {
-            pot += self.offset[i];
-            i = self.parent[i];
+        let mut pot = 0;
+        loop {
+            let node = self.nodes[i];
+            if node.parent as usize == i {
+                return (i, pot);
+            }
+            pot += node.offset;
+            i = node.parent as usize;
         }
-        (i, pot)
     }
 
-    fn find_compress(&mut self, i: usize) -> (usize, i128) {
-        if self.parent[i] == i {
-            return (i, 0);
+    /// Finds `i`'s root and potential, then points every node on the way
+    /// straight at the root: two passes, no recursion.
+    fn find_compress(&mut self, i: usize) -> (usize, i64) {
+        let (root, pot) = self.find(i);
+        let (mut node, mut rest) = (i, pot);
+        while node != root {
+            let Node { parent, offset, .. } = self.nodes[node];
+            self.nodes[node].parent = root as u32;
+            self.nodes[node].offset = rest;
+            rest -= offset;
+            node = parent as usize;
         }
-        let (root, parent_pot) = self.find_compress(self.parent[i]);
-        let pot = self.offset[i] + parent_pot;
-        self.parent[i] = root;
-        self.offset[i] = pot;
         (root, pot)
     }
 
     /// Records `P_to − P_from = diff`.
-    fn union(&mut self, from: usize, to: usize, diff: i128) -> Result<(), KnowledgeConflict> {
+    fn union(&mut self, from: usize, to: usize, diff: i64) -> Result<(), KnowledgeConflict> {
         let (ra, pa) = self.find_compress(from);
         let (rb, pb) = self.find_compress(to);
         if ra == rb {
@@ -223,15 +264,16 @@ impl GapKnowledge {
         // We need: P_to = P_from + diff, with P_from = P_ra + pa, P_to = P_rb + pb.
         // Hence P_rb = P_ra + pa + diff - pb.
         let rb_minus_ra = pa + diff - pb;
-        if self.rank[ra] < self.rank[rb] {
+        let (rank_a, rank_b) = (self.nodes[ra].rank, self.nodes[rb].rank);
+        if rank_a < rank_b {
             // ra joins rb: P_ra = P_rb - rb_minus_ra.
-            self.parent[ra] = rb;
-            self.offset[ra] = -rb_minus_ra;
+            self.nodes[ra].parent = rb as u32;
+            self.nodes[ra].offset = -rb_minus_ra;
         } else {
-            self.parent[rb] = ra;
-            self.offset[rb] = rb_minus_ra;
-            if self.rank[ra] == self.rank[rb] {
-                self.rank[ra] += 1;
+            self.nodes[rb].parent = ra as u32;
+            self.nodes[rb].offset = rb_minus_ra;
+            if rank_a == rank_b {
+                self.nodes[ra].rank += 1;
             }
         }
         self.components -= 1;
@@ -242,6 +284,9 @@ impl GapKnowledge {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn arc(t: u64) -> ArcLength {
         ArcLength::from_ticks(t)
@@ -344,5 +389,72 @@ mod tests {
         assert!(!k.is_complete());
         k.add_cw_arc(n - 2, n - 1, arc(999)).unwrap();
         assert!(k.is_complete());
+    }
+
+    #[test]
+    #[should_panic(expected = "exact i64 potential bound")]
+    fn rings_past_the_i64_bound_are_refused() {
+        GapKnowledge::new(MAX_SLOTS);
+    }
+
+    /// One equation of a random stream over a ring with known gaps.
+    fn random_equation(rng: &mut StdRng, n: usize, prefix: &[u64]) -> (usize, usize, ArcLength) {
+        let (from, to) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        let truth = (prefix[to] + CIRCUMFERENCE - prefix[from]) % CIRCUMFERENCE;
+        let ticks = match rng.gen_range(0..10u32) {
+            // True equations, redundant ones among them.
+            0..=5 => truth,
+            // Off by a little: conflicts once the slots are related.
+            6 | 7 => (truth + rng.gen_range(1..1000)) % CIRCUMFERENCE,
+            // Anything, up to the full circle: corrupted observations
+            // that drive potentials far from the true prefix sums.
+            8 => rng.gen_range(0..=CIRCUMFERENCE),
+            // The extremes.
+            _ => [0, CIRCUMFERENCE][rng.gen_range(0..2)],
+        };
+        (from, to, ArcLength::from_ticks(ticks))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The compact union–find equals the wide reference on random
+        /// equation streams — true, redundant, conflicting and corrupted
+        /// equations, from-equals-to ones included: the same verdict and
+        /// conflict values for every equation, the same component count
+        /// after each, and the same relation between every pair of slots
+        /// at the end.
+        #[test]
+        fn compact_matches_the_reference_on_random_streams(
+            (n, seed, len) in (
+                prop_oneof![2usize..=8, 9usize..=64, 65usize..=200],
+                any::<u64>(),
+                1usize..=400,
+            )
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut prefix = vec![0u64; n];
+            for i in 1..n {
+                prefix[i] = prefix[i - 1] + rng.gen_range(1..CIRCUMFERENCE / n as u64);
+            }
+            let mut compact = GapKnowledge::new(n);
+            let mut wide = reference::GapKnowledge::new(n);
+            for _ in 0..len {
+                let (from, to, arc) = random_equation(&mut rng, n, &prefix);
+                let got = compact.add_cw_arc(from, to, arc);
+                let expected = wide.add_cw_arc(from, to, arc);
+                let widened = got.map_err(|c| (c.from, c.to, i128::from(c.expected), i128::from(c.got)));
+                prop_assert_eq!(widened, expected.map_err(|c| (c.from, c.to, c.expected, c.got)));
+                prop_assert_eq!(compact.components(), wide.components());
+            }
+            prop_assert_eq!(compact.equations_recorded(), wide.equations_recorded());
+            for from in 0..n {
+                for to in 0..n {
+                    prop_assert_eq!(compact.relation(from, to).map(i128::from), wide.relation(from, to));
+                    prop_assert_eq!(compact.cw_distance(from, to), wide.cw_distance(from, to));
+                }
+            }
+            prop_assert_eq!(compact.gaps(), wide.gaps());
+        }
     }
 }

@@ -1,12 +1,15 @@
 //! The collision-based communication layer (Proposition 31 / Corollary 32).
 //!
 //! Once an agent knows the gaps to its neighbours and their relative
-//! chirality (from [`crate::perceptive::neighbors`]), two rounds suffice to
-//! exchange one bit with **both** neighbours simultaneously: an agent
-//! encodes its bit in its direction of movement, moves once each way (the
-//! second round is the reversal of the first, which also restores all
-//! positions), and decodes each neighbour's bit from whether its first
-//! collision on that side happened at exactly half the known gap.
+//! chirality (from [`crate::perceptive::neighbors`]), two information
+//! rounds suffice to exchange one bit with **both** neighbours
+//! simultaneously: an agent encodes its bit in its direction of movement
+//! in round A and moves the other way in round B (A's directions, every
+//! one flipped), and decodes each neighbour's bit from whether its first
+//! collision on that side happened at exactly half the known gap. Each
+//! information round is undone before the next round, so both start from
+//! the same positions and the exchange ends where it began: four rounds
+//! per bit, which [`Network::step_pair_into`] runs in one kernel pass.
 //!
 //! On top of the bit exchange, [`RingLink::exchange_frames`] ships
 //! fixed-width optional values (a presence bit plus a payload), which is the
@@ -15,17 +18,17 @@
 use crate::error::ProtocolError;
 use crate::exec::{Network, StepBuffers};
 use crate::perceptive::neighbors::{discover_neighbors, NeighborInfo, NeighborMap};
-use ring_sim::{LocalDirection, Observation};
+use ring_sim::LocalDirection;
+use std::hint::select_unpredictable;
 
 /// Reusable scratch for the zero-alloc bit exchange
-/// ([`RingLink::exchange_bits_with`]): one [`StepBuffers`] for the four
-/// rounds, one direction buffer and a copy of the first information round's
-/// observations (the second information round's live in the step buffers).
+/// ([`RingLink::exchange_bits_with`]): the direction buffer of round A and
+/// one [`StepBuffers`] per information round, holding its observations.
 #[derive(Clone, Debug, Default)]
 pub struct LinkBuffers {
-    step: StepBuffers,
     dirs: Vec<LocalDirection>,
-    obs_first: Vec<Observation>,
+    round_a: StepBuffers,
+    round_b: StepBuffers,
 }
 
 impl LinkBuffers {
@@ -120,12 +123,13 @@ impl RingLink {
 
     /// Exchanges one bit with both neighbours (Proposition 31). `bits[i]` is
     /// the bit agent `i` transmits; the result contains the bits each agent
-    /// received. Costs 4 rounds (each of the two information rounds is
-    /// followed by its reversal, so both start from — and the exchange ends
-    /// at — the same positions, which is what makes the gap comparison in
-    /// the decoder valid). The two reversals are
-    /// [`Network::undo_last`] rounds: counted, but not simulated (an active
-    /// fault plan refuses them).
+    /// received. Costs 4 rounds: round A, in which bit 1 moves right and
+    /// bit 0 left, round B with every direction flipped, each followed by
+    /// its reversal. So both information rounds start from — and the
+    /// exchange ends at — the same positions, which is what makes the gap
+    /// comparison in the decoder valid. The reversals are undo rounds,
+    /// counted but not simulated (an active fault plan refuses them); the
+    /// four rounds run as one [`Network::step_pair_into`].
     ///
     /// # Errors
     ///
@@ -166,72 +170,43 @@ impl RingLink {
             });
         }
         // Round A: bit 1 ↦ right, bit 0 ↦ left; round B: the opposite
-        // encoding. Each is undone immediately so that both information
-        // rounds see the same neighbour gaps; the undo clears the step
-        // buffers, so round A's observations are copied out first.
+        // encoding.
         bufs.dirs.clear();
         bufs.dirs
             .extend(bits.iter().map(|&b| LocalDirection::from_bit(b)));
-        net.step_into(&bufs.dirs, &mut bufs.step)?;
-        bufs.obs_first.clear();
-        bufs.obs_first.extend_from_slice(bufs.step.observations());
-        net.undo_last(&mut bufs.step)?;
-        for d in bufs.dirs.iter_mut() {
-            *d = d.opposite();
-        }
-        net.step_into(&bufs.dirs, &mut bufs.step)?;
+        net.step_pair_into(&bufs.dirs, &mut bufs.round_a, &mut bufs.round_b)?;
 
-        // Decode from the two information rounds (round B's observations
-        // are still live in the step buffers until the closing undo below).
         out.clear();
-        for (agent, &bit) in bits.iter().enumerate() {
-            let info = self.infos[agent];
-            let obs_a = &bufs.obs_first[agent];
-            let obs_b = &bufs.step.observations()[agent];
-            // Observations of the rounds in which this agent moved right and
-            // left respectively.
-            let (obs_when_right, obs_when_left): (&Observation, &Observation) =
-                if bit { (obs_a, obs_b) } else { (obs_b, obs_a) };
-            let right_round_is_a = bit;
-            let left_round_is_a = !bit;
-
-            let right_approached = obs_when_right.coll == Some(info.right_gap.half());
-            let left_approached = obs_when_left.coll == Some(info.left_gap.half());
-
-            // The right neighbour approached iff it physically moved towards
-            // this agent, i.e. (same chirality ⇒ it moved left, opposite ⇒ it
-            // moved right). In round A it moved right iff its bit is 1.
-            let right_moved_right_in_that_round = if info.right_same_chirality {
-                !right_approached
-            } else {
-                right_approached
-            };
-            let from_right = if right_round_is_a {
-                right_moved_right_in_that_round
-            } else {
-                !right_moved_right_in_that_round
-            };
-
-            // The left neighbour approached iff it physically moved towards
-            // this agent, i.e. (same chirality ⇒ it moved right, opposite ⇒
-            // it moved left).
-            let left_moved_right_in_that_round = if info.left_same_chirality {
-                left_approached
-            } else {
-                !left_approached
-            };
-            let from_left = if left_round_is_a {
-                left_moved_right_in_that_round
-            } else {
-                !left_moved_right_in_that_round
-            };
-
-            out.push(NeighborBits {
-                from_right,
-                from_left,
-            });
-        }
-        net.undo_last(&mut bufs.step)?;
+        let rounds = bufs
+            .round_a
+            .observations()
+            .iter()
+            .zip(bufs.round_b.observations());
+        // The decoding selects instead of branching: bits and chiralities
+        // can be random, and a branch on them mispredicts at about every
+        // other agent.
+        out.extend(bits.iter().zip(&self.infos).zip(rounds).map(
+            |((&bit, info), (obs_a, obs_b))| {
+                // This agent moved right in round A iff its bit is 1.
+                // On each side, did the neighbour approach in the round
+                // this agent moved towards it?
+                let towards_right = select_unpredictable(bit, obs_a.coll, obs_b.coll);
+                let towards_left = select_unpredictable(bit, obs_b.coll, obs_a.coll);
+                let right_approached = towards_right == Some(info.right_gap.half());
+                let left_approached = towards_left == Some(info.left_gap.half());
+                // A neighbour approached iff it moved towards this
+                // agent: the right one by moving left if it shares this
+                // agent's chirality and right if not, the left one the
+                // other way round. Whether it moved right in that round
+                // and whether that round was A give its bit.
+                let right_moved_right = right_approached ^ info.right_same_chirality;
+                let left_moved_right = left_approached ^ !info.left_same_chirality;
+                NeighborBits {
+                    from_right: right_moved_right == bit,
+                    from_left: left_moved_right != bit,
+                }
+            },
+        ));
         Ok(())
     }
 
@@ -295,19 +270,19 @@ impl RingLink {
         bufs.left_value.resize(n, 0);
         for bit in (0..bits).rev() {
             bufs.payload.clear();
-            bufs.payload.extend(
-                values
-                    .iter()
-                    .map(|v| v.is_some_and(|x| (x >> bit) & 1 == 1)),
-            );
+            // An absent value sends zeros; `unwrap_or` selects where
+            // `is_some_and` would branch on each agent's presence.
+            bufs.payload
+                .extend(values.iter().map(|v| (v.unwrap_or(0) >> bit) & 1 == 1));
             self.exchange_bits_with(net, &bufs.payload, &mut bufs.link, &mut bufs.rx)?;
-            for agent in 0..n {
-                if bufs.rx[agent].from_right {
-                    bufs.right_value[agent] |= 1 << bit;
-                }
-                if bufs.rx[agent].from_left {
-                    bufs.left_value[agent] |= 1 << bit;
-                }
+            for ((right, left), rx) in bufs
+                .right_value
+                .iter_mut()
+                .zip(bufs.left_value.iter_mut())
+                .zip(&bufs.rx)
+            {
+                *right |= u64::from(rx.from_right) << bit;
+                *left |= u64::from(rx.from_left) << bit;
             }
         }
         out.clear();

@@ -71,9 +71,10 @@ impl NeighborMap {
 
 /// Algorithm 3: neighbour discovery. Every round is followed by its reversed
 /// round, so the agents end exactly where they started. The reversals are
-/// [`Network::undo_last`] rounds: half of the `8·b + 4` rounds
-/// (`b` = [`Network::id_bits`]) are counted but not simulated (an active
-/// fault plan refuses them).
+/// undo rounds: half of the `8·b + 4` rounds (`b` = [`Network::id_bits`])
+/// are counted but not simulated (an active fault plan refuses them). The
+/// information rounds come in complementary pairs, each run as one
+/// [`Network::step_pair_into`].
 ///
 /// # Errors
 ///
@@ -109,29 +110,32 @@ pub fn discover_neighbors(net: &mut Network<'_>) -> Result<NeighborMap, Protocol
         }
     };
 
-    // One direction buffer and one step-buffer arena serve every round of
-    // the discovery: after they reach the ring size, no round allocates.
-    let mut bufs = StepBuffers::new();
+    // One direction buffer and one step-buffer arena per round of a pair
+    // serve every round of the discovery: after they reach the ring size,
+    // no round allocates. Every round is run as a complementary pair (the
+    // round, then every direction flipped), each undone.
+    let (mut round_a, mut round_b) = (StepBuffers::new(), StepBuffers::new());
     let mut dirs: Vec<LocalDirection> = Vec::with_capacity(n);
+    let mut flipped: Vec<LocalDirection> = Vec::with_capacity(n);
 
-    // Bit rounds: for every identifier bit, every bit value and every
-    // direction, agents whose bit matches move that way and the others move
-    // the opposite way.
+    // Bit rounds: for every identifier bit and every bit value, agents
+    // whose bit matches move right and the others left, then the reverse.
     for bit in 0..net.id_bits() {
         for value in [false, true] {
-            for dir in [LocalDirection::Right, LocalDirection::Left] {
-                dirs.clear();
-                dirs.extend((0..n).map(|agent| {
-                    if net.id_of(agent).bit(bit) == value {
-                        dir
-                    } else {
-                        dir.opposite()
-                    }
-                }));
-                net.step_into(&dirs, &mut bufs)?;
-                record(&dirs, bufs.observations(), &mut min_right, &mut min_left);
-                net.undo_last(&mut bufs)?;
-            }
+            dirs.clear();
+            dirs.extend(
+                (0..n).map(|agent| LocalDirection::from_bit(net.id_of(agent).bit(bit) == value)),
+            );
+            net.step_pair_into(&dirs, &mut round_a, &mut round_b)?;
+            flipped.clear();
+            flipped.extend(dirs.iter().map(|d| d.opposite()));
+            record(&dirs, round_a.observations(), &mut min_right, &mut min_left);
+            record(
+                &flipped,
+                round_b.observations(),
+                &mut min_right,
+                &mut min_left,
+            );
         }
     }
 
@@ -140,21 +144,25 @@ pub fn discover_neighbors(net: &mut Network<'_>) -> Result<NeighborMap, Protocol
     // chirality on each side.
     dirs.clear();
     dirs.extend(std::iter::repeat_n(LocalDirection::Right, n));
-    net.step_into(&dirs, &mut bufs)?;
-    for (agent, obs) in bufs.observations().iter().enumerate() {
-        all_right_coll[agent] = obs.coll;
+    flipped.clear();
+    flipped.extend(std::iter::repeat_n(LocalDirection::Left, n));
+    net.step_pair_into(&dirs, &mut round_a, &mut round_b)?;
+    for (agent, (obs_a, obs_b)) in round_a
+        .observations()
+        .iter()
+        .zip(round_b.observations())
+        .enumerate()
+    {
+        all_right_coll[agent] = obs_a.coll;
+        all_left_coll[agent] = obs_b.coll;
     }
-    record(&dirs, bufs.observations(), &mut min_right, &mut min_left);
-    net.undo_last(&mut bufs)?;
-
-    dirs.clear();
-    dirs.extend(std::iter::repeat_n(LocalDirection::Left, n));
-    net.step_into(&dirs, &mut bufs)?;
-    for (agent, obs) in bufs.observations().iter().enumerate() {
-        all_left_coll[agent] = obs.coll;
-    }
-    record(&dirs, bufs.observations(), &mut min_right, &mut min_left);
-    net.undo_last(&mut bufs)?;
+    record(&dirs, round_a.observations(), &mut min_right, &mut min_left);
+    record(
+        &flipped,
+        round_b.observations(),
+        &mut min_right,
+        &mut min_left,
+    );
 
     let mut infos = Vec::with_capacity(n);
     for agent in 0..n {

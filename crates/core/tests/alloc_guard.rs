@@ -1,14 +1,16 @@
 //! Allocation guard for undo rounds: after a warm-up has sized the reusable
-//! buffers, [`Network::undo_last`], [`Network::mark`]/[`Network::rewind`]
-//! and a collision-link bit exchange (two forward rounds, two undos) must
-//! perform **zero** heap allocations. A counting global allocator (per
-//! thread, so the tests can run concurrently) measures the window, so any
-//! allocation sneaking into the undo path fails deterministically.
+//! buffers, [`Network::undo_last`], [`Network::mark`]/[`Network::rewind`],
+//! [`Network::step_pair_into`] (a round and its complement, each undone)
+//! and a collision-link bit exchange built on it must perform **zero** heap
+//! allocations, and so must recording equations in a [`GapKnowledge`]. A
+//! counting global allocator (per thread, so the tests can run
+//! concurrently) measures the window, so any allocation sneaking into these
+//! paths fails deterministically.
 
 use ring_protocols::exec::StepBuffers;
 use ring_protocols::perceptive::link::{LinkBuffers, RingLink};
-use ring_protocols::{IdAssignment, Network};
-use ring_sim::{EngineKind, LocalDirection, Model, RingConfig};
+use ring_protocols::{GapKnowledge, IdAssignment, Network};
+use ring_sim::{ArcLength, EngineKind, LocalDirection, Model, RingConfig, CIRCUMFERENCE};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -139,4 +141,58 @@ fn warm_bit_exchanges_allocate_nothing() {
         total, 0,
         "{total} allocations across {ROUNDS} warm bit exchanges"
     );
+}
+
+/// Fused pairs on the analytic engine, and the four calls they stand for on
+/// the event engine (at a size its debug build runs quickly).
+#[test]
+fn warm_pair_steps_allocate_nothing() {
+    for (engine, n) in [(EngineKind::Analytic, N), (EngineKind::Event, 16)] {
+        let config = config(n);
+        let ids = IdAssignment::random(n, 64 * n as u64, 11);
+        let rounds: Vec<Vec<LocalDirection>> =
+            (0..ROUNDS).map(|round| directions(n, round)).collect();
+        let mut net = Network::new(&config, ids, Model::Perceptive)
+            .expect("valid network")
+            .with_engine(engine);
+        let (mut a, mut b) = (StepBuffers::new(), StepBuffers::new());
+        let mut exercise = |net: &mut Network<'_>| {
+            for dirs in &rounds {
+                net.step_pair_into(dirs, &mut a, &mut b).expect("pair");
+            }
+        };
+
+        exercise(&mut net);
+        let before = allocations();
+        exercise(&mut net);
+        let total = allocations() - before;
+        assert!(net.ground_truth_at_initial_positions());
+        assert_eq!(net.rounds_used(), 8 * ROUNDS as u64);
+        assert_eq!(
+            total, 0,
+            "{engine:?}, n = {n}: {total} allocations across warm pair steps"
+        );
+    }
+}
+
+/// Equations of every kind — new, redundant, wrapping, conflicting — on a
+/// knowledge base at the size of the largest perceptive table ring.
+#[test]
+fn gap_knowledge_records_equations_without_allocating() {
+    let n = 512;
+    let gap = CIRCUMFERENCE / n as u64;
+    let mut knowledge = GapKnowledge::new(n);
+    let before = allocations();
+    for step in 1..n {
+        for from in (0..n).step_by(step) {
+            let to = (from + step) % n;
+            let arc = ArcLength::from_ticks(gap * step as u64);
+            knowledge.add_cw_arc(from, to, arc).expect("consistent");
+        }
+    }
+    let conflict = knowledge.add_cw_arc(0, 1, ArcLength::from_ticks(gap + 2));
+    let total = allocations() - before;
+    assert!(knowledge.is_complete());
+    assert!(conflict.is_err());
+    assert_eq!(total, 0, "{total} allocations while recording equations");
 }

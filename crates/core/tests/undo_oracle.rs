@@ -17,7 +17,11 @@
 //!   network as on an event-engine network;
 //! * the error cases refuse — an active fault plan among them — and a
 //!   round limit fires at the same round as when every reversal is an
-//!   explicit kernel round.
+//!   explicit kernel round;
+//! * [`Network::step_pair_into`], a round and its complement each followed
+//!   by its undo, equals those four calls tick for tick — observations,
+//!   state, rotation, errors — on both engines, under a fault plan and at a
+//!   round limit.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -30,7 +34,7 @@ use ring_protocols::perceptive::neighbors::discover_neighbors;
 use ring_protocols::perceptive::nmove::nmove_s;
 use ring_protocols::perceptive::ringdist::ring_distances;
 use ring_protocols::{FaultParams, FaultPlan, IdAssignment, Network, ProtocolError};
-use ring_sim::{Chirality, EngineKind, Frame, LocalDirection, Model, RingConfig};
+use ring_sim::{Chirality, EngineKind, Frame, LocalDirection, Model, Observation, RingConfig};
 
 /// The ways a ring can mix chiralities.
 fn configs(n: usize, seed: u64) -> Vec<RingConfig> {
@@ -517,5 +521,228 @@ fn undo_refuses_under_an_active_fault_plan() {
             "{model}: rewind"
         );
         assert_eq!(state(&net), before, "{model}: rewind changed the state");
+    }
+}
+
+/// The observations of round A and of round B.
+type PairObservations = (Vec<Observation>, Vec<Observation>);
+
+/// The four calls [`Network::step_pair_into`] stands for: round A, its
+/// undo, round B (every direction flipped), its undo. Returns each
+/// information round's observations, or the first error.
+fn four_calls(
+    net: &mut Network<'_>,
+    dirs: &[LocalDirection],
+    bufs: &mut StepBuffers,
+) -> Result<PairObservations, ProtocolError> {
+    net.step_into(dirs, bufs)?;
+    let a = bufs.observations().to_vec();
+    net.undo_last(bufs)?;
+    net.step_into(&reversed(dirs), bufs)?;
+    let b = bufs.observations().to_vec();
+    net.undo_last(bufs)?;
+    Ok((a, b))
+}
+
+/// One fused pair against the four calls, both networks in the same state:
+/// the same observations (or error) and the same state after.
+fn assert_pair_matches(
+    fused: &mut Network<'_>,
+    sequential: &mut Network<'_>,
+    dirs: &[LocalDirection],
+    bufs: (&mut StepBuffers, &mut StepBuffers, &mut StepBuffers),
+    context: &str,
+) {
+    let (a, b, seq) = bufs;
+    let got = fused
+        .step_pair_into(dirs, a, b)
+        .map(|()| (a.observations().to_vec(), b.observations().to_vec()));
+    let expected = four_calls(sequential, dirs, seq);
+    assert_eq!(got, expected, "{context}: observations");
+    assert_eq!(
+        fused.ground_truth_last_rotation(),
+        sequential.ground_truth_last_rotation(),
+        "{context}: rotation"
+    );
+    assert_same_state(fused, sequential, context);
+}
+
+#[test]
+fn step_pair_equals_the_four_calls_on_small_rings() {
+    for n in 5..=8usize {
+        for (c, config) in configs(n, 110 + n as u64).iter().enumerate() {
+            for model in [Model::Perceptive, Model::Lazy, Model::Basic] {
+                for engine in [EngineKind::Analytic, EngineKind::Event] {
+                    let ids = IdAssignment::random(n, 16 * n as u64, n as u64);
+                    let network = || {
+                        Network::new(config, ids.clone(), model)
+                            .unwrap()
+                            .with_engine(engine)
+                    };
+                    let (mut fused, mut sequential) = (network(), network());
+                    let (mut a, mut b) = (StepBuffers::new(), StepBuffers::new());
+                    let (mut x, mut y) = (StepBuffers::new(), StepBuffers::new());
+                    let mut rng = StdRng::seed_from_u64(300 * n as u64 + c as u64);
+                    for round in 0..40 {
+                        let context = format!("n={n} config={c} {model} {engine:?} pair {round}");
+                        // A forward round now and then, so pairs start from
+                        // rotated states.
+                        if rng.gen_range(0..3u32) == 0 {
+                            let dirs = random_directions(&mut rng, n, model.allows_idle());
+                            let bufs = (&mut x, &mut y);
+                            step_both(&mut fused, &mut sequential, &dirs, bufs, &context);
+                        }
+                        let dirs = random_directions(&mut rng, n, model.allows_idle());
+                        let bufs = (&mut a, &mut b, &mut x);
+                        assert_pair_matches(&mut fused, &mut sequential, &dirs, bufs, &context);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The fused pair on the analytic engine against the four calls on the
+/// event engine, which simulates every collision: the same observations,
+/// tick for tick.
+#[test]
+fn step_pair_equals_the_event_engine_sequence() {
+    for n in 5..=8usize {
+        for (c, config) in configs(n, 130 + n as u64).iter().enumerate() {
+            let ids = IdAssignment::random(n, 16 * n as u64, 7 + n as u64);
+            let mut fused = Network::new(config, ids.clone(), Model::Perceptive).unwrap();
+            let mut event = Network::new(config, ids, Model::Perceptive)
+                .unwrap()
+                .with_engine(EngineKind::Event);
+            let (mut a, mut b, mut x) =
+                (StepBuffers::new(), StepBuffers::new(), StepBuffers::new());
+            let mut rng = StdRng::seed_from_u64(500 * n as u64 + c as u64);
+            for round in 0..24 {
+                let context = format!("n={n} config={c} pair {round}");
+                let dirs = random_directions(&mut rng, n, false);
+                let bufs = (&mut a, &mut b, &mut x);
+                assert_pair_matches(&mut fused, &mut event, &dirs, bufs, &context);
+            }
+        }
+    }
+}
+
+/// At the ring sizes of the perceptive tables, from rotated states.
+#[test]
+fn step_pair_equals_the_four_calls_on_large_rings() {
+    for n in [64usize, 127, 512] {
+        for (c, config) in configs(n, 150 + n as u64).iter().enumerate() {
+            let ids = IdAssignment::random(n, 16 * n as u64, n as u64);
+            let mut fused = Network::new(config, ids.clone(), Model::Perceptive).unwrap();
+            let mut sequential = Network::new(config, ids, Model::Perceptive).unwrap();
+            let (mut a, mut b) = (StepBuffers::new(), StepBuffers::new());
+            let (mut x, mut y) = (StepBuffers::new(), StepBuffers::new());
+            let mut rng = StdRng::seed_from_u64(700 * n as u64 + c as u64);
+            for round in 0..8 {
+                let context = format!("n={n} config={c} pair {round}");
+                let dirs = random_directions(&mut rng, n, false);
+                step_both(
+                    &mut fused,
+                    &mut sequential,
+                    &dirs,
+                    (&mut x, &mut y),
+                    &context,
+                );
+                let dirs = random_directions(&mut rng, n, false);
+                let bufs = (&mut a, &mut b, &mut x);
+                assert_pair_matches(&mut fused, &mut sequential, &dirs, bufs, &context);
+            }
+        }
+    }
+}
+
+/// A pair drops the mark in force and leaves nothing to undo, as the
+/// undos of the four calls do.
+#[test]
+fn step_pair_drops_the_mark_and_leaves_nothing_to_undo() {
+    let (config, ids) = deployment(9, 81);
+    let refused =
+        |r: Result<(), ProtocolError>| matches!(r, Err(ProtocolError::NothingToUndo { .. }));
+    let dirs: Vec<LocalDirection> = (0..9)
+        .map(|i| LocalDirection::from_bit(i % 4 != 1))
+        .collect();
+    for engine in [EngineKind::Analytic, EngineKind::Event] {
+        let mut net = Network::new(&config, ids.clone(), Model::Perceptive)
+            .unwrap()
+            .with_engine(engine);
+        let (mut a, mut b) = (StepBuffers::new(), StepBuffers::new());
+        let mark = net.mark();
+        net.step_into(&dirs, &mut a).unwrap();
+        let offset = net.ground_truth_offset();
+        net.step_pair_into(&dirs, &mut a, &mut b).unwrap();
+        assert_eq!(net.ground_truth_offset(), offset, "{engine:?}: offset");
+        assert_eq!(net.rounds_used(), 5, "{engine:?}: rounds");
+        assert!(refused(net.undo_last(&mut a)), "{engine:?}: undo a");
+        assert!(refused(net.undo_last(&mut b)), "{engine:?}: undo b");
+        assert!(refused(net.rewind(mark, &mut a)), "{engine:?}: rewind");
+        assert_eq!(net.rounds_used(), 5, "{engine:?}: refusals count no round");
+    }
+}
+
+/// Under an active fault plan the pair fails where the four calls do: at
+/// the first undo, after round A has run.
+#[test]
+fn step_pair_fails_like_the_four_calls_under_a_fault_plan() {
+    let n = 9;
+    let (config, ids) = deployment(n, 91);
+    for model in [Model::Basic, Model::Perceptive] {
+        let network = || {
+            Network::new(&config, ids.clone(), model)
+                .unwrap()
+                .with_faults(dropping_plan(n, 4))
+        };
+        let (mut fused, mut sequential) = (network(), network());
+        let (mut a, mut b, mut x) = (StepBuffers::new(), StepBuffers::new(), StepBuffers::new());
+        let dirs: Vec<LocalDirection> = (0..n)
+            .map(|i| LocalDirection::from_bit(i % 3 == 0))
+            .collect();
+        let got = fused.step_pair_into(&dirs, &mut a, &mut b);
+        let expected = four_calls(&mut sequential, &dirs, &mut x).map(|_| ());
+        assert!(
+            matches!(got, Err(ProtocolError::NothingToUndo { .. })),
+            "{model}: {got:?}"
+        );
+        assert_eq!(got, expected, "{model}");
+        assert_eq!(fused.rounds_used(), 1, "{model}: round A ran");
+        assert_same_state(&fused, &sequential, &format!("{model} faulty"));
+    }
+}
+
+/// A round limit `k` rounds ahead, `k = 0..=4`: the pair fails at the same
+/// round as the four calls and leaves the same state; with four rounds left
+/// it runs fused and succeeds.
+#[test]
+fn step_pair_fails_like_the_four_calls_at_the_round_limit() {
+    let (config, ids) = deployment(8, 101);
+    let dirs: Vec<LocalDirection> = (0..8)
+        .map(|i| LocalDirection::from_bit(i % 3 != 0))
+        .collect();
+    let warm: Vec<LocalDirection> = (0..8).map(|i| LocalDirection::from_bit(i < 3)).collect();
+    for k in 0..=4u64 {
+        let network = || Network::new(&config, ids.clone(), Model::Perceptive).unwrap();
+        let (mut fused, mut sequential) = (network(), network());
+        let (mut a, mut b) = (StepBuffers::new(), StepBuffers::new());
+        let (mut x, mut y) = (StepBuffers::new(), StepBuffers::new());
+        let context = format!("limit +{k}");
+        step_both(
+            &mut fused,
+            &mut sequential,
+            &warm,
+            (&mut x, &mut y),
+            &context,
+        );
+        let limit = fused.rounds_used() + k;
+        let mut fused = fused.with_round_limit(limit);
+        let mut sequential = sequential.with_round_limit(limit);
+        let bufs = (&mut a, &mut b, &mut x);
+        assert_pair_matches(&mut fused, &mut sequential, &dirs, bufs, &context);
+        let ok = fused.step_pair_into(&dirs, &mut a, &mut b).is_ok();
+        assert!(!ok, "{context}: the limit is used up");
+        assert_eq!(fused.rounds_used(), limit, "{context}: rounds");
     }
 }

@@ -5,7 +5,9 @@
 //! agent's first-collision distance in O(n) with two cyclic sweeps over the
 //! slots: a forward sweep carries the nearest clockwise mover strictly
 //! before each slot, a reverse sweep the nearest anticlockwise mover
-//! strictly after it. All arithmetic is exact (integer ticks);
+//! strictly after it. [`AnalyticEngine::execute_pair_into`] runs a round
+//! and its complement (every direction flipped) from the same offset with
+//! the same two sweeps. All arithmetic is exact (integer ticks);
 //! [`crate::reference`] keeps the earlier binary-search engine as the
 //! oracle these results are tested against, tick for tick.
 //!
@@ -28,9 +30,10 @@ use crate::geometry::{ArcLength, Point};
 use crate::rotation::{extend_rotated, mover_counts, RotationIndex};
 use std::hint::select_unpredictable;
 
-/// Reusable scratch space for [`AnalyticEngine::execute_into`]: the
-/// per-agent outputs of a round plus the engine's internal work arrays, so
-/// a multi-round driver performs **zero** heap allocation per round after
+/// Reusable scratch space for [`AnalyticEngine::execute_into`] (and, one
+/// per round, for [`AnalyticEngine::execute_pair_into`]): the per-agent
+/// outputs of a round plus the engine's internal work arrays, so a
+/// multi-round driver performs **zero** heap allocation per round after
 /// the first.
 #[derive(Clone, Debug, Default)]
 pub struct AnalyticScratch {
@@ -91,21 +94,12 @@ impl AnalyticEngine {
 
         let (n_c, n_a) = mover_counts(directions);
         let rotation = RotationIndex::from_counts(n_c, n_a, n);
-        let r = rotation.shift;
-
-        // Every output vector is rebuilt by `extend`, so nothing is filled
-        // only to be overwritten. Slot `s` moves to slot `s + r`: the arcs
-        // in slot order take two contiguous passes, and one rotation puts
-        // them in agent order (agent `a` sits in slot `(a + offset) mod n`).
-        let positions = config.positions();
-        let (stay, wrap) = positions.split_at(n - r);
-        let arc = |(from, &to): (&Point, &Point)| from.cw_distance_to(to);
-        let displacement = &mut scratch.cw_displacement;
-        displacement.clear();
-        displacement.extend(stay.iter().zip(&positions[r..]).map(arc));
-        displacement.extend(wrap.iter().zip(positions).map(arc));
-        displacement.rotate_left(offset);
-
+        displacements_into(
+            config.positions(),
+            offset,
+            rotation.shift,
+            &mut scratch.cw_displacement,
+        );
         scratch.first_collision.clear();
         if n_c + n_a == n && n_c > 0 && n_a > 0 {
             self.first_collisions(config, offset, directions, scratch);
@@ -187,6 +181,145 @@ impl AnalyticEngine {
             |&coll| Some(coll),
         );
     }
+
+    /// Executes a complementary pair of rounds from the same offset and
+    /// returns round A's rotation index: round A with `directions`, round B
+    /// with every direction flipped. A's outputs land in `a`, B's in `b`.
+    /// B's shift is the negation of A's (Lemma 1), and both rounds' first
+    /// collisions come from one forward and one reverse sweep, so the pair
+    /// costs little more than one [`AnalyticEngine::execute_into`].
+    ///
+    /// The outputs equal those of `execute_into` run twice from `offset`,
+    /// once with `directions` and once with them flipped. After the scratch
+    /// vectors have grown to the ring size once, calls allocate nothing.
+    ///
+    /// # Panics
+    ///
+    /// As [`AnalyticEngine::execute_into`].
+    pub fn execute_pair_into(
+        &self,
+        config: &RingConfig,
+        offset: usize,
+        directions: &[ObjectiveDirection],
+        a: &mut AnalyticScratch,
+        b: &mut AnalyticScratch,
+    ) -> RotationIndex {
+        let n = config.len();
+        assert!(offset < n, "offset {offset} out of range for a ring of {n}");
+        assert_eq!(directions.len(), n);
+
+        let (n_c, n_a) = mover_counts(directions);
+        let rotation = RotationIndex::from_counts(n_c, n_a, n);
+        let flipped = RotationIndex::from_counts(n_a, n_c, n);
+        let positions = config.positions();
+        displacements_into(positions, offset, rotation.shift, &mut a.cw_displacement);
+        displacements_into(positions, offset, flipped.shift, &mut b.cw_displacement);
+
+        a.first_collision.clear();
+        b.first_collision.clear();
+        if n_c + n_a == n && n_c > 0 && n_a > 0 {
+            self.pair_first_collisions(config, offset, directions, a, b);
+        } else {
+            // Flipping keeps idles idle and a one-way round one-way.
+            a.first_collision.resize(n, None);
+            b.first_collision.resize(n, None);
+        }
+        rotation
+    }
+
+    /// Both rounds' first collisions for [`AnalyticEngine::execute_pair_into`].
+    ///
+    /// By Proposition 4 a mover collides half-way to the nearest slot ahead
+    /// of it, in its direction of travel, whose direction is opposite to
+    /// its own. Flipping every direction keeps "opposite to mine" the same
+    /// relation and only swaps which way is ahead. So for each slot the
+    /// forward sweep carries the nearest earlier slot of the other
+    /// direction and the reverse sweep the nearest later one: a clockwise
+    /// slot of round A takes the reverse result in A and the forward result
+    /// in B, an anticlockwise one the opposite. The nearest earlier slot of
+    /// the other direction is the one just before the run of equal
+    /// directions the slot sits in, so each sweep carries one slot.
+    fn pair_first_collisions(
+        &self,
+        config: &RingConfig,
+        offset: usize,
+        directions: &[ObjectiveDirection],
+        a: &mut AnalyticScratch,
+        b: &mut AnalyticScratch,
+    ) {
+        use ObjectiveDirection::Clockwise;
+        let n = config.len();
+        let positions = config.positions();
+
+        let dir_at_slot = &mut a.dir_at_slot;
+        dir_at_slot.clear();
+        extend_rotated(dir_at_slot, directions, n - offset, |&dir| dir);
+        let (first, last) = (dir_at_slot[0], dir_at_slot[n - 1]);
+
+        // Forward sweep, into A's scratch. Slot 0's run may wrap around
+        // from slot n − 1, so the seed is the last slot whose direction
+        // differs from slot 0's.
+        let forward = &mut a.coll_at_slot;
+        forward.clear();
+        let seed = dir_at_slot
+            .iter()
+            .rposition(|&d| d != first)
+            .expect("both directions");
+        let mut behind = positions[seed];
+        let (mut prev_dir, mut prev) = (last, positions[n - 1]);
+        forward.extend(dir_at_slot.iter().zip(positions).map(|(&dir, &here)| {
+            behind = select_unpredictable(dir != prev_dir, prev, behind);
+            (prev_dir, prev) = (dir, here);
+            behind.cw_distance_to(here).half()
+        }));
+
+        // Reverse sweep, seeded likewise with the first slot whose
+        // direction differs from slot n − 1's. It sorts each slot's two
+        // results into A's and B's collisions in place.
+        let in_b = &mut b.coll_at_slot;
+        in_b.clear();
+        in_b.extend_from_slice(forward);
+        let seed = dir_at_slot
+            .iter()
+            .position(|&d| d != last)
+            .expect("both directions");
+        let mut ahead = positions[seed];
+        let (mut next_dir, mut next) = (first, positions[0]);
+        for (((in_a, in_b), &dir), &here) in forward
+            .iter_mut()
+            .zip(in_b.iter_mut())
+            .zip(dir_at_slot.iter())
+            .zip(positions)
+            .rev()
+        {
+            ahead = select_unpredictable(dir != next_dir, next, ahead);
+            (next_dir, next) = (dir, here);
+            let towards = here.cw_distance_to(ahead).half();
+            let cw = dir == Clockwise;
+            *in_a = select_unpredictable(cw, towards, *in_a);
+            *in_b = select_unpredictable(cw, *in_b, towards);
+        }
+
+        extend_rotated(&mut a.first_collision, &a.coll_at_slot, offset, |&c| {
+            Some(c)
+        });
+        extend_rotated(&mut b.first_collision, &b.coll_at_slot, offset, |&c| {
+            Some(c)
+        });
+    }
+}
+
+/// Rebuilds `out` with every agent's clockwise displacement in a round of
+/// shift `r` from `offset`. Slot `s` moves to slot `s + r`: the arcs in
+/// slot order take two contiguous passes, and one rotation puts them in
+/// agent order (agent `a` sits in slot `(a + offset) mod n`).
+fn displacements_into(positions: &[Point], offset: usize, r: usize, out: &mut Vec<ArcLength>) {
+    let (stay, wrap) = positions.split_at(positions.len() - r);
+    let arc = |(from, &to): (&Point, &Point)| from.cw_distance_to(to);
+    out.clear();
+    out.extend(stay.iter().zip(&positions[r..]).map(arc));
+    out.extend(wrap.iter().zip(positions).map(arc));
+    out.rotate_left(offset);
 }
 
 #[cfg(test)]
@@ -315,6 +448,51 @@ mod tests {
         assert_eq!(scratch.cw_displacement, oracle.cw_displacement);
         for (a, &new_slot) in oracle.new_slot_of_agent.iter().enumerate() {
             assert_eq!((a + offset + rotation.shift) % n, new_slot, "agent {a}");
+        }
+    }
+
+    /// A fused pair equals two single rounds from the same offset, one with
+    /// `dirs` and one with every direction flipped, tick for tick; B's
+    /// shift is the negation of A's.
+    fn assert_pair_matches_two_rounds(
+        config: &RingConfig,
+        offset: usize,
+        dirs: &[ObjectiveDirection],
+        scratch: (&mut AnalyticScratch, &mut AnalyticScratch),
+    ) {
+        let (a, b) = scratch;
+        let n = config.len();
+        let rotation = AnalyticEngine::new().execute_pair_into(config, offset, dirs, a, b);
+        let flipped: Vec<ObjectiveDirection> = dirs.iter().map(|d| d.opposite()).collect();
+        let (expected_a, round_a) = run(config, offset, dirs);
+        let (expected_b, round_b) = run(config, offset, &flipped);
+        let context = format!("offset {offset} dirs {dirs:?}");
+        assert_eq!(rotation, expected_a, "{context}");
+        assert_eq!((n - rotation.shift) % n, expected_b.shift, "{context}");
+        assert_eq!(a.cw_displacement, round_a.cw_displacement, "{context}");
+        assert_eq!(a.first_collision, round_a.first_collision, "{context}");
+        assert_eq!(b.cw_displacement, round_b.cw_displacement, "{context}");
+        assert_eq!(b.first_collision, round_b.first_collision, "{context}");
+    }
+
+    /// Every direction vector at every offset of rings up to 6 slots, on
+    /// one reused pair of scratches.
+    #[test]
+    fn pair_matches_two_rounds_exhaustively_on_tiny_rings() {
+        let (mut a, mut b) = (AnalyticScratch::new(), AnalyticScratch::new());
+        for n in 1..=6usize {
+            let config = RingConfig::builder(n)
+                .random_positions(n as u64 + 7)
+                .build_any_size()
+                .unwrap();
+            for code in 0..3usize.pow(n as u32) {
+                let dirs: Vec<ObjectiveDirection> = (0..n)
+                    .map(|i| [C, A, I][code / 3usize.pow(i as u32) % 3])
+                    .collect();
+                for offset in 0..n {
+                    assert_pair_matches_two_rounds(&config, offset, &dirs, (&mut a, &mut b));
+                }
+            }
         }
     }
 
@@ -454,7 +632,8 @@ mod tests {
         /// collisions, displacements and new slots — on rotated states
         /// after 1–8 prior rounds, at ring sizes from 1 to 1024, for lone
         /// movers, movers at the wrap-around slots, same-direction rounds,
-        /// rounds with idles and random mixes.
+        /// rounds with idles and random mixes; and the fused pair equals
+        /// the round and its flip run one by one.
         #[test]
         fn kernel_matches_oracle_on_rotated_states(
             (n, seed, prior, shape) in (
@@ -485,6 +664,8 @@ mod tests {
             let dirs: Vec<ObjectiveDirection> =
                 (0..n).map(|agent| by_slot[state.slot_of_agent(agent)]).collect();
             assert_matches_oracle(&config, state.offset(), &dirs, &mut scratch);
+            let mut b = AnalyticScratch::new();
+            assert_pair_matches_two_rounds(&config, state.offset(), &dirs, (&mut scratch, &mut b));
         }
     }
 }

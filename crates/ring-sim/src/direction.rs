@@ -46,11 +46,11 @@ pub enum Chirality {
 impl ObjectiveDirection {
     /// The opposite objective direction (idle stays idle).
     pub fn opposite(self) -> Self {
-        match self {
-            ObjectiveDirection::Clockwise => ObjectiveDirection::Anticlockwise,
-            ObjectiveDirection::Anticlockwise => ObjectiveDirection::Clockwise,
-            ObjectiveDirection::Idle => ObjectiveDirection::Idle,
-        }
+        use ObjectiveDirection::{Anticlockwise, Clockwise, Idle};
+        // A table, as in `LocalDirection::to_objective`: a complementary
+        // round flips every agent's direction.
+        const TABLE: [ObjectiveDirection; 3] = [Anticlockwise, Clockwise, Idle];
+        TABLE[self as usize]
     }
 
     /// Whether the direction denotes actual movement.
@@ -86,13 +86,20 @@ impl LocalDirection {
     /// Translates this local direction to the objective frame, given the
     /// agent's chirality.
     pub fn to_objective(self, chirality: Chirality) -> ObjectiveDirection {
-        match (self, chirality) {
-            (LocalDirection::Idle, _) => ObjectiveDirection::Idle,
-            (LocalDirection::Right, Chirality::Aligned) => ObjectiveDirection::Clockwise,
-            (LocalDirection::Right, Chirality::Reversed) => ObjectiveDirection::Anticlockwise,
-            (LocalDirection::Left, Chirality::Aligned) => ObjectiveDirection::Anticlockwise,
-            (LocalDirection::Left, Chirality::Reversed) => ObjectiveDirection::Clockwise,
-        }
+        use ObjectiveDirection::{Anticlockwise, Clockwise, Idle};
+        // A table indexed by the two discriminants (declaration order), not
+        // a `match`: every round translates each agent's direction, and
+        // with random bits and chiralities the branches of a match
+        // mispredict at about every other agent.
+        const TABLE: [[ObjectiveDirection; 2]; 3] = [
+            // Right: aligned, reversed.
+            [Clockwise, Anticlockwise],
+            // Left.
+            [Anticlockwise, Clockwise],
+            // Idle.
+            [Idle, Idle],
+        ];
+        TABLE[self as usize][chirality as usize]
     }
 
     /// Encodes a boolean as a direction, the convention used by the 1-bit
@@ -177,6 +184,10 @@ mod tests {
         );
         assert_eq!(
             LocalDirection::Idle.to_objective(Chirality::Reversed),
+            ObjectiveDirection::Idle
+        );
+        assert_eq!(
+            LocalDirection::Idle.to_objective(Chirality::Aligned),
             ObjectiveDirection::Idle
         );
     }

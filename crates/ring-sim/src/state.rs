@@ -11,6 +11,8 @@
 //! [`LocalDirection`] and a reusable [`RoundBuffers`] arena, and reading
 //! back each agent's [`Observation`] — already translated into the agent's
 //! own frame, exactly as the model prescribes.
+//! [`RingState::execute_pair_into`] runs a round and its complement (every
+//! direction flipped), each followed by its reversal, in one kernel pass.
 //!
 //! The paper's `REVERSEDROUND` moves every agent opposite to the round
 //! before it. By Lemma 1 that round's rotation index is the negation of the
@@ -29,6 +31,7 @@ use crate::events::{EventEngine, EventScratch};
 use crate::geometry::{ArcLength, Point};
 use crate::observe::Observation;
 use crate::rotation::RotationIndex;
+use std::hint::select_unpredictable;
 
 /// Which physics engine executes the round.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,6 +72,25 @@ impl RoundBuffers {
     /// (ground truth).
     pub fn objective_directions(&self) -> &[ObjectiveDirection] {
         &self.objective
+    }
+
+    /// Rebuilds `observations` from the round in `scratch`. The writes
+    /// stream three contiguous slices (chirality, displacement, collision)
+    /// into the output vector — one linear pass with no per-agent indexing,
+    /// which the optimiser can vectorise.
+    fn write_observations(&mut self, config: &RingConfig) {
+        self.observations.clear();
+        self.observations.extend(
+            config
+                .chiralities()
+                .iter()
+                .zip(&self.scratch.cw_displacement)
+                .zip(&self.scratch.first_collision)
+                .map(|((&chir, &cw), &coll)| Observation {
+                    dist: in_own_frame(chir, cw),
+                    coll,
+                }),
+        );
     }
 }
 
@@ -187,6 +209,22 @@ impl<'a> RingState<'a> {
         engine: EngineKind,
         bufs: &mut RoundBuffers,
     ) -> Result<RotationIndex, RingError> {
+        self.resolve_into(local_directions, &mut bufs.objective)?;
+        self.run_prepared_round(engine, bufs)
+    }
+
+    /// Rebuilds `objective` with the objective direction of each agent's
+    /// local one.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the number of directions does not match the
+    /// number of agents.
+    fn resolve_into(
+        &self,
+        local_directions: &[LocalDirection],
+        objective: &mut Vec<ObjectiveDirection>,
+    ) -> Result<(), RingError> {
         let n = self.len();
         if local_directions.len() != n {
             return Err(RingError::DirectionCountMismatch {
@@ -194,17 +232,17 @@ impl<'a> RingState<'a> {
                 expected: n,
             });
         }
-        bufs.objective.clear();
+        objective.clear();
         // Direction resolution zips two contiguous slices (directions ×
         // chiralities) with no per-agent bounds checks, so the optimiser can
         // vectorise the translation.
-        bufs.objective.extend(
+        objective.extend(
             local_directions
                 .iter()
                 .zip(self.config.chiralities())
                 .map(|(dir, &chir)| dir.to_objective(chir)),
         );
-        self.run_prepared_round(engine, bufs)
+        Ok(())
     }
 
     /// Executes one round given objective directions, into a caller-owned
@@ -267,24 +305,46 @@ impl<'a> RingState<'a> {
             );
         }
 
-        // Observation writes stream three contiguous slices (chirality,
-        // displacement, collision) into the output vector — one linear pass
-        // with no per-agent indexing, which the optimiser can vectorise.
-        bufs.observations.clear();
-        bufs.observations.extend(
-            self.config
-                .chiralities()
-                .iter()
-                .zip(&bufs.scratch.cw_displacement)
-                .zip(&bufs.scratch.first_collision)
-                .map(|((&chir, &cw), &coll)| Observation {
-                    dist: in_own_frame(chir, cw),
-                    coll,
-                }),
-        );
-
+        bufs.write_observations(self.config);
         self.offset = (self.offset + rotation.shift) % self.len();
         self.rounds_executed += 1;
+        Ok(rotation)
+    }
+
+    /// Executes a complementary pair of rounds as four counted rounds and
+    /// returns round A's rotation index: round A with each agent's
+    /// `local_directions`, its `REVERSEDROUND`, round B with every
+    /// direction flipped, and B's `REVERSEDROUND`. A's observations land in
+    /// `a.observations`, B's in `b.observations`; the state ends at the
+    /// offset it started from. By Lemma 1 each reversal restores the
+    /// offset, so both information rounds start from it, and by
+    /// Proposition 4 both come from one pass of the analytic kernel
+    /// ([`AnalyticEngine::execute_pair_into`]). The reversals' observations
+    /// are not computed.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the number of directions does not match the
+    /// number of agents.
+    pub fn execute_pair_into(
+        &mut self,
+        local_directions: &[LocalDirection],
+        a: &mut RoundBuffers,
+        b: &mut RoundBuffers,
+    ) -> Result<RotationIndex, RingError> {
+        self.resolve_into(local_directions, &mut a.objective)?;
+        b.objective.clear();
+        b.objective.extend(a.objective.iter().map(|d| d.opposite()));
+        let rotation = AnalyticEngine::new().execute_pair_into(
+            self.config,
+            self.offset,
+            &a.objective,
+            &mut a.scratch,
+            &mut b.scratch,
+        );
+        a.write_observations(self.config);
+        b.write_observations(self.config);
+        self.rounds_executed += 4;
         Ok(rotation)
     }
 }
@@ -292,10 +352,10 @@ impl<'a> RingState<'a> {
 /// A clockwise arc as an agent of chirality `chir` measures it: its own
 /// clockwise is the objective anticlockwise when reversed.
 fn in_own_frame(chir: Chirality, cw: ArcLength) -> ArcLength {
-    match chir {
-        Chirality::Reversed if !cw.is_zero() => cw.complement(),
-        _ => cw,
-    }
+    // A select, not a branch: this runs for every agent of every round,
+    // and chiralities can be random.
+    let mirrored = (chir == Chirality::Reversed) & !cw.is_zero();
+    select_unpredictable(mirrored, cw.complement(), cw)
 }
 
 #[cfg(test)]
