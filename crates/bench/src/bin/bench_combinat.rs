@@ -19,16 +19,18 @@
 //! sweeps against the binary-search engine kept in `ring_sim::reference`,
 //! undo rounds (`Network::undo_last`) against the reversed round
 //! through the kernel, the fused complementary pair
-//! (`Network::step_pair_into`) against its four calls, and the compact
-//! `GapKnowledge` against `ring_protocols::knowledge::reference`. In
-//! `--quick` mode the run **fails** (nonzero exit) if any kernel's fast
-//! path is slower than its reference — the CI perf smoke that keeps these
-//! loops honest.
+//! (`Network::step_pair_into`) against its four calls, the compact
+//! `GapKnowledge` against `ring_protocols::knowledge::reference`, and a
+//! ring's equations batched through `EquationBatch` against applying them
+//! round by round. In `--quick` mode the run **fails** (nonzero exit) if
+//! any kernel's fast path is slower than its reference — the CI perf
+//! smoke that keeps these loops honest.
 
 use rand::{Rng, SeedableRng};
 use ring_combinat::{reference, Distinguisher, IdSet, SelectiveFamily};
 use ring_protocols::coordination::nontrivial::weak_nontrivial_move_even_distinguisher;
 use ring_protocols::exec::StepBuffers;
+use ring_protocols::knowledge::{ArcEquation, EquationBatch};
 use ring_protocols::{GapKnowledge, IdAssignment, Network};
 use ring_sim::{
     AnalyticEngine, AnalyticScratch, ArcLength, EngineKind, LocalDirection, Model,
@@ -72,6 +74,26 @@ fn time_median<T>(reps: usize, mut f: impl FnMut() -> T) -> u64 {
         .map(|_| {
             let start = Instant::now();
             std::hint::black_box(f());
+            start.elapsed().as_nanos() as u64
+        })
+        .collect();
+    samples.sort_unstable();
+    samples[samples.len() / 2]
+}
+
+/// Like [`time_median`], but each run first builds its input with `setup`,
+/// untimed.
+fn time_median_after<S, T>(
+    reps: usize,
+    mut setup: impl FnMut() -> S,
+    mut f: impl FnMut(S) -> T,
+) -> u64 {
+    std::hint::black_box(f(setup()));
+    let mut samples: Vec<u64> = (0..reps)
+        .map(|_| {
+            let input = setup();
+            let start = Instant::now();
+            std::hint::black_box(f(input));
             start.elapsed().as_nanos() as u64
         })
         .collect();
@@ -629,6 +651,91 @@ fn main() {
         slow as f64 / fast.max(1) as f64
     );
 
+    // 4f. Location knowledge of a whole ring: 512 agents, each with its
+    //     own `GapKnowledge`, take two true equations a round (a pair sum
+    //     and a collision-style span, shaped as in `Distances`), through
+    //     an `EquationBatch` that applies them agent by agent, against
+    //     the round-by-round interleaving it replaced. Each repetition
+    //     first applies 192 rounds untimed, its own way, and then times
+    //     64 more: the mid-sweep regime, where every agent's union–find
+    //     is populated and the ring's 4 MB of them no longer fit in L2.
+    let (warm_rounds, batch_rounds) = (192usize, 64usize);
+    let ring_equations: Vec<(usize, usize, ArcLength)> = (0..warm_rounds + batch_rounds)
+        .flat_map(|round| (0..kernel_n).map(move |agent| (round, agent)))
+        .flat_map(|(round, agent)| {
+            let from = (agent + 2 * round) % kernel_n;
+            let span = 1 + (agent * 13 + round) % 9;
+            [(from, from + 2), (from, from + span)]
+        })
+        .map(|(from, to)| {
+            let to = to % kernel_n;
+            let arc = (prefix[to] + CIRCUMFERENCE - prefix[from]) % CIRCUMFERENCE;
+            (from, to, ArcLength::from_ticks(arc))
+        })
+        .collect();
+    let (warm, timed) = ring_equations.split_at(warm_rounds * 2 * kernel_n);
+    let batched = |batch: &mut EquationBatch, equations: &[(usize, usize, ArcLength)]| {
+        for round in equations.chunks_exact(2 * kernel_n) {
+            batch
+                .push_round(|agent, slots| {
+                    for (slot, &(from, to, arc)) in slots.iter_mut().zip(&round[2 * agent..]) {
+                        *slot = ArcEquation::new(from, to, arc);
+                    }
+                })
+                .expect("consistent");
+        }
+        let knowledge = batch.flush().expect("consistent");
+        knowledge
+            .iter()
+            .map(GapKnowledge::components)
+            .sum::<usize>()
+    };
+    let interleaved = |knowledge: &mut [GapKnowledge], equations: &[(usize, usize, ArcLength)]| {
+        for round in equations.chunks_exact(2 * kernel_n) {
+            for (k, equations) in knowledge.iter_mut().zip(round.chunks_exact(2)) {
+                for &(from, to, arc) in equations {
+                    k.add_cw_arc(from, to, arc).expect("consistent");
+                }
+            }
+        }
+        knowledge
+            .iter()
+            .map(GapKnowledge::components)
+            .sum::<usize>()
+    };
+    let fast = time_median_after(
+        reps,
+        || {
+            let mut batch = EquationBatch::new(kernel_n, 2);
+            batched(&mut batch, warm);
+            batch
+        },
+        |mut batch| batched(&mut batch, timed),
+    );
+    let slow = time_median_after(
+        reps,
+        || {
+            let mut knowledge: Vec<GapKnowledge> =
+                (0..kernel_n).map(|_| GapKnowledge::new(kernel_n)).collect();
+            interleaved(&mut knowledge, warm);
+            knowledge
+        },
+        |mut knowledge| interleaved(&mut knowledge, timed),
+    );
+    record_pair(
+        &mut entries,
+        &mut speedups,
+        "knowledge_batch",
+        kernel_n as u64,
+        fast,
+        slow,
+        reps,
+    );
+    println!(
+        "knowledge_batch           n={kernel_n} r={batch_rounds}: {fast:>12} ns vs {slow:>12} ns  ({:.1}x)",
+        slow as f64 / fast.max(1) as f64
+    );
+
     // 5. End-to-end: the distinguisher-driven weak nontrivial move on a
     //    balanced ring, now running as one batched schedule over the
     //    word-parallel strong distinguisher (absolute time only — the whole
@@ -677,8 +784,8 @@ fn main() {
     // The CI perf smoke: in quick mode, a kernel that fails to beat its
     // oracle fails the run. The asserted set is the kernel pairs — the
     // chunked `IdSet` loops, the two sampled verifications, the analytic
-    // first-collision sweeps, the undo rewind, the fused link exchange and
-    // the compact union–find — not the construction or
+    // first-collision sweeps, the undo rewind, the fused link exchange, the
+    // compact union–find and the batched equations — not the construction or
     // round-loop pairs, whose inner cost is RNG- or simulator-bound.
     if quick {
         let asserted = [
@@ -692,6 +799,7 @@ fn main() {
             "undo_round",
             "link_exchange_pair",
             "gap_knowledge",
+            "knowledge_batch",
         ];
         let mut failed = false;
         for s in &report.speedups {

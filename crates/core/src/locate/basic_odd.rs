@@ -6,11 +6,17 @@
 //! adjacent pair-sum is observed, and for odd `n` the pair-sum system pins
 //! every gap — this is precisely where the even-`n` impossibility of
 //! Lemma 5 shows up as a singular system.
+//!
+//! Each agent solves its own system, n union–finds of n nodes, which at
+//! n = 511 outgrow a core's L2. The sweep therefore hands each round's
+//! equations to an [`EquationBatch`], which applies them agent by agent
+//! every [`BATCH_ROUNDS`](crate::knowledge::BATCH_ROUNDS) rounds, one
+//! structure at a time in L1, with the same equations in the same order.
 
 use crate::coordination::leader::elect_leader;
 use crate::error::ProtocolError;
 use crate::exec::{Network, StepBuffers};
-use crate::knowledge::GapKnowledge;
+use crate::knowledge::{ArcEquation, BatchConflict, EquationBatch};
 use crate::locate::{cumulative_dist_logical, AgentView, LocationDiscovery, LocationMethod};
 use ring_sim::{ArcLength, LocalDirection, CIRCUMFERENCE};
 
@@ -62,52 +68,55 @@ pub fn discover_locations_basic_odd_with_leader(
         .collect();
 
     // Per agent: pair-sum equations indexed relative to the agent's own
-    // measurement-start position; `offset` tracks how many positions the
-    // agent has moved (logically anticlockwise) so far.
-    let mut knowledge: Vec<GapKnowledge> = (0..n).map(|_| GapKnowledge::new(n)).collect();
+    // measurement-start position. Every agent moves two positions
+    // logically anticlockwise a round, so in round `t` it crosses the gaps
+    // at relative indices n−2t−2 and n−2t−1 (modulo n): one equation from
+    // `from` to `from + 2`, the same slots for every agent.
+    let conflict = |c: BatchConflict| ProtocolError::Internal {
+        protocol: "location-discovery-basic-odd",
+        reason: c.conflict.to_string(),
+    };
+    let mut batch = EquationBatch::new(n, 1);
     let mut travelled: Vec<u64> = vec![0; n];
-    let mut steps: Vec<usize> = vec![0; n];
+    let mut from = n - 2;
     let round_budget = 4 * n as u64 + 16;
     // The sweep repeats one fixed direction assignment through a reusable
-    // buffer set (no per-round allocation), folding each round's
-    // observations into every agent's pair-sum system until all agents are
-    // back at their start.
+    // buffer set (no per-round allocation), until all agents are back at
+    // their start.
     let mut bufs = StepBuffers::new();
     let mut finished = false;
     for _ in 0..round_budget {
-        net.step_into(&dirs, &mut bufs)?;
-        let mut all_back = true;
-        for agent in 0..n {
-            let logical = frames[agent].observation_to_logical(bufs.observations()[agent]);
-            // Moving two positions anticlockwise: the traversed arc is the
-            // complement of the reported clockwise displacement.
-            let traversed = if logical.dist.is_zero() {
-                0
-            } else {
-                CIRCUMFERENCE - logical.dist.ticks()
-            };
-            let t = steps[agent];
-            // The two gaps crossed lie at relative indices n−2t−2 and
-            // n−2t−1 (modulo n).
-            let from = (2 * n - 2 * t - 2) % n;
-            let to = (from + 2) % n;
-            knowledge[agent]
-                .add_cw_arc(from, to, ArcLength::from_ticks(traversed))
-                .map_err(|e| ProtocolError::Internal {
-                    protocol: "location-discovery-basic-odd",
-                    reason: e.to_string(),
-                })?;
-            steps[agent] += 1;
-            travelled[agent] = (travelled[agent] + traversed) % CIRCUMFERENCE;
-            if travelled[agent] != 0 {
-                all_back = false;
-            }
+        let step = net.step_into(&dirs, &mut bufs);
+        if step.is_err() {
+            // A conflict among the pending rounds came first.
+            batch.flush().map_err(conflict)?;
         }
+        step?;
+        let to = (from + 2) % n;
+        let observations = bufs.observations();
+        let mut all_back = true;
+        batch
+            .push_round(|agent, slot| {
+                let logical = frames[agent].observation_to_logical(observations[agent]);
+                // Moving two positions anticlockwise: the traversed arc is
+                // the complement of the reported clockwise displacement.
+                let traversed = if logical.dist.is_zero() {
+                    0
+                } else {
+                    CIRCUMFERENCE - logical.dist.ticks()
+                };
+                slot[0] = ArcEquation::new(from, to, ArcLength::from_ticks(traversed));
+                travelled[agent] = (travelled[agent] + traversed) % CIRCUMFERENCE;
+                all_back &= travelled[agent] == 0;
+            })
+            .map_err(conflict)?;
+        from = (from + n - 2) % n;
         if all_back {
             finished = true;
             break;
         }
     }
+    let knowledge = batch.flush().map_err(conflict)?;
     if !finished {
         return Err(ProtocolError::Internal {
             protocol: "location-discovery-basic-odd",
@@ -161,6 +170,27 @@ mod tests {
                 discovery.rounds() <= n as u64 + 10 * net.id_bits() as u64 + 20,
                 "n={n}: {} rounds",
                 discovery.rounds()
+            );
+        }
+    }
+
+    /// Sweeps of 67 and 101 rounds: several full equation batches, then
+    /// one that ends mid-batch.
+    #[test]
+    fn basic_odd_discovery_across_equation_batches() {
+        for &(n, seed) in &[(67usize, 5u64), (101, 6)] {
+            assert_ne!(n % crate::knowledge::BATCH_ROUNDS, 0);
+            let config = RingConfig::builder(n)
+                .random_positions(seed * 13 + 1)
+                .random_chirality(seed * 17 + 2)
+                .build()
+                .unwrap();
+            let ids = IdAssignment::random(n, 4 * n as u64, seed + 9);
+            let mut net = Network::new(&config, ids, Model::Basic).unwrap();
+            let discovery = discover_locations_basic_odd(&mut net).unwrap();
+            assert!(
+                verify_location_discovery(&net, &discovery),
+                "n={n} seed={seed}"
             );
         }
     }

@@ -71,13 +71,14 @@ impl AgentView {
                 reason: "accumulated displacement does not align with any position".into(),
             }
         })?;
-        // relative[j] = Σ_{t=0}^{j-1} gaps[(t − shift) mod n].
+        // relative[j] = Σ_{t=0}^{j-1} gaps[(t − shift) mod n]: prefix sums
+        // of the gaps rotated right by `shift`.
+        let (head, tail) = gaps_at_measure_start.split_at(n - shift);
         let mut relative = Vec::with_capacity(n);
         let mut acc = 0u64;
         relative.push(ArcLength::ZERO);
-        for j in 0..n - 1 {
-            let idx = (j + n - shift) % n;
-            acc += gaps_at_measure_start[idx].ticks();
+        for gap in tail.iter().chain(head).take(n - 1) {
+            acc += gap.ticks();
             relative.push(ArcLength::from_ticks(acc));
         }
         Ok(AgentView { relative })
@@ -110,8 +111,9 @@ fn find_shift(gaps: &[ArcLength], delta: ArcLength) -> Option<usize> {
     if delta.is_zero() {
         return Some(0);
     }
-    for c in 1..=n {
-        acc += gaps[(n - c) % n].ticks();
+    // Walking anticlockwise crosses the gaps from the last one down.
+    for (c, gap) in (1..).zip(gaps.iter().rev()) {
+        acc += gap.ticks();
         if acc == delta.ticks() {
             return Some(c % n);
         }

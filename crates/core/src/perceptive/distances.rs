@@ -16,11 +16,18 @@
 //! its knowledge with the union–find structure of
 //! [`crate::knowledge::GapKnowledge`] and is done when a single component
 //! remains — after `n/2` Convolution rounds plus O(1) pivots.
+//!
+//! The n structures of a ring of 512 hold 4 MB, more than a core's L2, so
+//! the rounds' equations (two slots per agent) go through an
+//! [`EquationBatch`] and are applied agent by agent every
+//! [`BATCH_ROUNDS`](crate::knowledge::BATCH_ROUNDS) rounds. Completeness
+//! is read from a flush: before every pivot check and before the final
+//! one.
 
 use crate::coordination::leader::elect_leader_with_move;
 use crate::error::ProtocolError;
 use crate::exec::{Network, StepBuffers};
-use crate::knowledge::GapKnowledge;
+use crate::knowledge::{ArcEquation, BatchConflict, EquationBatch, GapKnowledge};
 use crate::locate::{cumulative_dist_logical, AgentView, LocationDiscovery, LocationMethod};
 use crate::perceptive::link::RingLink;
 use crate::perceptive::nmove::nmove_s;
@@ -108,11 +115,12 @@ struct MeasureScratch {
     behind: Vec<usize>,
 }
 
-/// Records the equations contributed by one round of the measurement phase
-/// for one agent.
+/// Writes the equations one round of the measurement phase contributes
+/// for one agent into its two slots: the displacement equation, then the
+/// collision one; a slot stays empty when its equation carries nothing.
 #[allow(clippy::too_many_arguments)]
 fn record_equations(
-    knowledge: &mut GapKnowledge,
+    slots: &mut [ArcEquation],
     n: usize,
     label: usize,
     site: usize,
@@ -120,17 +128,12 @@ fn record_equations(
     direction: LocalDirection,
     ahead: &[usize],
     behind: &[usize],
-) -> Result<(), ProtocolError> {
-    let fail = |reason: String| ProtocolError::Internal {
-        protocol: "location-discovery-perceptive",
-        reason,
-    };
+) {
+    let start = site - 1;
     // Displacement equation (only when the round rotated the ring).
     if !logical_obs.dist.is_zero() {
         // Rotation index 2: the agent moved two sites clockwise.
-        knowledge
-            .add_cw_arc((site - 1) % n, (site + 1) % n, logical_obs.dist)
-            .map_err(|e| fail(e.to_string()))?;
+        slots[0] = ArcEquation::new(start, (start + 2) % n, logical_obs.dist);
     }
     // Collision equation.
     if let Some(coll) = logical_obs.coll {
@@ -139,23 +142,26 @@ fn record_equations(
             LocalDirection::Right => {
                 let span = ahead[label];
                 if span > 0 && span < n {
-                    knowledge
-                        .add_cw_arc((site - 1) % n, (site - 1 + span) % n, doubled)
-                        .map_err(|e| fail(e.to_string()))?;
+                    slots[1] = ArcEquation::new(start, (start + span) % n, doubled);
                 }
             }
             LocalDirection::Left => {
                 let span = behind[label];
                 if span > 0 && span < n {
-                    knowledge
-                        .add_cw_arc((site - 1 + n - span) % n, (site - 1) % n, doubled)
-                        .map_err(|e| fail(e.to_string()))?;
+                    slots[1] = ArcEquation::new((start + n - span) % n, start, doubled);
                 }
             }
             LocalDirection::Idle => {}
         }
     }
-    Ok(())
+}
+
+/// The error a contradiction among the measurement equations raises.
+fn conflict_error(c: BatchConflict) -> ProtocolError {
+    ProtocolError::Internal {
+        protocol: "location-discovery-perceptive",
+        reason: c.conflict.to_string(),
+    }
 }
 
 /// Location discovery in the perceptive model with even `n`
@@ -224,7 +230,7 @@ pub fn discover_locations_perceptive(
         .map(|agent| cumulative_dist_logical(net, &frames, agent))
         .collect();
 
-    let mut knowledge: Vec<GapKnowledge> = (0..n).map(|_| GapKnowledge::new(n)).collect();
+    let mut batch = EquationBatch::new(n, 2);
     let mut rotations = 0usize;
     let mut scratch = MeasureScratch::default();
 
@@ -240,7 +246,7 @@ pub fn discover_locations_perceptive(
             n,
             &rule,
             rotations,
-            &mut knowledge,
+            &mut batch,
             &mut scratch,
         )?;
         rotations += 2;
@@ -249,7 +255,8 @@ pub fn discover_locations_perceptive(
     // Pivot rounds (rotation index 0) to tie the parity classes together.
     let mut pivot_anchor = n;
     for _ in 0..6 {
-        if knowledge.iter().all(|k| k.is_complete()) {
+        let knowledge = batch.flush().map_err(conflict_error)?;
+        if knowledge.iter().all(GapKnowledge::is_complete) {
             break;
         }
         let c = pivot_anchor;
@@ -266,11 +273,12 @@ pub fn discover_locations_perceptive(
             n,
             &rule,
             rotations,
-            &mut knowledge,
+            &mut batch,
             &mut scratch,
         )?;
     }
 
+    let knowledge = batch.flush().map_err(conflict_error)?;
     if let Some(agent) = knowledge.iter().position(|k| !k.is_complete()) {
         return Err(ProtocolError::Internal {
             protocol: "location-discovery-perceptive",
@@ -281,14 +289,13 @@ pub fn discover_locations_perceptive(
     }
 
     // Phase 5: assemble the per-agent views. Knowledge is indexed by label
-    // sites; re-index it relative to each agent before applying the
-    // displacement correction.
+    // sites; rotate it to start at each agent's own site before applying
+    // the displacement correction.
     let views = (0..n)
         .map(|agent| {
-            let gaps = knowledge[agent].gaps().expect("checked complete");
-            let m = labels[agent];
-            let relative: Vec<ArcLength> = (0..n).map(|t| gaps[(m - 1 + t) % n]).collect();
-            AgentView::from_measurement(&relative, delta_start[agent])
+            let mut gaps = knowledge[agent].gaps().expect("checked complete");
+            gaps.rotate_left(labels[agent] - 1);
+            AgentView::from_measurement(&gaps, delta_start[agent])
         })
         .collect::<Result<Vec<_>, _>>()?;
 
@@ -301,9 +308,9 @@ pub fn discover_locations_perceptive(
 }
 
 /// Executes one measurement round under the given per-label direction rule
-/// and records every agent's equations. All buffers live in `scratch`, so
-/// the round allocates nothing once the vectors have grown to the ring
-/// size.
+/// and appends every agent's equations to the batch. All buffers live in
+/// `scratch`, so the round allocates nothing once the vectors have grown
+/// to the ring size.
 #[allow(clippy::too_many_arguments)]
 fn run_measurement_round(
     net: &mut Network<'_>,
@@ -312,31 +319,42 @@ fn run_measurement_round(
     n: usize,
     rule: &dyn Fn(usize) -> LocalDirection,
     rotations: usize,
-    knowledge: &mut [GapKnowledge],
+    batch: &mut EquationBatch,
     scratch: &mut MeasureScratch,
 ) -> Result<(), ProtocolError> {
-    scratch.dirs.clear();
-    scratch
-        .dirs
-        .extend((0..n).map(|agent| frames[agent].to_physical(rule(labels[agent]))));
     collision_spans_into(rule, n, scratch);
-    net.step_into(&scratch.dirs, &mut scratch.step)?;
-    for agent in 0..n {
-        let logical = frames[agent].observation_to_logical(scratch.step.observations()[agent]);
-        let label = labels[agent];
-        let site = (label - 1 + rotations) % n + 1;
-        record_equations(
-            &mut knowledge[agent],
-            n,
-            label,
-            site,
-            &logical,
-            rule(label),
-            &scratch.ahead,
-            &scratch.behind,
-        )?;
+    let rule_dirs = &scratch.rule_dirs;
+    scratch.dirs.clear();
+    scratch.dirs.extend(
+        frames
+            .iter()
+            .zip(labels)
+            .map(|(frame, &label)| frame.to_physical(rule_dirs[label - 1])),
+    );
+    let step = net.step_into(&scratch.dirs, &mut scratch.step);
+    if step.is_err() {
+        // A conflict among the pending rounds came first.
+        batch.flush().map_err(conflict_error)?;
     }
-    Ok(())
+    step?;
+    let observations = scratch.step.observations();
+    batch
+        .push_round(|agent, slots| {
+            let logical = frames[agent].observation_to_logical(observations[agent]);
+            let label = labels[agent];
+            let site = (label - 1 + rotations) % n + 1;
+            record_equations(
+                slots,
+                n,
+                label,
+                site,
+                &logical,
+                rule_dirs[label - 1],
+                &scratch.ahead,
+                &scratch.behind,
+            );
+        })
+        .map_err(conflict_error)
 }
 
 #[cfg(test)]
@@ -463,6 +481,22 @@ mod tests {
             );
             assert_eq!(discovery.method(), LocationMethod::PerceptiveConvolution);
         }
+    }
+
+    /// 65 Convolution rounds: two full equation batches, one round of a
+    /// third, then flushes before each pivot check.
+    #[test]
+    fn perceptive_discovery_across_equation_batches() {
+        let n = 130;
+        let config = RingConfig::builder(n)
+            .random_positions(131)
+            .random_chirality(132)
+            .build()
+            .unwrap();
+        let ids = IdAssignment::random(n, 4 * n as u64, 133);
+        let mut net = Network::new(&config, ids, Model::Perceptive).unwrap();
+        let discovery = discover_locations_perceptive(&mut net).unwrap();
+        assert!(verify_location_discovery(&net, &discovery));
     }
 
     #[test]

@@ -217,7 +217,9 @@ impl RingLink {
     /// # Errors
     ///
     /// Propagates substrate errors; returns [`ProtocolError::LengthMismatch`]
-    /// if `values` has the wrong length.
+    /// if `values` has the wrong length, and [`ProtocolError::Internal`] if
+    /// `bits` exceeds 64 or a value does not fit in `bits` bits. Both are
+    /// refused before any round runs.
     pub fn exchange_frames(
         &self,
         net: &mut Network<'_>,
@@ -252,6 +254,23 @@ impl RingLink {
                 got: values.len(),
                 expected: n,
             });
+        }
+        let refuse = |reason: String| ProtocolError::Internal {
+            protocol: "frame-exchange",
+            reason,
+        };
+        if bits > u64::BITS {
+            return Err(refuse(format!(
+                "a {bits}-bit frame exceeds the 64-bit payload"
+            )));
+        }
+        for (agent, &v) in values.iter().enumerate() {
+            // `checked_shr` is `None` at 64 bits, where every value fits.
+            if let Some(v) = v.filter(|v| v.checked_shr(bits).is_some_and(|high| high != 0)) {
+                return Err(refuse(format!(
+                    "agent {agent}'s value {v} does not fit in a {bits}-bit frame"
+                )));
+            }
         }
         // Presence bit.
         bufs.payload.clear();
@@ -397,6 +416,39 @@ mod tests {
             link.exchange_frames(&mut net, &[None, None], 4),
             Err(ProtocolError::LengthMismatch { .. })
         ));
+    }
+
+    /// A value wider than the frame, and a frame wider than a `u64`, are
+    /// refused before any round runs: the first used to be truncated in
+    /// silence, the second to overflow the payload shift.
+    #[test]
+    fn oversized_frames_are_refused_before_any_round() {
+        let config = RingConfig::builder(6).random_positions(2).build().unwrap();
+        let mut net =
+            Network::new(&config, IdAssignment::consecutive(6), Model::Perceptive).unwrap();
+        let (link, _) = RingLink::establish(&mut net).unwrap();
+        let rounds = net.rounds_used();
+        let mut values = vec![None, Some(15), None, Some(3), None, None];
+        // Four bits hold 15, and 64 bits hold anything.
+        assert!(link.exchange_frames(&mut net, &values, 4).is_ok());
+        values[5] = Some(u64::MAX);
+        assert!(link.exchange_frames(&mut net, &values, 64).is_ok());
+        let rounds = net.rounds_used() - rounds;
+        assert_eq!(rounds, 4 * 5 + 4 * 65);
+
+        let before = net.rounds_used();
+        values[5] = None;
+        values[1] = Some(16);
+        let err = link.exchange_frames(&mut net, &values, 4).unwrap_err();
+        assert!(
+            matches!(&err, ProtocolError::Internal { reason, .. } if reason.contains("agent 1")),
+            "{err}"
+        );
+        values[1] = Some(1);
+        let err = link.exchange_frames(&mut net, &values, 65).unwrap_err();
+        assert!(matches!(err, ProtocolError::Internal { .. }), "{err}");
+        assert_eq!(net.rounds_used(), before);
+        assert!(net.ground_truth_at_initial_positions());
     }
 
     /// `ArcLength::half` is what the decoder compares against; make sure the

@@ -14,6 +14,7 @@
 use crate::direction::LocalDirection;
 use crate::observe::Observation;
 use serde::{Deserialize, Serialize};
+use std::hint::select_unpredictable;
 
 /// A logical orientation maintained by an agent on top of its physical
 /// local frame.
@@ -49,11 +50,12 @@ impl Frame {
     /// Translates a logical direction into the physical local direction the
     /// agent must request from the substrate.
     pub fn to_physical(self, logical: LocalDirection) -> LocalDirection {
-        if self.flipped {
-            logical.opposite()
-        } else {
-            logical
-        }
+        use LocalDirection::{Idle, Left, Right};
+        // A table indexed by the direction and the flip, as in
+        // `LocalDirection::to_objective`: frames differ from agent to
+        // agent, so a branch on the flip mispredicts.
+        const TABLE: [[LocalDirection; 2]; 3] = [[Right, Left], [Left, Right], [Idle, Idle]];
+        TABLE[logical as usize][usize::from(self.flipped)]
     }
 
     /// Translates a physical local direction into the logical frame.
@@ -67,11 +69,10 @@ impl Frame {
     /// displacement `d` becomes `1 − d` while collision distances (path
     /// lengths) are unchanged.
     pub fn observation_to_logical(self, obs: Observation) -> Observation {
-        if !self.flipped || obs.dist.is_zero() {
-            return obs;
-        }
+        // Selects rather than branches, for the reason `to_physical` gives.
+        let mirror = self.flipped & !obs.dist.is_zero();
         Observation {
-            dist: obs.dist.complement(),
+            dist: select_unpredictable(mirror, obs.dist.complement(), obs.dist),
             coll: obs.coll,
         }
     }
@@ -109,6 +110,40 @@ mod tests {
         // Zero displacement is a fixed point of the mirroring.
         let obs = Observation::stationary();
         assert_eq!(f.observation_to_logical(obs).dist, ArcLength::ZERO);
+    }
+
+    /// Every flip state × logical direction, and every flip state × zero
+    /// or nonzero displacement (with and without a collision), against
+    /// the definitions: a flip swaps right and left, and mirrors a nonzero
+    /// displacement only.
+    #[test]
+    fn translations_match_their_definitions_exhaustively() {
+        use LocalDirection::{Idle, Left, Right};
+        for flipped in [false, true] {
+            let f = Frame::new(flipped);
+            for dir in [Right, Left, Idle] {
+                let expected = match (flipped, dir) {
+                    (true, Right) => Left,
+                    (true, Left) => Right,
+                    _ => dir,
+                };
+                assert_eq!(f.to_physical(dir), expected, "{flipped} {dir}");
+                assert_eq!(f.to_logical(expected), dir, "{flipped} {dir}");
+            }
+            for ticks in [0, 1, 10, CIRCUMFERENCE / 2, CIRCUMFERENCE - 1] {
+                for coll in [None, Some(ArcLength::from_ticks(7))] {
+                    let obs = Observation::with_dist_and_coll(ArcLength::from_ticks(ticks), coll);
+                    let dist = if flipped && ticks != 0 {
+                        CIRCUMFERENCE - ticks
+                    } else {
+                        ticks
+                    };
+                    let expected =
+                        Observation::with_dist_and_coll(ArcLength::from_ticks(dist), coll);
+                    assert_eq!(f.observation_to_logical(obs), expected, "{flipped} {ticks}");
+                }
+            }
+        }
     }
 
     #[test]
