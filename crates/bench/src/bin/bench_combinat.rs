@@ -19,7 +19,9 @@
 //! sweeps against the binary-search engine kept in `ring_sim::reference`,
 //! undo rounds (`Network::undo_last`) against the reversed round
 //! through the kernel, the fused complementary pair
-//! (`Network::step_pair_into`) against its four calls, the compact
+//! (`Network::step_pair_into`) against its four calls, a frame exchange
+//! that reuses repeated bit planes against one that simulates each, the
+//! compact
 //! `GapKnowledge` against `ring_protocols::knowledge::reference`, and a
 //! ring's equations batched through `EquationBatch` against applying them
 //! round by round. In `--quick` mode the run **fails** (nonzero exit) if
@@ -31,6 +33,7 @@ use ring_combinat::{reference, Distinguisher, IdSet, SelectiveFamily};
 use ring_protocols::coordination::nontrivial::weak_nontrivial_move_even_distinguisher;
 use ring_protocols::exec::StepBuffers;
 use ring_protocols::knowledge::{ArcEquation, EquationBatch};
+use ring_protocols::perceptive::link::{FrameBuffers, LinkBuffers, NeighborFrames, RingLink};
 use ring_protocols::{GapKnowledge, IdAssignment, Network};
 use ring_sim::{
     AnalyticEngine, AnalyticScratch, ArcLength, EngineKind, LocalDirection, Model,
@@ -569,7 +572,16 @@ fn main() {
     // 4d. The collision link's bit exchange (Proposition 31) at n = 512: a
     //     round and its complement, each undone, as one fused
     //     `step_pair_into` against the four calls it stands for (round A,
-    //     a copy of its observations, its undo, round B, its undo).
+    //     a copy of its observations, its undo, round B, its undo). No two
+    //     consecutive rounds share their directions, so every pair is
+    //     simulated: this times the kernel, not its reuse of a repeat.
+    assert!(
+        local_rounds
+            .iter()
+            .zip(local_rounds.iter().cycle().skip(1))
+            .all(|(dirs, next)| dirs != next),
+        "consecutive link_exchange_pair rounds must differ"
+    );
     let mut net = Network::new(&config, ids.clone(), Model::Perceptive).expect("valid network");
     let (mut round_a, mut round_b) = (StepBuffers::new(), StepBuffers::new());
     let fast = time_median(reps, || {
@@ -579,7 +591,7 @@ fn main() {
         }
         net.rounds_used()
     });
-    let mut net = Network::new(&config, ids, Model::Perceptive).expect("valid network");
+    let mut net = Network::new(&config, ids.clone(), Model::Perceptive).expect("valid network");
     let mut kept = Vec::with_capacity(kernel_n);
     let slow = time_median(reps, || {
         for (dirs, flipped) in local_rounds.iter().zip(&reversed_rounds) {
@@ -606,7 +618,78 @@ fn main() {
         slow as f64 / fast.max(1) as f64
     );
 
-    // 4e. Location knowledge: the compact `GapKnowledge` union–find against
+    // 4e. A 17-bit frame exchange at n = 512 (the label frames `RingDist`
+    //     floods at N = 2^16), with label-like values at one agent in
+    //     eight: the high planes are all zeros and repeat. The frame
+    //     exchange runs a repeated plane's pair once and does not decode
+    //     it again; the reference sends the same planes as separate bit
+    //     exchanges through two buffer sets taken in turn, so no pair is
+    //     reused, and assembles the frames from the received bits.
+    let frame_bits = 17u32;
+    let frame_exchanges = if quick { 4 } else { 16 };
+    let mut net = Network::new(&config, ids, Model::Perceptive).expect("valid network");
+    let (link, _) = RingLink::establish(&mut net).expect("perceptive link");
+    let values: Vec<Option<u64>> = (0..kernel_n as u64)
+        .map(|agent| (agent % 8 == 3).then_some(agent + 1))
+        .collect();
+    let (mut frame_bufs, mut frames) = (FrameBuffers::new(), Vec::new());
+    let fast = time_median(reps, || {
+        for _ in 0..frame_exchanges {
+            link.exchange_frames_with(&mut net, &values, frame_bits, &mut frame_bufs, &mut frames)
+                .expect("valid frame exchange");
+        }
+        net.rounds_used()
+    });
+    let mut turns = [LinkBuffers::new(), LinkBuffers::new()];
+    let (mut plane, mut received) = (Vec::with_capacity(kernel_n), Vec::new());
+    let mut unreused = Vec::with_capacity(kernel_n);
+    let slow = time_median(reps, || {
+        for _ in 0..frame_exchanges {
+            unreused.clear();
+            unreused.resize(kernel_n, (false, false, 0u64, 0u64));
+            for (turn, bit) in (0..=frame_bits).rev().enumerate() {
+                plane.clear();
+                plane.extend(values.iter().map(|v| match v {
+                    Some(v) if bit < frame_bits => (v >> bit) & 1 == 1,
+                    v => bit == frame_bits && v.is_some(),
+                }));
+                link.exchange_bits_with(&mut net, &plane, &mut turns[turn % 2], &mut received)
+                    .expect("valid bit exchange");
+                for (frame, rx) in unreused.iter_mut().zip(&received) {
+                    if bit == frame_bits {
+                        (frame.0, frame.1) = (rx.from_right, rx.from_left);
+                    } else {
+                        frame.2 |= u64::from(rx.from_right) << bit;
+                        frame.3 |= u64::from(rx.from_left) << bit;
+                    }
+                }
+            }
+        }
+        net.rounds_used()
+    });
+    let assembled: Vec<NeighborFrames> = unreused
+        .iter()
+        .map(|&(right, left, right_value, left_value)| NeighborFrames {
+            from_right: right.then_some(right_value),
+            from_left: left.then_some(left_value),
+        })
+        .collect();
+    assert_eq!(frames, assembled, "the two frame exchanges must agree");
+    record_pair(
+        &mut entries,
+        &mut speedups,
+        "link_frame",
+        kernel_n as u64,
+        fast,
+        slow,
+        reps,
+    );
+    println!(
+        "link_frame                n={kernel_n} x={frame_exchanges}:  {fast:>12} ns vs {slow:>12} ns  ({:.1}x)",
+        slow as f64 / fast.max(1) as f64
+    );
+
+    // 4f. Location knowledge: the compact `GapKnowledge` union–find against
     //     the wide one kept in `ring_protocols::knowledge::reference`, each
     //     built from scratch on one stream of 8·n true arc equations between
     //     random slots (most of them redundant once the ring is known) at
@@ -651,7 +734,7 @@ fn main() {
         slow as f64 / fast.max(1) as f64
     );
 
-    // 4f. Location knowledge of a whole ring: 512 agents, each with its
+    // 4g. Location knowledge of a whole ring: 512 agents, each with its
     //     own `GapKnowledge`, take two true equations a round (a pair sum
     //     and a collision-style span, shaped as in `Distances`), through
     //     an `EquationBatch` that applies them agent by agent, against
@@ -785,7 +868,8 @@ fn main() {
     // oracle fails the run. The asserted set is the kernel pairs — the
     // chunked `IdSet` loops, the two sampled verifications, the analytic
     // first-collision sweeps, the undo rewind, the fused link exchange, the
-    // compact union–find and the batched equations — not the construction or
+    // frame exchange's reuse of repeated planes, the compact union–find and
+    // the batched equations — not the construction or
     // round-loop pairs, whose inner cost is RNG- or simulator-bound.
     if quick {
         let asserted = [
@@ -798,6 +882,7 @@ fn main() {
             "analytic_first_collisions",
             "undo_round",
             "link_exchange_pair",
+            "link_frame",
             "gap_knowledge",
             "knowledge_batch",
         ];

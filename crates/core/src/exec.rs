@@ -19,7 +19,8 @@
 //!   round undone;
 //! * [`Network::step_pair_into`], a round and its complement (every
 //!   direction flipped), each followed by its undo: the bit exchange of
-//!   Proposition 31, run by the analytic kernel in one pass.
+//!   Proposition 31, run by the analytic kernel in one pass, and not run
+//!   again when the next call repeats it through the same buffers.
 //!
 //! The ring offset and its round count are the executor's whole position
 //! and round state. By Lemma 1 every round rotates the agents over their
@@ -67,6 +68,34 @@ pub struct StepBuffers {
     /// observations these buffers hold, while [`Network::undo_last`] may
     /// still revert it.
     forward: Option<(u64, u64)>,
+    /// The fused pair, and which of its rounds, whose observations these
+    /// buffers hold, while nothing else has written them since.
+    pair: Option<PairStamp>,
+}
+
+/// Names the round of a simulated complementary pair that a
+/// [`StepBuffers`] holds: [`Network::step_pair_into`] reuses the
+/// observations only in the roles they were written in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct PairStamp {
+    network: u64,
+    /// The pair's number in [`LastPair::seq`].
+    pair: u64,
+    /// Round A (`true`) or its complement, round B.
+    round_a: bool,
+}
+
+/// The last complementary pair the kernel simulated for a network. A pair
+/// observes a pure function of the configuration, the offset it starts
+/// from and its directions, so a call that repeats all three, through the
+/// buffers stamped with this pair, finds its observations already there.
+#[derive(Clone, Debug, Default)]
+struct LastPair {
+    /// Counts the network's simulated pairs.
+    seq: u64,
+    offset: usize,
+    directions: Vec<LocalDirection>,
+    rotation: Option<RotationIndex>,
 }
 
 impl StepBuffers {
@@ -127,6 +156,7 @@ pub struct Network<'a> {
     /// The shift of every forward round since the mark in force, oldest
     /// first: what [`Network::rewind`] moves back.
     mark_shifts: Vec<usize>,
+    last_pair: LastPair,
 }
 
 impl fmt::Debug for Network<'_> {
@@ -177,6 +207,7 @@ impl<'a> Network<'a> {
             round_limit: None,
             mark: None,
             mark_shifts: Vec::new(),
+            last_pair: LastPair::default(),
         })
     }
 
@@ -320,6 +351,7 @@ impl<'a> Network<'a> {
         directions: &[LocalDirection],
         bufs: &mut StepBuffers,
     ) -> Result<(), ProtocolError> {
+        bufs.pair = None;
         self.check_directions(directions)?;
         self.check_round_limit()?;
         // Fault injection happens below the model check: a suppressed move
@@ -374,6 +406,15 @@ impl<'a> Network<'a> {
     /// calls, error included: the analytic engine's results match the
     /// sequence tick for tick.
     ///
+    /// On the kernel path a pair is simulated only once. A call repeats
+    /// the last pair this network simulated when it starts from the same
+    /// offset with the same directions, and `a` and `b` still hold that
+    /// pair's rounds A and B: every other writer of the buffers clears the
+    /// stamp that says so — [`Network::step_into`], through which
+    /// [`Network::run_schedule`] and the one-by-one path write, and an undo
+    /// or rewind — and a clone is another network. A repeat counts its four rounds and leaves the
+    /// observations in place; they are what simulating it would write.
+    ///
     /// # Errors
     ///
     /// Those of [`Network::step_into`] and [`Network::undo_last`], from the
@@ -394,7 +435,20 @@ impl<'a> Network<'a> {
         {
             return self.step_pair_one_by_one(directions, a, b);
         }
+        if a.pair == self.pair_stamp(true)
+            && b.pair == self.pair_stamp(false)
+            && self.ring.offset() == self.last_pair.offset
+            && self.last_pair.directions == directions
+        {
+            self.ring.rewind(0, 4);
+            self.last_rotation = self.last_pair.rotation;
+            self.finish_pair(a, b);
+            return Ok(());
+        }
+        a.pair = None;
+        b.pair = None;
         self.check_directions(directions)?;
+        let offset = self.ring.offset();
         let rotation = self
             .ring
             .execute_pair_into(directions, &mut a.round, &mut b.round)?;
@@ -410,11 +464,34 @@ impl<'a> Network<'a> {
         }
         // B's undo reverses B's shift, the negation of A's: A's shift.
         self.last_rotation = Some(rotation);
+        let last = &mut self.last_pair;
+        last.seq += 1;
+        last.offset = offset;
+        last.directions.clear();
+        last.directions.extend_from_slice(directions);
+        last.rotation = self.last_rotation;
+        a.pair = self.pair_stamp(true);
+        b.pair = self.pair_stamp(false);
+        self.finish_pair(a, b);
+        Ok(())
+    }
+
+    /// The stamp of round A (`round_a`) or B of the last simulated pair.
+    fn pair_stamp(&self, round_a: bool) -> Option<PairStamp> {
+        Some(PairStamp {
+            network: self.id.0,
+            pair: self.last_pair.seq,
+            round_a,
+        })
+    }
+
+    /// Ends a fused pair: neither round can be undone, and a mark in force
+    /// is dropped, as by the pair's undos.
+    fn finish_pair(&mut self, a: &mut StepBuffers, b: &mut StepBuffers) {
         a.forward = None;
         b.forward = None;
         self.mark = None;
         self.mark_shifts.clear();
-        Ok(())
     }
 
     /// [`Network::step_pair_into`] as its four calls. An undo clears the
@@ -493,6 +570,7 @@ impl<'a> Network<'a> {
     /// buffers hold no observations to read.
     fn finish_undo(&mut self, bufs: &mut StepBuffers) {
         bufs.forward = None;
+        bufs.pair = None;
         bufs.round.observations.clear();
         self.mark = None;
         self.mark_shifts.clear();

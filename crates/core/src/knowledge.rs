@@ -385,7 +385,7 @@ impl EquationBatch {
         assert!(n >= 2, "a ring needs at least two slots");
         assert!(slots > 0, "a round needs at least one equation slot");
         EquationBatch {
-            knowledge: (0..n).map(|_| GapKnowledge::new(n)).collect(),
+            knowledge: vec![GapKnowledge::new(n); n],
             slots,
             pending: Vec::with_capacity(BATCH_ROUNDS * n * slots),
             flushed_rounds: 0,

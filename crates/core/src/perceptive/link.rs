@@ -14,11 +14,22 @@
 //! On top of the bit exchange, [`RingLink::exchange_frames`] ships
 //! fixed-width optional values (a presence bit plus a payload), which is the
 //! unit the dissemination primitives are built from.
+//!
+//! A frame exchange sends its bit planes through one buffer set, and many
+//! planes repeat the one before: frames are wider than the values they
+//! carry (`RingDist` sizes its label frames by the universe, not by `n`),
+//! so the high planes are all zeros, and sparse sources leave the plane
+//! near-empty. A repeated plane still runs its four rounds through
+//! [`Network::step_pair_into`], which counts them and, on the kernel path,
+//! reuses the pair it last simulated instead of simulating it again. What
+//! an agent receives is a function of the pair's observations and its own
+//! bit, both unchanged, so the repeated plane is not decoded again either:
+//! every agent's last received bit is repeated.
 
 use crate::error::ProtocolError;
 use crate::exec::{Network, StepBuffers};
 use crate::perceptive::neighbors::{discover_neighbors, NeighborInfo, NeighborMap};
-use ring_sim::LocalDirection;
+use ring_sim::{ArcLength, LocalDirection, Observation};
 use std::hint::select_unpredictable;
 
 /// Reusable scratch for the zero-alloc bit exchange
@@ -40,17 +51,14 @@ impl LinkBuffers {
 }
 
 /// Reusable scratch for the zero-alloc frame exchange
-/// ([`RingLink::exchange_frames_with`]): the underlying [`LinkBuffers`]
-/// plus per-exchange payload and accumulator buffers.
+/// ([`RingLink::exchange_frames_with`]): the underlying [`LinkBuffers`],
+/// the values as payload words, and per agent the payload bits received
+/// so far from the right and from the left.
 #[derive(Clone, Debug, Default)]
 pub struct FrameBuffers {
     link: LinkBuffers,
-    payload: Vec<bool>,
-    rx: Vec<NeighborBits>,
-    right_present: Vec<bool>,
-    left_present: Vec<bool>,
-    right_value: Vec<u64>,
-    left_value: Vec<u64>,
+    words: Vec<u64>,
+    payloads: Vec<[u64; 2]>,
 }
 
 impl FrameBuffers {
@@ -175,39 +183,27 @@ impl RingLink {
         bufs.dirs
             .extend(bits.iter().map(|&b| LocalDirection::from_bit(b)));
         net.step_pair_into(&bufs.dirs, &mut bufs.round_a, &mut bufs.round_b)?;
-
         out.clear();
+        out.extend(self.received(bufs));
+        Ok(())
+    }
+
+    /// What every agent received in the pair `bufs` holds, decoded from
+    /// the pair's observations and the agent's own bit (its direction in
+    /// round A).
+    fn received<'b>(&'b self, bufs: &'b LinkBuffers) -> impl Iterator<Item = NeighborBits> + 'b {
         let rounds = bufs
             .round_a
             .observations()
             .iter()
             .zip(bufs.round_b.observations());
-        // The decoding selects instead of branching: bits and chiralities
-        // can be random, and a branch on them mispredicts at about every
-        // other agent.
-        out.extend(bits.iter().zip(&self.infos).zip(rounds).map(
-            |((&bit, info), (obs_a, obs_b))| {
-                // This agent moved right in round A iff its bit is 1.
-                // On each side, did the neighbour approach in the round
-                // this agent moved towards it?
-                let towards_right = select_unpredictable(bit, obs_a.coll, obs_b.coll);
-                let towards_left = select_unpredictable(bit, obs_b.coll, obs_a.coll);
-                let right_approached = towards_right == Some(info.right_gap.half());
-                let left_approached = towards_left == Some(info.left_gap.half());
-                // A neighbour approached iff it moved towards this
-                // agent: the right one by moving left if it shares this
-                // agent's chirality and right if not, the left one the
-                // other way round. Whether it moved right in that round
-                // and whether that round was A give its bit.
-                let right_moved_right = right_approached ^ info.right_same_chirality;
-                let left_moved_right = left_approached ^ !info.left_same_chirality;
-                NeighborBits {
-                    from_right: right_moved_right == bit,
-                    from_left: left_moved_right != bit,
-                }
-            },
-        ));
-        Ok(())
+        bufs.dirs
+            .iter()
+            .zip(&self.infos)
+            .zip(rounds)
+            .map(|((&dir, info), (obs_a, obs_b))| {
+                decode(dir == LocalDirection::Right, info, obs_a, obs_b)
+            })
     }
 
     /// Exchanges a fixed-width optional value with both neighbours: one
@@ -272,44 +268,94 @@ impl RingLink {
                 )));
             }
         }
-        // Presence bit.
-        bufs.payload.clear();
-        bufs.payload.extend(values.iter().map(|v| v.is_some()));
-        self.exchange_bits_with(net, &bufs.payload, &mut bufs.link, &mut bufs.rx)?;
-        bufs.right_present.clear();
-        bufs.left_present.clear();
-        for nb in &bufs.rx {
-            bufs.right_present.push(nb.from_right);
-            bufs.left_present.push(nb.from_left);
-        }
-        // Payload bits, most significant first.
-        bufs.right_value.clear();
-        bufs.right_value.resize(n, 0);
-        bufs.left_value.clear();
-        bufs.left_value.resize(n, 0);
-        for bit in (0..bits).rev() {
-            bufs.payload.clear();
-            // An absent value sends zeros; `unwrap_or` selects where
-            // `is_some_and` would branch on each agent's presence.
-            bufs.payload
-                .extend(values.iter().map(|v| (v.unwrap_or(0) >> bit) & 1 == 1));
-            self.exchange_bits_with(net, &bufs.payload, &mut bufs.link, &mut bufs.rx)?;
-            for ((right, left), rx) in bufs
-                .right_value
-                .iter_mut()
-                .zip(bufs.left_value.iter_mut())
-                .zip(&bufs.rx)
-            {
-                *right |= u64::from(rx.from_right) << bit;
-                *left |= u64::from(rx.from_left) << bit;
+        // An absent value sends zeros; `unwrap_or` selects where
+        // `is_some_and` would branch on each agent's presence.
+        bufs.words.clear();
+        bufs.words.extend(values.iter().map(|v| v.unwrap_or(0)));
+        // Bit `p` is set where some agent's payload bit `p` differs from
+        // its bit `p + 1`: below the top plane, payload plane `p` repeats
+        // the plane before it where bit `p` is clear.
+        let changes = bufs
+            .words
+            .iter()
+            .fold(0, |changes, &w| changes | (w ^ (w >> 1)));
+
+        // The presence plane.
+        let link = &mut bufs.link;
+        link.dirs.clear();
+        link.dirs
+            .extend(values.iter().map(|v| LocalDirection::from_bit(v.is_some())));
+        net.step_pair_into(&link.dirs, &mut link.round_a, &mut link.round_b)?;
+        out.clear();
+        out.extend(self.received(link).map(|rx| NeighborFrames {
+            from_right: rx.from_right.then_some(0),
+            from_left: rx.from_left.then_some(0),
+        }));
+
+        // The payload planes, most significant first, each received bit
+        // shifted into the payloads from below.
+        bufs.payloads.clear();
+        bufs.payloads.resize(n, [0; 2]);
+        for plane in (0..bits).rev() {
+            let repeated = plane + 1 < bits && changes >> plane & 1 == 0;
+            if !repeated {
+                link.dirs.clear();
+                link.dirs.extend(
+                    bufs.words
+                        .iter()
+                        .map(|&w| LocalDirection::from_bit((w >> plane) & 1 == 1)),
+                );
+            }
+            net.step_pair_into(&link.dirs, &mut link.round_a, &mut link.round_b)?;
+            if repeated {
+                for payload in bufs.payloads.as_flattened_mut() {
+                    *payload = *payload << 1 | *payload & 1;
+                }
+            } else {
+                for ([right, left], rx) in bufs.payloads.iter_mut().zip(self.received(link)) {
+                    *right = *right << 1 | u64::from(rx.from_right);
+                    *left = *left << 1 | u64::from(rx.from_left);
+                }
             }
         }
-        out.clear();
-        out.extend((0..n).map(|agent| NeighborFrames {
-            from_right: bufs.right_present[agent].then_some(bufs.right_value[agent]),
-            from_left: bufs.left_present[agent].then_some(bufs.left_value[agent]),
-        }));
+        for (frame, &[right, left]) in out.iter_mut().zip(&bufs.payloads) {
+            frame.from_right = frame.from_right.map(|_| right);
+            frame.from_left = frame.from_left.map(|_| left);
+        }
         Ok(())
+    }
+}
+
+/// One agent's received bits, from its own `bit` and the observations of
+/// the pair's rounds A and B.
+///
+/// The decoding selects instead of branching: bits and chiralities can be
+/// random, and a branch on them mispredicts at about every other agent.
+#[inline(always)]
+fn decode(
+    bit: bool,
+    info: &NeighborInfo,
+    obs_a: &Observation,
+    obs_b: &Observation,
+) -> NeighborBits {
+    // This agent moved right in round A iff its bit is 1. On each side,
+    // did the neighbour approach in the round this agent moved towards it?
+    // No collision reads as a distance no half gap equals.
+    let ticks = |obs: &Observation| obs.coll.map_or(u64::MAX, ArcLength::ticks);
+    let (coll_a, coll_b) = (ticks(obs_a), ticks(obs_b));
+    let towards_right = select_unpredictable(bit, coll_a, coll_b);
+    let towards_left = select_unpredictable(bit, coll_b, coll_a);
+    let right_approached = towards_right == info.right_gap.half().ticks();
+    let left_approached = towards_left == info.left_gap.half().ticks();
+    // A neighbour approached iff it moved towards this agent: the right one
+    // by moving left if it shares this agent's chirality and right if not,
+    // the left one the other way round. Whether it moved right in that
+    // round and whether that round was A give its bit.
+    let right_moved_right = right_approached ^ info.right_same_chirality;
+    let left_moved_right = left_approached ^ !info.left_same_chirality;
+    NeighborBits {
+        from_right: right_moved_right == bit,
+        from_left: left_moved_right != bit,
     }
 }
 

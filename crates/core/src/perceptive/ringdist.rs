@@ -106,7 +106,9 @@ pub fn ring_distances(
     let mut nearest: Vec<NearestSources> = Vec::with_capacity(n);
     let mut sources: Vec<Option<u64>> = Vec::with_capacity(n);
     let mut z: Vec<Option<u64>> = Vec::with_capacity(n);
-    let mut y_sums: Vec<Vec<u64>> = vec![Vec::new(); n];
+    // Row `agent` holds that agent's running sums y_1, y_1 + y_2, …,
+    // y_1 + … + y_k of the current iteration.
+    let mut y_sums: Vec<u64> = Vec::new();
 
     // Initial dissemination: the leader announces itself over distance 4.
     sources.clear();
@@ -146,24 +148,27 @@ pub fn ring_distances(
     for i in 1..=max_iter {
         let k = 1usize << i;
 
-        // Phase A: k executions of Shift(−k/2); record the traversed gap
-        // blocks y_1, …, y_k.
-        for sums in &mut y_sums {
-            sums.clear();
-        }
+        // Phase A: k executions of Shift(−k/2); record the running sums of
+        // the traversed gap blocks y_1, …, y_k.
+        y_sums.clear();
+        y_sums.resize(n * k, 0);
         let before_shifts = net.mark();
         fill_shift_dirs(&label, k / 2, false, &mut dirs);
-        for _ in 0..k {
+        for j in 0..k {
             net.step_into(&dirs, &mut bufs)?;
-            for (agent, obs) in bufs.observations().iter().enumerate() {
-                let logical = frames[agent].observation_to_logical(*obs);
+            for ((sums, obs), frame) in y_sums
+                .chunks_exact_mut(k)
+                .zip(bufs.observations())
+                .zip(frames)
+            {
+                let logical = frame.observation_to_logical(*obs);
                 let traversed = if logical.dist.is_zero() {
                     0
                 } else {
                     CIRCUMFERENCE - logical.dist.ticks()
                 };
-                let prev = y_sums[agent].last().copied().unwrap_or(0);
-                y_sums[agent].push(prev + traversed);
+                let prev = if j == 0 { 0 } else { sums[j - 1] };
+                sums[j] = prev + traversed;
             }
         }
         // Phase B: undo the shifts — k rounds of Shift(+k/2).
@@ -181,16 +186,13 @@ pub fn ring_distances(
         net.undo_last(&mut bufs)?;
 
         // Label detection (Corollary 38).
-        for agent in 0..n {
-            if label[agent].is_some() {
+        for ((label, &z), sums) in label.iter_mut().zip(&z).zip(y_sums.chunks_exact(k)) {
+            if label.is_some() {
                 continue;
             }
-            let Some(z_val) = z[agent] else { continue };
-            for j in 1..=k {
-                if 2 * z_val == y_sums[agent][j - 1] {
-                    label[agent] = Some(k + j * k);
-                    break;
-                }
+            let Some(z) = z else { continue };
+            if let Some(j) = sums.iter().position(|&sum| sum == 2 * z) {
+                *label = Some(k + (j + 1) * k);
             }
         }
 

@@ -1,7 +1,8 @@
 //! Allocation guard for undo rounds: after a warm-up has sized the reusable
 //! buffers, [`Network::undo_last`], [`Network::mark`]/[`Network::rewind`],
-//! [`Network::step_pair_into`] (a round and its complement, each undone)
-//! and a collision-link bit exchange built on it must perform **zero** heap
+//! [`Network::step_pair_into`] (a round and its complement, each undone),
+//! also when it repeats the last pair and reuses it, and collision-link bit
+//! and frame exchanges built on it must perform **zero** heap
 //! allocations, and so must recording equations in a [`GapKnowledge`] and
 //! buffering and flushing them through a warm [`EquationBatch`]. A
 //! counting global allocator (per thread, so the tests can run
@@ -10,7 +11,7 @@
 
 use ring_protocols::exec::StepBuffers;
 use ring_protocols::knowledge::{ArcEquation, EquationBatch, BATCH_ROUNDS};
-use ring_protocols::perceptive::link::{LinkBuffers, RingLink};
+use ring_protocols::perceptive::link::{FrameBuffers, LinkBuffers, RingLink};
 use ring_protocols::{GapKnowledge, IdAssignment, Network};
 use ring_sim::{ArcLength, EngineKind, LocalDirection, Model, RingConfig, CIRCUMFERENCE};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -175,6 +176,65 @@ fn warm_pair_steps_allocate_nothing() {
             "{engine:?}, n = {n}: {total} allocations across warm pair steps"
         );
     }
+}
+
+/// Each pair run twice in a row through the same buffers: the repeat
+/// reuses the simulated pair, and neither allocates once warm.
+#[test]
+fn warm_repeated_pairs_allocate_nothing() {
+    let config = config(N);
+    let ids = IdAssignment::random(N, 64 * N as u64, 13);
+    let rounds: Vec<Vec<LocalDirection>> = (0..ROUNDS).map(|round| directions(N, round)).collect();
+    let mut net = Network::new(&config, ids, Model::Perceptive).expect("valid network");
+    let (mut a, mut b) = (StepBuffers::new(), StepBuffers::new());
+    let mut exercise = |net: &mut Network<'_>| {
+        for dirs in &rounds {
+            net.step_pair_into(dirs, &mut a, &mut b).expect("pair");
+            net.step_pair_into(dirs, &mut a, &mut b)
+                .expect("repeated pair");
+        }
+    };
+
+    exercise(&mut net);
+    let before = allocations();
+    exercise(&mut net);
+    let total = allocations() - before;
+    assert!(net.ground_truth_at_initial_positions());
+    assert_eq!(net.rounds_used(), 16 * ROUNDS as u64);
+    assert_eq!(total, 0, "{total} allocations across warm repeated pairs");
+}
+
+/// Frame exchanges of label-like values, one agent in eight sending, in
+/// frames wider than the values: most bit planes repeat the one before.
+#[test]
+fn warm_frame_exchanges_with_repeated_planes_allocate_nothing() {
+    let config = config(N);
+    let ids = IdAssignment::random(N, 64 * N as u64, 15);
+    let mut net = Network::new(&config, ids, Model::Perceptive).expect("valid network");
+    let (link, _) = RingLink::establish(&mut net).expect("link");
+    let (mut bufs, mut out) = (FrameBuffers::new(), Vec::new());
+    let values: Vec<Vec<Option<u64>>> = (0..4)
+        .map(|shift| {
+            (0..N as u64)
+                .map(|agent| ((agent + shift) % 8 == 0).then_some(agent + 1))
+                .collect()
+        })
+        .collect();
+    let mut exercise = |net: &mut Network<'_>| {
+        for values in &values {
+            link.exchange_frames_with(net, values, 17, &mut bufs, &mut out)
+                .expect("frame exchange");
+        }
+    };
+
+    exercise(&mut net);
+    let start = net.rounds_used();
+    let before = allocations();
+    exercise(&mut net);
+    let total = allocations() - before;
+    assert_eq!(net.rounds_used() - start, 4 * 18 * values.len() as u64);
+    assert!(net.ground_truth_at_initial_positions());
+    assert_eq!(total, 0, "{total} allocations across warm frame exchanges");
 }
 
 /// Equations of every kind — new, redundant, wrapping, conflicting — on a

@@ -21,7 +21,15 @@
 //! * [`Network::step_pair_into`], a round and its complement each followed
 //!   by its undo, equals those four calls tick for tick — observations,
 //!   state, rotation, errors — on both engines, under a fault plan and at a
-//!   round limit.
+//!   round limit;
+//! * a pair that repeats the last one through the buffers it wrote is not
+//!   simulated again, so every call is checked against a twin network
+//!   that runs each pair as its four calls and so never reuses one, in
+//!   random sequences that mix repeated pairs with swapped and other
+//!   buffers, forward rounds, undos, marks and rewinds, clones sharing the
+//!   buffers, a round limit a few rounds away and an active fault plan;
+//!   and a frame exchange, which repeats its zero planes, is checked
+//!   against the same planes sent as separate bit exchanges.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,7 +37,7 @@ use ring_protocols::coordination::leader::elect_leader_with_move;
 use ring_protocols::exec::StepBuffers;
 use ring_protocols::perceptive::dissemination::{flood_max, flood_nearest};
 use ring_protocols::perceptive::distances::discover_locations_perceptive;
-use ring_protocols::perceptive::link::RingLink;
+use ring_protocols::perceptive::link::{NeighborFrames, RingLink};
 use ring_protocols::perceptive::neighbors::discover_neighbors;
 use ring_protocols::perceptive::nmove::nmove_s;
 use ring_protocols::perceptive::ringdist::ring_distances;
@@ -744,5 +752,399 @@ fn step_pair_fails_like_the_four_calls_at_the_round_limit() {
         let ok = fused.step_pair_into(&dirs, &mut a, &mut b).is_ok();
         assert!(!ok, "{context}: the limit is used up");
         assert_eq!(fused.rounds_used(), limit, "{context}: rounds");
+    }
+}
+
+/// One call of a reuse-oracle sequence, on one of the networks alive.
+#[derive(Clone, Copy, Debug)]
+enum Call {
+    /// A pair through pool buffers `a` and `b`, with the directions of the
+    /// previous pair when `repeat` holds.
+    Pair {
+        a: usize,
+        b: usize,
+        repeat: bool,
+    },
+    Step {
+        buf: usize,
+    },
+    Undo {
+        buf: usize,
+    },
+    Mark,
+    Rewind {
+        buf: usize,
+    },
+    /// A clone joins the networks alive and shares the buffer pool.
+    Clone,
+    /// A round limit `ahead` rounds from now.
+    Limit {
+        ahead: u64,
+    },
+    /// An active fault plan, on the engine the model picks or forced back
+    /// to the analytic one.
+    Faults {
+        analytic: bool,
+    },
+}
+
+/// A random call; a round limit or a fault plan only when `late` holds,
+/// since either soon ends the network's pairs.
+fn random_call(rng: &mut StdRng, late: bool) -> Call {
+    let buf = rng.gen_range(0..4usize);
+    match rng.gen_range(0..if late { 100u32 } else { 94 }) {
+        // Mostly the same two buffers in the same roles, so pairs repeat.
+        0..=44 => Call::Pair {
+            a: 0,
+            b: 1,
+            repeat: rng.gen_range(0..3u32) != 0,
+        },
+        45..=49 => Call::Pair {
+            a: 1,
+            b: 0,
+            repeat: true,
+        },
+        50..=59 => {
+            let a = rng.gen_range(0..4usize);
+            let b = (a + rng.gen_range(1..4usize)) % 4;
+            Call::Pair {
+                a,
+                b,
+                repeat: rng.gen::<bool>(),
+            }
+        }
+        60..=71 => Call::Step { buf },
+        72..=79 => Call::Undo { buf },
+        80..=84 => Call::Mark,
+        85..=89 => Call::Rewind { buf },
+        90..=93 => Call::Clone,
+        94..=97 => Call::Limit {
+            ahead: rng.gen_range(3..=5u64),
+        },
+        _ => Call::Faults {
+            analytic: rng.gen::<bool>(),
+        },
+    }
+}
+
+/// Rebuilds network `i` with `f` (the builders take the network by value).
+fn rebuild<'a>(nets: &mut Vec<Network<'a>>, i: usize, f: impl FnOnce(Network<'a>) -> Network<'a>) {
+    let net = nets.remove(i);
+    nets.insert(i, f(net));
+}
+
+/// `net` under [`dropping_plan`], on the analytic engine if `analytic`
+/// holds and otherwise on the one its model picks.
+fn with_drops(net: Network<'_>, seed: u64, analytic: bool) -> Network<'_> {
+    let n = net.len();
+    let net = net.with_faults(dropping_plan(n, seed));
+    if analytic {
+        net.with_engine(EngineKind::Analytic)
+    } else {
+        net
+    }
+}
+
+/// The four calls [`Network::step_pair_into`] stands for, round A through
+/// `a` and round B through `b`: every round is simulated, none reused.
+fn four_calls_through(
+    net: &mut Network<'_>,
+    dirs: &[LocalDirection],
+    a: &mut StepBuffers,
+    b: &mut StepBuffers,
+) -> Result<PairObservations, ProtocolError> {
+    net.step_into(dirs, a)?;
+    let round_a = a.observations().to_vec();
+    net.undo_last(a)?;
+    net.step_into(&reversed(dirs), b)?;
+    let round_b = b.observations().to_vec();
+    net.undo_last(b)?;
+    Ok((round_a, round_b))
+}
+
+/// Runs one random call sequence on a subject network, whose pairs may be
+/// reused, and on a twin that runs each pair as its four calls through the
+/// same buffers of its own pool, and checks every call: the result (each
+/// refusal included), the observations of every successful call, the
+/// round count, the offset and the rotation.
+fn assert_reuse_sequence(
+    config: &RingConfig,
+    ids: &IdAssignment,
+    model: Model,
+    seed: u64,
+    calls: usize,
+) {
+    // The event engine's debug build is slow on large rings: there, a
+    // fault plan keeps the analytic engine.
+    let event = config.len() <= 16;
+    let n = config.len();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut subjects = vec![Network::new(config, ids.clone(), model).unwrap()];
+    let mut twins = vec![Network::new(config, ids.clone(), model).unwrap()];
+    let mut subject_marks = vec![None];
+    let mut twin_marks = vec![None];
+    let mut pool: [StepBuffers; 4] = Default::default();
+    let mut twin_pool: [StepBuffers; 4] = Default::default();
+    let mut dirs = random_directions(&mut rng, n, model.allows_idle());
+    for step in 0..calls {
+        let i = rng.gen_range(0..subjects.len());
+        let call = random_call(&mut rng, 3 * step >= 2 * calls);
+        let context = format!("n={n} {model} seed {seed} call {step} {call:?} on net {i}");
+        let (subject, twin) = (&mut subjects[i], &mut twins[i]);
+        let (got, expected) = match call {
+            Call::Pair { a, b, repeat } => {
+                if !repeat {
+                    dirs = random_directions(&mut rng, n, model.allows_idle());
+                }
+                let [buf_a, buf_b] = pool.get_disjoint_mut([a, b]).unwrap();
+                let got = subject
+                    .step_pair_into(&dirs, buf_a, buf_b)
+                    .map(|()| Some((buf_a.observations().to_vec(), buf_b.observations().to_vec())));
+                let [twin_a, twin_b] = twin_pool.get_disjoint_mut([a, b]).unwrap();
+                let expected = four_calls_through(twin, &dirs, twin_a, twin_b).map(Some);
+                (got, expected)
+            }
+            Call::Step { buf } => {
+                let step = random_directions(&mut rng, n, model.allows_idle());
+                let got = subject
+                    .step_into(&step, &mut pool[buf])
+                    .map(|()| Some((pool[buf].observations().to_vec(), Vec::new())));
+                let expected = twin
+                    .step_into(&step, &mut twin_pool[buf])
+                    .map(|()| Some((twin_pool[buf].observations().to_vec(), Vec::new())));
+                (got, expected)
+            }
+            Call::Undo { buf } => (
+                subject.undo_last(&mut pool[buf]).map(|()| None),
+                twin.undo_last(&mut twin_pool[buf]).map(|()| None),
+            ),
+            Call::Mark => {
+                subject_marks[i] = Some(subject.mark());
+                twin_marks[i] = Some(twin.mark());
+                (Ok(None), Ok(None))
+            }
+            Call::Rewind { buf } => match (subject_marks[i], twin_marks[i]) {
+                (Some(mark), Some(twin_mark)) => (
+                    subject.rewind(mark, &mut pool[buf]).map(|()| None),
+                    twin.rewind(twin_mark, &mut twin_pool[buf]).map(|()| None),
+                ),
+                _ => (Ok(None), Ok(None)),
+            },
+            Call::Clone => {
+                let (clone, twin_clone) = (subject.clone(), twin.clone());
+                subjects.push(clone);
+                twins.push(twin_clone);
+                // A mark is the network's own: a clone has none in force.
+                subject_marks.push(subject_marks[i]);
+                twin_marks.push(twin_marks[i]);
+                (Ok(None), Ok(None))
+            }
+            Call::Limit { ahead } => {
+                let limit = subjects[i].rounds_used() + ahead;
+                rebuild(&mut subjects, i, |net| net.with_round_limit(limit));
+                rebuild(&mut twins, i, |net| net.with_round_limit(limit));
+                (Ok(None), Ok(None))
+            }
+            Call::Faults { analytic } => {
+                let analytic = analytic || !event;
+                rebuild(&mut subjects, i, |net| with_drops(net, seed, analytic));
+                rebuild(&mut twins, i, |net| with_drops(net, seed, analytic));
+                (Ok(None), Ok(None))
+            }
+        };
+        assert_eq!(got, expected, "{context}: result");
+        let (subject, twin) = (&subjects[i], &twins[i]);
+        assert_eq!(
+            subject.ground_truth_last_rotation(),
+            twin.ground_truth_last_rotation(),
+            "{context}: rotation"
+        );
+        assert_same_state(subject, twin, &context);
+    }
+}
+
+/// Random call sequences on small rings, every chirality mix and model:
+/// a reused pair is indistinguishable from a simulated one.
+#[test]
+fn reused_pairs_match_a_twin_that_never_reuses() {
+    for n in [5usize, 6, 7, 8, 12] {
+        for (c, config) in configs(n, 170 + n as u64).iter().enumerate() {
+            for model in [Model::Perceptive, Model::Lazy, Model::Basic] {
+                let ids = IdAssignment::random(n, 16 * n as u64, 3 + n as u64);
+                for rep in 0..4u64 {
+                    let seed = 10_000 * n as u64 + 100 * c as u64 + rep;
+                    assert_reuse_sequence(config, &ids, model, seed, 80);
+                }
+            }
+        }
+    }
+}
+
+/// The same at the ring sizes of the perceptive tables.
+#[test]
+fn reused_pairs_match_a_twin_that_never_reuses_on_large_rings() {
+    for n in [128usize, 512] {
+        let (config, ids) = deployment(n, 190 + n as u64);
+        for rep in 0..4u64 {
+            assert_reuse_sequence(&config, &ids, Model::Perceptive, 20 * n as u64 + rep, 120);
+        }
+    }
+}
+
+/// A clone shares the original's last pair but not its identity. Here the
+/// clone writes another pair into the buffers while the original simulates
+/// a pair elsewhere, so both networks have simulated as many pairs when the
+/// original repeats its own: the buffers hold the clone's pair, and only the
+/// network in the stamp tells them apart.
+#[test]
+fn a_clone_never_reuses_the_original_pairs() {
+    let n = 9;
+    let (config, ids) = deployment(n, 211);
+    let mut net = Network::new(&config, ids.clone(), Model::Perceptive).unwrap();
+    let mut twin = Network::new(&config, ids, Model::Perceptive).unwrap();
+    let [mut a, mut b, mut c, mut d]: [StepBuffers; 4] = Default::default();
+    let first: Vec<LocalDirection> = (0..n)
+        .map(|i| LocalDirection::from_bit(i % 3 == 0))
+        .collect();
+    let other: Vec<LocalDirection> = (0..n)
+        .map(|i| LocalDirection::from_bit(i % 2 == 0))
+        .collect();
+    let mut clone = net.clone();
+    clone.step_into(&other, &mut c).unwrap();
+    clone.step_pair_into(&other, &mut a, &mut b).unwrap();
+    net.step_pair_into(&first, &mut c, &mut d).unwrap();
+    net.step_pair_into(&first, &mut a, &mut b).unwrap();
+    let (mut fresh_a, mut fresh_b) = (StepBuffers::new(), StepBuffers::new());
+    twin.step_pair_into(&first, &mut fresh_a, &mut fresh_b)
+        .unwrap();
+    twin.step_pair_into(&first, &mut fresh_a, &mut fresh_b)
+        .unwrap();
+    assert_eq!(a.observations(), fresh_a.observations(), "round A");
+    assert_eq!(b.observations(), fresh_b.observations(), "round B");
+    assert_same_state(&net, &twin, "after the repeat");
+}
+
+/// An undo or rewind clears the observations of the buffers it is given,
+/// and so ends their reuse: here a rewind through the buffers of round A
+/// comes between a pair and its repeat from the same offset.
+#[test]
+fn a_rewind_through_pair_buffers_ends_their_reuse() {
+    let n = 9;
+    let (config, ids) = deployment(n, 221);
+    let dirs: Vec<LocalDirection> = (0..n)
+        .map(|i| LocalDirection::from_bit(i % 4 == 1))
+        .collect();
+    let moved: Vec<LocalDirection> = (0..n).map(|i| LocalDirection::from_bit(i < 2)).collect();
+    for undo in [false, true] {
+        let mut net = Network::new(&config, ids.clone(), Model::Perceptive).unwrap();
+        let mut twin = Network::new(&config, ids.clone(), Model::Perceptive).unwrap();
+        let [mut a, mut b, mut c]: [StepBuffers; 3] = Default::default();
+        let [mut x, mut y, mut z]: [StepBuffers; 3] = Default::default();
+        let context = if undo { "undo" } else { "rewind" };
+        net.step_pair_into(&dirs, &mut a, &mut b).unwrap();
+        four_calls_through(&mut twin, &dirs, &mut x, &mut y).unwrap();
+        if undo {
+            // Refused: `a` holds no forward round, and nothing changes.
+            net.step_into(&moved, &mut c).unwrap();
+            twin.step_into(&moved, &mut z).unwrap();
+            let refused = net.undo_last(&mut a);
+            assert_eq!(refused, twin.undo_last(&mut x), "{context}: refusal");
+            assert!(refused.is_err(), "{context}: undo through a");
+            net.undo_last(&mut c).unwrap();
+            twin.undo_last(&mut z).unwrap();
+        } else {
+            let (mark, twin_mark) = (net.mark(), twin.mark());
+            net.step_into(&moved, &mut c).unwrap();
+            twin.step_into(&moved, &mut z).unwrap();
+            net.rewind(mark, &mut a).unwrap();
+            twin.rewind(twin_mark, &mut x).unwrap();
+        }
+        assert_same_state(&net, &twin, context);
+        let got = net
+            .step_pair_into(&dirs, &mut a, &mut b)
+            .map(|()| (a.observations().to_vec(), b.observations().to_vec()));
+        let expected = four_calls_through(&mut twin, &dirs, &mut x, &mut y);
+        assert_eq!(got, expected, "{context}: the repeated pair");
+        assert_same_state(&net, &twin, context);
+    }
+}
+
+/// Frame exchanges whose values leave most planes repeated (narrow values
+/// in wide frames, sparse senders) receive what the same planes sent as
+/// separate bit exchanges through alternating buffers receive, at the same
+/// cost in rounds, on both engines.
+#[test]
+fn frame_exchanges_with_repeated_planes_match_separate_bit_exchanges() {
+    for (n, seed) in [(9usize, 5u64), (24, 6), (64, 7)] {
+        let (config, ids) = deployment(n, 230 + seed);
+        for engine in [EngineKind::Analytic, EngineKind::Event] {
+            // The event engine's debug build is slow on large rings.
+            if engine == EngineKind::Event && n > 24 {
+                continue;
+            }
+            let network = || {
+                Network::new(&config, ids.clone(), Model::Perceptive)
+                    .unwrap()
+                    .with_engine(engine)
+            };
+            let (mut framed, mut separate) = (network(), network());
+            let (link, _) = RingLink::establish(&mut framed).unwrap();
+            RingLink::establish(&mut separate).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Zero payloads repeat every payload plane but the first.
+            let cases = [0u32, 1, 5, 17, 64].map(|bits| [(bits, false), (bits, true)]);
+            for (bits, zeros) in cases.into_iter().flatten() {
+                let context = format!("n={n} {engine:?} {bits}-bit frames, zeros {zeros}");
+                let values: Vec<Option<u64>> = (0..n)
+                    .map(|_| {
+                        let width = if zeros {
+                            0
+                        } else {
+                            bits.min(rng.gen_range(0..=10u32))
+                        };
+                        let high = u64::MAX.checked_shr(64 - width).unwrap_or(0);
+                        rng.gen_range(0..4u32)
+                            .eq(&0)
+                            .then(|| rng.gen::<u64>() & high)
+                    })
+                    .collect();
+                let got = link.exchange_frames(&mut framed, &values, bits).unwrap();
+                let mut expected = vec![(None, None); n];
+                for plane in (0..=bits).rev() {
+                    let sent: Vec<bool> = values
+                        .iter()
+                        .map(|v| match v {
+                            Some(v) if plane < bits => (v >> plane) & 1 == 1,
+                            v => plane == bits && v.is_some(),
+                        })
+                        .collect();
+                    let received = link.exchange_bits(&mut separate, &sent).unwrap();
+                    for (frame, rx) in expected.iter_mut().zip(&received) {
+                        let bit = |present: Option<u64>, bit: bool| match present {
+                            _ if plane == bits => bit.then_some(0),
+                            Some(v) => Some(v | u64::from(bit) << plane),
+                            None => None,
+                        };
+                        *frame = (bit(frame.0, rx.from_right), bit(frame.1, rx.from_left));
+                    }
+                }
+                let expected: Vec<_> = expected
+                    .into_iter()
+                    .map(|(from_right, from_left)| NeighborFrames {
+                        from_right,
+                        from_left,
+                    })
+                    .collect();
+                assert_eq!(got, expected, "{context}: frames");
+                // The last plane ran as its own directions, not as a
+                // stale plane that only looked repeated.
+                assert_eq!(
+                    framed.ground_truth_last_rotation(),
+                    separate.ground_truth_last_rotation(),
+                    "{context}: rotation"
+                );
+                assert_same_state(&framed, &separate, &context);
+            }
+        }
     }
 }

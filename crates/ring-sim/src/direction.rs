@@ -46,11 +46,23 @@ pub enum Chirality {
 impl ObjectiveDirection {
     /// The opposite objective direction (idle stays idle).
     pub fn opposite(self) -> Self {
-        use ObjectiveDirection::{Anticlockwise, Clockwise, Idle};
-        // A table, as in `LocalDirection::to_objective`: a complementary
-        // round flips every agent's direction.
-        const TABLE: [ObjectiveDirection; 3] = [Anticlockwise, Clockwise, Idle];
-        TABLE[self as usize]
+        // Arithmetic on the discriminant, as in
+        // `LocalDirection::to_objective`: a complementary round flips
+        // every agent's direction.
+        let d = self as u8;
+        Self::from_discriminant(d ^ u8::from(d != Self::Idle as u8))
+    }
+
+    /// The direction declared at position `d` (declaration order), idle
+    /// past the two movements. Written as a `match` that the optimiser
+    /// turns into the identity, so loops over a round's directions stay
+    /// vectorised.
+    fn from_discriminant(d: u8) -> Self {
+        match d {
+            0 => ObjectiveDirection::Clockwise,
+            1 => ObjectiveDirection::Anticlockwise,
+            _ => ObjectiveDirection::Idle,
+        }
     }
 
     /// Whether the direction denotes actual movement.
@@ -86,20 +98,16 @@ impl LocalDirection {
     /// Translates this local direction to the objective frame, given the
     /// agent's chirality.
     pub fn to_objective(self, chirality: Chirality) -> ObjectiveDirection {
-        use ObjectiveDirection::{Anticlockwise, Clockwise, Idle};
-        // A table indexed by the two discriminants (declaration order), not
-        // a `match`: every round translates each agent's direction, and
-        // with random bits and chiralities the branches of a match
-        // mispredict at about every other agent.
-        const TABLE: [[ObjectiveDirection; 2]; 3] = [
-            // Right: aligned, reversed.
-            [Clockwise, Anticlockwise],
-            // Left.
-            [Anticlockwise, Clockwise],
-            // Idle.
-            [Idle, Idle],
-        ];
-        TABLE[self as usize][chirality as usize]
+        // Arithmetic on the discriminants (declaration order), not a
+        // `match` on the pair: every round translates each agent's
+        // direction, and with random bits and chiralities the branches of
+        // a match mispredict at about every other agent; this form also
+        // vectorises, where a table lookup per agent does not. Right and
+        // left are clockwise and anticlockwise, swapped for a reversed
+        // agent; idle stays idle.
+        let d = self as u8;
+        let moving = u8::from(d != LocalDirection::Idle as u8);
+        ObjectiveDirection::from_discriminant(d ^ (chirality as u8 & moving))
     }
 
     /// Encodes a boolean as a direction, the convention used by the 1-bit
@@ -209,6 +217,26 @@ mod tests {
             assert_eq!(d.opposite().opposite(), d);
         }
         assert_eq!(Chirality::Aligned.flipped().flipped(), Chirality::Aligned);
+    }
+
+    /// The arithmetic translations against their definitions, for every
+    /// direction and chirality.
+    #[test]
+    fn opposites_swap_the_movements_and_commute_with_translation() {
+        use ObjectiveDirection::{Anticlockwise, Clockwise, Idle};
+        assert_eq!(Clockwise.opposite(), Anticlockwise);
+        assert_eq!(Anticlockwise.opposite(), Clockwise);
+        assert_eq!(Idle.opposite(), Idle);
+        for d in [
+            LocalDirection::Right,
+            LocalDirection::Left,
+            LocalDirection::Idle,
+        ] {
+            for c in [Chirality::Aligned, Chirality::Reversed] {
+                assert_eq!(d.opposite().to_objective(c), d.to_objective(c).opposite());
+                assert_eq!(d.to_objective(c.flipped()), d.to_objective(c).opposite());
+            }
+        }
     }
 
     #[test]
