@@ -24,9 +24,11 @@
 //! compact
 //! `GapKnowledge` against `ring_protocols::knowledge::reference`, and a
 //! ring's equations batched through `EquationBatch` against applying them
-//! round by round. In `--quick` mode the run **fails** (nonzero exit) if
-//! any kernel's fast path is slower than its reference — the CI perf
-//! smoke that keeps these loops honest.
+//! round by round. Each pair's fast and reference runs are taken in turn,
+//! so load on a shared machine falls on both sides of a speedup alike. In
+//! `--quick` mode the run **fails** (nonzero exit) if any kernel's fast
+//! path is slower than its reference — the CI perf smoke that keeps these
+//! loops honest.
 
 use rand::{Rng, SeedableRng};
 use ring_combinat::{reference, Distinguisher, IdSet, SelectiveFamily};
@@ -73,33 +75,61 @@ struct Report {
 /// Median wall-clock nanoseconds of `reps` runs of `f` (one warm-up run).
 fn time_median<T>(reps: usize, mut f: impl FnMut() -> T) -> u64 {
     std::hint::black_box(f());
-    let mut samples: Vec<u64> = (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            start.elapsed().as_nanos() as u64
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
+    median(
+        (0..reps)
+            .map(|_| {
+                let start = Instant::now();
+                std::hint::black_box(f());
+                start.elapsed().as_nanos() as u64
+            })
+            .collect(),
+    )
 }
 
-/// Like [`time_median`], but each run first builds its input with `setup`,
-/// untimed.
-fn time_median_after<S, T>(
+/// Median wall-clock nanoseconds of the two sides of a fast/reference
+/// pair: one warm-up run each, then `reps` runs each, the sides taken in
+/// turn (and the lead swapped every repetition), so a burst of load on a
+/// shared machine falls on both sides alike instead of on whichever side
+/// it happened to be timing.
+fn time_pair<T, U>(
     reps: usize,
-    mut setup: impl FnMut() -> S,
-    mut f: impl FnMut(S) -> T,
-) -> u64 {
-    std::hint::black_box(f(setup()));
-    let mut samples: Vec<u64> = (0..reps)
-        .map(|_| {
-            let input = setup();
-            let start = Instant::now();
-            std::hint::black_box(f(input));
-            start.elapsed().as_nanos() as u64
-        })
-        .collect();
+    mut fast: impl FnMut() -> T,
+    mut slow: impl FnMut() -> U,
+) -> (u64, u64) {
+    time_pair_after(reps, || (), |()| fast(), || (), |()| slow())
+}
+
+/// Like [`time_pair`], but each run of a side first builds its input with
+/// that side's `setup`, untimed.
+fn time_pair_after<S, T, R, U>(
+    reps: usize,
+    mut fast_setup: impl FnMut() -> S,
+    mut fast: impl FnMut(S) -> T,
+    mut slow_setup: impl FnMut() -> R,
+    mut slow: impl FnMut(R) -> U,
+) -> (u64, u64) {
+    fn timed<I, O>(setup: &mut impl FnMut() -> I, f: &mut impl FnMut(I) -> O) -> u64 {
+        let input = setup();
+        let start = Instant::now();
+        std::hint::black_box(f(input));
+        start.elapsed().as_nanos() as u64
+    }
+    std::hint::black_box(fast(fast_setup()));
+    std::hint::black_box(slow(slow_setup()));
+    let (mut fast_ns, mut slow_ns) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    for rep in 0..reps {
+        if rep % 2 == 0 {
+            fast_ns.push(timed(&mut fast_setup, &mut fast));
+            slow_ns.push(timed(&mut slow_setup, &mut slow));
+        } else {
+            slow_ns.push(timed(&mut slow_setup, &mut slow));
+            fast_ns.push(timed(&mut fast_setup, &mut fast));
+        }
+    }
+    (median(fast_ns), median(slow_ns))
+}
+
+fn median(mut samples: Vec<u64>) -> u64 {
     samples.sort_unstable();
     samples[samples.len() / 2]
 }
@@ -120,6 +150,10 @@ fn main() {
     } else {
         (100_000u64, 64usize, 5usize)
     };
+    // The kernel pairs (the asserted set below) are cheap and some of them
+    // win by well under 2x, so they take more repetitions in either mode:
+    // enough that the median of each side stands clear of a noisy machine.
+    let kernel_reps = 15;
     // Small ring × many rounds: the regime of the paper's protocols, where
     // per-round allocation is a constant fraction of the round cost.
     let ring_n = if quick { 32 } else { 64 };
@@ -155,10 +189,11 @@ fn main() {
     };
 
     // 1. Distinguisher construction (Theorem 27) at large N.
-    let fast = time_median(reps, || Distinguisher::random(universe, n, 7));
-    let slow = time_median(reps, || {
-        reference::distinguisher_random_reference(universe, n, 7)
-    });
+    let (fast, slow) = time_pair(
+        reps,
+        || Distinguisher::random(universe, n, 7),
+        || reference::distinguisher_random_reference(universe, n, 7),
+    );
     record_pair(
         &mut entries,
         &mut speedups,
@@ -178,10 +213,11 @@ fn main() {
     // 2. Selective-family construction (Definition 35) at large N: the
     //    implicit family (a seed and per-scale batch sizes) against the
     //    explicit element-wise sets.
-    let fast = time_median(reps, || SelectiveFamily::random(universe, n, 7));
-    let slow = time_median(reps, || {
-        reference::selective_random_reference(universe, n, 7)
-    });
+    let (fast, slow) = time_pair(
+        reps,
+        || SelectiveFamily::random(universe, n, 7),
+        || reference::selective_random_reference(universe, n, 7),
+    );
     record_pair(
         &mut entries,
         &mut speedups,
@@ -208,18 +244,21 @@ fn main() {
     let kb = reference::random_set_reference(universe, &mut kernel_rng);
     const INNER: usize = 16;
 
-    let fast = time_median(reps, || {
-        for _ in 0..INNER {
-            let mut c = ka.clone();
-            c.union_with(&kb);
-            std::hint::black_box(&c);
-        }
-    });
-    let slow = time_median(reps, || {
-        for _ in 0..INNER {
-            std::hint::black_box(reference::union_reference(&ka, &kb));
-        }
-    });
+    let (fast, slow) = time_pair(
+        kernel_reps,
+        || {
+            for _ in 0..INNER {
+                let mut c = ka.clone();
+                c.union_with(&kb);
+                std::hint::black_box(&c);
+            }
+        },
+        || {
+            for _ in 0..INNER {
+                std::hint::black_box(reference::union_reference(&ka, &kb));
+            }
+        },
+    );
     record_pair(
         &mut entries,
         &mut speedups,
@@ -227,25 +266,28 @@ fn main() {
         universe,
         fast,
         slow,
-        reps,
+        kernel_reps,
     );
     println!(
         "idset_union               N={universe}:       {fast:>12} ns vs {slow:>12} ns  ({:.1}x)",
         slow as f64 / fast.max(1) as f64
     );
 
-    let fast = time_median(reps, || {
-        for _ in 0..INNER {
-            let mut c = ka.clone();
-            c.intersect_with(&kb);
-            std::hint::black_box(&c);
-        }
-    });
-    let slow = time_median(reps, || {
-        for _ in 0..INNER {
-            std::hint::black_box(reference::intersection_reference(&ka, &kb));
-        }
-    });
+    let (fast, slow) = time_pair(
+        kernel_reps,
+        || {
+            for _ in 0..INNER {
+                let mut c = ka.clone();
+                c.intersect_with(&kb);
+                std::hint::black_box(&c);
+            }
+        },
+        || {
+            for _ in 0..INNER {
+                std::hint::black_box(reference::intersection_reference(&ka, &kb));
+            }
+        },
+    );
     record_pair(
         &mut entries,
         &mut speedups,
@@ -253,23 +295,26 @@ fn main() {
         universe,
         fast,
         slow,
-        reps,
+        kernel_reps,
     );
     println!(
         "idset_intersect           N={universe}:       {fast:>12} ns vs {slow:>12} ns  ({:.1}x)",
         slow as f64 / fast.max(1) as f64
     );
 
-    let fast = time_median(reps, || {
-        for _ in 0..INNER {
-            std::hint::black_box(ka.len());
-        }
-    });
-    let slow = time_median(reps, || {
-        for _ in 0..INNER {
-            std::hint::black_box(reference::len_reference(&ka));
-        }
-    });
+    let (fast, slow) = time_pair(
+        kernel_reps,
+        || {
+            for _ in 0..INNER {
+                std::hint::black_box(ka.len());
+            }
+        },
+        || {
+            for _ in 0..INNER {
+                std::hint::black_box(reference::len_reference(&ka));
+            }
+        },
+    );
     record_pair(
         &mut entries,
         &mut speedups,
@@ -277,23 +322,26 @@ fn main() {
         universe,
         fast,
         slow,
-        reps,
+        kernel_reps,
     );
     println!(
         "idset_len                 N={universe}:       {fast:>12} ns vs {slow:>12} ns  ({:.1}x)",
         slow as f64 / fast.max(1) as f64
     );
 
-    let fast = time_median(reps, || {
-        for _ in 0..INNER {
-            std::hint::black_box(ka.intersection_count(&kb));
-        }
-    });
-    let slow = time_median(reps, || {
-        for _ in 0..INNER {
-            std::hint::black_box(reference::intersection_count_reference(&ka, &kb));
-        }
-    });
+    let (fast, slow) = time_pair(
+        kernel_reps,
+        || {
+            for _ in 0..INNER {
+                std::hint::black_box(ka.intersection_count(&kb));
+            }
+        },
+        || {
+            for _ in 0..INNER {
+                std::hint::black_box(reference::intersection_count_reference(&ka, &kb));
+            }
+        },
+    );
     record_pair(
         &mut entries,
         &mut speedups,
@@ -301,7 +349,7 @@ fn main() {
         universe,
         fast,
         slow,
-        reps,
+        kernel_reps,
     );
     println!(
         "idset_intersection_count  N={universe}:       {fast:>12} ns vs {slow:>12} ns  ({:.1}x)",
@@ -312,14 +360,15 @@ fn main() {
     //     inner loop is the fused intersection-count pair.
     let verify_d = Distinguisher::random(universe, n, 7);
     let samples = 4usize;
-    let fast = time_median(reps, || {
-        std::hint::black_box(verify_d.verify_sampled(n, samples, 5))
-    });
-    let slow = time_median(reps, || {
-        std::hint::black_box(reference::verify_sampled_reference(
-            &verify_d, n, samples, 5,
-        ))
-    });
+    let (fast, slow) = time_pair(
+        kernel_reps,
+        || std::hint::black_box(verify_d.verify_sampled(n, samples, 5)),
+        || {
+            std::hint::black_box(reference::verify_sampled_reference(
+                &verify_d, n, samples, 5,
+            ))
+        },
+    );
     record_pair(
         &mut entries,
         &mut speedups,
@@ -327,7 +376,7 @@ fn main() {
         universe,
         fast,
         slow,
-        reps,
+        kernel_reps,
     );
     println!(
         "verify_sampled            N={universe} n={n}: {fast:>12} ns vs {slow:>12} ns  ({:.1}x)",
@@ -341,18 +390,19 @@ fn main() {
     let family = SelectiveFamily::random(universe, n, 7);
     let family_sets = family.sets();
     let samples = 16usize;
-    let fast = time_median(reps, || {
-        std::hint::black_box(family.verify_sampled(n, samples, 5))
-    });
-    let slow = time_median(reps, || {
-        std::hint::black_box(reference::selective_verify_sampled_reference(
-            &family_sets,
-            universe,
-            n,
-            samples,
-            5,
-        ))
-    });
+    let (fast, slow) = time_pair(
+        kernel_reps,
+        || std::hint::black_box(family.verify_sampled(n, samples, 5)),
+        || {
+            std::hint::black_box(reference::selective_verify_sampled_reference(
+                &family_sets,
+                universe,
+                n,
+                samples,
+                5,
+            ))
+        },
+    );
     drop(family_sets);
     record_pair(
         &mut entries,
@@ -361,7 +411,7 @@ fn main() {
         universe,
         fast,
         slow,
-        reps,
+        kernel_reps,
     );
     println!(
         "selective_verify          N={universe} n={n}: {fast:>12} ns vs {slow:>12} ns  ({:.1}x)",
@@ -370,8 +420,7 @@ fn main() {
 
     // 3. Bulk IdSet constructors against per-identifier loops.
     let big = 1_000_000u64;
-    let fast = time_median(reps, || IdSet::full(big));
-    let slow = time_median(reps, || IdSet::from_ids(big, 1..=big));
+    let (fast, slow) = time_pair(reps, || IdSet::full(big), || IdSet::from_ids(big, 1..=big));
     record_pair(
         &mut entries,
         &mut speedups,
@@ -388,10 +437,11 @@ fn main() {
         slow as f64 / fast.max(1) as f64
     );
 
-    let fast = time_median(reps, || IdSet::with_bit(big, 3, true));
-    let slow = time_median(reps, || {
-        IdSet::from_ids(big, (1..=big).filter(|id| (id >> 3) & 1 == 1))
-    });
+    let (fast, slow) = time_pair(
+        reps,
+        || IdSet::with_bit(big, 3, true),
+        || IdSet::from_ids(big, (1..=big).filter(|id| (id >> 3) & 1 == 1)),
+    );
     record_pair(
         &mut entries,
         &mut speedups,
@@ -424,23 +474,26 @@ fn main() {
             }
         })
         .collect();
-    let fast = time_median(reps, || {
-        let mut ring = RingState::new(&config);
-        let mut bufs = RoundBuffers::new();
-        for _ in 0..rounds {
-            ring.execute_round_into(&dirs, EngineKind::Analytic, &mut bufs)
-                .expect("valid round");
-        }
-        ring.rounds_executed()
-    });
-    let slow = time_median(reps, || {
-        let mut ring = RingState::new(&config);
-        for _ in 0..rounds {
-            ring.execute_round_into(&dirs, EngineKind::Analytic, &mut RoundBuffers::new())
-                .expect("valid round");
-        }
-        ring.rounds_executed()
-    });
+    let (fast, slow) = time_pair(
+        reps,
+        || {
+            let mut ring = RingState::new(&config);
+            let mut bufs = RoundBuffers::new();
+            for _ in 0..rounds {
+                ring.execute_round_into(&dirs, EngineKind::Analytic, &mut bufs)
+                    .expect("valid round");
+            }
+            ring.rounds_executed()
+        },
+        || {
+            let mut ring = RingState::new(&config);
+            for _ in 0..rounds {
+                ring.execute_round_into(&dirs, EngineKind::Analytic, &mut RoundBuffers::new())
+                    .expect("valid round");
+            }
+            ring.rounds_executed()
+        },
+    );
     record_pair(
         &mut entries,
         &mut speedups,
@@ -484,24 +537,27 @@ fn main() {
         })
         .collect();
     let mut scratch = AnalyticScratch::new();
-    let fast = time_median(reps, || {
-        for dirs in &round_dirs {
-            AnalyticEngine::new().execute_into(&config, offset, dirs, &mut scratch);
-        }
-        scratch.first_collision[0]
-    });
     let mut oracle_scratch = ring_sim::reference::ReferenceScratch::new();
-    let slow = time_median(reps, || {
-        for dirs in &round_dirs {
-            ring_sim::reference::analytic_round_reference_into(
-                &config,
-                &slots,
-                dirs,
-                &mut oracle_scratch,
-            );
-        }
-        oracle_scratch.first_collision[0]
-    });
+    let (fast, slow) = time_pair(
+        kernel_reps,
+        || {
+            for dirs in &round_dirs {
+                AnalyticEngine::new().execute_into(&config, offset, dirs, &mut scratch);
+            }
+            scratch.first_collision[0]
+        },
+        || {
+            for dirs in &round_dirs {
+                ring_sim::reference::analytic_round_reference_into(
+                    &config,
+                    &slots,
+                    dirs,
+                    &mut oracle_scratch,
+                );
+            }
+            oracle_scratch.first_collision[0]
+        },
+    );
     record_pair(
         &mut entries,
         &mut speedups,
@@ -509,7 +565,7 @@ fn main() {
         kernel_n as u64,
         fast,
         slow,
-        reps,
+        kernel_reps,
     );
     println!(
         "analytic_first_collisions n={kernel_n} r={kernel_rounds}: {fast:>12} ns vs {slow:>12} ns  ({:.1}x)",
@@ -539,22 +595,29 @@ fn main() {
         .map(|dirs| dirs.iter().map(|d| d.opposite()).collect())
         .collect();
     let mut net = Network::new(&config, ids.clone(), Model::Perceptive).expect("valid network");
-    let mut step = StepBuffers::new();
-    let fast = time_median(reps, || {
-        for dirs in &local_rounds {
-            net.step_into(dirs, &mut step).expect("valid round");
-            net.undo_last(&mut step).expect("undoable round");
-        }
-        net.rounds_used()
-    });
-    let mut net = Network::new(&config, ids.clone(), Model::Perceptive).expect("valid network");
-    let slow = time_median(reps, || {
-        for (dirs, reversed) in local_rounds.iter().zip(&reversed_rounds) {
-            net.step_into(dirs, &mut step).expect("valid round");
-            net.step_into(reversed, &mut step).expect("valid round");
-        }
-        net.rounds_used()
-    });
+    let mut reference_net = net.clone();
+    let (mut step, mut reference_step) = (StepBuffers::new(), StepBuffers::new());
+    let (fast, slow) = time_pair(
+        kernel_reps,
+        || {
+            for dirs in &local_rounds {
+                net.step_into(dirs, &mut step).expect("valid round");
+                net.undo_last(&mut step).expect("undoable round");
+            }
+            net.rounds_used()
+        },
+        || {
+            for (dirs, reversed) in local_rounds.iter().zip(&reversed_rounds) {
+                reference_net
+                    .step_into(dirs, &mut reference_step)
+                    .expect("valid round");
+                reference_net
+                    .step_into(reversed, &mut reference_step)
+                    .expect("valid round");
+            }
+            reference_net.rounds_used()
+        },
+    );
     record_pair(
         &mut entries,
         &mut speedups,
@@ -562,7 +625,7 @@ fn main() {
         kernel_n as u64,
         fast,
         slow,
-        reps,
+        kernel_reps,
     );
     println!(
         "undo_round                n={kernel_n} r={kernel_rounds}: {fast:>12} ns vs {slow:>12} ns  ({:.1}x)",
@@ -583,27 +646,34 @@ fn main() {
         "consecutive link_exchange_pair rounds must differ"
     );
     let mut net = Network::new(&config, ids.clone(), Model::Perceptive).expect("valid network");
+    let mut reference_net = net.clone();
     let (mut round_a, mut round_b) = (StepBuffers::new(), StepBuffers::new());
-    let fast = time_median(reps, || {
-        for dirs in &local_rounds {
-            net.step_pair_into(dirs, &mut round_a, &mut round_b)
-                .expect("valid pair");
-        }
-        net.rounds_used()
-    });
-    let mut net = Network::new(&config, ids.clone(), Model::Perceptive).expect("valid network");
     let mut kept = Vec::with_capacity(kernel_n);
-    let slow = time_median(reps, || {
-        for (dirs, flipped) in local_rounds.iter().zip(&reversed_rounds) {
-            net.step_into(dirs, &mut step).expect("valid round");
-            kept.clear();
-            kept.extend_from_slice(step.observations());
-            net.undo_last(&mut step).expect("undoable round");
-            net.step_into(flipped, &mut step).expect("valid round");
-            net.undo_last(&mut step).expect("undoable round");
-        }
-        net.rounds_used()
-    });
+    let (fast, slow) = time_pair(
+        kernel_reps,
+        || {
+            for dirs in &local_rounds {
+                net.step_pair_into(dirs, &mut round_a, &mut round_b)
+                    .expect("valid pair");
+            }
+            net.rounds_used()
+        },
+        || {
+            for (dirs, flipped) in local_rounds.iter().zip(&reversed_rounds) {
+                reference_net
+                    .step_into(dirs, &mut step)
+                    .expect("valid round");
+                kept.clear();
+                kept.extend_from_slice(step.observations());
+                reference_net.undo_last(&mut step).expect("undoable round");
+                reference_net
+                    .step_into(flipped, &mut step)
+                    .expect("valid round");
+                reference_net.undo_last(&mut step).expect("undoable round");
+            }
+            reference_net.rounds_used()
+        },
+    );
     record_pair(
         &mut entries,
         &mut speedups,
@@ -611,7 +681,7 @@ fn main() {
         kernel_n as u64,
         fast,
         slow,
-        reps,
+        kernel_reps,
     );
     println!(
         "link_exchange_pair        n={kernel_n} r={kernel_rounds}: {fast:>12} ns vs {slow:>12} ns  ({:.1}x)",
@@ -629,44 +699,59 @@ fn main() {
     let frame_exchanges = if quick { 4 } else { 16 };
     let mut net = Network::new(&config, ids, Model::Perceptive).expect("valid network");
     let (link, _) = RingLink::establish(&mut net).expect("perceptive link");
+    let mut reference_net = net.clone();
     let values: Vec<Option<u64>> = (0..kernel_n as u64)
         .map(|agent| (agent % 8 == 3).then_some(agent + 1))
         .collect();
     let (mut frame_bufs, mut frames) = (FrameBuffers::new(), Vec::new());
-    let fast = time_median(reps, || {
-        for _ in 0..frame_exchanges {
-            link.exchange_frames_with(&mut net, &values, frame_bits, &mut frame_bufs, &mut frames)
-                .expect("valid frame exchange");
-        }
-        net.rounds_used()
-    });
     let mut turns = [LinkBuffers::new(), LinkBuffers::new()];
     let (mut plane, mut received) = (Vec::with_capacity(kernel_n), Vec::new());
     let mut unreused = Vec::with_capacity(kernel_n);
-    let slow = time_median(reps, || {
-        for _ in 0..frame_exchanges {
-            unreused.clear();
-            unreused.resize(kernel_n, (false, false, 0u64, 0u64));
-            for (turn, bit) in (0..=frame_bits).rev().enumerate() {
-                plane.clear();
-                plane.extend(values.iter().map(|v| match v {
-                    Some(v) if bit < frame_bits => (v >> bit) & 1 == 1,
-                    v => bit == frame_bits && v.is_some(),
-                }));
-                link.exchange_bits_with(&mut net, &plane, &mut turns[turn % 2], &mut received)
+    let (fast, slow) = time_pair(
+        kernel_reps,
+        || {
+            for _ in 0..frame_exchanges {
+                link.exchange_frames_with(
+                    &mut net,
+                    &values,
+                    frame_bits,
+                    &mut frame_bufs,
+                    &mut frames,
+                )
+                .expect("valid frame exchange");
+            }
+            net.rounds_used()
+        },
+        || {
+            for _ in 0..frame_exchanges {
+                unreused.clear();
+                unreused.resize(kernel_n, (false, false, 0u64, 0u64));
+                for (turn, bit) in (0..=frame_bits).rev().enumerate() {
+                    plane.clear();
+                    plane.extend(values.iter().map(|v| match v {
+                        Some(v) if bit < frame_bits => (v >> bit) & 1 == 1,
+                        v => bit == frame_bits && v.is_some(),
+                    }));
+                    link.exchange_bits_with(
+                        &mut reference_net,
+                        &plane,
+                        &mut turns[turn % 2],
+                        &mut received,
+                    )
                     .expect("valid bit exchange");
-                for (frame, rx) in unreused.iter_mut().zip(&received) {
-                    if bit == frame_bits {
-                        (frame.0, frame.1) = (rx.from_right, rx.from_left);
-                    } else {
-                        frame.2 |= u64::from(rx.from_right) << bit;
-                        frame.3 |= u64::from(rx.from_left) << bit;
+                    for (frame, rx) in unreused.iter_mut().zip(&received) {
+                        if bit == frame_bits {
+                            (frame.0, frame.1) = (rx.from_right, rx.from_left);
+                        } else {
+                            frame.2 |= u64::from(rx.from_right) << bit;
+                            frame.3 |= u64::from(rx.from_left) << bit;
+                        }
                     }
                 }
             }
-        }
-        net.rounds_used()
-    });
+            reference_net.rounds_used()
+        },
+    );
     let assembled: Vec<NeighborFrames> = unreused
         .iter()
         .map(|&(right, left, right_value, left_value)| NeighborFrames {
@@ -682,7 +767,7 @@ fn main() {
         kernel_n as u64,
         fast,
         slow,
-        reps,
+        kernel_reps,
     );
     println!(
         "link_frame                n={kernel_n} x={frame_exchanges}:  {fast:>12} ns vs {slow:>12} ns  ({:.1}x)",
@@ -705,20 +790,23 @@ fn main() {
             (from, to, ArcLength::from_ticks(arc))
         })
         .collect();
-    let fast = time_median(reps, || {
-        let mut knowledge = GapKnowledge::new(kernel_n);
-        for &(from, to, arc) in &equations {
-            knowledge.add_cw_arc(from, to, arc).expect("consistent");
-        }
-        knowledge.components()
-    });
-    let slow = time_median(reps, || {
-        let mut knowledge = ring_protocols::knowledge::reference::GapKnowledge::new(kernel_n);
-        for &(from, to, arc) in &equations {
-            knowledge.add_cw_arc(from, to, arc).expect("consistent");
-        }
-        knowledge.components()
-    });
+    let (fast, slow) = time_pair(
+        kernel_reps,
+        || {
+            let mut knowledge = GapKnowledge::new(kernel_n);
+            for &(from, to, arc) in &equations {
+                knowledge.add_cw_arc(from, to, arc).expect("consistent");
+            }
+            knowledge.components()
+        },
+        || {
+            let mut knowledge = ring_protocols::knowledge::reference::GapKnowledge::new(kernel_n);
+            for &(from, to, arc) in &equations {
+                knowledge.add_cw_arc(from, to, arc).expect("consistent");
+            }
+            knowledge.components()
+        },
+    );
     record_pair(
         &mut entries,
         &mut speedups,
@@ -726,7 +814,7 @@ fn main() {
         kernel_n as u64,
         fast,
         slow,
-        reps,
+        kernel_reps,
     );
     println!(
         "gap_knowledge             n={kernel_n} e={}: {fast:>12} ns vs {slow:>12} ns  ({:.1}x)",
@@ -786,17 +874,14 @@ fn main() {
             .map(GapKnowledge::components)
             .sum::<usize>()
     };
-    let fast = time_median_after(
-        reps,
+    let (fast, slow) = time_pair_after(
+        kernel_reps,
         || {
             let mut batch = EquationBatch::new(kernel_n, 2);
             batched(&mut batch, warm);
             batch
         },
         |mut batch| batched(&mut batch, timed),
-    );
-    let slow = time_median_after(
-        reps,
         || {
             let mut knowledge: Vec<GapKnowledge> =
                 (0..kernel_n).map(|_| GapKnowledge::new(kernel_n)).collect();
@@ -812,7 +897,7 @@ fn main() {
         kernel_n as u64,
         fast,
         slow,
-        reps,
+        kernel_reps,
     );
     println!(
         "knowledge_batch           n={kernel_n} r={batch_rounds}: {fast:>12} ns vs {slow:>12} ns  ({:.1}x)",

@@ -18,10 +18,10 @@ use crate::bounds::{distinguisher_size_lower_bound, nontrivial_move_round_bound}
 use crate::idset::IdSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A finite family of ID sets intended to be an `(N, n)`-distinguisher.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct Distinguisher {
     universe: u64,
     target_n: usize,

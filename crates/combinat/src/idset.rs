@@ -23,7 +23,7 @@
 //! semantics, and `tests/idset_chunk_props.rs` checks them bit-exactly
 //! across word and chunk boundaries.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Words per inner-loop iteration of the chunked kernels: four 64-bit
@@ -40,7 +40,7 @@ fn chunk_count(c: &[u64]) -> usize {
 }
 
 /// A subset of the identifier universe `[1, N]`.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct IdSet {
     universe: u64,
     words: Vec<u64>,

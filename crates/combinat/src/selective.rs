@@ -24,7 +24,7 @@ use crate::bounds::selective_family_size_bound;
 use crate::idset::IdSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Pseudo-random membership of `id` in set `set_index` at `scale`
 /// (inclusion probability `2^{-scale}`) of the implicit selective family
@@ -61,7 +61,7 @@ fn max_scale(n: usize) -> u32 {
 }
 
 /// An implicit family of ID sets intended to be `(N, n)`-selective.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct SelectiveFamily {
     universe: u64,
     target_n: usize,

@@ -25,7 +25,7 @@
 //! protocol choice, so it is legal even in models that forbid idling.
 
 use ring_combinat::shared::splitmix64;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Domain-separation constants for the per-kind splitmix64 streams.
 const STREAM_BASE: u64 = 0xfa17_ca5e_0000_0001;
@@ -43,7 +43,7 @@ const CRASH_HORIZON: u64 = 48;
 ///
 /// All fields are integers so the parameters thread losslessly through
 /// spec fingerprints, worker argv and `manifest.json`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct FaultParams {
     /// Per-round, per-agent message-drop probability in per mille
     /// (`0..=1000`; `1000` suppresses every move).

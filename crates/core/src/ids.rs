@@ -9,12 +9,12 @@ use crate::error::ProtocolError;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// A unique agent identifier in `[1, N]`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct AgentId(u64);
 
 impl AgentId {
@@ -54,7 +54,7 @@ impl fmt::Display for AgentId {
 
 /// The assignment of identifiers to the agents of a ring, together with the
 /// size `N` of the identifier universe.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct IdAssignment {
     universe: u64,
     ids: Vec<AgentId>,

@@ -23,11 +23,11 @@ use crate::ids::IdAssignment;
 use crate::locate::{discover_locations, verify_location_discovery};
 use crate::structures::{fresh_structures, SharedStructures};
 use ring_sim::{Model, Parity, RingConfig};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The four problems of Table I.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum Problem {
     /// Exactly one agent ends with the leader status.
     LeaderElection,
@@ -62,7 +62,7 @@ impl fmt::Display for Problem {
 }
 
 /// The measured cost of solving one problem on one configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct ProblemCost {
     /// Which problem was solved.
     pub problem: Problem,
@@ -76,7 +76,7 @@ pub struct ProblemCost {
 }
 
 /// Round counts for all four problems of Table I on one configuration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct PipelineReport {
     /// The model the measurements were taken in.
     pub model: Model,
@@ -167,7 +167,7 @@ fn solve_and_verify(net: &mut Network, problem: Problem) -> Result<(u64, bool), 
 }
 
 /// How one faulty protocol run ended.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum FaultyOutcome {
     /// The protocol terminated and its result verified against ground
     /// truth.
@@ -180,7 +180,7 @@ pub enum FaultyOutcome {
 }
 
 /// The measured cost of one protocol run under fault injection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct FaultyCost {
     /// Which problem was attempted.
     pub problem: Problem,

@@ -65,7 +65,7 @@ pub use orchestrator::{
     run_pending_shards, run_pending_shards_with, OrchestratorOptions, ProcessTransport, RunOutcome,
     ShardAttempt, WorkerTransport,
 };
-pub use plan::{plan_shards, ShardRange};
+pub use plan::{plan_shards, ShardRange, MAX_SHARDS};
 pub use protocol::{
     extract_case_index, fail_after_from_env, parse_worker_line, DoneEvent, ShardTally, StartEvent,
     WorkerLine, SCHEMA,

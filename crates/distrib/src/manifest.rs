@@ -16,7 +16,7 @@
 
 use crate::checksum::digest_file;
 use crate::plan::ShardRange;
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 use std::io;
 use std::path::{Path, PathBuf};
 use SpecFlagKind::{List, Number, Switch};
@@ -33,9 +33,10 @@ pub fn shard_file_name(shard: usize) -> String {
 }
 
 /// Progress state of one shard.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ShardStatus {
     /// Not yet run (or demoted after failing revalidation).
+    #[default]
     Pending,
     /// Ran to completion; the shard file matched the worker's checksum.
     Complete,
@@ -52,20 +53,22 @@ impl ShardStatus {
             ShardStatus::Failed => "failed",
         }
     }
-
-    fn parse(text: &str) -> Result<Self, String> {
-        match text {
-            "pending" => Ok(ShardStatus::Pending),
-            "complete" => Ok(ShardStatus::Complete),
-            "failed" => Ok(ShardStatus::Failed),
-            other => Err(format!("unknown shard status `{other}`")),
-        }
-    }
 }
 
 impl Serialize for ShardStatus {
     fn to_json(&self) -> Value {
         Value::Str(self.as_str().to_string())
+    }
+}
+
+impl Deserialize for ShardStatus {
+    fn from_json(value: &Value) -> Result<Self, String> {
+        match String::from_json(value)?.as_str() {
+            "pending" => Ok(ShardStatus::Pending),
+            "complete" => Ok(ShardStatus::Complete),
+            "failed" => Ok(ShardStatus::Failed),
+            other => Err(format!("unknown shard status `{other}`")),
+        }
     }
 }
 
@@ -87,12 +90,12 @@ pub struct ShardStats {
     /// Wall-clock duration of the successful attempt in milliseconds.
     pub attempt_ms: u64,
     /// The worker's full `ring-obs/v1` metrics snapshot for the successful
-    /// attempt (`None` for streams from older workers).
-    pub metrics: Option<ring_obs::Snapshot>,
+    /// attempt.
+    pub metrics: ring_obs::Snapshot,
 }
 
 /// One shard's manifest entry.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardEntry {
     /// The shard number.
     pub shard: usize,
@@ -124,10 +127,9 @@ pub struct ShardEntry {
     pub watchdog_kills: u64,
     /// Total retry-backoff delay this shard has slept, in milliseconds.
     pub backoff_ms: u64,
-    /// The completing worker's metrics snapshot (`None` until complete, and
-    /// for manifests written before metrics existed). Overwritten on every
-    /// completion, so a retried shard records exactly the final successful
-    /// attempt's snapshot.
+    /// The completing worker's metrics snapshot (`None` until complete).
+    /// Overwritten on every completion, so a retried shard records exactly
+    /// the final successful attempt's snapshot.
     pub metrics: Option<ring_obs::Snapshot>,
 }
 
@@ -144,12 +146,16 @@ impl ShardEntry {
 
 /// The spec parameters a worker or `resume` needs to re-enumerate the run's
 /// cases: the `ringlab` subcommand plus the flag overrides it was given.
-/// `None` means "the subcommand's default".
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
+/// `None` means "the subcommand's default". Read back through the derived
+/// [`Deserialize`] impl, which is also how `ringlab`'s argv and `POST
+/// /v1/runs` bodies become a spec: only `subcommand` is required, and an
+/// absent switch is off.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SpecParams {
     /// The `ringlab` subcommand whose item list is sharded.
     pub subcommand: String,
     /// Whether `--quick` sizes were in force.
+    #[serde(default)]
     pub quick: bool,
     /// `--sizes` override.
     pub sizes: Option<Vec<usize>>,
@@ -177,42 +183,11 @@ pub struct SpecParams {
     pub fault_churn: Option<u64>,
     /// `--fault-adversarial`: whether the rotating adversarial activation
     /// schedule is in force.
+    #[serde(default)]
     pub fault_adversarial: bool,
 }
 
 impl SpecParams {
-    /// Reconstructs spec parameters from a JSON value — a manifest's
-    /// `spec` object, or the body of a `ring-serve` run submission.
-    /// Only `subcommand` is required; every override is optional and
-    /// `quick` defaults to `false`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first missing or mistyped field.
-    pub fn from_json(value: &Value) -> Result<Self, String> {
-        Ok(SpecParams {
-            subcommand: require_str(value, "subcommand")?,
-            quick: value.get("quick").and_then(Value::as_bool).unwrap_or(false),
-            sizes: optional_u64_list(value, "sizes")?
-                .map(|list| list.into_iter().map(|v| v as usize).collect()),
-            universe_factors: optional_u64_list(value, "universe_factors")?,
-            reps: optional_u64(value, "reps")?,
-            seed: optional_u64(value, "seed")?,
-            // Absent in manifests written before seed schedules existed:
-            // those runs were fixed-schedule by construction.
-            structure_seeds: optional_u64(value, "structure_seeds")?,
-            // Likewise absent in manifests predating the fault layer:
-            // those runs were clean synchronous sweeps by construction.
-            fault_drops: optional_u64_list(value, "fault_drops")?,
-            fault_crashes: optional_u64(value, "fault_crashes")?,
-            fault_churn: optional_u64(value, "fault_churn")?,
-            fault_adversarial: value
-                .get("fault_adversarial")
-                .and_then(Value::as_bool)
-                .unwrap_or(false),
-        })
-    }
-
     /// The `ringlab` argv (minus the binary) that makes a worker execute
     /// `range` of this spec: `worker <subcommand> --shard i/M …` plus
     /// exactly the [`SPEC_FLAGS`] the spec sets. Every dispatcher —
@@ -282,7 +257,7 @@ pub struct SpecFlag {
 /// Every spec-affecting `ringlab` flag, in [`SpecParams`] field order —
 /// the one declaration the `ringlab` parser, its usage text and
 /// [`SpecParams::worker_args`] read. The parser decodes each operand into
-/// its JSON field and builds the spec with [`SpecParams::from_json`].
+/// its JSON field and reads the spec back with [`Deserialize`].
 #[rustfmt::skip]
 pub const SPEC_FLAGS: [SpecFlag; 10] = [
     SpecFlag { field: "quick", kind: Switch, help: "reduced sizes (CI smoke)" },
@@ -339,7 +314,7 @@ impl SpecFlag {
 }
 
 /// The run manifest.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Manifest {
     /// Always [`MANIFEST_SCHEMA`].
     pub schema: String,
@@ -393,18 +368,7 @@ impl Manifest {
                     shard: range.shard,
                     start: range.start,
                     end: range.end,
-                    status: ShardStatus::Pending,
-                    attempts: 0,
-                    records: 0,
-                    checksum: String::new(),
-                    cache_hits: 0,
-                    cache_misses: 0,
-                    store_hits: 0,
-                    store_misses: 0,
-                    attempt_ms: 0,
-                    watchdog_kills: 0,
-                    backoff_ms: 0,
-                    metrics: None,
+                    ..ShardEntry::default()
                 })
                 .collect(),
         }
@@ -459,77 +423,27 @@ impl Manifest {
         Self::from_json(&value)
     }
 
-    /// Reconstructs a manifest from its JSON value.
+    /// Reads a manifest back from its JSON value: the schema tag first (so a
+    /// foreign schema reads as a schema error), then the derived
+    /// [`Deserialize`] parse, then the shard plan.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first missing or mistyped field, or of
-    /// a shard plan other than the one [`crate::plan_shards`] shapes:
+    /// Returns a description of a foreign schema, of the first missing or
+    /// mistyped field, or of a shard plan other than the one
+    /// [`crate::plan_shards`] shapes:
     /// entries numbered `0..M` in position order whose ranges tile
     /// `0..total_cases` contiguously.
     pub fn from_json(value: &Value) -> Result<Self, String> {
-        let schema = require_str(value, "schema")?;
+        let schema = value.get("schema").and_then(Value::as_str).unwrap_or("");
         if schema != MANIFEST_SCHEMA {
             return Err(format!(
                 "manifest schema `{schema}` is not `{MANIFEST_SCHEMA}`"
             ));
         }
-        let spec_value = value.get("spec").ok_or("manifest is missing `spec`")?;
-        let spec = SpecParams::from_json(spec_value)?;
-        let shards_value = value
-            .get("shards")
-            .and_then(Value::as_array)
-            .ok_or("manifest is missing `shards` array")?;
-        let mut shards = Vec::with_capacity(shards_value.len());
-        for entry in shards_value {
-            shards.push(ShardEntry {
-                shard: require_u64(entry, "shard")? as usize,
-                start: require_u64(entry, "start")? as usize,
-                end: require_u64(entry, "end")? as usize,
-                status: ShardStatus::parse(&require_str(entry, "status")?)?,
-                attempts: u32::try_from(require_u64(entry, "attempts")?)
-                    .map_err(|_| "manifest shard `attempts` does not fit u32".to_string())?,
-                records: require_u64(entry, "records")? as usize,
-                checksum: require_str(entry, "checksum")?,
-                cache_hits: require_u64(entry, "cache_hits")?,
-                cache_misses: require_u64(entry, "cache_misses")?,
-                // Store counters joined schema v1 with the structure store;
-                // manifests from storeless runs simply lack them.
-                store_hits: optional_u64(entry, "store_hits")?.unwrap_or(0),
-                store_misses: optional_u64(entry, "store_misses")?.unwrap_or(0),
-                // The observability fields joined schema v1 later still;
-                // older manifests lack all of them.
-                attempt_ms: optional_u64(entry, "attempt_ms")?.unwrap_or(0),
-                watchdog_kills: optional_u64(entry, "watchdog_kills")?.unwrap_or(0),
-                backoff_ms: optional_u64(entry, "backoff_ms")?.unwrap_or(0),
-                metrics: match entry.get("metrics") {
-                    Some(v) if !v.is_null() => Some(
-                        ring_obs::Snapshot::from_json(v)
-                            .map_err(|e| format!("shard entry has a bad metrics snapshot: {e}"))?,
-                    ),
-                    _ => None,
-                },
-            });
-        }
-        let total_cases = require_u64(value, "total_cases")? as usize;
-        check_plan(&shards, total_cases)?;
-        Ok(Manifest {
-            schema,
-            spec,
-            spec_fingerprint: require_str(value, "spec_fingerprint")?,
-            total_cases,
-            jobs_per_worker: require_u64(value, "jobs_per_worker")? as usize,
-            output: require_str(value, "output")?,
-            structure_store: value
-                .get("structure_store")
-                .and_then(|v| v.as_str())
-                .unwrap_or("")
-                .to_string(),
-            // Absent in manifests written before worker supervision grew a
-            // wall-clock budget: those runs were unbounded.
-            shard_timeout: optional_u64(value, "shard_timeout")?,
-            shards,
-        })
+        let manifest = <Self as Deserialize>::from_json(value)?;
+        check_plan(&manifest.shards, manifest.total_cases)?;
+        Ok(manifest)
     }
 
     /// Marks a shard complete with its worker's accounting.
@@ -548,7 +462,7 @@ impl Manifest {
         entry.store_hits = stats.store_hits;
         entry.store_misses = stats.store_misses;
         entry.attempt_ms = stats.attempt_ms;
-        entry.metrics = stats.metrics.clone();
+        entry.metrics = Some(stats.metrics.clone());
     }
 
     /// Records one watchdog kill against a shard (survives retries; this
@@ -646,24 +560,12 @@ impl Manifest {
     /// Merges the completed shards' metrics snapshots into fleet totals.
     ///
     /// Only the final successful attempt of each shard contributes
-    /// (that is all [`Manifest::mark_complete`] keeps). Entries without a
-    /// snapshot — manifests from older workers — contribute counters
-    /// synthesized from their legacy per-shard fields, so aggregation
-    /// works across a mixed-version fleet.
+    /// (that is all [`Manifest::mark_complete`] keeps).
     pub fn aggregate_metrics(&self) -> ring_obs::Snapshot {
         let mut total = ring_obs::Snapshot::default();
         for entry in &self.shards {
-            if entry.status != ShardStatus::Complete {
-                continue;
-            }
-            match &entry.metrics {
-                Some(metrics) => total.merge(metrics),
-                None => {
-                    total.add_counter("cache_hits", entry.cache_hits);
-                    total.add_counter("cache_misses", entry.cache_misses);
-                    total.add_counter("store_hits", entry.store_hits);
-                    total.add_counter("store_misses", entry.store_misses);
-                }
+            if let (ShardStatus::Complete, Some(metrics)) = (entry.status, &entry.metrics) {
+                total.merge(metrics);
             }
         }
         total
@@ -698,52 +600,6 @@ fn check_plan(shards: &[ShardEntry], total_cases: usize) -> Result<(), String> {
         ));
     }
     Ok(())
-}
-
-fn require_str(value: &Value, key: &str) -> Result<String, String> {
-    value
-        .get(key)
-        .and_then(|v| v.as_str())
-        .map(str::to_string)
-        .ok_or_else(|| format!("manifest is missing string `{key}`"))
-}
-
-fn require_u64(value: &Value, key: &str) -> Result<u64, String> {
-    value
-        .get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("manifest is missing integer `{key}`"))
-}
-
-fn optional_u64(value: &Value, key: &str) -> Result<Option<u64>, String> {
-    match value.get(key) {
-        None => Ok(None),
-        Some(v) if v.is_null() => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("spec `{key}` is not an integer")),
-    }
-}
-
-fn optional_u64_list(value: &Value, key: &str) -> Result<Option<Vec<u64>>, String> {
-    match value.get(key) {
-        None => Ok(None),
-        Some(v) if v.is_null() => Ok(None),
-        Some(v) => {
-            let items = v
-                .as_array()
-                .ok_or_else(|| format!("spec `{key}` is not an array"))?;
-            items
-                .iter()
-                .map(|item| {
-                    item.as_u64()
-                        .ok_or_else(|| format!("spec `{key}` holds a non-integer"))
-                })
-                .collect::<Result<Vec<u64>, String>>()
-                .map(Some)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -792,7 +648,7 @@ mod tests {
                 store_hits: 2,
                 store_misses: 1,
                 attempt_ms: 120,
-                metrics: Some(registry.snapshot()),
+                metrics: registry.snapshot(),
             },
         );
         manifest.note_watchdog_kill(0);
@@ -820,59 +676,6 @@ mod tests {
         let metrics = parsed.aggregate_metrics();
         assert_eq!(metrics.counter("cache_hits"), 7);
         assert_eq!(metrics.histogram("case_execute_ns").unwrap().count, 1);
-    }
-
-    #[test]
-    fn observability_fields_tolerate_absence() {
-        // A manifest written before the metrics layer existed lacks the
-        // per-shard attempt/watchdog/backoff tallies and the snapshot.
-        let manifest = sample_manifest();
-        let text = serde_json::to_string(&manifest).unwrap();
-        let stripped = text
-            .replace(",\"attempt_ms\":0", "")
-            .replace(",\"watchdog_kills\":0", "")
-            .replace(",\"backoff_ms\":0", "")
-            .replace(",\"metrics\":null", "");
-        assert_ne!(stripped, text, "the new fields must have been present");
-        let parsed = Manifest::from_json(&serde_json::from_str(&stripped).unwrap()).unwrap();
-        assert_eq!(parsed, manifest);
-    }
-
-    #[test]
-    fn aggregate_metrics_synthesizes_for_legacy_entries() {
-        let mut manifest = sample_manifest();
-        // Shard 0 completes with a real snapshot.
-        let registry = ring_obs::Registry::new();
-        registry.counter("cache_hits").add(10);
-        registry.counter("store_misses").add(4);
-        manifest.mark_complete(
-            0,
-            &ShardStats {
-                records: 4,
-                checksum: "fnv1a64:aa".into(),
-                cache_hits: 10,
-                store_misses: 4,
-                metrics: Some(registry.snapshot()),
-                ..ShardStats::default()
-            },
-        );
-        // Shard 1 completes the legacy way (no snapshot).
-        manifest.mark_complete(
-            1,
-            &ShardStats {
-                records: 3,
-                checksum: "fnv1a64:bb".into(),
-                cache_hits: 5,
-                store_misses: 1,
-                ..ShardStats::default()
-            },
-        );
-        // Shard 2 stays pending: its numbers must not contribute.
-        manifest.shards[2].cache_hits = 99;
-
-        let metrics = manifest.aggregate_metrics();
-        assert_eq!(metrics.counter("cache_hits"), 15);
-        assert_eq!(metrics.counter("store_misses"), 5);
     }
 
     #[test]
@@ -904,17 +707,30 @@ mod tests {
     }
 
     #[test]
-    fn storeless_manifests_parse_with_zero_store_fields() {
-        // A manifest written before the structure store existed (no
-        // `structure_store`, no per-shard store counters) still loads.
-        let manifest = sample_manifest();
-        let text = serde_json::to_string(&manifest).unwrap();
-        let stripped = text
-            .replace(",\"structure_store\":\"\"", "")
-            .replace(",\"store_hits\":0,\"store_misses\":0", "");
-        assert_ne!(stripped, text, "the store fields must have been present");
-        let parsed = Manifest::from_json(&serde_json::from_str(&stripped).unwrap()).unwrap();
-        assert_eq!(parsed, manifest);
+    fn fields_every_manifest_carries_are_required() {
+        let text = serde_json::to_string(&sample_manifest()).unwrap();
+        for (field, error) in [
+            (
+                ",\"structure_store\":\"\"",
+                "Manifest is missing `structure_store`",
+            ),
+            (",\"store_hits\":0", "ShardEntry is missing `store_hits`"),
+            (
+                ",\"store_misses\":0",
+                "ShardEntry is missing `store_misses`",
+            ),
+            (",\"attempt_ms\":0", "ShardEntry is missing `attempt_ms`"),
+            (
+                ",\"watchdog_kills\":0",
+                "ShardEntry is missing `watchdog_kills`",
+            ),
+            (",\"backoff_ms\":0", "ShardEntry is missing `backoff_ms`"),
+        ] {
+            let stripped = text.replacen(field, "", 1);
+            assert_ne!(stripped, text, "{field} must have been present");
+            let err = Manifest::from_json(&serde_json::from_str(&stripped).unwrap()).unwrap_err();
+            assert!(err.ends_with(error), "{field}: {err}");
+        }
     }
 
     fn reparse(manifest: &Manifest) -> Result<Manifest, String> {
@@ -1059,6 +875,12 @@ mod tests {
     #[test]
     fn wrong_schema_is_rejected() {
         let value = serde_json::from_str("{\"schema\":\"ring-distrib/v0\"}").unwrap();
+        assert!(Manifest::from_json(&value).unwrap_err().contains("schema"));
+        // The schema is checked before the fields: a foreign manifest that
+        // is otherwise complete still fails on its schema.
+        let text = serde_json::to_string(&sample_manifest()).unwrap();
+        let foreign = text.replace(MANIFEST_SCHEMA, "ring-distrib/v2");
+        let value = serde_json::from_str(&foreign).unwrap();
         assert!(Manifest::from_json(&value).unwrap_err().contains("schema"));
     }
 }

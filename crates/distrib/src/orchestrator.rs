@@ -1068,8 +1068,8 @@ mod tests {
     }
 
     /// A full valid protocol stream whose done event carries a metrics
-    /// snapshot with `store_misses` misses (both as the legacy counter and
-    /// inside the snapshot).
+    /// snapshot with `store_misses` misses (both as the event's own
+    /// `store_misses` field and inside the snapshot).
     fn protocol_script_with_misses(range: &ShardRange, store_misses: u64) -> String {
         let mut lines = Vec::new();
         lines.push(

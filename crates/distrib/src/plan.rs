@@ -34,6 +34,13 @@ impl ShardRange {
     }
 }
 
+/// The most shards a plan may have. [`plan_shards`] allocates one range per
+/// shard and a run writes one manifest entry per shard, so every shard
+/// count from outside the program (`ringlab --shards M`, the `M` of
+/// `--shard i/M`, the `shards` of a `POST /v1/runs` body) is refused above
+/// it before anything is planned.
+pub const MAX_SHARDS: usize = 1024;
+
 /// Deterministically partitions `0..total` into `shards` contiguous,
 /// balanced ranges. The first `total % shards` ranges hold one extra case.
 ///

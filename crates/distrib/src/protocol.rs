@@ -16,8 +16,8 @@
 //!    "store_hits":…,"store_misses":…,"metrics":{…}}` — whose checksum
 //!    covers the record bytes (each line plus its newline); the `store_*`
 //!    counters account for the worker's on-disk structure store and are 0
-//!    (and may be omitted) when the worker ran without one, and `metrics`
-//!    is the attempt's `ring-obs/v1` snapshot.
+//!    when the worker ran without one, and `metrics` is the attempt's
+//!    `ring-obs/v1` snapshot. Every field of both events is required.
 //!
 //! Anything else — a nonzero exit, a truncated stream, an out-of-sequence
 //! record, a checksum mismatch — marks the shard failed and eligible for
@@ -25,14 +25,14 @@
 //! through.
 
 use crate::checksum::Fnv1a64;
-use serde::Serialize;
+use serde::{Deserialize, Serialize, Value};
 use std::io::Write;
 
 /// The protocol schema identifier.
 pub const SCHEMA: &str = "ring-distrib/v1";
 
 /// The first line a worker emits.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StartEvent {
     /// Always `"start"`.
     pub event: String,
@@ -66,7 +66,7 @@ impl StartEvent {
 }
 
 /// The last line a worker emits.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DoneEvent {
     /// Always `"done"`.
     pub event: String,
@@ -87,14 +87,14 @@ pub struct DoneEvent {
     pub store_misses: u64,
     /// Full `ring-obs/v1` metrics snapshot for exactly this shard attempt
     /// (a delta against the worker process's registry, so a long-lived TCP
-    /// worker reports one job's metrics, not its lifetime totals). `None`
-    /// for streams from older workers.
-    pub metrics: Option<ring_obs::Snapshot>,
+    /// worker reports one job's metrics, not its lifetime totals).
+    pub metrics: ring_obs::Snapshot,
 }
 
 impl DoneEvent {
     /// Builds the event from the worker's end-of-shard accounting (store
-    /// counters start at zero; see [`DoneEvent::with_store`]).
+    /// counters start at zero and the snapshot empty; see
+    /// [`DoneEvent::with_store`] and [`DoneEvent::with_metrics`]).
     pub fn new(
         shard: usize,
         records: usize,
@@ -111,7 +111,7 @@ impl DoneEvent {
             cache_misses,
             store_hits: 0,
             store_misses: 0,
-            metrics: None,
+            metrics: ring_obs::Snapshot::default(),
         }
     }
 
@@ -124,7 +124,7 @@ impl DoneEvent {
 
     /// Attaches the attempt's metrics snapshot.
     pub fn with_metrics(mut self, metrics: ring_obs::Snapshot) -> Self {
-        self.metrics = Some(metrics);
+        self.metrics = metrics;
         self
     }
 }
@@ -154,67 +154,19 @@ pub enum WorkerLine<'a> {
 pub fn parse_worker_line(line: &str) -> Result<WorkerLine<'_>, String> {
     if line.starts_with("{\"event\":") {
         let value = serde_json::from_str(line).map_err(|e| format!("malformed event line: {e}"))?;
-        let kind = value
-            .get("event")
-            .and_then(|v| v.as_str())
-            .ok_or("event line without an `event` string")?;
-        let field_u64 = |key: &str| {
-            value
-                .get(key)
-                .and_then(serde::Value::as_u64)
-                .ok_or_else(|| format!("`{kind}` event is missing integer `{key}`"))
-        };
-        let field_str = |key: &str| {
-            value
-                .get(key)
-                .and_then(|v| v.as_str())
-                .map(str::to_string)
-                .ok_or_else(|| format!("`{kind}` event is missing string `{key}`"))
-        };
-        return match kind {
-            "start" => {
-                let schema = field_str("schema")?;
+        return match value.get("event").and_then(Value::as_str) {
+            Some("start") => {
+                let schema = value.get("schema").and_then(Value::as_str).unwrap_or("");
                 if schema != SCHEMA {
                     return Err(format!(
                         "worker speaks schema `{schema}`, expected `{SCHEMA}`"
                     ));
                 }
-                Ok(WorkerLine::Start(StartEvent {
-                    event: "start".into(),
-                    schema,
-                    shard: field_u64("shard")? as usize,
-                    shards: field_u64("shards")? as usize,
-                    start: field_u64("start")? as usize,
-                    end: field_u64("end")? as usize,
-                    spec_fingerprint: field_str("spec_fingerprint")?,
-                }))
+                StartEvent::from_json(&value).map(WorkerLine::Start)
             }
-            "done" => {
-                // Store counters were added within schema v1; a stream from
-                // a storeless worker simply omits them.
-                let optional_u64 =
-                    |key: &str| value.get(key).and_then(serde::Value::as_u64).unwrap_or(0);
-                // Likewise absent (or null) in streams from older workers.
-                let metrics = match value.get("metrics") {
-                    Some(v) if !v.is_null() => Some(
-                        ring_obs::Snapshot::from_json(v)
-                            .map_err(|e| format!("`done` event has a bad metrics snapshot: {e}"))?,
-                    ),
-                    _ => None,
-                };
-                Ok(WorkerLine::Done(DoneEvent {
-                    event: "done".into(),
-                    shard: field_u64("shard")? as usize,
-                    records: field_u64("records")? as usize,
-                    checksum: field_str("checksum")?,
-                    cache_hits: field_u64("cache_hits")?,
-                    cache_misses: field_u64("cache_misses")?,
-                    store_hits: optional_u64("store_hits"),
-                    store_misses: optional_u64("store_misses"),
-                    metrics,
-                }))
-            }
-            other => Err(format!("unknown worker event `{other}`")),
+            Some("done") => DoneEvent::from_json(&value).map(WorkerLine::Done),
+            Some(other) => Err(format!("unknown worker event `{other}`")),
+            None => Err("event line without an `event` string".into()),
         };
     }
     Ok(WorkerLine::Record {
@@ -224,14 +176,16 @@ pub fn parse_worker_line(line: &str) -> Result<WorkerLine<'_>, String> {
 }
 
 /// Extracts the global case index from a record line. Record lines always
-/// serialize `case_index` first, so the fast path is a prefix scan; the
-/// fallback is a full JSON parse (tolerating records produced by a
+/// serialize `case_index` first, so the fast path is a prefix scan that
+/// takes the digits only when a `,` or `}` ends them; anything else falls
+/// back to a full JSON parse (which also reads records produced by a
 /// different serializer).
 pub fn extract_case_index(line: &str) -> Result<usize, String> {
     const PREFIX: &str = "{\"case_index\":";
     if let Some(rest) = line.strip_prefix(PREFIX) {
-        let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-        if !digits.is_empty() {
+        let len = rest.bytes().take_while(u8::is_ascii_digit).count();
+        if len > 0 && matches!(rest.as_bytes().get(len), Some(b',' | b'}')) {
+            let digits = &rest[..len];
             return digits
                 .parse()
                 .map_err(|_| format!("case index out of range in record: {digits}"));
@@ -241,7 +195,7 @@ pub fn extract_case_index(line: &str) -> Result<usize, String> {
         .map_err(|e| format!("line is neither an event nor a JSON record: {e}"))?;
     value
         .get("case_index")
-        .and_then(serde::Value::as_u64)
+        .and_then(Value::as_u64)
         .map(|i| i as usize)
         .ok_or_else(|| "record line without an integer `case_index`".to_string())
 }
@@ -363,15 +317,17 @@ mod tests {
     }
 
     #[test]
-    fn done_events_without_store_counters_parse_as_zero() {
-        // A storeless worker (or an older binary) omits the store fields.
-        let line = "{\"event\":\"done\",\"shard\":0,\"records\":2,\
-\"checksum\":\"fnv1a64:00\",\"cache_hits\":1,\"cache_misses\":1}";
-        match parse_worker_line(line).unwrap() {
-            WorkerLine::Done(done) => {
-                assert_eq!((done.store_hits, done.store_misses), (0, 0));
+    fn done_events_need_every_field() {
+        let done = DoneEvent::new(0, 2, "fnv1a64:00".into(), 1, 1);
+        let line = serde_json::to_string(&done).unwrap();
+        for field in ["store_hits", "store_misses", "metrics"] {
+            let mut value = serde_json::from_str(&line).unwrap();
+            if let Value::Object(fields) = &mut value {
+                fields.retain(|(key, _)| key != field);
             }
-            other => panic!("expected a done event, got {other:?}"),
+            let stripped = serde_json::to_string(&value).unwrap();
+            let err = parse_worker_line(&stripped).unwrap_err();
+            assert_eq!(err, format!("DoneEvent is missing `{field}`"), "{stripped}");
         }
     }
 
@@ -391,6 +347,21 @@ mod tests {
             parse_worker_line(shuffled).unwrap(),
             WorkerLine::Record { case_index: 7, .. }
         ));
+        assert_eq!(extract_case_index(r#"{"case_index":3}"#), Ok(3));
+    }
+
+    #[test]
+    fn a_fractional_case_index_is_refused() {
+        let line = r#"{"case_index":1.5,"experiment":"table1"}"#;
+        assert!(extract_case_index(line).is_err());
+        assert!(parse_worker_line(line).is_err());
+    }
+
+    #[test]
+    fn a_case_index_followed_by_junk_is_refused() {
+        let line = r#"{"case_index":7junk"#;
+        assert!(extract_case_index(line).is_err());
+        assert!(parse_worker_line(line).is_err());
     }
 
     #[test]

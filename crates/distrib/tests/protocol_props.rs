@@ -1,14 +1,16 @@
-//! Property tests of the parsers that read what workers and earlier runs
-//! leave behind: the `ring-distrib/v1` worker line parser and the manifest
-//! parser. No truncated, corrupted or oversized input may panic either one,
-//! and every manifest accepted must hold a shard plan the orchestrator can
-//! index.
+//! Property tests of the parsers that read what workers, earlier runs and
+//! clients hand the program: the `ring-distrib/v1` worker line parser, the
+//! manifest parser and the spec of a `POST /v1/runs` body. No truncated,
+//! corrupted or oversized input may panic any of them, every manifest
+//! accepted must hold a shard plan the orchestrator can index, and every
+//! spec must read back as itself.
 
 use proptest::prelude::*;
 use ring_distrib::{
     parse_worker_line, plan_shards, DoneEvent, Manifest, ShardStats, SpecParams, StartEvent,
     WorkerLine,
 };
+use serde::{Deserialize, Serialize, Value};
 
 /// `flips` random bytes of `text` XOR-ed (read back lossily, as a line off
 /// a byte stream would be), or with `digits` set, `flips` random ASCII
@@ -32,6 +34,44 @@ fn corrupt(text: &str, flips: usize, seed: u64, digits: bool) -> String {
         };
     }
     String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// A spec drawn from `seed`: each `Option` both `None` and `Some`, lists of
+/// one to four entries, numbers small or anywhere in `u64`, both switches.
+fn random_spec(seed: u64) -> SpecParams {
+    let mut state = seed;
+    let mut draw = move |below: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 11) % below
+    };
+    let number = |draw: &mut dyn FnMut(u64) -> u64| match draw(3) {
+        0 => draw(u64::MAX),
+        _ => draw(1100),
+    };
+    let maybe_list = |draw: &mut dyn FnMut(u64) -> u64| {
+        (draw(2) == 0).then(|| (0..1 + draw(4)).map(|_| number(draw)).collect::<Vec<u64>>())
+    };
+    let subcommand = ["sweep", "table1", "table2", "faults", "scaling"][draw(5) as usize];
+    SpecParams {
+        subcommand: subcommand.into(),
+        quick: draw(2) == 0,
+        sizes: maybe_list(&mut draw).map(|sizes| sizes.into_iter().map(|n| n as usize).collect()),
+        universe_factors: maybe_list(&mut draw),
+        reps: (draw(2) == 0).then(|| number(&mut draw)),
+        seed: (draw(2) == 0).then(|| number(&mut draw)),
+        structure_seeds: (draw(2) == 0).then(|| number(&mut draw)),
+        fault_drops: maybe_list(&mut draw),
+        fault_crashes: (draw(2) == 0).then(|| number(&mut draw)),
+        fault_churn: (draw(2) == 0).then(|| number(&mut draw)),
+        fault_adversarial: draw(2) == 0,
+    }
+}
+
+/// Reads a run submission's spec the way the daemon does.
+fn read_submission(body: &str) -> Option<SpecParams> {
+    SpecParams::from_json(&serde_json::from_str(body).ok()?).ok()
 }
 
 /// A done event with counters drawn from `seed` and a metrics snapshot.
@@ -156,6 +196,56 @@ proptest! {
         prop_assert_eq!(parse_manifest(&text), Some(manifest));
         for cut in 0..text.len() {
             prop_assert!(parse_manifest(&text[..cut]).is_none(), "accepted {cut} bytes");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A random spec reads back as itself, alone and as a run submission
+    /// (which also carries `shards` and `structure_store`); no prefix, byte
+    /// flip or digit flip of the submission panics the reader; an absent
+    /// switch reads as off; and a field of the wrong kind is refused by name.
+    #[test]
+    fn run_submissions_round_trip_and_never_panic(
+        (seed, shards, flips) in (any::<u64>(), 1usize..2000, 1usize..8),
+    ) {
+        let spec = random_spec(seed);
+        let text = serde_json::to_string(&spec).unwrap();
+        prop_assert_eq!(read_submission(&text), Some(spec.clone()));
+        let body = format!(
+            "{},\"shards\":{shards},\"structure_store\":true}}",
+            text.trim_end_matches('}')
+        );
+        prop_assert_eq!(read_submission(&body), Some(spec.clone()));
+        for cut in 0..body.len() {
+            prop_assert!(read_submission(&body[..cut]).is_none(), "accepted {cut} bytes");
+        }
+        for variant in 0..8 {
+            let seed = seed.wrapping_add(variant);
+            read_submission(&corrupt(&body, flips, seed, false));
+            read_submission(&corrupt(&body, flips, seed, true));
+        }
+        let fields = spec.to_json();
+        let fields = fields.as_object().unwrap();
+        let without = |key: &str| {
+            Value::Object(fields.iter().filter(|(k, _)| k != key).cloned().collect())
+        };
+        let read = SpecParams::from_json(&without("quick")).unwrap();
+        prop_assert_eq!(read, SpecParams { quick: false, ..spec.clone() });
+        let read = SpecParams::from_json(&without("fault_adversarial")).unwrap();
+        prop_assert_eq!(read, SpecParams { fault_adversarial: false, ..spec.clone() });
+        prop_assert!(SpecParams::from_json(&without("subcommand")).is_err());
+        for (key, _) in fields {
+            let mut mutated = fields.to_vec();
+            for (k, value) in &mut mutated {
+                if k == key {
+                    *value = if k == "subcommand" { Value::Uint(7) } else { Value::Str("7".into()) };
+                }
+            }
+            let err = SpecParams::from_json(&Value::Object(mutated)).unwrap_err();
+            prop_assert!(err.starts_with(&format!("SpecParams.{key}: ")), "{err}");
         }
     }
 }

@@ -34,53 +34,6 @@ impl Measurement {
             _ => None,
         }
     }
-
-    /// Reconstructs a measurement from its JSON value (the inverse of the
-    /// `Serialize` derive). Used by the distributed layer to render tables
-    /// from merged shard records.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first missing or mistyped field.
-    pub fn from_json(value: &serde::Value) -> Result<Self, String> {
-        let field = |key: &str| {
-            value
-                .get(key)
-                .ok_or_else(|| format!("measurement is missing `{key}`"))
-        };
-        let string = |key: &str| {
-            field(key)?
-                .as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("measurement `{key}` is not a string"))
-        };
-        let optional_f64 = |key: &str| -> Result<Option<f64>, String> {
-            let v = field(key)?;
-            if v.is_null() {
-                Ok(None)
-            } else {
-                v.as_f64()
-                    .map(Some)
-                    .ok_or_else(|| format!("measurement `{key}` is not a number"))
-            }
-        };
-        Ok(Measurement {
-            experiment: string("experiment")?,
-            setting: string("setting")?,
-            quantity: string("quantity")?,
-            n: field("n")?
-                .as_u64()
-                .ok_or("measurement `n` is not an integer")? as usize,
-            universe: field("universe")?
-                .as_u64()
-                .ok_or("measurement `universe` is not an integer")?,
-            value: optional_f64("value")?,
-            predicted: optional_f64("predicted")?,
-            verified: field("verified")?
-                .as_bool()
-                .ok_or("measurement `verified` is not a boolean")?,
-        })
-    }
 }
 
 /// Formats measurements as a GitHub-flavoured markdown table, one row per
@@ -193,11 +146,35 @@ mod tests {
 
     #[test]
     fn from_json_round_trips_serialization() {
-        for m in [sample("a", 8, Some(20.0)), sample("b", 9, None)] {
+        let unpredicted = Measurement {
+            universe: u64::MAX,
+            predicted: None,
+            verified: false,
+            ..sample("c", 1 << 20, Some(0.5))
+        };
+        for m in [
+            sample("a", 8, Some(20.0)),
+            sample("b", 9, None),
+            unpredicted,
+        ] {
             let text = serde_json::to_string(&m).unwrap();
             let parsed = Measurement::from_json(&serde_json::from_str(&text).unwrap()).unwrap();
             assert_eq!(parsed, m);
         }
-        assert!(Measurement::from_json(&serde_json::from_str("{}").unwrap()).is_err());
+        let read = |text: &str| Measurement::from_json(&serde_json::from_str(text).unwrap());
+        assert_eq!(
+            read("{}").unwrap_err(),
+            "Measurement is missing `experiment`"
+        );
+        let line = serde_json::to_string(&sample("a", 8, None)).unwrap();
+        assert_eq!(
+            read(&line.replace("\"n\":8", "\"n\":-8")).unwrap_err(),
+            "Measurement.n: expected an unsigned integer, found a number"
+        );
+        assert!(read(&line.replace("\"verified\":true", "\"verified\":1")).is_err());
+        // A null or absent `value` is an unsolvable task.
+        let absent = line.replace("\"value\":null,", "");
+        assert_ne!(absent, line);
+        assert_eq!(read(&absent).unwrap(), sample("a", 8, None));
     }
 }

@@ -3,10 +3,10 @@
 use ring_combinat::shared::splitmix64;
 use ring_protocols::IdAssignment;
 use ring_sim::RingConfig;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One concrete configuration of an experiment sweep.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct Case {
     /// Ring size.
     pub n: usize,
@@ -51,7 +51,7 @@ impl Case {
 /// list of message-drop rates to sweep, plus the crash/churn/adversarial
 /// knobs applied at every rate. All integers, so the axes thread
 /// losslessly through fingerprints, worker argv and run manifests.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct FaultAxes {
     /// Message-drop rates to sweep, in per mille (`0..=1000`).
     pub drops: Vec<u64>,
@@ -77,7 +77,7 @@ impl FaultAxes {
 }
 
 /// A sweep: ring sizes × identifier-universe scalings × repetitions.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct SweepSpec {
     /// Ring sizes to test.
     pub sizes: Vec<usize>,

@@ -68,14 +68,14 @@ use crate::store::StructureStore;
 use ring_combinat::shared::splitmix64;
 use ring_distrib::{
     fail_after_from_env, merge_shards, plan_shards, run_pending_shards, DoneEvent, Manifest,
-    OrchestratorOptions, ShardTally, SpecParams, StartEvent, SPEC_FLAGS,
+    OrchestratorOptions, ShardTally, SpecParams, StartEvent, MAX_SHARDS, SPEC_FLAGS,
 };
 use ring_experiments::distinguisher_scaling::ScalingSpec;
 use ring_experiments::report::{aggregate, format_markdown_table};
 use ring_experiments::{FaultAxes, Measurement, SweepSpec};
 use ring_protocols::structures::StructureProvider;
 use ring_sim::config::MIN_AGENTS;
-use serde::Value;
+use serde::{Deserialize, Value};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -159,7 +159,7 @@ const FLAGS: &[Flag] = &[
         set: |o, _| store(&mut o.no_jsonl, Ok(true)) },
     Flag { name: "--shards", operand: "M", only: "",
         help: "shard the sweep over M worker processes and merge the results",
-        set: |o, v| store(&mut o.shards, integer(v)) },
+        set: |o, v| store(&mut o.shards, shard_count(integer(v)?)) },
     Flag { name: "--shard", operand: "i/M", only: "",
         help: "run only shard i of an M-way plan in this process",
         set: |o, v| {
@@ -171,7 +171,7 @@ const FLAGS: &[Flag] = &[
             if of == 0 || shard >= of {
                 return Err(format!("{shard}/{of} is out of range (need i < M)"));
             }
-            store(&mut o.shard, Ok(Some((shard, of))))
+            store(&mut o.shard, shard_count(of).map(|of| Some((shard, of))))
         } },
     Flag { name: "--run-dir", operand: "DIR", only: "",
         help: "sharded-run directory (default results/distrib/<sub>)",
@@ -229,6 +229,16 @@ fn integer<T: std::str::FromStr>(operand: Option<String>) -> Result<T, String> {
     let text = operand.unwrap_or_default();
     text.parse()
         .map_err(|_| format!("expects a non-negative integer, not `{text}`"))
+}
+
+/// A shard count `M` from the command line: at most [`MAX_SHARDS`].
+fn shard_count(of: usize) -> Result<usize, String> {
+    if of > MAX_SHARDS {
+        return Err(format!(
+            "{of} shards is more than the {MAX_SHARDS} a plan may have"
+        ));
+    }
+    Ok(of)
 }
 
 /// A flag's operand as a positive number of seconds.
@@ -552,8 +562,7 @@ fn print_engine_stats(engine: &SweepEngine) {
 /// shard's worker counters, printed as one stderr JSON line (the per-shard
 /// breakdown stays in the manifest). The counters come from the completed
 /// shards' ring-obs/v1 snapshots (the final successful attempt of each
-/// shard — a retried shard's earlier attempts never double-count),
-/// synthesized from legacy counters for manifests that predate them.
+/// shard — a retried shard's earlier attempts never double-count).
 fn print_fleet_stats(manifest: &Manifest) {
     let completed = manifest
         .shards
@@ -2070,6 +2079,31 @@ mod tests {
         assert!(parse(&args(&["sweep", "--shard", "nope"])).is_err());
         assert!(parse(&args(&["sweep", "--shards", "2", "--shard", "0/3"])).is_err());
         assert!(parse(&args(&["sweep", "--shards", "3", "--shard", "1/3"])).is_err());
+    }
+
+    #[test]
+    fn shard_counts_past_the_bound_are_usage_errors() {
+        let past = (MAX_SHARDS + 1).to_string();
+        for argv in [
+            vec!["sweep", "--quick", "--shards", &past],
+            vec![
+                "worker",
+                "sweep",
+                "--quick",
+                "--shard",
+                &format!("0/{past}"),
+            ],
+        ] {
+            let err = parse(&args(&argv)).err().unwrap();
+            assert!(err.contains(&MAX_SHARDS.to_string()), "{err}");
+            assert_eq!(run(&args(&argv)), 2, "{argv:?}");
+        }
+        // The bound itself parses (nothing is run).
+        let at = MAX_SHARDS.to_string();
+        assert_eq!(
+            parse(&args(&["sweep", "--shards", &at])).unwrap().shards,
+            MAX_SHARDS
+        );
     }
 
     #[test]

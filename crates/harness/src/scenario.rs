@@ -20,7 +20,7 @@ use ring_experiments::{Case, FaultAxes, Measurement, SweepSpec};
 use ring_protocols::fault::FaultParams;
 use ring_protocols::structures::SharedStructures;
 use ring_sim::Model;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// One independently executable unit of work.
 #[derive(Clone, Debug)]
@@ -245,7 +245,7 @@ impl WorkItem {
 }
 
 /// One JSONL line of a sweep: everything measured on one work item.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CaseRecord {
     /// Position of the item in the sweep (JSONL lines are emitted in this
     /// order regardless of scheduling).
@@ -270,50 +270,16 @@ pub struct CaseRecord {
 }
 
 impl CaseRecord {
-    /// Reconstructs a record from its JSON value (the inverse of the
-    /// `Serialize` derive). The distributed layer uses this to render
-    /// tables and statistics from merged shard files without re-running
-    /// any case.
+    /// Reads a record back from its JSON value (the derived
+    /// [`Deserialize`] impl, callable without importing the trait). The
+    /// distributed layer uses this to render tables and statistics from
+    /// merged shard files without re-running any case.
     ///
     /// # Errors
     ///
     /// Returns a description of the first missing or mistyped field.
     pub fn from_json(value: &serde::Value) -> Result<Self, String> {
-        let int = |key: &str| {
-            value
-                .get(key)
-                .and_then(serde::Value::as_u64)
-                .ok_or_else(|| format!("record is missing integer `{key}`"))
-        };
-        let rounds_total = match value.get("rounds_total") {
-            None => return Err("record is missing `rounds_total`".into()),
-            Some(v) if v.is_null() => None,
-            Some(v) => Some(v.as_f64().ok_or("record `rounds_total` is not a number")?),
-        };
-        let measurements = value
-            .get("measurements")
-            .and_then(serde::Value::as_array)
-            .ok_or("record is missing `measurements` array")?
-            .iter()
-            .map(Measurement::from_json)
-            .collect::<Result<Vec<Measurement>, String>>()?;
-        Ok(CaseRecord {
-            case_index: int("case_index")? as usize,
-            experiment: value
-                .get("experiment")
-                .and_then(|v| v.as_str())
-                .ok_or("record is missing string `experiment`")?
-                .to_string(),
-            n: int("n")? as usize,
-            universe: int("universe")?,
-            seed: int("seed")?,
-            rounds_total,
-            verified: value
-                .get("verified")
-                .and_then(serde::Value::as_bool)
-                .ok_or("record is missing boolean `verified`")?,
-            measurements,
-        })
+        <Self as Deserialize>::from_json(value)
     }
 
     fn new(index: usize, item: &WorkItem, measurements: Vec<Measurement>) -> Self {
@@ -567,6 +533,27 @@ mod tests {
         let line = serde_json::to_string(&record).unwrap();
         let parsed = CaseRecord::from_json(&serde_json::from_str(&line).unwrap()).unwrap();
         assert_eq!(parsed, record);
-        assert!(CaseRecord::from_json(&serde_json::from_str("{}").unwrap()).is_err());
+        let read = |text: &str| CaseRecord::from_json(&serde_json::from_str(text).unwrap());
+        assert_eq!(
+            read("{}").unwrap_err(),
+            "CaseRecord is missing `case_index`"
+        );
+        // A case that measured nothing solvable, and one with no measurements.
+        let unsolved = CaseRecord {
+            rounds_total: None,
+            measurements: Vec::new(),
+            ..record.clone()
+        };
+        let line = serde_json::to_string(&unsolved).unwrap();
+        assert_eq!(read(&line).unwrap(), unsolved);
+        // A bad measurement is reported through the record's field.
+        let line = serde_json::to_string(&record).unwrap();
+        let bad = line.replacen("\"verified\":true}", "\"verified\":\"yes\"}", 1);
+        assert_ne!(bad, line);
+        assert_eq!(
+            read(&bad).unwrap_err(),
+            "CaseRecord.measurements: [0]: Measurement.verified: \
+             expected a boolean, found a string"
+        );
     }
 }

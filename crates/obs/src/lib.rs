@@ -14,8 +14,8 @@
 //!   taken at registration and snapshot time; callers keep the returned
 //!   [`Arc`] handle and update it lock-free afterwards.
 //! - [`Snapshot`] (`ring-obs/v1`) is the wire/manifest form: all-integer so
-//!   it derives `Eq`, mergeable across processes, absent-tolerant when
-//!   parsed back with [`Snapshot::from_json`].
+//!   it derives `Eq`, mergeable across processes, and read back through
+//!   its schema-checked [`Deserialize`] impl.
 //! - [`trace`] is the span layer: [`span!`] RAII guards write structured
 //!   begin/end events to a per-process JSONL sidecar, and compile down to a
 //!   single relaxed load (and nothing else — no allocation, no field
@@ -31,7 +31,7 @@
 
 pub mod trace;
 
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -279,7 +279,7 @@ pub fn global() -> &'static Registry {
 }
 
 /// Frozen state of one histogram: sparse `(bucket_index, count)` pairs.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     /// Metric name.
     pub name: String,
@@ -480,100 +480,6 @@ impl Snapshot {
             histograms,
         }
     }
-
-    /// Parses a serialized snapshot back from its JSON value.
-    ///
-    /// Absent sections parse as empty; an unknown schema tag is an error so
-    /// future incompatible revisions fail loudly.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the malformed field.
-    pub fn from_json(value: &Value) -> Result<Snapshot, String> {
-        if let Some(schema) = value.get("schema").and_then(Value::as_str) {
-            if schema != SNAPSHOT_SCHEMA {
-                return Err(format!("unsupported snapshot schema `{schema}`"));
-            }
-        }
-        let mut snapshot = Snapshot::default();
-        if let Some(items) = value.get("counters").and_then(Value::as_array) {
-            for item in items {
-                let pair = item.as_array().ok_or("counter entry is not a pair")?;
-                let name = pair
-                    .first()
-                    .and_then(Value::as_str)
-                    .ok_or("counter name is not a string")?;
-                let v = pair
-                    .get(1)
-                    .and_then(Value::as_u64)
-                    .ok_or("counter value is not a u64")?;
-                snapshot.counters.push((name.to_string(), v));
-            }
-        }
-        if let Some(items) = value.get("gauges").and_then(Value::as_array) {
-            for item in items {
-                let pair = item.as_array().ok_or("gauge entry is not a pair")?;
-                let name = pair
-                    .first()
-                    .and_then(Value::as_str)
-                    .ok_or("gauge name is not a string")?;
-                let v = pair
-                    .get(1)
-                    .and_then(Value::as_i64)
-                    .ok_or("gauge value is not an i64")?;
-                snapshot.gauges.push((name.to_string(), v));
-            }
-        }
-        if let Some(items) = value.get("histograms").and_then(Value::as_array) {
-            for item in items {
-                let name = item
-                    .get("name")
-                    .and_then(Value::as_str)
-                    .ok_or("histogram name is not a string")?;
-                let count = item
-                    .get("count")
-                    .and_then(Value::as_u64)
-                    .ok_or("histogram count is not a u64")?;
-                let sum_ns = item
-                    .get("sum_ns")
-                    .and_then(Value::as_u64)
-                    .ok_or("histogram sum_ns is not a u64")?;
-                let mut buckets = Vec::new();
-                if let Some(pairs) = item.get("buckets").and_then(Value::as_array) {
-                    for pair in pairs {
-                        let pair = pair.as_array().ok_or("bucket entry is not a pair")?;
-                        let i = pair
-                            .first()
-                            .and_then(Value::as_u64)
-                            .ok_or("bucket index is not a u64")?;
-                        let n = pair
-                            .get(1)
-                            .and_then(Value::as_u64)
-                            .ok_or("bucket count is not a u64")?;
-                        buckets.push((u32::try_from(i).map_err(|_| "bucket index overflow")?, n));
-                    }
-                }
-                snapshot.histograms.push(HistogramSnapshot {
-                    name: name.to_string(),
-                    count,
-                    sum_ns,
-                    buckets,
-                });
-            }
-        }
-        Ok(snapshot)
-    }
-}
-
-impl Serialize for HistogramSnapshot {
-    fn to_json(&self) -> Value {
-        Value::Object(vec![
-            ("name".to_string(), Value::Str(self.name.clone())),
-            ("count".to_string(), Value::Uint(self.count)),
-            ("sum_ns".to_string(), Value::Uint(self.sum_ns)),
-            ("buckets".to_string(), self.buckets.to_json()),
-        ])
-    }
 }
 
 impl Serialize for Snapshot {
@@ -587,6 +493,24 @@ impl Serialize for Snapshot {
             ("gauges".to_string(), self.gauges.to_json()),
             ("histograms".to_string(), self.histograms.to_json()),
         ])
+    }
+}
+
+/// Reads a snapshot back: the schema tag must be [`SNAPSHOT_SCHEMA`]
+/// (checked first, so a future incompatible revision fails as a schema
+/// error), and every section must be present.
+impl Deserialize for Snapshot {
+    fn from_json(value: &Value) -> Result<Snapshot, String> {
+        match value.get("schema").and_then(Value::as_str) {
+            Some(SNAPSHOT_SCHEMA) => {}
+            Some(other) => return Err(format!("unsupported snapshot schema `{other}`")),
+            None => return Err(format!("snapshot has no `{SNAPSHOT_SCHEMA}` schema tag")),
+        }
+        Ok(Snapshot {
+            counters: serde::de::field(value, "Snapshot", "counters")?,
+            gauges: serde::de::field(value, "Snapshot", "gauges")?,
+            histograms: serde::de::field(value, "Snapshot", "histograms")?,
+        })
     }
 }
 
@@ -761,11 +685,16 @@ mod tests {
     }
 
     #[test]
-    fn from_json_is_absent_tolerant_and_schema_strict() {
-        let empty = serde_json::from_str("{}").unwrap();
-        assert!(Snapshot::from_json(&empty).unwrap().is_empty());
-        let wrong = serde_json::from_str("{\"schema\":\"ring-obs/v9\"}").unwrap();
-        assert!(Snapshot::from_json(&wrong).is_err());
+    fn snapshot_reads_are_schema_strict() {
+        let read = |text: &str| Snapshot::from_json(&serde_json::from_str(text).unwrap());
+        // The schema is checked before any section is looked at.
+        for text in ["{}", "{\"schema\":\"ring-obs/v9\"}", "[]"] {
+            assert!(read(text).unwrap_err().contains("schema"), "{text}");
+        }
+        let empty = serde_json::to_string(&Snapshot::default()).unwrap();
+        assert!(read(&empty).unwrap().is_empty());
+        let missing = empty.replace(",\"gauges\":[]", "");
+        assert_eq!(read(&missing).unwrap_err(), "Snapshot is missing `gauges`");
     }
 
     #[test]

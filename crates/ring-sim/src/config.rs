@@ -11,13 +11,13 @@ use crate::error::RingError;
 use crate::geometry::{ArcLength, Point, CIRCUMFERENCE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Minimum supported ring size. The paper assumes `n > 4` throughout.
 pub const MIN_AGENTS: usize = 5;
 
 /// The immutable ground truth of a ring deployment.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct RingConfig {
     positions: Vec<Point>,
     chirality: Vec<Chirality>,

@@ -8,11 +8,11 @@
 //! substrate translates to [`ObjectiveDirection`]s using the hidden
 //! chirality assignment.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A direction of movement in the objective (global) frame of the circle.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum ObjectiveDirection {
     /// Movement in the direction of increasing tick values.
     Clockwise,
@@ -23,7 +23,7 @@ pub enum ObjectiveDirection {
 }
 
 /// A direction of movement expressed in an agent's own frame.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum LocalDirection {
     /// The agent's own clockwise direction ("right").
     Right,
@@ -35,7 +35,7 @@ pub enum LocalDirection {
 
 /// Whether an agent's private sense of direction agrees with the objective
 /// clockwise direction.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum Chirality {
     /// The agent's "right" is the objective clockwise direction.
     Aligned,

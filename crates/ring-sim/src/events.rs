@@ -26,10 +26,10 @@
 use crate::config::RingConfig;
 use crate::direction::ObjectiveDirection;
 use crate::rotation::extend_rotated;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A single collision between two agents.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct CollisionEvent {
     /// Time within the round, in `[0, 1)`.
     pub time: f64,
@@ -40,7 +40,7 @@ pub struct CollisionEvent {
 }
 
 /// Full trajectory information for one simulated round.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Trajectory {
     /// Final position (fraction of the circle) of each agent.
     pub final_positions: Vec<f64>,

@@ -13,12 +13,12 @@
 
 use crate::direction::LocalDirection;
 use crate::observe::Observation;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::hint::select_unpredictable;
 
 /// A logical orientation maintained by an agent on top of its physical
 /// local frame.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize)]
 pub struct Frame {
     flipped: bool,
 }

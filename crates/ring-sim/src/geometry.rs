@@ -12,7 +12,7 @@
 //! * [`Point`] — a location on the circle, always `< CIRCUMFERENCE`;
 //! * [`ArcLength`] — a (directed) distance along the circle, `<= CIRCUMFERENCE`.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Number of ticks in the full circle (circumference 1).
@@ -20,11 +20,11 @@ pub const CIRCUMFERENCE: u64 = 1 << 40;
 
 /// A location on the circle, measured in ticks clockwise from an arbitrary
 /// (but fixed) origin. Always strictly less than [`CIRCUMFERENCE`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default)]
 pub struct Point(u64);
 
 /// A distance along the circle measured in ticks, in `0..=CIRCUMFERENCE`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default)]
 pub struct ArcLength(u64);
 
 impl fmt::Debug for Point {

@@ -1,10 +1,10 @@
 //! Model variants and number-theoretic helpers shared across the crate.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The three model variants of the paper.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum Model {
     /// Agents must start each round moving right or left; only `dist()` is
     /// observed.
@@ -44,7 +44,7 @@ impl fmt::Display for Model {
 
 /// Parity of the (unknown) network size `n`; the only information about `n`
 /// that agents are assumed to possess.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum Parity {
     /// `n` is odd.
     Odd,

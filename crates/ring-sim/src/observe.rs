@@ -1,7 +1,7 @@
 //! Per-agent observations delivered at the end of a round.
 
 use crate::geometry::ArcLength;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// What a single agent learns about its own trajectory at the end of a
 /// round, already expressed in the agent's **own** frame.
@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 ///   the agent's position at the beginning of the round and the position of
 ///   its first collision in the round, measured along the agent's initial
 ///   direction of travel. `None` if the agent had no collision at all.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize)]
 pub struct Observation {
     /// `dist()` of the paper.
     pub dist: ArcLength,

@@ -11,11 +11,11 @@
 //! event-driven engine cross-validates this in the property tests.
 
 use crate::direction::ObjectiveDirection;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The rotation index of a round: how many places clockwise every agent is
 /// shifted along the (fixed) cyclic sequence of initial positions.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub struct RotationIndex {
     /// The shift, reduced to `0..n`.
     pub shift: usize,

@@ -31,9 +31,9 @@ use crate::pool::{TcpWorkerTransport, WorkerPool};
 use crate::{recover, SCHEMA};
 use ring_distrib::{
     merge_shards, plan_shards, run_pending_shards_with, Manifest, OrchestratorOptions, ShardStatus,
-    SpecParams,
+    SpecParams, MAX_SHARDS,
 };
-use serde::Value;
+use serde::{Deserialize, Value};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -510,8 +510,8 @@ fn run_summary(record: &RunRecord) -> Value {
 
 /// Creates and enqueues a run from a `POST /v1/runs` body: the
 /// [`SpecParams`] fields plus optional `"shards"` (default: one per idle
-/// worker) and boolean `"structure_store"` (default off; the store lives
-/// inside the run directory).
+/// worker; at most [`MAX_SHARDS`]) and boolean `"structure_store"` (default
+/// off; the store lives inside the run directory).
 fn submit_run(daemon: &Arc<Daemon>, body: &[u8]) -> Result<Value, String> {
     if daemon.shutting_down.load(Ordering::Acquire) {
         return Err("the daemon is shutting down".into());
@@ -527,8 +527,8 @@ fn submit_run(daemon: &Arc<Daemon>, body: &[u8]) -> Result<Value, String> {
     // contains empty shards, exactly as `ringlab sweep --shards M` would;
     // only the idle-worker default is clamped to something useful.
     let shards = match value.get("shards").map(|v| v.as_u64()) {
-        Some(Some(n)) if n >= 1 => n as usize,
-        Some(_) => return Err("`shards` must be a positive integer".into()),
+        Some(Some(n)) if (1..=MAX_SHARDS as u64).contains(&n) => n as usize,
+        Some(_) => return Err(format!("`shards` must be an integer in 1..={MAX_SHARDS}")),
         None => daemon.pool.idle_count().max(1).min(resolved.total_cases),
     };
     let use_store = match value.get("structure_store") {
@@ -776,4 +776,50 @@ fn stream_results(daemon: &Daemon, run_id: usize, dir: &std::path::Path, out: &m
     }
     out.flush().ok();
     out.shutdown(Shutdown::Both).ok();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A daemon that never listens: enough to call `submit_run` on.
+    fn idle_daemon(data_dir: PathBuf) -> Arc<Daemon> {
+        Arc::new(Daemon {
+            config: ServeConfig {
+                listen: String::new(),
+                data_dir,
+                jobs_per_worker: 1,
+                retries: 0,
+                shard_timeout: None,
+                lease_timeout: Duration::from_secs(1),
+                resolver: Box::new(|_| {
+                    Ok(ResolvedSpec {
+                        total_cases: 6,
+                        fingerprint: "0xabc".into(),
+                    })
+                }),
+            },
+            wake_addr: SocketAddr::from(([127, 0, 0, 1], 9)),
+            pool: Arc::new(WorkerPool::new()),
+            runs: Mutex::new(Vec::new()),
+            progress: Condvar::new(),
+            queue: Mutex::new(VecDeque::new()),
+            queue_signal: Condvar::new(),
+            shutting_down: AtomicBool::new(false),
+        })
+    }
+
+    #[test]
+    fn a_shard_count_past_the_bound_is_refused_before_planning() {
+        let dir = std::env::temp_dir().join(format!("ring-serve-bound-{}", std::process::id()));
+        let daemon = idle_daemon(dir.clone());
+        for shards in [(MAX_SHARDS + 1) as u64, 10_000_000_000] {
+            let body = format!("{{\"subcommand\":\"sweep\",\"shards\":{shards}}}");
+            let err = submit_run(&daemon, body.as_bytes()).unwrap_err();
+            assert!(err.contains("`shards`"), "{err}");
+        }
+        assert!(recover(daemon.runs.lock()).is_empty());
+        assert!(recover(daemon.queue.lock()).is_empty());
+        assert!(!dir.exists(), "nothing may be written for a refused run");
+    }
 }

@@ -9,15 +9,29 @@
 //! * tuple structs with several fields → JSON arrays,
 //! * enums whose variants are all unit variants → JSON strings.
 //!
-//! Anything else (generics, data-carrying enum variants) produces a
-//! `compile_error!` naming the unsupported construct, so a future change
-//! fails loudly instead of serializing garbage.
+//! `Deserialize` is derived for structs with named fields only: every field
+//! is read through `serde::de::field` (an absent or null `Option` is
+//! `None`, any other absent field is an error naming the type and field),
+//! or through `serde::de::field_or_default` when marked
+//! `#[serde(default)]`. Unknown keys are ignored.
+//!
+//! Anything else (generics, data-carrying enum variants, other `serde`
+//! attributes) produces a `compile_error!` naming the unsupported
+//! construct, so a future change fails loudly instead of serializing
+//! garbage.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
+/// One field of a named-field struct.
+struct Field {
+    name: String,
+    /// Marked `#[serde(default)]`: absent reads as `Default::default()`.
+    default: bool,
+}
+
 enum Shape {
-    /// Named-field struct with the field identifiers in declaration order.
-    Struct(Vec<String>),
+    /// Named-field struct with its fields in declaration order.
+    Struct(Vec<Field>),
     /// Tuple struct with the given number of fields.
     Tuple(usize),
     /// Unit struct (no fields).
@@ -126,14 +140,35 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
     }
 }
 
-/// Extracts field names from a named-field struct body, skipping attributes,
-/// visibility and types (commas nested in `<...>` or groups do not split).
-fn parse_named_fields(body: TokenStream) -> Result<Vec<String>, String> {
+/// Whether the attribute just before `tokens[i]` (a `#` and its bracket
+/// group) is `#[serde(default)]`; any other `serde` attribute is an error.
+fn serde_default(tokens: &[TokenTree], i: usize) -> Result<bool, String> {
+    let Some(TokenTree::Group(attr)) = tokens.get(i - 1) else {
+        return Ok(false);
+    };
+    let inner: Vec<String> = attr.stream().into_iter().map(|t| t.to_string()).collect();
+    match inner.first().map(String::as_str) {
+        Some("serde") if inner.get(1).map(String::as_str) == Some("(default)") => Ok(true),
+        Some("serde") => Err(format!(
+            "the serde shim derive supports only `#[serde(default)]`, not `#[{}]`",
+            inner.join("")
+        )),
+        _ => Ok(false),
+    }
+}
+
+/// Extracts the fields of a named-field struct body, skipping attributes
+/// other than `#[serde(default)]`, visibility and types (commas nested in
+/// `<...>` or groups do not split).
+fn parse_named_fields(body: TokenStream) -> Result<Vec<Field>, String> {
     let tokens: Vec<TokenTree> = body.into_iter().collect();
     let mut fields = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        while skip_attr(&tokens, &mut i) {}
+        let mut default = false;
+        while skip_attr(&tokens, &mut i) {
+            default |= serde_default(&tokens, i)?;
+        }
         skip_vis(&tokens, &mut i);
         let field = match tokens.get(i) {
             Some(TokenTree::Ident(id)) => id.to_string(),
@@ -164,7 +199,10 @@ fn parse_named_fields(body: TokenStream) -> Result<Vec<String>, String> {
             i += 1;
         }
         i += 1; // past the comma (or the end)
-        fields.push(field);
+        fields.push(Field {
+            name: field,
+            default,
+        });
     }
     Ok(fields)
 }
@@ -234,7 +272,7 @@ fn parse_unit_variants(enum_name: &str, body: TokenStream) -> Result<Vec<String>
 
 /// `#[derive(Serialize)]`: emits an `impl serde::Serialize` mapping the type
 /// onto the shim's JSON value model.
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = match parse_item(input) {
         Ok(item) => item,
@@ -245,7 +283,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         Shape::Struct(fields) => {
             let pushes: String = fields
                 .iter()
-                .map(|f| {
+                .map(|Field { name: f, .. }| {
                     format!(
                         "__fields.push(({f:?}.to_string(), \
                          serde::Serialize::to_json(&self.{f})));"
@@ -283,14 +321,40 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     .unwrap()
 }
 
-/// `#[derive(Deserialize)]`: emits the marker impl.
-#[proc_macro_derive(Deserialize)]
+/// `#[derive(Deserialize)]`: emits an `impl serde::Deserialize` reading a
+/// named-field struct back from the JSON object its `Serialize` derive
+/// writes.
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = match parse_item(input) {
         Ok(item) => item,
         Err(e) => return err(&e),
     };
-    format!("impl serde::Deserialize for {} {{}}", item.name)
-        .parse()
-        .unwrap()
+    let name = &item.name;
+    let Shape::Struct(fields) = &item.shape else {
+        return err(&format!(
+            "the serde shim derives Deserialize only for structs with named fields, not `{name}`"
+        ));
+    };
+    let reads: String = fields
+        .iter()
+        .map(|Field { name: f, default }| {
+            let read = if *default {
+                "field_or_default"
+            } else {
+                "field"
+            };
+            format!("{f}: serde::de::{read}(value, {name:?}, {f:?})?,")
+        })
+        .collect();
+    format!(
+        "impl serde::Deserialize for {name} {{\
+             fn from_json(value: &serde::Value) -> Result<Self, String> {{\
+                 serde::de::object(value, {name:?})?;\
+                 Ok({name} {{ {reads} }})\
+             }}\
+         }}"
+    )
+    .parse()
+    .unwrap()
 }

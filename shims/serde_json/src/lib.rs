@@ -31,9 +31,9 @@ impl std::error::Error for Error {}
 
 /// Parses a JSON document into the shim [`Value`] model.
 ///
-/// Unlike the real crate this is not generic over `Deserialize` (the shim's
-/// `Deserialize` is a marker trait); callers pattern-match or use the
-/// [`Value`] accessors.
+/// Unlike the real crate this is not generic over `Deserialize`: callers
+/// read the [`Value`] with `serde::Deserialize::from_json` or its
+/// accessors.
 ///
 /// # Errors
 ///
