@@ -33,7 +33,7 @@
 use rand::{Rng, SeedableRng};
 use ring_combinat::{reference, Distinguisher, IdSet, SelectiveFamily};
 use ring_protocols::coordination::nontrivial::weak_nontrivial_move_even_distinguisher;
-use ring_protocols::exec::StepBuffers;
+use ring_protocols::exec::{PairBuffers, StepBuffers};
 use ring_protocols::knowledge::{ArcEquation, EquationBatch};
 use ring_protocols::perceptive::link::{FrameBuffers, LinkBuffers, NeighborFrames, RingLink};
 use ring_protocols::{GapKnowledge, IdAssignment, Network};
@@ -635,9 +635,11 @@ fn main() {
     // 4d. The collision link's bit exchange (Proposition 31) at n = 512: a
     //     round and its complement, each undone, as one fused
     //     `step_pair_into` against the four calls it stands for (round A,
-    //     a copy of its observations, its undo, round B, its undo). No two
-    //     consecutive rounds share their directions, so every pair is
-    //     simulated: this times the kernel, not its reuse of a repeat.
+    //     a copy of its collisions, its undo, round B, a copy of its
+    //     collisions, its undo). No two consecutive rounds share their
+    //     directions, so every pair is simulated: this times the kernel,
+    //     not its reuse of a repeat. Both sides must end with the same
+    //     collisions.
     assert!(
         local_rounds
             .iter()
@@ -647,32 +649,34 @@ fn main() {
     );
     let mut net = Network::new(&config, ids.clone(), Model::Perceptive).expect("valid network");
     let mut reference_net = net.clone();
-    let (mut round_a, mut round_b) = (StepBuffers::new(), StepBuffers::new());
-    let mut kept = Vec::with_capacity(kernel_n);
+    let mut pair = PairBuffers::new();
+    let mut kept: [Vec<u64>; 2] = Default::default();
     let (fast, slow) = time_pair(
         kernel_reps,
         || {
             for dirs in &local_rounds {
-                net.step_pair_into(dirs, &mut round_a, &mut round_b)
-                    .expect("valid pair");
+                net.step_pair_into(dirs, &mut pair).expect("valid pair");
             }
             net.rounds_used()
         },
         || {
             for (dirs, flipped) in local_rounds.iter().zip(&reversed_rounds) {
-                reference_net
-                    .step_into(dirs, &mut step)
-                    .expect("valid round");
-                kept.clear();
-                kept.extend_from_slice(step.observations());
-                reference_net.undo_last(&mut step).expect("undoable round");
-                reference_net
-                    .step_into(flipped, &mut step)
-                    .expect("valid round");
-                reference_net.undo_last(&mut step).expect("undoable round");
+                for (round, kept) in [dirs, flipped].into_iter().zip(&mut kept) {
+                    reference_net
+                        .step_into(round, &mut step)
+                        .expect("valid round");
+                    kept.clear();
+                    kept.extend(step.observations().iter().map(|o| o.coll_ticks()));
+                    reference_net.undo_last(&mut step).expect("undoable round");
+                }
             }
             reference_net.rounds_used()
         },
+    );
+    assert_eq!(
+        [pair.collisions_a(), pair.collisions_b()],
+        [&kept[0][..], &kept[1][..]],
+        "the fused pair and its four calls must collide alike"
     );
     record_pair(
         &mut entries,

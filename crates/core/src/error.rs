@@ -69,6 +69,25 @@ pub enum ProtocolError {
     },
 }
 
+impl ProtocolError {
+    /// Fails with [`ProtocolError::LengthMismatch`] naming the first of
+    /// `slices` — each what it holds and its length — that does not hold
+    /// one item per agent of a ring of `n`.
+    pub(crate) fn check_lengths(
+        n: usize,
+        slices: &[(&'static str, usize)],
+    ) -> Result<(), ProtocolError> {
+        match slices.iter().find(|&&(_, got)| got != n) {
+            Some(&(what, got)) => Err(ProtocolError::LengthMismatch {
+                what,
+                got,
+                expected: n,
+            }),
+            None => Ok(()),
+        }
+    }
+}
+
 impl fmt::Display for ProtocolError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -20,7 +20,9 @@
 //! * [`Network::step_pair_into`], a round and its complement (every
 //!   direction flipped), each followed by its undo: the bit exchange of
 //!   Proposition 31, run by the analytic kernel in one pass, and not run
-//!   again when the next call repeats it through the same buffers.
+//!   again when the next call repeats it through the same buffers. It
+//!   yields only what the exchange decodes, each round's first collisions,
+//!   into a [`PairBuffers`] set.
 //!
 //! The ring offset and its round count are the executor's whole position
 //! and round state. By Lemma 1 every round rotates the agents over their
@@ -48,15 +50,15 @@ use crate::fault::FaultPlan;
 use crate::ids::{AgentId, IdAssignment};
 use crate::structures::{fresh_structures, SharedStructures};
 use ring_sim::{
-    EngineKind, LocalDirection, Model, Observation, Parity, RingConfig, RingState, RotationIndex,
-    RoundBuffers,
+    EngineKind, LocalDirection, Model, Observation, PairRoundBuffers, Parity, RingConfig,
+    RingState, RotationIndex, RoundBuffers, NO_COLLISION,
 };
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Reusable buffers for the zero-alloc round interface
-/// ([`Network::step_into`], [`Network::step_pair_into`],
-/// [`Network::run_schedule`], [`Network::undo_last`]).
+/// ([`Network::step_into`], [`Network::run_schedule`],
+/// [`Network::undo_last`]).
 ///
 /// Create one per protocol run and thread it through every round: after the
 /// vectors reach the ring size, no round allocates.
@@ -68,34 +70,6 @@ pub struct StepBuffers {
     /// observations these buffers hold, while [`Network::undo_last`] may
     /// still revert it.
     forward: Option<(u64, u64)>,
-    /// The fused pair, and which of its rounds, whose observations these
-    /// buffers hold, while nothing else has written them since.
-    pair: Option<PairStamp>,
-}
-
-/// Names the round of a simulated complementary pair that a
-/// [`StepBuffers`] holds: [`Network::step_pair_into`] reuses the
-/// observations only in the roles they were written in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct PairStamp {
-    network: u64,
-    /// The pair's number in [`LastPair::seq`].
-    pair: u64,
-    /// Round A (`true`) or its complement, round B.
-    round_a: bool,
-}
-
-/// The last complementary pair the kernel simulated for a network. A pair
-/// observes a pure function of the configuration, the offset it starts
-/// from and its directions, so a call that repeats all three, through the
-/// buffers stamped with this pair, finds its observations already there.
-#[derive(Clone, Debug, Default)]
-struct LastPair {
-    /// Counts the network's simulated pairs.
-    seq: u64,
-    offset: usize,
-    directions: Vec<LocalDirection>,
-    rotation: Option<RotationIndex>,
 }
 
 impl StepBuffers {
@@ -109,6 +83,61 @@ impl StepBuffers {
     pub fn observations(&self) -> &[Observation] {
         &self.round.observations
     }
+}
+
+/// Reusable buffers for [`Network::step_pair_into`]: the first collisions
+/// of a complementary pair's rounds A and B, the only thing the pair is
+/// read for, plus the pair's work arrays. After the vectors reach the ring
+/// size, no pair allocates.
+#[derive(Clone, Debug, Default)]
+pub struct PairBuffers {
+    round: PairRoundBuffers,
+    /// The fused pair whose collisions these buffers hold.
+    stamp: Option<PairStamp>,
+    /// The round buffers of the one-by-one path.
+    fallback: StepBuffers,
+}
+
+impl PairBuffers {
+    /// Creates an empty buffer set (vectors grow on first use).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Round A's first collision of every agent, in ticks: the distance it
+    /// travelled before it, [`NO_COLLISION`] if it had none or the model
+    /// observes no collisions.
+    pub fn collisions_a(&self) -> &[u64] {
+        &self.round.collisions_a
+    }
+
+    /// Round B's first collisions, as [`PairBuffers::collisions_a`].
+    pub fn collisions_b(&self) -> &[u64] {
+        &self.round.collisions_b
+    }
+}
+
+/// Names the simulated complementary pair whose collisions a
+/// [`PairBuffers`] holds: [`Network::step_pair_into`] reuses them only
+/// for this network's latest pair.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct PairStamp {
+    network: u64,
+    /// The pair's number in [`LastPair::seq`].
+    pair: u64,
+}
+
+/// The last complementary pair the kernel simulated for a network. A pair
+/// observes a pure function of the configuration, the offset it starts
+/// from and its directions, so a call that repeats all three, through the
+/// buffers stamped with this pair, finds its collisions already there.
+#[derive(Clone, Debug, Default)]
+struct LastPair {
+    /// Counts the network's simulated pairs.
+    seq: u64,
+    offset: usize,
+    directions: Vec<LocalDirection>,
+    rotation: Option<RotationIndex>,
 }
 
 /// A point to return to with [`Network::rewind`], taken by
@@ -351,7 +380,6 @@ impl<'a> Network<'a> {
         directions: &[LocalDirection],
         bufs: &mut StepBuffers,
     ) -> Result<(), ProtocolError> {
-        bufs.pair = None;
         self.check_directions(directions)?;
         self.check_round_limit()?;
         // Fault injection happens below the model check: a suppressed move
@@ -395,36 +423,38 @@ impl<'a> Network<'a> {
     /// Executes a complementary pair of rounds, each followed by its undo:
     /// round A with `directions`, [`Network::undo_last`], round B with
     /// every direction flipped, and its undo — four counted rounds that end
-    /// where they started. Round A's observations land in `a`, B's in `b`.
-    /// Neither round can be undone afterwards, and a mark in force is
-    /// dropped, as by the undos.
+    /// where they started. Each round's first collisions land in `bufs`
+    /// ([`PairBuffers::collisions_a`] and [`PairBuffers::collisions_b`]),
+    /// gated by the model as in [`Network::step_into`]. Nothing else of the
+    /// rounds is kept: no displacements and no [`Observation`]s. Neither
+    /// round can be undone afterwards, and a mark in force is dropped, as
+    /// by the undos.
     ///
     /// On the analytic engine, with no active fault plan and at least four
     /// rounds left under the round limit, both rounds come from one pass of
     /// the kernel ([`RingState::execute_pair_into`]). Otherwise the four
-    /// calls run one by one. Either way the outcome is that of the four
-    /// calls, error included: the analytic engine's results match the
-    /// sequence tick for tick.
+    /// calls run one by one and the collisions are read from their
+    /// observations. Either way the outcome is that of the four calls,
+    /// error included: the analytic engine's results match the sequence
+    /// tick for tick.
     ///
     /// On the kernel path a pair is simulated only once. A call repeats
     /// the last pair this network simulated when it starts from the same
-    /// offset with the same directions, and `a` and `b` still hold that
-    /// pair's rounds A and B: every other writer of the buffers clears the
-    /// stamp that says so — [`Network::step_into`], through which
-    /// [`Network::run_schedule`] and the one-by-one path write, and an undo
-    /// or rewind — and a clone is another network. A repeat counts its four rounds and leaves the
-    /// observations in place; they are what simulating it would write.
+    /// offset with the same directions and `bufs` still holds that pair:
+    /// only this method writes a [`PairBuffers`], and it stamps the buffers
+    /// with the pair they hold; a clone is another network. A repeat counts
+    /// its four rounds and leaves the collisions in place; they are what
+    /// simulating it would write.
     ///
     /// # Errors
     ///
     /// Those of [`Network::step_into`] and [`Network::undo_last`], from the
     /// first of the four calls that fails; the calls before it have run.
-    /// After an error the buffers' observations are unspecified.
+    /// After an error the buffers' collisions are unspecified.
     pub fn step_pair_into(
         &mut self,
         directions: &[LocalDirection],
-        a: &mut StepBuffers,
-        b: &mut StepBuffers,
+        bufs: &mut PairBuffers,
     ) -> Result<(), ProtocolError> {
         let rounds_left = self
             .round_limit
@@ -433,34 +463,24 @@ impl<'a> Network<'a> {
             || self.faults.as_ref().is_some_and(FaultPlan::any_faults)
             || rounds_left < 4
         {
-            return self.step_pair_one_by_one(directions, a, b);
+            return self.step_pair_one_by_one(directions, bufs);
         }
-        if a.pair == self.pair_stamp(true)
-            && b.pair == self.pair_stamp(false)
+        if bufs.stamp == self.pair_stamp()
             && self.ring.offset() == self.last_pair.offset
             && self.last_pair.directions == directions
         {
             self.ring.rewind(0, 4);
             self.last_rotation = self.last_pair.rotation;
-            self.finish_pair(a, b);
+            self.finish_pair();
             return Ok(());
         }
-        a.pair = None;
-        b.pair = None;
+        bufs.stamp = None;
         self.check_directions(directions)?;
         let offset = self.ring.offset();
-        let rotation = self
-            .ring
-            .execute_pair_into(directions, &mut a.round, &mut b.round)?;
+        let rotation = self.ring.execute_pair_into(directions, &mut bufs.round)?;
         if !self.model.observes_collisions() {
-            for obs in a
-                .round
-                .observations
-                .iter_mut()
-                .chain(&mut b.round.observations)
-            {
-                obs.coll = None;
-            }
+            bufs.round.collisions_a.fill(NO_COLLISION);
+            bufs.round.collisions_b.fill(NO_COLLISION);
         }
         // B's undo reverses B's shift, the negation of A's: A's shift.
         self.last_rotation = Some(rotation);
@@ -470,56 +490,49 @@ impl<'a> Network<'a> {
         last.directions.clear();
         last.directions.extend_from_slice(directions);
         last.rotation = self.last_rotation;
-        a.pair = self.pair_stamp(true);
-        b.pair = self.pair_stamp(false);
-        self.finish_pair(a, b);
+        bufs.stamp = self.pair_stamp();
+        self.finish_pair();
         Ok(())
     }
 
-    /// The stamp of round A (`round_a`) or B of the last simulated pair.
-    fn pair_stamp(&self, round_a: bool) -> Option<PairStamp> {
+    /// The stamp of the last simulated pair.
+    fn pair_stamp(&self) -> Option<PairStamp> {
         Some(PairStamp {
             network: self.id.0,
             pair: self.last_pair.seq,
-            round_a,
         })
     }
 
-    /// Ends a fused pair: neither round can be undone, and a mark in force
-    /// is dropped, as by the pair's undos.
-    fn finish_pair(&mut self, a: &mut StepBuffers, b: &mut StepBuffers) {
-        a.forward = None;
-        b.forward = None;
+    /// Ends a fused pair: a mark in force is dropped, as by the pair's
+    /// undos.
+    fn finish_pair(&mut self) {
         self.mark = None;
         self.mark_shifts.clear();
     }
 
-    /// [`Network::step_pair_into`] as its four calls. An undo clears the
-    /// buffers' observations, so each round's are kept aside across it.
+    /// [`Network::step_pair_into`] as its four calls, through the pair's
+    /// own round buffers. Each round's collisions are read before its undo
+    /// clears the observations.
     fn step_pair_one_by_one(
         &mut self,
         directions: &[LocalDirection],
-        a: &mut StepBuffers,
-        b: &mut StepBuffers,
+        bufs: &mut PairBuffers,
     ) -> Result<(), ProtocolError> {
-        self.step_into(directions, a)?;
-        self.undo_keeping_observations(a)?;
-        let mut flipped = std::mem::take(&mut b.directions);
+        bufs.stamp = None;
+        let PairBuffers {
+            round, fallback, ..
+        } = bufs;
+        self.step_into(directions, fallback)?;
+        collisions_into(fallback.observations(), &mut round.collisions_a);
+        self.undo_last(fallback)?;
+        let mut flipped = std::mem::take(&mut fallback.directions);
         flipped.clear();
         flipped.extend(directions.iter().map(|d| d.opposite()));
-        let stepped = self.step_into(&flipped, b);
-        b.directions = flipped;
+        let stepped = self.step_into(&flipped, fallback);
+        fallback.directions = flipped;
         stepped?;
-        self.undo_keeping_observations(b)
-    }
-
-    /// [`Network::undo_last`], leaving the undone round's observations in
-    /// the buffers.
-    fn undo_keeping_observations(&mut self, bufs: &mut StepBuffers) -> Result<(), ProtocolError> {
-        let observations = std::mem::take(&mut bufs.round.observations);
-        let undone = self.undo_last(bufs);
-        bufs.round.observations = observations;
-        undone
+        collisions_into(fallback.observations(), &mut round.collisions_b);
+        self.undo_last(fallback)
     }
 
     /// Fails if the direction vector has the wrong length or an agent idles
@@ -570,7 +583,6 @@ impl<'a> Network<'a> {
     /// buffers hold no observations to read.
     fn finish_undo(&mut self, bufs: &mut StepBuffers) {
         bufs.forward = None;
-        bufs.pair = None;
         bufs.round.observations.clear();
         self.mark = None;
         self.mark_shifts.clear();
@@ -770,6 +782,12 @@ impl<'a> Network<'a> {
     }
 }
 
+/// Rebuilds `out` with every agent's first collision in ticks.
+fn collisions_into(observations: &[Observation], out: &mut Vec<u64>) {
+    out.clear();
+    out.extend(observations.iter().map(Observation::coll_ticks));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -825,6 +843,35 @@ mod tests {
                 model.observes_collisions(),
                 "{model}"
             );
+        }
+    }
+
+    /// A pair's collisions are gated like a round's, on the fused path and
+    /// on the one-by-one path (here the event engine): a model that does
+    /// not observe collisions reads [`NO_COLLISION`] for every agent in
+    /// both rounds, the perceptive model reads real ones.
+    #[test]
+    fn pair_collisions_are_gated_by_the_model_on_both_paths() {
+        let (config, ids) = network(Model::Basic);
+        let dirs: Vec<LocalDirection> = (0..6)
+            .map(|i| LocalDirection::from_bit(i % 3 == 0))
+            .collect();
+        for model in Model::ALL {
+            for engine in [EngineKind::Analytic, EngineKind::Event] {
+                let mut net = Network::new(&config, ids.clone(), model)
+                    .unwrap()
+                    .with_engine(engine);
+                let mut bufs = PairBuffers::new();
+                net.step_pair_into(&dirs, &mut bufs).unwrap();
+                for (round, colls) in [("A", bufs.collisions_a()), ("B", bufs.collisions_b())] {
+                    assert_eq!(colls.len(), 6, "{model} {engine:?} {round}");
+                    assert_eq!(
+                        colls.iter().all(|&c| c == NO_COLLISION),
+                        !model.observes_collisions(),
+                        "{model} {engine:?} {round}: {colls:?}"
+                    );
+                }
+            }
         }
     }
 

@@ -173,13 +173,10 @@ pub fn flood_nearest_with(
     result: &mut Vec<NearestSources>,
 ) -> Result<u64, ProtocolError> {
     let n = net.len();
-    if values.len() != n || frames.len() != n {
-        return Err(ProtocolError::LengthMismatch {
-            what: "source values / frames",
-            got: values.len().min(frames.len()),
-            expected: n,
-        });
-    }
+    ProtocolError::check_lengths(
+        n,
+        &[("source values", values.len()), ("frames", frames.len())],
+    )?;
     let start = net.rounds_used();
     result.clear();
     result.resize(n, NearestSources::default());
@@ -342,5 +339,32 @@ mod tests {
             flood_nearest(&mut net, &link, &[Frame::identity(); 8], &[None; 3], 4, 1),
             Err(ProtocolError::LengthMismatch { .. })
         ));
+    }
+
+    /// A length error names the slice that is wrong, with its own length,
+    /// whether it is too long or too short and the other one is right.
+    #[test]
+    fn flood_nearest_length_errors_name_the_wrong_slice() {
+        let n = 8;
+        let (config, ids) = setup(n, 6);
+        let mut net = Network::new(&config, ids, Model::Perceptive).unwrap();
+        let (link, _) = RingLink::establish(&mut net).unwrap();
+        let (frames, values) = (aligning_frames(&net), vec![Some(1); n]);
+        let rounds = net.rounds_used();
+        for got in [n - 1, n + 1] {
+            let wrong = |what| ProtocolError::LengthMismatch {
+                what,
+                got,
+                expected: n,
+            };
+            let (mut wrong_values, mut wrong_frames) = (values.clone(), frames.clone());
+            wrong_values.resize(got, None);
+            wrong_frames.resize(got, Frame::identity());
+            let err = flood_nearest(&mut net, &link, &frames, &wrong_values, 4, 1);
+            assert_eq!(err.unwrap_err(), wrong("source values"));
+            let err = flood_nearest(&mut net, &link, &wrong_frames, &values, 4, 1);
+            assert_eq!(err.unwrap_err(), wrong("frames"));
+        }
+        assert_eq!(net.rounds_used(), rounds);
     }
 }

@@ -9,7 +9,9 @@
 //! collision on that side happened at exactly half the known gap. Each
 //! information round is undone before the next round, so both start from
 //! the same positions and the exchange ends where it began: four rounds
-//! per bit, which [`Network::step_pair_into`] runs in one kernel pass.
+//! per bit, which [`Network::step_pair_into`] runs in one kernel pass. The
+//! decoder reads nothing of the pair but each round's first collision per
+//! agent, in ticks, and the pair yields nothing else.
 //!
 //! On top of the bit exchange, [`RingLink::exchange_frames`] ships
 //! fixed-width optional values (a presence bit plus a payload), which is the
@@ -22,24 +24,23 @@
 //! near-empty. A repeated plane still runs its four rounds through
 //! [`Network::step_pair_into`], which counts them and, on the kernel path,
 //! reuses the pair it last simulated instead of simulating it again. What
-//! an agent receives is a function of the pair's observations and its own
+//! an agent receives is a function of the pair's collisions and its own
 //! bit, both unchanged, so the repeated plane is not decoded again either:
 //! every agent's last received bit is repeated.
 
 use crate::error::ProtocolError;
-use crate::exec::{Network, StepBuffers};
+use crate::exec::{Network, PairBuffers};
 use crate::perceptive::neighbors::{discover_neighbors, NeighborInfo, NeighborMap};
-use ring_sim::{ArcLength, LocalDirection, Observation};
+use ring_sim::LocalDirection;
 use std::hint::select_unpredictable;
 
 /// Reusable scratch for the zero-alloc bit exchange
 /// ([`RingLink::exchange_bits_with`]): the direction buffer of round A and
-/// one [`StepBuffers`] per information round, holding its observations.
+/// the [`PairBuffers`] holding both information rounds' first collisions.
 #[derive(Clone, Debug, Default)]
 pub struct LinkBuffers {
     dirs: Vec<LocalDirection>,
-    round_a: StepBuffers,
-    round_b: StepBuffers,
+    pair: PairBuffers,
 }
 
 impl LinkBuffers {
@@ -182,27 +183,27 @@ impl RingLink {
         bufs.dirs.clear();
         bufs.dirs
             .extend(bits.iter().map(|&b| LocalDirection::from_bit(b)));
-        net.step_pair_into(&bufs.dirs, &mut bufs.round_a, &mut bufs.round_b)?;
+        net.step_pair_into(&bufs.dirs, &mut bufs.pair)?;
         out.clear();
         out.extend(self.received(bufs));
         Ok(())
     }
 
     /// What every agent received in the pair `bufs` holds, decoded from
-    /// the pair's observations and the agent's own bit (its direction in
+    /// the pair's collisions and the agent's own bit (its direction in
     /// round A).
     fn received<'b>(&'b self, bufs: &'b LinkBuffers) -> impl Iterator<Item = NeighborBits> + 'b {
         let rounds = bufs
-            .round_a
-            .observations()
+            .pair
+            .collisions_a()
             .iter()
-            .zip(bufs.round_b.observations());
+            .zip(bufs.pair.collisions_b());
         bufs.dirs
             .iter()
             .zip(&self.infos)
             .zip(rounds)
-            .map(|((&dir, info), (obs_a, obs_b))| {
-                decode(dir == LocalDirection::Right, info, obs_a, obs_b)
+            .map(|((&dir, info), (&coll_a, &coll_b))| {
+                decode(dir == LocalDirection::Right, info, coll_a, coll_b)
             })
     }
 
@@ -285,7 +286,7 @@ impl RingLink {
         link.dirs.clear();
         link.dirs
             .extend(values.iter().map(|v| LocalDirection::from_bit(v.is_some())));
-        net.step_pair_into(&link.dirs, &mut link.round_a, &mut link.round_b)?;
+        net.step_pair_into(&link.dirs, &mut link.pair)?;
         out.clear();
         out.extend(self.received(link).map(|rx| NeighborFrames {
             from_right: rx.from_right.then_some(0),
@@ -306,7 +307,7 @@ impl RingLink {
                         .map(|&w| LocalDirection::from_bit((w >> plane) & 1 == 1)),
                 );
             }
-            net.step_pair_into(&link.dirs, &mut link.round_a, &mut link.round_b)?;
+            net.step_pair_into(&link.dirs, &mut link.pair)?;
             if repeated {
                 for payload in bufs.payloads.as_flattened_mut() {
                     *payload = *payload << 1 | *payload & 1;
@@ -326,23 +327,16 @@ impl RingLink {
     }
 }
 
-/// One agent's received bits, from its own `bit` and the observations of
-/// the pair's rounds A and B.
+/// One agent's received bits, from its own `bit` and its first collisions
+/// in the pair's rounds A and B, in ticks.
 ///
 /// The decoding selects instead of branching: bits and chiralities can be
 /// random, and a branch on them mispredicts at about every other agent.
 #[inline(always)]
-fn decode(
-    bit: bool,
-    info: &NeighborInfo,
-    obs_a: &Observation,
-    obs_b: &Observation,
-) -> NeighborBits {
+fn decode(bit: bool, info: &NeighborInfo, coll_a: u64, coll_b: u64) -> NeighborBits {
     // This agent moved right in round A iff its bit is 1. On each side,
     // did the neighbour approach in the round this agent moved towards it?
-    // No collision reads as a distance no half gap equals.
-    let ticks = |obs: &Observation| obs.coll.map_or(u64::MAX, ArcLength::ticks);
-    let (coll_a, coll_b) = (ticks(obs_a), ticks(obs_b));
+    // No collision reads as `NO_COLLISION`, a distance no half gap equals.
     let towards_right = select_unpredictable(bit, coll_a, coll_b);
     let towards_left = select_unpredictable(bit, coll_b, coll_a);
     let right_approached = towards_right == info.right_gap.half().ticks();

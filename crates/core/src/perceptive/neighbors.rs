@@ -24,8 +24,8 @@
 //! chirality.
 
 use crate::error::ProtocolError;
-use crate::exec::{Network, StepBuffers};
-use ring_sim::{ArcLength, LocalDirection};
+use crate::exec::{Network, PairBuffers};
+use ring_sim::{ArcLength, LocalDirection, NO_COLLISION};
 
 /// What one agent knows about its two ring neighbours after discovery, in
 /// the agent's own frame.
@@ -85,36 +85,16 @@ pub fn discover_neighbors(net: &mut Network<'_>) -> Result<NeighborMap, Protocol
     let n = net.len();
     let start = net.rounds_used();
 
-    let mut min_right: Vec<Option<ArcLength>> = vec![None; n];
-    let mut min_left: Vec<Option<ArcLength>> = vec![None; n];
-    let mut all_right_coll: Vec<Option<ArcLength>> = vec![None; n];
-    let mut all_left_coll: Vec<Option<ArcLength>> = vec![None; n];
+    // Every first collision in ticks, and `NO_COLLISION` for none: the
+    // smallest collision on each side is a plain minimum.
+    let mut min_right = vec![NO_COLLISION; n];
+    let mut min_left = vec![NO_COLLISION; n];
 
-    let record = |dirs: &[LocalDirection],
-                  obs: &[ring_sim::Observation],
-                  min_right: &mut Vec<Option<ArcLength>>,
-                  min_left: &mut Vec<Option<ArcLength>>| {
-        for agent in 0..dirs.len() {
-            let Some(coll) = obs[agent].coll else {
-                continue;
-            };
-            let slot = match dirs[agent] {
-                LocalDirection::Right => &mut min_right[agent],
-                LocalDirection::Left => &mut min_left[agent],
-                LocalDirection::Idle => continue,
-            };
-            *slot = Some(match *slot {
-                Some(prev) => prev.min(coll),
-                None => coll,
-            });
-        }
-    };
-
-    // One direction buffer and one step-buffer arena per round of a pair
-    // serve every round of the discovery: after they reach the ring size,
-    // no round allocates. Every round is run as a complementary pair (the
-    // round, then every direction flipped), each undone.
-    let (mut round_a, mut round_b) = (StepBuffers::new(), StepBuffers::new());
+    // One direction buffer and one pair-buffer set serve every round of
+    // the discovery: after they reach the ring size, no round allocates.
+    // Every round is run as a complementary pair (the round, then every
+    // direction flipped), each undone.
+    let mut pair = PairBuffers::new();
     let mut dirs: Vec<LocalDirection> = Vec::with_capacity(n);
     let mut flipped: Vec<LocalDirection> = Vec::with_capacity(n);
 
@@ -126,16 +106,11 @@ pub fn discover_neighbors(net: &mut Network<'_>) -> Result<NeighborMap, Protocol
             dirs.extend(
                 (0..n).map(|agent| LocalDirection::from_bit(net.id_of(agent).bit(bit) == value)),
             );
-            net.step_pair_into(&dirs, &mut round_a, &mut round_b)?;
+            net.step_pair_into(&dirs, &mut pair)?;
             flipped.clear();
             flipped.extend(dirs.iter().map(|d| d.opposite()));
-            record(&dirs, round_a.observations(), &mut min_right, &mut min_left);
-            record(
-                &flipped,
-                round_b.observations(),
-                &mut min_right,
-                &mut min_left,
-            );
+            record(&dirs, pair.collisions_a(), &mut min_right, &mut min_left);
+            record(&flipped, pair.collisions_b(), &mut min_right, &mut min_left);
         }
     }
 
@@ -146,39 +121,27 @@ pub fn discover_neighbors(net: &mut Network<'_>) -> Result<NeighborMap, Protocol
     dirs.extend(std::iter::repeat_n(LocalDirection::Right, n));
     flipped.clear();
     flipped.extend(std::iter::repeat_n(LocalDirection::Left, n));
-    net.step_pair_into(&dirs, &mut round_a, &mut round_b)?;
-    for (agent, (obs_a, obs_b)) in round_a
-        .observations()
-        .iter()
-        .zip(round_b.observations())
-        .enumerate()
-    {
-        all_right_coll[agent] = obs_a.coll;
-        all_left_coll[agent] = obs_b.coll;
-    }
-    record(&dirs, round_a.observations(), &mut min_right, &mut min_left);
-    record(
-        &flipped,
-        round_b.observations(),
-        &mut min_right,
-        &mut min_left,
-    );
+    net.step_pair_into(&dirs, &mut pair)?;
+    record(&dirs, pair.collisions_a(), &mut min_right, &mut min_left);
+    record(&flipped, pair.collisions_b(), &mut min_right, &mut min_left);
+    let (all_right_coll, all_left_coll) = (pair.collisions_a(), pair.collisions_b());
 
     let mut infos = Vec::with_capacity(n);
     for agent in 0..n {
-        let (Some(half_right), Some(half_left)) = (min_right[agent], min_left[agent]) else {
+        let (half_right, half_left) = (min_right[agent], min_left[agent]);
+        if half_right == NO_COLLISION || half_left == NO_COLLISION {
             return Err(ProtocolError::Internal {
                 protocol: "neighbor-discovery",
                 reason: format!("agent {agent} never collided on one of its sides"),
             });
-        };
-        let right_gap = ArcLength::from_ticks(half_right.doubled_ticks());
-        let left_gap = ArcLength::from_ticks(half_left.doubled_ticks());
+        }
+        let right_gap = ArcLength::from_ticks(2 * half_right);
+        let left_gap = ArcLength::from_ticks(2 * half_left);
         // In the all-right round the agent approaches its right neighbour; a
         // collision at exactly half the gap means the neighbour approached
         // too, i.e. its own "right" points the other way.
-        let right_same_chirality = all_right_coll[agent] != Some(half_right);
-        let left_same_chirality = all_left_coll[agent] != Some(half_left);
+        let right_same_chirality = all_right_coll[agent] != half_right;
+        let left_same_chirality = all_left_coll[agent] != half_left;
         infos.push(NeighborInfo {
             right_gap,
             left_gap,
@@ -191,6 +154,22 @@ pub fn discover_neighbors(net: &mut Network<'_>) -> Result<NeighborMap, Protocol
         infos,
         rounds: net.rounds_used() - start,
     })
+}
+
+/// Folds one round's first collisions into every agent's smallest one on
+/// the side it moved towards.
+fn record(dirs: &[LocalDirection], colls: &[u64], min_right: &mut [u64], min_left: &mut [u64]) {
+    for ((&dir, &coll), (right, left)) in dirs
+        .iter()
+        .zip(colls)
+        .zip(min_right.iter_mut().zip(min_left.iter_mut()))
+    {
+        match dir {
+            LocalDirection::Right => *right = (*right).min(coll),
+            LocalDirection::Left => *left = (*left).min(coll),
+            LocalDirection::Idle => {}
+        }
+    }
 }
 
 /// Ground-truth verification helper used by tests: checks gaps and relative

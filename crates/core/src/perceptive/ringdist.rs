@@ -83,13 +83,10 @@ pub fn ring_distances(
     is_leader: &[bool],
 ) -> Result<RingDistances, ProtocolError> {
     let n = net.len();
-    if frames.len() != n || is_leader.len() != n {
-        return Err(ProtocolError::LengthMismatch {
-            what: "frames / leader flags",
-            got: frames.len().min(is_leader.len()),
-            expected: n,
-        });
-    }
+    ProtocolError::check_lengths(
+        n,
+        &[("frames", frames.len()), ("leader flags", is_leader.len())],
+    )?;
     let start = net.rounds_used();
     let label_bits = net.id_bits() + 1;
 
@@ -336,6 +333,36 @@ mod tests {
             "n={n} seed={seed} leader={leader} mirror={mirror}: labels {:?}",
             dist.labels()
         );
+    }
+
+    /// A length error names the slice that is wrong, with its own length,
+    /// whether it is too long or too short and the other one is right.
+    #[test]
+    fn length_errors_name_the_wrong_slice() {
+        let n = 6;
+        let config = RingConfig::builder(n).random_positions(4).build().unwrap();
+        let ids = IdAssignment::random(n, 4 * n as u64, 5);
+        let mut net = Network::new(&config, ids, Model::Perceptive).unwrap();
+        let (link, _) = RingLink::establish(&mut net).unwrap();
+        let frames = aligning_frames(&net);
+        let mut is_leader = vec![false; n];
+        is_leader[0] = true;
+        let rounds = net.rounds_used();
+        for got in [n - 1, n + 1] {
+            let wrong = |what| ProtocolError::LengthMismatch {
+                what,
+                got,
+                expected: n,
+            };
+            let (mut wrong_frames, mut wrong_flags) = (frames.clone(), is_leader.clone());
+            wrong_frames.resize(got, Frame::identity());
+            wrong_flags.resize(got, false);
+            let err = ring_distances(&mut net, &link, &wrong_frames, &is_leader);
+            assert_eq!(err.unwrap_err(), wrong("frames"));
+            let err = ring_distances(&mut net, &link, &frames, &wrong_flags);
+            assert_eq!(err.unwrap_err(), wrong("leader flags"));
+        }
+        assert_eq!(net.rounds_used(), rounds);
     }
 
     #[test]

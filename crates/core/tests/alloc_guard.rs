@@ -9,7 +9,7 @@
 //! concurrently) measures the window, so any allocation sneaking into these
 //! paths fails deterministically.
 
-use ring_protocols::exec::StepBuffers;
+use ring_protocols::exec::{PairBuffers, StepBuffers};
 use ring_protocols::knowledge::{ArcEquation, EquationBatch, BATCH_ROUNDS};
 use ring_protocols::perceptive::link::{FrameBuffers, LinkBuffers, RingLink};
 use ring_protocols::{GapKnowledge, IdAssignment, Network};
@@ -158,10 +158,10 @@ fn warm_pair_steps_allocate_nothing() {
         let mut net = Network::new(&config, ids, Model::Perceptive)
             .expect("valid network")
             .with_engine(engine);
-        let (mut a, mut b) = (StepBuffers::new(), StepBuffers::new());
+        let mut pair = PairBuffers::new();
         let mut exercise = |net: &mut Network<'_>| {
             for dirs in &rounds {
-                net.step_pair_into(dirs, &mut a, &mut b).expect("pair");
+                net.step_pair_into(dirs, &mut pair).expect("pair");
             }
         };
 
@@ -186,12 +186,11 @@ fn warm_repeated_pairs_allocate_nothing() {
     let ids = IdAssignment::random(N, 64 * N as u64, 13);
     let rounds: Vec<Vec<LocalDirection>> = (0..ROUNDS).map(|round| directions(N, round)).collect();
     let mut net = Network::new(&config, ids, Model::Perceptive).expect("valid network");
-    let (mut a, mut b) = (StepBuffers::new(), StepBuffers::new());
+    let mut pair = PairBuffers::new();
     let mut exercise = |net: &mut Network<'_>| {
         for dirs in &rounds {
-            net.step_pair_into(dirs, &mut a, &mut b).expect("pair");
-            net.step_pair_into(dirs, &mut a, &mut b)
-                .expect("repeated pair");
+            net.step_pair_into(dirs, &mut pair).expect("pair");
+            net.step_pair_into(dirs, &mut pair).expect("repeated pair");
         }
     };
 

@@ -19,22 +19,22 @@
 //!   round limit fires at the same round as when every reversal is an
 //!   explicit kernel round;
 //! * [`Network::step_pair_into`], a round and its complement each followed
-//!   by its undo, equals those four calls tick for tick — observations,
-//!   state, rotation, errors — on both engines, under a fault plan and at a
-//!   round limit;
+//!   by its undo, equals those four calls tick for tick — both rounds'
+//!   first collisions, state, rotation, errors — on both engines, under a
+//!   fault plan and at a round limit;
 //! * a pair that repeats the last one through the buffers it wrote is not
 //!   simulated again, so every call is checked against a twin network
 //!   that runs each pair as its four calls and so never reuses one, in
-//!   random sequences that mix repeated pairs with swapped and other
-//!   buffers, forward rounds, undos, marks and rewinds, clones sharing the
-//!   buffers, a round limit a few rounds away and an active fault plan;
+//!   random sequences that mix repeated pairs with other pair buffers,
+//!   forward rounds, undos, marks and rewinds, clones sharing the buffers,
+//!   a round limit a few rounds away and an active fault plan;
 //!   and a frame exchange, which repeats its zero planes, is checked
 //!   against the same planes sent as separate bit exchanges.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ring_protocols::coordination::leader::elect_leader_with_move;
-use ring_protocols::exec::StepBuffers;
+use ring_protocols::exec::{PairBuffers, StepBuffers};
 use ring_protocols::perceptive::dissemination::{flood_max, flood_nearest};
 use ring_protocols::perceptive::distances::discover_locations_perceptive;
 use ring_protocols::perceptive::link::{NeighborFrames, RingLink};
@@ -532,41 +532,54 @@ fn undo_refuses_under_an_active_fault_plan() {
     }
 }
 
-/// The observations of round A and of round B.
-type PairObservations = (Vec<Observation>, Vec<Observation>);
+/// The first collisions of round A and of round B, in ticks.
+type PairCollisions = (Vec<u64>, Vec<u64>);
+
+/// Every agent's first collision in ticks, as a pair yields it.
+fn collisions(bufs: &StepBuffers) -> Vec<u64> {
+    bufs.observations()
+        .iter()
+        .map(Observation::coll_ticks)
+        .collect()
+}
+
+/// What a pair yields through `pair`.
+fn pair_collisions(pair: &PairBuffers) -> PairCollisions {
+    (pair.collisions_a().to_vec(), pair.collisions_b().to_vec())
+}
 
 /// The four calls [`Network::step_pair_into`] stands for: round A, its
 /// undo, round B (every direction flipped), its undo. Returns each
-/// information round's observations, or the first error.
+/// information round's first collisions, or the first error.
 fn four_calls(
     net: &mut Network<'_>,
     dirs: &[LocalDirection],
     bufs: &mut StepBuffers,
-) -> Result<PairObservations, ProtocolError> {
+) -> Result<PairCollisions, ProtocolError> {
     net.step_into(dirs, bufs)?;
-    let a = bufs.observations().to_vec();
+    let a = collisions(bufs);
     net.undo_last(bufs)?;
     net.step_into(&reversed(dirs), bufs)?;
-    let b = bufs.observations().to_vec();
+    let b = collisions(bufs);
     net.undo_last(bufs)?;
     Ok((a, b))
 }
 
 /// One fused pair against the four calls, both networks in the same state:
-/// the same observations (or error) and the same state after.
+/// the same collisions (or error) and the same state after.
 fn assert_pair_matches(
     fused: &mut Network<'_>,
     sequential: &mut Network<'_>,
     dirs: &[LocalDirection],
-    bufs: (&mut StepBuffers, &mut StepBuffers, &mut StepBuffers),
+    bufs: (&mut PairBuffers, &mut StepBuffers),
     context: &str,
 ) {
-    let (a, b, seq) = bufs;
+    let (pair, seq) = bufs;
     let got = fused
-        .step_pair_into(dirs, a, b)
-        .map(|()| (a.observations().to_vec(), b.observations().to_vec()));
+        .step_pair_into(dirs, pair)
+        .map(|()| pair_collisions(pair));
     let expected = four_calls(sequential, dirs, seq);
-    assert_eq!(got, expected, "{context}: observations");
+    assert_eq!(got, expected, "{context}: collisions");
     assert_eq!(
         fused.ground_truth_last_rotation(),
         sequential.ground_truth_last_rotation(),
@@ -588,7 +601,7 @@ fn step_pair_equals_the_four_calls_on_small_rings() {
                             .with_engine(engine)
                     };
                     let (mut fused, mut sequential) = (network(), network());
-                    let (mut a, mut b) = (StepBuffers::new(), StepBuffers::new());
+                    let mut pair = PairBuffers::new();
                     let (mut x, mut y) = (StepBuffers::new(), StepBuffers::new());
                     let mut rng = StdRng::seed_from_u64(300 * n as u64 + c as u64);
                     for round in 0..40 {
@@ -601,7 +614,7 @@ fn step_pair_equals_the_four_calls_on_small_rings() {
                             step_both(&mut fused, &mut sequential, &dirs, bufs, &context);
                         }
                         let dirs = random_directions(&mut rng, n, model.allows_idle());
-                        let bufs = (&mut a, &mut b, &mut x);
+                        let bufs = (&mut pair, &mut x);
                         assert_pair_matches(&mut fused, &mut sequential, &dirs, bufs, &context);
                     }
                 }
@@ -611,7 +624,7 @@ fn step_pair_equals_the_four_calls_on_small_rings() {
 }
 
 /// The fused pair on the analytic engine against the four calls on the
-/// event engine, which simulates every collision: the same observations,
+/// event engine, which simulates every collision: the same collisions,
 /// tick for tick.
 #[test]
 fn step_pair_equals_the_event_engine_sequence() {
@@ -622,13 +635,12 @@ fn step_pair_equals_the_event_engine_sequence() {
             let mut event = Network::new(config, ids, Model::Perceptive)
                 .unwrap()
                 .with_engine(EngineKind::Event);
-            let (mut a, mut b, mut x) =
-                (StepBuffers::new(), StepBuffers::new(), StepBuffers::new());
+            let (mut pair, mut x) = (PairBuffers::new(), StepBuffers::new());
             let mut rng = StdRng::seed_from_u64(500 * n as u64 + c as u64);
             for round in 0..24 {
                 let context = format!("n={n} config={c} pair {round}");
                 let dirs = random_directions(&mut rng, n, false);
-                let bufs = (&mut a, &mut b, &mut x);
+                let bufs = (&mut pair, &mut x);
                 assert_pair_matches(&mut fused, &mut event, &dirs, bufs, &context);
             }
         }
@@ -643,7 +655,7 @@ fn step_pair_equals_the_four_calls_on_large_rings() {
             let ids = IdAssignment::random(n, 16 * n as u64, n as u64);
             let mut fused = Network::new(config, ids.clone(), Model::Perceptive).unwrap();
             let mut sequential = Network::new(config, ids, Model::Perceptive).unwrap();
-            let (mut a, mut b) = (StepBuffers::new(), StepBuffers::new());
+            let mut pair = PairBuffers::new();
             let (mut x, mut y) = (StepBuffers::new(), StepBuffers::new());
             let mut rng = StdRng::seed_from_u64(700 * n as u64 + c as u64);
             for round in 0..8 {
@@ -657,7 +669,7 @@ fn step_pair_equals_the_four_calls_on_large_rings() {
                     &context,
                 );
                 let dirs = random_directions(&mut rng, n, false);
-                let bufs = (&mut a, &mut b, &mut x);
+                let bufs = (&mut pair, &mut x);
                 assert_pair_matches(&mut fused, &mut sequential, &dirs, bufs, &context);
             }
         }
@@ -678,15 +690,14 @@ fn step_pair_drops_the_mark_and_leaves_nothing_to_undo() {
         let mut net = Network::new(&config, ids.clone(), Model::Perceptive)
             .unwrap()
             .with_engine(engine);
-        let (mut a, mut b) = (StepBuffers::new(), StepBuffers::new());
+        let (mut a, mut pair) = (StepBuffers::new(), PairBuffers::new());
         let mark = net.mark();
         net.step_into(&dirs, &mut a).unwrap();
         let offset = net.ground_truth_offset();
-        net.step_pair_into(&dirs, &mut a, &mut b).unwrap();
+        net.step_pair_into(&dirs, &mut pair).unwrap();
         assert_eq!(net.ground_truth_offset(), offset, "{engine:?}: offset");
         assert_eq!(net.rounds_used(), 5, "{engine:?}: rounds");
         assert!(refused(net.undo_last(&mut a)), "{engine:?}: undo a");
-        assert!(refused(net.undo_last(&mut b)), "{engine:?}: undo b");
         assert!(refused(net.rewind(mark, &mut a)), "{engine:?}: rewind");
         assert_eq!(net.rounds_used(), 5, "{engine:?}: refusals count no round");
     }
@@ -705,11 +716,11 @@ fn step_pair_fails_like_the_four_calls_under_a_fault_plan() {
                 .with_faults(dropping_plan(n, 4))
         };
         let (mut fused, mut sequential) = (network(), network());
-        let (mut a, mut b, mut x) = (StepBuffers::new(), StepBuffers::new(), StepBuffers::new());
+        let (mut pair, mut x) = (PairBuffers::new(), StepBuffers::new());
         let dirs: Vec<LocalDirection> = (0..n)
             .map(|i| LocalDirection::from_bit(i % 3 == 0))
             .collect();
-        let got = fused.step_pair_into(&dirs, &mut a, &mut b);
+        let got = fused.step_pair_into(&dirs, &mut pair);
         let expected = four_calls(&mut sequential, &dirs, &mut x).map(|_| ());
         assert!(
             matches!(got, Err(ProtocolError::NothingToUndo { .. })),
@@ -734,7 +745,7 @@ fn step_pair_fails_like_the_four_calls_at_the_round_limit() {
     for k in 0..=4u64 {
         let network = || Network::new(&config, ids.clone(), Model::Perceptive).unwrap();
         let (mut fused, mut sequential) = (network(), network());
-        let (mut a, mut b) = (StepBuffers::new(), StepBuffers::new());
+        let mut pair = PairBuffers::new();
         let (mut x, mut y) = (StepBuffers::new(), StepBuffers::new());
         let context = format!("limit +{k}");
         step_both(
@@ -747,9 +758,9 @@ fn step_pair_fails_like_the_four_calls_at_the_round_limit() {
         let limit = fused.rounds_used() + k;
         let mut fused = fused.with_round_limit(limit);
         let mut sequential = sequential.with_round_limit(limit);
-        let bufs = (&mut a, &mut b, &mut x);
+        let bufs = (&mut pair, &mut x);
         assert_pair_matches(&mut fused, &mut sequential, &dirs, bufs, &context);
-        let ok = fused.step_pair_into(&dirs, &mut a, &mut b).is_ok();
+        let ok = fused.step_pair_into(&dirs, &mut pair).is_ok();
         assert!(!ok, "{context}: the limit is used up");
         assert_eq!(fused.rounds_used(), limit, "{context}: rounds");
     }
@@ -758,11 +769,10 @@ fn step_pair_fails_like_the_four_calls_at_the_round_limit() {
 /// One call of a reuse-oracle sequence, on one of the networks alive.
 #[derive(Clone, Copy, Debug)]
 enum Call {
-    /// A pair through pool buffers `a` and `b`, with the directions of the
+    /// A pair through pair buffers `buf`, with the directions of the
     /// previous pair when `repeat` holds.
     Pair {
-        a: usize,
-        b: usize,
+        buf: usize,
         repeat: bool,
     },
     Step {
@@ -775,7 +785,7 @@ enum Call {
     Rewind {
         buf: usize,
     },
-    /// A clone joins the networks alive and shares the buffer pool.
+    /// A clone joins the networks alive and shares the buffer pools.
     Clone,
     /// A round limit `ahead` rounds from now.
     Limit {
@@ -788,31 +798,28 @@ enum Call {
     },
 }
 
+/// The pair buffers of a reuse-oracle sequence.
+const PAIR_POOL: usize = 3;
+
 /// A random call; a round limit or a fault plan only when `late` holds,
 /// since either soon ends the network's pairs.
 fn random_call(rng: &mut StdRng, late: bool) -> Call {
     let buf = rng.gen_range(0..4usize);
     match rng.gen_range(0..if late { 100u32 } else { 94 }) {
-        // Mostly the same two buffers in the same roles, so pairs repeat.
+        // Mostly the same pair buffers, so pairs repeat.
         0..=44 => Call::Pair {
-            a: 0,
-            b: 1,
+            buf: 0,
             repeat: rng.gen_range(0..3u32) != 0,
         },
+        // A repeat through buffers that hold an older pair, or none.
         45..=49 => Call::Pair {
-            a: 1,
-            b: 0,
+            buf: 1,
             repeat: true,
         },
-        50..=59 => {
-            let a = rng.gen_range(0..4usize);
-            let b = (a + rng.gen_range(1..4usize)) % 4;
-            Call::Pair {
-                a,
-                b,
-                repeat: rng.gen::<bool>(),
-            }
-        }
+        50..=59 => Call::Pair {
+            buf: rng.gen_range(0..PAIR_POOL),
+            repeat: rng.gen::<bool>(),
+        },
         60..=71 => Call::Step { buf },
         72..=79 => Call::Undo { buf },
         80..=84 => Call::Mark,
@@ -825,6 +832,14 @@ fn random_call(rng: &mut StdRng, late: bool) -> Call {
             analytic: rng.gen::<bool>(),
         },
     }
+}
+
+/// What a call of a reuse-oracle sequence yields.
+#[derive(Debug, PartialEq)]
+enum Seen {
+    Nothing,
+    Round(Vec<Observation>),
+    Pair(PairCollisions),
 }
 
 /// Rebuilds network `i` with `f` (the builders take the network by value).
@@ -845,28 +860,12 @@ fn with_drops(net: Network<'_>, seed: u64, analytic: bool) -> Network<'_> {
     }
 }
 
-/// The four calls [`Network::step_pair_into`] stands for, round A through
-/// `a` and round B through `b`: every round is simulated, none reused.
-fn four_calls_through(
-    net: &mut Network<'_>,
-    dirs: &[LocalDirection],
-    a: &mut StepBuffers,
-    b: &mut StepBuffers,
-) -> Result<PairObservations, ProtocolError> {
-    net.step_into(dirs, a)?;
-    let round_a = a.observations().to_vec();
-    net.undo_last(a)?;
-    net.step_into(&reversed(dirs), b)?;
-    let round_b = b.observations().to_vec();
-    net.undo_last(b)?;
-    Ok((round_a, round_b))
-}
-
 /// Runs one random call sequence on a subject network, whose pairs may be
-/// reused, and on a twin that runs each pair as its four calls through the
-/// same buffers of its own pool, and checks every call: the result (each
-/// refusal included), the observations of every successful call, the
-/// round count, the offset and the rotation.
+/// reused, and on a twin that runs each pair as its four calls and so
+/// never reuses one, and checks every call: the result (each refusal
+/// included), the observations of every successful round and the
+/// collisions of every successful pair, the round count, the offset and
+/// the rotation.
 fn assert_reuse_sequence(
     config: &RingConfig,
     ids: &IdAssignment,
@@ -883,8 +882,10 @@ fn assert_reuse_sequence(
     let mut twins = vec![Network::new(config, ids.clone(), model).unwrap()];
     let mut subject_marks = vec![None];
     let mut twin_marks = vec![None];
+    let mut pairs: [PairBuffers; PAIR_POOL] = Default::default();
     let mut pool: [StepBuffers; 4] = Default::default();
     let mut twin_pool: [StepBuffers; 4] = Default::default();
+    let mut twin_pair = StepBuffers::new();
     let mut dirs = random_directions(&mut rng, n, model.allows_idle());
     for step in 0..calls {
         let i = rng.gen_range(0..subjects.len());
@@ -892,43 +893,43 @@ fn assert_reuse_sequence(
         let context = format!("n={n} {model} seed {seed} call {step} {call:?} on net {i}");
         let (subject, twin) = (&mut subjects[i], &mut twins[i]);
         let (got, expected) = match call {
-            Call::Pair { a, b, repeat } => {
+            Call::Pair { buf, repeat } => {
                 if !repeat {
                     dirs = random_directions(&mut rng, n, model.allows_idle());
                 }
-                let [buf_a, buf_b] = pool.get_disjoint_mut([a, b]).unwrap();
+                let pair = &mut pairs[buf];
                 let got = subject
-                    .step_pair_into(&dirs, buf_a, buf_b)
-                    .map(|()| Some((buf_a.observations().to_vec(), buf_b.observations().to_vec())));
-                let [twin_a, twin_b] = twin_pool.get_disjoint_mut([a, b]).unwrap();
-                let expected = four_calls_through(twin, &dirs, twin_a, twin_b).map(Some);
+                    .step_pair_into(&dirs, pair)
+                    .map(|()| Seen::Pair(pair_collisions(pair)));
+                let expected = four_calls(twin, &dirs, &mut twin_pair).map(Seen::Pair);
                 (got, expected)
             }
             Call::Step { buf } => {
                 let step = random_directions(&mut rng, n, model.allows_idle());
                 let got = subject
                     .step_into(&step, &mut pool[buf])
-                    .map(|()| Some((pool[buf].observations().to_vec(), Vec::new())));
+                    .map(|()| Seen::Round(pool[buf].observations().to_vec()));
                 let expected = twin
                     .step_into(&step, &mut twin_pool[buf])
-                    .map(|()| Some((twin_pool[buf].observations().to_vec(), Vec::new())));
+                    .map(|()| Seen::Round(twin_pool[buf].observations().to_vec()));
                 (got, expected)
             }
             Call::Undo { buf } => (
-                subject.undo_last(&mut pool[buf]).map(|()| None),
-                twin.undo_last(&mut twin_pool[buf]).map(|()| None),
+                subject.undo_last(&mut pool[buf]).map(|()| Seen::Nothing),
+                twin.undo_last(&mut twin_pool[buf]).map(|()| Seen::Nothing),
             ),
             Call::Mark => {
                 subject_marks[i] = Some(subject.mark());
                 twin_marks[i] = Some(twin.mark());
-                (Ok(None), Ok(None))
+                (Ok(Seen::Nothing), Ok(Seen::Nothing))
             }
             Call::Rewind { buf } => match (subject_marks[i], twin_marks[i]) {
                 (Some(mark), Some(twin_mark)) => (
-                    subject.rewind(mark, &mut pool[buf]).map(|()| None),
-                    twin.rewind(twin_mark, &mut twin_pool[buf]).map(|()| None),
+                    subject.rewind(mark, &mut pool[buf]).map(|()| Seen::Nothing),
+                    twin.rewind(twin_mark, &mut twin_pool[buf])
+                        .map(|()| Seen::Nothing),
                 ),
-                _ => (Ok(None), Ok(None)),
+                _ => (Ok(Seen::Nothing), Ok(Seen::Nothing)),
             },
             Call::Clone => {
                 let (clone, twin_clone) = (subject.clone(), twin.clone());
@@ -937,19 +938,19 @@ fn assert_reuse_sequence(
                 // A mark is the network's own: a clone has none in force.
                 subject_marks.push(subject_marks[i]);
                 twin_marks.push(twin_marks[i]);
-                (Ok(None), Ok(None))
+                (Ok(Seen::Nothing), Ok(Seen::Nothing))
             }
             Call::Limit { ahead } => {
                 let limit = subjects[i].rounds_used() + ahead;
                 rebuild(&mut subjects, i, |net| net.with_round_limit(limit));
                 rebuild(&mut twins, i, |net| net.with_round_limit(limit));
-                (Ok(None), Ok(None))
+                (Ok(Seen::Nothing), Ok(Seen::Nothing))
             }
             Call::Faults { analytic } => {
                 let analytic = analytic || !event;
                 rebuild(&mut subjects, i, |net| with_drops(net, seed, analytic));
                 rebuild(&mut twins, i, |net| with_drops(net, seed, analytic));
-                (Ok(None), Ok(None))
+                (Ok(Seen::Nothing), Ok(Seen::Nothing))
             }
         };
         assert_eq!(got, expected, "{context}: result");
@@ -1002,7 +1003,8 @@ fn a_clone_never_reuses_the_original_pairs() {
     let (config, ids) = deployment(n, 211);
     let mut net = Network::new(&config, ids.clone(), Model::Perceptive).unwrap();
     let mut twin = Network::new(&config, ids, Model::Perceptive).unwrap();
-    let [mut a, mut b, mut c, mut d]: [StepBuffers; 4] = Default::default();
+    let [mut p, mut q]: [PairBuffers; 2] = Default::default();
+    let mut c = StepBuffers::new();
     let first: Vec<LocalDirection> = (0..n)
         .map(|i| LocalDirection::from_bit(i % 3 == 0))
         .collect();
@@ -1011,24 +1013,23 @@ fn a_clone_never_reuses_the_original_pairs() {
         .collect();
     let mut clone = net.clone();
     clone.step_into(&other, &mut c).unwrap();
-    clone.step_pair_into(&other, &mut a, &mut b).unwrap();
-    net.step_pair_into(&first, &mut c, &mut d).unwrap();
-    net.step_pair_into(&first, &mut a, &mut b).unwrap();
-    let (mut fresh_a, mut fresh_b) = (StepBuffers::new(), StepBuffers::new());
-    twin.step_pair_into(&first, &mut fresh_a, &mut fresh_b)
-        .unwrap();
-    twin.step_pair_into(&first, &mut fresh_a, &mut fresh_b)
-        .unwrap();
-    assert_eq!(a.observations(), fresh_a.observations(), "round A");
-    assert_eq!(b.observations(), fresh_b.observations(), "round B");
+    clone.step_pair_into(&other, &mut p).unwrap();
+    net.step_pair_into(&first, &mut q).unwrap();
+    net.step_pair_into(&first, &mut p).unwrap();
+    let mut fresh = PairBuffers::new();
+    twin.step_pair_into(&first, &mut fresh).unwrap();
+    twin.step_pair_into(&first, &mut fresh).unwrap();
+    assert_eq!(pair_collisions(&p), pair_collisions(&fresh));
     assert_same_state(&net, &twin, "after the repeat");
 }
 
-/// An undo or rewind clears the observations of the buffers it is given,
-/// and so ends their reuse: here a rewind through the buffers of round A
-/// comes between a pair and its repeat from the same offset.
+/// A pair's collisions depend on the offset it starts from, not on how
+/// the ring got there: rounds that move the ring away and an undo or a
+/// rewind that brings it back leave a repeat of the pair reusable, and the
+/// repeat still equals its four calls. An undo through buffers that never
+/// held a forward round is refused on both networks.
 #[test]
-fn a_rewind_through_pair_buffers_ends_their_reuse() {
+fn a_pair_repeated_after_an_undo_or_rewind_equals_the_four_calls() {
     let n = 9;
     let (config, ids) = deployment(n, 221);
     let dirs: Vec<LocalDirection> = (0..n)
@@ -1038,11 +1039,12 @@ fn a_rewind_through_pair_buffers_ends_their_reuse() {
     for undo in [false, true] {
         let mut net = Network::new(&config, ids.clone(), Model::Perceptive).unwrap();
         let mut twin = Network::new(&config, ids.clone(), Model::Perceptive).unwrap();
-        let [mut a, mut b, mut c]: [StepBuffers; 3] = Default::default();
-        let [mut x, mut y, mut z]: [StepBuffers; 3] = Default::default();
+        let mut pair = PairBuffers::new();
+        let [mut a, mut c]: [StepBuffers; 2] = Default::default();
+        let [mut x, mut z]: [StepBuffers; 2] = Default::default();
         let context = if undo { "undo" } else { "rewind" };
-        net.step_pair_into(&dirs, &mut a, &mut b).unwrap();
-        four_calls_through(&mut twin, &dirs, &mut x, &mut y).unwrap();
+        net.step_pair_into(&dirs, &mut pair).unwrap();
+        four_calls(&mut twin, &dirs, &mut x).unwrap();
         if undo {
             // Refused: `a` holds no forward round, and nothing changes.
             net.step_into(&moved, &mut c).unwrap();
@@ -1061,9 +1063,9 @@ fn a_rewind_through_pair_buffers_ends_their_reuse() {
         }
         assert_same_state(&net, &twin, context);
         let got = net
-            .step_pair_into(&dirs, &mut a, &mut b)
-            .map(|()| (a.observations().to_vec(), b.observations().to_vec()));
-        let expected = four_calls_through(&mut twin, &dirs, &mut x, &mut y);
+            .step_pair_into(&dirs, &mut pair)
+            .map(|()| pair_collisions(&pair));
+        let expected = four_calls(&mut twin, &dirs, &mut x);
         assert_eq!(got, expected, "{context}: the repeated pair");
         assert_same_state(&net, &twin, context);
     }

@@ -7,9 +7,10 @@
 //! before each slot, a reverse sweep the nearest anticlockwise mover
 //! strictly after it. [`AnalyticEngine::execute_pair_into`] runs a round
 //! and its complement (every direction flipped) from the same offset with
-//! the same two sweeps. All arithmetic is exact (integer ticks);
-//! [`crate::reference`] keeps the earlier binary-search engine as the
-//! oracle these results are tested against, tick for tick.
+//! the same two sweeps, and yields only what a complementary pair is read
+//! for: each round's first collisions, in ticks. All arithmetic is exact
+//! (integer ticks); [`crate::reference`] keeps the earlier binary-search
+//! engine as the oracle these results are tested against, tick for tick.
 //!
 //! The engine takes the ring's state as one rotation offset (agent `a` sits
 //! in slot `(a + offset) mod n`, see [`crate::state`]): Lemma 1 moves every
@@ -27,13 +28,13 @@
 use crate::config::RingConfig;
 use crate::direction::ObjectiveDirection;
 use crate::geometry::{ArcLength, Point};
+use crate::observe::NO_COLLISION;
 use crate::rotation::{extend_rotated, mover_counts, RotationIndex};
 use std::hint::select_unpredictable;
 
-/// Reusable scratch space for [`AnalyticEngine::execute_into`] (and, one
-/// per round, for [`AnalyticEngine::execute_pair_into`]): the per-agent
-/// outputs of a round plus the engine's internal work arrays, so a
-/// multi-round driver performs **zero** heap allocation per round after
+/// Reusable scratch space for [`AnalyticEngine::execute_into`]: the
+/// per-agent outputs of a round plus the engine's internal work arrays, so
+/// a multi-round driver performs **zero** heap allocation per round after
 /// the first.
 #[derive(Clone, Debug, Default)]
 pub struct AnalyticScratch {
@@ -46,6 +47,22 @@ pub struct AnalyticScratch {
 }
 
 impl AnalyticScratch {
+    /// Creates empty scratch space (vectors grow on first use).
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// Reusable scratch space for [`AnalyticEngine::execute_pair_into`]: each
+/// slot's direction and both rounds' first collisions, in slot order.
+#[derive(Clone, Debug, Default)]
+pub struct PairScratch {
+    dir_at_slot: Vec<ObjectiveDirection>,
+    in_a: Vec<ArcLength>,
+    in_b: Vec<ArcLength>,
+}
+
+impl PairScratch {
     /// Creates empty scratch space (vectors grow on first use).
     pub fn new() -> Self {
         Self::default()
@@ -184,14 +201,17 @@ impl AnalyticEngine {
 
     /// Executes a complementary pair of rounds from the same offset and
     /// returns round A's rotation index: round A with `directions`, round B
-    /// with every direction flipped. A's outputs land in `a`, B's in `b`.
-    /// B's shift is the negation of A's (Lemma 1), and both rounds' first
-    /// collisions come from one forward and one reverse sweep, so the pair
-    /// costs little more than one [`AnalyticEngine::execute_into`].
+    /// with every direction flipped. B's shift is the negation of A's
+    /// (Lemma 1). Each round's first collisions are written in agent order
+    /// and in ticks, A's to `coll_a` and B's to `coll_b`, with
+    /// [`NO_COLLISION`] for an agent that has none. Both come from one
+    /// forward and one reverse sweep, and the pair computes nothing else:
+    /// no displacements.
     ///
-    /// The outputs equal those of `execute_into` run twice from `offset`,
-    /// once with `directions` and once with them flipped. After the scratch
-    /// vectors have grown to the ring size once, calls allocate nothing.
+    /// The collisions equal those of `execute_into` run twice from
+    /// `offset`, once with `directions` and once with them flipped. After
+    /// the vectors have grown to the ring size once, calls allocate
+    /// nothing.
     ///
     /// # Panics
     ///
@@ -201,33 +221,32 @@ impl AnalyticEngine {
         config: &RingConfig,
         offset: usize,
         directions: &[ObjectiveDirection],
-        a: &mut AnalyticScratch,
-        b: &mut AnalyticScratch,
+        scratch: &mut PairScratch,
+        coll_a: &mut Vec<u64>,
+        coll_b: &mut Vec<u64>,
     ) -> RotationIndex {
         let n = config.len();
         assert!(offset < n, "offset {offset} out of range for a ring of {n}");
         assert_eq!(directions.len(), n);
 
         let (n_c, n_a) = mover_counts(directions);
-        let rotation = RotationIndex::from_counts(n_c, n_a, n);
-        let flipped = RotationIndex::from_counts(n_a, n_c, n);
-        let positions = config.positions();
-        displacements_into(positions, offset, rotation.shift, &mut a.cw_displacement);
-        displacements_into(positions, offset, flipped.shift, &mut b.cw_displacement);
-
-        a.first_collision.clear();
-        b.first_collision.clear();
+        coll_a.clear();
+        coll_b.clear();
         if n_c + n_a == n && n_c > 0 && n_a > 0 {
-            self.pair_first_collisions(config, offset, directions, a, b);
+            self.pair_first_collisions(config, offset, directions, scratch);
+            // Back to agent order: agent `a` reads slot `(a + offset) mod n`.
+            extend_rotated(coll_a, &scratch.in_a, offset, |c| c.ticks());
+            extend_rotated(coll_b, &scratch.in_b, offset, |c| c.ticks());
         } else {
             // Flipping keeps idles idle and a one-way round one-way.
-            a.first_collision.resize(n, None);
-            b.first_collision.resize(n, None);
+            coll_a.resize(n, NO_COLLISION);
+            coll_b.resize(n, NO_COLLISION);
         }
-        rotation
+        RotationIndex::from_counts(n_c, n_a, n)
     }
 
-    /// Both rounds' first collisions for [`AnalyticEngine::execute_pair_into`].
+    /// Both rounds' first collisions for [`AnalyticEngine::execute_pair_into`],
+    /// in slot order, into `scratch.in_a` and `scratch.in_b`.
     ///
     /// By Proposition 4 a mover collides half-way to the nearest slot ahead
     /// of it, in its direction of travel, whose direction is opposite to
@@ -244,22 +263,21 @@ impl AnalyticEngine {
         config: &RingConfig,
         offset: usize,
         directions: &[ObjectiveDirection],
-        a: &mut AnalyticScratch,
-        b: &mut AnalyticScratch,
+        scratch: &mut PairScratch,
     ) {
         use ObjectiveDirection::Clockwise;
         let n = config.len();
         let positions = config.positions();
 
-        let dir_at_slot = &mut a.dir_at_slot;
+        let dir_at_slot = &mut scratch.dir_at_slot;
         dir_at_slot.clear();
         extend_rotated(dir_at_slot, directions, n - offset, |&dir| dir);
         let (first, last) = (dir_at_slot[0], dir_at_slot[n - 1]);
 
-        // Forward sweep, into A's scratch. Slot 0's run may wrap around
-        // from slot n − 1, so the seed is the last slot whose direction
-        // differs from slot 0's.
-        let forward = &mut a.coll_at_slot;
+        // Forward sweep, into A's slots. Slot 0's run may wrap around from
+        // slot n − 1, so the seed is the last slot whose direction differs
+        // from slot 0's.
+        let forward = &mut scratch.in_a;
         forward.clear();
         let seed = dir_at_slot
             .iter()
@@ -276,7 +294,7 @@ impl AnalyticEngine {
         // Reverse sweep, seeded likewise with the first slot whose
         // direction differs from slot n − 1's. It sorts each slot's two
         // results into A's and B's collisions in place.
-        let in_b = &mut b.coll_at_slot;
+        let in_b = &mut scratch.in_b;
         in_b.clear();
         in_b.extend_from_slice(forward);
         let seed = dir_at_slot
@@ -299,13 +317,6 @@ impl AnalyticEngine {
             *in_a = select_unpredictable(cw, towards, *in_a);
             *in_b = select_unpredictable(cw, *in_b, towards);
         }
-
-        extend_rotated(&mut a.first_collision, &a.coll_at_slot, offset, |&c| {
-            Some(c)
-        });
-        extend_rotated(&mut b.first_collision, &b.coll_at_slot, offset, |&c| {
-            Some(c)
-        });
     }
 }
 
@@ -327,7 +338,7 @@ mod tests {
     use super::*;
     use crate::config::RingConfig;
     use crate::events::EventEngine;
-    use crate::geometry::Point;
+    use crate::geometry::{Point, CIRCUMFERENCE};
     use crate::rotation::rotation_index;
     use crate::state::{EngineKind, RingState, RoundBuffers};
     use proptest::prelude::*;
@@ -451,35 +462,38 @@ mod tests {
         }
     }
 
-    /// A fused pair equals two single rounds from the same offset, one with
-    /// `dirs` and one with every direction flipped, tick for tick; B's
-    /// shift is the negation of A's.
+    /// A fused pair's collisions equal those of two single rounds from the
+    /// same offset, one with `dirs` and one with every direction flipped,
+    /// tick for tick; B's shift is the negation of A's.
     fn assert_pair_matches_two_rounds(
         config: &RingConfig,
         offset: usize,
         dirs: &[ObjectiveDirection],
-        scratch: (&mut AnalyticScratch, &mut AnalyticScratch),
+        (scratch, a, b): (&mut PairScratch, &mut Vec<u64>, &mut Vec<u64>),
     ) {
-        let (a, b) = scratch;
         let n = config.len();
-        let rotation = AnalyticEngine::new().execute_pair_into(config, offset, dirs, a, b);
+        let rotation = AnalyticEngine::new().execute_pair_into(config, offset, dirs, scratch, a, b);
         let flipped: Vec<ObjectiveDirection> = dirs.iter().map(|d| d.opposite()).collect();
         let (expected_a, round_a) = run(config, offset, dirs);
         let (expected_b, round_b) = run(config, offset, &flipped);
+        let ticks = |round: &AnalyticScratch| -> Vec<u64> {
+            let colls = round.first_collision.iter();
+            colls
+                .map(|c| c.map_or(NO_COLLISION, ArcLength::ticks))
+                .collect()
+        };
         let context = format!("offset {offset} dirs {dirs:?}");
         assert_eq!(rotation, expected_a, "{context}");
         assert_eq!((n - rotation.shift) % n, expected_b.shift, "{context}");
-        assert_eq!(a.cw_displacement, round_a.cw_displacement, "{context}");
-        assert_eq!(a.first_collision, round_a.first_collision, "{context}");
-        assert_eq!(b.cw_displacement, round_b.cw_displacement, "{context}");
-        assert_eq!(b.first_collision, round_b.first_collision, "{context}");
+        assert_eq!(*a, ticks(&round_a), "{context}");
+        assert_eq!(*b, ticks(&round_b), "{context}");
     }
 
     /// Every direction vector at every offset of rings up to 6 slots, on
     /// one reused pair of scratches.
     #[test]
     fn pair_matches_two_rounds_exhaustively_on_tiny_rings() {
-        let (mut a, mut b) = (AnalyticScratch::new(), AnalyticScratch::new());
+        let (mut scratch, mut a, mut b) = (PairScratch::new(), Vec::new(), Vec::new());
         for n in 1..=6usize {
             let config = RingConfig::builder(n)
                 .random_positions(n as u64 + 7)
@@ -490,7 +504,54 @@ mod tests {
                     .map(|i| [C, A, I][code / 3usize.pow(i as u32) % 3])
                     .collect();
                 for offset in 0..n {
-                    assert_pair_matches_two_rounds(&config, offset, &dirs, (&mut a, &mut b));
+                    let bufs = (&mut scratch, &mut a, &mut b);
+                    assert_pair_matches_two_rounds(&config, offset, &dirs, bufs);
+                }
+            }
+        }
+    }
+
+    /// No real first collision reads as the sentinel: a collision is half
+    /// an arc shorter than the circumference, so below half of it. Checked
+    /// at the longest arcs a ring has (positions are even ticks, and two
+    /// agents two ticks apart meet the long way round), at antipodes, and
+    /// on a large random ring, for the pair and for the single round.
+    #[test]
+    fn no_real_collision_reads_as_the_sentinel() {
+        const HALF: u64 = CIRCUMFERENCE / 2;
+        const { assert!(HALF < NO_COLLISION) };
+        let (mut scratch, mut a, mut b) = (PairScratch::new(), Vec::new(), Vec::new());
+        let mut rng = StdRng::seed_from_u64(5);
+        let extremes = [
+            vec![0, 2],
+            vec![0, CIRCUMFERENCE - 2],
+            vec![0, HALF],
+            vec![HALF - 2, HALF, HALF + 2],
+        ];
+        let random: Vec<u64> = {
+            let config = RingConfig::builder(1024)
+                .random_positions(3)
+                .build()
+                .unwrap();
+            config.positions().iter().map(|p| p.ticks()).collect()
+        };
+        for ticks in extremes.iter().chain([&random]) {
+            let n = ticks.len();
+            let config = RingConfig::builder(n)
+                .explicit_positions(ticks.iter().copied().map(Point::from_ticks))
+                .build_any_size()
+                .unwrap();
+            for _ in 0..16 {
+                let mut dirs: Vec<ObjectiveDirection> =
+                    (0..n).map(|_| if rng.gen() { C } else { A }).collect();
+                (dirs[0], dirs[n - 1]) = (C, A);
+                let offset = rng.gen_range(0..n);
+                let engine = AnalyticEngine::new();
+                engine.execute_pair_into(&config, offset, &dirs, &mut scratch, &mut a, &mut b);
+                let (_, round) = run(&config, offset, &dirs);
+                let single = round.first_collision.iter().map(|c| c.unwrap().ticks());
+                for coll in a.iter().chain(&b).copied().chain(single) {
+                    assert!(coll < HALF, "{ticks:?} {dirs:?} offset {offset}: {coll}");
                 }
             }
         }
@@ -664,8 +725,8 @@ mod tests {
             let dirs: Vec<ObjectiveDirection> =
                 (0..n).map(|agent| by_slot[state.slot_of_agent(agent)]).collect();
             assert_matches_oracle(&config, state.offset(), &dirs, &mut scratch);
-            let mut b = AnalyticScratch::new();
-            assert_pair_matches_two_rounds(&config, state.offset(), &dirs, (&mut scratch, &mut b));
+            let pair = (&mut PairScratch::new(), &mut Vec::new(), &mut Vec::new());
+            assert_pair_matches_two_rounds(&config, state.offset(), &dirs, pair);
         }
     }
 }

@@ -71,7 +71,7 @@ pub mod reference;
 pub mod rotation;
 pub mod state;
 
-pub use analytic::{AnalyticEngine, AnalyticScratch};
+pub use analytic::{AnalyticEngine, AnalyticScratch, PairScratch};
 pub use config::{RingConfig, RingConfigBuilder};
 pub use direction::{Chirality, LocalDirection, ObjectiveDirection};
 pub use error::RingError;
@@ -79,9 +79,9 @@ pub use events::{CollisionEvent, EventEngine, EventScratch, Trajectory};
 pub use frame::Frame;
 pub use geometry::{ArcLength, Point, CIRCUMFERENCE};
 pub use model::{Model, Parity};
-pub use observe::Observation;
+pub use observe::{Observation, NO_COLLISION};
 pub use rotation::{rotation_index, RotationIndex};
-pub use state::{EngineKind, RingState, RoundBuffers};
+pub use state::{EngineKind, PairRoundBuffers, RingState, RoundBuffers};
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {

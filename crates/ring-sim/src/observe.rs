@@ -3,6 +3,13 @@
 use crate::geometry::ArcLength;
 use serde::Serialize;
 
+/// A first collision in ticks that no agent had: the sentinel of the
+/// per-agent collision vectors a complementary pair yields
+/// ([`crate::state::RingState::execute_pair_into`]). Every real first
+/// collision is half an arc, so at most half the circumference, far below
+/// it.
+pub const NO_COLLISION: u64 = u64::MAX;
+
 /// What a single agent learns about its own trajectory at the end of a
 /// round, already expressed in the agent's **own** frame.
 ///
@@ -45,6 +52,11 @@ impl Observation {
         self.dist.is_zero()
     }
 
+    /// The first collision in ticks, [`NO_COLLISION`] if there was none.
+    pub fn coll_ticks(&self) -> u64 {
+        self.coll.map_or(NO_COLLISION, ArcLength::ticks)
+    }
+
     /// Strips the collision information, as seen by a non-perceptive agent.
     pub fn without_coll(self) -> Self {
         Observation {
@@ -72,6 +84,8 @@ mod tests {
 
         let o = Observation::with_dist_and_coll(d, Some(ArcLength::from_ticks(4)));
         assert_eq!(o.coll.unwrap().ticks(), 4);
+        assert_eq!(o.coll_ticks(), 4);
         assert!(o.without_coll().coll.is_none());
+        assert_eq!(o.without_coll().coll_ticks(), NO_COLLISION);
     }
 }

@@ -12,7 +12,9 @@
 //! back each agent's [`Observation`] — already translated into the agent's
 //! own frame, exactly as the model prescribes.
 //! [`RingState::execute_pair_into`] runs a round and its complement (every
-//! direction flipped), each followed by its reversal, in one kernel pass.
+//! direction flipped), each followed by its reversal, in one kernel pass,
+//! and yields only each round's first collisions into a
+//! [`PairRoundBuffers`].
 //!
 //! The paper's `REVERSEDROUND` moves every agent opposite to the round
 //! before it. By Lemma 1 that round's rotation index is the negation of the
@@ -23,7 +25,7 @@
 //! so [`RingState::displacement_of_agent`] is the sum of every `dist` the
 //! agent has observed.
 
-use crate::analytic::{AnalyticEngine, AnalyticScratch};
+use crate::analytic::{AnalyticEngine, AnalyticScratch, PairScratch};
 use crate::config::RingConfig;
 use crate::direction::{Chirality, LocalDirection, ObjectiveDirection};
 use crate::error::RingError;
@@ -91,6 +93,29 @@ impl RoundBuffers {
                     coll,
                 }),
         );
+    }
+}
+
+/// Reusable arena for [`RingState::execute_pair_into`]: each round's first
+/// collisions, the only thing a complementary pair is read for, and the
+/// pair's work arrays. After the vectors have grown to the ring size once,
+/// a pair allocates nothing.
+#[derive(Clone, Debug, Default)]
+pub struct PairRoundBuffers {
+    /// Round A's first collision of each agent in ticks, the distance it
+    /// travelled before it, [`crate::NO_COLLISION`] if it had none. A
+    /// path length, so the same in every frame.
+    pub collisions_a: Vec<u64>,
+    /// Round B's, likewise.
+    pub collisions_b: Vec<u64>,
+    objective: Vec<ObjectiveDirection>,
+    scratch: PairScratch,
+}
+
+impl PairRoundBuffers {
+    /// Creates an empty arena (vectors grow to the ring size on first use).
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
@@ -314,13 +339,14 @@ impl<'a> RingState<'a> {
     /// Executes a complementary pair of rounds as four counted rounds and
     /// returns round A's rotation index: round A with each agent's
     /// `local_directions`, its `REVERSEDROUND`, round B with every
-    /// direction flipped, and B's `REVERSEDROUND`. A's observations land in
-    /// `a.observations`, B's in `b.observations`; the state ends at the
-    /// offset it started from. By Lemma 1 each reversal restores the
-    /// offset, so both information rounds start from it, and by
-    /// Proposition 4 both come from one pass of the analytic kernel
-    /// ([`AnalyticEngine::execute_pair_into`]). The reversals' observations
-    /// are not computed.
+    /// direction flipped, and B's `REVERSEDROUND`. A's first collisions
+    /// land in `bufs.collisions_a`, B's in `bufs.collisions_b`; the state
+    /// ends at the offset it started from. By Lemma 1 each reversal
+    /// restores the offset, so both information rounds start from it, and
+    /// by Proposition 4 both come from one pass of the analytic kernel
+    /// ([`AnalyticEngine::execute_pair_into`]). Nothing else is computed:
+    /// no displacements and no [`Observation`]s, of the information rounds
+    /// or of the reversals.
     ///
     /// # Errors
     ///
@@ -329,21 +355,17 @@ impl<'a> RingState<'a> {
     pub fn execute_pair_into(
         &mut self,
         local_directions: &[LocalDirection],
-        a: &mut RoundBuffers,
-        b: &mut RoundBuffers,
+        bufs: &mut PairRoundBuffers,
     ) -> Result<RotationIndex, RingError> {
-        self.resolve_into(local_directions, &mut a.objective)?;
-        b.objective.clear();
-        b.objective.extend(a.objective.iter().map(|d| d.opposite()));
+        self.resolve_into(local_directions, &mut bufs.objective)?;
         let rotation = AnalyticEngine::new().execute_pair_into(
             self.config,
             self.offset,
-            &a.objective,
-            &mut a.scratch,
-            &mut b.scratch,
+            &bufs.objective,
+            &mut bufs.scratch,
+            &mut bufs.collisions_a,
+            &mut bufs.collisions_b,
         );
-        a.write_observations(self.config);
-        b.write_observations(self.config);
         self.rounds_executed += 4;
         Ok(rotation)
     }
@@ -540,6 +562,53 @@ mod tests {
                 assert_eq!(plain.offset(), buffered.offset());
             }
             assert_eq!(plain.rounds_executed(), buffered.rounds_executed());
+        }
+    }
+
+    /// A pair's collisions are those of its two rounds run one by one from
+    /// the same offset, through one reused arena; it counts four rounds and
+    /// ends where it started.
+    #[test]
+    fn pair_collisions_match_two_single_rounds() {
+        let config = RingConfig::builder(11)
+            .random_positions(6)
+            .random_chirality(7)
+            .build()
+            .unwrap();
+        let mut ring = RingState::new(&config);
+        let (mut pair, mut single) = (PairRoundBuffers::new(), RoundBuffers::new());
+        let ticks = |bufs: &RoundBuffers| -> Vec<u64> {
+            bufs.observations
+                .iter()
+                .map(Observation::coll_ticks)
+                .collect()
+        };
+        for round in 0..8usize {
+            let dirs: Vec<LocalDirection> = (0..11)
+                .map(|i| LocalDirection::from_bit((i * 3 + round) % 4 < 2 || round == 7))
+                .collect();
+            let flipped: Vec<LocalDirection> = dirs.iter().map(|d| d.opposite()).collect();
+            let (offset, rounds) = (ring.offset(), ring.rounds_executed());
+            let rotation = ring.execute_pair_into(&dirs, &mut pair).unwrap();
+            assert_eq!(
+                (ring.offset(), ring.rounds_executed()),
+                (offset, rounds + 4)
+            );
+
+            let mut one_by_one = ring.clone();
+            let expected = one_by_one
+                .execute_round_into(&dirs, EngineKind::Analytic, &mut single)
+                .unwrap();
+            assert_eq!(rotation, expected, "round {round}");
+            assert_eq!(pair.collisions_a, ticks(&single), "round {round}: A");
+            one_by_one.rewind(expected.shift, 1);
+            one_by_one
+                .execute_round_into(&flipped, EngineKind::Analytic, &mut single)
+                .unwrap();
+            assert_eq!(pair.collisions_b, ticks(&single), "round {round}: B");
+            // Move on so that the next pair starts from another offset.
+            ring.execute_round_into(&dirs, EngineKind::Analytic, &mut single)
+                .unwrap();
         }
     }
 
