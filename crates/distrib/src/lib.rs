@@ -15,10 +15,11 @@
 //!   participant.
 //! * [`protocol`] — the worker stdio protocol (`schema: ring-distrib/v1`):
 //!   a start event, raw record lines streaming back as cases complete, and
-//!   a done event carrying the shard checksum and worker statistics.
+//!   a done event carrying the shard checksum and the worker's
+//!   `ring-obs/v1` metrics snapshot.
 //! * [`manifest`] — `manifest.json`: spec parameters + fingerprint, the
 //!   shard plan, and per-shard status / attempts / record counts /
-//!   checksums / cache-and-executor stats. Checkpointed atomically after
+//!   checksums / metrics snapshots. Checkpointed atomically after
 //!   every transition; `resume` trusts only shards whose files still match.
 //! * [`orchestrator`] — supervises worker attempts with bounded
 //!   concurrency, validates their streams, retries failed shards, and
@@ -57,8 +58,8 @@ pub mod protocol;
 
 pub use checksum::{digest_file, format_checksum, FileDigest, Fnv1a64};
 pub use manifest::{
-    shard_file_name, Manifest, ShardEntry, ShardStats, ShardStatus, SpecFlag, SpecFlagKind,
-    SpecParams, SPEC_FLAGS,
+    shard_file_name, Manifest, ShardEntry, ShardStatus, SpecFlag, SpecFlagKind, SpecParams,
+    SPEC_FLAGS,
 };
 pub use merge::{merge_shards, MergeError, MergeReport};
 pub use orchestrator::{
@@ -68,5 +69,5 @@ pub use orchestrator::{
 pub use plan::{plan_shards, ShardRange, MAX_SHARDS};
 pub use protocol::{
     extract_case_index, fail_after_from_env, parse_worker_line, DoneEvent, ShardTally, StartEvent,
-    WorkerLine, SCHEMA,
+    WorkerLine, CACHE_HITS, CACHE_MISSES, SCHEMA, STORE_HITS, STORE_MISSES,
 };

@@ -6,7 +6,8 @@
 //! `resume` to rebuild the item list with no other input), the spec
 //! fingerprint pinning that enumeration, the shard plan, and per-shard
 //! progress — status, attempt count, record count, content checksum and
-//! the worker's structure-cache / structure-store statistics.
+//! the completing worker's `ring-obs/v1` metrics snapshot, which carries its
+//! structure-cache and structure-store counters.
 //!
 //! The orchestrator rewrites the manifest (atomically, via a temp file and
 //! rename) after every shard transition, so a crash at any point leaves a
@@ -16,6 +17,7 @@
 
 use crate::checksum::digest_file;
 use crate::plan::ShardRange;
+use crate::protocol::{DoneEvent, STORE_HITS, STORE_MISSES};
 use serde::{Deserialize, Serialize, Value};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -72,28 +74,6 @@ impl Deserialize for ShardStatus {
     }
 }
 
-/// End-of-shard accounting reported by a successful worker.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Record lines produced.
-    pub records: usize,
-    /// Checksum over the shard file bytes.
-    pub checksum: String,
-    /// Structure-cache hits inside the worker.
-    pub cache_hits: u64,
-    /// Structure-cache misses inside the worker.
-    pub cache_misses: u64,
-    /// Structure-store loads that succeeded inside the worker.
-    pub store_hits: u64,
-    /// Structure-store lookups that fell through to construction.
-    pub store_misses: u64,
-    /// Wall-clock duration of the successful attempt in milliseconds.
-    pub attempt_ms: u64,
-    /// The worker's full `ring-obs/v1` metrics snapshot for the successful
-    /// attempt.
-    pub metrics: ring_obs::Snapshot,
-}
-
 /// One shard's manifest entry.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardEntry {
@@ -111,13 +91,13 @@ pub struct ShardEntry {
     pub records: usize,
     /// Checksum of the shard file (empty until complete).
     pub checksum: String,
-    /// Structure-cache hits of the completing worker.
-    pub cache_hits: u64,
-    /// Structure-cache misses of the completing worker.
-    pub cache_misses: u64,
-    /// Structure-store hits of the completing worker.
+    /// Structure-store hits of the completing worker, copied from
+    /// `metrics` (0 until complete). Kept beside the snapshot only because
+    /// the perfbench ledger reads it from saved manifests; it goes with the
+    /// structure store.
     pub store_hits: u64,
-    /// Structure-store misses of the completing worker.
+    /// Structure-store misses of the completing worker, copied from
+    /// `metrics` like `store_hits`, for the same reader.
     pub store_misses: u64,
     /// Wall-clock duration of the *final successful* attempt in
     /// milliseconds (0 until complete). Earlier killed or failed attempts
@@ -446,23 +426,22 @@ impl Manifest {
         Ok(manifest)
     }
 
-    /// Marks a shard complete with its worker's accounting.
+    /// Marks a shard complete with its worker's validated done event and
+    /// the attempt's wall-clock duration.
     ///
     /// Every statistic — including the metrics snapshot — is overwritten,
     /// never accumulated: a shard retried after a watchdog kill records
     /// exactly the final successful attempt's numbers, so fleet aggregates
     /// cannot double-count work a killed attempt already did.
-    pub fn mark_complete(&mut self, shard: usize, stats: &ShardStats) {
+    pub fn mark_complete(&mut self, shard: usize, done: &DoneEvent, attempt_ms: u64) {
         let entry = &mut self.shards[shard];
         entry.status = ShardStatus::Complete;
-        entry.records = stats.records;
-        entry.checksum = stats.checksum.clone();
-        entry.cache_hits = stats.cache_hits;
-        entry.cache_misses = stats.cache_misses;
-        entry.store_hits = stats.store_hits;
-        entry.store_misses = stats.store_misses;
-        entry.attempt_ms = stats.attempt_ms;
-        entry.metrics = Some(stats.metrics.clone());
+        entry.records = done.records;
+        entry.checksum = done.checksum.clone();
+        entry.store_hits = done.metrics.counter(STORE_HITS);
+        entry.store_misses = done.metrics.counter(STORE_MISSES);
+        entry.attempt_ms = attempt_ms;
+        entry.metrics = Some(done.metrics.clone());
     }
 
     /// Records one watchdog kill against a shard (survives retries; this
@@ -531,30 +510,21 @@ impl Manifest {
                 Err(e) => return Err(e),
             };
             if !valid {
-                entry.status = ShardStatus::Pending;
-                entry.records = 0;
-                entry.checksum = String::new();
-                entry.attempt_ms = 0;
-                entry.metrics = None;
+                // Back to pending with every field `mark_complete` sets at
+                // its default; only the range and lifetime tallies stay.
+                *entry = ShardEntry {
+                    shard: entry.shard,
+                    start: entry.start,
+                    end: entry.end,
+                    attempts: entry.attempts,
+                    watchdog_kills: entry.watchdog_kills,
+                    backoff_ms: entry.backoff_ms,
+                    ..ShardEntry::default()
+                };
                 demoted.push(entry.shard);
             }
         }
         Ok(demoted)
-    }
-
-    /// Sums the per-shard worker statistics (completed shards only).
-    pub fn aggregate_stats(&self) -> ShardStats {
-        let mut total = ShardStats::default();
-        for entry in &self.shards {
-            if entry.status == ShardStatus::Complete {
-                total.records += entry.records;
-                total.cache_hits += entry.cache_hits;
-                total.cache_misses += entry.cache_misses;
-                total.store_hits += entry.store_hits;
-                total.store_misses += entry.store_misses;
-            }
-        }
-        total
     }
 
     /// Merges the completed shards' metrics snapshots into fleet totals.
@@ -606,6 +576,7 @@ fn check_plan(shards: &[ShardEntry], total_cases: usize) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::plan::plan_shards;
+    use crate::protocol::{CACHE_HITS, CACHE_MISSES};
 
     fn sample_manifest() -> Manifest {
         let spec = SpecParams {
@@ -636,21 +607,13 @@ mod tests {
         let mut manifest = sample_manifest().with_structure_store("run/structures".into());
         manifest.shards[0].attempts = 2;
         let registry = ring_obs::Registry::new();
-        registry.counter("cache_hits").add(7);
+        registry.counter(CACHE_HITS).add(7);
+        registry.counter(CACHE_MISSES).add(3);
+        registry.counter(STORE_HITS).add(2);
+        registry.counter(STORE_MISSES).add(1);
         registry.histogram("case_execute_ns").record(4096);
-        manifest.mark_complete(
-            0,
-            &ShardStats {
-                records: 4,
-                checksum: "fnv1a64:00ff".into(),
-                cache_hits: 7,
-                cache_misses: 3,
-                store_hits: 2,
-                store_misses: 1,
-                attempt_ms: 120,
-                metrics: registry.snapshot(),
-            },
-        );
+        let done = DoneEvent::new(0, 4, "fnv1a64:00ff".into(), registry.snapshot());
+        manifest.mark_complete(0, &done, 120);
         manifest.note_watchdog_kill(0);
         manifest.add_backoff_ms(0, 250);
         manifest.mark_failed(2);
@@ -667,14 +630,17 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec![1, 2]
         );
-        let stats = parsed.aggregate_stats();
-        assert_eq!((stats.records, stats.cache_hits), (4, 7));
-        assert_eq!((stats.store_hits, stats.store_misses), (2, 1));
+        assert_eq!(parsed.shards[0].records, 4);
         assert_eq!(parsed.shards[0].attempt_ms, 120);
         assert_eq!(parsed.shards[0].watchdog_kills, 1);
         assert_eq!(parsed.shards[0].backoff_ms, 250);
         let metrics = parsed.aggregate_metrics();
-        assert_eq!(metrics.counter("cache_hits"), 7);
+        assert_eq!(metrics.counter(CACHE_HITS), 7);
+        assert_eq!(metrics.counter(CACHE_MISSES), 3);
+        assert_eq!(
+            (metrics.counter(STORE_HITS), metrics.counter(STORE_MISSES)),
+            (2, 1)
+        );
         assert_eq!(metrics.histogram("case_execute_ns").unwrap().count, 1);
     }
 
@@ -788,6 +754,70 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A done event with an empty metrics snapshot.
+    fn done(shard: usize, records: usize, checksum: String) -> DoneEvent {
+        DoneEvent::new(shard, records, checksum, ring_obs::Snapshot::default())
+    }
+
+    /// A done event whose snapshot carries `store` hits and misses.
+    fn done_with_store(
+        shard: usize,
+        records: usize,
+        checksum: String,
+        store: (u64, u64),
+    ) -> DoneEvent {
+        let registry = ring_obs::Registry::new();
+        registry.counter(STORE_HITS).add(store.0);
+        registry.counter(STORE_MISSES).add(store.1);
+        DoneEvent::new(shard, records, checksum, registry.snapshot())
+    }
+
+    #[test]
+    fn completion_copies_the_store_counters_from_the_snapshot() {
+        let mut manifest = sample_manifest();
+        manifest.mark_complete(1, &done_with_store(1, 3, "fnv1a64:01".into(), (5, 2)), 0);
+        let entry = &manifest.shards[1];
+        assert_eq!((entry.store_hits, entry.store_misses), (5, 2));
+        // A later completion overwrites them, it never adds.
+        manifest.mark_complete(1, &done_with_store(1, 3, "fnv1a64:01".into(), (1, 0)), 0);
+        let entry = &manifest.shards[1];
+        assert_eq!((entry.store_hits, entry.store_misses), (1, 0));
+        // A snapshot without store counters (a store-less worker) reads 0.
+        manifest.mark_complete(1, &done(1, 3, "fnv1a64:01".into()), 0);
+        let entry = &manifest.shards[1];
+        assert_eq!((entry.store_hits, entry.store_misses), (0, 0));
+    }
+
+    #[test]
+    fn demoted_shards_keep_no_completion_statistics() {
+        let dir = std::env::temp_dir().join(format!("ring-distrib-demote-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut manifest = sample_manifest();
+        let body =
+            "{\"case_index\":0}\n{\"case_index\":1}\n{\"case_index\":2}\n{\"case_index\":3}\n";
+        std::fs::write(dir.join(shard_file_name(0)), body).unwrap();
+        let digest = digest_file(&dir.join(shard_file_name(0))).unwrap();
+        manifest.shards[0].attempts = 2;
+        manifest.note_watchdog_kill(0);
+        manifest.mark_complete(0, &done_with_store(0, 4, digest.checksum, (6, 1)), 75);
+        // Corrupt the shard file: one byte changed, same length.
+        std::fs::write(dir.join(shard_file_name(0)), body.replace('3', "5")).unwrap();
+
+        assert_eq!(manifest.revalidate_completed(&dir).unwrap(), vec![0]);
+        let entry = &manifest.shards[0];
+        assert_eq!(entry.status, ShardStatus::Pending);
+        assert_eq!((entry.store_hits, entry.store_misses), (0, 0));
+        assert_eq!(entry.metrics, None);
+        assert_eq!(
+            (entry.records, entry.checksum.as_str(), entry.attempt_ms),
+            (0, "", 0)
+        );
+        // Lifetime tallies survive the demotion.
+        assert_eq!((entry.attempts, entry.watchdog_kills), (2, 1));
+        assert_eq!(manifest.shards[0].range(), plan_shards(10, 3)[0]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn revalidation_demotes_tampered_shards() {
         let dir =
@@ -800,34 +830,13 @@ mod tests {
             "{\"case_index\":0}\n{\"case_index\":1}\n{\"case_index\":2}\n{\"case_index\":3}\n";
         std::fs::write(dir.join(shard_file_name(0)), body).unwrap();
         let digest = digest_file(&dir.join(shard_file_name(0))).unwrap();
-        manifest.mark_complete(
-            0,
-            &ShardStats {
-                records: 4,
-                checksum: digest.checksum,
-                ..ShardStats::default()
-            },
-        );
+        manifest.mark_complete(0, &done(0, 4, digest.checksum), 0);
         // Shard 1: recorded complete but the file is truncated.
         std::fs::write(dir.join(shard_file_name(1)), "{\"case_index\":4}\n").unwrap();
         let digest = digest_file(&dir.join(shard_file_name(1))).unwrap();
-        manifest.mark_complete(
-            1,
-            &ShardStats {
-                records: 3,
-                checksum: digest.checksum,
-                ..ShardStats::default()
-            },
-        );
+        manifest.mark_complete(1, &done(1, 3, digest.checksum), 0);
         // Shard 2: recorded complete but the file is gone.
-        manifest.mark_complete(
-            2,
-            &ShardStats {
-                records: 3,
-                checksum: "fnv1a64:dead".into(),
-                ..ShardStats::default()
-            },
-        );
+        manifest.mark_complete(2, &done(2, 3, "fnv1a64:dead".into()), 0);
 
         let demoted = manifest.revalidate_completed(&dir).unwrap();
         assert_eq!(demoted, vec![1, 2]);

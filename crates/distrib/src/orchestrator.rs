@@ -24,9 +24,9 @@
 //! its budget is marked `failed` in the manifest so a later `resume` can
 //! pick it up.
 
-use crate::manifest::{shard_file_name, Manifest, ShardStats};
+use crate::manifest::{shard_file_name, Manifest};
 use crate::plan::ShardRange;
-use crate::protocol::{parse_worker_line, WorkerLine};
+use crate::protocol::{parse_worker_line, DoneEvent, WorkerLine};
 use ring_combinat::shared::splitmix64;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -310,15 +310,15 @@ pub fn run_pending_shards_with(
                     obs.histogram("distrib_attempt_ns")
                         .record_duration(attempt_elapsed);
                     match result {
-                        Ok(mut stats) => {
-                            // The stats — including the metrics snapshot —
-                            // come from exactly this, final successful,
+                        Ok(done) => {
+                            // The done event — metrics snapshot included —
+                            // comes from exactly this, final successful,
                             // attempt; `mark_complete` overwrites whatever
                             // an earlier killed attempt might have left.
-                            stats.attempt_ms = attempt_elapsed.as_millis() as u64;
+                            let attempt_ms = attempt_elapsed.as_millis() as u64;
                             {
                                 let mut m = manifest.lock().expect("manifest lock");
-                                m.mark_complete(range.shard, &stats);
+                                m.mark_complete(range.shard, &done, attempt_ms);
                                 m.save_in(run_dir).expect("checkpoint manifest");
                             }
                             landed(range.shard);
@@ -381,8 +381,8 @@ impl AttemptFailure {
 }
 
 /// Launches one worker attempt over `transport` and validates its stream
-/// end to end. On success the shard file is in place and the returned
-/// stats mirror the done event. With a timeout, a watchdog thread aborts
+/// end to end. On success the shard file is in place and the validated
+/// done event is returned. With a timeout, a watchdog thread aborts
 /// the attempt at the deadline and it fails with a timeout error (so the
 /// retry loop relaunches it like any other failed attempt).
 fn run_attempt(
@@ -391,7 +391,7 @@ fn run_attempt(
     expected_fingerprint: &str,
     transport: &dyn WorkerTransport,
     timeout: Option<Duration>,
-) -> Result<ShardStats, AttemptFailure> {
+) -> Result<DoneEvent, AttemptFailure> {
     let _span = ring_obs::span!("shard_attempt", shard = range.shard);
     let final_path = run_dir.join(shard_file_name(range.shard));
     let tmp_path = run_dir.join(format!("{}.tmp", shard_file_name(range.shard)));
@@ -465,7 +465,7 @@ fn run_one_shard(
     expected_fingerprint: &str,
     command: Command,
     timeout: Option<Duration>,
-) -> Result<ShardStats, String> {
+) -> Result<DoneEvent, String> {
     let slot = Mutex::new(Some(command));
     let factory = move |_range: &ShardRange| {
         slot.lock()
@@ -523,14 +523,14 @@ fn consume_worker_stream(
     expected_fingerprint: &str,
     tmp_path: &Path,
     stop_at_done: bool,
-) -> Result<ShardStats, String> {
+) -> Result<DoneEvent, String> {
     let file = std::fs::File::create(tmp_path)
         .map_err(|e| format!("cannot create {}: {e}", tmp_path.display()))?;
     let mut out = BufWriter::new(file);
     let mut hasher = crate::checksum::Fnv1a64::new();
     let mut started = false;
     let mut next_index = range.start;
-    let mut done: Option<ShardStats> = None;
+    let mut done: Option<DoneEvent> = None;
 
     let mut reader = BufReader::new(stdout);
     let mut buf = Vec::new();
@@ -609,17 +609,7 @@ fn consume_worker_stream(
                         hasher.format()
                     ));
                 }
-                done = Some(ShardStats {
-                    records: received,
-                    checksum: event.checksum,
-                    cache_hits: event.cache_hits,
-                    cache_misses: event.cache_misses,
-                    store_hits: event.store_hits,
-                    store_misses: event.store_misses,
-                    // Filled by the retry loop once the attempt is timed.
-                    attempt_ms: 0,
-                    metrics: event.metrics,
-                });
+                done = Some(event);
                 if stop_at_done {
                     break;
                 }
@@ -636,7 +626,7 @@ mod tests {
     use super::*;
     use crate::manifest::{ShardStatus, SpecParams};
     use crate::plan::plan_shards;
-    use crate::protocol::{DoneEvent, StartEvent};
+    use crate::protocol::{StartEvent, CACHE_HITS, CACHE_MISSES, STORE_MISSES};
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir =
@@ -704,13 +694,15 @@ mod tests {
             hasher.update(b"\n");
             lines.push(record);
         }
+        let registry = ring_obs::Registry::new();
+        registry.counter(CACHE_HITS).add(3);
+        registry.counter(CACHE_MISSES).add(1);
         lines.push(
             serde_json::to_string(&DoneEvent::new(
                 range.shard,
                 range.len(),
                 hasher.format(),
-                3,
-                1,
+                registry.snapshot(),
             ))
             .unwrap(),
         );
@@ -734,8 +726,9 @@ mod tests {
         assert!(outcome.failed.is_empty());
         let manifest = manifest.into_inner().unwrap();
         assert!(manifest.is_complete());
-        assert_eq!(manifest.aggregate_stats().records, 7);
-        assert_eq!(manifest.aggregate_stats().cache_hits, 9);
+        let records: usize = manifest.shards.iter().map(|entry| entry.records).sum();
+        assert_eq!(records, 7);
+        assert_eq!(manifest.aggregate_metrics().counter(CACHE_HITS), 9);
         // The checkpointed manifest on disk agrees.
         let reloaded = Manifest::load(&dir).unwrap();
         assert_eq!(reloaded, manifest);
@@ -830,8 +823,7 @@ mod tests {
             0,
             1,
             "fnv1a64:0000000000000000".into(),
-            0,
-            0,
+            ring_obs::Snapshot::default(),
         ))
         .unwrap();
         let cmd = scripted_worker(format!(
@@ -846,8 +838,13 @@ mod tests {
         assert!(err.contains("fingerprint"), "{err}");
 
         // Out-of-sequence record.
-        let done_ok =
-            serde_json::to_string(&DoneEvent::new(0, 1, "fnv1a64:0".into(), 0, 0)).unwrap();
+        let done_ok = serde_json::to_string(&DoneEvent::new(
+            0,
+            1,
+            "fnv1a64:0".into(),
+            ring_obs::Snapshot::default(),
+        ))
+        .unwrap();
         let cmd = scripted_worker(format!(
             "echo '{start}' && echo '{{\"case_index\":5}}' && echo '{done_ok}'"
         ));
@@ -1068,8 +1065,7 @@ mod tests {
     }
 
     /// A full valid protocol stream whose done event carries a metrics
-    /// snapshot with `store_misses` misses (both as the event's own
-    /// `store_misses` field and inside the snapshot).
+    /// snapshot with `store_misses` misses.
     fn protocol_script_with_misses(range: &ShardRange, store_misses: u64) -> String {
         let mut lines = Vec::new();
         lines.push(
@@ -1090,13 +1086,14 @@ mod tests {
             lines.push(record);
         }
         let registry = ring_obs::Registry::new();
-        registry.counter("store_misses").add(store_misses);
+        registry.counter(STORE_MISSES).add(store_misses);
         lines.push(
-            serde_json::to_string(
-                &DoneEvent::new(range.shard, range.len(), hasher.format(), 0, 0)
-                    .with_store(0, store_misses)
-                    .with_metrics(registry.snapshot()),
-            )
+            serde_json::to_string(&DoneEvent::new(
+                range.shard,
+                range.len(),
+                hasher.format(),
+                registry.snapshot(),
+            ))
             .unwrap(),
         );
         lines
@@ -1133,12 +1130,12 @@ mod tests {
         assert_eq!(outcome.completed, vec![0]);
         let manifest = manifest.into_inner().unwrap();
         assert_eq!(manifest.shards[0].attempts, 2);
-        // Legacy counter and snapshot agree: final attempt only, no sum.
+        // The entry's store copy and the snapshot agree: final attempt
+        // only, no sum.
         assert_eq!(manifest.shards[0].store_misses, 1);
         let metrics = manifest.shards[0].metrics.as_ref().expect("snapshot");
-        assert_eq!(metrics.counter("store_misses"), 1);
-        assert_eq!(manifest.aggregate_stats().store_misses, 1);
-        assert_eq!(manifest.aggregate_metrics().counter("store_misses"), 1);
+        assert_eq!(metrics.counter(STORE_MISSES), 1);
+        assert_eq!(manifest.aggregate_metrics().counter(STORE_MISSES), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -12,12 +12,13 @@
 //!    that case (record lines are distinguished from events by their
 //!    `{"case_index":` prefix; they never carry an `event` key);
 //! 3. one **done event** — `{"event":"done","shard":i,"records":k,
-//!    "checksum":"fnv1a64:…","cache_hits":…,"cache_misses":…,
-//!    "store_hits":…,"store_misses":…,"metrics":{…}}` — whose checksum
-//!    covers the record bytes (each line plus its newline); the `store_*`
-//!    counters account for the worker's on-disk structure store and are 0
-//!    when the worker ran without one, and `metrics` is the attempt's
-//!    `ring-obs/v1` snapshot. Every field of both events is required.
+//!    "checksum":"fnv1a64:…","metrics":{…}}` — whose checksum covers the
+//!    record bytes (each line plus its newline) and whose `metrics` is the
+//!    attempt's `ring-obs/v1` snapshot, the only carrier of the worker's
+//!    counters: the structure-cache and structure-store counters sit in it
+//!    under [`CACHE_HITS`], [`CACHE_MISSES`], [`STORE_HITS`] and
+//!    [`STORE_MISSES`] (the store pair is 0 when the worker ran without a
+//!    store). Every field of both events is required.
 //!
 //! Anything else — a nonzero exit, a truncated stream, an out-of-sequence
 //! record, a checksum mismatch — marks the shard failed and eligible for
@@ -65,6 +66,16 @@ impl StartEvent {
     }
 }
 
+/// Snapshot counter: structure-cache hits of the worker's engine.
+pub const CACHE_HITS: &str = "cache_hits";
+/// Snapshot counter: structure-cache misses of the worker's engine.
+pub const CACHE_MISSES: &str = "cache_misses";
+/// Snapshot counter: on-disk structure-store loads that succeeded.
+pub const STORE_HITS: &str = "store_hits";
+/// Snapshot counter: on-disk structure-store lookups that fell through to
+/// construction.
+pub const STORE_MISSES: &str = "store_misses";
+
 /// The last line a worker emits.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DoneEvent {
@@ -76,56 +87,28 @@ pub struct DoneEvent {
     pub records: usize,
     /// Checksum over the emitted record bytes (`fnv1a64:…`).
     pub checksum: String,
-    /// Structure-cache hits accumulated by the worker's engine.
-    pub cache_hits: u64,
-    /// Structure-cache misses accumulated by the worker's engine.
-    pub cache_misses: u64,
-    /// On-disk structure-store loads that succeeded inside the worker
-    /// (0 when the worker ran without a store).
-    pub store_hits: u64,
-    /// On-disk structure-store lookups that fell through to construction.
-    pub store_misses: u64,
     /// Full `ring-obs/v1` metrics snapshot for exactly this shard attempt
     /// (a delta against the worker process's registry, so a long-lived TCP
-    /// worker reports one job's metrics, not its lifetime totals).
+    /// worker reports one job's metrics, not its lifetime totals), with
+    /// the engine's cache and store counters under their names above.
     pub metrics: ring_obs::Snapshot,
 }
 
 impl DoneEvent {
-    /// Builds the event from the worker's end-of-shard accounting (store
-    /// counters start at zero and the snapshot empty; see
-    /// [`DoneEvent::with_store`] and [`DoneEvent::with_metrics`]).
+    /// Builds the event from the worker's end-of-shard accounting.
     pub fn new(
         shard: usize,
         records: usize,
         checksum: String,
-        cache_hits: u64,
-        cache_misses: u64,
+        metrics: ring_obs::Snapshot,
     ) -> Self {
         DoneEvent {
             event: "done".into(),
             shard,
             records,
             checksum,
-            cache_hits,
-            cache_misses,
-            store_hits: 0,
-            store_misses: 0,
-            metrics: ring_obs::Snapshot::default(),
+            metrics,
         }
-    }
-
-    /// Adds the worker's structure-store accounting.
-    pub fn with_store(mut self, store_hits: u64, store_misses: u64) -> Self {
-        self.store_hits = store_hits;
-        self.store_misses = store_misses;
-        self
-    }
-
-    /// Attaches the attempt's metrics snapshot.
-    pub fn with_metrics(mut self, metrics: ring_obs::Snapshot) -> Self {
-        self.metrics = metrics;
-        self
     }
 }
 
@@ -302,26 +285,49 @@ mod tests {
         let line = serde_json::to_string(&start).unwrap();
         assert_eq!(parse_worker_line(&line).unwrap(), WorkerLine::Start(start));
 
-        let done = DoneEvent::new(1, 10, "fnv1a64:0011223344556677".into(), 5, 2).with_store(4, 3);
-        let line = serde_json::to_string(&done).unwrap();
-        assert_eq!(parse_worker_line(&line).unwrap(), WorkerLine::Done(done));
-
-        // With a metrics snapshot attached, the full snapshot roundtrips.
+        // The worker's counters and histograms roundtrip in the snapshot.
         let registry = ring_obs::Registry::new();
-        registry.counter("cache_hits").add(5);
+        registry.counter(CACHE_HITS).add(5);
+        registry.counter(CACHE_MISSES).add(2);
+        registry.counter(STORE_HITS).add(4);
+        registry.counter(STORE_MISSES).add(3);
         registry.histogram("case_execute_ns").record(1234);
-        let done =
-            DoneEvent::new(2, 3, "fnv1a64:00".into(), 5, 0).with_metrics(registry.snapshot());
+        let done = DoneEvent::new(
+            1,
+            10,
+            "fnv1a64:0011223344556677".into(),
+            registry.snapshot(),
+        );
+        let line = serde_json::to_string(&done).unwrap();
+        let WorkerLine::Done(parsed) = parse_worker_line(&line).unwrap() else {
+            panic!("not a done event: {line}");
+        };
+        assert_eq!(parsed, done);
+        let counters = [CACHE_HITS, CACHE_MISSES, STORE_HITS, STORE_MISSES]
+            .map(|name| parsed.metrics.counter(name));
+        assert_eq!(counters, [5, 2, 4, 3]);
+
+        // An empty snapshot roundtrips too.
+        let done = DoneEvent::new(2, 3, "fnv1a64:00".into(), ring_obs::Snapshot::default());
         let line = serde_json::to_string(&done).unwrap();
         assert_eq!(parse_worker_line(&line).unwrap(), WorkerLine::Done(done));
     }
 
     #[test]
     fn done_events_need_every_field() {
-        let done = DoneEvent::new(0, 2, "fnv1a64:00".into(), 1, 1);
+        let done = DoneEvent::new(0, 2, "fnv1a64:00".into(), ring_obs::Snapshot::default());
         let line = serde_json::to_string(&done).unwrap();
-        for field in ["store_hits", "store_misses", "metrics"] {
-            let mut value = serde_json::from_str(&line).unwrap();
+        let value = serde_json::from_str(&line).unwrap();
+        let fields: Vec<String> = value
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(key, _)| key.clone())
+            .collect();
+        assert_eq!(fields, ["event", "shard", "records", "checksum", "metrics"]);
+        // `event` selects the parser, so stripping it is not a done line.
+        for field in &fields[1..] {
+            let mut value = value.clone();
             if let Value::Object(fields) = &mut value {
                 fields.retain(|(key, _)| key != field);
             }

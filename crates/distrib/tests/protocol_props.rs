@@ -7,8 +7,8 @@
 
 use proptest::prelude::*;
 use ring_distrib::{
-    parse_worker_line, plan_shards, DoneEvent, Manifest, ShardStats, SpecParams, StartEvent,
-    WorkerLine,
+    parse_worker_line, plan_shards, DoneEvent, Manifest, SpecParams, StartEvent, WorkerLine,
+    CACHE_HITS, CACHE_MISSES, STORE_HITS, STORE_MISSES,
 };
 use serde::{Deserialize, Serialize, Value};
 
@@ -74,20 +74,20 @@ fn read_submission(body: &str) -> Option<SpecParams> {
     SpecParams::from_json(&serde_json::from_str(body).ok()?).ok()
 }
 
-/// A done event with counters drawn from `seed` and a metrics snapshot.
+/// A done event whose metrics snapshot carries counters drawn from `seed`.
 fn done_event(shard: usize, records: usize, seed: u64) -> DoneEvent {
     let registry = ring_obs::Registry::new();
-    registry.counter("cache_hits").add(seed >> 7);
+    registry.counter(CACHE_HITS).add(seed >> 3);
+    registry.counter(CACHE_MISSES).add(u64::MAX - seed);
+    registry.counter(STORE_HITS).add(seed % 11);
+    registry.counter(STORE_MISSES).add(seed % 7);
     registry.histogram("case_execute_ns").record(seed);
     DoneEvent::new(
         shard,
         records,
         format!("fnv1a64:{seed:016x}"),
-        seed >> 3,
-        u64::MAX - seed,
+        registry.snapshot(),
     )
-    .with_store(seed % 11, seed % 7)
-    .with_metrics(registry.snapshot())
 }
 
 /// The start, record and done lines of one shard attempt.
@@ -112,15 +112,8 @@ fn manifest(total: usize, shards: usize, seed: u64) -> Manifest {
     let mut manifest = Manifest::new(spec, "0xabc".into(), total, &ranges, 2, "out.jsonl".into());
     for range in ranges.iter().filter(|r| seed >> r.shard & 1 == 1) {
         let done = done_event(range.shard, range.len(), seed);
-        let stats = ShardStats {
-            records: done.records,
-            checksum: done.checksum,
-            attempt_ms: seed % 1000,
-            metrics: done.metrics,
-            ..ShardStats::default()
-        };
         manifest.shards[range.shard].attempts = 1 + (seed >> 8) as u32 % 3;
-        manifest.mark_complete(range.shard, &stats);
+        manifest.mark_complete(range.shard, &done, seed % 1000);
     }
     manifest
 }

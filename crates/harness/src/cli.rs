@@ -68,7 +68,8 @@ use crate::store::StructureStore;
 use ring_combinat::shared::splitmix64;
 use ring_distrib::{
     fail_after_from_env, merge_shards, plan_shards, run_pending_shards, DoneEvent, Manifest,
-    OrchestratorOptions, ShardTally, SpecParams, StartEvent, MAX_SHARDS, SPEC_FLAGS,
+    OrchestratorOptions, ShardStatus, ShardTally, SpecParams, StartEvent, CACHE_HITS, CACHE_MISSES,
+    MAX_SHARDS, SPEC_FLAGS, STORE_HITS, STORE_MISSES,
 };
 use ring_experiments::distinguisher_scaling::ScalingSpec;
 use ring_experiments::report::{aggregate, format_markdown_table};
@@ -542,10 +543,10 @@ fn print_tables(markdown: &str, destination: Option<&str>) {
 fn engine_snapshot(engine: &SweepEngine, mut snapshot: ring_obs::Snapshot) -> ring_obs::Snapshot {
     let cache = engine.cache_stats();
     let store = engine.store_stats();
-    snapshot.set_counter("cache_hits", cache.hits);
-    snapshot.set_counter("cache_misses", cache.misses);
-    snapshot.set_counter("store_hits", store.hits);
-    snapshot.set_counter("store_misses", store.misses);
+    snapshot.set_counter(CACHE_HITS, cache.hits);
+    snapshot.set_counter(CACHE_MISSES, cache.misses);
+    snapshot.set_counter(STORE_HITS, store.hits);
+    snapshot.set_counter(STORE_MISSES, store.misses);
     snapshot
 }
 
@@ -564,18 +565,16 @@ fn print_engine_stats(engine: &SweepEngine) {
 /// shards' ring-obs/v1 snapshots (the final successful attempt of each
 /// shard — a retried shard's earlier attempts never double-count).
 fn print_fleet_stats(manifest: &Manifest) {
-    let completed = manifest
+    let completed: Vec<_> = manifest
         .shards
         .iter()
-        .filter(|s| s.status == ring_distrib::ShardStatus::Complete)
-        .count();
+        .filter(|s| s.status == ShardStatus::Complete)
+        .collect();
+    let records: usize = completed.iter().map(|s| s.records).sum();
     let fields = json_fields([
         ("shards", Value::Uint(manifest.shards.len() as u64)),
-        ("completed_shards", Value::Uint(completed as u64)),
-        (
-            "records",
-            Value::Uint(manifest.aggregate_stats().records as u64),
-        ),
+        ("completed_shards", Value::Uint(completed.len() as u64)),
+        ("records", Value::Uint(records as u64)),
     ]);
     print_stats_line(fields, &manifest.aggregate_metrics(), None);
 }
@@ -588,8 +587,8 @@ fn print_stats_line(
     snapshot: &ring_obs::Snapshot,
     cache_extra: Option<(&str, Value)>,
 ) {
-    let hits = snapshot.counter("cache_hits");
-    let misses = snapshot.counter("cache_misses");
+    let hits = snapshot.counter(CACHE_HITS);
+    let misses = snapshot.counter(CACHE_MISSES);
     let hit_rate = if hits + misses == 0 {
         0.0
     } else {
@@ -602,8 +601,8 @@ fn print_stats_line(
     ]);
     cache.extend(cache_extra.map(|(key, value)| (key.to_string(), value)));
     let store = json_fields([
-        ("hits", Value::Uint(snapshot.counter("store_hits"))),
-        ("misses", Value::Uint(snapshot.counter("store_misses"))),
+        ("hits", Value::Uint(snapshot.counter(STORE_HITS))),
+        ("misses", Value::Uint(snapshot.counter(STORE_MISSES))),
     ]);
     fields.push(("cache".to_string(), Value::Object(cache)));
     fields.push(("store".to_string(), Value::Object(store)));
@@ -769,20 +768,10 @@ fn run_worker_shard<E: Write, R: Write + Send>(
     engine.run_with_offset(&items[range.start..range.end], range.start, Some(&sink));
     let tally = sink.finish();
 
-    let cache = engine.cache_stats();
-    let store = engine.store_stats();
     // The engine's own counters are per-engine (fresh every job), so they
     // overlay the delta exactly.
     let metrics = engine_snapshot(&engine, ring_obs::global().snapshot().delta(&baseline));
-    let done = DoneEvent::new(
-        shard,
-        tally.lines() as usize,
-        tally.checksum(),
-        cache.hits,
-        cache.misses,
-    )
-    .with_store(store.hits, store.misses)
-    .with_metrics(metrics);
+    let done = DoneEvent::new(shard, tally.lines() as usize, tally.checksum(), metrics);
     writeln!(
         event_out,
         "{}",
@@ -1147,13 +1136,14 @@ fn orchestrate_and_finish(
     let measurements = collector.finish()?;
     print_tables(&render_markdown(&measurements), destination.as_deref());
 
-    let stats = manifest.aggregate_stats();
+    let metrics = manifest.aggregate_metrics();
     let store_note = if manifest.structure_store.is_empty() {
         String::new()
     } else {
         format!(
             ", {} store loads / {} constructions",
-            stats.store_hits, stats.store_misses
+            metrics.counter(STORE_HITS),
+            metrics.counter(STORE_MISSES)
         )
     };
     eprintln!(
@@ -1167,8 +1157,8 @@ manifest {}",
         elapsed.as_secs_f64(),
         report.records,
         report.checksum,
-        stats.cache_hits,
-        stats.cache_misses,
+        metrics.counter(CACHE_HITS),
+        metrics.counter(CACHE_MISSES),
         Manifest::path_in(run_dir).display(),
     );
     if let Some(dest) = destination.as_deref() {

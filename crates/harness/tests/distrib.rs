@@ -294,18 +294,22 @@ fn structure_store_keeps_sharded_sweeps_byte_identical_and_hits_after_warmup() {
         let manifest = ring_distrib::Manifest::load(&run_dir).unwrap();
         assert!(manifest.is_complete());
         assert_eq!(manifest.structure_store, store.to_string_lossy());
-        let stats = manifest.aggregate_stats();
+        let stats = manifest.aggregate_metrics();
         if pass == 0 {
             assert!(
-                stats.store_misses > 0,
+                stats.counter(ring_distrib::STORE_MISSES) > 0,
                 "the first fleet must construct and publish"
             );
         } else {
             assert_eq!(
-                stats.store_misses, 0,
+                stats.counter(ring_distrib::STORE_MISSES),
+                0,
                 "a warm store must serve every structure at M = {shards}"
             );
-            assert!(stats.store_hits > 0, "the warm fleet never loaded");
+            assert!(
+                stats.counter(ring_distrib::STORE_HITS) > 0,
+                "the warm fleet never loaded"
+            );
         }
     }
     // Every published file still proves itself (checksum + canonical form).
@@ -472,7 +476,9 @@ fn seed_diverse_sharded_sweeps_are_byte_identical_for_every_shard_count() {
             // Every fleet after the first runs against a warm store: the K
             // schedule seeds all resolve through already-published blobs.
             assert_eq!(
-                manifest.aggregate_stats().store_misses,
+                manifest
+                    .aggregate_metrics()
+                    .counter(ring_distrib::STORE_MISSES),
                 0,
                 "a warm v2 store must serve every schedule seed at M = {shards}"
             );

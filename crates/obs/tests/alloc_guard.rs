@@ -4,20 +4,35 @@
 //! — must perform **zero** heap allocations. The counter/gauge/histogram
 //! updates are relaxed atomic adds on pre-registered handles; the disabled
 //! span macro is a single relaxed load whose field expressions are never
-//! evaluated. A counting global allocator pins all of that.
+//! evaluated. A counting global allocator pins all of that; it counts per
+//! thread, so allocations the test harness makes on its own threads while
+//! the loop runs are not charged to the loop.
 
 use ring_obs::Registry;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// The system allocator with an allocation counter bolted on.
+/// The system allocator with a per-thread allocation counter bolted on.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so counting from inside
+    // the allocator never allocates itself.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
+
+/// Allocations made so far by the current thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -26,7 +41,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -68,11 +83,11 @@ fn disabled_instrumentation_hot_path_allocates_nothing() {
         instrumented_round(&hits, &depth, &latency, i);
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for i in 0..10_000u64 {
         instrumented_round(&hits, &depth, &latency, i);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
 
     assert_eq!(
         after - before,
