@@ -20,12 +20,11 @@
 //! undo rounds (`Network::undo_last`) against the reversed round
 //! through the kernel, the fused complementary pair
 //! (`Network::step_pair_into`) against its four calls, a frame exchange
-//! that reuses repeated bit planes against one that simulates each, the
-//! compact
-//! `GapKnowledge` against `ring_protocols::knowledge::reference`, and a
-//! ring's equations batched through `EquationBatch` against applying them
-//! round by round. Each pair's fast and reference runs are taken in turn,
-//! so load on a shared machine falls on both sides of a speedup alike. In
+//! that reuses repeated bit planes against one that simulates each, and
+//! the compact `GapKnowledge` against
+//! `ring_protocols::knowledge::reference`. Each pair's fast and reference
+//! runs are taken in turn, so load on a shared machine falls on both
+//! sides of a speedup alike. In
 //! `--quick` mode the run **fails** (nonzero exit) if any kernel's fast
 //! path is slower than its reference — the CI perf smoke that keeps these
 //! loops honest.
@@ -34,7 +33,6 @@ use rand::{Rng, SeedableRng};
 use ring_combinat::{reference, Distinguisher, IdSet, SelectiveFamily};
 use ring_protocols::coordination::nontrivial::weak_nontrivial_move_even_distinguisher;
 use ring_protocols::exec::{PairBuffers, StepBuffers};
-use ring_protocols::knowledge::{ArcEquation, EquationBatch};
 use ring_protocols::perceptive::link::{FrameBuffers, LinkBuffers, NeighborFrames, RingLink};
 use ring_protocols::{GapKnowledge, IdAssignment, Network};
 use ring_sim::{
@@ -96,34 +94,21 @@ fn time_pair<T, U>(
     mut fast: impl FnMut() -> T,
     mut slow: impl FnMut() -> U,
 ) -> (u64, u64) {
-    time_pair_after(reps, || (), |()| fast(), || (), |()| slow())
-}
-
-/// Like [`time_pair`], but each run of a side first builds its input with
-/// that side's `setup`, untimed.
-fn time_pair_after<S, T, R, U>(
-    reps: usize,
-    mut fast_setup: impl FnMut() -> S,
-    mut fast: impl FnMut(S) -> T,
-    mut slow_setup: impl FnMut() -> R,
-    mut slow: impl FnMut(R) -> U,
-) -> (u64, u64) {
-    fn timed<I, O>(setup: &mut impl FnMut() -> I, f: &mut impl FnMut(I) -> O) -> u64 {
-        let input = setup();
+    fn timed<O>(f: &mut impl FnMut() -> O) -> u64 {
         let start = Instant::now();
-        std::hint::black_box(f(input));
+        std::hint::black_box(f());
         start.elapsed().as_nanos() as u64
     }
-    std::hint::black_box(fast(fast_setup()));
-    std::hint::black_box(slow(slow_setup()));
+    std::hint::black_box(fast());
+    std::hint::black_box(slow());
     let (mut fast_ns, mut slow_ns) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
     for rep in 0..reps {
         if rep % 2 == 0 {
-            fast_ns.push(timed(&mut fast_setup, &mut fast));
-            slow_ns.push(timed(&mut slow_setup, &mut slow));
+            fast_ns.push(timed(&mut fast));
+            slow_ns.push(timed(&mut slow));
         } else {
-            slow_ns.push(timed(&mut slow_setup, &mut slow));
-            fast_ns.push(timed(&mut fast_setup, &mut fast));
+            slow_ns.push(timed(&mut slow));
+            fast_ns.push(timed(&mut fast));
         }
     }
     (median(fast_ns), median(slow_ns))
@@ -826,88 +811,6 @@ fn main() {
         slow as f64 / fast.max(1) as f64
     );
 
-    // 4g. Location knowledge of a whole ring: 512 agents, each with its
-    //     own `GapKnowledge`, take two true equations a round (a pair sum
-    //     and a collision-style span, shaped as in `Distances`), through
-    //     an `EquationBatch` that applies them agent by agent, against
-    //     the round-by-round interleaving it replaced. Each repetition
-    //     first applies 192 rounds untimed, its own way, and then times
-    //     64 more: the mid-sweep regime, where every agent's union–find
-    //     is populated and the ring's 4 MB of them no longer fit in L2.
-    let (warm_rounds, batch_rounds) = (192usize, 64usize);
-    let ring_equations: Vec<(usize, usize, ArcLength)> = (0..warm_rounds + batch_rounds)
-        .flat_map(|round| (0..kernel_n).map(move |agent| (round, agent)))
-        .flat_map(|(round, agent)| {
-            let from = (agent + 2 * round) % kernel_n;
-            let span = 1 + (agent * 13 + round) % 9;
-            [(from, from + 2), (from, from + span)]
-        })
-        .map(|(from, to)| {
-            let to = to % kernel_n;
-            let arc = (prefix[to] + CIRCUMFERENCE - prefix[from]) % CIRCUMFERENCE;
-            (from, to, ArcLength::from_ticks(arc))
-        })
-        .collect();
-    let (warm, timed) = ring_equations.split_at(warm_rounds * 2 * kernel_n);
-    let batched = |batch: &mut EquationBatch, equations: &[(usize, usize, ArcLength)]| {
-        for round in equations.chunks_exact(2 * kernel_n) {
-            batch
-                .push_round(|agent, slots| {
-                    for (slot, &(from, to, arc)) in slots.iter_mut().zip(&round[2 * agent..]) {
-                        *slot = ArcEquation::new(from, to, arc);
-                    }
-                })
-                .expect("consistent");
-        }
-        let knowledge = batch.flush().expect("consistent");
-        knowledge
-            .iter()
-            .map(GapKnowledge::components)
-            .sum::<usize>()
-    };
-    let interleaved = |knowledge: &mut [GapKnowledge], equations: &[(usize, usize, ArcLength)]| {
-        for round in equations.chunks_exact(2 * kernel_n) {
-            for (k, equations) in knowledge.iter_mut().zip(round.chunks_exact(2)) {
-                for &(from, to, arc) in equations {
-                    k.add_cw_arc(from, to, arc).expect("consistent");
-                }
-            }
-        }
-        knowledge
-            .iter()
-            .map(GapKnowledge::components)
-            .sum::<usize>()
-    };
-    let (fast, slow) = time_pair_after(
-        kernel_reps,
-        || {
-            let mut batch = EquationBatch::new(kernel_n, 2);
-            batched(&mut batch, warm);
-            batch
-        },
-        |mut batch| batched(&mut batch, timed),
-        || {
-            let mut knowledge: Vec<GapKnowledge> =
-                (0..kernel_n).map(|_| GapKnowledge::new(kernel_n)).collect();
-            interleaved(&mut knowledge, warm);
-            knowledge
-        },
-        |mut knowledge| interleaved(&mut knowledge, timed),
-    );
-    record_pair(
-        &mut entries,
-        &mut speedups,
-        "knowledge_batch",
-        kernel_n as u64,
-        fast,
-        slow,
-        kernel_reps,
-    );
-    println!(
-        "knowledge_batch           n={kernel_n} r={batch_rounds}: {fast:>12} ns vs {slow:>12} ns  ({:.1}x)",
-        slow as f64 / fast.max(1) as f64
-    );
-
     // 5. End-to-end: the distinguisher-driven weak nontrivial move on a
     //    balanced ring, now running as one batched schedule over the
     //    word-parallel strong distinguisher (absolute time only — the whole
@@ -957,8 +860,8 @@ fn main() {
     // oracle fails the run. The asserted set is the kernel pairs — the
     // chunked `IdSet` loops, the two sampled verifications, the analytic
     // first-collision sweeps, the undo rewind, the fused link exchange, the
-    // frame exchange's reuse of repeated planes, the compact union–find and
-    // the batched equations — not the construction or
+    // frame exchange's reuse of repeated planes and the compact union–find
+    // — not the construction or
     // round-loop pairs, whose inner cost is RNG- or simulator-bound.
     if quick {
         let asserted = [
@@ -973,7 +876,6 @@ fn main() {
             "link_exchange_pair",
             "link_frame",
             "gap_knowledge",
-            "knowledge_batch",
         ];
         let mut failed = false;
         for s in &report.speedups {

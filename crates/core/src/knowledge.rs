@@ -17,19 +17,11 @@
 //! Every agent of a ring of `n` keeps one over `n` positions, so a ring
 //! holds `n²` nodes; the layout is compact for that reason (16 bytes a
 //! node, its rank byte in the padding). [`reference`](mod@reference) keeps the earlier wide
-//! layout as the oracle it is tested against.
-//!
-//! Even compact, a ring of 512 agents holds 4 MB of nodes, more than one
-//! core's L2, and a round touches every agent's structure once. Applied
-//! as they arrive, each round's equations evict the structures the next
-//! round needs. [`EquationBatch`] therefore buffers up to
-//! [`BATCH_ROUNDS`] rounds of every agent's equations and applies them
-//! agent by agent, so each agent's 8 KB structure takes its whole batch
-//! while it sits in L1. Every agent gets the same equations in the same
-//! order as round by round, so every structure, gap and conflict is the
-//! same; only completeness must wait for a flush, which
-//! [`EquationBatch::flush`] enforces by being the only way to read the
-//! knowledge.
+//! layout as the oracle it is tested against. Callers apply each round's
+//! equations as they arrive. Where every agent's equations share one
+//! known shape, as in the basic-model odd-`n` sweep, the caller solves
+//! that shape once for all agents instead
+//! ([`locate::basic_odd`](crate::locate::basic_odd)).
 
 pub mod reference;
 
@@ -64,7 +56,9 @@ impl fmt::Display for KnowledgeConflict {
 
 impl std::error::Error for KnowledgeConflict {}
 
-/// [`GapKnowledge::new`] refuses rings of this many slots or more.
+/// [`GapKnowledge::new`] refuses rings of this many slots or more, and so
+/// does the basic-odd sweep's pair-sum chain, whose potentials obey the
+/// same bound.
 ///
 /// Potentials are `i64`. An arc is at most the circumference `C = 2^40`,
 /// so an accepted equation relates two prefix positions by at most `C` in
@@ -73,7 +67,7 @@ impl std::error::Error for KnowledgeConflict {}
 /// equations are corrupted. A union then computes `pa − pb + diff`, within
 /// `±(2n−1)·C`, which stays below `2^63` for every `n < 2^22`. A ring
 /// that large could not hold its agents' `n²` nodes in memory anyway.
-const MAX_SLOTS: usize = 1 << 22;
+pub(crate) const MAX_SLOTS: usize = 1 << 22;
 
 /// One union–find node: its parent, its potential relative to it and, for
 /// a root, its rank. Union by rank keeps ranks below `log2 n < 22`.
@@ -303,166 +297,6 @@ impl GapKnowledge {
     }
 }
 
-/// Rounds of equations an [`EquationBatch`] buffers before it applies them.
-///
-/// Large enough that each agent's structure is loaded once for many
-/// equations, small enough that the pending buffer (at most
-/// `BATCH_ROUNDS · n · slots` 16-byte equations) stays a fraction of the
-/// structures themselves.
-pub const BATCH_ROUNDS: usize = 32;
-
-/// One pending arc equation: the clockwise arc from slot `from` to slot
-/// `to` has length `arc` (see [`GapKnowledge::add_cw_arc`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ArcEquation {
-    from: u32,
-    to: u32,
-    arc: ArcLength,
-}
-
-impl ArcEquation {
-    /// Marks a slot of a round that holds no equation.
-    const EMPTY: ArcEquation = ArcEquation {
-        from: u32::MAX,
-        to: u32::MAX,
-        arc: ArcLength::ZERO,
-    };
-
-    /// The equation "the clockwise arc from `from` to `to` is `arc`".
-    ///
-    /// # Panics
-    ///
-    /// Panics if a slot does not fit in `u32` (no ring that large can be
-    /// tracked, see [`GapKnowledge::new`]).
-    pub fn new(from: usize, to: usize, arc: ArcLength) -> Self {
-        let slot = |s: usize| u32::try_from(s).expect("slot index fits in u32");
-        ArcEquation {
-            from: slot(from),
-            to: slot(to),
-            arc,
-        }
-    }
-}
-
-/// The first conflict of a flushed batch: the earliest one in round-major
-/// order, i.e. the one round-by-round application would have hit first.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BatchConflict {
-    /// The round of the offending equation, counted from the batch's first
-    /// round.
-    pub round: u64,
-    /// The agent whose knowledge it contradicts.
-    pub agent: usize,
-    /// The contradiction itself.
-    pub conflict: KnowledgeConflict,
-}
-
-/// Every agent's [`GapKnowledge`] together with the equations of up to
-/// [`BATCH_ROUNDS`] rounds not yet applied to it.
-///
-/// A round gives each agent a fixed number of equation slots; the rounds
-/// are buffered round-major and applied agent by agent (see the module
-/// docs for why).
-#[derive(Debug)]
-pub struct EquationBatch {
-    knowledge: Vec<GapKnowledge>,
-    slots: usize,
-    /// Round-major: slot `s` of agent `a` in pending round `r` sits at
-    /// `(r · n + a) · slots + s`.
-    pending: Vec<ArcEquation>,
-    flushed_rounds: u64,
-}
-
-impl EquationBatch {
-    /// Empty knowledge for `n` agents over `n` slots each, taking up to
-    /// `slots` equations per agent per round.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots` is 0, or where [`GapKnowledge::new`] panics
-    /// (`n < 2` or `n ≥ 2^22`).
-    pub fn new(n: usize, slots: usize) -> Self {
-        assert!(n >= 2, "a ring needs at least two slots");
-        assert!(slots > 0, "a round needs at least one equation slot");
-        EquationBatch {
-            knowledge: vec![GapKnowledge::new(n); n],
-            slots,
-            pending: Vec::with_capacity(BATCH_ROUNDS * n * slots),
-            flushed_rounds: 0,
-        }
-    }
-
-    /// Appends one round: `fill(agent, slots)` writes the agent's
-    /// equations for the round into its slots, leaving unused ones empty.
-    /// The batch is flushed once it holds [`BATCH_ROUNDS`] rounds.
-    ///
-    /// # Errors
-    ///
-    /// Returns that flush's conflict, if any.
-    pub fn push_round(
-        &mut self,
-        mut fill: impl FnMut(usize, &mut [ArcEquation]),
-    ) -> Result<(), BatchConflict> {
-        let start = self.pending.len();
-        let round = self.knowledge.len() * self.slots;
-        self.pending.resize(start + round, ArcEquation::EMPTY);
-        for (agent, slots) in self.pending[start..]
-            .chunks_exact_mut(self.slots)
-            .enumerate()
-        {
-            fill(agent, slots);
-        }
-        if self.pending.len() == BATCH_ROUNDS * round {
-            self.flush()?;
-        }
-        Ok(())
-    }
-
-    /// Applies every pending equation, agent by agent and, within an
-    /// agent, in round and slot order, then returns every agent's
-    /// knowledge.
-    ///
-    /// # Errors
-    ///
-    /// Returns the earliest conflict in (round, agent) order. The agent
-    /// that hit it, and every agent with a conflict of its own, stop at
-    /// it; the others take their whole batch. The knowledge is then of no
-    /// further use, as with a conflict met round by round.
-    pub fn flush(&mut self) -> Result<&[GapKnowledge], BatchConflict> {
-        let round_len = self.knowledge.len() * self.slots;
-        let mut first: Option<BatchConflict> = None;
-        for (agent, knowledge) in self.knowledge.iter_mut().enumerate() {
-            let at = agent * self.slots;
-            'rounds: for (round, equations) in self.pending.chunks_exact(round_len).enumerate() {
-                for eq in &equations[at..at + self.slots] {
-                    if *eq == ArcEquation::EMPTY {
-                        continue;
-                    }
-                    if let Err(conflict) =
-                        knowledge.add_cw_arc(eq.from as usize, eq.to as usize, eq.arc)
-                    {
-                        let round = self.flushed_rounds + round as u64;
-                        if first.is_none_or(|f| round < f.round) {
-                            first = Some(BatchConflict {
-                                round,
-                                agent,
-                                conflict,
-                            });
-                        }
-                        break 'rounds;
-                    }
-                }
-            }
-        }
-        self.flushed_rounds += (self.pending.len() / round_len) as u64;
-        self.pending.clear();
-        match first {
-            Some(conflict) => Err(conflict),
-            None => Ok(&self.knowledge),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -637,101 +471,6 @@ mod tests {
                 }
             }
             prop_assert_eq!(compact.gaps(), wide.gaps());
-        }
-
-        /// A batch applies what round-by-round application does: on
-        /// streams of up to 100 rounds (several full batches, most ending
-        /// mid-batch) with one or two slots an agent, empty slots, rare or
-        /// frequent injected conflicts and extra flushes at random rounds,
-        /// both report the same first conflict in round-major order and,
-        /// without one, leave every agent with the same components,
-        /// equation count, relations and gaps, also at each extra flush.
-        #[test]
-        fn batched_flush_matches_round_by_round_application(
-            ((n, slots), rounds, seed, bad) in (
-                (prop_oneof![2usize..=8, 9usize..=40], 1usize..=2),
-                1usize..=100,
-                any::<u64>(),
-                prop_oneof![Just(0u32), Just(2u32), Just(60u32)],
-            )
-        ) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut prefix = vec![0u64; n];
-            for i in 1..n {
-                prefix[i] = prefix[i - 1] + rng.gen_range(1..CIRCUMFERENCE / n as u64);
-            }
-            let mut oracle: Vec<GapKnowledge> = (0..n).map(|_| GapKnowledge::new(n)).collect();
-            let mut oracle_conflict = None;
-            let mut batch = EquationBatch::new(n, slots);
-            let mut batch_conflict = None;
-            let mut equations = vec![None; n * slots];
-            for round in 0..rounds {
-                // `bad` in 10 000 equations is drawn from the conflicting
-                // and corrupted branches of `random_equation`.
-                for eq in equations.iter_mut() {
-                    *eq = match rng.gen_range(0..4u32) {
-                        0 => None,
-                        _ if rng.gen_range(0..10_000) < bad => loop {
-                            let eq = random_equation(&mut rng, n, &prefix);
-                            let truth = (prefix[eq.1] + CIRCUMFERENCE - prefix[eq.0]) % CIRCUMFERENCE;
-                            if eq.2.ticks() != truth {
-                                break Some(eq);
-                            }
-                        },
-                        _ => {
-                            let (from, to) = (rng.gen_range(0..n), rng.gen_range(0..n));
-                            let truth = (prefix[to] + CIRCUMFERENCE - prefix[from]) % CIRCUMFERENCE;
-                            Some((from, to, ArcLength::from_ticks(truth)))
-                        }
-                    };
-                }
-                if oracle_conflict.is_none() {
-                    'agents: for (agent, k) in oracle.iter_mut().enumerate() {
-                        for &(from, to, arc) in equations[agent * slots..][..slots].iter().flatten() {
-                            if let Err(conflict) = k.add_cw_arc(from, to, arc) {
-                                oracle_conflict = Some(BatchConflict { round: round as u64, agent, conflict });
-                                break 'agents;
-                            }
-                        }
-                    }
-                }
-                if batch_conflict.is_none() {
-                    let pushed = batch.push_round(|agent, out| {
-                        for (slot, eq) in out.iter_mut().zip(&equations[agent * slots..]) {
-                            if let Some((from, to, arc)) = *eq {
-                                *slot = ArcEquation::new(from, to, arc);
-                            }
-                        }
-                    });
-                    batch_conflict = pushed.err();
-                    if batch_conflict.is_none() && rng.gen_range(0..8u32) == 0 {
-                        match batch.flush() {
-                            Ok(knowledge) if oracle_conflict.is_none() => {
-                                let got: Vec<usize> = knowledge.iter().map(GapKnowledge::components).collect();
-                                let want: Vec<usize> = oracle.iter().map(GapKnowledge::components).collect();
-                                prop_assert_eq!(got, want);
-                            }
-                            Ok(_) => {}
-                            Err(conflict) => batch_conflict = Some(conflict),
-                        }
-                    }
-                }
-            }
-            if batch_conflict.is_none() {
-                batch_conflict = batch.flush().err();
-            }
-            prop_assert_eq!(batch_conflict, oracle_conflict);
-            if oracle_conflict.is_none() {
-                let knowledge = batch.flush().expect("nothing pending");
-                for (k, o) in knowledge.iter().zip(&oracle) {
-                    prop_assert_eq!(k.components(), o.components());
-                    prop_assert_eq!(k.equations_recorded(), o.equations_recorded());
-                    for to in 0..n {
-                        prop_assert_eq!(k.relation(0, to), o.relation(0, to));
-                    }
-                    prop_assert_eq!(k.gaps(), o.gaps());
-                }
-            }
         }
     }
 

@@ -7,16 +7,16 @@
 //! every gap — this is precisely where the even-`n` impossibility of
 //! Lemma 5 shows up as a singular system.
 //!
-//! Each agent solves its own system, n union–finds of n nodes, which at
-//! n = 511 outgrow a core's L2. The sweep therefore hands each round's
-//! equations to an [`EquationBatch`], which applies them agent by agent
-//! every [`BATCH_ROUNDS`](crate::knowledge::BATCH_ROUNDS) rounds, one
-//! structure at a time in L1, with the same equations in the same order.
+//! Every agent receives its round's equation on the same two slots; only
+//! the arcs differ. So all `n` agents' systems have one shape, a path
+//! through the slots, and the sweep solves that path once for all of them
+//! (`PairSumChain`): one node-major table of `n × n` potentials instead
+//! of `n` union–finds.
 
 use crate::coordination::leader::elect_leader;
 use crate::error::ProtocolError;
 use crate::exec::{Network, StepBuffers};
-use crate::knowledge::{ArcEquation, BatchConflict, EquationBatch};
+use crate::knowledge::{KnowledgeConflict, MAX_SLOTS};
 use crate::locate::{cumulative_dist_logical, AgentView, LocationDiscovery, LocationMethod};
 use ring_sim::{ArcLength, LocalDirection, CIRCUMFERENCE};
 
@@ -69,16 +69,11 @@ pub fn discover_locations_basic_odd_with_leader(
 
     // Per agent: pair-sum equations indexed relative to the agent's own
     // measurement-start position. Every agent moves two positions
-    // logically anticlockwise a round, so in round `t` it crosses the gaps
-    // at relative indices n−2t−2 and n−2t−1 (modulo n): one equation from
-    // `from` to `from + 2`, the same slots for every agent.
-    let conflict = |c: BatchConflict| ProtocolError::Internal {
-        protocol: "location-discovery-basic-odd",
-        reason: c.conflict.to_string(),
-    };
-    let mut batch = EquationBatch::new(n, 1);
+    // logically anticlockwise a round: one equation a round on the same
+    // slots for every agent, solved for all of them by the chain.
+    let mut chain = PairSumChain::new(n);
+    let mut arcs: Vec<u64> = vec![0; n];
     let mut travelled: Vec<u64> = vec![0; n];
-    let mut from = n - 2;
     let round_budget = 4 * n as u64 + 16;
     // The sweep repeats one fixed direction assignment through a reusable
     // buffer set (no per-round allocation), until all agents are back at
@@ -86,37 +81,32 @@ pub fn discover_locations_basic_odd_with_leader(
     let mut bufs = StepBuffers::new();
     let mut finished = false;
     for _ in 0..round_budget {
-        let step = net.step_into(&dirs, &mut bufs);
-        if step.is_err() {
-            // A conflict among the pending rounds came first.
-            batch.flush().map_err(conflict)?;
-        }
-        step?;
-        let to = (from + 2) % n;
+        net.step_into(&dirs, &mut bufs)?;
         let observations = bufs.observations();
         let mut all_back = true;
-        batch
-            .push_round(|agent, slot| {
-                let logical = frames[agent].observation_to_logical(observations[agent]);
-                // Moving two positions anticlockwise: the traversed arc is
-                // the complement of the reported clockwise displacement.
-                let traversed = if logical.dist.is_zero() {
-                    0
-                } else {
-                    CIRCUMFERENCE - logical.dist.ticks()
-                };
-                slot[0] = ArcEquation::new(from, to, ArcLength::from_ticks(traversed));
-                travelled[agent] = (travelled[agent] + traversed) % CIRCUMFERENCE;
-                all_back &= travelled[agent] == 0;
-            })
-            .map_err(conflict)?;
-        from = (from + n - 2) % n;
+        for (agent, arc) in arcs.iter_mut().enumerate() {
+            let logical = frames[agent].observation_to_logical(observations[agent]);
+            // Moving two positions anticlockwise: the traversed arc is the
+            // complement of the reported clockwise displacement.
+            *arc = if logical.dist.is_zero() {
+                0
+            } else {
+                CIRCUMFERENCE - logical.dist.ticks()
+            };
+            travelled[agent] = (travelled[agent] + *arc) % CIRCUMFERENCE;
+            all_back &= travelled[agent] == 0;
+        }
+        chain
+            .push_round(&arcs)
+            .map_err(|(_, conflict)| ProtocolError::Internal {
+                protocol: "location-discovery-basic-odd",
+                reason: conflict.to_string(),
+            })?;
         if all_back {
             finished = true;
             break;
         }
     }
-    let knowledge = batch.flush().map_err(conflict)?;
     if !finished {
         return Err(ProtocolError::Internal {
             protocol: "location-discovery-basic-odd",
@@ -126,12 +116,10 @@ pub fn discover_locations_basic_odd_with_leader(
 
     let views = (0..n)
         .map(|agent| {
-            let gaps = knowledge[agent]
-                .gaps()
-                .ok_or_else(|| ProtocolError::Internal {
-                    protocol: "location-discovery-basic-odd",
-                    reason: format!("agent {agent} finished with incomplete knowledge"),
-                })?;
+            let gaps = chain.gaps(agent).ok_or_else(|| ProtocolError::Internal {
+                protocol: "location-discovery-basic-odd",
+                reason: format!("agent {agent} finished with incomplete knowledge"),
+            })?;
             AgentView::from_measurement(&gaps, delta_start[agent])
         })
         .collect::<Result<Vec<_>, _>>()?;
@@ -144,12 +132,201 @@ pub fn discover_locations_basic_odd_with_leader(
     ))
 }
 
+/// Every agent's pair-sum equations of the sweep, solved along the one
+/// shape they share.
+///
+/// Round `t` tells every agent the clockwise arc from slot
+/// `from = n − 2 − 2t (mod n)` to `from + 2`. Rooted at slot 0, each round
+/// until `from` first comes back to slot 0 reaches a new slot, whose
+/// potential is its successor's minus the arc; every later round closes a
+/// cycle and is checked against the potentials. For odd `n` the cycle
+/// passes every slot. For even `n` it passes only the even ones: this is
+/// Lemma 5's singular system, and the gaps stay unknown.
+///
+/// The potentials are exactly the ones a [`crate::GapKnowledge`] of each
+/// agent would hold relative to slot 0, so gaps and conflicts are the
+/// same; the tests check this against one union–find per agent.
+struct PairSumChain {
+    n: usize,
+    /// `P_slot − P_0`, node-major: slot `s` of agent `a` at `s · n + a`.
+    potentials: Vec<i64>,
+    /// The slot the next round's equations start at.
+    from: usize,
+    /// Slots with a potential so far, slot 0 included.
+    known: usize,
+    /// Slots the sweep's cycle passes: `n` for odd `n`, `n / 2` for even.
+    cycle: usize,
+}
+
+impl PairSumChain {
+    /// An empty chain for `n` agents over `n` slots each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n < 3` (the arc would return to its own slot), or if
+    /// `n ≥ 2^22`, where `i64` potentials would no longer be exact, as in
+    /// [`crate::GapKnowledge::new`].
+    fn new(n: usize) -> Self {
+        assert!(n >= 3, "a pair-sum chain needs at least three slots");
+        assert!(
+            n < MAX_SLOTS,
+            "{n} slots exceed the exact i64 potential bound"
+        );
+        PairSumChain {
+            n,
+            potentials: vec![0; n * n],
+            from: n - 2,
+            known: 1,
+            cycle: if n % 2 == 1 { n } else { n / 2 },
+        }
+    }
+
+    /// Applies one round: `arcs[agent]` is that agent's clockwise arc from
+    /// the round's `from` slot to `from + 2`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first agent whose arc contradicts its earlier ones,
+    /// with the conflict [`crate::GapKnowledge::add_cw_arc`] reports.
+    fn push_round(&mut self, arcs: &[u64]) -> Result<(), (usize, KnowledgeConflict)> {
+        let n = self.n;
+        let (from, to) = (self.from, (self.from + 2) % n);
+        self.from = (from + n - 2) % n;
+        // `P_to − P_from = arc`, less a full circle when the arc wraps
+        // past slot 0.
+        let wrap = if to > from { 0 } else { CIRCUMFERENCE as i64 };
+        if self.known < self.cycle {
+            self.known += 1;
+            self.potentials.copy_within(to * n..(to + 1) * n, from * n);
+            let row = &mut self.potentials[from * n..(from + 1) * n];
+            for (potential, &arc) in row.iter_mut().zip(arcs) {
+                *potential -= arc as i64 - wrap;
+            }
+            return Ok(());
+        }
+        let (row_from, row_to) = (&self.potentials[from * n..], &self.potentials[to * n..]);
+        for (agent, &arc) in arcs.iter().enumerate() {
+            let (expected, got) = (row_to[agent] - row_from[agent], arc as i64 - wrap);
+            if expected != got {
+                return Err((
+                    agent,
+                    KnowledgeConflict {
+                        from,
+                        to,
+                        expected,
+                        got,
+                    },
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// One agent's gaps, if every slot has a potential.
+    fn gaps(&self, agent: usize) -> Option<Vec<ArcLength>> {
+        let n = self.n;
+        if self.known < n {
+            return None;
+        }
+        let potential = |slot: usize| self.potentials[slot * n + agent];
+        let to_arc = |d: i64| ArcLength::from_ticks(d.rem_euclid(CIRCUMFERENCE as i64) as u64);
+        Some(
+            (0..n)
+                .map(|slot| to_arc(potential((slot + 1) % n) - potential(slot)))
+                .collect(),
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::IdAssignment;
+    use crate::knowledge::GapKnowledge;
     use crate::locate::verify_location_discovery;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use ring_sim::{Model, RingConfig};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The chain equals one union–find per agent fed the same
+        /// equations round by round: `n + 5` rounds of true pair sums,
+        /// each agent measuring from its own start, on odd and even rings,
+        /// with one corrupted (round, agent) arc in half the cases, the
+        /// first or last agent's in two thirds of those. Both
+        /// report the same first conflict as (round, agent, conflict);
+        /// without one, every agent has the same gaps, which are unknown
+        /// for even `n`.
+        #[test]
+        fn chain_matches_one_union_find_per_agent(
+            (n, seed, corrupt) in (3usize..=129, any::<u64>(), any::<bool>())
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut positions: Vec<u64> = (0..n).map(|_| rng.gen_range(0..CIRCUMFERENCE)).collect();
+            positions.sort_unstable();
+            let gap = |slot: usize| (positions[(slot + 1) % n] + CIRCUMFERENCE - positions[slot % n]) % CIRCUMFERENCE;
+            let rounds = n + 5;
+            let bad_agent = match rng.gen_range(0..3u32) {
+                0 => 0,
+                1 => n - 1,
+                _ => rng.gen_range(0..n),
+            };
+            let bad = corrupt.then(|| (rng.gen_range(0..rounds), bad_agent));
+
+            let mut chain = PairSumChain::new(n);
+            let mut oracle = vec![GapKnowledge::new(n); n];
+            let (mut chain_conflict, mut oracle_conflict) = (None, None);
+            let mut arcs = vec![0u64; n];
+            let mut from = n - 2;
+            for round in 0..rounds {
+                let to = (from + 2) % n;
+                for (agent, arc) in arcs.iter_mut().enumerate() {
+                    // Agent `a`'s slot `s` is the ring's slot `s + a`.
+                    *arc = gap(from + agent) + gap(from + agent + 1);
+                    if bad == Some((round, agent)) {
+                        let truth = *arc;
+                        while *arc == truth {
+                            *arc = match rng.gen_range(0..4u32) {
+                                0 => (truth + rng.gen_range(1..1000)).min(CIRCUMFERENCE),
+                                1 => truth.saturating_sub(rng.gen_range(1..1000)),
+                                2 => rng.gen_range(0..=CIRCUMFERENCE),
+                                // The extremes, a full circle apart.
+                                _ => [0, CIRCUMFERENCE][rng.gen_range(0..2)],
+                            };
+                        }
+                    }
+                }
+                if oracle_conflict.is_none() {
+                    for (agent, k) in oracle.iter_mut().enumerate() {
+                        if let Err(conflict) = k.add_cw_arc(from, to, ArcLength::from_ticks(arcs[agent])) {
+                            oracle_conflict = Some((round, agent, conflict));
+                            break;
+                        }
+                    }
+                }
+                if chain_conflict.is_none() {
+                    chain_conflict = chain.push_round(&arcs).err().map(|(agent, conflict)| (round, agent, conflict));
+                }
+                from = (from + n - 2) % n;
+            }
+            prop_assert_eq!(chain_conflict, oracle_conflict);
+            if oracle_conflict.is_none() {
+                for (agent, k) in oracle.iter().enumerate() {
+                    prop_assert_eq!(chain.gaps(agent), k.gaps(), "agent {}", agent);
+                }
+                prop_assert_eq!(chain.gaps(0).is_some(), n % 2 == 1);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exact i64 potential bound")]
+    fn chains_past_the_i64_bound_are_refused() {
+        PairSumChain::new(MAX_SLOTS);
+    }
 
     #[test]
     fn basic_odd_discovery_recovers_all_positions() {
@@ -174,12 +351,10 @@ mod tests {
         }
     }
 
-    /// Sweeps of 67 and 101 rounds: several full equation batches, then
-    /// one that ends mid-batch.
+    /// Discoveries with sweeps of 67 and 101 rounds.
     #[test]
     fn basic_odd_discovery_across_equation_batches() {
         for &(n, seed) in &[(67usize, 5u64), (101, 6)] {
-            assert_ne!(n % crate::knowledge::BATCH_ROUNDS, 0);
             let config = RingConfig::builder(n)
                 .random_positions(seed * 13 + 1)
                 .random_chirality(seed * 17 + 2)

@@ -17,17 +17,14 @@
 //! [`crate::knowledge::GapKnowledge`] and is done when a single component
 //! remains — after `n/2` Convolution rounds plus O(1) pivots.
 //!
-//! The n structures of a ring of 512 hold 4 MB, more than a core's L2, so
-//! the rounds' equations (two slots per agent) go through an
-//! [`EquationBatch`] and are applied agent by agent every
-//! [`BATCH_ROUNDS`](crate::knowledge::BATCH_ROUNDS) rounds. Completeness
-//! is read from a flush: before every pivot check and before the final
-//! one.
+//! The collision spans differ between agents (the exception agent and the
+//! pivots give them different shapes), so each agent keeps its own
+//! structure and takes each round's equations as they arrive.
 
 use crate::coordination::leader::elect_leader_with_move;
 use crate::error::ProtocolError;
 use crate::exec::{Network, StepBuffers};
-use crate::knowledge::{ArcEquation, BatchConflict, EquationBatch, GapKnowledge};
+use crate::knowledge::{GapKnowledge, KnowledgeConflict};
 use crate::locate::{cumulative_dist_logical, AgentView, LocationDiscovery, LocationMethod};
 use crate::perceptive::link::RingLink;
 use crate::perceptive::nmove::nmove_s;
@@ -115,12 +112,12 @@ struct MeasureScratch {
     behind: Vec<usize>,
 }
 
-/// Writes the equations one round of the measurement phase contributes
-/// for one agent into its two slots: the displacement equation, then the
-/// collision one; a slot stays empty when its equation carries nothing.
+/// Records the equations one round of the measurement phase contributes
+/// for one agent: the displacement equation, then the collision one, each
+/// only when it carries something.
 #[allow(clippy::too_many_arguments)]
 fn record_equations(
-    slots: &mut [ArcEquation],
+    knowledge: &mut GapKnowledge,
     n: usize,
     label: usize,
     site: usize,
@@ -128,12 +125,12 @@ fn record_equations(
     direction: LocalDirection,
     ahead: &[usize],
     behind: &[usize],
-) {
+) -> Result<(), KnowledgeConflict> {
     let start = site - 1;
     // Displacement equation (only when the round rotated the ring).
     if !logical_obs.dist.is_zero() {
         // Rotation index 2: the agent moved two sites clockwise.
-        slots[0] = ArcEquation::new(start, (start + 2) % n, logical_obs.dist);
+        knowledge.add_cw_arc(start, (start + 2) % n, logical_obs.dist)?;
     }
     // Collision equation.
     if let Some(coll) = logical_obs.coll {
@@ -142,26 +139,19 @@ fn record_equations(
             LocalDirection::Right => {
                 let span = ahead[label];
                 if span > 0 && span < n {
-                    slots[1] = ArcEquation::new(start, (start + span) % n, doubled);
+                    knowledge.add_cw_arc(start, (start + span) % n, doubled)?;
                 }
             }
             LocalDirection::Left => {
                 let span = behind[label];
                 if span > 0 && span < n {
-                    slots[1] = ArcEquation::new((start + n - span) % n, start, doubled);
+                    knowledge.add_cw_arc((start + n - span) % n, start, doubled)?;
                 }
             }
             LocalDirection::Idle => {}
         }
     }
-}
-
-/// The error a contradiction among the measurement equations raises.
-fn conflict_error(c: BatchConflict) -> ProtocolError {
-    ProtocolError::Internal {
-        protocol: "location-discovery-perceptive",
-        reason: c.conflict.to_string(),
-    }
+    Ok(())
 }
 
 /// Location discovery in the perceptive model with even `n`
@@ -230,7 +220,7 @@ pub fn discover_locations_perceptive(
         .map(|agent| cumulative_dist_logical(net, &frames, agent))
         .collect();
 
-    let mut batch = EquationBatch::new(n, 2);
+    let mut knowledge = vec![GapKnowledge::new(n); n];
     let mut rotations = 0usize;
     let mut scratch = MeasureScratch::default();
 
@@ -246,7 +236,7 @@ pub fn discover_locations_perceptive(
             n,
             &rule,
             rotations,
-            &mut batch,
+            &mut knowledge,
             &mut scratch,
         )?;
         rotations += 2;
@@ -255,7 +245,6 @@ pub fn discover_locations_perceptive(
     // Pivot rounds (rotation index 0) to tie the parity classes together.
     let mut pivot_anchor = n;
     for _ in 0..6 {
-        let knowledge = batch.flush().map_err(conflict_error)?;
         if knowledge.iter().all(GapKnowledge::is_complete) {
             break;
         }
@@ -273,12 +262,11 @@ pub fn discover_locations_perceptive(
             n,
             &rule,
             rotations,
-            &mut batch,
+            &mut knowledge,
             &mut scratch,
         )?;
     }
 
-    let knowledge = batch.flush().map_err(conflict_error)?;
     if let Some(agent) = knowledge.iter().position(|k| !k.is_complete()) {
         return Err(ProtocolError::Internal {
             protocol: "location-discovery-perceptive",
@@ -308,9 +296,9 @@ pub fn discover_locations_perceptive(
 }
 
 /// Executes one measurement round under the given per-label direction rule
-/// and appends every agent's equations to the batch. All buffers live in
-/// `scratch`, so the round allocates nothing once the vectors have grown
-/// to the ring size.
+/// and records every agent's equations. All buffers live in `scratch`, so
+/// the round allocates nothing once the vectors have grown to the ring
+/// size.
 #[allow(clippy::too_many_arguments)]
 fn run_measurement_round(
     net: &mut Network<'_>,
@@ -319,7 +307,7 @@ fn run_measurement_round(
     n: usize,
     rule: &dyn Fn(usize) -> LocalDirection,
     rotations: usize,
-    batch: &mut EquationBatch,
+    knowledge: &mut [GapKnowledge],
     scratch: &mut MeasureScratch,
 ) -> Result<(), ProtocolError> {
     collision_spans_into(rule, n, scratch);
@@ -331,30 +319,28 @@ fn run_measurement_round(
             .zip(labels)
             .map(|(frame, &label)| frame.to_physical(rule_dirs[label - 1])),
     );
-    let step = net.step_into(&scratch.dirs, &mut scratch.step);
-    if step.is_err() {
-        // A conflict among the pending rounds came first.
-        batch.flush().map_err(conflict_error)?;
-    }
-    step?;
+    net.step_into(&scratch.dirs, &mut scratch.step)?;
     let observations = scratch.step.observations();
-    batch
-        .push_round(|agent, slots| {
-            let logical = frames[agent].observation_to_logical(observations[agent]);
-            let label = labels[agent];
-            let site = (label - 1 + rotations) % n + 1;
-            record_equations(
-                slots,
-                n,
-                label,
-                site,
-                &logical,
-                rule_dirs[label - 1],
-                &scratch.ahead,
-                &scratch.behind,
-            );
-        })
-        .map_err(conflict_error)
+    for (agent, knowledge) in knowledge.iter_mut().enumerate() {
+        let logical = frames[agent].observation_to_logical(observations[agent]);
+        let label = labels[agent];
+        let site = (label - 1 + rotations) % n + 1;
+        record_equations(
+            knowledge,
+            n,
+            label,
+            site,
+            &logical,
+            rule_dirs[label - 1],
+            &scratch.ahead,
+            &scratch.behind,
+        )
+        .map_err(|c| ProtocolError::Internal {
+            protocol: "location-discovery-perceptive",
+            reason: c.to_string(),
+        })?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -483,8 +469,7 @@ mod tests {
         }
     }
 
-    /// 65 Convolution rounds: two full equation batches, one round of a
-    /// third, then flushes before each pivot check.
+    /// A discovery of 65 Convolution rounds, then the pivot checks.
     #[test]
     fn perceptive_discovery_across_equation_batches() {
         let n = 130;

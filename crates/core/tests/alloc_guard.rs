@@ -3,14 +3,12 @@
 //! [`Network::step_pair_into`] (a round and its complement, each undone),
 //! also when it repeats the last pair and reuses it, and collision-link bit
 //! and frame exchanges built on it must perform **zero** heap
-//! allocations, and so must recording equations in a [`GapKnowledge`] and
-//! buffering and flushing them through a warm [`EquationBatch`]. A
+//! allocations, and so must recording equations in a [`GapKnowledge`]. A
 //! counting global allocator (per thread, so the tests can run
 //! concurrently) measures the window, so any allocation sneaking into these
 //! paths fails deterministically.
 
 use ring_protocols::exec::{PairBuffers, StepBuffers};
-use ring_protocols::knowledge::{ArcEquation, EquationBatch, BATCH_ROUNDS};
 use ring_protocols::perceptive::link::{FrameBuffers, LinkBuffers, RingLink};
 use ring_protocols::{GapKnowledge, IdAssignment, Network};
 use ring_sim::{ArcLength, EngineKind, LocalDirection, Model, RingConfig, CIRCUMFERENCE};
@@ -256,52 +254,4 @@ fn gap_knowledge_records_equations_without_allocating() {
     assert!(knowledge.is_complete());
     assert!(conflict.is_err());
     assert_eq!(total, 0, "{total} allocations while recording equations");
-}
-
-/// Rounds of one and two equations an agent, through an automatic flush
-/// at a full batch, an explicit one mid-batch and one that meets a
-/// conflict, at the size of the largest perceptive table ring.
-#[test]
-fn warm_equation_batches_allocate_nothing() {
-    let n = 512;
-    let gap = CIRCUMFERENCE / n as u64;
-    // Slot `i` sits at `i · gap`, so every arc is a whole number of gaps.
-    let arc = |from: usize, to: usize| ArcLength::from_ticks(((to + n - from) % n) as u64 * gap);
-    let mut batch = EquationBatch::new(n, 2);
-    let push = |batch: &mut EquationBatch, round: usize| {
-        batch
-            .push_round(|agent, slots| {
-                let from = (agent + 3 * round) % n;
-                let to = (from + 1 + round % 5) % n;
-                slots[0] = ArcEquation::new(from, to, arc(from, to));
-                if !round.is_multiple_of(3) {
-                    slots[1] = ArcEquation::new(to, from, arc(to, from));
-                }
-            })
-            .expect("consistent")
-    };
-    push(&mut batch, 0);
-    batch.flush().expect("consistent");
-
-    let before = allocations();
-    for round in 1..=BATCH_ROUNDS + 8 {
-        push(&mut batch, round);
-    }
-    let components: usize = batch
-        .flush()
-        .expect("consistent")
-        .iter()
-        .map(GapKnowledge::components)
-        .sum();
-    batch
-        .push_round(|agent, slots| slots[0] = ArcEquation::new(agent, (agent + 1) % n, arc(0, 2)))
-        .expect("a part batch does not flush");
-    let conflict = batch.flush().map(|_| ());
-    let total = allocations() - before;
-    assert!(components < n * n - n * BATCH_ROUNDS);
-    assert_eq!(
-        conflict.map_err(|c| (c.round, c.agent)),
-        Err((BATCH_ROUNDS as u64 + 9, 0))
-    );
-    assert_eq!(total, 0, "{total} allocations while batching equations");
 }

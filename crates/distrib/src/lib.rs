@@ -63,8 +63,8 @@ pub use manifest::{
 };
 pub use merge::{merge_shards, MergeError, MergeReport};
 pub use orchestrator::{
-    run_pending_shards, run_pending_shards_with, OrchestratorOptions, ProcessTransport, RunOutcome,
-    ShardAttempt, WorkerTransport,
+    read_bounded_line, run_pending_shards, run_pending_shards_with, OrchestratorOptions,
+    ProcessTransport, RunOutcome, ShardAttempt, WorkerTransport,
 };
 pub use plan::{plan_shards, ShardRange, MAX_SHARDS};
 pub use protocol::{

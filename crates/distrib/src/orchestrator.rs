@@ -484,21 +484,26 @@ fn run_one_shard(
 }
 
 /// Longest worker-protocol line accepted, in bytes (the daemon's HTTP body
-/// cap). A peer that streams more without a newline fails its attempt — a
-/// retryable shard failure — instead of growing the orchestrator's memory
-/// without bound.
+/// cap), in either direction. A peer that streams more without a newline
+/// costs its connection — for a worker's output, a retryable shard
+/// failure — instead of growing the reader's memory without bound.
 const MAX_WORKER_LINE_BYTES: usize = 1024 * 1024;
 
-/// Reads one line of at most [`MAX_WORKER_LINE_BYTES`] into `line`,
-/// stripping its `\n` or `\r\n` like [`BufRead::lines`]; `Ok(false)` at
-/// end of stream.
-fn read_bounded_line(reader: &mut impl BufRead, line: &mut Vec<u8>) -> Result<bool, String> {
+/// Reads one worker-protocol line of at most `MAX_WORKER_LINE_BYTES`
+/// (1 MiB) into `line`, stripping its `\n` or `\r\n` like [`BufRead::lines`];
+/// `Ok(false)` at end of stream. Every reader of protocol lines, the
+/// orchestrator's and a daemon-connected worker's, goes through it.
+///
+/// # Errors
+///
+/// Returns a message for a failed read or a line over the cap.
+pub fn read_bounded_line(reader: &mut impl BufRead, line: &mut Vec<u8>) -> Result<bool, String> {
     line.clear();
     let read = reader
         .by_ref()
         .take(MAX_WORKER_LINE_BYTES as u64 + 1)
         .read_until(b'\n', line)
-        .map_err(|e| format!("broken worker pipe: {e}"))?;
+        .map_err(|e| format!("broken protocol stream: {e}"))?;
     if line.last() == Some(&b'\n') {
         line.pop();
         if line.last() == Some(&b'\r') {
@@ -506,7 +511,7 @@ fn read_bounded_line(reader: &mut impl BufRead, line: &mut Vec<u8>) -> Result<bo
         }
     } else if line.len() > MAX_WORKER_LINE_BYTES {
         return Err(format!(
-            "worker line exceeds the {MAX_WORKER_LINE_BYTES}-byte cap"
+            "protocol line exceeds the {MAX_WORKER_LINE_BYTES}-byte cap"
         ));
     }
     Ok(read > 0)

@@ -788,7 +788,7 @@ fn run_worker_shard<E: Write, R: Write + Send>(
 /// failure) and reconnects; once the daemon is gone for good the worker
 /// exits cleanly.
 fn cmd_worker_connect(options: &Options, addr: &str) -> Result<i32, String> {
-    use std::io::{BufRead, BufReader};
+    use std::io::BufReader;
 
     if !options.positionals.is_empty() || options.shard.is_some() {
         return Err(
@@ -827,16 +827,29 @@ fn cmd_worker_connect(options: &Options, addr: &str) -> Result<i32, String> {
         }
         registered_before = true;
         eprintln!("ringlab: worker {name}: registered with {addr}");
-        let reader = BufReader::new(match stream.try_clone() {
+        let mut reader = BufReader::new(match stream.try_clone() {
             Ok(clone) => clone,
             Err(_) => continue,
         });
-        for line in reader.lines() {
-            let Ok(line) = line else { break };
+        let mut buf = Vec::new();
+        loop {
+            // A frame over the line cap, like any broken frame, costs the
+            // connection; the worker then registers again.
+            match ring_distrib::read_bounded_line(&mut reader, &mut buf) {
+                Ok(true) => {}
+                Ok(false) => break,
+                Err(e) => {
+                    eprintln!("ringlab: worker {name}: dropping the connection: {e}");
+                    break;
+                }
+            }
+            let Ok(line) = std::str::from_utf8(&buf) else {
+                break;
+            };
             if line.trim().is_empty() {
                 continue;
             }
-            let Ok(frame) = serde_json::from_str(&line) else {
+            let Ok(frame) = serde_json::from_str(line) else {
                 break;
             };
             match frame.get("event").and_then(serde::Value::as_str) {

@@ -723,3 +723,58 @@ fn an_idle_connection_delays_neither_requests_nor_shutdown() {
     drop(idle);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Accepts one connection within `limit` and reads its first line.
+fn accept_line(
+    listener: &std::net::TcpListener,
+    limit: Duration,
+) -> Option<(std::net::TcpStream, String)> {
+    use std::io::BufRead;
+
+    listener.set_nonblocking(true).unwrap();
+    let began = Instant::now();
+    while began.elapsed() < limit {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                stream.set_nonblocking(false).unwrap();
+                stream.set_read_timeout(Some(limit)).unwrap();
+                let mut line = String::new();
+                std::io::BufReader::new(stream.try_clone().unwrap())
+                    .read_line(&mut line)
+                    .ok()?;
+                return Some((stream, line));
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            Err(e) => panic!("accept failed: {e}"),
+        }
+    }
+    None
+}
+
+/// A peer at `--connect ADDR` that answers the hello with a newline-free
+/// frame twice the worker-protocol line cap costs the worker only that
+/// connection: it drops it and registers again, instead of buffering the
+/// stream without bound.
+#[test]
+fn a_worker_drops_a_frame_over_the_line_cap_and_registers_again() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind a fake daemon");
+    let addr = listener.local_addr().unwrap().to_string();
+    let mut worker = spawn_worker(&addr, &[]);
+    let limit = Duration::from_secs(15);
+
+    let (mut first, hello) = accept_line(&listener, limit).expect("the worker registers");
+    first.set_write_timeout(Some(limit)).unwrap();
+    // The worker may hang up mid-write once the cap is passed; the first
+    // connection stays open, so only the cap can end it.
+    first.write_all(&vec![b'x'; 2 << 20]).ok();
+    let again = accept_line(&listener, limit);
+    worker.kill().ok();
+    worker.wait().ok();
+    drop(first);
+
+    assert!(hello.contains("\"hello\""), "first frame: {hello:?}");
+    let (_, hello) = again.expect("the worker registers again after an over-long frame");
+    assert!(hello.contains("\"hello\""), "second frame: {hello:?}");
+}
