@@ -14,14 +14,16 @@
 //! structure: adding an equation is (amortised) near-constant time, and
 //! location discovery is complete exactly when a single group remains.
 //!
-//! Every agent of a ring of `n` keeps one over `n` positions, so a ring
-//! holds `n²` nodes; the layout is compact for that reason (16 bytes a
-//! node, its rank byte in the padding). [`reference`](mod@reference) keeps the earlier wide
-//! layout as the oracle it is tested against. Callers apply each round's
-//! equations as they arrive. Where every agent's equations share one
-//! known shape, as in the basic-model odd-`n` sweep, the caller solves
-//! that shape once for all agents instead
-//! ([`locate::basic_odd`](crate::locate::basic_odd)).
+//! The layout is compact (16 bytes a node, its rank byte in the padding).
+//! [`reference`](mod@reference) keeps the earlier wide layout as the
+//! oracle it is tested against. Callers apply each round's equations as
+//! they arrive. No caller keeps one structure per agent: where agents'
+//! equations share a known shape, the caller solves that shape once for
+//! all of them. The basic-model odd-`n` sweep solves one pair-sum chain
+//! ([`locate::basic_odd`](crate::locate::basic_odd)); the perceptive
+//! measurement keeps one structure per label parity, which each agent's
+//! own Pivot equations then tie together
+//! ([`perceptive::distances`](crate::perceptive::distances)).
 
 pub mod reference;
 
@@ -68,6 +70,19 @@ impl std::error::Error for KnowledgeConflict {}
 /// `±(2n−1)·C`, which stays below `2^63` for every `n < 2^22`. A ring
 /// that large could not hold its agents' `n²` nodes in memory anyway.
 pub(crate) const MAX_SLOTS: usize = 1 << 22;
+
+/// `P_to − P_from` for a clockwise arc of length `arc` from slot `from` to
+/// slot `to`: the arc, less a full circumference when it wraps past slot 0.
+/// `None` for an arc from a slot to itself, which is either a zero-length
+/// observation or the full circle and relates no two distinct positions.
+pub(crate) fn cw_arc_difference(from: usize, to: usize, arc: ArcLength) -> Option<i64> {
+    let v = arc.ticks() as i64;
+    match to.cmp(&from) {
+        std::cmp::Ordering::Equal => None,
+        std::cmp::Ordering::Greater => Some(v),
+        std::cmp::Ordering::Less => Some(v - CIRCUMFERENCE as i64),
+    }
+}
 
 /// One union–find node: its parent, its potential relative to it and, for
 /// a root, its rank. Union by rank keeps ranks below `log2 n < 22`.
@@ -165,20 +180,10 @@ impl GapKnowledge {
     ) -> Result<(), KnowledgeConflict> {
         assert!(from < self.len() && to < self.len(), "slot out of range");
         self.equations += 1;
-        let v = arc.ticks() as i64;
-        if from == to {
-            // Either a zero-length observation or the full circle; neither
-            // relates two distinct prefix positions.
-            return Ok(());
+        match cw_arc_difference(from, to, arc) {
+            Some(diff) => self.union(from, to, diff),
+            None => Ok(()),
         }
-        // Clockwise from `from` to `to`: P_to - P_from = v, adjusted by a
-        // full circumference when the arc wraps past slot 0.
-        let diff = if to > from {
-            v
-        } else {
-            v - CIRCUMFERENCE as i64
-        };
-        self.union(from, to, diff)
     }
 
     /// The difference `P_to − P_from` between two prefix positions if they
@@ -231,7 +236,8 @@ impl GapKnowledge {
         Some(gaps)
     }
 
-    fn find(&self, mut i: usize) -> (usize, i64) {
+    /// Slot `i`'s group root and `P_i − P_root`.
+    pub(crate) fn find(&self, mut i: usize) -> (usize, i64) {
         // Non-mutating find (no path compression) so that read-only queries
         // can take `&self`; the union operation compresses.
         let mut pot = 0;

@@ -12,24 +12,34 @@
 //! contribute two fresh linear equations per agent; a handful of `Pivot`
 //! rounds (rotation index 0, one half of the ring against the other) tie
 //! the two parity classes together. Every observation is a
-//! contiguous-interval equation over the gap vector, so each agent tracks
-//! its knowledge with the union–find structure of
-//! [`crate::knowledge::GapKnowledge`] and is done when a single component
-//! remains — after `n/2` Convolution rounds plus O(1) pivots.
+//! contiguous-interval equation over the gap vector, so knowledge is kept
+//! with the union–find structure of [`crate::knowledge::GapKnowledge`] and
+//! an agent is done when a single component remains — after `n/2`
+//! Convolution rounds plus O(1) pivots.
 //!
-//! The collision spans differ between agents (the exception agent and the
-//! pivots give them different shapes), so each agent keeps its own
-//! structure and takes each round's equations as they arrive.
+//! Convolution round `i` has exception label `n − 2(i−1)` and follows
+//! `2(i−1)` rotations, so the exception always stands at site `n`: every
+//! Convolution round has the same direction pattern over sites, and an
+//! agent's equations depend only on the site it stands at. Over the sweep
+//! each agent stands once at every site of its label's parity, so all
+//! agents of one parity end the sweep with the same equations. The sweep
+//! therefore keeps one structure per parity class (`ParitySweep`), and each
+//! agent ties its class's few components together with its own Pivot
+//! equations (`ParityKnowledge`): O(n) knowledge per ring instead of one
+//! n-slot structure per agent.
 
 use crate::coordination::leader::elect_leader_with_move;
 use crate::error::ProtocolError;
 use crate::exec::{Network, StepBuffers};
-use crate::knowledge::{GapKnowledge, KnowledgeConflict};
+use crate::knowledge::{cw_arc_difference, GapKnowledge, KnowledgeConflict};
 use crate::locate::{cumulative_dist_logical, AgentView, LocationDiscovery, LocationMethod};
 use crate::perceptive::link::RingLink;
 use crate::perceptive::nmove::nmove_s;
 use crate::perceptive::ringdist::ring_distances;
-use ring_sim::{ArcLength, Frame, LocalDirection, Observation};
+use ring_sim::{ArcLength, Frame, LocalDirection, Observation, CIRCUMFERENCE};
+
+/// The most Pivot rounds the schedule runs before giving up.
+const MAX_PIVOT_ROUNDS: usize = 6;
 
 /// The logical direction an agent with a given label takes in a Convolution
 /// round with the given exception label: odd labels move clockwise, even
@@ -53,6 +63,25 @@ fn pivot_direction(label: usize, c: usize, n: usize) -> LocalDirection {
         LocalDirection::Left
     } else {
         LocalDirection::Right
+    }
+}
+
+/// The anchor of the Pivot round after one anchored at `c`: one label
+/// anticlockwise, from label 1 back to `n`.
+fn next_pivot_anchor(c: usize, n: usize) -> usize {
+    if c <= 1 {
+        n
+    } else {
+        c - 1
+    }
+}
+
+/// `x mod n` for `x < 2n`.
+fn wrap(x: usize, n: usize) -> usize {
+    if x >= n {
+        x - n
+    } else {
+        x
     }
 }
 
@@ -102,7 +131,8 @@ fn collision_spans_into(
 }
 
 /// Reusable scratch for the measurement rounds of Algorithm 6: the step
-/// buffers, the physical direction buffer and the collision-span tables.
+/// buffers, the physical direction buffer, the collision-span tables and
+/// the last round's equations, one entry per agent.
 #[derive(Clone, Debug, Default)]
 struct MeasureScratch {
     step: StepBuffers,
@@ -110,14 +140,25 @@ struct MeasureScratch {
     rule_dirs: Vec<LocalDirection>,
     ahead: Vec<usize>,
     behind: Vec<usize>,
+    equations: Vec<RoundEquations>,
 }
 
-/// Records the equations one round of the measurement phase contributes
-/// for one agent: the displacement equation, then the collision one, each
-/// only when it carries something.
-#[allow(clippy::too_many_arguments)]
-fn record_equations(
-    knowledge: &mut GapKnowledge,
+/// The clockwise arc from slot `from` to slot `to` (wrapping past slot 0
+/// when `to <= from`) has length `arc`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct ArcEquation {
+    from: usize,
+    to: usize,
+    arc: ArcLength,
+}
+
+/// What one measurement round tells one agent: the displacement equation,
+/// then the collision one, each only when it carries something.
+type RoundEquations = [Option<ArcEquation>; 2];
+
+/// The equations one round of the measurement phase contributes for the
+/// agent with `label` standing at `site`.
+fn round_equations(
     n: usize,
     label: usize,
     site: usize,
@@ -125,33 +166,32 @@ fn record_equations(
     direction: LocalDirection,
     ahead: &[usize],
     behind: &[usize],
-) -> Result<(), KnowledgeConflict> {
+) -> RoundEquations {
     let start = site - 1;
     // Displacement equation (only when the round rotated the ring).
-    if !logical_obs.dist.is_zero() {
-        // Rotation index 2: the agent moved two sites clockwise.
-        knowledge.add_cw_arc(start, (start + 2) % n, logical_obs.dist)?;
-    }
+    // Rotation index 2: the agent moved two sites clockwise.
+    let displacement = (!logical_obs.dist.is_zero()).then(|| ArcEquation {
+        from: start,
+        to: wrap(start + 2, n),
+        arc: logical_obs.dist,
+    });
     // Collision equation.
-    if let Some(coll) = logical_obs.coll {
-        let doubled = ArcLength::from_ticks(coll.doubled_ticks());
-        match direction {
+    let collision = logical_obs.coll.and_then(|coll| {
+        let arc = ArcLength::from_ticks(coll.doubled_ticks());
+        let (from, to) = match direction {
             LocalDirection::Right => {
                 let span = ahead[label];
-                if span > 0 && span < n {
-                    knowledge.add_cw_arc(start, (start + span) % n, doubled)?;
-                }
+                (span > 0 && span < n).then(|| (start, wrap(start + span, n)))?
             }
             LocalDirection::Left => {
                 let span = behind[label];
-                if span > 0 && span < n {
-                    knowledge.add_cw_arc((start + n - span) % n, start, doubled)?;
-                }
+                (span > 0 && span < n).then(|| (wrap(start + n - span, n), start))?
             }
-            LocalDirection::Idle => {}
-        }
-    }
-    Ok(())
+            LocalDirection::Idle => return None,
+        };
+        Some(ArcEquation { from, to, arc })
+    });
+    [displacement, collision]
 }
 
 /// Location discovery in the perceptive model with even `n`
@@ -161,12 +201,47 @@ fn record_equations(
 ///
 /// Propagates sub-protocol and substrate errors; returns
 /// [`ProtocolError::Internal`] if the measurement schedule ends with
-/// incomplete knowledge (which the tests show does not happen).
+/// incomplete knowledge (which the tests show does not happen), or if two
+/// agents of one parity class see different equations at one site.
 pub fn discover_locations_perceptive(
     net: &mut Network<'_>,
 ) -> Result<LocationDiscovery, ProtocolError> {
     let n = net.len();
     let start = net.rounds_used();
+    let (frames, labels) = measurement_prerequisites(net)?;
+    let delta_start: Vec<ArcLength> = (0..n)
+        .map(|agent| cumulative_dist_logical(net, &frames, agent))
+        .collect();
+
+    let knowledge = measure(net, &frames, &labels)?;
+
+    // Assemble the per-agent views. Knowledge is indexed by label sites;
+    // rotate it to start at each agent's own site before applying the
+    // displacement correction.
+    let mut gaps = Vec::with_capacity(n);
+    let views = (0..n)
+        .map(|agent| {
+            knowledge.gaps_into(agent, &mut gaps);
+            gaps.rotate_left(labels[agent] - 1);
+            AgentView::from_measurement(&gaps, delta_start[agent])
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+
+    Ok(LocationDiscovery::new(
+        views,
+        frames,
+        net.rounds_used() - start,
+        LocationMethod::PerceptiveConvolution,
+    ))
+}
+
+/// Phases 1–3 of Algorithm 6: coordination, the collision link and both
+/// ring distances. Returns every agent's frame and its label, the
+/// clockwise ring distance from the leader plus one.
+fn measurement_prerequisites(
+    net: &mut Network<'_>,
+) -> Result<(Vec<Frame>, Vec<usize>), ProtocolError> {
+    let n = net.len();
 
     // Phase 1: coordination — nontrivial move, common direction, leader.
     let nm = nmove_s(net, 0x5eed)?;
@@ -213,61 +288,29 @@ pub fn discover_locations_perceptive(
             });
         }
     }
+    Ok((frames, cw.labels().to_vec()))
+}
 
-    // Phase 4: the measurement schedule.
-    let labels = cw.labels().to_vec();
-    let delta_start: Vec<ArcLength> = (0..n)
-        .map(|agent| cumulative_dist_logical(net, &frames, agent))
-        .collect();
-
-    let mut knowledge = vec![GapKnowledge::new(n); n];
-    let mut rotations = 0usize;
+/// Phase 4 of Algorithm 6, the measurement schedule: `n/2` Convolution
+/// rounds, then Pivot rounds until every agent's knowledge is complete.
+fn measure(
+    net: &mut Network<'_>,
+    frames: &[Frame],
+    labels: &[usize],
+) -> Result<ParityKnowledge, ProtocolError> {
+    let n = labels.len();
     let mut scratch = MeasureScratch::default();
-
-    // Convolution sweep: n/2 rounds of rotation index 2, the exception agent
-    // sweeping the even labels downwards.
-    for i in 1..=n / 2 {
-        let exception = n - 2 * (i - 1);
-        let rule = move |label: usize| convolution_direction(label, exception);
-        run_measurement_round(
-            net,
-            &frames,
-            &labels,
-            n,
-            &rule,
-            rotations,
-            &mut knowledge,
-            &mut scratch,
-        )?;
-        rotations += 2;
-    }
-
-    // Pivot rounds (rotation index 0) to tie the parity classes together.
-    let mut pivot_anchor = n;
-    for _ in 0..6 {
-        if knowledge.iter().all(GapKnowledge::is_complete) {
+    let mut knowledge = convolution_sweep(net, frames, labels, &mut scratch)?;
+    let mut anchor = n;
+    for _ in 0..MAX_PIVOT_ROUNDS {
+        if (0..n).all(|agent| knowledge.is_complete(agent)) {
             break;
         }
-        let c = pivot_anchor;
-        pivot_anchor = if pivot_anchor <= 1 {
-            n
-        } else {
-            pivot_anchor - 1
-        };
-        let rule = move |label: usize| pivot_direction(label, c, n);
-        run_measurement_round(
-            net,
-            &frames,
-            &labels,
-            n,
-            &rule,
-            rotations,
-            &mut knowledge,
-            &mut scratch,
-        )?;
+        pivot_round(net, frames, labels, anchor, &mut scratch)?;
+        knowledge.apply_round(&scratch.equations)?;
+        anchor = next_pivot_anchor(anchor, n);
     }
-
-    if let Some(agent) = knowledge.iter().position(|k| !k.is_complete()) {
+    if let Some(agent) = (0..n).find(|&agent| !knowledge.is_complete(agent)) {
         return Err(ProtocolError::Internal {
             protocol: "location-discovery-perceptive",
             reason: format!(
@@ -275,41 +318,309 @@ pub fn discover_locations_perceptive(
             ),
         });
     }
+    Ok(knowledge)
+}
 
-    // Phase 5: assemble the per-agent views. Knowledge is indexed by label
-    // sites; rotate it to start at each agent's own site before applying
-    // the displacement correction.
-    let views = (0..n)
-        .map(|agent| {
-            let mut gaps = knowledge[agent].gaps().expect("checked complete");
-            gaps.rotate_left(labels[agent] - 1);
-            AgentView::from_measurement(&gaps, delta_start[agent])
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+/// The label `label`'s site after `rotations` rotations (both 1-based,
+/// `rotations <= n`).
+fn site_of(label: usize, rotations: usize, n: usize) -> usize {
+    wrap(label - 1 + rotations, n) + 1
+}
 
-    Ok(LocationDiscovery::new(
-        views,
-        frames,
-        net.rounds_used() - start,
-        LocationMethod::PerceptiveConvolution,
-    ))
+/// Runs Convolution round `round` (1-based): the exception label is
+/// `n − 2(round − 1)`, after as many rotations.
+fn convolution_round(
+    net: &mut Network<'_>,
+    frames: &[Frame],
+    labels: &[usize],
+    round: usize,
+    scratch: &mut MeasureScratch,
+) -> Result<(), ProtocolError> {
+    let rotations = 2 * (round - 1);
+    let exception = labels.len() - rotations;
+    let rule = move |label: usize| convolution_direction(label, exception);
+    run_measurement_round(net, frames, labels, &rule, rotations, scratch)
+}
+
+/// Runs the Pivot round anchored at label `c`. It follows the sweep's `n`
+/// rotations, so every agent stands at the site of its label.
+fn pivot_round(
+    net: &mut Network<'_>,
+    frames: &[Frame],
+    labels: &[usize],
+    c: usize,
+    scratch: &mut MeasureScratch,
+) -> Result<(), ProtocolError> {
+    let n = labels.len();
+    let rule = move |label: usize| pivot_direction(label, c, n);
+    run_measurement_round(net, frames, labels, &rule, n, scratch)
+}
+
+/// The Convolution sweep, with every agent's equations checked against its
+/// class's record of each site.
+fn convolution_sweep(
+    net: &mut Network<'_>,
+    frames: &[Frame],
+    labels: &[usize],
+    scratch: &mut MeasureScratch,
+) -> Result<ParityKnowledge, ProtocolError> {
+    let n = labels.len();
+    let mut sweep = ParitySweep::new(n);
+    for round in 1..=n / 2 {
+        convolution_round(net, frames, labels, round, scratch)?;
+        let rotations = 2 * (round - 1);
+        for (agent, equations) in scratch.equations.iter().enumerate() {
+            let label = labels[agent];
+            sweep.record(round, agent, label, site_of(label, rotations, n), equations)?;
+        }
+    }
+    Ok(sweep.finish(labels))
+}
+
+/// The Convolution sweep's knowledge: one structure per label parity and
+/// every site's equations as first seen.
+///
+/// Rotations come in twos and `n` is even, so an agent always stands at a
+/// site of its label's parity: a site is only ever seen by one class, and
+/// each agent of that class stands there once. The first visit puts the
+/// site's equations into the class structure; every later visit must bring
+/// the same equations, compared exactly. Each agent's equation set then is
+/// its class's set, without a structure of its own.
+struct ParitySweep {
+    /// Indexed by label parity.
+    classes: [GapKnowledge; 2],
+    /// The equations recorded at site `s`, at index `s − 1`.
+    sites: Vec<Option<RoundEquations>>,
+}
+
+impl ParitySweep {
+    fn new(n: usize) -> Self {
+        ParitySweep {
+            classes: [GapKnowledge::new(n), GapKnowledge::new(n)],
+            sites: vec![None; n],
+        }
+    }
+
+    /// Records what Convolution round `round` told `agent`, which has
+    /// `label` and stands at `site`.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Internal`] when the site's recorded equations
+    /// differ from the agent's, or when they contradict the class's
+    /// earlier ones.
+    fn record(
+        &mut self,
+        round: usize,
+        agent: usize,
+        label: usize,
+        site: usize,
+        equations: &RoundEquations,
+    ) -> Result<(), ProtocolError> {
+        match &self.sites[site - 1] {
+            Some(recorded) if recorded == equations => Ok(()),
+            Some(recorded) => Err(ProtocolError::Internal {
+                protocol: "location-discovery-perceptive",
+                reason: format!(
+                    "Convolution round {round}: agent {agent} at site {site} observed \
+                     {equations:?}, but its class recorded {recorded:?} there"
+                ),
+            }),
+            None => {
+                let class = &mut self.classes[label % 2];
+                for eq in equations.iter().flatten() {
+                    class
+                        .add_cw_arc(eq.from, eq.to, eq.arc)
+                        .map_err(knowledge_error)?;
+                }
+                self.sites[site - 1] = Some(*equations);
+                Ok(())
+            }
+        }
+    }
+
+    /// Fixes each class's components and every slot's potential within
+    /// its component, for agents with the given labels.
+    fn finish(self, labels: &[usize]) -> ParityKnowledge {
+        let n = labels.len();
+        let mut index = vec![u32::MAX; n];
+        let mut counts = [0; 2];
+        let slots = [0, 1].map(|class| {
+            let knowledge = &self.classes[class];
+            index.fill(u32::MAX);
+            (0..n)
+                .map(|slot| {
+                    let (root, potential) = knowledge.find(slot);
+                    if index[root] == u32::MAX {
+                        index[root] = counts[class];
+                        counts[class] += 1;
+                    }
+                    SlotInClass {
+                        component: index[root],
+                        potential,
+                    }
+                })
+                .collect()
+        });
+        let stride = counts[0].max(counts[1]) as usize;
+        let class: Vec<u8> = labels.iter().map(|&label| (label % 2) as u8).collect();
+        ParityKnowledge {
+            overlay: (0..n)
+                .flat_map(|_| {
+                    (0..stride as u32).map(|component| OverlayEntry {
+                        root: component,
+                        offset: 0,
+                    })
+                })
+                .collect(),
+            remaining: class.iter().map(|&c| counts[c as usize] as usize).collect(),
+            slots,
+            class,
+            stride,
+        }
+    }
+}
+
+/// A slot's place in its class's sweep knowledge.
+#[derive(Clone, Copy, Debug)]
+struct SlotInClass {
+    /// Its component, numbered from 0 in slot order of first appearance.
+    component: u32,
+    /// `P_slot − P_root` of its component's root.
+    potential: i64,
+}
+
+/// One class component in an agent's overlay.
+#[derive(Clone, Copy, Debug)]
+struct OverlayEntry {
+    /// The component whose root stands for this one's group.
+    root: u32,
+    /// `P_root(this) − P_root(root)`.
+    offset: i64,
+}
+
+/// Every agent's knowledge after the Convolution sweep: its class's
+/// components and potentials, shared by the class, tied together by the
+/// agent's own later equations in a small union–find over the components
+/// (its overlay). A slot's prefix position, relative to the root of its
+/// overlay group, is its component's overlay offset plus its potential.
+struct ParityKnowledge {
+    /// Per label parity, per slot.
+    slots: [Vec<SlotInClass>; 2],
+    /// Per agent, its label's parity.
+    class: Vec<u8>,
+    /// Per agent, `stride` entries, one per component of its class.
+    overlay: Vec<OverlayEntry>,
+    /// The larger class's component count.
+    stride: usize,
+    /// Per agent, its overlay's remaining groups.
+    remaining: Vec<usize>,
+}
+
+impl ParityKnowledge {
+    /// Whether every gap is determined for `agent`.
+    fn is_complete(&self, agent: usize) -> bool {
+        self.remaining[agent] == 1
+    }
+
+    /// Applies one round's equations, `equations[agent]` to each agent.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Internal`] when an equation contradicts the
+    /// agent's knowledge.
+    fn apply_round(&mut self, equations: &[RoundEquations]) -> Result<(), ProtocolError> {
+        for (agent, equations) in equations.iter().enumerate() {
+            for eq in equations.iter().flatten() {
+                self.apply(agent, eq).map_err(knowledge_error)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Records `eq` for `agent`, as [`GapKnowledge::add_cw_arc`] would.
+    fn apply(&mut self, agent: usize, eq: &ArcEquation) -> Result<(), KnowledgeConflict> {
+        let Some(diff) = cw_arc_difference(eq.from, eq.to, eq.arc) else {
+            return Ok(());
+        };
+        let slots = &self.slots[self.class[agent] as usize];
+        let overlay = &mut self.overlay[agent * self.stride..(agent + 1) * self.stride];
+        let (from, to) = (slots[eq.from], slots[eq.to]);
+        let (group_from, group_to) = (
+            overlay[from.component as usize],
+            overlay[to.component as usize],
+        );
+        // Prefix positions relative to each slot's group root.
+        let at_from = group_from.offset + from.potential;
+        let at_to = group_to.offset + to.potential;
+        if group_from.root == group_to.root {
+            let expected = at_to - at_from;
+            if expected != diff {
+                return Err(KnowledgeConflict {
+                    from: eq.from,
+                    to: eq.to,
+                    expected,
+                    got: diff,
+                });
+            }
+            return Ok(());
+        }
+        // P_to = P_from + diff, so the `to` group's root sits at
+        // `at_from + diff − at_to` from the `from` group's root.
+        let shift = at_from + diff - at_to;
+        for entry in overlay.iter_mut() {
+            if entry.root == group_to.root {
+                entry.root = group_from.root;
+                entry.offset += shift;
+            }
+        }
+        self.remaining[agent] -= 1;
+        Ok(())
+    }
+
+    /// Writes `agent`'s gaps in slot order to `gaps`, once its knowledge is
+    /// complete: gap `i` is the difference of the prefix positions of
+    /// slots `i + 1` and `i`, the last one wrapping to slot 0.
+    fn gaps_into(&self, agent: usize, gaps: &mut Vec<ArcLength>) {
+        debug_assert!(self.is_complete(agent), "agent {agent} is incomplete");
+        let slots = &self.slots[self.class[agent] as usize];
+        let overlay = &self.overlay[agent * self.stride..(agent + 1) * self.stride];
+        let position =
+            |slot: &SlotInClass| overlay[slot.component as usize].offset + slot.potential;
+        let to_arc = |d: i64| ArcLength::from_ticks(d.rem_euclid(CIRCUMFERENCE as i64) as u64);
+        gaps.clear();
+        let first = position(&slots[0]);
+        let mut prev = first;
+        for slot in &slots[1..] {
+            let here = position(slot);
+            gaps.push(to_arc(here - prev));
+            prev = here;
+        }
+        gaps.push(to_arc(first - prev));
+    }
+}
+
+/// A knowledge conflict, reported as this protocol's internal error.
+fn knowledge_error(conflict: KnowledgeConflict) -> ProtocolError {
+    ProtocolError::Internal {
+        protocol: "location-discovery-perceptive",
+        reason: conflict.to_string(),
+    }
 }
 
 /// Executes one measurement round under the given per-label direction rule
-/// and records every agent's equations. All buffers live in `scratch`, so
-/// the round allocates nothing once the vectors have grown to the ring
-/// size.
-#[allow(clippy::too_many_arguments)]
+/// and writes every agent's equations to `scratch.equations`. All buffers
+/// live in `scratch`, so the round allocates nothing once the vectors have
+/// grown to the ring size.
 fn run_measurement_round(
     net: &mut Network<'_>,
     frames: &[Frame],
     labels: &[usize],
-    n: usize,
     rule: &dyn Fn(usize) -> LocalDirection,
     rotations: usize,
-    knowledge: &mut [GapKnowledge],
     scratch: &mut MeasureScratch,
 ) -> Result<(), ProtocolError> {
+    let n = labels.len();
     collision_spans_into(rule, n, scratch);
     let rule_dirs = &scratch.rule_dirs;
     scratch.dirs.clear();
@@ -321,25 +632,21 @@ fn run_measurement_round(
     );
     net.step_into(&scratch.dirs, &mut scratch.step)?;
     let observations = scratch.step.observations();
-    for (agent, knowledge) in knowledge.iter_mut().enumerate() {
-        let logical = frames[agent].observation_to_logical(observations[agent]);
-        let label = labels[agent];
-        let site = (label - 1 + rotations) % n + 1;
-        record_equations(
-            knowledge,
-            n,
-            label,
-            site,
-            &logical,
-            rule_dirs[label - 1],
-            &scratch.ahead,
-            &scratch.behind,
-        )
-        .map_err(|c| ProtocolError::Internal {
-            protocol: "location-discovery-perceptive",
-            reason: c.to_string(),
-        })?;
-    }
+    scratch.equations.clear();
+    scratch
+        .equations
+        .extend(labels.iter().enumerate().map(|(agent, &label)| {
+            let logical = frames[agent].observation_to_logical(observations[agent]);
+            round_equations(
+                n,
+                label,
+                site_of(label, rotations, n),
+                &logical,
+                rule_dirs[label - 1],
+                &scratch.ahead,
+                &scratch.behind,
+            )
+        }));
     Ok(())
 }
 
@@ -348,6 +655,7 @@ mod tests {
     use super::*;
     use crate::ids::IdAssignment;
     use crate::locate::verify_location_discovery;
+    use proptest::prelude::*;
     use ring_sim::{Model, RingConfig};
 
     #[test]
@@ -447,6 +755,169 @@ mod tests {
                 }
             };
             check(&lone, n, &format!("n = {n}, lone left mover"));
+        }
+    }
+
+    /// The reference the parity classes are checked against: one
+    /// [`GapKnowledge`] per agent, fed the agent's own equations as each
+    /// round ends.
+    fn apply_per_agent(knowledge: &mut [GapKnowledge], equations: &[RoundEquations]) {
+        for (k, equations) in knowledge.iter_mut().zip(equations) {
+            for eq in equations.iter().flatten() {
+                k.add_cw_arc(eq.from, eq.to, eq.arc)
+                    .expect("consistent equations");
+            }
+        }
+    }
+
+    /// Every agent's completeness verdict before each Pivot round (the
+    /// schedule's check, up to the round limit), then every agent's gaps.
+    #[derive(Debug, PartialEq)]
+    struct Measured {
+        verdicts: Vec<Vec<bool>>,
+        gaps: Vec<Option<Vec<ArcLength>>>,
+    }
+
+    impl Measured {
+        /// The Pivot rounds the schedule ran: one per verdict, unless the
+        /// last verdict found every agent complete.
+        fn pivot_rounds(&self) -> usize {
+            let done = self.verdicts.last().is_some_and(|v| v.iter().all(|&c| c));
+            self.verdicts.len() - usize::from(done)
+        }
+    }
+
+    /// The measurement schedule with one `GapKnowledge` per agent.
+    fn measure_per_agent(net: &mut Network<'_>, frames: &[Frame], labels: &[usize]) -> Measured {
+        let n = labels.len();
+        let mut scratch = MeasureScratch::default();
+        let mut knowledge = vec![GapKnowledge::new(n); n];
+        for round in 1..=n / 2 {
+            convolution_round(net, frames, labels, round, &mut scratch).unwrap();
+            apply_per_agent(&mut knowledge, &scratch.equations);
+        }
+        let mut verdicts = Vec::new();
+        let mut anchor = n;
+        for _ in 0..MAX_PIVOT_ROUNDS {
+            let verdict: Vec<bool> = knowledge.iter().map(GapKnowledge::is_complete).collect();
+            let done = verdict.iter().all(|&c| c);
+            verdicts.push(verdict);
+            if done {
+                break;
+            }
+            pivot_round(net, frames, labels, anchor, &mut scratch).unwrap();
+            apply_per_agent(&mut knowledge, &scratch.equations);
+            anchor = next_pivot_anchor(anchor, n);
+        }
+        Measured {
+            verdicts,
+            gaps: knowledge.iter().map(GapKnowledge::gaps).collect(),
+        }
+    }
+
+    /// The same schedule over the parity classes, step by step, so that
+    /// each agent's verdict before each Pivot round can be read.
+    fn measure_by_parity(net: &mut Network<'_>, frames: &[Frame], labels: &[usize]) -> Measured {
+        let n = labels.len();
+        let mut scratch = MeasureScratch::default();
+        let mut knowledge = convolution_sweep(net, frames, labels, &mut scratch).unwrap();
+        let mut verdicts = Vec::new();
+        let mut anchor = n;
+        for _ in 0..MAX_PIVOT_ROUNDS {
+            let verdict: Vec<bool> = (0..n).map(|agent| knowledge.is_complete(agent)).collect();
+            let done = verdict.iter().all(|&c| c);
+            verdicts.push(verdict);
+            if done {
+                break;
+            }
+            pivot_round(net, frames, labels, anchor, &mut scratch).unwrap();
+            knowledge.apply_round(&scratch.equations).unwrap();
+            anchor = next_pivot_anchor(anchor, n);
+        }
+        Measured {
+            verdicts,
+            gaps: (0..n)
+                .map(|agent| {
+                    knowledge.is_complete(agent).then(|| {
+                        let mut gaps = Vec::new();
+                        knowledge.gaps_into(agent, &mut gaps);
+                        gaps
+                    })
+                })
+                .collect(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The parity classes equal one union–find per agent on even rings
+        /// of 6 (the smallest even ring) to 130 agents, `n ≡ 2 (mod 4)`
+        /// included, with random,
+        /// alternating and aligned chirality: every agent has the same
+        /// verdict before each Pivot round and the same final gaps, and
+        /// `measure` itself runs as many Pivot rounds and ends with those
+        /// gaps.
+        #[test]
+        fn parity_classes_match_one_union_find_per_agent(
+            (half, chirality, seed) in (3usize..=65, 0u32..3, any::<u64>())
+        ) {
+            let n = 2 * half;
+            let builder = RingConfig::builder(n).random_positions(seed);
+            let config = match chirality {
+                0 => builder.random_chirality(seed ^ 0x9e37),
+                1 => builder.alternating_chirality(),
+                _ => builder.aligned_chirality(),
+            }
+            .build()
+            .unwrap();
+            let ids = IdAssignment::random(n, 4 * n as u64, seed.wrapping_add(1));
+            let mut net = Network::new(&config, ids, Model::Perceptive).unwrap();
+            let (frames, labels) = measurement_prerequisites(&mut net).unwrap();
+            let (mut twin, mut real) = (net.clone(), net.clone());
+
+            let reference = measure_per_agent(&mut net, &frames, &labels);
+            prop_assert_eq!(&measure_by_parity(&mut twin, &frames, &labels), &reference);
+
+            let before = real.rounds_used();
+            let knowledge = measure(&mut real, &frames, &labels).unwrap();
+            prop_assert_eq!(
+                real.rounds_used() - before,
+                (n / 2 + reference.pivot_rounds()) as u64
+            );
+            let mut gaps = Vec::new();
+            for (agent, expected) in reference.gaps.iter().enumerate() {
+                knowledge.gaps_into(agent, &mut gaps);
+                prop_assert_eq!(Some(&gaps), expected.as_ref(), "agent {}", agent);
+            }
+        }
+    }
+
+    #[test]
+    fn a_site_seen_differently_by_two_agents_is_refused() {
+        let n = 8;
+        let mut sweep = ParitySweep::new(n);
+        let eq = |arc: u64| ArcEquation {
+            from: 2,
+            to: 4,
+            arc: ArcLength::from_ticks(arc),
+        };
+        sweep.record(1, 0, 3, 3, &[Some(eq(100)), None]).unwrap();
+        sweep.record(2, 6, 1, 3, &[Some(eq(100)), None]).unwrap();
+        for (round, equations) in [
+            (3, [Some(eq(101)), None]),
+            (4, [Some(eq(100)), Some(eq(7))]),
+        ] {
+            let err = sweep
+                .record(round, 5, 7, 3, &equations)
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.contains(&format!("round {round}"))
+                    && err.contains("agent 5")
+                    && err.contains("site 3"),
+                "{err}"
+            );
         }
     }
 

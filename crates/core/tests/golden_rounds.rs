@@ -5,7 +5,10 @@
 //! pins hold `discover_locations` to the round counts it had before the
 //! link exchanges began reusing repeated pairs: perceptive even `n` (its
 //! collision-link floods are where reuse applies), basic odd `n` and the
-//! lazy model, at two universe factors each.
+//! lazy model, at two universe factors each. The perceptive pins also
+//! cover the chirality settings of Tables I and II, taken before the
+//! measurement phase began keeping one knowledge structure per label
+//! parity.
 
 use ring_protocols::locate::{discover_locations, verify_location_discovery};
 use ring_protocols::{IdAssignment, Network};
@@ -19,8 +22,14 @@ fn rounds(model: Model, n: usize, factor: u64, seed: u64) -> u64 {
         .random_chirality(seed + 1)
         .build()
         .unwrap();
+    rounds_on(&config, model, factor, seed)
+}
+
+/// [`rounds`] on a given ring.
+fn rounds_on(config: &RingConfig, model: Model, factor: u64, seed: u64) -> u64 {
+    let n = config.len();
     let ids = IdAssignment::random(n, factor * n as u64, seed + 2);
-    let mut net = Network::new(&config, ids, model).unwrap();
+    let mut net = Network::new(config, ids, model).unwrap();
     let discovery = discover_locations(&mut net).unwrap();
     assert!(
         verify_location_discovery(&net, &discovery),
@@ -37,6 +46,32 @@ fn perceptive_even_round_counts_are_pinned() {
             rounds(Model::Perceptive, n, factor, seed),
             expected,
             "perceptive n={n} N={factor}n seed={seed}"
+        );
+    }
+}
+
+/// Perceptive even `n` with alternating chirality (Table I's even-`n`
+/// setting) and aligned chirality (Table II's common sense of direction).
+#[test]
+fn perceptive_table_chirality_round_counts_are_pinned() {
+    for (alternating, n, factor, seed, expected) in [
+        (true, 256, 64, 10, 9029),
+        (true, 130, 4, 11, 6441),
+        (false, 256, 64, 12, 9029),
+        (false, 130, 4, 13, 6441),
+    ] {
+        let builder = RingConfig::builder(n).random_positions(seed);
+        let config = if alternating {
+            builder.alternating_chirality()
+        } else {
+            builder.aligned_chirality()
+        }
+        .build()
+        .unwrap();
+        assert_eq!(
+            rounds_on(&config, Model::Perceptive, factor, seed),
+            expected,
+            "perceptive n={n} N={factor}n seed={seed} alternating={alternating}"
         );
     }
 }

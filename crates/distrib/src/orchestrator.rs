@@ -248,6 +248,9 @@ pub fn run_pending_shards(
 ///
 /// Only setup-level I/O failures (creating the run directory, persisting
 /// the manifest) propagate; per-shard failures are captured in the outcome.
+/// After the first failed manifest checkpoint no worker claims another
+/// shard or launches another attempt, and that error is returned once the
+/// attempts in flight have ended.
 pub fn run_pending_shards_with(
     run_dir: &Path,
     manifest: &Mutex<Manifest>,
@@ -270,10 +273,26 @@ pub fn run_pending_shards_with(
 
     let queue: Mutex<Vec<ShardRange>> = Mutex::new(pending.iter().rev().copied().collect());
     let outcome = Mutex::new(RunOutcome::default());
+    let checkpoint_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
+    // Persists the manifest; on failure keeps the first error and returns
+    // false, and the calling worker stops.
+    let checkpoint = |m: &Manifest| match m.save_in(run_dir) {
+        Ok(()) => true,
+        Err(e) => {
+            checkpoint_error
+                .lock()
+                .expect("checkpoint error")
+                .get_or_insert(e);
+            false
+        }
+    };
     let workers = options.concurrency.clamp(1, pending.len());
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
+                if checkpoint_error.lock().expect("checkpoint error").is_some() {
+                    return;
+                }
                 let Some(range) = queue.lock().expect("shard queue").pop() else {
                     return;
                 };
@@ -295,7 +314,9 @@ pub fn run_pending_shards_with(
                         let mut m = manifest.lock().expect("manifest lock");
                         let attempts = &mut m.shards[range.shard].attempts;
                         *attempts = attempts.saturating_add(1);
-                        m.save_in(run_dir).expect("checkpoint manifest");
+                        if !checkpoint(&m) {
+                            return;
+                        }
                     }
                     obs.counter("distrib_attempts").inc();
                     let attempt_start = Instant::now();
@@ -319,7 +340,9 @@ pub fn run_pending_shards_with(
                             {
                                 let mut m = manifest.lock().expect("manifest lock");
                                 m.mark_complete(range.shard, &done, attempt_ms);
-                                m.save_in(run_dir).expect("checkpoint manifest");
+                                if !checkpoint(&m) {
+                                    return;
+                                }
                             }
                             landed(range.shard);
                             outcome.lock().expect("outcome").completed.push(range.shard);
@@ -331,7 +354,9 @@ pub fn run_pending_shards_with(
                                 obs.counter("distrib_watchdog_kills").inc();
                                 let mut m = manifest.lock().expect("manifest lock");
                                 m.note_watchdog_kill(range.shard);
-                                m.save_in(run_dir).expect("checkpoint manifest");
+                                if !checkpoint(&m) {
+                                    return;
+                                }
                             }
                             eprintln!(
                                 "ring-distrib: shard {} attempt {}/{} failed: {}",
@@ -347,7 +372,9 @@ pub fn run_pending_shards_with(
                     {
                         let mut m = manifest.lock().expect("manifest lock");
                         m.mark_failed(range.shard);
-                        m.save_in(run_dir).expect("checkpoint manifest");
+                        if !checkpoint(&m) {
+                            return;
+                        }
                     }
                     landed(range.shard);
                     outcome.lock().expect("outcome").failed.push(range.shard);
@@ -355,6 +382,9 @@ pub fn run_pending_shards_with(
             });
         }
     });
+    if let Some(e) = checkpoint_error.into_inner().expect("checkpoint error") {
+        return Err(e);
+    }
     let mut outcome = outcome.into_inner().expect("outcome");
     outcome.completed.sort_unstable();
     outcome.failed.sort_unstable();
@@ -629,7 +659,7 @@ fn consume_worker_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manifest::{ShardStatus, SpecParams};
+    use crate::manifest::{ShardStatus, SpecParams, MANIFEST_FILE};
     use crate::plan::plan_shards;
     use crate::protocol::{StartEvent, CACHE_HITS, CACHE_MISSES, STORE_MISSES};
 
@@ -1034,6 +1064,54 @@ mod tests {
             "a 5 ms attempt took {fastest:?} under the watchdog"
         );
         assert!(dir.join(shard_file_name(0)).exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Launches canned attempts, but first puts a directory where the
+    /// next manifest checkpoint writes its temporary file.
+    struct CheckpointBlockingTransport {
+        run_dir: std::path::PathBuf,
+        inner: CannedTransport,
+    }
+
+    impl WorkerTransport for CheckpointBlockingTransport {
+        fn launch(&self, range: &ShardRange) -> Result<Box<dyn ShardAttempt>, String> {
+            std::fs::create_dir_all(self.run_dir.join(format!("{MANIFEST_FILE}.tmp")))
+                .map_err(|e| e.to_string())?;
+            self.inner.launch(range)
+        }
+    }
+
+    #[test]
+    fn a_failed_checkpoint_is_returned_and_stops_claiming_shards() {
+        let dir = temp_dir("checkpoint-fails");
+        let manifest = Mutex::new(test_manifest(4, 2));
+        let (first, fingerprint) = {
+            let m = manifest.lock().unwrap();
+            let entry = &m.shards[0];
+            let range = ShardRange {
+                shard: 0,
+                start: entry.start,
+                end: entry.end,
+            };
+            (range, m.spec_fingerprint.clone())
+        };
+        let transport = CheckpointBlockingTransport {
+            run_dir: dir.clone(),
+            inner: CannedTransport {
+                stream: (protocol_lines(&first, 2, &fingerprint).join("\n") + "\n").into_bytes(),
+                reap: Duration::ZERO,
+            },
+        };
+        let options = OrchestratorOptions {
+            concurrency: 1,
+            retries: 0,
+            shard_timeout: None,
+        };
+        let result = run_pending_shards_with(&dir, &manifest, &options, &transport, &|_| {});
+        assert!(result.is_err(), "a checkpoint onto a directory must fail");
+        // The second shard was never claimed.
+        assert_eq!(manifest.lock().unwrap().shards[1].attempts, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
