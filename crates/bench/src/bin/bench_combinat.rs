@@ -19,12 +19,10 @@
 //! sweeps against the binary-search engine kept in `ring_sim::reference`,
 //! undo rounds (`Network::undo_last`) against the reversed round
 //! through the kernel, the fused complementary pair
-//! (`Network::step_pair_into`) against its four calls, a frame exchange
-//! that reuses repeated bit planes against one that simulates each, and
-//! the compact `GapKnowledge` against
-//! `ring_protocols::knowledge::reference`. Each pair's fast and reference
-//! runs are taken in turn, so load on a shared machine falls on both
-//! sides of a speedup alike. In
+//! (`Network::step_pair_into`) against its four calls, and a frame
+//! exchange that reuses repeated bit planes against one that simulates
+//! each. Each pair's fast and reference runs are taken in turn, so load on
+//! a shared machine falls on both sides of a speedup alike. In
 //! `--quick` mode the run **fails** (nonzero exit) if any kernel's fast
 //! path is slower than its reference — the CI perf smoke that keeps these
 //! loops honest.
@@ -34,10 +32,10 @@ use ring_combinat::{reference, Distinguisher, IdSet, SelectiveFamily};
 use ring_protocols::coordination::nontrivial::weak_nontrivial_move_even_distinguisher;
 use ring_protocols::exec::{PairBuffers, StepBuffers};
 use ring_protocols::perceptive::link::{FrameBuffers, LinkBuffers, NeighborFrames, RingLink};
-use ring_protocols::{GapKnowledge, IdAssignment, Network};
+use ring_protocols::{IdAssignment, Network};
 use ring_sim::{
-    AnalyticEngine, AnalyticScratch, ArcLength, EngineKind, LocalDirection, Model,
-    ObjectiveDirection, RingConfig, RingState, RoundBuffers, CIRCUMFERENCE,
+    AnalyticEngine, AnalyticScratch, EngineKind, LocalDirection, Model, ObjectiveDirection,
+    RingConfig, RingState, RoundBuffers,
 };
 use serde::Serialize;
 use std::time::Instant;
@@ -763,54 +761,6 @@ fn main() {
         slow as f64 / fast.max(1) as f64
     );
 
-    // 4f. Location knowledge: the compact `GapKnowledge` union–find against
-    //     the wide one kept in `ring_protocols::knowledge::reference`, each
-    //     built from scratch on one stream of 8·n true arc equations between
-    //     random slots (most of them redundant once the ring is known) at
-    //     n = 512.
-    let mut eq_rng = rand::rngs::StdRng::seed_from_u64(18);
-    let prefix: Vec<u64> = (0..kernel_n as u64)
-        .map(|i| i * (CIRCUMFERENCE / kernel_n as u64) + 2 * eq_rng.gen_range(0..1000u64))
-        .collect();
-    let equations: Vec<(usize, usize, ArcLength)> = (0..8 * kernel_n)
-        .map(|_| {
-            let (from, to) = (eq_rng.gen_range(0..kernel_n), eq_rng.gen_range(0..kernel_n));
-            let arc = (prefix[to] + CIRCUMFERENCE - prefix[from]) % CIRCUMFERENCE;
-            (from, to, ArcLength::from_ticks(arc))
-        })
-        .collect();
-    let (fast, slow) = time_pair(
-        kernel_reps,
-        || {
-            let mut knowledge = GapKnowledge::new(kernel_n);
-            for &(from, to, arc) in &equations {
-                knowledge.add_cw_arc(from, to, arc).expect("consistent");
-            }
-            knowledge.components()
-        },
-        || {
-            let mut knowledge = ring_protocols::knowledge::reference::GapKnowledge::new(kernel_n);
-            for &(from, to, arc) in &equations {
-                knowledge.add_cw_arc(from, to, arc).expect("consistent");
-            }
-            knowledge.components()
-        },
-    );
-    record_pair(
-        &mut entries,
-        &mut speedups,
-        "gap_knowledge",
-        kernel_n as u64,
-        fast,
-        slow,
-        kernel_reps,
-    );
-    println!(
-        "gap_knowledge             n={kernel_n} e={}: {fast:>12} ns vs {slow:>12} ns  ({:.1}x)",
-        equations.len(),
-        slow as f64 / fast.max(1) as f64
-    );
-
     // 5. End-to-end: the distinguisher-driven weak nontrivial move on a
     //    balanced ring, now running as one batched schedule over the
     //    word-parallel strong distinguisher (absolute time only — the whole
@@ -859,10 +809,9 @@ fn main() {
     // The CI perf smoke: in quick mode, a kernel that fails to beat its
     // oracle fails the run. The asserted set is the kernel pairs — the
     // chunked `IdSet` loops, the two sampled verifications, the analytic
-    // first-collision sweeps, the undo rewind, the fused link exchange, the
-    // frame exchange's reuse of repeated planes and the compact union–find
-    // — not the construction or
-    // round-loop pairs, whose inner cost is RNG- or simulator-bound.
+    // first-collision sweeps, the undo rewind, the fused link exchange and
+    // the frame exchange's reuse of repeated planes — not the construction
+    // or round-loop pairs, whose inner cost is RNG- or simulator-bound.
     if quick {
         let asserted = [
             "idset_union",
@@ -875,7 +824,6 @@ fn main() {
             "undo_round",
             "link_exchange_pair",
             "link_frame",
-            "gap_knowledge",
         ];
         let mut failed = false;
         for s in &report.speedups {

@@ -13,19 +13,16 @@
 //! [`GapKnowledge`] maintains that partition as a weighted union–find
 //! structure: adding an equation is (amortised) near-constant time, and
 //! location discovery is complete exactly when a single group remains.
+//! Its `i128` potentials cannot overflow, whatever the ring size or the
+//! equations.
 //!
-//! The layout is compact (16 bytes a node, its rank byte in the padding).
-//! [`reference`](mod@reference) keeps the earlier wide layout as the
-//! oracle it is tested against. Callers apply each round's equations as
-//! they arrive. No caller keeps one structure per agent: where agents'
-//! equations share a known shape, the caller solves that shape once for
-//! all of them. The basic-model odd-`n` sweep solves one pair-sum chain
+//! No caller keeps one structure per agent: where agents' equations share
+//! a known shape, the caller solves that shape once for all of them. The
+//! basic-model odd-`n` sweep solves one pair-sum chain
 //! ([`locate::basic_odd`](crate::locate::basic_odd)); the perceptive
 //! measurement keeps one structure per label parity, which each agent's
 //! own Pivot equations then tie together
 //! ([`perceptive::distances`](crate::perceptive::distances)).
-
-pub mod reference;
 
 use ring_sim::{ArcLength, CIRCUMFERENCE};
 use std::fmt;
@@ -41,9 +38,9 @@ pub struct KnowledgeConflict {
     /// The slot the offending equation ends at.
     pub to: usize,
     /// The value implied by existing knowledge.
-    pub expected: i64,
+    pub expected: i128,
     /// The value of the new equation.
-    pub got: i64,
+    pub got: i128,
 }
 
 impl fmt::Display for KnowledgeConflict {
@@ -58,49 +55,26 @@ impl fmt::Display for KnowledgeConflict {
 
 impl std::error::Error for KnowledgeConflict {}
 
-/// [`GapKnowledge::new`] refuses rings of this many slots or more, and so
-/// does the basic-odd sweep's pair-sum chain, whose potentials obey the
-/// same bound.
-///
-/// Potentials are `i64`. An arc is at most the circumference `C = 2^40`,
-/// so an accepted equation relates two prefix positions by at most `C` in
-/// absolute value. A node's potential is a sum along a chain of at most
-/// `n − 1` accepted equations, so it lies within `±(n−1)·C` even when the
-/// equations are corrupted. A union then computes `pa − pb + diff`, within
-/// `±(2n−1)·C`, which stays below `2^63` for every `n < 2^22`. A ring
-/// that large could not hold its agents' `n²` nodes in memory anyway.
-pub(crate) const MAX_SLOTS: usize = 1 << 22;
-
 /// `P_to − P_from` for a clockwise arc of length `arc` from slot `from` to
 /// slot `to`: the arc, less a full circumference when it wraps past slot 0.
 /// `None` for an arc from a slot to itself, which is either a zero-length
 /// observation or the full circle and relates no two distinct positions.
-pub(crate) fn cw_arc_difference(from: usize, to: usize, arc: ArcLength) -> Option<i64> {
-    let v = arc.ticks() as i64;
+pub(crate) fn cw_arc_difference(from: usize, to: usize, arc: ArcLength) -> Option<i128> {
+    let v = i128::from(arc.ticks());
     match to.cmp(&from) {
         std::cmp::Ordering::Equal => None,
         std::cmp::Ordering::Greater => Some(v),
-        std::cmp::Ordering::Less => Some(v - CIRCUMFERENCE as i64),
+        std::cmp::Ordering::Less => Some(v - i128::from(CIRCUMFERENCE)),
     }
 }
-
-/// One union–find node: its parent, its potential relative to it and, for
-/// a root, its rank. Union by rank keeps ranks below `log2 n < 22`.
-#[derive(Clone, Copy, Debug)]
-struct Node {
-    parent: u32,
-    rank: u8,
-    /// (prefix position of this node) − (prefix position of `parent`).
-    offset: i64,
-}
-
-// The rank byte fits in the padding after the parent.
-const _: () = assert!(std::mem::size_of::<Node>() == 16);
 
 /// Incremental knowledge about the gaps between the `n` initial positions.
 #[derive(Clone, Debug)]
 pub struct GapKnowledge {
-    nodes: Vec<Node>,
+    parent: Vec<usize>,
+    rank: Vec<u32>,
+    /// `offset[i]` = (prefix position of `i`) − (prefix position of `parent[i]`).
+    offset: Vec<i128>,
     components: usize,
     equations: u64,
 }
@@ -110,22 +84,13 @@ impl GapKnowledge {
     ///
     /// # Panics
     ///
-    /// Panics if `n < 2`, or if `n ≥ 2^22`, where `i64` potentials would no
-    /// longer be exact for every equation stream.
+    /// Panics if `n < 2`.
     pub fn new(n: usize) -> Self {
         assert!(n >= 2, "a ring needs at least two slots");
-        assert!(
-            n < MAX_SLOTS,
-            "{n} slots exceed the exact i64 potential bound"
-        );
         GapKnowledge {
-            nodes: (0..n as u32)
-                .map(|parent| Node {
-                    parent,
-                    rank: 0,
-                    offset: 0,
-                })
-                .collect(),
+            parent: (0..n).collect(),
+            rank: vec![0; n],
+            offset: vec![0; n],
             components: n,
             equations: 0,
         }
@@ -133,12 +98,12 @@ impl GapKnowledge {
 
     /// Number of slots (and gaps).
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.parent.len()
     }
 
     /// Whether the knowledge base covers no slots (never true).
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.parent.is_empty()
     }
 
     /// Number of equations recorded so far (including redundant ones).
@@ -188,7 +153,7 @@ impl GapKnowledge {
 
     /// The difference `P_to − P_from` between two prefix positions if they
     /// are in the same knowledge group.
-    pub fn relation(&self, from: usize, to: usize) -> Option<i64> {
+    pub fn relation(&self, from: usize, to: usize) -> Option<i128> {
         let (ra, pa) = self.find(from);
         let (rb, pb) = self.find(to);
         if ra == rb {
@@ -204,7 +169,7 @@ impl GapKnowledge {
             return Some(ArcLength::ZERO);
         }
         self.relation(from, to).map(|d| {
-            let ticks = d.rem_euclid(CIRCUMFERENCE as i64) as u64;
+            let ticks = d.rem_euclid(i128::from(CIRCUMFERENCE)) as u64;
             ArcLength::from_ticks(ticks)
         })
     }
@@ -223,7 +188,8 @@ impl GapKnowledge {
         if !self.is_complete() {
             return None;
         }
-        let to_arc = |d: i64| ArcLength::from_ticks(d.rem_euclid(CIRCUMFERENCE as i64) as u64);
+        let to_arc =
+            |d: i128| ArcLength::from_ticks(d.rem_euclid(i128::from(CIRCUMFERENCE)) as u64);
         let first = self.find(0).1;
         let mut prev = first;
         let mut gaps = Vec::with_capacity(self.len());
@@ -237,37 +203,32 @@ impl GapKnowledge {
     }
 
     /// Slot `i`'s group root and `P_i − P_root`.
-    pub(crate) fn find(&self, mut i: usize) -> (usize, i64) {
+    pub(crate) fn find(&self, mut i: usize) -> (usize, i128) {
         // Non-mutating find (no path compression) so that read-only queries
         // can take `&self`; the union operation compresses.
         let mut pot = 0;
-        loop {
-            let node = self.nodes[i];
-            if node.parent as usize == i {
-                return (i, pot);
-            }
-            pot += node.offset;
-            i = node.parent as usize;
+        while self.parent[i] != i {
+            pot += self.offset[i];
+            i = self.parent[i];
         }
+        (i, pot)
     }
 
-    /// Finds `i`'s root and potential, then points every node on the way
-    /// straight at the root: two passes, no recursion.
-    fn find_compress(&mut self, i: usize) -> (usize, i64) {
-        let (root, pot) = self.find(i);
-        let (mut node, mut rest) = (i, pot);
-        while node != root {
-            let Node { parent, offset, .. } = self.nodes[node];
-            self.nodes[node].parent = root as u32;
-            self.nodes[node].offset = rest;
-            rest -= offset;
-            node = parent as usize;
+    /// Like [`GapKnowledge::find`], pointing every node on the way straight
+    /// at the root. Union by rank bounds the recursion by `log2 n`.
+    fn find_compress(&mut self, i: usize) -> (usize, i128) {
+        if self.parent[i] == i {
+            return (i, 0);
         }
+        let (root, parent_pot) = self.find_compress(self.parent[i]);
+        let pot = self.offset[i] + parent_pot;
+        self.parent[i] = root;
+        self.offset[i] = pot;
         (root, pot)
     }
 
     /// Records `P_to − P_from = diff`.
-    fn union(&mut self, from: usize, to: usize, diff: i64) -> Result<(), KnowledgeConflict> {
+    fn union(&mut self, from: usize, to: usize, diff: i128) -> Result<(), KnowledgeConflict> {
         let (ra, pa) = self.find_compress(from);
         let (rb, pb) = self.find_compress(to);
         if ra == rb {
@@ -286,16 +247,15 @@ impl GapKnowledge {
         // We need: P_to = P_from + diff, with P_from = P_ra + pa, P_to = P_rb + pb.
         // Hence P_rb = P_ra + pa + diff - pb.
         let rb_minus_ra = pa + diff - pb;
-        let (rank_a, rank_b) = (self.nodes[ra].rank, self.nodes[rb].rank);
-        if rank_a < rank_b {
+        if self.rank[ra] < self.rank[rb] {
             // ra joins rb: P_ra = P_rb - rb_minus_ra.
-            self.nodes[ra].parent = rb as u32;
-            self.nodes[ra].offset = -rb_minus_ra;
+            self.parent[ra] = rb;
+            self.offset[ra] = -rb_minus_ra;
         } else {
-            self.nodes[rb].parent = ra as u32;
-            self.nodes[rb].offset = rb_minus_ra;
-            if rank_a == rank_b {
-                self.nodes[ra].rank += 1;
+            self.parent[rb] = ra;
+            self.offset[rb] = rb_minus_ra;
+            if self.rank[ra] == self.rank[rb] {
+                self.rank[ra] += 1;
             }
         }
         self.components -= 1;
@@ -308,6 +268,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
 
     fn arc(t: u64) -> ArcLength {
@@ -413,70 +374,99 @@ mod tests {
         assert!(k.is_complete());
     }
 
-    #[test]
-    #[should_panic(expected = "exact i64 potential bound")]
-    fn rings_past_the_i64_bound_are_refused() {
-        GapKnowledge::new(MAX_SLOTS);
-    }
-
-    /// One equation of a random stream over a ring with known gaps.
-    fn random_equation(rng: &mut StdRng, n: usize, prefix: &[u64]) -> (usize, usize, ArcLength) {
-        let (from, to) = (rng.gen_range(0..n), rng.gen_range(0..n));
-        let truth = (prefix[to] + CIRCUMFERENCE - prefix[from]) % CIRCUMFERENCE;
-        let ticks = match rng.gen_range(0..10u32) {
-            // True equations, redundant ones among them.
-            0..=5 => truth,
-            // Off by a little: conflicts once the slots are related.
-            6 | 7 => (truth + rng.gen_range(1..1000)) % CIRCUMFERENCE,
-            // Anything, up to the full circle: corrupted observations
-            // that drive potentials far from the true prefix sums.
-            8 => rng.gen_range(0..=CIRCUMFERENCE),
-            // The extremes.
-            _ => [0, CIRCUMFERENCE][rng.gen_range(0..2)],
-        };
-        (from, to, ArcLength::from_ticks(ticks))
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The compact union–find equals the wide reference on random
-        /// equation streams — true, redundant, conflicting and corrupted
-        /// equations, from-equals-to ones included: the same verdict and
-        /// conflict values for every equation, the same component count
-        /// after each, and the same relation between every pair of slots
-        /// at the end.
+        /// Against the ring itself: true equations between random slots
+        /// (a spanning set, plus redundant, wrapping and from-equals-to
+        /// ones), in random order. After each one every relation the
+        /// knowledge claims is the true prefix difference, and a corrupted
+        /// arc between two related slots is refused with the truth as
+        /// `expected` and the corruption as `got`, changing no relation.
+        /// Once complete, `gaps()` is the ring's gaps.
         #[test]
-        fn compact_matches_the_reference_on_random_streams(
-            (n, seed, len) in (
+        fn relations_and_gaps_match_the_ring(
+            (n, seed, extra) in (
                 prop_oneof![2usize..=8, 9usize..=64, 65usize..=200],
                 any::<u64>(),
-                1usize..=400,
+                0usize..=200,
             )
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut prefix = vec![0u64; n];
-            for i in 1..n {
-                prefix[i] = prefix[i - 1] + rng.gen_range(1..CIRCUMFERENCE / n as u64);
+            let mut prefix = vec![0i128; n];
+            for slot in 1..n {
+                prefix[slot] = prefix[slot - 1] + i128::from(rng.gen_range(1..CIRCUMFERENCE / n as u64));
             }
-            let mut compact = GapKnowledge::new(n);
-            let mut wide = reference::GapKnowledge::new(n);
-            for _ in 0..len {
-                let (from, to, arc) = random_equation(&mut rng, n, &prefix);
-                let got = compact.add_cw_arc(from, to, arc);
-                let expected = wide.add_cw_arc(from, to, arc);
-                let widened = got.map_err(|c| (c.from, c.to, i128::from(c.expected), i128::from(c.got)));
-                prop_assert_eq!(widened, expected.map_err(|c| (c.from, c.to, c.expected, c.got)));
-                prop_assert_eq!(compact.components(), wide.components());
-            }
-            prop_assert_eq!(compact.equations_recorded(), wide.equations_recorded());
-            for from in 0..n {
-                for to in 0..n {
-                    prop_assert_eq!(compact.relation(from, to).map(i128::from), wide.relation(from, to));
-                    prop_assert_eq!(compact.cw_distance(from, to), wide.cw_distance(from, to));
+            let truth = |from: usize, to: usize| prefix[to] - prefix[from];
+            let true_arc = |from: usize, to: usize| {
+                truth(from, to).rem_euclid(i128::from(CIRCUMFERENCE)) as u64
+            };
+
+            // Slot `order[k]` is tied to one of the slots before it, so
+            // the equations span the ring.
+            let mut order: Vec<usize> = (0..n).collect();
+            order.shuffle(&mut rng);
+            let mut equations: Vec<(usize, usize)> = (1..n)
+                .map(|k| {
+                    let (a, b) = (order[k], order[rng.gen_range(0..k)]);
+                    if rng.gen_range(0..2u32) == 0 { (a, b) } else { (b, a) }
+                })
+                .collect();
+            equations.extend((0..extra).map(|_| (rng.gen_range(0..n), rng.gen_range(0..n))));
+            equations.shuffle(&mut rng);
+
+            let mut k = GapKnowledge::new(n);
+            for &(from, to) in &equations {
+                if !k.is_complete() {
+                    prop_assert_eq!(k.gaps(), None);
+                }
+                let ticks = if from == to {
+                    [0, CIRCUMFERENCE][rng.gen_range(0..2)]
+                } else {
+                    true_arc(from, to)
+                };
+                prop_assert_eq!(k.add_cw_arc(from, to, arc(ticks)), Ok(()));
+                prop_assert_eq!(k.relation(from, to), Some(truth(from, to)));
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if let Some(known) = k.relation(a, b) {
+                    prop_assert_eq!(known, truth(a, b));
+                    prop_assert_eq!(k.cw_distance(a, b), Some(arc(true_arc(a, b))));
+                }
+
+                // A corrupted arc between related slots.
+                if from == to {
+                    continue;
+                }
+                let before: Vec<Option<i128>> = (0..n).map(|slot| k.relation(from, slot)).collect();
+                let components = k.components();
+                let mut bad = true_arc(from, to);
+                while bad == true_arc(from, to) {
+                    bad = match rng.gen_range(0..3u32) {
+                        0 => (bad + rng.gen_range(1..1000)).min(CIRCUMFERENCE),
+                        1 => rng.gen_range(0..=CIRCUMFERENCE),
+                        _ => [0, CIRCUMFERENCE][rng.gen_range(0..2)],
+                    };
+                }
+                let got = cw_arc_difference(from, to, arc(bad)).unwrap();
+                prop_assert_eq!(
+                    k.add_cw_arc(from, to, arc(bad)),
+                    Err(KnowledgeConflict { from, to, expected: truth(from, to), got })
+                );
+                prop_assert_eq!(k.components(), components);
+                for (slot, &relation) in before.iter().enumerate() {
+                    prop_assert_eq!(k.relation(from, slot), relation);
                 }
             }
-            prop_assert_eq!(compact.gaps(), wide.gaps());
+            let corrupted = equations.iter().filter(|(from, to)| from != to).count();
+            prop_assert_eq!(k.equations_recorded(), (equations.len() + corrupted) as u64);
+            prop_assert!(k.is_complete());
+            for from in 0..n {
+                for to in 0..n {
+                    prop_assert_eq!(k.relation(from, to), Some(truth(from, to)));
+                }
+            }
+            let gaps: Vec<ArcLength> = (0..n).map(|i| arc(true_arc(i, (i + 1) % n))).collect();
+            prop_assert_eq!(k.gaps(), Some(gaps));
         }
     }
 

@@ -16,9 +16,20 @@
 use crate::coordination::leader::elect_leader;
 use crate::error::ProtocolError;
 use crate::exec::{Network, StepBuffers};
-use crate::knowledge::{KnowledgeConflict, MAX_SLOTS};
+use crate::knowledge::KnowledgeConflict;
 use crate::locate::{cumulative_dist_logical, AgentView, LocationDiscovery, LocationMethod};
 use ring_sim::{ArcLength, LocalDirection, CIRCUMFERENCE};
+
+/// [`PairSumChain`] refuses rings of this many slots or more.
+///
+/// Its potentials are `i64`. An arc is at most the circumference
+/// `C = 2^40`, so each round relates two slots by at most `C` in absolute
+/// value. A slot's potential is reached from slot 0 by at most `n − 1`
+/// rounds, so it lies within `±(n−1)·C` even when the arcs are corrupted,
+/// and a later round's check subtracts two of them, within `±2(n−1)·C`,
+/// which stays below `2^63` for every `n < 2^22`. A ring that large could
+/// not hold the chain's `n × n` table (`2^44` potentials) in memory anyway.
+const MAX_SLOTS: usize = 1 << 22;
 
 /// Location discovery in the basic model with odd `n` (also valid, and used
 /// as the odd-`n` fallback, in the perceptive model).
@@ -164,8 +175,7 @@ impl PairSumChain {
     /// # Panics
     ///
     /// Panics if `n < 3` (the arc would return to its own slot), or if
-    /// `n ≥ 2^22`, where `i64` potentials would no longer be exact, as in
-    /// [`crate::GapKnowledge::new`].
+    /// `n ≥ 2^22`, where `i64` potentials would no longer be exact.
     fn new(n: usize) -> Self {
         assert!(n >= 3, "a pair-sum chain needs at least three slots");
         assert!(
@@ -213,8 +223,8 @@ impl PairSumChain {
                     KnowledgeConflict {
                         from,
                         to,
-                        expected,
-                        got,
+                        expected: expected.into(),
+                        got: got.into(),
                     },
                 ));
             }

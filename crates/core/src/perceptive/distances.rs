@@ -487,7 +487,7 @@ struct SlotInClass {
     /// Its component, numbered from 0 in slot order of first appearance.
     component: u32,
     /// `P_slot − P_root` of its component's root.
-    potential: i64,
+    potential: i128,
 }
 
 /// One class component in an agent's overlay.
@@ -496,7 +496,7 @@ struct OverlayEntry {
     /// The component whose root stands for this one's group.
     root: u32,
     /// `P_root(this) − P_root(root)`.
-    offset: i64,
+    offset: i128,
 }
 
 /// Every agent's knowledge after the Convolution sweep: its class's
@@ -587,7 +587,8 @@ impl ParityKnowledge {
         let overlay = &self.overlay[agent * self.stride..(agent + 1) * self.stride];
         let position =
             |slot: &SlotInClass| overlay[slot.component as usize].offset + slot.potential;
-        let to_arc = |d: i64| ArcLength::from_ticks(d.rem_euclid(CIRCUMFERENCE as i64) as u64);
+        let to_arc =
+            |d: i128| ArcLength::from_ticks(d.rem_euclid(i128::from(CIRCUMFERENCE)) as u64);
         gaps.clear();
         let first = position(&slots[0]);
         let mut prev = first;

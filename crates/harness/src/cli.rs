@@ -109,9 +109,6 @@ struct Options {
     /// `None` = no store; `Some(None)` = store at the context default
     /// directory; `Some(Some(dir))` = store at an explicit directory.
     structure_store: Option<Option<String>>,
-    /// `--structure-seed-mode`: `Some(true)` = per-case, `Some(false)` =
-    /// fixed. [`parse`] folds it into `spec.structure_seeds`.
-    per_case: Option<bool>,
     shard_timeout: Option<u64>,
     listen: Option<String>,
     connect: Option<String>,
@@ -186,13 +183,6 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--structure-store", operand: "[DIR]", only: "",
         help: "on-disk structure store (default results/structures, or <run-dir>/structures)",
         set: |o, v| store(&mut o.structure_store, Ok(Some(v))) },
-    Flag { name: "--structure-seed-mode", operand: "fixed|per-case", only: "",
-        help: "structure-seed schedule (default fixed; per-case uses 4 seeds)",
-        set: |o, v| match v.unwrap_or_default().as_str() {
-            "fixed" => store(&mut o.per_case, Ok(Some(false))),
-            "per-case" => store(&mut o.per_case, Ok(Some(true))),
-            other => Err(format!("expects fixed or per-case, not `{other}`")),
-        } },
     Flag { name: "--render-fig3", operand: "PATH", only: "faults",
         help: "also write the Figure 3 degradation artifact (single process)",
         set: |o, v| store(&mut o.render_fig3, Ok(v)) },
@@ -1962,15 +1952,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
     };
     spec_fields.push(("subcommand".into(), Value::Str(experiment)));
     options.spec = SpecParams::from_json(&Value::Object(spec_fields))?;
-    // `--structure-seed-mode` is sugar over `--structure-seeds K`, which
-    // alone already means per-case.
-    match (options.per_case, options.spec.structure_seeds) {
-        (Some(false), Some(_)) => {
-            return Err("--structure-seeds contradicts --structure-seed-mode fixed".into())
-        }
-        (Some(true), None) => options.spec.structure_seeds = Some(4),
-        _ => {}
-    }
     validate_spec(&options.spec)?;
     if options.shards != 0 && options.shard.is_some() {
         return Err(
@@ -2334,15 +2315,8 @@ mod tests {
 
     #[test]
     fn structure_seed_schedule_flags_parse_and_validate() {
-        // Fixed by default; bare --structure-seeds implies per-case.
+        // Fixed by default; --structure-seeds K means per-case.
         assert_eq!(parse(&args(&["sweep"])).unwrap().spec.structure_seeds, None);
-        assert_eq!(
-            parse(&args(&["sweep", "--structure-seed-mode", "per-case"]))
-                .unwrap()
-                .spec
-                .structure_seeds,
-            Some(4)
-        );
         assert_eq!(
             parse(&args(&["sweep", "--structure-seeds", "7"]))
                 .unwrap()
@@ -2350,36 +2324,6 @@ mod tests {
                 .structure_seeds,
             Some(7)
         );
-        assert_eq!(
-            parse(&args(&[
-                "sweep",
-                "--structure-seed-mode",
-                "per-case",
-                "--structure-seeds",
-                "2"
-            ]))
-            .unwrap()
-            .spec
-            .structure_seeds,
-            Some(2)
-        );
-        assert_eq!(
-            parse(&args(&["sweep", "--structure-seed-mode", "fixed"]))
-                .unwrap()
-                .spec
-                .structure_seeds,
-            None
-        );
-        // Contradictions and nonsense are usage errors.
-        assert!(parse(&args(&[
-            "sweep",
-            "--structure-seed-mode",
-            "fixed",
-            "--structure-seeds",
-            "2"
-        ]))
-        .is_err());
-        assert!(parse(&args(&["sweep", "--structure-seed-mode", "maybe"])).is_err());
         assert!(parse(&args(&["sweep", "--structure-seeds", "0"])).is_err());
         // K beyond the strong-window count would wrap onto repeated
         // windows; the boundary itself is fine.
@@ -2456,7 +2400,7 @@ mod tests {
             assert_eq!(names.iter().filter(|n| *n == name).count(), 1, "{name}");
             assert!(text.contains(&format!("  {name} ")), "{name}");
         }
-        assert_eq!(names.len(), 28);
+        assert_eq!(names.len(), 27);
     }
 
     /// Random specs over every subcommand: each `Option` both `None` and

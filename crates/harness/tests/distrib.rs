@@ -408,8 +408,6 @@ const SEEDED_SPEC_FLAGS: &[&str] = &[
     "1",
     "--seed",
     "77",
-    "--structure-seed-mode",
-    "per-case",
     "--structure-seeds",
     "3",
 ];

@@ -37,8 +37,8 @@ use serde::{Deserialize, Value};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -118,6 +118,10 @@ struct Daemon {
     wake_addr: SocketAddr,
     pool: Arc<WorkerPool>,
     runs: Mutex<Vec<RunRecord>>,
+    /// The id the next submitted run takes. It starts one past the highest
+    /// `run-NNNN` already in `<data-dir>/runs`, so a restarted daemon
+    /// never reuses a run directory, and every submission advances it.
+    next_run_id: AtomicUsize,
     /// Signalled, under `runs`, whenever some run's `landed` moves.
     progress: Condvar,
     queue: Mutex<VecDeque<usize>>,
@@ -135,6 +139,7 @@ pub fn serve(config: ServeConfig) -> Result<(), String> {
     let runs_dir = config.data_dir.join("runs");
     std::fs::create_dir_all(&runs_dir)
         .map_err(|e| format!("cannot create {}: {e}", runs_dir.display()))?;
+    let next_run_id = AtomicUsize::new(first_unused_run_id(&runs_dir)?);
     let listener = TcpListener::bind(&config.listen)
         .map_err(|e| format!("cannot listen on {}: {e}", config.listen))?;
     let addr = listener
@@ -158,6 +163,7 @@ pub fn serve(config: ServeConfig) -> Result<(), String> {
         wake_addr,
         pool: Arc::new(WorkerPool::new()),
         runs: Mutex::new(Vec::new()),
+        next_run_id,
         progress: Condvar::new(),
         queue: Mutex::new(VecDeque::new()),
         queue_signal: Condvar::new(),
@@ -205,6 +211,21 @@ pub fn serve(config: ServeConfig) -> Result<(), String> {
     std::fs::remove_file(daemon.config.data_dir.join("endpoint")).ok();
     eprintln!("ring-serve: shut down");
     Ok(())
+}
+
+/// One past the highest `run-NNNN` directory name in `runs_dir` (1 when
+/// there is none).
+fn first_unused_run_id(runs_dir: &Path) -> Result<usize, String> {
+    let entries = std::fs::read_dir(runs_dir)
+        .map_err(|e| format!("cannot read {}: {e}", runs_dir.display()))?;
+    let highest = entries
+        .filter_map(|entry| {
+            let name = entry.ok()?.file_name();
+            name.to_str()?.strip_prefix("run-")?.parse::<usize>().ok()
+        })
+        .max()
+        .unwrap_or(0);
+    Ok(highest + 1)
 }
 
 /// Publishes the bound address atomically as `<data-dir>/endpoint`, so
@@ -538,12 +559,15 @@ fn submit_run(daemon: &Arc<Daemon>, body: &[u8]) -> Result<Value, String> {
 
     let (id, dir) = {
         let mut runs = recover(daemon.runs.lock());
-        let id = runs.last().map_or(1, |r| r.id + 1);
+        let id = daemon.next_run_id.fetch_add(1, Ordering::Relaxed);
         let dir = daemon
             .config
             .data_dir
             .join("runs")
             .join(format!("run-{id:04}"));
+        // `create_dir`, not `create_dir_all`: a directory that already
+        // exists belongs to another run and is never written over.
+        std::fs::create_dir(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
         runs.push(RunRecord {
             id,
             dir: dir.clone(),
@@ -553,7 +577,6 @@ fn submit_run(daemon: &Arc<Daemon>, body: &[u8]) -> Result<Value, String> {
         });
         (id, dir)
     };
-    std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let output = dir.join("merged.jsonl").display().to_string();
     let mut manifest = Manifest::new(
         spec,
@@ -784,6 +807,8 @@ mod tests {
 
     /// A daemon that never listens: enough to call `submit_run` on.
     fn idle_daemon(data_dir: PathBuf) -> Arc<Daemon> {
+        let next_run_id =
+            AtomicUsize::new(first_unused_run_id(&data_dir.join("runs")).unwrap_or(1));
         Arc::new(Daemon {
             config: ServeConfig {
                 listen: String::new(),
@@ -802,6 +827,7 @@ mod tests {
             wake_addr: SocketAddr::from(([127, 0, 0, 1], 9)),
             pool: Arc::new(WorkerPool::new()),
             runs: Mutex::new(Vec::new()),
+            next_run_id,
             progress: Condvar::new(),
             queue: Mutex::new(VecDeque::new()),
             queue_signal: Condvar::new(),
@@ -821,5 +847,44 @@ mod tests {
         assert!(recover(daemon.runs.lock()).is_empty());
         assert!(recover(daemon.queue.lock()).is_empty());
         assert!(!dir.exists(), "nothing may be written for a refused run");
+    }
+
+    /// A restarted daemon finds `run-0001` and `run-0007` on disk: its
+    /// first run is run 8, and both old directories keep their bytes. A
+    /// directory already standing at the next id is refused, not reused,
+    /// and the submission after it takes the id after it.
+    #[test]
+    fn a_restarted_daemon_numbers_runs_after_the_existing_ones() {
+        let dir = std::env::temp_dir().join(format!("ring-serve-restart-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let runs = dir.join("runs");
+        let old = ["run-0001", "run-0007"].map(|name| {
+            let path = runs.join(name).join("manifest.json");
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(&path, format!("{name} as the last daemon left it\n")).unwrap();
+            path
+        });
+        let before = old.clone().map(|path| std::fs::read(path).unwrap());
+
+        let daemon = idle_daemon(dir.clone());
+        let body = br#"{"subcommand":"sweep","shards":2}"#;
+        let reply = submit_run(&daemon, body).unwrap();
+        assert_eq!(reply.get("run").and_then(Value::as_u64), Some(8));
+        assert!(runs.join("run-0008").join("manifest.json").is_file());
+        for (path, bytes) in old.iter().zip(&before) {
+            assert_eq!(&std::fs::read(path).unwrap(), bytes, "{}", path.display());
+        }
+
+        std::fs::create_dir(runs.join("run-0009")).unwrap();
+        let err = submit_run(&daemon, body).unwrap_err();
+        assert!(err.contains("run-0009"), "{err}");
+        assert!(std::fs::read_dir(runs.join("run-0009"))
+            .unwrap()
+            .next()
+            .is_none());
+        let reply = submit_run(&daemon, body).unwrap();
+        assert_eq!(reply.get("run").and_then(Value::as_u64), Some(10));
+        assert_eq!(recover(daemon.runs.lock()).len(), 2);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
