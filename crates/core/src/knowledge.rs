@@ -16,13 +16,10 @@
 //! Its `i128` potentials cannot overflow, whatever the ring size or the
 //! equations.
 //!
-//! No caller keeps one structure per agent: where agents' equations share
-//! a known shape, the caller solves that shape once for all of them. The
-//! basic-model odd-`n` sweep solves one pair-sum chain
-//! ([`locate::basic_odd`](crate::locate::basic_odd)); the perceptive
-//! measurement keeps one structure per label parity, which each agent's
-//! own Pivot equations then tie together
-//! ([`perceptive::distances`](crate::perceptive::distances)).
+//! No caller keeps one structure per agent: the perceptive measurement
+//! keeps one per label parity, which each agent's own Pivot equations tie
+//! together ([`perceptive::distances`](crate::perceptive::distances)), and
+//! the sweeps of [`locate`](crate::locate) keep one arc per site.
 
 use ring_sim::{ArcLength, CIRCUMFERENCE};
 use std::fmt;
@@ -66,6 +63,25 @@ pub(crate) fn cw_arc_difference(from: usize, to: usize, arc: ArcLength) -> Optio
         std::cmp::Ordering::Greater => Some(v),
         std::cmp::Ordering::Less => Some(v - i128::from(CIRCUMFERENCE)),
     }
+}
+
+/// The gaps between consecutive prefix positions, given in slot order: gap
+/// `i` is position `i + 1` less position `i`, modulo the circumference, and
+/// the last one wraps to slot 0.
+pub(crate) fn gaps_between(
+    positions: impl IntoIterator<Item = i128>,
+) -> impl Iterator<Item = ArcLength> {
+    let mut positions = positions.into_iter();
+    let first = positions.next();
+    let circle = i128::from(CIRCUMFERENCE);
+    positions.chain(first).scan(first, move |prev, here| {
+        // A consistent gap needs no division (`rem_euclid` on `i128` is slow).
+        let gap = match here - prev.replace(here)? {
+            d if (0..circle).contains(&d) => d,
+            d => d.rem_euclid(circle),
+        };
+        Some(ArcLength::from_ticks(gap as u64))
+    })
 }
 
 /// Incremental knowledge about the gaps between the `n` initial positions.
@@ -179,27 +195,13 @@ impl GapKnowledge {
         self.cw_distance(i, (i + 1) % self.len())
     }
 
-    /// All gaps, if location discovery is complete.
-    ///
-    /// One pass: every node's potential is found once, and gap `i` is the
-    /// difference of two neighbouring potentials (the last one wraps to
-    /// slot 0), which is what [`GapKnowledge::gap`] computes per gap.
+    /// All gaps, if location discovery is complete: every node's potential
+    /// is found once, and gap `i` is the difference of two neighbouring
+    /// potentials, which is what [`GapKnowledge::gap`] computes per gap.
     pub fn gaps(&self) -> Option<Vec<ArcLength>> {
-        if !self.is_complete() {
-            return None;
-        }
-        let to_arc =
-            |d: i128| ArcLength::from_ticks(d.rem_euclid(i128::from(CIRCUMFERENCE)) as u64);
-        let first = self.find(0).1;
-        let mut prev = first;
-        let mut gaps = Vec::with_capacity(self.len());
-        for i in 1..self.len() {
-            let pot = self.find(i).1;
-            gaps.push(to_arc(pot - prev));
-            prev = pot;
-        }
-        gaps.push(to_arc(first - prev));
-        Some(gaps)
+        let potentials = (0..self.len()).map(|i| self.find(i).1);
+        self.is_complete()
+            .then(|| gaps_between(potentials).collect())
     }
 
     /// Slot `i`'s group root and `P_i − P_root`.

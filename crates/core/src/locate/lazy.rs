@@ -5,12 +5,23 @@
 //! observations. The sweep ends — simultaneously for every agent — when the
 //! accumulated distance reaches one full circumference, i.e. after exactly
 //! `n` rounds, which also reveals `n` itself.
+//!
+//! In round `t` every agent reads the gap after its own slot `t`, and all
+//! agents stand at different sites. So the sweep keeps one gap per site
+//! (`SiteRecord`) and checks every agent's observation against it as it
+//! is made, instead of keeping `n` gap lists of `n` gaps.
 
-use crate::coordination::leader::elect_leader;
+use crate::coordination::leader::{elect_leader, LeaderElection};
 use crate::error::ProtocolError;
-use crate::exec::{Network, StepBuffers};
-use crate::locate::{cumulative_dist_logical, AgentView, LocationDiscovery, LocationMethod};
-use ring_sim::{ArcLength, LocalDirection, CIRCUMFERENCE};
+use crate::exec::Network;
+use crate::locate::{sweep, LocationDiscovery, LocationMethod, SiteRecord};
+use ring_sim::{ArcLength, LocalDirection};
+
+/// The gap record of a sweep: round `t` tells every agent the gap from its
+/// slot `t` to the next.
+fn gap_record(n: usize, reversed: bool) -> SiteRecord {
+    SiteRecord::new(n, 0, 1, 1, reversed, "location-discovery-lazy")
+}
 
 /// Location discovery in the lazy model: leader election, direction
 /// agreement (both bundled in [`elect_leader`]) and an `n`-round rotation-1
@@ -35,89 +46,48 @@ pub fn discover_locations_lazy(net: &mut Network<'_>) -> Result<LocationDiscover
 /// Propagates sub-protocol and substrate errors.
 pub fn discover_locations_lazy_with_leader(
     net: &mut Network<'_>,
-    election: &crate::coordination::leader::LeaderElection,
+    election: &LeaderElection,
 ) -> Result<LocationDiscovery, ProtocolError> {
-    let n = net.len();
-    let start = net.rounds_used() - election.rounds();
-
-    let frames = election.frames().to_vec();
-
-    // Logical displacement accumulated so far: needed to convert the
-    // measured arrangement back to initial positions.
-    let delta_start: Vec<ArcLength> = (0..n)
-        .map(|agent| cumulative_dist_logical(net, &frames, agent))
-        .collect();
-
-    // The sweep: only the leader moves (logically clockwise); everybody
-    // idles. Each agent appends the observed gap until a full circle has
-    // been covered.
-    let dirs: Vec<LocalDirection> = (0..n)
-        .map(|agent| {
-            if election.is_leader(agent) {
-                frames[agent].to_physical(LocalDirection::Right)
-            } else {
-                LocalDirection::Idle
-            }
-        })
-        .collect();
-
-    // The sweep is one batched schedule: the same direction assignment every
-    // round, each agent folding its observation into its gap list, until
-    // every agent has covered exactly one circumference.
-    let mut gaps: Vec<Vec<ArcLength>> = vec![Vec::new(); n];
-    let mut covered: Vec<u64> = vec![0; n];
-    let round_budget = 4 * n as u64 + 16;
-    let mut bufs = StepBuffers::new();
-    net.run_schedule(
-        &mut bufs,
-        |round, out| {
-            if round >= round_budget {
-                return false;
-            }
-            out.extend_from_slice(&dirs);
-            true
-        },
-        |obs| {
-            let mut all_done = true;
-            for agent in 0..n {
-                if covered[agent] >= CIRCUMFERENCE {
-                    continue;
-                }
-                let logical = frames[agent].observation_to_logical(obs[agent]);
-                gaps[agent].push(logical.dist);
-                covered[agent] += logical.dist.ticks();
-                if covered[agent] < CIRCUMFERENCE {
-                    all_done = false;
-                }
-            }
-            all_done
-        },
-    )?;
-    if covered.iter().any(|&c| c != CIRCUMFERENCE) {
-        return Err(ProtocolError::Internal {
-            protocol: "location-discovery-lazy",
-            reason: "the sweep did not cover exactly one circumference".into(),
-        });
-    }
-
-    let views = (0..n)
-        .map(|agent| AgentView::from_measurement(&gaps[agent], delta_start[agent]))
-        .collect::<Result<Vec<_>, _>>()?;
-
-    Ok(LocationDiscovery::new(
-        views,
-        frames,
-        net.rounds_used() - start,
-        LocationMethod::Lazy,
-    ))
+    // Only the leader moves (logically clockwise); everybody idles, and
+    // each agent reads one gap a round until it has covered the circle.
+    let directions = [LocalDirection::Right, LocalDirection::Idle];
+    let method = LocationMethod::Lazy;
+    sweep(
+        net,
+        election,
+        directions,
+        gap_record,
+        ArcLength::ticks,
+        method,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::IdAssignment;
+    use crate::locate::tests::{mismatches_are_refused, record_matches_union_finds};
     use crate::locate::verify_location_discovery;
+    use proptest::prelude::*;
     use ring_sim::{Model, RingConfig};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The gap record equals one union–find per agent (see
+        /// [`record_matches_union_finds`]).
+        #[test]
+        fn gap_record_matches_one_union_find_per_agent(
+            (n, seed, corrupt) in (2usize..=129, any::<u64>(), any::<bool>())
+        ) {
+            record_matches_union_finds(gap_record, n, seed, corrupt);
+        }
+    }
+
+    #[test]
+    fn a_gap_seen_differently_by_two_agents_is_refused() {
+        mismatches_are_refused(gap_record);
+    }
 
     #[test]
     fn lazy_discovery_recovers_all_positions() {
@@ -155,6 +125,7 @@ mod tests {
         let mut net = Network::new(&config, ids, Model::Lazy).unwrap();
         let discovery = discover_locations_lazy(&mut net).unwrap();
         assert_eq!(discovery.views().len(), n);
-        assert!(discovery.views().iter().all(|v| v.len() == n));
+        assert!(discovery.views().all(|v| v.len() == n));
+        assert!(verify_location_discovery(&net, &discovery));
     }
 }

@@ -31,12 +31,12 @@
 use crate::coordination::leader::elect_leader_with_move;
 use crate::error::ProtocolError;
 use crate::exec::{Network, StepBuffers};
-use crate::knowledge::{cw_arc_difference, GapKnowledge, KnowledgeConflict};
-use crate::locate::{cumulative_dist_logical, AgentView, LocationDiscovery, LocationMethod};
+use crate::knowledge::{cw_arc_difference, gaps_between, GapKnowledge, KnowledgeConflict};
+use crate::locate::{check_view, cumulative_dists_logical, LocationDiscovery, LocationMethod};
 use crate::perceptive::link::RingLink;
 use crate::perceptive::nmove::nmove_s;
 use crate::perceptive::ringdist::ring_distances;
-use ring_sim::{ArcLength, Frame, LocalDirection, Observation, CIRCUMFERENCE};
+use ring_sim::{ArcLength, Frame, LocalDirection, Observation};
 
 /// The most Pivot rounds the schedule runs before giving up.
 const MAX_PIVOT_ROUNDS: usize = 6;
@@ -209,30 +209,22 @@ pub fn discover_locations_perceptive(
     let n = net.len();
     let start = net.rounds_used();
     let (frames, labels) = measurement_prerequisites(net)?;
-    let delta_start: Vec<ArcLength> = (0..n)
-        .map(|agent| cumulative_dist_logical(net, &frames, agent))
-        .collect();
+    let delta_start = cumulative_dists_logical(net, &frames);
 
     let knowledge = measure(net, &frames, &labels)?;
 
-    // Assemble the per-agent views. Knowledge is indexed by label sites;
-    // rotate it to start at each agent's own site before applying the
-    // displacement correction.
-    let mut gaps = Vec::with_capacity(n);
-    let views = (0..n)
-        .map(|agent| {
-            knowledge.gaps_into(agent, &mut gaps);
-            gaps.rotate_left(labels[agent] - 1);
-            AgentView::from_measurement(&gaps, delta_start[agent])
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-
-    Ok(LocationDiscovery::new(
-        views,
-        frames,
-        net.rounds_used() - start,
-        LocationMethod::PerceptiveConvolution,
-    ))
+    // One record of the views: agent 0's gaps, indexed by label sites as
+    // all knowledge is. Every other agent's gaps are derived from its own
+    // knowledge and compared with it as they are derived. An agent stood
+    // at the site of its label when the measurement began.
+    let record: Vec<ArcLength> = knowledge.gaps(0).collect();
+    for agent in 1..n {
+        check_view(agent, &record, knowledge.gaps(agent))?;
+    }
+    let starts = (0..n).map(|agent| (labels[agent] - 1, delta_start[agent]));
+    let rounds = net.rounds_used() - start;
+    let method = LocationMethod::PerceptiveConvolution;
+    LocationDiscovery::new(&record, starts, frames, rounds, method)
 }
 
 /// Phases 1–3 of Algorithm 6: coordination, the collision link and both
@@ -578,26 +570,17 @@ impl ParityKnowledge {
         Ok(())
     }
 
-    /// Writes `agent`'s gaps in slot order to `gaps`, once its knowledge is
-    /// complete: gap `i` is the difference of the prefix positions of
-    /// slots `i + 1` and `i`, the last one wrapping to slot 0.
-    fn gaps_into(&self, agent: usize, gaps: &mut Vec<ArcLength>) {
+    /// `agent`'s gaps in slot order, derived as they are read, once its
+    /// knowledge is complete.
+    fn gaps(&self, agent: usize) -> impl Iterator<Item = ArcLength> + '_ {
         debug_assert!(self.is_complete(agent), "agent {agent} is incomplete");
         let slots = &self.slots[self.class[agent] as usize];
         let overlay = &self.overlay[agent * self.stride..(agent + 1) * self.stride];
-        let position =
-            |slot: &SlotInClass| overlay[slot.component as usize].offset + slot.potential;
-        let to_arc =
-            |d: i128| ArcLength::from_ticks(d.rem_euclid(i128::from(CIRCUMFERENCE)) as u64);
-        gaps.clear();
-        let first = position(&slots[0]);
-        let mut prev = first;
-        for slot in &slots[1..] {
-            let here = position(slot);
-            gaps.push(to_arc(here - prev));
-            prev = here;
-        }
-        gaps.push(to_arc(first - prev));
+        gaps_between(
+            slots
+                .iter()
+                .map(|s| overlay[s.component as usize].offset + s.potential),
+        )
     }
 }
 
@@ -839,11 +822,9 @@ mod tests {
             verdicts,
             gaps: (0..n)
                 .map(|agent| {
-                    knowledge.is_complete(agent).then(|| {
-                        let mut gaps = Vec::new();
-                        knowledge.gaps_into(agent, &mut gaps);
-                        gaps
-                    })
+                    knowledge
+                        .is_complete(agent)
+                        .then(|| knowledge.gaps(agent).collect())
                 })
                 .collect(),
         }
@@ -886,9 +867,8 @@ mod tests {
                 real.rounds_used() - before,
                 (n / 2 + reference.pivot_rounds()) as u64
             );
-            let mut gaps = Vec::new();
             for (agent, expected) in reference.gaps.iter().enumerate() {
-                knowledge.gaps_into(agent, &mut gaps);
+                let gaps: Vec<ArcLength> = knowledge.gaps(agent).collect();
                 prop_assert_eq!(Some(&gaps), expected.as_ref(), "agent {}", agent);
             }
         }

@@ -280,7 +280,8 @@ fn location_discovery_agrees_across_undo_paths() {
         let (mut rewound, mut kernel) = engine_pair(&config, &ids);
         let r = discover_locations_perceptive(&mut rewound).unwrap();
         let k = discover_locations_perceptive(&mut kernel).unwrap();
-        assert_eq!(r.views(), k.views(), "n={n}: views");
+        let (rv, kv): (Vec<_>, Vec<_>) = (r.views().collect(), k.views().collect());
+        assert_eq!(rv, kv, "n={n}: views");
         assert_eq!(r.frames(), k.frames(), "n={n}: frames");
         assert_eq!(r.rounds(), k.rounds(), "n={n}: rounds");
         assert_same_state(&rewound, &kernel, "distances");

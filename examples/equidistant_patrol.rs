@@ -5,14 +5,30 @@
 //!
 //! Run with `cargo run -p ring-examples --bin equidistant_patrol`.
 //!
-//! Every agent independently computes, from its discovered map alone, how
-//! far it must travel so that the whole swarm ends up evenly spaced, and in
-//! which direction. Because all maps describe the same ring, the plans are
-//! mutually consistent without any further communication.
+//! Every agent independently computes, from its discovered map alone, where
+//! every agent of the swarm should stand so that the whole swarm ends up
+//! evenly spaced. All maps describe the same ring, rotated, so if every
+//! agent anchors the formation at the same agent, the plans agree without
+//! any further communication. The anchor is the agent that starts the
+//! lexicographically smallest sequence of gaps, which every agent finds in
+//! its own map. The example checks both claims: every map is the same ring
+//! rotated, and every agent's plan is every other agent's.
 
 use ring_examples::{demo_deployment, demo_network, pct};
 use ring_protocols::locate::discover_locations;
 use ring_sim::{Model, CIRCUMFERENCE};
+
+/// A per-hop sequence read from hop `k` on.
+fn rotated<T: Clone>(seq: &[T], k: usize) -> Vec<T> {
+    [&seq[k..], &seq[..k]].concat()
+}
+
+/// The hop whose gap sequence is lexicographically smallest.
+fn anchor(gaps: &[u64]) -> usize {
+    (0..gaps.len())
+        .min_by_key(|&k| rotated(gaps, k))
+        .expect("a ring has agents")
+}
 
 fn main() {
     let n = 12;
@@ -25,42 +41,77 @@ fn main() {
         discovery.rounds()
     );
 
+    // Each agent's map: the arcs to the agents 0, 1, … hops logically
+    // clockwise from it, and the gaps between them.
+    let rels: Vec<Vec<u64>> = discovery
+        .views()
+        .map(|view| view.relative_positions().map(|arc| arc.ticks()).collect())
+        .collect();
+    let maps: Vec<Vec<u64>> = rels
+        .iter()
+        .map(|rel| {
+            (0..n)
+                .map(|j| rel.get(j + 1).unwrap_or(&CIRCUMFERENCE) - rel[j])
+                .collect()
+        })
+        .collect();
+    // Every map is agent 0's ring, read from the hop where that agent is.
+    let hops: Vec<usize> = maps
+        .iter()
+        .map(|map| {
+            (0..n)
+                .find(|&k| rotated(&maps[0], k) == *map)
+                .expect("every agent's map is the same ring, rotated")
+        })
+        .collect();
+
     // Each agent's plan: keep the cyclic order (agents cannot overpass!),
-    // anchor the formation at the agent it sees at relative index 0 (itself)
-    // and assign target slot j to the agent j hops clockwise. The target of
-    // the agent j hops away is `j/n` of the circle from the anchor; the
-    // agent's own correction is the difference between that target and the
-    // current offset. Every agent computes the *whole* formation, so we can
-    // check the plans agree.
-    let slot_width = CIRCUMFERENCE as f64 / n as f64;
-    let mut max_travel = 0.0f64;
-    println!("agent | current offset of farthest neighbour | own correction");
-    for agent in 0..n {
-        let view = discovery.view(agent);
-        let rel = view.relative_positions();
-        // Correction for the agent j hops clockwise from `agent`, as planned
-        // by `agent`. Its own correction is the j = 0 entry (zero by
-        // construction: the anchor does not move).
-        let corrections: Vec<f64> = (0..n)
-            .map(|j| j as f64 * slot_width - rel[j].ticks() as f64)
-            .collect();
-        // The correction the agent 1 hop away must make, according to this
-        // agent — used below to show the plans are consistent.
-        let travel = corrections
-            .iter()
-            .map(|c| c.abs() / CIRCUMFERENCE as f64)
-            .fold(0.0f64, f64::max);
-        max_travel = max_travel.max(travel);
-        println!(
-            "  {agent:>3} | {} | {}",
-            pct(rel[n - 1].as_fraction()),
-            pct(corrections[1] / CIRCUMFERENCE as f64),
+    // anchor the formation at the agent `anchor` hops clockwise and send the
+    // agent `i` hops past the anchor to `i/n` of the circle past it. The
+    // plan is every agent's signed correction, by hops from the planner.
+    let slot_width = CIRCUMFERENCE / n as u64;
+    let plans: Vec<Vec<i64>> = rels
+        .iter()
+        .zip(&maps)
+        .map(|(rel, map)| {
+            let a = anchor(map);
+            (0..n)
+                .map(|j| {
+                    let target = rel[a] + ((j + n - a) % n) as u64 * slot_width;
+                    let ahead = (target + CIRCUMFERENCE - rel[j]) % CIRCUMFERENCE;
+                    if ahead > CIRCUMFERENCE / 2 {
+                        ahead as i64 - CIRCUMFERENCE as i64
+                    } else {
+                        ahead as i64
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    // The plans agree: what agent `a` plans for the agent `j` hops from it
+    // is what agent 0 plans for that same agent.
+    for (agent, plan) in plans.iter().enumerate() {
+        assert_eq!(
+            *plan,
+            rotated(&plans[0], hops[agent]),
+            "agent {agent}'s plan differs from agent 0's"
         );
     }
 
+    let fraction = |ticks: i64| ticks as f64 / CIRCUMFERENCE as f64;
+    println!("agent | hops to anchor | own correction (clockwise)");
+    for (agent, plan) in plans.iter().enumerate() {
+        println!(
+            "  {agent:>3} | {:>14} | {}",
+            anchor(&maps[agent]),
+            pct(fraction(plan[0]))
+        );
+    }
+    let max_travel = plans[0].iter().map(|c| c.unsigned_abs()).max().unwrap_or(0);
     println!(
-        "\nlargest correction any agent must travel: {} of the circumference",
-        pct(max_travel)
+        "\nall {n} maps are the same ring, rotated, and all {n} plans agree;\n\
+         largest correction any agent must travel: {} of the circumference",
+        pct(fraction(max_travel as i64))
     );
     println!("(the formation preserves the cyclic order, so it is reachable without overpassing)");
 }

@@ -43,7 +43,7 @@ fn main() {
     // What agent 0 now believes about the ring, expressed in its own frame.
     let view = discovery.view(0);
     println!("\nagent 0's reconstructed map (distances from its own start, own clockwise):");
-    for (hops, arc) in view.relative_positions().iter().enumerate() {
+    for (hops, arc) in view.relative_positions().enumerate() {
         println!(
             "  neighbour {hops:>2} hops away: {}",
             pct(arc.as_fraction())
